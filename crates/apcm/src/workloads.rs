@@ -3,8 +3,9 @@
 //!
 //! The SIMD-accelerated hot paths (data arrangement, max-log-MAP
 //! decoding) are traced from their *real* implementations in
-//! `vran-arrange` / `vran-phy`. The scalar modules (scrambling, rate
-//! matching, DCI, OFDM, encoding) run as plain Rust in the pipeline;
+//! `vran-arrange` / `vran-phy`. The modules the paper profiles as
+//! scalar (scrambling, rate matching, DCI, OFDM, encoding) run as
+//! native Rust in the pipeline — several on `std::arch` kernels by now;
 //! for the micro-architectural figures they are represented by
 //! **traced twins** — synthetic µop streams with the same instruction
 //! mix, dependency structure and memory footprint as the real code
@@ -126,6 +127,10 @@ pub fn extract_kernel(ws: usize, reps: usize) -> Trace {
 /// (partly index-dependent, bit-reversal style) loads, a handful of
 /// independent scalar ALU ops, two stores. Paper profile: IPC ≈ 3.8,
 /// negligible backend bound (beefy).
+///
+/// This is the paper's Figure 7 instrument, not the pipeline's FFT:
+/// `vran_phy::ofdm` runs a planned native-SIMD transform, and this
+/// twin keeps the scalar instruction class the figure profiles.
 pub fn ofdm_scalar_kernel(ws: usize, butterflies: usize) -> Trace {
     let (mut vm, buf) = vm_with_ws(ws);
     for i in 0..butterflies {

@@ -8,9 +8,10 @@ use vran_phy::crc::CRC24A;
 use vran_phy::dci::{conv_encode, viterbi_decode_tb};
 use vran_phy::interleaver::QppInterleaver;
 use vran_phy::modulation::{Cplx, Modulation};
-use vran_phy::ofdm::{fft, OfdmConfig};
+use vran_phy::ofdm::{fft_with, OfdmConfig};
 use vran_phy::rate_match::RateMatcher;
 use vran_phy::scrambler::scramble_bits;
+use vran_simd::host;
 
 fn bench_fft(c: &mut Criterion) {
     let mut g = c.benchmark_group("fft");
@@ -18,29 +19,39 @@ fn bench_fft(c: &mut Criterion) {
         let buf: Vec<Cplx> = (0..n)
             .map(|i| Cplx::new((i as f32 * 0.1).sin(), (i as f32 * 0.3).cos()))
             .collect();
+        let mut t = buf.clone();
         g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(n), &buf, |b, buf| {
-            b.iter(|| {
-                let mut t = buf.clone();
-                fft(&mut t, false);
-                t
-            })
-        });
+        for tier in host::available() {
+            g.bench_with_input(BenchmarkId::new(n, tier.name()), &buf, |b, buf| {
+                b.iter(|| {
+                    t.copy_from_slice(buf);
+                    fft_with(tier, std::hint::black_box(&mut t), false);
+                })
+            });
+        }
     }
     g.finish();
 }
 
+/// One OFDM symbol each way per tier. The stream entry points take the
+/// best tier the host has, so each row caps the process-wide ISA
+/// ceiling (a bench binary is its own single-threaded process).
 fn bench_ofdm_symbol(c: &mut Criterion) {
     let cfg = OfdmConfig::lte5mhz();
     let syms = Modulation::Qpsk.modulate(&random_bits(600, 1));
     let air = cfg.modulate(&syms);
+    let (mut tx, mut rx) = (Vec::new(), Vec::new());
     let mut g = c.benchmark_group("ofdm");
-    g.bench_function("modulate", |b| {
-        b.iter(|| cfg.modulate(std::hint::black_box(&syms)))
-    });
-    g.bench_function("demodulate", |b| {
-        b.iter(|| cfg.demodulate(std::hint::black_box(&air)))
-    });
+    for tier in host::available() {
+        host::set_isa_ceiling(Some(tier));
+        g.bench_function(BenchmarkId::new("symbol/modulate", tier.name()), |b| {
+            b.iter(|| cfg.modulate_stream_into(std::hint::black_box(&syms), &mut tx))
+        });
+        g.bench_function(BenchmarkId::new("symbol/demodulate", tier.name()), |b| {
+            b.iter(|| cfg.demodulate_stream_into(std::hint::black_box(&air), syms.len(), &mut rx))
+        });
+    }
+    host::set_isa_ceiling(None);
     g.finish();
 }
 

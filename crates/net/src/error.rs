@@ -11,6 +11,7 @@
 //! [`crate::metrics::PipelineMetrics`].
 
 use crate::packet::ParseError;
+use vran_phy::ofdm::OfdmError;
 use vran_phy::rate_match::RateMatchError;
 use vran_phy::segmentation::SegError;
 
@@ -110,6 +111,8 @@ pub enum FrameFault {
     RedundancyVersion(usize),
     /// An empty or header-only payload where data was required.
     Empty,
+    /// The received sample capture cannot be demodulated.
+    Capture(OfdmError),
 }
 
 /// Structural reasons a (de)segmentation can be inconsistent.
@@ -196,6 +199,14 @@ impl From<SegError> for PipelineError {
     }
 }
 
+impl From<OfdmError> for PipelineError {
+    fn from(e: OfdmError) -> Self {
+        PipelineError::MalformedFrame {
+            reason: FrameFault::Capture(e),
+        }
+    }
+}
+
 impl From<RateMatchError> for PipelineError {
     fn from(e: RateMatchError) -> Self {
         match e {
@@ -269,6 +280,12 @@ mod tests {
         let e: PipelineError = SegError::EmptyBlock.into();
         assert_eq!(e.category(), ErrorCategory::SegmentationOverflow);
         let e: PipelineError = RateMatchError::InvalidRv { rv: 9 }.into();
+        assert_eq!(e.category(), ErrorCategory::MalformedFrame);
+        let e: PipelineError = OfdmError::ShortCapture {
+            need: 548,
+            got: 500,
+        }
+        .into();
         assert_eq!(e.category(), ErrorCategory::MalformedFrame);
     }
 

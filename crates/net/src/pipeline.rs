@@ -58,8 +58,8 @@ use vran_phy::channel::AwgnChannel;
 use vran_phy::crc::{best_crc, CrcImpl, CRC24A, CRC24B};
 use vran_phy::demap::{best_demap, demap_into, DemapImpl};
 use vran_phy::llr::{InterleavedLlrs, Llr, SoftStreams, TailLlrs, TurboLlrs};
-use vran_phy::modulation::Modulation;
-use vran_phy::ofdm::OfdmConfig;
+use vran_phy::modulation::{Cplx, Modulation};
+use vran_phy::ofdm::{OfdmConfig, OfdmError};
 use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
 use vran_phy::scrambler::{
     best_descramble, descramble_llrs, descramble_llrs_with, scramble_bits, DescrambleImpl,
@@ -388,6 +388,13 @@ struct HotState {
     /// Decoded-bit buffers, one per code-block index, reused across
     /// packets and handed to desegmentation as a slice.
     bits_pool: Vec<Vec<u8>>,
+    /// Loopback sample buffers — mapper output, time-domain samples
+    /// before and after the channel, demodulated subcarriers — so the
+    /// OFDM stage allocates nothing in steady state.
+    tx_symbols: Vec<Cplx>,
+    air: Vec<Cplx>,
+    rx_air: Vec<Cplx>,
+    rx_symbols: Vec<Cplx>,
     /// Degradation ladder: consecutive decode-failure packets.
     consecutive_failures: u32,
     /// Degradation ladder: consecutive successes while degraded.
@@ -499,6 +506,27 @@ impl HotState {
                 }
                 SoftStreams::zeros(k)
             }
+        }
+    }
+}
+
+/// Count each buffer an `_into` stage just filled under the staging
+/// taxonomy of [`HotState::acquire_streams`]: a first allocation, a
+/// growth, or a reuse of capacity it already had (`caps`, read before
+/// the stage ran).
+fn count_staging<const N: usize>(
+    m: Option<&PipelineMetrics>,
+    caps: [usize; N],
+    bufs: [&Vec<Cplx>; N],
+) {
+    let Some(m) = m else { return };
+    for (cap, buf) in caps.into_iter().zip(bufs) {
+        if buf.capacity() == cap {
+            m.staging_reuses.inc();
+        } else if cap == 0 {
+            m.staging_allocs.inc();
+        } else {
+            m.staging_reallocs.inc();
         }
     }
 }
@@ -1059,25 +1087,41 @@ impl UplinkPipeline {
         let bps = cfg.modulation.bits_per_symbol();
         let padded_len = tx_bits.len().next_multiple_of(bps);
         tx_bits.resize(padded_len, 0);
-        let symbols = timed(m, Stage::Modulate, || {
+        // held to the end of the function: the sample buffers here, the
+        // decoders and staging below
+        let hot = &mut *self.hot.borrow_mut();
+        let caps = [&hot.tx_symbols, &hot.air, &hot.rx_air, &hot.rx_symbols].map(Vec::capacity);
+        timed(m, Stage::Modulate, || {
             if cfg.frontend_simd {
                 scramble_bits(&mut tx_bits, self.c_init);
             } else {
                 vran_phy::scrambler::scramble_bits_serial(&mut tx_bits, self.c_init);
             }
-            cfg.modulation.modulate(&tx_bits)
+            cfg.modulation.modulate_into(&tx_bits, &mut hot.tx_symbols)
         });
-        let (rx_symbols, scale) = timed(m, Stage::Ofdm, || {
+        let scale = timed(m, Stage::Ofdm, || -> Result<f32, OfdmError> {
             if cfg.fading {
-                self.fading_pass(&symbols)
+                let (rx, scale) = self.fading_pass(&hot.tx_symbols);
+                hot.rx_symbols = rx;
+                Ok(scale)
             } else {
-                let air = self.ofdm.modulate_stream(&symbols);
+                self.ofdm
+                    .modulate_stream_into(&hot.tx_symbols, &mut hot.air);
                 let mut channel = AwgnChannel::new(cfg.snr_db, cfg.seed);
-                let rx_air = channel.apply(&air);
-                let rx = self.ofdm.demodulate_stream(&rx_air, symbols.len());
-                (rx, (channel.llr_scale() / 8.0).clamp(0.25, 16.0))
+                channel.apply_into(&hot.air, &mut hot.rx_air);
+                self.ofdm.try_demodulate_stream_into(
+                    &hot.rx_air,
+                    hot.tx_symbols.len(),
+                    &mut hot.rx_symbols,
+                )?;
+                Ok((channel.llr_scale() / 8.0).clamp(0.25, 16.0))
             }
-        });
+        })?;
+        count_staging(
+            m,
+            caps,
+            [&hot.tx_symbols, &hot.air, &hot.rx_air, &hot.rx_symbols],
+        );
         nanos.transport = t0.elapsed().as_nanos() as u64;
 
         // ---- demap, descramble, de-rate-match ----
@@ -1099,7 +1143,13 @@ impl UplinkPipeline {
             if cfg.frontend_simd {
                 let t_demap = Instant::now();
                 let mut llrs = Vec::new();
-                demap_into(best_demap(), cfg.modulation, &rx_symbols, scale, &mut llrs);
+                demap_into(
+                    best_demap(),
+                    cfg.modulation,
+                    &hot.rx_symbols,
+                    scale,
+                    &mut llrs,
+                );
                 llrs.truncate(padded_len);
                 let demap_ns = t_demap.elapsed().as_nanos() as u64;
                 let t_descramble = Instant::now();
@@ -1109,7 +1159,7 @@ impl UplinkPipeline {
                 }
                 llrs
             } else {
-                let mut llrs = cfg.modulation.demodulate(&rx_symbols, scale);
+                let mut llrs = cfg.modulation.demodulate(&hot.rx_symbols, scale);
                 llrs.truncate(padded_len);
                 descramble_llrs(&mut llrs, self.c_init);
                 llrs
@@ -1125,7 +1175,6 @@ impl UplinkPipeline {
         }
 
         // ---- per code block: de-rate-match, ARRANGE, decode ----
-        let hot = &mut *self.hot.borrow_mut();
         let backend = if hot.degraded && cfg.backend == DecoderBackend::Native {
             DecoderBackend::Scalar
         } else {
@@ -2020,6 +2069,33 @@ mod tests {
             metrics.arrange_fused().count() > 0,
             "fused ingest must record its own arrangement histogram"
         );
+    }
+
+    #[test]
+    fn loopback_ofdm_stage_reaches_zero_steady_state_allocation() {
+        // Mapper output, the sample stream before and after the
+        // channel and the demodulated subcarriers are pooled in the hot
+        // state: one allocation each on the first packet, then reuse.
+        let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
+        let cfg = PipelineConfig {
+            snr_db: 30.0,
+            ..Default::default()
+        };
+        let pipe = UplinkPipeline::with_metrics(cfg, metrics.clone());
+        let mut b = PacketBuilder::new(1000, 2000);
+        let p = b.build(Transport::Udp, 1400).unwrap();
+        assert!(pipe.process(&p).is_ok());
+        let allocs_warm = metrics.staging_allocs.get();
+        let reallocs_warm = metrics.staging_reallocs.get();
+        let reuses_warm = metrics.staging_reuses.get();
+        assert!(allocs_warm >= 4, "four OFDM-stage buffers allocate once");
+        for _ in 0..4 {
+            let p = b.build(Transport::Udp, 1400).unwrap();
+            assert!(pipe.process(&p).is_ok());
+        }
+        assert_eq!(metrics.staging_allocs.get(), allocs_warm);
+        assert_eq!(metrics.staging_reallocs.get(), reallocs_warm);
+        assert!(metrics.staging_reuses.get() >= reuses_warm + 4 * 4);
     }
 
     #[test]

@@ -43,15 +43,22 @@ impl AwgnChannel {
 
     /// Add noise to a symbol stream.
     pub fn apply(&mut self, symbols: &[Cplx]) -> Vec<Cplx> {
-        symbols
-            .iter()
-            .map(|s| {
-                Cplx::new(
-                    s.re + self.sigma * self.gauss(),
-                    s.im + self.sigma * self.gauss(),
-                )
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.apply_into(symbols, &mut out);
+        out
+    }
+
+    /// [`Self::apply`] into a caller-owned buffer (cleared first); the
+    /// Gaussian draws come in the same order, so a seed reproduces the
+    /// same noise through either.
+    pub fn apply_into(&mut self, symbols: &[Cplx], out: &mut Vec<Cplx>) {
+        out.clear();
+        out.extend(symbols.iter().map(|s| {
+            Cplx::new(
+                s.re + self.sigma * self.gauss(),
+                s.im + self.sigma * self.gauss(),
+            )
+        }));
     }
 }
 

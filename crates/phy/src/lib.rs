@@ -6,7 +6,8 @@
 //! constituents, trellis termination), rate matching (sub-block
 //! interleaver + circular buffer), TS 36.211 Gold-sequence scrambling,
 //! QPSK/16-QAM/64-QAM mapping with max-log soft demapping, OFDM
-//! (radix-2 FFT + cyclic prefix) and the PDCCH convolutional code with a
+//! (planned native-SIMD radix-2 FFT + cyclic prefix) and the PDCCH
+//! convolutional code with a
 //! tail-biting Viterbi decoder (DCI path).
 //!
 //! Two execution styles coexist, mirroring DESIGN.md §5.1:

@@ -4,6 +4,8 @@
 //! energy. The demapper emits fixed-point LLRs in the decoder's
 //! convention (positive → bit 0) scaled by [`LLR_SCALE`].
 
+use std::sync::OnceLock;
+
 /// A complex baseband sample.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
@@ -125,21 +127,54 @@ impl Modulation {
         }
     }
 
+    /// The constellation point of the symbol whose bits are `c`
+    /// (even-indexed bits drive I, odd-indexed drive Q).
+    fn point(self, c: &[u8]) -> Cplx {
+        let n = self.norm();
+        let ibits: Vec<u8> = c.iter().copied().step_by(2).collect();
+        let qbits: Vec<u8> = c.iter().copied().skip(1).step_by(2).collect();
+        Cplx::new(self.axis_level(&ibits) * n, self.axis_level(&qbits) * n)
+    }
+
+    /// The `2^bits_per_symbol` constellation points, indexed by the
+    /// symbol's bits read MSB-first.
+    fn constellation(self) -> &'static [Cplx] {
+        static TABLES: OnceLock<[Vec<Cplx>; 3]> = OnceLock::new();
+        let tables = TABLES.get_or_init(|| {
+            Modulation::ALL.map(|m| {
+                let bps = m.bits_per_symbol();
+                (0..1u8 << bps)
+                    .map(|v| {
+                        let c: Vec<u8> = (0..bps).map(|j| (v >> (bps - 1 - j)) & 1).collect();
+                        m.point(&c)
+                    })
+                    .collect()
+            })
+        });
+        &tables[self as usize]
+    }
+
     /// Map bits (length divisible by `bits_per_symbol`) to symbols.
     /// Bit-to-axis assignment per the spec: even-indexed bits drive I,
     /// odd-indexed drive Q (interleaved per symbol).
     pub fn modulate(self, bits: &[u8]) -> Vec<Cplx> {
+        let mut out = Vec::new();
+        self.modulate_into(bits, &mut out);
+        out
+    }
+
+    /// [`Self::modulate`] into a caller-owned buffer (cleared first):
+    /// one constellation-table lookup per symbol. A non-zero bit value
+    /// counts as 1.
+    pub fn modulate_into(self, bits: &[u8], out: &mut Vec<Cplx>) {
         let bps = self.bits_per_symbol();
         assert_eq!(bits.len() % bps, 0, "bit count must be a multiple of {bps}");
-        let n = self.norm();
-        bits.chunks_exact(bps)
-            .map(|c| {
-                let half = bps / 2;
-                let ibits: Vec<u8> = (0..half).map(|j| c[2 * j]).collect();
-                let qbits: Vec<u8> = (0..half).map(|j| c[2 * j + 1]).collect();
-                Cplx::new(self.axis_level(&ibits) * n, self.axis_level(&qbits) * n)
-            })
-            .collect()
+        let table = self.constellation();
+        out.clear();
+        out.extend(bits.chunks_exact(bps).map(|c| {
+            let index = c.iter().fold(0, |v, &b| v << 1 | usize::from(b != 0));
+            table[index]
+        }));
     }
 
     /// Max-log soft demapping of one axis value `y` (already scaled by
@@ -212,6 +247,27 @@ mod tests {
             assert_eq!(llrs.len(), bits.len());
             let rx: Vec<u8> = llrs.iter().map(|&l| u8::from(l < 0)).collect();
             assert_eq!(rx, bits, "{} demap mismatch", m.name());
+        }
+    }
+
+    #[test]
+    fn table_lookup_matches_the_per_axis_expression_for_every_pattern() {
+        for m in Modulation::ALL {
+            let bps = m.bits_per_symbol();
+            let patterns: Vec<Vec<u8>> = (0..1u8 << bps)
+                .map(|v| (0..bps).map(|j| (v >> j) & 1).collect())
+                .collect();
+            let mapped = m.modulate(&patterns.concat());
+            assert_eq!(mapped.len(), 1 << bps);
+            for (c, got) in patterns.iter().zip(&mapped) {
+                let want = m.point(c);
+                assert_eq!(
+                    (got.re.to_bits(), got.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "{} bits {c:?}",
+                    m.name()
+                );
+            }
         }
     }
 

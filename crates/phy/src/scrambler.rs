@@ -21,7 +21,7 @@
 //!   bit-serial [`descramble_llrs`] reference exactly, including its
 //!   `saturating_neg` edge at `i16::MIN`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use vran_simd::host::{self, HostIsa};
 
@@ -32,15 +32,19 @@ const NC: usize = 1600;
 const X1_TAPS: u32 = 0b1001; // x1(n+31) = x1(n+3) ⊕ x1(n)
 const X2_TAPS: u32 = 0b1111; // x2(n+31) = x2(n+3) ⊕ x2(n+2) ⊕ x2(n+1) ⊕ x2(n)
 
-/// Serial warmup steps taken process-wide by [`GoldSequence::new_bit_serial`].
-/// The leap-based [`GoldSequence::new`] never increments it; tests pin
-/// the steady-state delta to zero.
-static BIT_SERIAL_WARMUP_STEPS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Serial warmup steps taken on this thread by
+    /// [`GoldSequence::new_bit_serial`]. The leap-based
+    /// [`GoldSequence::new`] never increments it; tests pin the
+    /// steady-state delta to zero. Per thread, so a test reading a
+    /// delta never sees a concurrent test's constructions.
+    static BIT_SERIAL_WARMUP_STEPS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total serial warmup steps taken since process start (reference
+/// Total serial warmup steps taken on the calling thread (reference
 /// constructor only — the production leap path contributes none).
 pub fn bit_serial_warmup_steps() -> u64 {
-    BIT_SERIAL_WARMUP_STEPS.load(Ordering::Relaxed)
+    BIT_SERIAL_WARMUP_STEPS.get()
 }
 
 /// Parity masks for `steps` applications of the 31-bit LFSR with the
@@ -146,7 +150,7 @@ impl GoldSequence {
         for _ in 0..NC {
             g.step();
         }
-        BIT_SERIAL_WARMUP_STEPS.fetch_add(NC as u64, Ordering::Relaxed);
+        BIT_SERIAL_WARMUP_STEPS.set(BIT_SERIAL_WARMUP_STEPS.get() + NC as u64);
         g
     }
 

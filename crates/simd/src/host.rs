@@ -124,7 +124,11 @@ pub fn available() -> Vec<HostIsa> {
 
 /// The most capable level the host supports (at worst `Scalar`).
 pub fn best() -> HostIsa {
-    *available().last().expect("scalar is always available")
+    HostIsa::all()
+        .into_iter()
+        .rev()
+        .find(|&i| has(i))
+        .expect("scalar is always available")
 }
 
 #[cfg(test)]

@@ -69,30 +69,32 @@ fn bench_decoder_early_stop(c: &mut Criterion) {
 fn bench_native_decoder(c: &mut Criterion) {
     // The real-intrinsics fast path at every ISA level the host
     // supports, on the allocation-free scratch entry point the uplink
-    // pipeline uses.
-    let k = 6144;
-    let (_, input) = turbo_workload(k, 11);
+    // pipeline uses — at the largest block and at one whose working
+    // set stays in L1d.
     let mut g = c.benchmark_group("turbo_decode_native_4it");
     g.sample_size(20);
-    g.throughput(Throughput::Elements(k as u64));
-    for isa in DecoderIsa::available() {
-        let dec = NativeTurboDecoder::with_isa(k, 4, isa);
-        let mut scratch = DecodeScratch::new();
-        let mut bits = Vec::new();
-        g.bench_function(isa.name(), |b| {
-            b.iter(|| {
-                let r = dec.decode_streams_into(
-                    std::hint::black_box(&input.streams.sys),
-                    &input.streams.p1,
-                    &input.streams.p2,
-                    &input.tails,
-                    None,
-                    &mut scratch,
-                    &mut bits,
-                );
-                std::hint::black_box(r)
-            })
-        });
+    for k in [512usize, 6144] {
+        let (_, input) = turbo_workload(k, 11);
+        g.throughput(Throughput::Elements(k as u64));
+        for isa in DecoderIsa::available() {
+            let dec = NativeTurboDecoder::with_isa(k, 4, isa);
+            let mut scratch = DecodeScratch::new();
+            let mut bits = Vec::new();
+            g.bench_function(format!("{}/k{k}", isa.name()), |b| {
+                b.iter(|| {
+                    let r = dec.decode_streams_into(
+                        std::hint::black_box(&input.streams.sys),
+                        &input.streams.p1,
+                        &input.streams.p2,
+                        &input.tails,
+                        None,
+                        &mut scratch,
+                        &mut bits,
+                    );
+                    std::hint::black_box(r)
+                })
+            });
+        }
     }
     g.finish();
 }

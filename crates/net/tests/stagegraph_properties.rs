@@ -333,10 +333,13 @@ fn stagegraph_throughput_beats_serial_on_wide_hosts() {
         batch_decode: true,
         ..cfg()
     };
-    // Median of 5 paired runs rides out scheduler noise.
-    let mut ratios: Vec<f64> = (0..5)
-        .map(|_| {
-            let serial = run_uplink_serial_mixed(serial_cfg, &classes, n, workers);
+    // Median of 5 paired runs rides out scheduler noise. Both sides
+    // carry the same packets, so the ratio of elapsed times is the
+    // ratio of throughputs.
+    let speedup = vran_util::paired::paired_ratio(
+        5,
+        0.0,
+        || {
             let graph = run_uplink_stagegraph_metered(
                 cfg(),
                 &classes,
@@ -349,12 +352,16 @@ fn stagegraph_throughput_beats_serial_on_wide_hosts() {
                 None,
                 None,
             );
-            assert_eq!(graph.packets, serial.packets);
-            graph.mbps / serial.mbps
-        })
-        .collect();
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = ratios[ratios.len() / 2];
+            assert_eq!(graph.packets, n);
+            graph.elapsed_s
+        },
+        || {
+            let serial = run_uplink_serial_mixed(serial_cfg, &classes, n, workers);
+            assert_eq!(serial.packets, n);
+            serial.elapsed_s
+        },
+    );
+    let (median, ratios) = (speedup.median, &speedup.ratios);
     assert!(
         median >= 1.0,
         "stage graph must not lose to the serial path on zmm hosts: \

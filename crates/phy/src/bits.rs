@@ -6,25 +6,50 @@
 
 /// Pack a `{0,1}` bit slice MSB-first into bytes (final partial byte is
 /// left-aligned, zero-padded).
+///
+/// Eight bits per step with the multiply-gather [`pack_lsb_words`]
+/// documents, mirrored: factor bit `9i` moves the bit-byte at `8j` to
+/// `8j + 9i`, which is in the top byte exactly for `i = 7 − j` (bit
+/// `63 − j`, so the first bit lands in the MSB), and `8j + 9i` is
+/// unique per `(i, j)`, so no two partial products meet and nothing
+/// carries.
 pub fn pack_msb(bits: &[u8]) -> Vec<u8> {
-    let mut out = vec![0u8; bits.len().div_ceil(8)];
-    for (i, &b) in bits.iter().enumerate() {
-        debug_assert!(b <= 1, "non-binary bit {b}");
-        out[i / 8] |= (b & 1) << (7 - (i % 8));
+    let mut out = Vec::with_capacity(bits.len().div_ceil(8));
+    let mut chunks = bits.chunks_exact(8);
+    for c in chunks.by_ref() {
+        let chunk = u64::from_le_bytes(c.try_into().expect("chunk of 8"));
+        debug_assert!(chunk & !0x0101_0101_0101_0101 == 0, "non-binary bits");
+        let ones = chunk & 0x0101_0101_0101_0101;
+        out.push((ones.wrapping_mul(0x8040_2010_0804_0201) >> 56) as u8);
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut last = 0u8;
+        for (i, &b) in tail.iter().enumerate() {
+            debug_assert!(b <= 1, "non-binary bit {b}");
+            last |= (b & 1) << (7 - i);
+        }
+        out.push(last);
     }
     out
 }
 
-/// Unpack bytes MSB-first into `n` bits.
+/// Unpack bytes MSB-first into `n` bits, eight per [`BYTE_BITS`]
+/// lookup (the table is LSB-first, so the byte is bit-reversed first).
 pub fn unpack_msb(bytes: &[u8], n: usize) -> Vec<u8> {
     assert!(
         n <= bytes.len() * 8,
         "asked for {n} bits from {} bytes",
         bytes.len()
     );
-    (0..n)
-        .map(|i| (bytes[i / 8] >> (7 - (i % 8))) & 1)
-        .collect()
+    let mut out = Vec::with_capacity(n);
+    for &b in &bytes[..n / 8] {
+        out.extend_from_slice(&BYTE_BITS[b.reverse_bits() as usize]);
+    }
+    if !n.is_multiple_of(8) {
+        out.extend_from_slice(&BYTE_BITS[bytes[n / 8].reverse_bits() as usize][..n % 8]);
+    }
+    out
 }
 
 /// Pack a `{0,1}` bit slice LSB-first into 64-bit words: bit `i` of the
@@ -164,6 +189,28 @@ mod tests {
     fn pack_is_msb_first() {
         assert_eq!(pack_msb(&[1, 0, 0, 0, 0, 0, 0, 1]), vec![0x81]);
         assert_eq!(pack_msb(&[1]), vec![0x80]);
+    }
+
+    #[test]
+    fn msb_pack_unpack_match_per_bit_loops() {
+        // Every byte value in every byte position of lengths 0..=17
+        // bits (none, partial, one, one + partial, two, two + partial
+        // bytes), against the one-bit-per-iteration definitions.
+        for v in 0..=255u8 {
+            for n in 0..=17usize {
+                let bytes = [v, !v, v.rotate_left(3)];
+                let bits = unpack_msb(&bytes, n);
+                let by_bit: Vec<u8> = (0..n)
+                    .map(|i| (bytes[i / 8] >> (7 - (i % 8))) & 1)
+                    .collect();
+                assert_eq!(bits, by_bit, "unpack v={v:#04x} n={n}");
+                let mut packed = vec![0u8; n.div_ceil(8)];
+                for (i, &b) in bits.iter().enumerate() {
+                    packed[i / 8] |= b << (7 - (i % 8));
+                }
+                assert_eq!(pack_msb(&bits), packed, "pack v={v:#04x} n={n}");
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! semantics, batched decoding runs a fixed iteration count with no
 //! CRC early stop (`crc_ok: None`).
 
-use super::decoder::{beta_init_from_tails, scale_extrinsic, DecodeOutcome, NEG_INF};
+use super::decoder::{beta_init_from_tails, DecodeOutcome, NEG_INF};
 use super::native_decoder::{DecodeScratch, NativeTurboDecoder};
 use super::trellis::STATES;
 use crate::interleaver::QppInterleaver;
@@ -138,6 +138,16 @@ impl BatchScratch {
     }
 }
 
+thread_local! {
+    /// Scratch behind the allocating convenience entry points
+    /// (`decode_pair*`, `decode_quad*`), kept per thread: a quad's
+    /// ≈ 0.8 MB at K = 6144 goes back to the OS when dropped, so a fresh
+    /// one per call pays its page faults every call — about a fifth of
+    /// that decode.
+    static OWN_SCRATCH: core::cell::RefCell<BatchScratch> =
+        core::cell::RefCell::new(BatchScratch::new());
+}
+
 /// Batched decoder: two equal-size blocks per ymm pass on AVX2
 /// hardware, four per zmm pass on AVX-512BW, falling back to
 /// sequential narrower decodes when the host lacks the feature
@@ -198,13 +208,10 @@ impl NativeBatchTurboDecoder {
         for input in inputs.iter() {
             assert_eq!(input.k, k, "both blocks in a batch share K");
         }
-        let mut scratch = BatchScratch::new();
         let mut bits: [Vec<u8>; BATCH] = core::array::from_fn(|_| Vec::new());
-        let iterations_run = self.decode_pair_staged_into(
-            inputs.map(BlockLlrs::from_turbo),
-            &mut scratch,
-            &mut bits,
-        );
+        let iterations_run = OWN_SCRATCH.with_borrow_mut(|scratch| {
+            self.decode_pair_staged_into(inputs.map(BlockLlrs::from_turbo), scratch, &mut bits)
+        });
         bits.map(|b| DecodeOutcome {
             bits: b,
             iterations_run,
@@ -276,13 +283,10 @@ impl NativeBatchTurboDecoder {
         for input in inputs.iter() {
             assert_eq!(input.k, k, "all blocks in a batch share K");
         }
-        let mut scratch = BatchScratch::new();
         let mut bits: [Vec<u8>; QUAD] = core::array::from_fn(|_| Vec::new());
-        let iterations_run = self.decode_quad_staged_into(
-            inputs.map(BlockLlrs::from_turbo),
-            &mut scratch,
-            &mut bits,
-        );
+        let iterations_run = OWN_SCRATCH.with_borrow_mut(|scratch| {
+            self.decode_quad_staged_into(inputs.map(BlockLlrs::from_turbo), scratch, &mut bits)
+        });
         bits.map(|b| DecodeOutcome {
             bits: b,
             iterations_run,
@@ -349,9 +353,11 @@ impl NativeBatchTurboDecoder {
         } = scratch;
         // Only the permuted systematic needs staging — the kernel
         // reads `sys`/`p1`/`p2` in place from the caller's buffers.
-        for (g, input) in inputs.iter().enumerate() {
-            for j in 0..k {
-                sys_pi[g * k + j] = input.sys[self.il.pi(j)];
+        let pi = self.il.pi_table();
+        let pi_inv = self.il.pi_inv_table();
+        for (dst, input) in sys_pi.chunks_exact_mut(k).zip(&inputs) {
+            for (s, &p) in dst.iter_mut().zip(pi) {
+                *s = input.sys[p as usize];
             }
         }
         let binit = |second: bool| -> [Llr; QUAD * STATES] {
@@ -381,17 +387,14 @@ impl NativeBatchTurboDecoder {
         let p1: [&[Llr]; QUAD] = core::array::from_fn(|g| inputs[g].p1);
         let p2: [&[Llr]; QUAD] = core::array::from_fn(|g| inputs[g].p2);
 
-        let mut iterations_run = 0;
-        for _ in 0..self.max_iterations {
-            iterations_run += 1;
+        // `ext` arrives scaled and block-interleaved, so each gather
+        // is one table lookup and one `QUAD`-wide row read per step,
+        // fanned out to the block-major a-priori buffers.
+        for it in 0..self.max_iterations {
             unsafe {
                 x86::siso_quad_avx512(sys, p1, parts(la1, k), &binit1, g0, gp, alpha, ext, post);
             }
-            for g in 0..QUAD {
-                for j in 0..k {
-                    la2[g * k + j] = scale_extrinsic(ext[QUAD * self.il.pi(j) + g]);
-                }
-            }
+            gather_rows::<QUAD>(la2, ext, pi);
             unsafe {
                 x86::siso_quad_avx512(
                     parts(sys_pi, k),
@@ -405,18 +408,20 @@ impl NativeBatchTurboDecoder {
                     post,
                 );
             }
-            for g in 0..QUAD {
-                for i in 0..k {
-                    la1[g * k + i] = scale_extrinsic(ext[QUAD * self.il.pi_inv(i) + g]);
-                }
-            }
-            for (g, blk) in bits.iter_mut().enumerate() {
-                for (i, bit) in blk.iter_mut().enumerate() {
-                    *bit = llr_to_bit(post[QUAD * self.il.pi_inv(i) + g] as Llr);
-                }
+            // Only a further iteration reads the second extrinsic.
+            if it + 1 < self.max_iterations {
+                gather_rows::<QUAD>(la1, ext, pi_inv);
             }
         }
-        iterations_run
+        // No CRC early stop in a batch, so hard decisions are read
+        // once, from the last iteration's posteriors.
+        for (i, &p) in pi_inv.iter().enumerate() {
+            let row = &post[QUAD * p as usize..][..QUAD];
+            for (blk, &l) in bits.iter_mut().zip(row) {
+                blk[i] = llr_to_bit(l as Llr);
+            }
+        }
+        self.max_iterations
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -441,9 +446,11 @@ impl NativeBatchTurboDecoder {
         } = scratch;
         // Only the permuted systematic needs staging — the kernel
         // reads `sys`/`p1`/`p2` in place from the caller's buffers.
-        for (g, input) in inputs.iter().enumerate() {
-            for j in 0..k {
-                sys_pi[g * k + j] = input.sys[self.il.pi(j)];
+        let pi = self.il.pi_table();
+        let pi_inv = self.il.pi_inv_table();
+        for (dst, input) in sys_pi.chunks_exact_mut(k).zip(&inputs) {
+            for (s, &p) in dst.iter_mut().zip(pi) {
+                *s = input.sys[p as usize];
             }
         }
         let binit = |second: bool| -> [Llr; BATCH * STATES] {
@@ -471,17 +478,14 @@ impl NativeBatchTurboDecoder {
         let p1: [&[Llr]; BATCH] = core::array::from_fn(|g| inputs[g].p1);
         let p2: [&[Llr]; BATCH] = core::array::from_fn(|g| inputs[g].p2);
 
-        let mut iterations_run = 0;
-        for _ in 0..self.max_iterations {
-            iterations_run += 1;
+        // `ext` arrives scaled and block-interleaved, so each gather
+        // is one table lookup and one `BATCH`-wide row read per step,
+        // fanned out to the block-major a-priori buffers.
+        for it in 0..self.max_iterations {
             unsafe {
                 x86::siso_pair_avx2(sys, p1, parts(la1, k), &binit1, g0, gp, alpha, ext, post);
             }
-            for g in 0..BATCH {
-                for j in 0..k {
-                    la2[g * k + j] = scale_extrinsic(ext[BATCH * self.il.pi(j) + g]);
-                }
-            }
+            gather_rows::<BATCH>(la2, ext, pi);
             unsafe {
                 x86::siso_pair_avx2(
                     parts(sys_pi, k),
@@ -495,18 +499,37 @@ impl NativeBatchTurboDecoder {
                     post,
                 );
             }
-            for g in 0..BATCH {
-                for i in 0..k {
-                    la1[g * k + i] = scale_extrinsic(ext[BATCH * self.il.pi_inv(i) + g]);
-                }
-            }
-            for (g, blk) in bits.iter_mut().enumerate() {
-                for (i, bit) in blk.iter_mut().enumerate() {
-                    *bit = llr_to_bit(post[BATCH * self.il.pi_inv(i) + g] as Llr);
-                }
+            // Only a further iteration reads the second extrinsic.
+            if it + 1 < self.max_iterations {
+                gather_rows::<BATCH>(la1, ext, pi_inv);
             }
         }
-        iterations_run
+        // No CRC early stop in a batch, so hard decisions are read
+        // once, from the last iteration's posteriors.
+        for (i, &p) in pi_inv.iter().enumerate() {
+            let row = &post[BATCH * p as usize..][..BATCH];
+            for (blk, &l) in bits.iter_mut().zip(row) {
+                blk[i] = llr_to_bit(l as Llr);
+            }
+        }
+        self.max_iterations
+    }
+}
+
+/// `dst[g·k + j] = src[N·table[j] + g]` for `k = table.len()`: permute
+/// a block-interleaved array by `table` while splitting it into `N`
+/// block-major runs.
+#[cfg(target_arch = "x86_64")]
+fn gather_rows<const N: usize>(dst: &mut [Llr], src: &[Llr], table: &[u32]) {
+    let k = table.len();
+    assert!(dst.len() == N * k && src.len() == N * k);
+    let mut runs = dst.chunks_exact_mut(k);
+    let mut runs: [&mut [Llr]; N] = core::array::from_fn(|_| runs.next().unwrap());
+    for (j, &p) in table.iter().enumerate() {
+        let row = &src[N * p as usize..][..N];
+        for (run, &e) in runs.iter_mut().zip(row) {
+            run[j] = e;
+        }
     }
 }
 
@@ -620,7 +643,8 @@ mod x86 {
     /// One fused SISO pass over two blocks. `sys`/`par`/`apriori` are
     /// per-block slices read in place (no block-major staging copy);
     /// `g0`, `gp` and `ext` are written pair-interleaved
-    /// (`[2*step+block]`), `post` is dword-stride pair-interleaved;
+    /// (`[2*step+block]`, `ext` already through `scale_extrinsic`),
+    /// `post` is dword-stride pair-interleaved;
     /// `alpha` holds `(K+1) × 16` lanes, `binit` the two blocks' β
     /// terminations.
     #[allow(clippy::too_many_arguments)]
@@ -729,7 +753,8 @@ mod x86 {
         }
 
         // Extrinsic peel-off, sixteen interleaved entries per pass:
-        // `ext = L − 2·γ₀`, the oracle's ops on the oracle's values.
+        // `ext = scale_extrinsic(L − 2·γ₀)`, the oracle's ops on the
+        // oracle's values (it scales the whole array, then permutes).
         // The `permute4x64` undoes `packs_epi32`'s lane-wise ordering;
         // the pack itself is exact because every lane is an in-range
         // i16 after the sign-extending shift pair.
@@ -742,7 +767,8 @@ mod x86 {
             let pv = _mm256_permute4x64_epi64(_mm256_packs_epi32(w0, w1), 0b11011000);
             let g0v = _mm256_loadu_si256(g0.as_ptr().add(i) as *const __m256i);
             let ev = _mm256_subs_epi16(pv, _mm256_adds_epi16(g0v, g0v));
-            _mm256_storeu_si256(ext.as_mut_ptr().add(i) as *mut __m256i, ev);
+            let sv = _mm256_adds_epi16(_mm256_srai_epi16(ev, 1), _mm256_srai_epi16(ev, 2));
+            _mm256_storeu_si256(ext.as_mut_ptr().add(i) as *mut __m256i, sv);
             i += 16;
         }
     }
@@ -835,7 +861,8 @@ mod x86 {
     /// instruction sequence on its own block. `sys`/`par`/`apriori`
     /// are per-block slices read in place (no block-major staging
     /// copy); `g0`, `gp` and `ext` are written quad-interleaved
-    /// (`[4*step+block]`), `post` is dword-stride quad-interleaved;
+    /// (`[4*step+block]`, `ext` already through `scale_extrinsic`),
+    /// `post` is dword-stride quad-interleaved;
     /// `alpha` holds `(K+1) × 32` lanes, `binit` the four blocks' β
     /// terminations.
     #[allow(clippy::too_many_arguments)]
@@ -947,7 +974,8 @@ mod x86 {
         }
 
         // Extrinsic peel-off, thirty-two interleaved entries per pass:
-        // `ext = L − 2·γ₀`. `packs_epi32` packs per 128-bit lane, so a
+        // `ext = scale_extrinsic(L − 2·γ₀)`. `packs_epi32` packs per
+        // 128-bit lane, so a
         // qword permute restores sequential order; the pack itself is
         // exact because every element is an in-range i16 after the
         // sign-extending shift pair.
@@ -961,7 +989,8 @@ mod x86 {
             let pv = _mm512_permutexvar_epi64(unlace, _mm512_packs_epi32(w0, w1));
             let g0v = _mm512_loadu_si512(g0.as_ptr().add(i) as *const _);
             let ev = _mm512_subs_epi16(pv, _mm512_adds_epi16(g0v, g0v));
-            _mm512_storeu_si512(ext.as_mut_ptr().add(i) as *mut _, ev);
+            let sv = _mm512_adds_epi16(_mm512_srai_epi16(ev, 1), _mm512_srai_epi16(ev, 2));
+            _mm512_storeu_si512(ext.as_mut_ptr().add(i) as *mut _, sv);
             i += 32;
         }
     }

@@ -3,32 +3,93 @@
 //! The VM kernel in [`super::simd_decoder`] is an *instrument*: it
 //! interprets the decoder's SIMD instruction stream so `vran-uarch`
 //! can account ports and µops. This module is the *fast path*: the
-//! same algorithm, phase for phase, written against `std::arch` so
-//! the uplink pipeline decodes on the host's actual vector units.
+//! same algorithm written against `std::arch` so the uplink pipeline
+//! decodes on the host's actual vector units.
 //!
-//! Mirrored structure (and the bit-exactness contract with
-//! [`super::decoder`]):
+//! # The bit-exactness contract
 //!
-//! * **γ phase** — lane-parallel over the arranged `S1`/`YP1`/`YP2`
-//!   streams: `γ₀ = (Lₛ + Lₐ) >> 1` and `γₚ = Lₚ >> 1`, eight trellis
-//!   steps per `_mm_adds_epi16`/`_mm_srai_epi16`.
-//! * **α phase** — all 8 trellis states live in one xmm register; the
-//!   per-input-bit predecessor gather is a lane shuffle
-//!   (`_mm_shuffle_epi8` under SSSE3, a
-//!   `_mm_shufflelo_epi16`/`_mm_shufflehi_epi16`/`_mm_shuffle_epi32`
-//!   decomposition under bare SSE2), followed by saturating add, max
-//!   against the `NEG_INF` floor, and a broadcast-lane-0 normalize.
-//! * **β + extrinsic phase** — fused like the scalar reference: the
-//!   successor gather, a horizontal-max tree
-//!   (`_mm_srli_si128`/`_mm_max_epi16`) per bit hypothesis, and the
-//!   `L − 2·γ₀` extrinsic, then the β update reusing the same gathered
-//!   registers.
+//! Every tier performs, per trellis transition, the saturating i16
+//! operations of [`super::decoder`] on the same operands in the same
+//! association order — `adds16(±γ₀, ±γₚ)` with `subs16(0, ·)`
+//! negation, `α + γ`, `(α + γ) + β`, the `NEG_INF` floor, the state-0
+//! normalise — and folds them with `max`, which on i16 is exact,
+//! associative and commutative. What differs between tiers is only
+//! *when* a transition is evaluated and *which lane* holds it, so
+//! decoded bits, extrinsics, posteriors and iteration counts are
+//! identical on every ISA level (enforced by the tests below and the
+//! all-K sweep in `tests/phy_properties.rs`).
 //!
-//! Every arithmetic instruction is a saturating i16 op applied to the
-//! same operands in the same order as the scalar oracle, and `max` on
-//! i16 is exact, associative and commutative — so decoded bits,
-//! extrinsics, posteriors *and* iteration counts are identical on
-//! every ISA level (enforced by the property tests below).
+//! # The 128-bit tiers (SSE2, SSSE3)
+//!
+//! Three passes, phase for phase like the oracle:
+//!
+//! * **γ** — lane-parallel over the arranged `S1`/`YP1`/`YP2` streams:
+//!   `γ₀ = (Lₛ + Lₐ) >> 1`, `γₚ = Lₚ >> 1`, eight steps per register.
+//! * **α** — all 8 states in one xmm; the per-input-bit predecessor
+//!   gather is a lane shuffle (`pshufb` under SSSE3, a
+//!   `pshuflw`/`pshufhw`/`pshufd` decomposition under bare SSE2), then
+//!   saturating add, max, floor, broadcast-lane-0 normalise. Every α
+//!   row is stored.
+//! * **β + posterior** — the successor gather, `(α + γ) + β` per
+//!   hypothesis, a horizontal-max tree, and the β update reusing the
+//!   gathered registers.
+//!
+//! Each step rebuilds its two γ vectors from lane broadcasts of a
+//! group register of `γ₀` and `γₚ`. (Broadcasting from memory instead
+//! does not take them off the shuffle port: on Intel `vpbroadcastw m16`
+//! is a load *plus* a shuffle µop, not a pure load. The schedule is
+//! bound by vector µops — ≈ 45 per step — not by its 6-cycle
+//! recurrence.)
+//!
+//! # The AVX2 tier: lane-packed, meet in the middle
+//!
+//! α and β are independent recurrences of identical shape — gather,
+//! `adds`, `max`, floor, normalise — one walking up from step 0, the
+//! other down from step K−1. The AVX2 tier runs both in **one ymm
+//! register**, one chain per 128-bit lane, with per-lane `vpshufb`
+//! controls, so every instruction of the recurrence does two steps'
+//! work. With `h = 8·⌊K/16⌋` and `K' = 2h`:
+//!
+//! * **γ** additionally stages, per step, the only four values a
+//!   branch metric can take — the *quad*
+//!   `[γ₀+γₚ, γ₀−γₚ, −γ₀+γₚ, −γ₀−γₚ]`, the oracle's `branch()` for
+//!   `(u, p) = (0,0), (0,1), (1,0), (1,1)` — so a step's γ vector is
+//!   one `vpshufb` of a loaded quad instead of two broadcasts, a
+//!   negate, two sign flips and two adds. Quads are stored *folded*:
+//!   pair `p` is `[quad(p) | quad(K'−1−p)]`, the two steps the packed
+//!   register takes together, one 16-byte broadcast load.
+//! * **Phase 1** (`p = 0..h`): low lane α takes step `p`, high lane β
+//!   takes step `K'−1−p`. Before the step the register *is* the row
+//!   pair `[α_p | β_{K'−p}]`; one 32-byte store puts it at slot `p`.
+//! * **Phase 2** (`p = h−1..=0`): the chains have met and keep going —
+//!   β over `[0, h)`, α over `[h, K')` — each now reading the other's
+//!   stored rows and producing its step's posterior. The chains first
+//!   trade lanes, because then slot `p`, loaded as stored, has `α_p`
+//!   under β (about to take step `p`) and `β_{K'−p}` under α (about to
+//!   take step `K'−1−p`). Two `vpblendd` per hypothesis sort the
+//!   loaded row and the gathered state into the α-side and β-side
+//!   operands of `(α + γ) + β`: the β lane indexes transitions by
+//!   source state (row = α, gathered = β\[next\]), the α lane by
+//!   destination state (gathered = α\[pred\], row = β) — the same
+//!   eight transitions per hypothesis either way, and `max` is
+//!   order-free. Four steps share one unpack/max reduction tree.
+//! * A K with an odd number of 8-step groups has one group `[K', K)`
+//!   left over; it runs on a single xmm chain at each end of the
+//!   schedule (β before phase 1, α with posterior after phase 2) using
+//!   the low lanes of the same controls.
+//!
+//! **Why one trellis buffer suffices.** A step's posterior needs `α_i`
+//! and `β_{i+1}`, and whichever chain reaches step `i` second computes
+//! it from its own live register and the *other* chain's stored row.
+//! So α rows are only ever read for `i < h` and β rows for `i ≥ h`:
+//! `K'` rows in `h` slots of 32 bytes, plus the leftover group's 8 β
+//! rows — `K` rows in the `(K+1)×8` buffer the 128-bit tiers fill with
+//! α alone.
+//!
+//! After either schedule the extrinsic peels off lane-parallel,
+//! already scaled by ¾ for the next half-iteration (the oracle scales
+//! the whole array, then permutes — so the interleaver gather is a
+//! plain indexed copy).
 //!
 //! Dispatch is by [`std::arch::is_x86_feature_detected!`] via
 //! [`vran_simd::host`], with a portable scalar fallback, following
@@ -50,9 +111,8 @@ pub enum DecoderIsa {
     Sse2,
     /// 128-bit kernel with single-µop `pshufb` state gathers.
     Ssse3,
-    /// 128-bit kernel, VEX-encoded: `pshufb` gathers plus
-    /// `vpbroadcastw` γ broadcasts straight from memory, which moves
-    /// the per-step broadcasts off the shuffle port entirely.
+    /// 256-bit kernel: the α and β recursions lane-packed in one ymm,
+    /// meeting in the middle of the block.
     Avx2,
 }
 
@@ -98,7 +158,7 @@ impl DecoderIsa {
     }
 }
 
-/// Reusable decode working memory: branch metrics, the α trellis,
+/// Reusable decode working memory: branch metrics, the trellis,
 /// extrinsic/a-priori buffers. Owned by long-lived callers (the uplink
 /// pipeline) so the per-code-block hot loop performs no heap
 /// allocations after warm-up; the allocation/reuse counters make that
@@ -106,7 +166,7 @@ impl DecoderIsa {
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
     g0: Vec<Llr>,
-    gp: Vec<Llr>,
+    gq: Vec<Llr>,
     alpha: Vec<Llr>,
     ext: Vec<Llr>,
     post: Vec<i32>,
@@ -133,7 +193,7 @@ impl DecodeScratch {
                 v.resize(n, 0);
             };
             fit(&mut self.g0, k);
-            fit(&mut self.gp, k);
+            fit(&mut self.gq, 4 * k);
             fit(&mut self.alpha, (k + 1) * STATES);
             fit(&mut self.ext, k);
             fit(&mut self.la1, k);
@@ -287,7 +347,7 @@ impl NativeTurboDecoder {
         bits.resize(k, 0);
         let DecodeScratch {
             g0,
-            gp,
+            gq,
             alpha,
             ext,
             post,
@@ -321,16 +381,16 @@ impl NativeTurboDecoder {
                 &tails.sys1,
                 &tails.p1,
                 g0,
-                gp,
+                gq,
                 alpha,
                 ext,
                 post,
             );
-            // The oracle scales the whole extrinsic array and then
-            // permutes; scaling is element-wise, so fusing it into the
-            // gather is value-identical and saves a pass.
+            // `ext` arrives scaled (see `siso_into`): the oracle scales
+            // the whole array and then permutes, so the gather is a
+            // plain indexed copy.
             for (l, &p) in la2.iter_mut().zip(pi) {
-                *l = scale_extrinsic(unsafe { *ext.get_unchecked(p as usize) });
+                *l = unsafe { *ext.get_unchecked(p as usize) };
             }
             siso_into(
                 self.isa,
@@ -340,18 +400,16 @@ impl NativeTurboDecoder {
                 &tails.sys2,
                 &tails.p2,
                 g0,
-                gp,
+                gq,
                 alpha,
                 ext,
                 post,
             );
-            for (l, &p) in la1.iter_mut().zip(pi_inv) {
-                *l = scale_extrinsic(unsafe { *ext.get_unchecked(p as usize) });
-            }
             // Hard decisions are observable only through the CRC check
             // and the final output, so without a CRC the de-permuting
             // bit pass runs once, after the last iteration.
-            if crc.is_some() || it + 1 == iterations {
+            let last = it + 1 == iterations;
+            if crc.is_some() || last {
                 for (b, &p) in bits.iter_mut().zip(pi_inv) {
                     *b = llr_to_bit(unsafe { *post.get_unchecked(p as usize) } as Llr);
                 }
@@ -363,15 +421,26 @@ impl NativeTurboDecoder {
                     break;
                 }
             }
+            // Only a further iteration reads the second extrinsic.
+            if !last {
+                for (l, &p) in la1.iter_mut().zip(pi_inv) {
+                    *l = unsafe { *ext.get_unchecked(p as usize) };
+                }
+            }
         }
         (iterations_run, crc_ok)
     }
 }
 
-/// One SISO pass at the chosen ISA level, writing into caller buffers.
-/// `g0`/`gp` receive the halved branch metrics, `alpha` the full
-/// `(K+1)×8` forward trellis, `ext`/`post` the extrinsic and posterior
-/// LLRs.
+/// One SISO pass at the chosen ISA level, writing into caller buffers:
+/// `post` receives the posterior LLRs (low 16 bits of each element) and
+/// `ext` the extrinsic **already scaled** by
+/// [`scale_extrinsic`] — the next half-iteration's a-priori, still in
+/// this pass's order. `g0` (K) and `gq` (4·K) are branch-metric
+/// scratch, `alpha` the `(K+1)×8` trellis scratch.
+///
+/// This is the safe boundary of the kernel family: every length
+/// precondition the `unsafe` bodies index by is checked here, once.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn siso_into(
     isa: DecoderIsa,
@@ -381,15 +450,24 @@ pub(crate) fn siso_into(
     tail_sys: &[Llr; 3],
     tail_par: &[Llr; 3],
     g0: &mut [Llr],
-    gp: &mut [Llr],
+    gq: &mut [Llr],
     alpha: &mut [Llr],
     ext: &mut [Llr],
     post: &mut [i32],
 ) {
+    let k = sys.len();
+    assert!(
+        k.is_multiple_of(STATES) && k >= 2 * STATES,
+        "block size {k} is not a multiple of 8 that is at least 16"
+    );
+    assert!(par.len() == k && apriori.len() == k, "input stream length");
+    assert!(g0.len() == k && gq.len() == 4 * k, "γ scratch length");
+    assert!(alpha.len() == (k + 1) * STATES, "trellis scratch length");
+    assert!(ext.len() == k && post.len() == k, "output length");
+    // Only the AVX2 body stages four metrics per step; the others keep
+    // `γₚ` alone in the first K words.
+    let gp = &mut gq[..k];
     match isa {
-        DecoderIsa::Scalar => siso_scalar(
-            sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
-        ),
         #[cfg(target_arch = "x86_64")]
         DecoderIsa::Sse2 => unsafe {
             x86::siso_sse2(
@@ -405,10 +483,9 @@ pub(crate) fn siso_into(
         #[cfg(target_arch = "x86_64")]
         DecoderIsa::Avx2 => unsafe {
             x86::siso_avx2(
-                sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
+                sys, par, apriori, tail_sys, tail_par, g0, gq, alpha, ext, post,
             )
         },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => siso_scalar(
             sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
         ),
@@ -484,7 +561,7 @@ fn siso_scalar(
         }
         let l = subs16(m[0], m[1]);
         post[i] = l as i32;
-        ext[i] = subs16(l, adds16(g0[i], g0[i]));
+        ext[i] = scale_extrinsic(subs16(l, adds16(g0[i], g0[i])));
         let mut prev = [NEG_INF; STATES];
         for (s, pb) in prev.iter_mut().enumerate() {
             let mut best = NEG_INF;
@@ -695,25 +772,6 @@ mod x86 {
         }
     }
 
-    /// γ broadcast for step `base + j`: lane `j` of the 8-step group
-    /// register under SSE2/SSSE3, or — under `MEMB` — a
-    /// `vpbroadcastw m16` straight from the metric buffer, a pure load
-    /// µop on AVX2 hosts. Caller guarantees `step < buf.len()`.
-    #[inline(always)]
-    unsafe fn gamma_bcast<const PSHUFB: bool, const MEMB: bool>(
-        buf: &[Llr],
-        step: usize,
-        grp: __m128i,
-        j: usize,
-        ctls: &[__m128i; STATES],
-    ) -> __m128i {
-        if MEMB {
-            _mm_set1_epi16(*buf.get_unchecked(step))
-        } else {
-            bcast_lane::<PSHUFB>(grp, j, ctls)
-        }
-    }
-
     /// The branch-metric pair `(γ(u=0), γ(u=1))` for one trellis step,
     /// preserving the scalar op pairing `adds16(±γ₀, ±γₚ)`. The SSSE3
     /// arm negates `γₚ` with `sign_epi16`; that is exact here because
@@ -772,7 +830,7 @@ mod x86 {
         ext: &mut [Llr],
         post: &mut [i32],
     ) {
-        siso_body::<false, false>(
+        siso_body::<false>(
             sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
         )
     }
@@ -791,30 +849,7 @@ mod x86 {
         ext: &mut [Llr],
         post: &mut [i32],
     ) {
-        siso_body::<true, false>(
-            sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
-        )
-    }
-
-    /// Same 128-bit kernel, VEX-encoded: under AVX2 the `MEMB` arm
-    /// turns each per-step γ broadcast into a `vpbroadcastw m16`,
-    /// which is a pure load µop — the broadcasts leave the shuffle
-    /// port to the four trellis gathers and the normalize.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn siso_avx2(
-        sys: &[Llr],
-        par: &[Llr],
-        apriori: &[Llr],
-        tail_sys: &[Llr; 3],
-        tail_par: &[Llr; 3],
-        g0: &mut [Llr],
-        gp: &mut [Llr],
-        alpha: &mut [Llr],
-        ext: &mut [Llr],
-        post: &mut [i32],
-    ) {
-        siso_body::<true, true>(
+        siso_body::<true>(
             sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
         )
     }
@@ -825,7 +860,7 @@ mod x86 {
 
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn siso_body<const PSHUFB: bool, const MEMB: bool>(
+    unsafe fn siso_body<const PSHUFB: bool>(
         sys: &[Llr],
         par: &[Llr],
         apriori: &[Llr],
@@ -846,10 +881,6 @@ mod x86 {
 
         // γ phase: eight trellis steps per register over the arranged
         // streams — this is what the data arrangement process feeds.
-        // The MEMB path also stages the doubled metric `2·γ₀` the
-        // extrinsic needs, so the β loop can broadcast it from memory
-        // instead of re-deriving it in (and spilling to) scalar
-        // registers.
         let mut i = 0;
         while i < k {
             let ls = _mm_loadu_si128(sys.as_ptr().add(i) as *const __m128i);
@@ -868,13 +899,11 @@ mod x86 {
         _mm_storeu_si128(alpha.as_mut_ptr() as *mut __m128i, a);
         let mut base = 0;
         while base < k {
-            // Dead (and eliminated) under MEMB — the broadcasts read
-            // straight from memory there.
             let g0g = _mm_loadu_si128(g0.as_ptr().add(base) as *const __m128i);
             let gpg = _mm_loadu_si128(gp.as_ptr().add(base) as *const __m128i);
             for j in 0..STATES {
-                let g0b = gamma_bcast::<PSHUFB, MEMB>(g0, base + j, g0g, j, &ctl.bcast);
-                let gpb = gamma_bcast::<PSHUFB, MEMB>(gp, base + j, gpg, j, &ctl.bcast);
+                let g0b = bcast_lane::<PSHUFB>(g0g, j, &ctl.bcast);
+                let gpb = bcast_lane::<PSHUFB>(gpg, j, &ctl.bcast);
                 let (gam0, gam1) =
                     gammas::<PSHUFB>(g0b, gpb, ctl.m_pp0, ctl.m_pp1, ctl.sgn_pp0, ctl.sgn_pp1);
                 let a0 = perm_pred0::<PSHUFB>(a, ctl.pred0);
@@ -902,8 +931,8 @@ mod x86 {
             let gpg = _mm_loadu_si128(gp.as_ptr().add(base) as *const __m128i);
             for j in (0..STATES).rev() {
                 let step = base + j;
-                let g0b = gamma_bcast::<PSHUFB, MEMB>(g0, step, g0g, j, &ctl.bcast);
-                let gpb = gamma_bcast::<PSHUFB, MEMB>(gp, step, gpg, j, &ctl.bcast);
+                let g0b = bcast_lane::<PSHUFB>(g0g, j, &ctl.bcast);
+                let gpb = bcast_lane::<PSHUFB>(gpg, j, &ctl.bcast);
                 let (gam0, gam1) =
                     gammas::<PSHUFB>(g0b, gpb, ctl.m_np0, ctl.m_np1, ctl.sgn_np0, ctl.sgn_np1);
                 let b0 = perm_next0::<PSHUFB>(b, ctl.next0);
@@ -922,28 +951,12 @@ mod x86 {
                 // scalar `max16`/`subs16` tail lowers to ~20 µops of
                 // cmp/cmov saturation per step and forces `g0[step]`
                 // out of the broadcast register.)
-                let lv = if MEMB {
-                    // SSE4.1 `phminposuw` runs the whole 8-lane
-                    // reduction in one port-0 µop. Signed order maps
-                    // to unsigned order under `x ^ 0x7FFF` with
-                    // min/max swapped, so
-                    // `max_i16(x) = minpos_u16(x ^ 0x7FFF) ^ 0x7FFF`
-                    // — exact on every input. (Lanes 1..8 of the
-                    // minpos result hold the index and zeros; only
-                    // lane 0 is consumed.)
-                    let k7 = _mm_set1_epi16(0x7FFF);
-                    let m0 = _mm_xor_si128(_mm_minpos_epu16(_mm_xor_si128(t0, k7)), k7);
-                    let m1 = _mm_xor_si128(_mm_minpos_epu16(_mm_xor_si128(t1, k7)), k7);
-                    _mm_subs_epi16(_mm_max_epi16(m0, ctl.floor), _mm_max_epi16(m1, ctl.floor))
-                } else {
-                    let wf = _mm_max_epi16(hmax2x8(t0, t1), ctl.floor);
-                    _mm_subs_epi16(wf, _mm_srli_si128(wf, 2))
-                };
+                let wf = _mm_max_epi16(hmax2x8(t0, t1), ctl.floor);
+                let lv = _mm_subs_epi16(wf, _mm_srli_si128(wf, 2));
                 // In-bounds by the debug_asserts above (`step < k` and
                 // every buffer is `k` long). Only the posterior is
                 // stored here; the extrinsic peels off lane-parallel
-                // after the loop, which keeps `g0b` single-use so the
-                // broadcast stays a memory-operand `vpbroadcastw`.
+                // after the loop.
                 *post.get_unchecked_mut(step) = _mm_cvtsi128_si32(lv);
                 // β update reusing the gathered successors.
                 let c0 = _mm_adds_epi16(b0, gam0);
@@ -954,14 +967,20 @@ mod x86 {
             }
         }
 
-        // Extrinsic peel-off, eight steps per register:
-        // `ext = L − 2·γ₀`. The same saturating ops on the same values
-        // as the oracle's in-loop subtraction — hoisting it out of the
-        // β recurrence costs nothing in exactness (each lane is an
-        // independent scalar computation) and keeps the hot loop free
-        // of a second per-step store.
+        peel_extrinsic(post, g0, ext);
+    }
+
+    /// Extrinsic peel-off, eight steps per register: the next
+    /// half-iteration's a-priori `scale_extrinsic(L − 2·γ₀)`. The same
+    /// saturating ops on the same values as the oracle's in-loop
+    /// subtraction and its whole-array scaling pass — each lane is an
+    /// independent scalar computation, so hoisting both out of the
+    /// recurrence costs nothing in exactness and keeps the hot loops
+    /// free of a second per-step store.
+    #[inline(always)]
+    unsafe fn peel_extrinsic(post: &[i32], g0: &[Llr], ext: &mut [Llr]) {
         let mut i = 0;
-        while i < k {
+        while i < ext.len() {
             // Recover the i16 posterior from each dword's low half:
             // shift-up/shift-down sign-extends, and the saturating
             // pack is exact because every lane is an in-range i16.
@@ -971,10 +990,372 @@ mod x86 {
             let w1 = _mm_srai_epi32(_mm_slli_epi32(p1, 16), 16);
             let pv = _mm_packs_epi32(w0, w1);
             let g0v = _mm_loadu_si128(g0.as_ptr().add(i) as *const __m128i);
-            let evv = _mm_subs_epi16(pv, _mm_adds_epi16(g0v, g0v));
-            _mm_storeu_si128(ext.as_mut_ptr().add(i) as *mut __m128i, evv);
+            let e = _mm_subs_epi16(pv, _mm_adds_epi16(g0v, g0v));
+            let la = _mm_adds_epi16(_mm_srai_epi16(e, 1), _mm_srai_epi16(e, 2));
+            _mm_storeu_si128(ext.as_mut_ptr().add(i) as *mut __m128i, la);
             i += 8;
         }
+    }
+
+    // ---- AVX2 tier: lane-packed meet-in-the-middle SISO -------------
+
+    /// `pshufb` control picking, for each state lane, the γ-quad entry
+    /// `[γ₀+γₚ, γ₀−γₚ, −γ₀+γₚ, −γ₀−γₚ][2u + parity]` out of the quad
+    /// that starts at word `base` of the 16-byte quad pair.
+    fn quad_ctrl(par: [u8; STATES], u: u8, base: u8) -> [i8; 16] {
+        lane_ctrl(par.map(|p| base + 2 * u + p))
+    }
+
+    /// The four `vpshufb` controls of one packed trellis step: state
+    /// gathers and γ selects for input bit 0 and 1, each holding one
+    /// chain's control in the low 128-bit lane and the other's in the
+    /// high lane.
+    struct PairCtl {
+        st0: __m256i,
+        st1: __m256i,
+        gam0: __m256i,
+        gam1: __m256i,
+    }
+
+    /// Controls for a register whose low lane carries the α chain
+    /// (`alpha_low`) or the β chain, and whose high lane carries the
+    /// other one. The low lane reads the first quad of the pair, the
+    /// high lane the second.
+    #[inline(always)]
+    unsafe fn pair_ctl(alpha_low: bool) -> PairCtl {
+        use core::hint::black_box;
+        let tables = |alpha: bool, u: u8| {
+            if alpha {
+                (trellis::pred_table(u), trellis::pred_parity(u))
+            } else {
+                (trellis::next_table(u), trellis::next_parity(u))
+            }
+        };
+        let join = |lo: [i8; 16], hi: [i8; 16]| {
+            // Opaque for the same reason as `make_ctl`'s controls.
+            black_box(_mm256_set_m128i(load_i8x16(hi), load_i8x16(lo)))
+        };
+        let ctl = |u: u8| {
+            let (lo_t, lo_p) = tables(alpha_low, u);
+            let (hi_t, hi_p) = tables(!alpha_low, u);
+            (
+                join(lane_ctrl(lo_t), lane_ctrl(hi_t)),
+                join(quad_ctrl(lo_p, u, 0), quad_ctrl(hi_p, u, 4)),
+            )
+        };
+        let (st0, gam0) = ctl(0);
+        let (st1, gam1) = ctl(1);
+        PairCtl {
+            st0,
+            st1,
+            gam0,
+            gam1,
+        }
+    }
+
+    /// Word-reversal of the high lane, identity on the low lane.
+    const REV_HI: [i8; 32] = [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, //
+        14, 15, 12, 13, 10, 11, 8, 9, 6, 7, 4, 5, 2, 3, 0, 1,
+    ];
+
+    /// The four branch metrics of eight trellis steps per lane,
+    /// `adds16(±γ₀, ±γₚ)` with `subs16(0, ·)` negation exactly as the
+    /// oracle's `branch()`, transposed to one quad per step: register
+    /// `m` of the result holds steps `2m` and `2m + 1` of each lane.
+    #[inline(always)]
+    unsafe fn quads(g0: __m256i, gp: __m256i) -> [__m256i; 4] {
+        let zero = _mm256_setzero_si256();
+        let ng0 = _mm256_subs_epi16(zero, g0);
+        let ngp = _mm256_subs_epi16(zero, gp);
+        let q0 = _mm256_adds_epi16(g0, gp);
+        let q1 = _mm256_adds_epi16(g0, ngp);
+        let q2 = _mm256_adds_epi16(ng0, gp);
+        let q3 = _mm256_adds_epi16(ng0, ngp);
+        let lo01 = _mm256_unpacklo_epi16(q0, q1);
+        let hi01 = _mm256_unpackhi_epi16(q0, q1);
+        let lo23 = _mm256_unpacklo_epi16(q2, q3);
+        let hi23 = _mm256_unpackhi_epi16(q2, q3);
+        [
+            _mm256_unpacklo_epi32(lo01, lo23),
+            _mm256_unpackhi_epi32(lo01, lo23),
+            _mm256_unpacklo_epi32(hi01, hi23),
+            _mm256_unpackhi_epi32(hi01, hi23),
+        ]
+    }
+
+    /// `[lo | hi]` from two unaligned 128-bit loads.
+    #[inline(always)]
+    unsafe fn load_2x128(lo: *const Llr, hi: *const Llr) -> __m256i {
+        _mm256_inserti128_si256(
+            _mm256_castsi128_si256(_mm_loadu_si128(lo as *const __m128i)),
+            _mm_loadu_si128(hi as *const __m128i),
+            1,
+        )
+    }
+
+    /// One packed trellis step: gather the two chains' states under
+    /// both input bits, add the branch metrics selected from the quad
+    /// pair `q`. Returns the gathered states, the γ vectors and the
+    /// two candidate registers `(st, gam, cand)`, each `[u=0, u=1]`.
+    #[inline(always)]
+    unsafe fn pair_candidates(
+        s: __m256i,
+        q: __m256i,
+        c: &PairCtl,
+    ) -> ([__m256i; 2], [__m256i; 2], [__m256i; 2]) {
+        let st = [_mm256_shuffle_epi8(s, c.st0), _mm256_shuffle_epi8(s, c.st1)];
+        let gam = [
+            _mm256_shuffle_epi8(q, c.gam0),
+            _mm256_shuffle_epi8(q, c.gam1),
+        ];
+        let cand = [
+            _mm256_adds_epi16(st[0], gam[0]),
+            _mm256_adds_epi16(st[1], gam[1]),
+        ];
+        (st, gam, cand)
+    }
+
+    /// Max over the two candidates, `NEG_INF` floor, state-0
+    /// normalise — per 128-bit lane.
+    #[inline(always)]
+    unsafe fn pair_select(cand: [__m256i; 2], floor: __m256i, bcast0: __m256i) -> __m256i {
+        let m = _mm256_max_epi16(_mm256_max_epi16(cand[0], cand[1]), floor);
+        _mm256_subs_epi16(m, _mm256_shuffle_epi8(m, bcast0))
+    }
+
+    /// The xmm form of [`pair_candidates`] + [`pair_select`] for the
+    /// leftover group's single chain: returns `(cand, next state)`.
+    #[inline(always)]
+    unsafe fn single_step(
+        s: __m128i,
+        q: __m128i,
+        st: [__m128i; 2],
+        gam: [__m128i; 2],
+        floor: __m128i,
+        bcast0: __m128i,
+    ) -> ([__m128i; 2], __m128i) {
+        let c0 = _mm_adds_epi16(_mm_shuffle_epi8(s, st[0]), _mm_shuffle_epi8(q, gam[0]));
+        let c1 = _mm_adds_epi16(_mm_shuffle_epi8(s, st[1]), _mm_shuffle_epi8(q, gam[1]));
+        let m = _mm_max_epi16(_mm_max_epi16(c0, c1), floor);
+        ([c0, c1], _mm_subs_epi16(m, _mm_shuffle_epi8(m, bcast0)))
+    }
+
+    /// Lane-packed meet-in-the-middle SISO (see the module doc).
+    ///
+    /// Buffer layout, with `h = 8·⌊K/16⌋` and `K' = 2h` (`K` or
+    /// `K − 8`):
+    ///
+    /// * `gq` — quad pair `p < h` at words `8p..8p+8`:
+    ///   `[quad(p) | quad(K'−1−p)]`; the leftover group's quads
+    ///   unfolded at words `4i` for `i ∈ [K', K)`.
+    /// * `trellis` — row pair `p < h` at words `16p..16p+16`:
+    ///   `[α_p | β_{K'−p}]`; the leftover group's `β_{i+1}` at word
+    ///   `8i` for `i ∈ [K', K)`.
+    ///
+    /// # Safety
+    /// The host must support AVX2; `sys.len() = K` must be a multiple
+    /// of 8 and at least 16, and the other slices must have the
+    /// lengths [`siso_into`] asserts.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn siso_avx2(
+        sys: &[Llr],
+        par: &[Llr],
+        apriori: &[Llr],
+        tail_sys: &[Llr; 3],
+        tail_par: &[Llr; 3],
+        g0: &mut [Llr],
+        gq: &mut [Llr],
+        trellis: &mut [Llr],
+        ext: &mut [Llr],
+        post: &mut [i32],
+    ) {
+        let k = sys.len();
+        debug_assert!(k.is_multiple_of(STATES) && k >= 2 * STATES);
+        debug_assert!(par.len() == k && apriori.len() == k);
+        debug_assert!(g0.len() == k && gq.len() == 4 * k);
+        debug_assert!(ext.len() == k && post.len() == k);
+        debug_assert!(trellis.len() == (k + 1) * STATES);
+        let h = STATES * (k / (2 * STATES));
+        let kp = 2 * h;
+        let (sys, par, apriori) = (sys.as_ptr(), par.as_ptr(), apriori.as_ptr());
+        let (g0p, gqp, tr, postp) = (
+            g0.as_mut_ptr(),
+            gq.as_mut_ptr(),
+            trellis.as_mut_ptr(),
+            post.as_mut_ptr(),
+        );
+
+        // γ phase, sixteen steps per register: group `a` from the
+        // front in the low lane, its mirror group `b` in the high lane
+        // with the step order reversed, so each stored quad pair is
+        // `[quad(p) | quad(K'−1−p)]`.
+        let rev_hi = _mm256_loadu_si256(REV_HI.as_ptr() as *const __m256i);
+        let mut a = 0;
+        while a < h {
+            let b = kp - STATES - a;
+            let ls = load_2x128(sys.add(a), sys.add(b));
+            let la = load_2x128(apriori.add(a), apriori.add(b));
+            let lp = load_2x128(par.add(a), par.add(b));
+            let g0v = _mm256_srai_epi16(_mm256_adds_epi16(ls, la), 1);
+            let gpv = _mm256_srai_epi16(lp, 1);
+            _mm_storeu_si128(g0p.add(a) as *mut __m128i, _mm256_castsi256_si128(g0v));
+            _mm_storeu_si128(g0p.add(b) as *mut __m128i, _mm256_extracti128_si256(g0v, 1));
+            let q = quads(
+                _mm256_shuffle_epi8(g0v, rev_hi),
+                _mm256_shuffle_epi8(gpv, rev_hi),
+            );
+            for (m, qm) in q.into_iter().enumerate() {
+                // [a₂ₘ a₂ₘ₊₁ | b₂ₘ b₂ₘ₊₁] → [a₂ₘ b₂ₘ | a₂ₘ₊₁ b₂ₘ₊₁]
+                _mm256_storeu_si256(
+                    gqp.add(8 * (a + 2 * m)) as *mut __m256i,
+                    _mm256_permute4x64_epi64(qm, 0xD8),
+                );
+            }
+            a += STATES;
+        }
+        if kp < k {
+            let ls = _mm_loadu_si128(sys.add(kp) as *const __m128i);
+            let la = _mm_loadu_si128(apriori.add(kp) as *const __m128i);
+            let lp = _mm_loadu_si128(par.add(kp) as *const __m128i);
+            let g0v = _mm_srai_epi16(_mm_adds_epi16(ls, la), 1);
+            let gpv = _mm_srai_epi16(lp, 1);
+            _mm_storeu_si128(g0p.add(kp) as *mut __m128i, g0v);
+            let q = quads(_mm256_castsi128_si256(g0v), _mm256_castsi128_si256(gpv));
+            for (m, qm) in q.into_iter().enumerate() {
+                _mm_storeu_si128(
+                    gqp.add(4 * kp + 8 * m) as *mut __m128i,
+                    _mm256_castsi256_si128(qm),
+                );
+            }
+        }
+
+        let c1 = pair_ctl(true);
+        let c2 = pair_ctl(false);
+        let floor = _mm256_set1_epi16(NEG_INF);
+        let bcast0 = core::hint::black_box(_mm256_set1_epi16(0x0100));
+        // The leftover group's single chains are the low lanes of the
+        // packed controls: α leads phase 1, β leads phase 2, and the
+        // low lane reads the first quad of whatever it is handed.
+        let lo = |c: &PairCtl| {
+            (
+                [_mm256_castsi256_si128(c.st0), _mm256_castsi256_si128(c.st1)],
+                [
+                    _mm256_castsi256_si128(c.gam0),
+                    _mm256_castsi256_si128(c.gam1),
+                ],
+            )
+        };
+        let (floor1, bcast1) = (
+            _mm256_castsi256_si128(floor),
+            _mm256_castsi256_si128(bcast0),
+        );
+
+        // Leftover group, β side: walk `[K', K)` backward on one chain
+        // so the packed phases start from β at step K'.
+        let binit = beta_init_from_tails(tail_sys, tail_par);
+        let mut b = _mm_loadu_si128(binit.as_ptr() as *const __m128i);
+        let (st, gam) = lo(&c2);
+        for i in (kp..k).rev() {
+            _mm_storeu_si128(tr.add(8 * i) as *mut __m128i, b);
+            let q = _mm_loadl_epi64(gqp.add(4 * i) as *const __m128i);
+            b = single_step(b, q, st, gam, floor1, bcast1).1;
+        }
+
+        // Phase 1: α forward over `[0, h)` in the low lane, β backward
+        // over `[h, K')` in the high lane; each step first stores the
+        // row pair `[α_p | β_{K'−p}]` it starts from.
+        let mut s = _mm256_set_m128i(b, load_i16x8(ALPHA0));
+        for p in 0..h {
+            _mm256_storeu_si256(tr.add(16 * p) as *mut __m256i, s);
+            let q = _mm256_broadcastsi128_si256(_mm_loadu_si128(gqp.add(8 * p) as *const __m128i));
+            let (_, _, cand) = pair_candidates(s, q, &c1);
+            s = pair_select(cand, floor, bcast0);
+        }
+
+        // Phase 2: the chains trade lanes (β low, α high) so that row
+        // pair `p` lines up as loaded — `α_p` under β, which is about
+        // to take step `p`, and `β_{K'−p}` under α, which is about to
+        // take step `K'−1−p`. Each lane now also owns its step's
+        // posterior `max₀ − max₁` over `(α + γ) + β`:
+        //
+        // * β lane, per source state: `(α_p + γ) + β[next]` — the row
+        //   is α, the gathered register is β;
+        // * α lane, per destination state: `(α[pred] + γ) + β` — the
+        //   gathered register is α (its candidate already is `α + γ`),
+        //   the row is β. Same transitions, same association order,
+        //   and `max` does not care which end indexes them.
+        //
+        // Four steps share one reduction tree: the first fold leaves
+        // four `(t₀, t₁)` partial pairs per step, and three
+        // unpack/max rounds transpose-reduce four such registers into
+        // one `(max₀, max₁)` dword per step.
+        s = _mm256_permute4x64_epi64(s, 0x4E);
+        let rev_dw_hi = _mm256_setr_epi32(0, 1, 2, 3, 7, 6, 5, 4);
+        let mut p = h;
+        while p > 0 {
+            let mut y = [_mm256_setzero_si256(); 4];
+            for yj in &mut y {
+                p -= 1;
+                let r = _mm256_loadu_si256(tr.add(16 * p) as *const __m256i);
+                let q =
+                    _mm256_broadcastsi128_si256(_mm_loadu_si128(gqp.add(8 * p) as *const __m128i));
+                let (st, gam, cand) = pair_candidates(s, q, &c2);
+                let mut t = [_mm256_setzero_si256(); 2];
+                for u in 0..2 {
+                    let a_side = _mm256_blend_epi32(r, st[u], 0xF0);
+                    let b_side = _mm256_blend_epi32(st[u], r, 0xF0);
+                    t[u] = _mm256_adds_epi16(_mm256_adds_epi16(a_side, gam[u]), b_side);
+                }
+                *yj = _mm256_max_epi16(
+                    _mm256_unpacklo_epi16(t[0], t[1]),
+                    _mm256_unpackhi_epi16(t[0], t[1]),
+                );
+                s = pair_select(cand, floor, bcast0);
+            }
+            // y[j] belongs to steps p+3−j (β lane) and K'−4−p+j (α
+            // lane); reducing in the order 3,2,1,0 leaves the β lane
+            // ascending in memory and the α lane descending.
+            let u1 = _mm256_max_epi16(
+                _mm256_unpacklo_epi32(y[3], y[2]),
+                _mm256_unpackhi_epi32(y[3], y[2]),
+            );
+            let u2 = _mm256_max_epi16(
+                _mm256_unpacklo_epi32(y[1], y[0]),
+                _mm256_unpackhi_epi32(y[1], y[0]),
+            );
+            let v = _mm256_max_epi16(_mm256_unpacklo_epi64(u1, u2), _mm256_unpackhi_epi64(u1, u2));
+            let wf = _mm256_max_epi16(v, floor);
+            // Low word of each dword: `max₀ − max₁`; the high word is
+            // scrap, as in the 128-bit tiers.
+            let l = _mm256_subs_epi16(wf, _mm256_srli_epi32(wf, 16));
+            let l = _mm256_permutevar8x32_epi32(l, rev_dw_hi);
+            _mm_storeu_si128(postp.add(p) as *mut __m128i, _mm256_castsi256_si128(l));
+            _mm_storeu_si128(
+                postp.add(kp - 4 - p) as *mut __m128i,
+                _mm256_extracti128_si256(l, 1),
+            );
+        }
+
+        // Leftover group, α side: one chain forward over `[K', K)`
+        // against the β rows its twin stored, destination-indexed as
+        // in the α lane above.
+        let mut a = _mm256_extracti128_si256(s, 1);
+        let (st, gam) = lo(&c1);
+        for i in kp..k {
+            let brow = _mm_loadu_si128(tr.add(8 * i) as *const __m128i);
+            let q = _mm_loadl_epi64(gqp.add(4 * i) as *const __m128i);
+            let (cand, next) = single_step(a, q, st, gam, floor1, bcast1);
+            let t0 = _mm_adds_epi16(cand[0], brow);
+            let t1 = _mm_adds_epi16(cand[1], brow);
+            let wf = _mm_max_epi16(hmax2x8(t0, t1), floor1);
+            let lv = _mm_subs_epi16(wf, _mm_srli_si128(wf, 2));
+            *postp.add(i) = _mm_cvtsi128_si32(lv);
+            a = next;
+        }
+
+        peel_extrinsic(post, g0, ext);
     }
 
     /// Test hook: run every lane gather on `[0..8]` so the shuffle
@@ -1073,7 +1454,8 @@ mod tests {
         for isa in DecoderIsa::available() {
             let got = match isa {
                 DecoderIsa::Sse2 => unsafe { x86::probe::gathers_sse2() },
-                // The Avx2 kernel runs the same pshufb gather arm.
+                // The Avx2 kernel joins the same `lane_ctrl` controls
+                // pairwise; the decode sweeps cover the joined form.
                 DecoderIsa::Ssse3 | DecoderIsa::Avx2 => unsafe { x86::probe::gathers_ssse3() },
                 DecoderIsa::Scalar => continue,
             };
@@ -1127,6 +1509,142 @@ mod tests {
             let out = NativeTurboDecoder::with_isa(k, 8, isa).decode_with_crc(&input, &CRC24B);
             assert_eq!(out, reference, "{}", isa.name());
         }
+    }
+
+    /// `siso_into` on every tier against the oracle's `siso`:
+    /// posterior as is, extrinsic through `scale_extrinsic`.
+    fn assert_siso_matches_oracle(
+        sys: &[Llr],
+        par: &[Llr],
+        la: &[Llr],
+        tail_sys: &[Llr; 3],
+        tail_par: &[Llr; 3],
+    ) {
+        let k = sys.len();
+        let (ext_ref, post_ref) = siso(sys, par, la, tail_sys, tail_par);
+        let ext_ref: Vec<Llr> = ext_ref.into_iter().map(scale_extrinsic).collect();
+        let (mut g0, mut gq) = (vec![0; k], vec![0; 4 * k]);
+        let mut alpha = vec![0; (k + 1) * STATES];
+        let (mut ext, mut post) = (vec![0 as Llr; k], vec![0i32; k]);
+        for isa in DecoderIsa::available() {
+            siso_into(
+                isa, sys, par, la, tail_sys, tail_par, &mut g0, &mut gq, &mut alpha, &mut ext,
+                &mut post,
+            );
+            let post_lo: Vec<Llr> = post.iter().map(|&p| p as Llr).collect();
+            assert_eq!(post_lo, post_ref, "posterior on {} K={k}", isa.name());
+            assert_eq!(ext, ext_ref, "extrinsic on {} K={k}", isa.name());
+        }
+    }
+
+    #[test]
+    fn native_siso_matches_oracle_at_both_group_parities() {
+        // K/8 odd (40: the leftover-group loops run), even (48, 6144:
+        // the packed phases alone).
+        for k in [40usize, 48, 6144] {
+            let mut rng = SmallRng::seed_from_u64(k as u64);
+            let mut draw = |n: usize| -> Vec<Llr> {
+                (0..n)
+                    .map(|_| (rng.next_u64() % 1401) as i16 - 700)
+                    .collect()
+            };
+            let (sys, par, la, t) = (draw(k), draw(k), draw(k), draw(6));
+            assert_siso_matches_oracle(&sys, &par, &la, &[t[0], t[1], t[2]], &[t[3], t[4], t[5]]);
+        }
+    }
+
+    #[test]
+    fn native_siso_matches_oracle_on_saturating_inputs() {
+        // The γ quads negate with `subs16(0, ·)` and every path-metric
+        // op saturates; drive both with rails and the metric floor in
+        // every combination across systematic / parity / a-priori.
+        let rails = [32767 as Llr, -32767, i16::MIN, NEG_INF, -NEG_INF, 0];
+        for k in [40usize, 48] {
+            for (a, &s) in rails.iter().enumerate() {
+                for (b, &p) in rails.iter().enumerate() {
+                    for (c, &l) in rails.iter().enumerate() {
+                        // Constant rails, then the same rails with a
+                        // period that does not divide the group size.
+                        let pick = |v: Llr, m: usize| -> Vec<Llr> {
+                            (0..k)
+                                .map(|i| if i % m == 0 { rails[(i / m) % 6] } else { v })
+                                .collect()
+                        };
+                        let tails = [s, p, l];
+                        assert_siso_matches_oracle(
+                            &vec![s; k],
+                            &vec![p; k],
+                            &vec![l; k],
+                            &tails,
+                            &tails,
+                        );
+                        assert_siso_matches_oracle(
+                            &pick(s, 3 + a),
+                            &pick(p, 5 + b),
+                            &pick(l, 7 + c),
+                            &tails,
+                            &tails,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn native_crc_early_stop_matches_oracle_at_k6144() {
+        let k = 6144;
+        let block = CRC24B.attach(&random_bits(k - 24, 31));
+        let cw = TurboEncoder::new(k).encode(&block);
+        let mut rng = SmallRng::seed_from_u64(77);
+        let soft: [Vec<Llr>; 3] = cw
+            .to_dstreams()
+            .iter()
+            .map(|st| {
+                st.iter()
+                    .map(|&b| adds16(bit_to_llr(b, 12), (rng.next_u64() % 41) as i16 - 20))
+                    .collect()
+            })
+            .collect::<Vec<_>>()
+            .try_into()
+            .unwrap();
+        let input = TurboLlrs::from_dstreams(&soft, k);
+        let reference = TurboDecoder::new(k, 8).decode_with_crc(&input, &CRC24B);
+        assert_eq!(reference.crc_ok, Some(true));
+        assert!(
+            (2..8).contains(&reference.iterations_run),
+            "want a stop strictly inside the cap, got {}",
+            reference.iterations_run
+        );
+        for isa in DecoderIsa::available() {
+            let out = NativeTurboDecoder::with_isa(k, 8, isa).decode_with_crc(&input, &CRC24B);
+            assert_eq!(out, reference, "{}", isa.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "γ scratch length")]
+    fn siso_into_checks_lengths_at_the_safe_boundary() {
+        let k = 40;
+        let z = vec![0 as Llr; k];
+        // K words serve the 128-bit tiers; the boundary wants 4·K from
+        // every caller, whichever tier it names.
+        let (mut g0, mut gq) = (vec![0; k], vec![0; k]);
+        let mut alpha = vec![0; (k + 1) * STATES];
+        let (mut ext, mut post) = (vec![0 as Llr; k], vec![0i32; k]);
+        siso_into(
+            DecoderIsa::Scalar,
+            &z,
+            &z,
+            &z,
+            &[0; 3],
+            &[0; 3],
+            &mut g0,
+            &mut gq,
+            &mut alpha,
+            &mut ext,
+            &mut post,
+        );
     }
 
     #[test]
@@ -1194,8 +1712,10 @@ mod tests {
             let tail_sys = [t[0], t[1], t[2]];
             let tail_par = [t[3], t[4], t[5]];
             let (ext_ref, post_ref) = siso(&sys, &par, &la, &tail_sys, &tail_par);
+            // `siso_into` hands back the extrinsic already scaled.
+            let ext_ref: Vec<Llr> = ext_ref.into_iter().map(scale_extrinsic).collect();
             let k = sys.len();
-            let (mut g0, mut gp) = (vec![0; k], vec![0; k]);
+            let (mut g0, mut gp) = (vec![0; k], vec![0; 4 * k]);
             let mut alpha = vec![0; (k + 1) * STATES];
             let (mut ext, mut post) = (vec![0 as Llr; k], vec![0i32; k]);
             for isa in DecoderIsa::available() {

@@ -14,6 +14,34 @@ use vran_phy::segmentation::Segmentation;
 use vran_phy::turbo::{TurboDecoder, TurboEncoder};
 use vran_util::proptest::prelude::*;
 
+/// Every legal QPP size — both parities of K/8, so the single-block
+/// kernel's leftover-group loops and its packed phases are each hit —
+/// on noisy input, at every ISA tier the host (or the ISA ceiling)
+/// allows: bits and iteration count equal the scalar oracle's.
+#[test]
+fn native_single_block_matches_scalar_every_k() {
+    use vran_phy::llr::adds16;
+    use vran_phy::turbo::{DecoderIsa, NativeTurboDecoder};
+    use vran_util::rng::SmallRng;
+    for row in QPP_TABLE.iter() {
+        let k = row.k as usize;
+        let cw = TurboEncoder::new(k).encode(&random_bits(k, k as u64));
+        let mut rng = SmallRng::seed_from_u64(0x5150 + k as u64);
+        let soft: [Vec<i16>; 3] = cw.to_dstreams().map(|st| {
+            st.iter()
+                .map(|&b| adds16(bit_to_llr(b, 20), (rng.next_u64() % 61) as i16 - 30))
+                .collect()
+        });
+        let input = TurboLlrs::from_dstreams(&soft, k);
+        let oracle = TurboDecoder::new(k, 2).decode(&input);
+        for isa in DecoderIsa::available() {
+            let native = NativeTurboDecoder::with_isa(k, 2, isa).decode(&input);
+            assert_eq!(native.bits, oracle.bits, "bits on {} K={k}", isa.name());
+            assert_eq!(native.iterations_run, oracle.iterations_run);
+        }
+    }
+}
+
 fn bits_strategy(n: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..2, n)
 }

@@ -11,11 +11,15 @@
 //!   figure exports and the `BENCH_*.json` perf trajectory.
 //! * [`pad`] — [`pad::CachePadded`], alignment padding for the SPSC
 //!   ring's head/tail counters.
+//! * [`paired`] — [`paired::paired_ratio`], the median of back-to-back
+//!   paired wall-clock ratios that timing tests and the benchgate
+//!   overhead gate judge by.
 //! * [`mod@proptest`] — a compact property-testing harness exposing the
 //!   `proptest!`/strategy subset the workspace's model-based tests use.
 
 pub mod json;
 pub mod pad;
+pub mod paired;
 pub mod proptest;
 pub mod rng;
 

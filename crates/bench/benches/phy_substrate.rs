@@ -93,6 +93,25 @@ fn bench_rate_match(c: &mut Criterion) {
     g.bench_function("dematch_2k", |b| {
         b.iter(|| rm.de_rate_match(std::hint::black_box(&llrs), 0))
     });
+    // The receive hot entry: interleaved output into a reused buffer,
+    // E = 2K at rv 0 (what the pipelines send), per ISA ceiling — its
+    // two arms sit behind `host::has`, not an `*_with` parameter.
+    let mut out = Vec::new();
+    for k in [512usize, 6144] {
+        let rm = RateMatcher::new(k + 4);
+        let llrs: Vec<i16> = (0..2 * k).map(|i| (i * 37 % 201) as i16 - 100).collect();
+        g.throughput(Throughput::Elements(2 * k as u64));
+        for tier in host::available() {
+            host::set_isa_ceiling(Some(tier));
+            let id = BenchmarkId::new(format!("dematch_interleaved_into/k{k}"), tier.name());
+            g.bench_function(id, |b| {
+                b.iter(|| {
+                    rm.try_de_rate_match_interleaved_into(std::hint::black_box(&llrs), 0, &mut out)
+                })
+            });
+        }
+        host::set_isa_ceiling(None);
+    }
     g.finish();
 }
 

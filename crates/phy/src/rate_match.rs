@@ -9,8 +9,62 @@
 //! De-rate-matching inverts the readout into LLR space, *combining*
 //! repeated positions by saturating addition (chase combining) and
 //! leaving punctured positions at LLR 0.
+//!
+//! # Row-wise de-rate-match
+//!
+//! [`RateMatcher::try_de_rate_match_interleaved_into`] — the receive
+//! hot path — inverts the readout in two regular steps instead of one
+//! table walk per LLR.
+//!
+//! **Step 1, un-circulate.** `<NULL>`s are pure padding, so the
+//! *compacted* circular buffer has exactly `3d` entries and input LLR
+//! `i` belongs at compacted position `(k0_real[rv] + i) mod 3d`. The
+//! first lap is at most two contiguous copies into a scratch `w`,
+//! every later lap (repetition) a contiguous saturating add over the
+//! same ranges in the same order as the per-LLR oracle, and what the
+//! first lap does not reach (puncturing) is zeroed. `rv`, `E` and the
+//! wraps end here.
+//!
+//! **Step 2, a fixed permutation `w → out` that depends only on `d`.**
+//! Write `R = ⌈d/32⌉` rows, `nd = 32R − d` leading `<NULL>`s, and
+//! `p⁽ˢ⁾[i]` for padded stream `s` (`nd` `<NULL>`s, then `d⁽ˢ⁾`). The
+//! interleaver reads the `R × 32` matrix column by column in
+//! [`COL_PERM`] order (its own inverse), so natural column `c` of the
+//! systematic stream is `R` contiguous words of `w`, and of the
+//! interlaced parities `2R` contiguous words. With `sb[c]` / `pb[c]`
+//! the compacted start of that column minus its row-0 `<NULL>` count
+//! (`column_bases`), every row `r ≥ 1` is regular:
+//!
+//! ```text
+//! S_c[r] = w[sb[c] + r]                         = p⁽⁰⁾[32r + c]
+//! B_c[r] = (w[pb[c] + 2r], w[pb[c] + 2r + 1])   = (p⁽¹⁾[32r + c], p⁽²⁾[32r + c + 1])
+//!        = (L_c[r], H_{c+1}[r])                   with H_32[r] ≡ H_0[r + 1]
+//! ```
+//!
+//! (`d⁽²⁾` is read one position further on, which is why the high half
+//! of `B_c` belongs to column `c + 1`.) Output row `r` is the 96
+//! contiguous words `out[3·(32r − nd) ..]` = `(S_c[r], L_c[r], H_c[r])`
+//! for `c = 0..32`, and every one of the `3d` outputs is written
+//! exactly once. Only two things are irregular: **row 0**, whose first
+//! `nd` columns are `<NULL>` (≤ 96 scalar moves through the same
+//! bases), and **the carry** — `H_0[r]` arrives as the high half of
+//! the *previous* row's `B_31`. The last row's `B_31` therefore reads
+//! one word past the `3d` compacted entries (the `<NULL>` at padded
+//! position 0 that `d⁽²⁾`'s shifted readout wraps to); it is a carry
+//! into a row that does not exist and is never stored, so one pad word
+//! after `w` is all the slack the kernel needs. (With `nd = 0` that
+//! word is real — `d⁽²⁾[0]` — sits inside the `3d`, and row 0 places
+//! it.)
+//!
+//! On AVX-512BW a row is two `vpgatherdd` for `B` plus two per *pair*
+//! of rows for `S` (a 32-bit gather at `sb[c] + r` brings `S_c[r]` and
+//! `S_c[r+1]`), six word permutes and three 64-byte stores; every other
+//! host runs the same decomposition as a scalar double loop. Two arms,
+//! not a ladder: the step that matters is dropping the per-LLR
+//! division, `<NULL>` branch and read-modify-write, which both have.
 
 use crate::llr::{adds16, Llr};
+use core::mem::MaybeUninit;
 
 /// The spec's inter-column permutation pattern.
 pub const COL_PERM: [usize; 32] = [
@@ -104,36 +158,58 @@ fn circular_buffer_map(d: usize) -> Vec<usize> {
     w
 }
 
+/// Compacted readout start for each redundancy version: how many
+/// real (non-`<NULL>`) entries precede `k0(rv)` in the raw buffer.
+fn compacted_k0(wmap: &[usize], rows: usize) -> [usize; 4] {
+    core::array::from_fn(|rv| {
+        let k0 = rows * (2 * wmap.len().div_ceil(8 * rows) * rv + 2);
+        wmap[..k0].iter().filter(|&&p| p != usize::MAX).count()
+    })
+}
+
+/// Per-natural-column bases `(sb, pb)` into the compacted circular
+/// buffer (module doc, step 2): the compacted start of permuted column
+/// `P(c)` in the systematic / interlaced-parity section, minus that
+/// column's row-0 `<NULL>` count, so that rows `r ≥ 1` sit at
+/// `sb[c] + r` and `pb[c] + 2r`. `sb[0]` is `−1` whenever `nd > 0`.
+fn column_bases(d: usize) -> ([i32; NCOLS], [i32; NCOLS]) {
+    let rows = d.div_ceil(NCOLS);
+    let nd = rows * NCOLS - d;
+    let (mut sb, mut pb) = ([0i32; NCOLS], [0i32; NCOLS]);
+    let (mut s, mut p) = (0i32, d as i32);
+    for &c in COL_PERM.iter() {
+        let s0 = i32::from(c < nd); // row 0 of S_c / L_c is <NULL>
+        let p0 = s0 + i32::from(c + 1 < nd); // … and of H_{c+1}
+        sb[c] = s - s0;
+        pb[c] = p - p0;
+        s += rows as i32 - s0;
+        p += 2 * rows as i32 - p0;
+    }
+    (sb, pb)
+}
+
 /// Rate matcher for one code block.
 #[derive(Debug, Clone)]
 pub struct RateMatcher {
     d: usize,
     wmap: Vec<usize>,
-    /// `wmap` retargeted at the triple-interleaved output layout:
-    /// flat position `p` of `[d0|d1|d2]` becomes `3·(p mod d) + p/d`
-    /// (hoisting the div/mod out of the per-LLR accumulation loop).
-    wmap_inter: Vec<usize>,
+    /// Compacted readout start per redundancy version
+    /// ([`compacted_k0`]): where the row-wise de-rate-matcher's
+    /// un-circulate step drops the first LLR.
+    k0_real: [usize; 4],
 }
 
 impl RateMatcher {
-    /// For per-stream length `d = K + 4`.
+    /// For per-stream length `d = K + 4` (at most `MAX_D`: the
+    /// de-rate-matcher's stack scratch is sized by it).
     pub fn new(d: usize) -> Self {
+        assert!(
+            d <= MAX_D,
+            "RateMatcher supports turbo stream lengths only (d ≤ {MAX_D}, got {d})"
+        );
         let wmap = circular_buffer_map(d);
-        let wmap_inter = wmap
-            .iter()
-            .map(|&p| {
-                if p == usize::MAX {
-                    usize::MAX
-                } else {
-                    3 * (p % d) + p / d
-                }
-            })
-            .collect();
-        Self {
-            d,
-            wmap,
-            wmap_inter,
-        }
+        let k0_real = compacted_k0(&wmap, d.div_ceil(NCOLS));
+        Self { d, wmap, k0_real }
     }
 
     /// Circular buffer length `Ncb = 3·Kp`.
@@ -236,40 +312,234 @@ impl RateMatcher {
     }
 
     /// Triple-interleaved variant of
-    /// [`RateMatcher::try_de_rate_match_into`]: accumulates straight
-    /// into a single `3d` buffer holding `[d⁽⁰⁾ⱼ d⁽¹⁾ⱼ d⁽²⁾ⱼ]` triples —
-    /// the demapper-output cluster layout (paper Fig 8a) the fused
-    /// APCM ingest kernels consume. Positions `3K..` carry the four
-    /// tail triples, so [`crate::llr::TailLlrs::from_interleaved`]
-    /// reads terminations from the same buffer. Chase combining and
+    /// [`RateMatcher::try_de_rate_match_into`]: writes a single `3d`
+    /// buffer holding `[d⁽⁰⁾ⱼ d⁽¹⁾ⱼ d⁽²⁾ⱼ]` triples — the
+    /// demapper-output cluster layout (paper Fig 8a) the fused APCM
+    /// ingest kernels consume. Positions `3K..` carry the four tail
+    /// triples, so [`crate::llr::TailLlrs::from_interleaved`] reads
+    /// terminations from the same buffer. Chase combining and
     /// puncture-as-zero semantics are identical to the per-stream
-    /// variant.
+    /// variant, which is its oracle; how it gets there — un-circulate,
+    /// then move rows — is the module doc's "Row-wise de-rate-match".
     pub fn try_de_rate_match_interleaved_into(
         &self,
         llrs: &[Llr],
         rv: usize,
         out: &mut Vec<Llr>,
     ) -> Result<(), RateMatchError> {
-        let mut k = self.try_k0(rv)?;
-        out.resize(3 * self.d, 0);
-        out.fill(0);
-        let ncb = self.ncb();
-        let mut consumed = 0;
-        while consumed < llrs.len() {
-            let p = self.wmap_inter[k % ncb];
-            if p != usize::MAX {
-                let slot = &mut out[p];
-                *slot = adds16(*slot, llrs[consumed]);
-                consumed += 1;
+        self.try_k0(rv)?;
+        let d = self.d;
+        let n = 3 * d;
+        let rows = d.div_ceil(NCOLS);
+        let nd = rows * NCOLS - d;
+        out.resize(n, 0);
+
+        // Step 1: un-circulate into `w[..n]`, plus the one pad word the
+        // last row's carry gather reads.
+        let q = self.k0_real[rv] % n; // every real entry before k0: wrap at once
+        let first = llrs.len().min(n);
+        let head = first.min(n - q); // lands at q..
+        let tail = first - head; // wraps to 0.. (≤ q)
+        let mut scratch = [MaybeUninit::<Llr>::uninit(); 3 * MAX_D + 1];
+        assert!(n < scratch.len(), "new() bounds d by MAX_D");
+        let wp = scratch.as_mut_ptr().cast::<Llr>();
+        // SAFETY: `head + tail ≤ llrs.len()`; `q + head ≤ n` and
+        // `tail ≤ q`, so the two copies and the two zero fills tile
+        // `0..n + 1` of `scratch` (asserted above to hold it) exactly
+        // once: first lap, then the punctured remainder and the pad.
+        let w = unsafe {
+            core::ptr::copy_nonoverlapping(llrs.as_ptr(), wp.add(q), head);
+            core::ptr::copy_nonoverlapping(llrs.as_ptr().add(head), wp, tail);
+            core::ptr::write_bytes(wp.add(tail), 0, q - tail);
+            core::ptr::write_bytes(wp.add(q + head), 0, n + 1 - (q + head));
+            core::slice::from_raw_parts_mut(wp, n + 1)
+        };
+        // Repetition: later laps restart at q and combine in arrival
+        // order, so saturation matches the per-LLR oracle.
+        let (mut rest, mut pos) = (&llrs[first..], q);
+        while !rest.is_empty() {
+            let (lap, later) = rest.split_at(rest.len().min(n - pos));
+            for (acc, &l) in w[pos..pos + lap.len()].iter_mut().zip(lap) {
+                *acc = adds16(*acc, l);
             }
-            k += 1;
+            pos = (pos + lap.len()) % n;
+            rest = later;
+        }
+        let w = &*w;
+
+        // Step 2: the K-only permutation. Row 0 skips its nd <NULL>
+        // columns; with nd = 0 its H_0 is the wrapped last entry.
+        let (sb, pb) = column_bases(d);
+        for c in nd..NCOLS {
+            let h = if c > 0 { pb[c - 1] + 1 } else { n as i32 - 1 };
+            out[3 * (c - nd)..][..3].copy_from_slice(&[
+                w[sb[c] as usize],
+                w[pb[c] as usize],
+                w[h as usize],
+            ]);
+        }
+        // Every index the row kernels form, checked once here: S reads
+        // w[sb+r ..= sb+r+1], B reads w[pb+2r ..= pb+2r+1], r in 0..rows
+        // (S from 1), and the rows tile out[3·(32 − nd)..].
+        let (rows32, n32) = (rows as i32, n as i32);
+        assert!(sb.iter().all(|&b| b >= -1 && b + rows32 <= n32));
+        assert!(pb.iter().all(|&b| b >= 0 && b + 2 * rows32 - 1 <= n32));
+        assert!(w.len() == n + 1 && out.len() == 3 * (rows * NCOLS - nd));
+        #[cfg(target_arch = "x86_64")]
+        if vran_simd::host::has(vran_simd::host::HostIsa::Avx512bw) {
+            // SAFETY: `has` verified avx512f+avx512bw on this CPU; the
+            // asserts above are the kernel's stated preconditions.
+            unsafe { permute_rows_avx512(w, &sb, &pb, rows, nd, out) };
+            return Ok(());
+        }
+        for r in 1..rows {
+            let row = &mut out[3 * (NCOLS * r - nd)..][..3 * NCOLS];
+            let mut carry = w[pb[NCOLS - 1] as usize + 2 * r - 1];
+            for (c, cell) in row.chunks_exact_mut(3).enumerate() {
+                let b = pb[c] as usize + 2 * r;
+                cell.copy_from_slice(&[w[(sb[c] + r as i32) as usize], w[b], carry]);
+                carry = w[b + 1];
+            }
         }
         Ok(())
     }
 }
 
-/// Largest per-stream length the packed matcher supports: the largest
-/// turbo block `K = 6144` plus 4 tail bits (sizes its stack scratch).
+/// `vpermt2w` / blend controls assembling one 96-word output row
+/// `(S_c, L_c, H_c)`, `c = 0..32`, from the four gathered registers
+/// `S0 S1` (dword `c mod 16` = `S_c[r], S_c[r+1]`) and `B0 B1` (dword
+/// `c mod 16` = `L_c[r], H_{c+1}[r]`). The `[2]` variants pick the low
+/// or high word of the `S` dwords: the first or second row of a pair.
+#[cfg(target_arch = "x86_64")]
+struct RowControls {
+    /// Output words 0..32 from `(S0, B0)`; word 2 (`H_0`) is the carry.
+    o0: [[i16; 32]; 2],
+    /// `S` words of output words 32..64, from `(S0, S1)`.
+    o1s: [[i16; 32]; 2],
+    /// `L`/`H` words of output words 32..64, from `(B0, B1)`.
+    o1b: [i16; 32],
+    /// Lanes of output words 32..64 that hold an `S` word.
+    o1_is_s: u32,
+    /// Output words 64..96 from `(S1, B1)`.
+    o2: [[i16; 32]; 2],
+}
+
+#[cfg(target_arch = "x86_64")]
+const ROW_CONTROLS: RowControls = {
+    let mut t = RowControls {
+        o0: [[0; 32]; 2],
+        o1s: [[0; 32]; 2],
+        o1b: [0; 32],
+        o1_is_s: 0,
+        o2: [[0; 32]; 2],
+    };
+    let mut m = 0usize;
+    while m < 96 {
+        let (c, s, lane) = (m / 3, m % 3, m % 32);
+        // S_c and L_c sit in column c's gathered dword, H_c in the high
+        // half of column c − 1's (for c = 0 that is the carry, placed
+        // by a separate masked permute).
+        let is_s = s == 0;
+        let from = if s == 2 { c.saturating_sub(1) } else { c };
+        let word = 2 * (from % 16) + (s == 2) as usize;
+        let mut h = 0;
+        while h < 2 {
+            let word = (word + if is_s { h } else { 0 }) as i16;
+            // Bit 5 of a vpermt2w control selects the second source:
+            // the B register of an (S, B) pair, the c ≥ 16 register
+            // of an (S0, S1) or (B0, B1) pair.
+            let (in_b, in_1) = (32 * !is_s as i16, 32 * (from >= 16) as i16);
+            match (m / 32, is_s) {
+                (0, _) => t.o0[h][lane] = word + in_b,
+                (1, true) => t.o1s[h][lane] = word + in_1,
+                (1, false) => t.o1b[lane] = word + in_1,
+                _ => t.o2[h][lane] = word + in_b,
+            }
+            h += 1;
+        }
+        if m / 32 == 1 && is_s {
+            t.o1_is_s |= 1 << lane;
+        }
+        m += 1;
+    }
+    t
+};
+
+/// Rows `1..rows` of the inverse sub-block interleave (module doc,
+/// step 2) on zmm registers: per row two dword gathers for `B`, per
+/// pair of rows two for `S`, six word permutes, three stores.
+///
+/// # Safety
+/// Requires avx512f + avx512bw, and what the caller asserts: every
+/// `sb[c] + r ..= sb[c] + r + 1` (`1 ≤ r < rows`) and every
+/// `pb[c] + 2r ..= pb[c] + 2r + 1` (`r < rows`) indexes `w`, and
+/// `out.len() == 3·(32·rows − nd)`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn permute_rows_avx512(
+    w: &[Llr],
+    sb: &[i32; NCOLS],
+    pb: &[i32; NCOLS],
+    rows: usize,
+    nd: usize,
+    out: &mut [Llr],
+) {
+    use core::arch::x86_64::*;
+    debug_assert!(sb
+        .iter()
+        .all(|&b| b >= -1 && (b + rows as i32) < w.len() as i32));
+    debug_assert!(pb
+        .iter()
+        .all(|&b| b >= 0 && b + 2 * rows as i32 <= w.len() as i32));
+    debug_assert_eq!(out.len(), 3 * (rows * NCOLS - nd));
+    let load = |p: *const i32| _mm512_loadu_si512(p.cast());
+    let ctl = |t: &[i16; 32]| _mm512_loadu_si512(t.as_ptr().cast());
+    let (sb0, sb1) = (load(sb.as_ptr()), load(sb.as_ptr().add(16)));
+    let (pb0, pb1) = (load(pb.as_ptr()), load(pb.as_ptr().add(16)));
+    let t = &ROW_CONTROLS;
+    let o0 = [ctl(&t.o0[0]), ctl(&t.o0[1])];
+    let o1s = [ctl(&t.o1s[0]), ctl(&t.o1s[1])];
+    let o1b = ctl(&t.o1b);
+    let o2 = [ctl(&t.o2[0]), ctl(&t.o2[1])];
+    let last = _mm512_set1_epi16(31);
+    let wp = w.as_ptr().cast::<i32>();
+    let op = out.as_mut_ptr();
+    // SAFETY (gathers, here and below): scale 2 makes a lane's address
+    // `w + index` words, read as one dword = words index, index + 1 —
+    // in `w` by the caller's asserts.
+    // Row 0's B_31 seeds the carry: its high half is H_0[1].
+    let mut b1_prev = _mm512_i32gather_epi32::<2>(pb1, wp);
+    let mut r = 1;
+    while r < rows {
+        let at = _mm512_set1_epi32(r as i32);
+        let s0 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(sb0, at), wp);
+        let s1 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(sb1, at), wp);
+        for h in 0..2.min(rows - r) {
+            let at = _mm512_set1_epi32(2 * (r + h) as i32);
+            let b0 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(pb0, at), wp);
+            let b1 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(pb1, at), wp);
+            let lo = _mm512_permutex2var_epi16(s0, o0[h], b0);
+            let lo = _mm512_mask_permutexvar_epi16(lo, 0b100, last, b1_prev);
+            let mid = _mm512_mask_blend_epi16(
+                t.o1_is_s,
+                _mm512_permutex2var_epi16(b0, o1b, b1),
+                _mm512_permutex2var_epi16(s0, o1s[h], s1),
+            );
+            let hi = _mm512_permutex2var_epi16(s1, o2[h], b1);
+            // SAFETY (stores): row r + h is out[3·(32(r+h) − nd)..][..96],
+            // and r + h < rows keeps its end within out.len().
+            let row = op.add(3 * (NCOLS * (r + h) - nd));
+            _mm512_storeu_si512(row.cast(), lo);
+            _mm512_storeu_si512(row.add(32).cast(), mid);
+            _mm512_storeu_si512(row.add(64).cast(), hi);
+            b1_prev = b1;
+        }
+        r += 2;
+    }
+}
+
+/// Largest per-stream length the matchers support: the largest turbo
+/// block `K = 6144` plus 4 tail bits (sizes their stack scratch).
 const MAX_D: usize = 6148;
 /// Rows of the sub-block interleaver matrix at [`MAX_D`].
 const MAX_ROWS: usize = MAX_D.div_ceil(NCOLS);
@@ -315,12 +585,7 @@ impl PackedRateMatcher {
         let wmap = circular_buffer_map(d);
         let n = wmap.iter().filter(|&&p| p != usize::MAX).count();
         debug_assert_eq!(n, 3 * d);
-        let rows = d.div_ceil(NCOLS);
-        let ncb = wmap.len();
-        let k0_real = core::array::from_fn(|rv| {
-            let k0 = rows * (2 * ncb.div_ceil(8 * rows) * rv + 2);
-            wmap[..k0].iter().filter(|&&p| p != usize::MAX).count()
-        });
+        let k0_real = compacted_k0(&wmap, d.div_ceil(NCOLS));
         Self { d, n, k0_real }
     }
 
@@ -975,43 +1240,65 @@ mod tests {
         }
     }
 
+    /// Interleaved output must be the per-stream oracle re-indexed,
+    /// tails readable in place.
+    fn assert_interleaved_matches_oracle(rm: &RateMatcher, llrs: &[Llr], rv: usize, what: &str) {
+        use crate::llr::TailLlrs;
+        let d = rm.d;
+        let mut per_stream = [Vec::new(), Vec::new(), Vec::new()];
+        rm.try_de_rate_match_into(llrs, rv, &mut per_stream)
+            .unwrap();
+        // a dirty, wrongly sized buffer: every output must be written
+        let mut inter = vec![0x5A5A; 3 * d + 5];
+        rm.try_de_rate_match_interleaved_into(llrs, rv, &mut inter)
+            .unwrap();
+        assert_eq!(inter.len(), 3 * d);
+        for j in 0..d {
+            for s in 0..3 {
+                assert_eq!(
+                    inter[3 * j + s],
+                    per_stream[s][j],
+                    "d={d} rv={rv} {what} stream {s} pos {j}"
+                );
+            }
+        }
+        let k = d - 4;
+        assert_eq!(
+            TailLlrs::from_interleaved(&inter, k),
+            TailLlrs::from_dstreams(&per_stream, k),
+            "d={d} rv={rv} {what} tails"
+        );
+    }
+
     #[test]
     fn interleaved_de_rate_match_matches_per_stream_variant() {
         // The fused-ingest input layout must be a pure re-indexing of
         // the per-stream de-rate-match: identical chase combining,
-        // identical punctures, and the tails readable in place.
-        use crate::llr::TailLlrs;
-        for d in [44usize, 108, 2052] {
+        // identical punctures. Every turbo block size, plus d ≡ 0 mod
+        // 32 (no <NULL>s: the wrapped d⁽²⁾[0] is real) and one-row d.
+        let ds = crate::interleaver::QPP_TABLE
+            .iter()
+            .map(|row| row.k as usize + 4)
+            .chain([20, 32, 64, 96]);
+        for d in ds {
             let rm = RateMatcher::new(d);
+            let k = d - 4;
             let streams = dstreams(d, d as u64 + 13);
             for rv in 0..4 {
-                for e in [100usize, 3 * d, 3 * d * 2 + 7] {
+                for e in [100usize, 2 * k, 3 * d, 6 * d, 6 * d + 7] {
                     let tx = rm.rate_match(&streams, e, rv);
                     let llrs: Vec<Llr> =
                         tx.iter().map(|&b| if b == 0 { 60 } else { -60 }).collect();
-                    let mut per_stream = [Vec::new(), Vec::new(), Vec::new()];
-                    rm.try_de_rate_match_into(&llrs, rv, &mut per_stream)
-                        .unwrap();
-                    let mut inter = Vec::new();
-                    rm.try_de_rate_match_interleaved_into(&llrs, rv, &mut inter)
-                        .unwrap();
-                    assert_eq!(inter.len(), 3 * d);
-                    for j in 0..d {
-                        for s in 0..3 {
-                            assert_eq!(
-                                inter[3 * j + s],
-                                per_stream[s][j],
-                                "d={d} rv={rv} e={e} stream {s} pos {j}"
-                            );
-                        }
-                    }
-                    let k = d - 4;
-                    assert_eq!(
-                        TailLlrs::from_interleaved(&inter, k),
-                        TailLlrs::from_dstreams(&per_stream, k),
-                        "d={d} rv={rv} e={e} tails"
-                    );
+                    assert_interleaved_matches_oracle(&rm, &llrs, rv, &format!("e={e}"));
                 }
+                // Saturation: every position combined two or three
+                // times from rail values — fails if un-circulate ever
+                // adds in a different order than the oracle.
+                let rails = [32767, -32767, i16::MIN, 32767, 1, i16::MIN, -1];
+                let llrs: Vec<Llr> = (0..6 * d + 7)
+                    .map(|i| rails[(i * i + i / 5) % rails.len()])
+                    .collect();
+                assert_interleaved_matches_oracle(&rm, &llrs, rv, "saturating");
             }
         }
     }
@@ -1020,9 +1307,23 @@ mod tests {
     fn interleaved_de_rate_match_rejects_bad_rv() {
         let rm = RateMatcher::new(44);
         let mut out = Vec::new();
-        assert!(rm
-            .try_de_rate_match_interleaved_into(&[0; 16], 4, &mut out)
-            .is_err());
+        assert_eq!(
+            rm.try_de_rate_match_interleaved_into(&[0; 16], 4, &mut out),
+            Err(RateMatchError::InvalidRv { rv: 4 })
+        );
+        // … and no input at all is all punctures, not an error
+        for rv in 0..4 {
+            out.fill(7);
+            rm.try_de_rate_match_interleaved_into(&[], rv, &mut out)
+                .unwrap();
+            assert_eq!(out, vec![0; 3 * 44]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "turbo stream lengths only")]
+    fn matcher_rejects_lengths_beyond_its_scratch() {
+        RateMatcher::new(MAX_D + 1);
     }
 
     #[test]

@@ -1200,42 +1200,34 @@ mod tests {
         let inputs: [TurboLlrs; QUAD] = core::array::from_fn(|g| make_input(k, 300 + g as u64).1);
         let batch = NativeBatchTurboDecoder::new(k, iters);
         let single = NativeTurboDecoder::new(k, iters);
-        // Warm up, then take the median of several reps per side so a
-        // scheduler blip cannot fail the build.
+        // Warm up, then judge the median of alternated back-to-back
+        // pairs, so neither a scheduler blip nor a clock that drifts
+        // between two blocks of runs can fail the build.
         let _ = batch.decode_quad(&inputs);
         for i in &inputs {
             let _ = single.decode(i);
         }
-        let reps = 9;
-        let median = |mut v: Vec<u128>| -> u128 {
-            v.sort_unstable();
-            v[v.len() / 2]
-        };
-        let quad_ns = median(
-            (0..reps)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    std::hint::black_box(batch.decode_quad(std::hint::black_box(&inputs)));
-                    t.elapsed().as_nanos()
-                })
-                .collect(),
+        let pairs = vran_util::paired::paired_ratio(
+            9,
+            0.0,
+            || {
+                let t = std::time::Instant::now();
+                std::hint::black_box(batch.decode_quad(std::hint::black_box(&inputs)));
+                t.elapsed().as_secs_f64()
+            },
+            || {
+                let t = std::time::Instant::now();
+                for i in &inputs {
+                    std::hint::black_box(single.decode(std::hint::black_box(i)));
+                }
+                t.elapsed().as_secs_f64()
+            },
         );
-        let serial_ns = median(
-            (0..reps)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    for i in &inputs {
-                        std::hint::black_box(single.decode(std::hint::black_box(i)));
-                    }
-                    t.elapsed().as_nanos()
-                })
-                .collect(),
-        );
-        let speedup = serial_ns as f64 / quad_ns as f64;
+        let (speedup, quad_ns, serial_ns) = (pairs.median, pairs.a_s * 1e9, pairs.b_s * 1e9);
         assert!(
             speedup > 1.0,
             "batched zmm decode must beat 4 serial native decodes: {speedup:.2}× \
-             ({serial_ns} ns serial vs {quad_ns} ns quad at K={k})"
+             ({serial_ns:.0} ns serial vs {quad_ns:.0} ns quad at K={k})"
         );
         assert!(
             speedup < 4.5,

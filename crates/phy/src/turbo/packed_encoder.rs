@@ -258,9 +258,20 @@ impl PackedTurboEncoder {
         scratch.d[0][..nw].copy_from_slice(&scratch.in_w);
 
         // constituent 2: byte-gather the interleaved input, then pack
-        // 8 bits per multiply — far cheaper than per-bit word inserts
-        for (b, &p) in scratch.il_b.iter_mut().zip(self.il.pi_table()) {
-            *b = bits[p as usize];
+        // 8 bits per multiply — far cheaper than per-bit word inserts.
+        // Eight elements per trip (every legal K is a multiple of 8):
+        // at one per trip the loop is 28 bytes of code, and whether
+        // the linker happens to place it across a 64-byte line decides
+        // 9 µs or 13 µs per 1400 B packet (EXPERIMENTS.md, PR 14).
+        let pi = self.il.pi_table();
+        assert!(
+            k.is_multiple_of(8) && pi.len() == k,
+            "QPP sizes are multiples of 8"
+        );
+        for (b8, p8) in scratch.il_b.chunks_exact_mut(8).zip(pi.chunks_exact(8)) {
+            for (b, &p) in b8.iter_mut().zip(p8) {
+                *b = bits[p as usize];
+            }
         }
         pack_lsb_words(&scratch.il_b, &mut scratch.il_w);
         let s2 = rsc_packed(

@@ -1,7 +1,7 @@
 //! The `frontend_exactness` sweep: every native front-end SIMD entry
 //! point (fixed-point demap, word-parallel descramble, sliced/folded
-//! CRC) vs its scalar oracle across **all 188** TS 36.212 block sizes
-//! and **every** host-ISA tier.
+//! CRC, row-wise de-rate-match) vs its scalar oracle across **all
+//! 188** TS 36.212 block sizes and **every** host-ISA tier.
 //!
 //! The uplink pipeline makes the SIMD front end the default path on
 //! the strength of this sweep (see `PipelineConfig::frontend_simd`):
@@ -12,7 +12,7 @@
 //! lengths.
 //!
 //! Lives in its own integration-test binary because the ISA ceiling is
-//! process-global; a single `#[test]` loops the tiers (and the three
+//! process-global; a single `#[test]` loops the tiers (and the four
 //! kernel families inside each tier) so masked regions never overlap —
 //! the harness would otherwise run per-kernel tests on concurrent
 //! threads and race on the ceiling.
@@ -22,6 +22,7 @@ use vran_phy::demap::{available_demap, best_demap, demap_with, DemapImpl};
 use vran_phy::interleaver::QPP_TABLE;
 use vran_phy::llr::Llr;
 use vran_phy::modulation::{Cplx, Modulation};
+use vran_phy::rate_match::RateMatcher;
 use vran_phy::scrambler::{
     available_descramble, best_descramble, descramble_llrs, descramble_llrs_with, DescrambleImpl,
 };
@@ -86,6 +87,7 @@ fn all_frontend_kernels_bit_exact_at_every_isa_tier_all_188_k() {
     demap_sweep();
     descramble_sweep();
     crc_sweep();
+    de_rate_match_sweep();
 }
 
 fn demap_sweep() {
@@ -218,6 +220,48 @@ fn crc_sweep() {
                         bits.len(),
                         crc.width(),
                         imp.name(),
+                        ceiling.name()
+                    );
+                }
+            }
+        }
+    }
+    set_isa_ceiling(None);
+}
+
+/// The interleaved (row-wise) de-rate-matcher has two arms behind
+/// `host::has(Avx512bw)` and no `*_with` entry point, so the ceiling is
+/// what reaches the scalar-rows arm on an AVX-512 host. Oracle: the
+/// per-stream table walk, which never dispatches.
+fn de_rate_match_sweep() {
+    let mut rng = SmallRng::seed_from_u64(0xDE3A_9004);
+    // Per K: the workloads' E = 2K (punctured) and a 2×-repetition
+    // E = 6d + 7 (every position combined, some three times), full
+    // 16-bit LLRs so the combining saturates.
+    let cases: Vec<(usize, RateMatcher, [Vec<Llr>; 2])> = all_k()
+        .into_iter()
+        .map(|k| {
+            let llrs = [2 * k, 6 * (k + 4) + 7]
+                .map(|e| (0..e).map(|_| rng.next_u32() as i16).collect::<Vec<Llr>>());
+            (k, RateMatcher::new(k + 4), llrs)
+        })
+        .collect();
+    let (mut per_stream, mut got) = ([Vec::new(), Vec::new(), Vec::new()], Vec::new());
+    for ceiling in HostIsa::all() {
+        set_isa_ceiling(Some(ceiling));
+        for (k, rm, llrs) in &cases {
+            for l in llrs {
+                for rv in 0..4 {
+                    rm.try_de_rate_match_into(l, rv, &mut per_stream).unwrap();
+                    let expect: Vec<Llr> =
+                        (0..3 * (k + 4)).map(|i| per_stream[i % 3][i / 3]).collect();
+                    rm.try_de_rate_match_interleaved_into(l, rv, &mut got)
+                        .unwrap();
+                    assert_eq!(
+                        got,
+                        expect,
+                        "K={k} E={} rv={rv} under {} ceiling",
+                        l.len(),
                         ceiling.name()
                     );
                 }

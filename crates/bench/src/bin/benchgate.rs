@@ -414,14 +414,12 @@ fn downlink_scaleout_suite() -> Suite {
 }
 
 /// Ungated: uplink multi-worker scale-out — aggregate and per-core
-/// Mbps at every worker count up to [`SCALEOUT_MAX_WORKERS`], with the
-/// batched native decode path (quad-in-zmm where the host has it)
-/// enabled so the sweep exercises the widest receive chain.
+/// Mbps at every worker count up to [`SCALEOUT_MAX_WORKERS`], through
+/// the stage graph (quad-in-zmm launches where the host has them).
 fn uplink_scaleout_suite() -> Suite {
     let mut suite = Suite::new("uplink_scaleout", false);
     let cfg = PipelineConfig {
         snr_db: 30.0,
-        batch_decode: true,
         ..Default::default()
     };
     for pt in uplink_scaleout_sweep(
@@ -515,11 +513,9 @@ fn uplink_stagegraph_suite() -> Suite {
 }
 
 /// Ungated: wall-clock throughput of the stage-graph runtime vs the
-/// per-packet serial path on the same mixed-K traffic — once against
-/// the fixed-iteration batch semantics the stage graph shares (the
-/// apples-to-apples speedup) and once against the CRC-early-stop
-/// serial default (quantifying the early-stop trade-off the batch
-/// lanes give up).
+/// per-packet serial path (`process`, the path it replaced) on the
+/// same mixed-K traffic. Both stop every block at the same iteration,
+/// so the ratio is what cross-packet lane filling buys.
 fn uplink_stagegraph_wallclock_suite() -> Suite {
     let mut suite = Suite::new("uplink_stagegraph_wallclock", false);
     let classes = paper_sweep_classes();
@@ -528,13 +524,7 @@ fn uplink_stagegraph_wallclock_suite() -> Suite {
         snr_db: 30.0,
         ..Default::default()
     };
-    let batch_cfg = PipelineConfig {
-        batch_decode: true,
-        ..cfg
-    };
     let earlystop = run_uplink_serial_mixed(cfg, &classes, STAGEGRAPH_WALLCLOCK_PACKETS, workers);
-    let serial_batch =
-        run_uplink_serial_mixed(batch_cfg, &classes, STAGEGRAPH_WALLCLOCK_PACKETS, workers);
     let sg = std::sync::Arc::new(StageGraphMetrics::default());
     let graph = run_uplink_stagegraph_metered(
         cfg,
@@ -549,17 +539,10 @@ fn uplink_stagegraph_wallclock_suite() -> Suite {
         None,
     );
     suite.push("serial_earlystop.mbps", earlystop.mbps);
-    suite.push("serial_batch.mbps", serial_batch.mbps);
     suite.push("stagegraph.mbps", graph.mbps);
-    suite.push(
-        "stagegraph.vs_serial_batch.speedup",
-        graph.mbps / serial_batch.mbps,
-    );
-    suite.push(
-        "stagegraph.vs_serial_earlystop.speedup",
-        graph.mbps / earlystop.mbps,
-    );
+    suite.push("graph_vs_earlystop.ratio", graph.mbps / earlystop.mbps);
     suite.push("batch.lane_occupancy.ratio", sg.lane_occupancy());
+    suite.push("batch.iteration_occupancy.ratio", sg.iteration_occupancy());
     suite.push(
         "batch4.accelerated",
         f64::from(NativeBatchTurboDecoder::is_zmm_accelerated()),
@@ -584,7 +567,6 @@ fn fused_ingest_run(fused: bool) -> FusedIngestRun {
     let pm = std::sync::Arc::new(PipelineMetrics::new(true));
     let cfg = PipelineConfig {
         snr_db: 30.0,
-        batch_decode: true,
         fused_ingest: fused,
         ..Default::default()
     };

@@ -138,13 +138,11 @@ fn baseline_has_stagegraph_suites() {
         .expect("uplink_stagegraph_wallclock");
     assert!(!wall.gated, "wall-clock comparisons must never gate CI");
     assert!(
-        wall.get("stagegraph.vs_serial_batch.speedup")
-            .unwrap_or(0.0)
-            > 0.0,
-        "baseline lost the matched-semantics speedup"
+        wall.get("graph_vs_earlystop.ratio").unwrap_or(0.0) > 0.0,
+        "baseline lost the stage-graph vs serial early-stop ratio"
     );
-    assert!(wall.get("stagegraph.vs_serial_earlystop.speedup").is_some());
     assert!(wall.get("batch.lane_occupancy.ratio").is_some());
+    assert!(wall.get("batch.iteration_occupancy.ratio").is_some());
 }
 
 #[test]

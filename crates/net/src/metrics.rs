@@ -28,6 +28,7 @@
 
 use crate::error::ErrorCategory;
 use std::sync::atomic::{AtomicU64, Ordering};
+use vran_phy::turbo::native_batch::LaneOutcome;
 use vran_uarch::{Port, SimReport};
 use vran_util::Json;
 
@@ -762,6 +763,12 @@ pub struct StageGraphMetrics {
     pub flush_deadline: Counter,
     /// Pool flushes at end-of-run drain (no more admissions coming).
     pub flush_drain: Counter,
+    /// Decoder iterations credited to lanes: each block's own count,
+    /// which stops at its CRC pass.
+    pub lane_iterations: Counter,
+    /// Decoder iterations launches occupied lanes for: a launch runs
+    /// until its slowest lane is done, times the lanes it launched.
+    pub launch_iterations: Counter,
 }
 
 impl Default for StageGraphMetrics {
@@ -781,6 +788,8 @@ impl StageGraphMetrics {
             flush_lanes_full: Counter::new(),
             flush_deadline: Counter::new(),
             flush_drain: Counter::new(),
+            lane_iterations: Counter::new(),
+            launch_iterations: Counter::new(),
         }
     }
 
@@ -790,16 +799,22 @@ impl StageGraphMetrics {
         self.enabled
     }
 
-    /// Record one batch launch of `blocks` equal-K tasks (4 = quad,
-    /// 2 = pair, 1 = single). No-op when disabled.
+    /// Record one batch launch of `lanes.len()` equal-K tasks (4 =
+    /// quad, 2 = pair, 1 = single) from each lane's `(iterations,
+    /// crc_ok)`. No-op when disabled.
     #[inline]
-    pub fn record_launch(&self, blocks: usize) {
+    pub fn record_launch(&self, lanes: &[LaneOutcome]) {
         if self.enabled {
+            let blocks = lanes.len() as u64;
             match blocks {
                 4 => self.quad_blocks.add(4),
                 2 => self.pair_blocks.add(2),
-                _ => self.single_blocks.add(blocks as u64),
+                _ => self.single_blocks.add(blocks),
             }
+            let iters = lanes.iter().map(|l| l.0 as u64);
+            self.lane_iterations.add(iters.clone().sum());
+            self.launch_iterations
+                .add(iters.max().unwrap_or(0) * blocks);
         }
     }
 
@@ -828,11 +843,27 @@ impl StageGraphMetrics {
         }
     }
 
+    /// Fraction of the iterations launches occupied lanes for that
+    /// were credited to a block — 1.0 when the lanes of every launch
+    /// stop together, lower when passed lanes idle behind a slower
+    /// one (the figure that would justify refilling them).
+    /// `NaN`-free: returns 0.0 before any block decodes.
+    pub fn iteration_occupancy(&self) -> f64 {
+        match self.launch_iterations.get() {
+            0 => 0.0,
+            launched => self.lane_iterations.get() as f64 / launched as f64,
+        }
+    }
+
     /// Flat snapshot (benchgate schema: `.ratio` ⇒ ratio tolerance,
     /// `.count` ⇒ exact).
     pub fn snapshot(&self) -> Vec<(String, f64)> {
         vec![
             ("batch.lane_occupancy.ratio".into(), self.lane_occupancy()),
+            (
+                "batch.iteration_occupancy.ratio".into(),
+                self.iteration_occupancy(),
+            ),
             (
                 "batch.quad_blocks.count".into(),
                 self.quad_blocks.get() as f64,
@@ -856,6 +887,14 @@ impl StageGraphMetrics {
             (
                 "batch.flush.drain.count".into(),
                 self.flush_drain.get() as f64,
+            ),
+            (
+                "batch.lane_iterations.count".into(),
+                self.lane_iterations.get() as f64,
+            ),
+            (
+                "batch.launch_iterations.count".into(),
+                self.launch_iterations.get() as f64,
             ),
         ]
     }

@@ -910,11 +910,22 @@ mod tests {
         r.record_occupancy(3);
         r.record_packet(100);
         let g = StageGraphMetrics::new(true);
-        g.record_launch(4);
+        // One quad whose lanes stop at iterations 1, 3, 6 and 1: the
+        // launch holds four lanes for six iterations, eleven credited.
+        g.record_launch(&[
+            (1, Some(true)),
+            (3, Some(true)),
+            (6, Some(false)),
+            (1, Some(true)),
+        ]);
         let snap = MetricsSnapshot::capture(Some(&p), Some(&r), Some(&g));
         assert_eq!(snap.get("pipeline.packets"), Some(1.0));
         assert_eq!(snap.get("runner.packets"), Some(1.0));
         assert_eq!(snap.get("stagegraph.batch.quad_blocks.count"), Some(4.0));
+        assert_eq!(
+            snap.get("stagegraph.batch.iteration_occupancy.ratio"),
+            Some(11.0 / 24.0)
+        );
         let h = snap.histogram("pipeline.stage.decode").expect("captured");
         assert_eq!(h.count, 1);
         assert_eq!(h.bucket_sum(), 1);

@@ -66,10 +66,9 @@ use vran_phy::scrambler::{
     GoldSequence,
 };
 use vran_phy::segmentation::Segmentation;
-use vran_phy::turbo::native_batch::{BATCH, QUAD};
 use vran_phy::turbo::{
-    BatchScratch, BlockLlrs, DecodeScratch, DecoderIsa, EncodeScratch, EncoderIsa,
-    NativeBatchTurboDecoder, NativeTurboDecoder, PackedTurboEncoder, TurboDecoder, TurboEncoder,
+    DecodeScratch, DecoderIsa, EncodeScratch, EncoderIsa, NativeBatchTurboDecoder,
+    NativeTurboDecoder, PackedTurboEncoder, TurboDecoder, TurboEncoder,
 };
 use vran_simd::RegWidth;
 
@@ -157,24 +156,6 @@ pub struct PipelineConfig {
     /// a `deadline_clamps` metrics event); once the budget is exhausted
     /// the packet aborts with [`PipelineError::DeadlineExceeded`].
     pub deadline_ns: Option<u64>,
-    /// Decode a transport block's equal-K code blocks through the
-    /// multi-block-per-register [`NativeBatchTurboDecoder`] — four per
-    /// zmm on AVX-512BW hosts, two per ymm on AVX2, bit-exact narrower
-    /// fallbacks below that. Only meaningful under
-    /// [`DecoderBackend::Native`].
-    ///
-    /// **Deprecated as an opt-in**: the stage-graph runtime
-    /// ([`crate::stagegraph::StageGraph`], the default uplink path in
-    /// [`crate::runner::run_uplink_multicore`]) always decodes in batch
-    /// semantics — [`UplinkPipeline::prepare`] stages every code block
-    /// for cross-packet pooling regardless of this flag, so under the
-    /// stage graph the effective default is *on*. The flag now only
-    /// governs the direct [`UplinkPipeline::process`] call, where it
-    /// stays off by default because batched decoding runs a fixed
-    /// iteration count (no per-block CRC early stop), which changes the
-    /// reported `decoder_iterations` — the decoded bits stay
-    /// oracle-exact either way.
-    pub batch_decode: bool,
     /// Fused APCM ingest (the default): under [`DecoderBackend::Native`]
     /// the de-rate-matcher writes triple-interleaved clusters and one
     /// mask/merge pass ([`vran_arrange::fused_ingest_into`]) segregates
@@ -223,7 +204,6 @@ impl Default for PipelineConfig {
             fading: false,
             seed: 1,
             deadline_ns: None,
-            batch_decode: false,
             fused_ingest: true,
             frontend_simd: true,
             breakers: None,
@@ -352,9 +332,6 @@ pub struct PacketResult {
 struct HotState {
     /// Native decoders, keyed by block size K.
     natives: Vec<NativeTurboDecoder>,
-    /// Batched native decoders, keyed by block size K (iteration count
-    /// recorded alongside — deadline clamping can change it).
-    batches: Vec<(usize, NativeBatchTurboDecoder)>,
     /// Scalar decoders, keyed by block size K.
     scalars: Vec<(usize, TurboDecoder)>,
     /// Rate matchers, keyed by per-stream length `d = K + 4`.
@@ -381,8 +358,6 @@ struct HotState {
     /// so batching performs no steady-state allocation — replacing the
     /// per-block `SoftStreams` clones staging used to take.
     llr_pool: Vec<SoftStreams>,
-    /// Staged-batch-decoder working buffers (quad/pair kernels).
-    batch_scratch: BatchScratch,
     /// Native-decoder working buffers.
     scratch: DecodeScratch,
     /// Decoded-bit buffers, one per code-block index, reused across
@@ -411,25 +386,6 @@ impl HotState {
             None => {
                 self.natives.push(NativeTurboDecoder::new(k, iterations));
                 self.natives.len() - 1
-            }
-        }
-    }
-
-    /// Index of the cached batch decoder for block size `k` running
-    /// exactly `iterations` iterations (stale-iteration entries for
-    /// the same K are evicted — only deadline clamping creates them).
-    fn batch_index(&mut self, k: usize, iterations: usize) -> usize {
-        match self
-            .batches
-            .iter()
-            .position(|(it, d)| d.k() == k && *it == iterations)
-        {
-            Some(i) => i,
-            None => {
-                self.batches.retain(|(_, d)| d.k() != k);
-                self.batches
-                    .push((iterations, NativeBatchTurboDecoder::new(k, iterations)));
-                self.batches.len() - 1
             }
         }
     }
@@ -732,7 +688,7 @@ impl UplinkPipeline {
     /// Return a staged task's stream buffers to the free list so the
     /// next ingest reuses their capacity instead of allocating. The
     /// stage-graph runtime calls this after a batch launch scatters its
-    /// decoded bits; the serial batch path recycles inline.
+    /// decoded bits.
     pub(crate) fn recycle_streams(&self, streams: SoftStreams) {
         let hot = &mut *self.hot.borrow_mut();
         if hot.llr_pool.len() < LLR_POOL_CAP {
@@ -774,9 +730,11 @@ impl UplinkPipeline {
     /// code blocks as pooled decode tasks (the stage-graph runtime's
     /// admission half).
     ///
-    /// Batch-decode semantics are always on here regardless of
-    /// [`PipelineConfig::batch_decode`] — cross-packet pooling is the
-    /// point. The Scalar/serial fallback ladder stays intact: when the
+    /// A staged block carries no iteration semantics of its own: the
+    /// launch that decodes it stops it where [`Self::process`] would
+    /// have (its CRC24B when the packet has more than one block,
+    /// [`PreparedUplink::iter_cap`] otherwise). The Scalar/serial
+    /// fallback ladder stays intact: when the
     /// configured backend is `Scalar`, or the degradation ladder has
     /// demoted a `Native` pipeline, the packet is processed serially to
     /// completion and returned as [`Admission::Ready`] (already
@@ -806,40 +764,27 @@ impl UplinkPipeline {
         }
     }
 
-    /// Finish a packet staged by [`Self::prepare`]: post-hoc per-block
-    /// CRC24B classification (the batch kernels have no in-loop early
-    /// stop), desegmentation, CRC24A and the L2 delivery check —
-    /// exactly the serial batch path's tail — then metrics and
-    /// degradation-ladder settlement.
+    /// Finish a packet staged by [`Self::prepare`]: desegmentation,
+    /// CRC24A and the L2 delivery check — [`Self::process`]'s own tail —
+    /// then metrics and degradation-ladder settlement.
     ///
     /// `decoded` holds one bit buffer per staged task, in task order;
     /// `iterations` is the decoder-iteration total across the packet's
-    /// blocks; `decode_ns` is the wall-clock decode share attributed to
-    /// this packet by the batch launches it rode.
+    /// blocks and `failed_blocks` how many of them the decoder reported
+    /// a failed CRC24B for; `decode_ns` is the wall-clock decode share
+    /// attributed to this packet by the batch launches it rode.
     pub fn complete(
         &self,
         prep: PreparedUplink,
         decoded: &[Vec<u8>],
         iterations: usize,
+        failed_blocks: usize,
         decode_ns: u64,
     ) -> Result<PacketResult, PipelineError> {
         let m = self.metrics.as_deref().filter(|m| m.is_enabled());
         debug_assert_eq!(decoded.len(), prep.seg.c, "one bit buffer per block");
         let mut nanos = prep.nanos;
         nanos.decode += decode_ns;
-        let mut failed_blocks = 0usize;
-        if decoded.len() > 1 {
-            let crc_imp = if self.cfg.frontend_simd {
-                best_crc()
-            } else {
-                CrcImpl::BitSerial
-            };
-            for bits in decoded {
-                if CRC24B.check_with(crc_imp, bits).is_none() {
-                    failed_blocks += 1;
-                }
-            }
-        }
         let result = self.finish(
             m,
             prep.fault,
@@ -956,8 +901,7 @@ impl UplinkPipeline {
 
     /// The shared pipeline body behind [`Self::process`] and
     /// [`Self::prepare`]. With `stage` set, the Native backend's code
-    /// blocks are arranged and then *staged* (batch semantics forced —
-    /// see [`PipelineConfig::batch_decode`]) instead of decoded
+    /// blocks are arranged and then *staged* instead of decoded
     /// inline; the Scalar backend (configured or ladder-degraded)
     /// still completes serially.
     fn process_inner(
@@ -1180,7 +1124,7 @@ impl UplinkPipeline {
         } else {
             cfg.backend
         };
-        let batching = (cfg.batch_decode || stage) && backend == DecoderBackend::Native;
+        let staging = stage && backend == DecoderBackend::Native;
         if let Some(m) = m {
             if backend == DecoderBackend::Native && DecoderIsa::best() == DecoderIsa::Scalar {
                 // The fast path is selected but the host (or the test
@@ -1189,8 +1133,8 @@ impl UplinkPipeline {
                 // deployment lost its SIMD speedup.
                 m.native_simd_fallbacks.inc();
             }
-            if batching && !NativeBatchTurboDecoder::is_zmm_accelerated() {
-                // Batched decode is selected but the host (or the test
+            if staging && !NativeBatchTurboDecoder::is_zmm_accelerated() {
+                // Blocks are staged for batch launches but the host (or the test
                 // ISA ceiling) lacks AVX-512BW: blocks decode through
                 // the narrower pair/single kernels, bit-exactly.
                 m.batch_simd_fallbacks.inc();
@@ -1204,7 +1148,7 @@ impl UplinkPipeline {
         let mut iterations = 0;
         let mut pos = 0;
         let mut failed_blocks = 0usize;
-        let mut batch_inputs: Vec<TurboLlrs> = Vec::new();
+        let mut staged: Vec<TurboLlrs> = Vec::new();
         // Fused APCM ingest applies only to the Native backend; when
         // the degradation ladder demotes a fused-configured pipeline to
         // Scalar, the blocks run the unfused chain (counted below).
@@ -1245,10 +1189,10 @@ impl UplinkPipeline {
 
             // Deadline gate before the expensive decode: abort when the
             // budget is gone, halve the iteration cap when half is.
-            // (In batch mode the decode happens after this loop, so a
-            // single gate guards the batched phase instead.)
+            // (Staged blocks decode after this function returns, so a
+            // single gate after the loop guards them instead.)
             let mut iter_cap = cfg.decoder_iterations;
-            if !batching {
+            if !staging {
                 if let Some(budget) = cfg.deadline_ns {
                     let elapsed = start.elapsed().as_nanos() as u64;
                     if elapsed >= budget {
@@ -1292,11 +1236,11 @@ impl UplinkPipeline {
                     }
                     nanos.arrangement += t0.elapsed().as_nanos() as u64;
 
-                    if batching {
+                    if staging {
                         // Stage this block for the grouped quad/pair
                         // decode after the loop — the pooled buffer
                         // rides inside the task, zero-copy.
-                        batch_inputs.push(TurboLlrs { k, streams, tails });
+                        staged.push(TurboLlrs { k, streams, tails });
                         continue;
                     }
 
@@ -1332,7 +1276,7 @@ impl UplinkPipeline {
                     // then segregate them with the best real-intrinsics
                     // APCM kernel the host supports.
                     let t0 = Instant::now();
-                    if batching {
+                    if staging {
                         // Segregate straight into a pooled buffer and
                         // stage it — no per-block clone here either.
                         let mut streams = hot.acquire_streams(k, m);
@@ -1351,7 +1295,7 @@ impl UplinkPipeline {
                             );
                         });
                         nanos.arrangement += t0.elapsed().as_nanos() as u64;
-                        batch_inputs.push(TurboLlrs { k, streams, tails });
+                        staged.push(TurboLlrs { k, streams, tails });
                         continue;
                     }
                     timed(m, Stage::Arrange, || {
@@ -1430,10 +1374,9 @@ impl UplinkPipeline {
             }
         }
 
-        if stage && batching {
-            // One deadline gate before staging, mirroring the serial
-            // batch path's single pre-decode gate. The clamped cap
-            // rides into the pool so the launch honours it.
+        if staging {
+            // One deadline gate before staging. The clamped cap rides
+            // into the pool so the launch honours it.
             let mut iter_cap = cfg.decoder_iterations;
             if let Some(budget) = cfg.deadline_ns {
                 let elapsed = start.elapsed().as_nanos() as u64;
@@ -1466,118 +1409,8 @@ impl UplinkPipeline {
                 coded_bits: pos,
                 nanos,
                 iter_cap,
-                tasks: batch_inputs,
+                tasks: staged,
             })));
-        }
-
-        if batching && !batch_inputs.is_empty() {
-            // One deadline gate for the whole batched decode phase.
-            let mut iter_cap = cfg.decoder_iterations;
-            if let Some(budget) = cfg.deadline_ns {
-                let elapsed = start.elapsed().as_nanos() as u64;
-                if elapsed >= budget {
-                    return Err(PipelineError::DeadlineExceeded {
-                        budget_ns: budget,
-                        elapsed_ns: elapsed,
-                    });
-                }
-                if elapsed.saturating_mul(2) >= budget {
-                    iter_cap = (cfg.decoder_iterations / 2).max(1);
-                    if let Some(m) = m {
-                        m.deadline_clamps.inc();
-                    }
-                }
-            }
-            let t0 = Instant::now();
-            timed(m, Stage::Decode, || {
-                // Decode runs of equal-K blocks in quads, then pairs,
-                // then a single leftover — the batch decoder itself
-                // degrades quad→pair→single below AVX-512BW, so every
-                // grouping is bit-exact with serial native decodes.
-                let mut idx = 0;
-                while idx < batch_inputs.len() {
-                    let k = batch_inputs[idx].k;
-                    let mut end = idx + 1;
-                    while end < batch_inputs.len() && batch_inputs[end].k == k {
-                        end += 1;
-                    }
-                    let bi = hot.batch_index(k, iter_cap);
-                    let mut j = idx;
-                    while j + QUAD <= end {
-                        // Staged entry point: the kernels read the
-                        // pooled task buffers in place (no internal
-                        // re-interleave copy) and write bits into the
-                        // reused bit pool.
-                        let inputs: [BlockLlrs<'_>; QUAD] =
-                            core::array::from_fn(|g| BlockLlrs::from_turbo(&batch_inputs[j + g]));
-                        let bits: &mut [Vec<u8>; QUAD] = (&mut hot.bits_pool[j..j + QUAD])
-                            .try_into()
-                            .expect("quad run");
-                        let iters = hot.batches[bi].1.decode_quad_staged_into(
-                            inputs,
-                            &mut hot.batch_scratch,
-                            bits,
-                        );
-                        iterations += QUAD * iters;
-                        j += QUAD;
-                    }
-                    while j + BATCH <= end {
-                        let inputs: [BlockLlrs<'_>; BATCH] =
-                            core::array::from_fn(|g| BlockLlrs::from_turbo(&batch_inputs[j + g]));
-                        let bits: &mut [Vec<u8>; BATCH] = (&mut hot.bits_pool[j..j + BATCH])
-                            .try_into()
-                            .expect("pair run");
-                        let iters = hot.batches[bi].1.decode_pair_staged_into(
-                            inputs,
-                            &mut hot.batch_scratch,
-                            bits,
-                        );
-                        iterations += BATCH * iters;
-                        j += BATCH;
-                    }
-                    if j < end {
-                        // Single leftover: same fixed-iteration,
-                        // no-early-stop semantics as the batch members.
-                        let input = &batch_inputs[j];
-                        let di = hot.native_index(k, cfg.decoder_iterations);
-                        let (iters, _) = hot.natives[di].decode_streams_capped_into(
-                            &input.streams.sys,
-                            &input.streams.p1,
-                            &input.streams.p2,
-                            &input.tails,
-                            iter_cap,
-                            None,
-                            &mut hot.scratch,
-                            &mut hot.bits_pool[j],
-                        );
-                        iterations += iters;
-                    }
-                    idx = end;
-                }
-            });
-            // The batch kernels have no in-loop CRC early stop; check
-            // each block afterwards so failures classify exactly like
-            // the serial path's.
-            if blocks.len() > 1 {
-                let crc_imp = if cfg.frontend_simd {
-                    best_crc()
-                } else {
-                    CrcImpl::BitSerial
-                };
-                for bits in hot.bits_pool[..blocks.len()].iter() {
-                    if CRC24B.check_with(crc_imp, bits).is_none() {
-                        failed_blocks += 1;
-                    }
-                }
-            }
-            nanos.decode += t0.elapsed().as_nanos() as u64;
-            // Decode is done reading the pooled task buffers — return
-            // them to the free list for the next packet's ingest.
-            for t in batch_inputs.drain(..) {
-                if hot.llr_pool.len() < LLR_POOL_CAP {
-                    hot.llr_pool.push(t.streams);
-                }
-            }
         }
 
         if let Some(m) = m {
@@ -1735,12 +1568,24 @@ mod tests {
     use super::*;
     use crate::faultinject::FaultMix;
     use crate::packet::{PacketBuilder, Transport};
+    use crate::stagegraph::{StageGraph, StageGraphConfig};
     use vran_arrange::ApcmVariant;
 
     fn run(cfg: PipelineConfig, size: usize) -> Result<PacketResult, PipelineError> {
         let mut b = PacketBuilder::new(1000, 2000);
         let p = b.build(Transport::Udp, size).unwrap();
         UplinkPipeline::new(cfg).process(&p)
+    }
+
+    /// [`run`] through the stage graph: prepare, a pooled launch at
+    /// drain, complete.
+    fn run_staged(cfg: PipelineConfig, size: usize) -> Result<PacketResult, PipelineError> {
+        let mut b = PacketBuilder::new(1000, 2000);
+        let p = b.build(Transport::Udp, size).unwrap();
+        let mut graph = StageGraph::with_config(cfg, StageGraphConfig::default());
+        graph.admit(0, &p);
+        graph.drain();
+        graph.pop_completed().expect("drain retires the packet").1
     }
 
     /// Comparable outcome signature across Ok/Err results.
@@ -1876,45 +1721,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_decode_round_trips_and_matches_serial_bits() {
-        // The opt-in batched decode path (quad-in-zmm where the host
-        // has AVX-512BW, pair/single otherwise) must recover the exact
-        // same transport blocks as the serial native path. Iteration
-        // counts differ by design — batch decode runs a fixed schedule
-        // with no CRC early stop — so only bit-level outcomes and
-        // volumes are compared.
-        for size in [64usize, 512, 1500] {
-            let serial = run(
-                PipelineConfig {
-                    snr_db: 30.0,
-                    ..Default::default()
-                },
-                size,
-            )
-            .expect("serial native path must decode a clean channel");
-            let batched = run(
-                PipelineConfig {
-                    snr_db: 30.0,
-                    batch_decode: true,
-                    ..Default::default()
-                },
-                size,
-            )
-            .expect("batched native path must decode a clean channel");
-            assert_eq!(serial.tb_bits, batched.tb_bits, "{size} B");
-            assert_eq!(serial.code_blocks, batched.code_blocks, "{size} B");
-            assert_eq!(serial.coded_bits, batched.coded_bits, "{size} B");
-            // Fixed schedule: every block runs the full iteration cap.
-            let cfg = PipelineConfig::default();
-            assert_eq!(
-                batched.decoder_iterations,
-                batched.code_blocks * cfg.decoder_iterations,
-                "{size} B: batch decode runs the full iteration budget"
-            );
-        }
-    }
-
-    #[test]
     fn packed_and_scalar_encoder_backends_agree() {
         // The transmit fast path's bit-exactness contract, observed end
         // to end: identical outcomes, iteration counts and coded-bit
@@ -1997,12 +1803,11 @@ mod tests {
         // The fused mask/merge ingest replaces de-rate-match copy →
         // multiplex → APCM de-interleave with one pass; outcomes
         // (including iteration counts) must be identical, serial and
-        // batched, mono- and multi-block.
-        for batch in [false, true] {
+        // staged, mono- and multi-block.
+        for (path, run) in [("serial", run as fn(_, _) -> _), ("staged", run_staged)] {
             for size in [64, 300, 900, 1400] {
                 let fused = run(
                     PipelineConfig {
-                        batch_decode: batch,
                         snr_db: 12.0,
                         ..Default::default()
                     },
@@ -2010,7 +1815,6 @@ mod tests {
                 );
                 let unfused = run(
                     PipelineConfig {
-                        batch_decode: batch,
                         fused_ingest: false,
                         snr_db: 12.0,
                         ..Default::default()
@@ -2020,7 +1824,7 @@ mod tests {
                 assert_eq!(
                     signature(&fused),
                     signature(&unfused),
-                    "fused vs unfused at size {size}, batch {batch}"
+                    "fused vs unfused at size {size}, {path}"
                 );
             }
         }
@@ -2033,23 +1837,30 @@ mod tests {
         // and no steady-state allocation remains.
         let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
         let cfg = PipelineConfig {
-            batch_decode: true,
             snr_db: 30.0,
             ..Default::default()
         };
         let pipe = UplinkPipeline::with_metrics(cfg, metrics.clone());
+        let mut graph = StageGraph::new(pipe, StageGraphConfig::default());
         let mut b = PacketBuilder::new(1000, 2000);
-        for _ in 0..2 {
-            let p = b.build(Transport::Udp, 1400).unwrap();
-            assert!(pipe.process(&p).is_ok());
-        }
+        let mut admit_ok = |n: usize| {
+            for _ in 0..n {
+                let p = b.build(Transport::Udp, 1500).unwrap();
+                graph.admit(0, &p);
+            }
+            graph.drain();
+            for _ in 0..n {
+                assert!(graph.pop_completed().expect("retired").1.is_ok());
+            }
+        };
+        // 1500 B is two blocks of one K: every second packet fills a
+        // quad, and a round of three leaves a pair for the drain.
+        admit_ok(3);
         let allocs_warm = metrics.staging_allocs.get();
         let reallocs_warm = metrics.staging_reallocs.get();
         assert!(allocs_warm > 0, "warm-up must populate the free list");
-        for _ in 0..4 {
-            let p = b.build(Transport::Udp, 1400).unwrap();
-            assert!(pipe.process(&p).is_ok());
-        }
+        admit_ok(3);
+        admit_ok(3);
         assert_eq!(
             metrics.staging_allocs.get(),
             allocs_warm,
@@ -2106,7 +1917,6 @@ mod tests {
         // seen the largest K, even those stop.
         let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
         let cfg = PipelineConfig {
-            batch_decode: true,
             snr_db: 30.0,
             ..Default::default()
         };

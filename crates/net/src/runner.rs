@@ -898,7 +898,6 @@ mod tests {
     fn uplink_multicore_distributes_and_loses_nothing() {
         let cfg = PipelineConfig {
             snr_db: 30.0,
-            batch_decode: true,
             ..Default::default()
         };
         for workers in [1usize, 2, 3] {
@@ -913,7 +912,6 @@ mod tests {
     fn uplink_sweep_covers_every_worker_count() {
         let cfg = PipelineConfig {
             snr_db: 30.0,
-            batch_decode: true,
             ..Default::default()
         };
         let sweep = uplink_scaleout_sweep(cfg, Transport::Udp, 200, 6, 3);

@@ -6,13 +6,13 @@
 //! traffic the per-packet serial model leaves the zmm lanes mostly
 //! idle. This module restructures the dataflow instead of widening the
 //! kernels: uplink work decomposes into stage tasks, and **decode tasks
-//! from different packets** are pooled by `(K, iteration cap)`, then
-//! launched as quad-in-zmm / pair-in-ymm batches the moment lanes fill
-//! — or earlier, when a member packet's deadline (or an age bound)
-//! nears.
+//! from different packets** are pooled by `(K, iteration cap,
+//! CRC24B-bearing)`, then launched as quad-in-zmm / pair-in-ymm batches
+//! the moment lanes fill — or earlier, when a member packet's deadline
+//! (or an age bound) nears.
 //!
 //! ```text
-//!          admit(ue, pkt)                    pools (one per K, cap)
+//!          admit(ue, pkt)                    pools (one per K, cap, crc)
 //! ┌─────────────────────────────┐    ┌───────┐
 //! │ demod → de-rate-match →     │ K₁ │ ▓▓▓░  │── lanes full ──┐
 //! │ arrange  (UplinkPipeline::  │───▶├───────┤                ▼
@@ -31,13 +31,20 @@
 //!
 //! # What is preserved
 //!
-//! * **Bit-exact outcomes.** The batch kernels run the same saturating
-//!   i16 ops in the same order as the serial native decoder at a fixed
-//!   iteration count, for every quad/pair/single grouping — so *when*
-//!   a block decodes and *who* it shares a register with cannot change
-//!   its bits. Completion runs the exact serial tail
-//!   ([`UplinkPipeline::complete`]): per-block CRC24B, desegment,
-//!   CRC24A, L2 delivery check.
+//! * **Bit-exact, iteration-exact outcomes.** The oracle is the serial
+//!   early-stop path, [`UplinkPipeline::process`]. The batch kernels
+//!   run the same saturating i16 ops in the same order as the serial
+//!   native decoder, and every lane of a launch stops where that
+//!   decoder stops on the block alone — on its own CRC24B when the
+//!   packet has more than one code block, at the iteration cap
+//!   otherwise — for every quad/pair/single grouping. So *when* a block
+//!   decodes and *who* it shares a register with can change neither
+//!   its bits nor its iteration count. The pool key keeps blocks that
+//!   can stop apart from blocks that cannot, so a lane that passed is
+//!   never held to the cap by one that has no CRC to pass. Completion
+//!   runs the serial tail ([`UplinkPipeline::complete`]) on the
+//!   decoder's per-block verdicts: desegment, CRC24A, L2 delivery
+//!   check.
 //! * **Error taxonomy and the degradation ladder.** `prepare` fails
 //!   with the same typed [`PipelineError`]s at the same points; the
 //!   Scalar backend (configured or ladder-degraded) completes serially
@@ -74,8 +81,9 @@ use crate::pipeline::{Admission, PacketResult, PipelineConfig, PreparedUplink, U
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use vran_phy::crc::CRC24B;
 use vran_phy::llr::TurboLlrs;
-use vran_phy::turbo::native_batch::{BATCH, QUAD};
+use vran_phy::turbo::native_batch::{LaneOutcome, BATCH, QUAD};
 use vran_phy::turbo::{
     BatchScratch, BlockLlrs, DecodeScratch, NativeBatchTurboDecoder, NativeTurboDecoder,
 };
@@ -129,6 +137,8 @@ struct InFlight {
     remaining: usize,
     /// Decoder iterations accumulated across the packet's blocks.
     iterations: usize,
+    /// Blocks whose launch reported a failed CRC24B.
+    failed_blocks: usize,
     /// Wall-clock decode share attributed by the launches it rode.
     decode_ns: u64,
 }
@@ -157,11 +167,14 @@ struct PoolTask {
     flush_at: Option<Instant>,
 }
 
-/// Same-`(K, iter_cap)` decode pool with its cached batch decoder.
+/// Same-`(K, iter_cap, crc)` decode pool with its cached batch decoder.
 #[derive(Debug)]
 struct Pool {
     k: usize,
     iter_cap: usize,
+    /// Whether the pool's blocks end in a CRC24B (their packets have
+    /// more than one code block) and so stop as soon as it passes.
+    crc: bool,
     tasks: Vec<PoolTask>,
     dec: NativeBatchTurboDecoder,
 }
@@ -332,11 +345,12 @@ impl StageGraph {
                     bits: vec![Vec::new(); n],
                     remaining: n,
                     iterations: 0,
+                    failed_blocks: 0,
                     decode_ns: 0,
                 });
                 self.in_flight += 1;
                 for (block, task) in tasks.into_iter().enumerate() {
-                    self.stage_task(slot, block, task, iter_cap, flush_at);
+                    self.stage_task(slot, block, task, iter_cap, n > 1, flush_at);
                 }
             }
         }
@@ -385,27 +399,29 @@ impl StageGraph {
         self.free_head = slot;
     }
 
-    /// Stage one decode task into its `(K, iter_cap)` pool, launching
-    /// a quad immediately when the lanes fill.
+    /// Stage one decode task into its `(K, iter_cap, crc)` pool,
+    /// launching a quad immediately when the lanes fill.
     fn stage_task(
         &mut self,
         slot: u32,
         block: usize,
         task: TurboLlrs,
         iter_cap: usize,
+        crc: bool,
         flush_at: Option<Instant>,
     ) {
         let k = task.k;
         let pi = match self
             .pools
             .iter()
-            .position(|p| p.k == k && p.iter_cap == iter_cap)
+            .position(|p| p.k == k && p.iter_cap == iter_cap && p.crc == crc)
         {
             Some(i) => i,
             None => {
                 self.pools.push(Pool {
                     k,
                     iter_cap,
+                    crc,
                     tasks: Vec::with_capacity(QUAD),
                     dec: NativeBatchTurboDecoder::new(k, iter_cap),
                 });
@@ -449,9 +465,10 @@ impl StageGraph {
     }
 
     /// Launch everything in pool `pi`: quads while four remain, then a
-    /// pair, then a single leftover. Scatters bits / iterations /
-    /// decode-time shares to the owning ROB slots and retires any slot
-    /// whose last block this launch decoded.
+    /// pair, then a single leftover, each with the pool's CRC. Scatters
+    /// bits / iterations / CRC verdicts / decode-time shares to the
+    /// owning ROB slots and retires any slot whose last block this
+    /// launch decoded.
     fn flush_pool(&mut self, pi: usize, reason: FlushReason) {
         let pool = &mut self.pools[pi];
         if pool.tasks.is_empty() {
@@ -472,77 +489,73 @@ impl StageGraph {
         let tasks = std::mem::take(&mut pool.tasks);
         let iter_cap = pool.iter_cap;
         let k = pool.k;
+        let crc = pool.crc.then_some(&CRC24B);
         let n = tasks.len();
         let mut j = 0;
         let mut total_decode_ns = 0u64;
-        while j + QUAD <= n {
-            // Staged launch: the quad kernel reads the pooled task
-            // stream buffers in place — no per-launch re-staging copy —
-            // and lands bits in the reused lane buffers.
-            let t0 = Instant::now();
-            let inputs: [BlockLlrs<'_>; QUAD] =
-                std::array::from_fn(|g| BlockLlrs::from_turbo(&tasks[j + g].task));
-            let iters = self.pools[pi].dec.decode_quad_staged_into(
-                inputs,
-                &mut self.batch_scratch,
-                &mut self.lane_bits,
-            );
-            let ns = t0.elapsed().as_nanos() as u64;
-            total_decode_ns += ns;
-            if let Some(m) = &self.metrics {
-                m.record_launch(QUAD);
-            }
-            self.scatter(&tasks[j..j + QUAD], iters, ns / QUAD as u64);
-            j += QUAD;
-        }
-        while j + BATCH <= n {
-            let t0 = Instant::now();
-            let inputs: [BlockLlrs<'_>; BATCH] =
-                std::array::from_fn(|g| BlockLlrs::from_turbo(&tasks[j + g].task));
-            let bits: &mut [Vec<u8>; BATCH] = (&mut self.lane_bits[..BATCH])
-                .try_into()
-                .expect("pair lanes");
-            let iters =
-                self.pools[pi]
-                    .dec
-                    .decode_pair_staged_into(inputs, &mut self.batch_scratch, bits);
-            let ns = t0.elapsed().as_nanos() as u64;
-            total_decode_ns += ns;
-            if let Some(m) = &self.metrics {
-                m.record_launch(BATCH);
-            }
-            self.scatter(&tasks[j..j + BATCH], iters, ns / BATCH as u64);
-            j += BATCH;
-        }
-        if j < n {
-            // Single leftover: same fixed-iteration, no-early-stop
-            // semantics as the batch members (bit-exact with them).
-            let si = match self.singles.iter().position(|d| d.k() == k) {
-                Some(i) => i,
-                None => {
-                    let max_iters = self.pipe.config().decoder_iterations;
-                    self.singles.push(NativeTurboDecoder::new(k, max_iters));
-                    self.singles.len() - 1
-                }
+        while j < n {
+            // Staged launch: the kernels read the pooled task stream
+            // buffers in place — no per-launch re-staging copy — and
+            // land bits in the reused lane buffers. Every width gives
+            // each lane the serial decoder's `(iterations, crc_ok)`.
+            let run = match n - j {
+                QUAD.. => QUAD,
+                BATCH.. => BATCH,
+                _ => 1,
             };
-            let input = &tasks[j].task;
+            let input = |g: usize| BlockLlrs::from_turbo(&tasks[j + g].task);
+            let mut lanes: [LaneOutcome; QUAD] = Default::default();
             let t0 = Instant::now();
-            let (iters, _) = self.singles[si].decode_streams_capped_into(
-                &input.streams.sys,
-                &input.streams.p1,
-                &input.streams.p2,
-                &input.tails,
-                iter_cap,
-                None,
-                &mut self.scratch,
-                &mut self.lane_bits[0],
-            );
+            match run {
+                QUAD => {
+                    lanes = self.pools[pi].dec.decode_quad_lanes_into(
+                        std::array::from_fn(input),
+                        crc,
+                        &mut self.batch_scratch,
+                        &mut self.lane_bits,
+                    );
+                }
+                BATCH => {
+                    let bits = (&mut self.lane_bits[..BATCH])
+                        .try_into()
+                        .expect("pair lanes");
+                    let pair = self.pools[pi].dec.decode_pair_lanes_into(
+                        std::array::from_fn(input),
+                        crc,
+                        &mut self.batch_scratch,
+                        bits,
+                    );
+                    lanes[..BATCH].copy_from_slice(&pair);
+                }
+                _ => {
+                    let si = match self.singles.iter().position(|d| d.k() == k) {
+                        Some(i) => i,
+                        None => {
+                            let max_iters = self.pipe.config().decoder_iterations;
+                            self.singles.push(NativeTurboDecoder::new(k, max_iters));
+                            self.singles.len() - 1
+                        }
+                    };
+                    let input = input(0);
+                    lanes[0] = self.singles[si].decode_streams_capped_into(
+                        input.sys,
+                        input.p1,
+                        input.p2,
+                        &input.tails,
+                        iter_cap,
+                        crc,
+                        &mut self.scratch,
+                        &mut self.lane_bits[0],
+                    );
+                }
+            }
             let ns = t0.elapsed().as_nanos() as u64;
             total_decode_ns += ns;
             if let Some(m) = &self.metrics {
-                m.record_launch(1);
+                m.record_launch(&lanes[..run]);
             }
-            self.scatter(&tasks[j..j + 1], iters, ns);
+            self.scatter(&tasks[j..j + run], &lanes[..run], ns / run as u64);
+            j += run;
         }
         if let Some(pm) = self.pipe.metrics().filter(|m| m.is_enabled()) {
             pm.record_stage(Stage::Decode, total_decode_ns);
@@ -561,9 +574,13 @@ impl StageGraph {
             self.release_slot(t.slot);
             self.in_flight -= 1;
             self.pipe.set_trace_ue(done.ue);
-            let result = self
-                .pipe
-                .complete(done.prep, &done.bits, done.iterations, done.decode_ns);
+            let result = self.pipe.complete(
+                done.prep,
+                &done.bits,
+                done.iterations,
+                done.failed_blocks,
+                done.decode_ns,
+            );
             self.retire(done.ue, done.seq, result);
         }
         for t in tasks {
@@ -572,10 +589,11 @@ impl StageGraph {
     }
 
     /// Copy each lane's decoded bits into the owning ROB slot and
-    /// credit the launch's iterations and wall-clock share. `run`
-    /// aligns with `lane_bits[..run.len()]`.
-    fn scatter(&mut self, run: &[PoolTask], iters: usize, share_ns: u64) {
-        for (lane, t) in run.iter().enumerate() {
+    /// credit the lane's own iterations and CRC verdict and its share
+    /// of the launch's wall clock. `run` aligns with `lanes` and with
+    /// `lane_bits[..run.len()]`.
+    fn scatter(&mut self, run: &[PoolTask], lanes: &[LaneOutcome], share_ns: u64) {
+        for (lane, (t, &(iters, crc_ok))) in run.iter().zip(lanes).enumerate() {
             let entry = self.slots[t.slot as usize]
                 .entry
                 .as_mut()
@@ -584,6 +602,7 @@ impl StageGraph {
             dst.clear();
             dst.extend_from_slice(&self.lane_bits[lane]);
             entry.iterations += iters;
+            entry.failed_blocks += usize::from(crc_ok == Some(false));
             entry.decode_ns += share_ns;
             entry.remaining -= 1;
         }
@@ -628,17 +647,12 @@ mod tests {
 
     #[test]
     fn staged_results_match_serial_process() {
-        let sizes = [64usize, 128, 300, 600, 900, 1200, 1400];
+        let sizes = [64usize, 128, 300, 512, 600, 900, 1200, 1400, 1500];
         let mut bs = PacketBuilder::new(1000, 2000);
         let mut bg = PacketBuilder::new(1000, 2000);
-        // Batch semantics run a fixed iteration count (no CRC early
-        // stop), so the iteration-for-iteration oracle is the serial
-        // *batch* path, which existing pipeline tests pin bit-exact
-        // against the plain serial path.
-        let serial = UplinkPipeline::new(PipelineConfig {
-            batch_decode: true,
-            ..cfg()
-        });
+        // Lanes stop where the serial decoder stops, so the
+        // iteration-for-iteration oracle is plain `process`.
+        let serial = UplinkPipeline::new(cfg());
         let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
         let mut expect = Vec::new();
         for (i, &sz) in sizes.iter().cycle().take(40).enumerate() {
@@ -669,6 +683,45 @@ mod tests {
                 .collect();
             assert_eq!(per_ue, want, "UE {ue} signatures in admission order");
         }
+    }
+
+    #[test]
+    fn crc_bearing_blocks_pool_apart_from_same_k_blocks_without() {
+        // 503 B is one K = 4160 block with no CRC24B (it runs the
+        // cap); 1024 B is two K = 4160 blocks that each stop on theirs.
+        // Keyed on K alone the first four would share a launch that is
+        // wrong for one kind or the other.
+        let m = Arc::new(StageGraphMetrics::default());
+        let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
+        graph.set_metrics(m.clone());
+        let serial = UplinkPipeline::new(cfg());
+        let mut bs = PacketBuilder::new(1000, 2000);
+        let mut bg = PacketBuilder::new(1000, 2000);
+        let mut expect = Vec::new();
+        for sz in [503usize, 1024, 503, 503, 1024, 503] {
+            let ps = bs.build(Transport::Udp, sz).unwrap();
+            expect.push(signature(&serial.process(&ps)));
+            graph.admit(sz as u64, &bg.build(Transport::Udp, sz).unwrap());
+        }
+        assert_eq!(graph.in_flight(), 0, "both pools filled their lanes");
+        assert_eq!(expect[0], (true, 4104, 1, 6));
+        assert_eq!(expect[1], (true, 8272, 2, 2));
+        // Same-size packets share a UE, so each size delivers in order.
+        let got: Vec<_> = std::iter::from_fn(|| graph.pop_completed()).collect();
+        for (ue, want) in [
+            (503, [expect[0], expect[2], expect[3], expect[5]].as_slice()),
+            (1024, &[expect[1], expect[4]]),
+        ] {
+            let got: Vec<_> = got
+                .iter()
+                .filter(|(u, _)| *u == ue)
+                .map(|(_, r)| signature(r))
+                .collect();
+            assert_eq!(got, want, "{ue} B packets");
+        }
+        assert_eq!(m.quad_blocks.get(), 8);
+        assert_eq!(m.flush_lanes_full.get(), 2);
+        assert_eq!(m.iteration_occupancy(), 1.0);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use vran_net::downlink::{DownlinkConfig, DownlinkPipeline};
 use vran_net::metrics::PipelineMetrics;
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::{DecoderBackend, EncoderBackend, PipelineConfig, UplinkPipeline};
+use vran_net::{StageGraph, StageGraphConfig};
 use vran_simd::host::{set_isa_ceiling, HostIsa};
 
 /// The ISA ceiling is process-global; tests in this binary must not
@@ -74,47 +75,58 @@ fn batched_decode_degrades_below_avx512_ceiling() {
     let _guard = CEILING_LOCK.lock().unwrap();
     let cfg = PipelineConfig {
         backend: DecoderBackend::Native,
-        batch_decode: true,
         snr_db: 12.0,
         ..Default::default()
     };
-    let mut b = PacketBuilder::new(1000, 2000);
-    // 1500 B segments into several code blocks, so the batch path
-    // actually forms quads/pairs rather than a single leftover.
-    let p = b.build(Transport::Udp, 1500).unwrap();
+    // 1500 B segments into two equal-K code blocks, so two packets
+    // fill a quad and a third leaves a pair at drain.
+    let run = |pipe: UplinkPipeline| {
+        let mut graph = StageGraph::new(pipe, StageGraphConfig::default());
+        let mut b = PacketBuilder::new(1000, 2000);
+        for _ in 0..3 {
+            graph.admit(0, &b.build(Transport::Udp, 1500).unwrap());
+        }
+        graph.drain();
+        std::iter::from_fn(|| graph.pop_completed())
+            .map(|(_, r)| r.expect("12 dB decodes"))
+            .map(|r| (r.tb_bits, r.code_blocks, r.coded_bits, r.decoder_iterations))
+            .collect::<Vec<_>>()
+    };
 
     // Reference outcome with the host's real capabilities (quad-in-zmm
     // where available, pair/single otherwise).
-    let full = UplinkPipeline::new(cfg).process(&p).expect("12 dB decodes");
+    let full = run(UplinkPipeline::new(cfg));
+    assert_eq!(full.len(), 3);
 
-    // Cap the ISA at AVX2: the quad kernel is off the table, the batch
-    // path must split into ymm pairs bit-exactly and flag the loss.
-    set_isa_ceiling(Some(HostIsa::Avx2));
-    let metrics = Arc::new(PipelineMetrics::new(true));
-    let masked_pipe = UplinkPipeline::with_metrics(cfg, metrics.clone());
-    let masked = masked_pipe.process(&p).expect("pair fallback decodes");
-    set_isa_ceiling(None);
+    // Cap the ISA at AVX2, then at SSSE3: the quad kernel is off the
+    // table, the batch launches must split into ymm pairs, then into
+    // single-block decodes, bit-exactly, and flag the loss.
+    for ceiling in [HostIsa::Avx2, HostIsa::Ssse3] {
+        set_isa_ceiling(Some(ceiling));
+        let metrics = Arc::new(PipelineMetrics::new(true));
+        let masked = run(UplinkPipeline::with_metrics(cfg, metrics.clone()));
+        set_isa_ceiling(None);
 
-    assert_eq!(masked.tb_bits, full.tb_bits);
-    assert_eq!(masked.code_blocks, full.code_blocks);
-    assert_eq!(masked.coded_bits, full.coded_bits);
-    assert_eq!(
-        masked.decoder_iterations, full.decoder_iterations,
-        "pair-split batch decode must be bit-exact with the quad kernel"
-    );
-    assert_eq!(
-        metrics.batch_simd_fallbacks.get(),
-        1,
-        "the lost zmm speedup must be observable"
-    );
-    let snap = metrics.snapshot();
-    assert_eq!(
-        snap.iter()
-            .find(|(name, _)| name == "batch_simd_fallbacks")
-            .map(|(_, v)| *v),
-        Some(1.0),
-        "fallback events must appear in snapshots: {snap:?}"
-    );
+        assert_eq!(
+            masked,
+            full,
+            "under {}: every lane keeps the quad kernel's bits and iterations",
+            ceiling.name()
+        );
+        assert_eq!(
+            metrics.batch_simd_fallbacks.get(),
+            3,
+            "the lost zmm speedup must be observable, once per staged packet"
+        );
+        let snap = metrics.snapshot();
+        assert_eq!(
+            snap.iter()
+                .find(|(name, _)| name == "batch_simd_fallbacks")
+                .map(|(_, v)| *v),
+            Some(3.0),
+            "fallback events must appear in snapshots: {snap:?}"
+        );
+    }
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //!
 //! The always-on tests stay small enough for debug builds; the
 //! `#[ignore]`d throughput gate runs in release via CI (the stage graph
-//! must be *at least* as fast as the serial per-packet path on
-//! AVX-512BW hosts).
+//! must be *at least* as fast as the serial early-stop path it
+//! replaced, on AVX-512BW hosts).
 
 use std::sync::Arc;
 use vran_net::error::{ErrorCategory, PipelineError};
@@ -46,19 +46,14 @@ fn signature(r: &Result<PacketResult, PipelineError>) -> (bool, usize, usize, us
 }
 
 /// Random packet-size / UE schedule for one seed, admitted to a stage
-/// graph and to the serial batch-semantics oracle in lockstep; per-UE
+/// graph and to the serial oracle (`process`) in lockstep; per-UE
 /// delivery order must equal per-UE admission order with identical
 /// outcome signatures.
 fn check_random_mix(seed: u64, n: usize, ues: u64, inject: bool) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut bs = PacketBuilder::new(1000, 2000);
     let mut bg = PacketBuilder::new(1000, 2000);
-    // Batch lanes run a fixed iteration count (no CRC early stop), so
-    // the iteration-exact oracle is the serial *batch* path.
-    let mut serial = UplinkPipeline::new(PipelineConfig {
-        batch_decode: true,
-        ..cfg()
-    });
+    let mut serial = UplinkPipeline::new(cfg());
     let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
     if inject {
         // Same seed on both sides: prepare draws one fault per packet
@@ -323,22 +318,18 @@ fn stagegraph_throughput_beats_serial_on_wide_hosts() {
         .flat_map(|t| SIZES.iter().map(move |&s| (t, s)))
         .collect();
     let n = 1400;
-    let workers = 2;
-    // The serial baseline runs the same fixed-iteration batch decode
-    // semantics the stage graph uses (the pre-existing per-packet
-    // `batch_decode` path), isolating what cross-packet formation
-    // adds. Serial CRC early stop is an orthogonal trade-off the
-    // batch lanes give up by design — EXPERIMENTS.md quantifies it.
-    let serial_cfg = PipelineConfig {
-        batch_decode: true,
-        ..cfg()
-    };
-    // Median of 5 paired runs rides out scheduler noise. Both sides
-    // carry the same packets, so the ratio of elapsed times is the
-    // ratio of throughputs.
+    // The producer takes a core of its own: with every core a worker,
+    // both sides oversubscribe and the ratio measures the scheduler.
+    let workers =
+        std::thread::available_parallelism().map_or(1, |p| p.get().saturating_sub(1).max(1));
+    // The baseline is the path users had before the stage graph: one
+    // packet at a time, each block stopping on its CRC. Median of 15
+    // alternated pairs, each side at least half a second, rides out
+    // scheduler noise. Both sides carry the same packets, so the ratio
+    // of elapsed times is the ratio of throughputs.
     let speedup = vran_util::paired::paired_ratio(
-        5,
-        0.0,
+        15,
+        0.5,
         || {
             let graph = run_uplink_stagegraph_metered(
                 cfg(),
@@ -356,7 +347,7 @@ fn stagegraph_throughput_beats_serial_on_wide_hosts() {
             graph.elapsed_s
         },
         || {
-            let serial = run_uplink_serial_mixed(serial_cfg, &classes, n, workers);
+            let serial = run_uplink_serial_mixed(cfg(), &classes, n, workers);
             assert_eq!(serial.packets, n);
             serial.elapsed_s
         },
@@ -364,7 +355,7 @@ fn stagegraph_throughput_beats_serial_on_wide_hosts() {
     let (median, ratios) = (speedup.median, &speedup.ratios);
     assert!(
         median >= 1.0,
-        "stage graph must not lose to the serial path on zmm hosts: \
-         median speedup {median:.3} (all: {ratios:?})"
+        "stage graph must not lose to the serial early-stop path on zmm hosts: \
+         median speedup {median:.3} at {workers} workers (all: {ratios:?})"
     );
 }

@@ -34,7 +34,7 @@ pub fn pack_msb(bits: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Unpack bytes MSB-first into `n` bits, eight per [`BYTE_BITS`]
+/// Unpack bytes MSB-first into `n` bits, eight per `BYTE_BITS`
 /// lookup (the table is LSB-first, so the byte is bit-reversed first).
 pub fn unpack_msb(bytes: &[u8], n: usize) -> Vec<u8> {
     assert!(

@@ -13,7 +13,7 @@
 //!    (`gain / norm`, where `gain = round(LLR_SCALE · noise_scale)` is
 //!    the per-packet LLR gain folded into the fixed-point grid) and
 //!    converted with round-to-nearest-even (`vcvtps2dq` semantics,
-//!    mirrored exactly by the scalar [`cvt_round_f32_i32`]), then
+//!    mirrored exactly by the scalar `cvt_round_f32_i32`), then
 //!    saturated to i16.
 //! 2. **Ladder** — the per-axis max-log LLRs come out of saturating
 //!    i16 adds/subs/max (`paddsw`/`psubsw`/`pmaxsw`):

@@ -4,9 +4,9 @@
 //! Parameters mirror the paper's 5 MHz FDD configuration: 512-point
 //! FFT, 300 used subcarriers (25 RB × 12), normal CP.
 //!
-//! The transform is one engine. A per-size [`Plan`] (twiddles and the
+//! The transform is one engine. A per-size `Plan` (twiddles and the
 //! bit-reversal table, built once per process) drives a butterfly
-//! kernel written once over the [`Lane`] trait and instantiated for
+//! kernel written once over the `Lane` trait and instantiated for
 //! scalar, SSE2, AVX2 and AVX-512 lanes. Every tier does the same IEEE
 //! multiplies, adds and subtracts on every element in the same order
 //! (no FMA anywhere), so all tiers are `to_bits`-identical and the

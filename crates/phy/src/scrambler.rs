@@ -11,7 +11,7 @@
 //!   33 future bits from the 31 live ones), emitting 32 scrambling
 //!   bits per iteration instead of one ([`GoldSequence::next_word`]).
 //!   The `Nc = 1600` warmup is a GF(2)-linear map, so it is jumped in
-//!   O(31) with compile-time `M^1600` parity masks ([`leap_masks`]) —
+//!   O(31) with compile-time `M^1600` parity masks (`leap_masks`) —
 //!   constructing a generator takes **zero** serial warmup steps
 //!   (pinned by [`bit_serial_warmup_steps`] in tests).
 //! * **SIMD sign-select descrambling** — LLR sign flips under the mask
@@ -235,7 +235,7 @@ const BYTE_MASK: [u64; 256] = byte_mask_lut();
 /// Scramble a bit sequence in place: `b̃(i) = b(i) ⊕ c(i)`.
 ///
 /// Word-parallel: 32 Gold bits per generator iteration, applied to the
-/// bit-per-byte buffer as four packed 8-byte XORs via [`BIT_EXPAND`].
+/// bit-per-byte buffer as four packed 8-byte XORs via `BIT_EXPAND`.
 /// Bit-exact with [`scramble_bits_serial`] (property-tested).
 pub fn scramble_bits(bits: &mut [u8], c_init: u32) {
     let mut g = GoldSequence::new(c_init);

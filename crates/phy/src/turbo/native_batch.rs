@@ -14,13 +14,16 @@
 //! Each 128-bit lane performs precisely the instruction sequence of
 //! the single-block SSSE3 kernel in [`super::native_decoder`], so a
 //! batched decode is bit-identical to two (or four) separate decodes
-//! (and to the scalar oracle). Matching [`super::batch_decoder`]'s
-//! semantics, batched decoding runs a fixed iteration count with no
-//! CRC early stop (`crc_ok: None`).
+//! (and to the scalar oracle). Iteration control is the single-block
+//! decoder's too, per lane: given the launch's CRC, each lane reports
+//! the iteration at which *its* block first passed and the bits it had
+//! then, and the launch ends when every lane has passed or at the cap;
+//! without a CRC every lane runs the cap.
 
 use super::decoder::{beta_init_from_tails, DecodeOutcome, NEG_INF};
 use super::native_decoder::{DecodeScratch, NativeTurboDecoder};
 use super::trellis::STATES;
+use crate::crc::Crc;
 use crate::interleaver::QppInterleaver;
 use crate::llr::{llr_to_bit, Llr, SoftStreams, TailLlrs, TurboLlrs};
 use vran_simd::host::{self, HostIsa};
@@ -148,6 +151,11 @@ thread_local! {
         core::cell::RefCell::new(BatchScratch::new());
 }
 
+/// What one lane of a batch launch reports: `(iterations_run, crc_ok)`,
+/// exactly what [`NativeTurboDecoder::decode_streams_capped_into`]
+/// returns for that block decoded alone.
+pub type LaneOutcome = (usize, Option<bool>);
+
 /// Batched decoder: two equal-size blocks per ymm pass on AVX2
 /// hardware, four per zmm pass on AVX-512BW, falling back to
 /// sequential narrower decodes when the host lacks the feature
@@ -192,8 +200,7 @@ impl NativeBatchTurboDecoder {
         BATCH
     }
 
-    /// Decode two blocks; runs all configured iterations (no CRC early
-    /// stop, matching [`super::batch_decoder::BatchTurboDecoder`]).
+    /// Decode two blocks for all configured iterations (no CRC).
     pub fn decode_pair(&self, inputs: &[TurboLlrs; BATCH]) -> [DecodeOutcome; BATCH] {
         self.decode_pair_refs([&inputs[0], &inputs[1]])
     }
@@ -209,69 +216,84 @@ impl NativeBatchTurboDecoder {
             assert_eq!(input.k, k, "both blocks in a batch share K");
         }
         let mut bits: [Vec<u8>; BATCH] = core::array::from_fn(|_| Vec::new());
-        let iterations_run = OWN_SCRATCH.with_borrow_mut(|scratch| {
-            self.decode_pair_staged_into(inputs.map(BlockLlrs::from_turbo), scratch, &mut bits)
+        let lanes = OWN_SCRATCH.with_borrow_mut(|scratch| {
+            self.decode_pair_lanes_into(inputs.map(BlockLlrs::from_turbo), None, scratch, &mut bits)
         });
-        bits.map(|b| DecodeOutcome {
-            bits: b,
-            iterations_run,
-            crc_ok: None,
-        })
+        outcomes(bits, lanes)
     }
 
-    /// Zero-copy pair decode: the kernel reads the arranged streams in
-    /// place from wherever the caller staged them and writes the hard
-    /// decisions into caller-owned bit buffers, allocation-free once
-    /// `scratch` and `bits` have warmed to this block size. Runs all
-    /// configured iterations (no CRC early stop) and returns the count.
-    /// Without AVX2 it degrades to two single-block native decodes —
-    /// identical outputs by same-op/same-order construction.
+    /// [`Self::decode_pair_lanes_into`] without a CRC: every lane runs
+    /// all configured iterations; returns that count.
     pub fn decode_pair_staged_into(
         &self,
         inputs: [BlockLlrs<'_>; BATCH],
         scratch: &mut BatchScratch,
         bits: &mut [Vec<u8>; BATCH],
     ) -> usize {
-        let k = self.il.k();
-        for b in inputs.iter() {
-            assert!(
-                b.sys.len() == k && b.p1.len() == k && b.p2.len() == k,
-                "both blocks in a batch share K"
-            );
-        }
+        self.decode_pair_lanes_into(inputs, None, scratch, bits)[0].0
+    }
+
+    /// Zero-copy pair decode with the single-block decoder's iteration
+    /// control per lane: the kernel reads the arranged streams in place
+    /// from wherever the caller staged them and writes the hard
+    /// decisions into caller-owned bit buffers, allocation-free once
+    /// `scratch` and `bits` have warmed to this block size. With a
+    /// `crc`, a lane stops counting — and its `bits` buffer is final —
+    /// at the first iteration whose hard decisions pass; the launch
+    /// ends when every lane has passed or at the configured cap.
+    /// Without AVX2 it degrades to two single-block native decodes,
+    /// with identical per-lane results.
+    pub fn decode_pair_lanes_into(
+        &self,
+        inputs: [BlockLlrs<'_>; BATCH],
+        crc: Option<&Crc>,
+        scratch: &mut BatchScratch,
+        bits: &mut [Vec<u8>; BATCH],
+    ) -> [LaneOutcome; BATCH] {
+        self.check_lengths(&inputs);
         if !self.use_avx2 {
-            // Portable path: two single-block native decodes have
-            // identical semantics (fixed iterations, no CRC).
-            let single = NativeTurboDecoder::new(k, self.max_iterations);
-            let mut iterations_run = 0;
-            for (out, input) in bits.iter_mut().zip(inputs) {
-                let (it, _) = single.decode_streams_capped_into(
+            let single = NativeTurboDecoder::new(self.il.k(), self.max_iterations);
+            return core::array::from_fn(|g| {
+                let input = &inputs[g];
+                single.decode_streams_capped_into(
                     input.sys,
                     input.p1,
                     input.p2,
                     &input.tails,
                     self.max_iterations,
-                    None,
+                    crc,
                     &mut scratch.single,
-                    out,
-                );
-                iterations_run = it;
-            }
-            return iterations_run;
+                    &mut bits[g],
+                )
+            });
         }
         #[cfg(target_arch = "x86_64")]
         {
-            self.decode_pair_staged_avx2(inputs, scratch, bits)
+            self.decode_lanes(
+                inputs,
+                crc,
+                scratch,
+                bits,
+                |sys, par, apriori, binit, g0, gp, alpha, ext, post| {
+                    let binit = binit.as_flattened().try_into().expect("BATCH × STATES");
+                    // SAFETY: `use_avx2` was read from the host probe,
+                    // and `decode_lanes` sized every buffer for two
+                    // blocks of the inputs' common K.
+                    unsafe {
+                        x86::siso_pair_avx2(sys, par, apriori, binit, g0, gp, alpha, ext, post)
+                    }
+                },
+            )
         }
         #[cfg(not(target_arch = "x86_64"))]
         unreachable!("use_avx2 implies x86_64")
     }
 
-    /// Decode four blocks; runs all configured iterations (no CRC
-    /// early stop). Without AVX-512BW this degrades to two
-    /// [`Self::decode_pair`] calls (which themselves degrade to four
-    /// single-block decodes without AVX2) — identical outputs on every
-    /// tier by same-op/same-order construction.
+    /// Decode four blocks for all configured iterations (no CRC).
+    /// Without AVX-512BW this degrades to two pair decodes (which
+    /// themselves degrade to four single-block decodes without AVX2) —
+    /// identical outputs on every tier by same-op/same-order
+    /// construction.
     pub fn decode_quad(&self, inputs: &[TurboLlrs; QUAD]) -> [DecodeOutcome; QUAD] {
         self.decode_quad_refs([&inputs[0], &inputs[1], &inputs[2], &inputs[3]])
     }
@@ -284,62 +306,104 @@ impl NativeBatchTurboDecoder {
             assert_eq!(input.k, k, "all blocks in a batch share K");
         }
         let mut bits: [Vec<u8>; QUAD] = core::array::from_fn(|_| Vec::new());
-        let iterations_run = OWN_SCRATCH.with_borrow_mut(|scratch| {
-            self.decode_quad_staged_into(inputs.map(BlockLlrs::from_turbo), scratch, &mut bits)
+        let lanes = OWN_SCRATCH.with_borrow_mut(|scratch| {
+            self.decode_quad_lanes_into(inputs.map(BlockLlrs::from_turbo), None, scratch, &mut bits)
         });
-        bits.map(|b| DecodeOutcome {
-            bits: b,
-            iterations_run,
-            crc_ok: None,
-        })
+        outcomes(bits, lanes)
     }
 
-    /// Zero-copy quad decode (see [`Self::decode_pair_staged_into`]):
-    /// reads four staged blocks in place, writes hard decisions into
-    /// caller-owned bit buffers, allocation-free after warm-up. Without
-    /// AVX-512BW this degrades to two staged pair decodes (which
-    /// themselves degrade to four single-block decodes without AVX2) —
-    /// identical outputs on every tier.
+    /// [`Self::decode_quad_lanes_into`] without a CRC: every lane runs
+    /// all configured iterations; returns that count.
     pub fn decode_quad_staged_into(
         &self,
         inputs: [BlockLlrs<'_>; QUAD],
         scratch: &mut BatchScratch,
         bits: &mut [Vec<u8>; QUAD],
     ) -> usize {
-        let k = self.il.k();
-        for b in inputs.iter() {
-            assert!(
-                b.sys.len() == k && b.p1.len() == k && b.p2.len() == k,
-                "all blocks in a batch share K"
-            );
-        }
+        self.decode_quad_lanes_into(inputs, None, scratch, bits)[0].0
+    }
+
+    /// Zero-copy quad decode (see [`Self::decode_pair_lanes_into`]):
+    /// reads four staged blocks in place, writes hard decisions into
+    /// caller-owned bit buffers, allocation-free after warm-up, each
+    /// lane stopping on its own `crc`. Without AVX-512BW this degrades
+    /// to two pair launches (which themselves degrade to four
+    /// single-block decodes without AVX2) — identical per-lane results
+    /// on every tier.
+    pub fn decode_quad_lanes_into(
+        &self,
+        inputs: [BlockLlrs<'_>; QUAD],
+        crc: Option<&Crc>,
+        scratch: &mut BatchScratch,
+        bits: &mut [Vec<u8>; QUAD],
+    ) -> [LaneOutcome; QUAD] {
+        self.check_lengths(&inputs);
         if !self.use_avx512 {
             let [i0, i1, i2, i3] = inputs;
             let (lo, hi) = bits.split_at_mut(BATCH);
             let lo: &mut [Vec<u8>; BATCH] = lo.try_into().unwrap();
             let hi: &mut [Vec<u8>; BATCH] = hi.try_into().unwrap();
-            let iterations_run = self.decode_pair_staged_into([i0, i1], scratch, lo);
-            let hi_run = self.decode_pair_staged_into([i2, i3], scratch, hi);
-            debug_assert_eq!(iterations_run, hi_run);
-            return iterations_run;
+            let [l0, l1] = self.decode_pair_lanes_into([i0, i1], crc, scratch, lo);
+            let [l2, l3] = self.decode_pair_lanes_into([i2, i3], crc, scratch, hi);
+            return [l0, l1, l2, l3];
         }
         #[cfg(target_arch = "x86_64")]
         {
-            self.decode_quad_staged_avx512(inputs, scratch, bits)
+            self.decode_lanes(
+                inputs,
+                crc,
+                scratch,
+                bits,
+                |sys, par, apriori, binit, g0, gp, alpha, ext, post| {
+                    let binit = binit.as_flattened().try_into().expect("QUAD × STATES");
+                    // SAFETY: `use_avx512` was read from the host
+                    // probe, and `decode_lanes` sized every buffer for
+                    // four blocks of the inputs' common K.
+                    unsafe {
+                        x86::siso_quad_avx512(sys, par, apriori, binit, g0, gp, alpha, ext, post)
+                    }
+                },
+            )
         }
         #[cfg(not(target_arch = "x86_64"))]
         unreachable!("use_avx512 implies x86_64")
     }
 
-    #[cfg(target_arch = "x86_64")]
-    fn decode_quad_staged_avx512(
-        &self,
-        inputs: [BlockLlrs<'_>; QUAD],
-        scratch: &mut BatchScratch,
-        bits: &mut [Vec<u8>; QUAD],
-    ) -> usize {
+    fn check_lengths(&self, inputs: &[BlockLlrs<'_>]) {
         let k = self.il.k();
-        scratch.ensure(k, QUAD);
+        for b in inputs {
+            assert!(
+                b.sys.len() == k && b.p1.len() == k && b.p2.len() == k,
+                "all blocks in a batch share K"
+            );
+        }
+    }
+
+    /// The turbo iteration loop over `N` lanes, `siso` being the
+    /// `N`-blocks-per-register SISO pass. This is the one place that
+    /// decides when a batched block stops iterating, and it decides as
+    /// [`NativeTurboDecoder::decode_streams_capped_into`] does.
+    #[cfg(target_arch = "x86_64")]
+    fn decode_lanes<const N: usize>(
+        &self,
+        inputs: [BlockLlrs<'_>; N],
+        crc: Option<&Crc>,
+        scratch: &mut BatchScratch,
+        bits: &mut [Vec<u8>; N],
+        siso: impl Fn(
+            [&[Llr]; N],
+            [&[Llr]; N],
+            [&[Llr]; N],
+            &[[Llr; STATES]; N],
+            &mut [Llr],
+            &mut [Llr],
+            &mut [Llr],
+            &mut [Llr],
+            &mut [i32],
+        ),
+    ) -> [LaneOutcome; N] {
+        let k = self.il.k();
+        scratch.ensure(k, N);
         let BatchScratch {
             sys_pi,
             g0,
@@ -360,160 +424,89 @@ impl NativeBatchTurboDecoder {
                 *s = input.sys[p as usize];
             }
         }
-        let binit = |second: bool| -> [Llr; QUAD * STATES] {
-            let mut b = [0 as Llr; QUAD * STATES];
-            for (g, input) in inputs.iter().enumerate() {
-                let (ts, tp) = if second {
-                    (&input.tails.sys2, &input.tails.p2)
-                } else {
-                    (&input.tails.sys1, &input.tails.p1)
-                };
-                b[g * STATES..(g + 1) * STATES].copy_from_slice(&beta_init_from_tails(ts, tp));
-            }
-            b
-        };
-        let binit1 = binit(false);
-        let binit2 = binit(true);
+        let binit1 = inputs
+            .each_ref()
+            .map(|b| beta_init_from_tails(&b.tails.sys1, &b.tails.p1));
+        let binit2 = inputs
+            .each_ref()
+            .map(|b| beta_init_from_tails(&b.tails.sys2, &b.tails.p2));
         la1.fill(0);
         for out in bits.iter_mut() {
             out.resize(k, 0);
         }
         // Block-major scratch (`la1`/`la2`/`sys_pi`) splits into the
-        // same per-block slice quads the caller's buffers arrive as.
+        // same per-block slices the caller's buffers arrive as.
         fn parts<const N: usize>(v: &[Llr], k: usize) -> [&[Llr]; N] {
             core::array::from_fn(|g| &v[g * k..(g + 1) * k])
         }
-        let sys: [&[Llr]; QUAD] = core::array::from_fn(|g| inputs[g].sys);
-        let p1: [&[Llr]; QUAD] = core::array::from_fn(|g| inputs[g].p1);
-        let p2: [&[Llr]; QUAD] = core::array::from_fn(|g| inputs[g].p2);
+        let sys = inputs.each_ref().map(|b| b.sys);
+        let p1 = inputs.each_ref().map(|b| b.p1);
+        let p2 = inputs.each_ref().map(|b| b.p2);
 
+        let mut lanes: [LaneOutcome; N] = [(0, None); N];
         // `ext` arrives scaled and block-interleaved, so each gather
-        // is one table lookup and one `QUAD`-wide row read per step,
+        // is one table lookup and one `N`-wide row read per step,
         // fanned out to the block-major a-priori buffers.
         for it in 0..self.max_iterations {
-            unsafe {
-                x86::siso_quad_avx512(sys, p1, parts(la1, k), &binit1, g0, gp, alpha, ext, post);
+            siso(sys, p1, parts(la1, k), &binit1, g0, gp, alpha, ext, post);
+            gather_rows::<N>(la2, ext, pi);
+            siso(
+                parts(sys_pi, k),
+                p2,
+                parts(la2, k),
+                &binit2,
+                g0,
+                gp,
+                alpha,
+                ext,
+                post,
+            );
+            // A lane whose CRC passed is done: its 128 bits keep
+            // computing, but its buffer and count are never written
+            // again. Hard decisions are observable only through the
+            // CRC and the final output, so without a CRC the
+            // de-permuting bit pass runs once, after the last
+            // iteration.
+            let live = lanes.map(|(_, crc_ok)| crc_ok != Some(true));
+            let last = it + 1 == self.max_iterations;
+            if crc.is_some() || last {
+                for (i, &p) in pi_inv.iter().enumerate() {
+                    let row = &post[N * p as usize..][..N];
+                    for ((blk, &l), live) in bits.iter_mut().zip(row).zip(live) {
+                        if live {
+                            blk[i] = llr_to_bit(l as Llr);
+                        }
+                    }
+                }
             }
-            gather_rows::<QUAD>(la2, ext, pi);
-            unsafe {
-                x86::siso_quad_avx512(
-                    parts(sys_pi, k),
-                    p2,
-                    parts(la2, k),
-                    &binit2,
-                    g0,
-                    gp,
-                    alpha,
-                    ext,
-                    post,
-                );
+            for ((lane, blk), live) in lanes.iter_mut().zip(bits.iter()).zip(live) {
+                if live {
+                    *lane = (it + 1, crc.map(|c| c.check(blk).is_some()));
+                }
             }
-            // Only a further iteration reads the second extrinsic.
-            if it + 1 < self.max_iterations {
-                gather_rows::<QUAD>(la1, ext, pi_inv);
-            }
-        }
-        // No CRC early stop in a batch, so hard decisions are read
-        // once, from the last iteration's posteriors.
-        for (i, &p) in pi_inv.iter().enumerate() {
-            let row = &post[QUAD * p as usize..][..QUAD];
-            for (blk, &l) in bits.iter_mut().zip(row) {
-                blk[i] = llr_to_bit(l as Llr);
-            }
-        }
-        self.max_iterations
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn decode_pair_staged_avx2(
-        &self,
-        inputs: [BlockLlrs<'_>; BATCH],
-        scratch: &mut BatchScratch,
-        bits: &mut [Vec<u8>; BATCH],
-    ) -> usize {
-        let k = self.il.k();
-        scratch.ensure(k, BATCH);
-        let BatchScratch {
-            sys_pi,
-            g0,
-            gp,
-            alpha,
-            ext,
-            post,
-            la1,
-            la2,
-            ..
-        } = scratch;
-        // Only the permuted systematic needs staging — the kernel
-        // reads `sys`/`p1`/`p2` in place from the caller's buffers.
-        let pi = self.il.pi_table();
-        let pi_inv = self.il.pi_inv_table();
-        for (dst, input) in sys_pi.chunks_exact_mut(k).zip(&inputs) {
-            for (s, &p) in dst.iter_mut().zip(pi) {
-                *s = input.sys[p as usize];
-            }
-        }
-        let binit = |second: bool| -> [Llr; BATCH * STATES] {
-            let mut b = [0 as Llr; BATCH * STATES];
-            for (g, input) in inputs.iter().enumerate() {
-                let (ts, tp) = if second {
-                    (&input.tails.sys2, &input.tails.p2)
-                } else {
-                    (&input.tails.sys1, &input.tails.p1)
-                };
-                b[g * STATES..(g + 1) * STATES].copy_from_slice(&beta_init_from_tails(ts, tp));
-            }
-            b
-        };
-        let binit1 = binit(false);
-        let binit2 = binit(true);
-        la1.fill(0);
-        for out in bits.iter_mut() {
-            out.resize(k, 0);
-        }
-        fn parts<const N: usize>(v: &[Llr], k: usize) -> [&[Llr]; N] {
-            core::array::from_fn(|g| &v[g * k..(g + 1) * k])
-        }
-        let sys: [&[Llr]; BATCH] = core::array::from_fn(|g| inputs[g].sys);
-        let p1: [&[Llr]; BATCH] = core::array::from_fn(|g| inputs[g].p1);
-        let p2: [&[Llr]; BATCH] = core::array::from_fn(|g| inputs[g].p2);
-
-        // `ext` arrives scaled and block-interleaved, so each gather
-        // is one table lookup and one `BATCH`-wide row read per step,
-        // fanned out to the block-major a-priori buffers.
-        for it in 0..self.max_iterations {
-            unsafe {
-                x86::siso_pair_avx2(sys, p1, parts(la1, k), &binit1, g0, gp, alpha, ext, post);
-            }
-            gather_rows::<BATCH>(la2, ext, pi);
-            unsafe {
-                x86::siso_pair_avx2(
-                    parts(sys_pi, k),
-                    p2,
-                    parts(la2, k),
-                    &binit2,
-                    g0,
-                    gp,
-                    alpha,
-                    ext,
-                    post,
-                );
+            if lanes.iter().all(|&(_, crc_ok)| crc_ok == Some(true)) {
+                break;
             }
             // Only a further iteration reads the second extrinsic.
-            if it + 1 < self.max_iterations {
-                gather_rows::<BATCH>(la1, ext, pi_inv);
+            if !last {
+                gather_rows::<N>(la1, ext, pi_inv);
             }
         }
-        // No CRC early stop in a batch, so hard decisions are read
-        // once, from the last iteration's posteriors.
-        for (i, &p) in pi_inv.iter().enumerate() {
-            let row = &post[BATCH * p as usize..][..BATCH];
-            for (blk, &l) in bits.iter_mut().zip(row) {
-                blk[i] = llr_to_bit(l as Llr);
-            }
-        }
-        self.max_iterations
+        lanes
     }
+}
+
+/// Pair each lane's bit buffer with its outcome.
+fn outcomes<const N: usize>(bits: [Vec<u8>; N], lanes: [LaneOutcome; N]) -> [DecodeOutcome; N] {
+    let mut lanes = lanes.into_iter();
+    bits.map(|bits| {
+        let (iterations_run, crc_ok) = lanes.next().expect("one outcome per lane");
+        DecodeOutcome {
+            bits,
+            iterations_run,
+            crc_ok,
+        }
+    })
 }
 
 /// `dst[g·k + j] = src[N·table[j] + g]` for `k = table.len()`: permute
@@ -1029,7 +1022,7 @@ mod tests {
             assert_eq!(out_a.bits, bits_a);
             assert_eq!(out_b.bits, bits_b);
             assert_eq!(out_a.iterations_run, 3);
-            assert_eq!(out_a.crc_ok, None, "batch path has no CRC early stop");
+            assert_eq!(out_a.crc_ok, None, "no CRC was given");
         }
     }
 
@@ -1070,7 +1063,7 @@ mod tests {
                 );
                 assert_eq!(outs[g].bits, payloads[g]);
                 assert_eq!(outs[g].iterations_run, 3);
-                assert_eq!(outs[g].crc_ok, None, "batch path has no CRC early stop");
+                assert_eq!(outs[g].crc_ok, None, "no CRC was given");
             }
         }
     }
@@ -1181,6 +1174,97 @@ mod tests {
         assert_eq!(iters, 2);
         for g in 0..QUAD {
             assert_eq!(bits[g], expect[g].bits, "block {g}");
+        }
+    }
+
+    /// A CRC24B-bearing block on a channel of LLR magnitude `mag` with
+    /// uniform noise in `±noise`; `flip` corrupts one payload bit
+    /// after CRC attach, so the block decodes but can never pass.
+    fn crc_block(k: usize, mag: Llr, noise: u64, flip: bool, seed: u64) -> TurboLlrs {
+        let mut block = crate::crc::CRC24B.attach(&random_bits(k - 24, seed));
+        block[3] ^= u8::from(flip);
+        let cw = TurboEncoder::new(k).encode(&block);
+        let mut rng = vran_util::rng::SmallRng::seed_from_u64(seed);
+        let soft = cw.to_dstreams().map(|st| {
+            st.iter()
+                .map(|&b| {
+                    let n = (rng.next_u64() % (2 * noise + 1)) as i16 - noise as i16;
+                    crate::llr::adds16(bit_to_llr(b, mag), n)
+                })
+                .collect()
+        });
+        TurboLlrs::from_dstreams(&soft, k)
+    }
+
+    #[test]
+    fn lanes_stop_on_their_own_crc_like_the_single_block_decoder() {
+        use crate::crc::CRC24B;
+        const CAP: usize = 6;
+        for k in [40usize, 512, 6144] {
+            let single = NativeTurboDecoder::new(k, CAP);
+            let alone = |input: &TurboLlrs, crc| {
+                let out = single.decode_scratch(input, crc, &mut DecodeScratch::new());
+                (out.bits, (out.iterations_run, out.crc_ok))
+            };
+            let early = crc_block(k, 50, 0, false, 1);
+            let never = crc_block(k, 50, 0, true, 2);
+            // Moderate noise: the first seed whose block needs 2–4
+            // iterations alone, so the lane stops strictly inside the cap.
+            let late = (0..200u64)
+                .map(|seed| crc_block(k, 12, 22, false, 100 + seed))
+                .find(|b| (2..=4).contains(&alone(b, Some(&CRC24B)).1 .0))
+                .expect("some noisy block stops at iteration 2-4");
+            assert_eq!(alone(&early, Some(&CRC24B)).1, (1, Some(true)));
+            assert_eq!(alone(&never, Some(&CRC24B)).1, (CAP, Some(false)));
+
+            // Every tier: the host's, pair-split, and single-split.
+            let mut tiers = vec![NativeBatchTurboDecoder::new(k, CAP)];
+            for narrow in [(true, false), (false, false)] {
+                let mut d = tiers[0].clone();
+                d.use_avx2 &= narrow.0;
+                d.use_avx512 &= narrow.1;
+                tiers.push(d);
+            }
+            let mut scratch = BatchScratch::new();
+            for (dec, crc) in tiers.iter().flat_map(|d| [(d, Some(&CRC24B)), (d, None)]) {
+                let tier = (dec.use_avx2, dec.use_avx512, crc.is_some());
+                let quad = [&late, &early, &never, &early];
+                let mut bits: [Vec<u8>; QUAD] = Default::default();
+                let lanes = dec.decode_quad_lanes_into(
+                    quad.map(BlockLlrs::from_turbo),
+                    crc,
+                    &mut scratch,
+                    &mut bits,
+                );
+                for g in 0..QUAD {
+                    let want = alone(quad[g], crc);
+                    assert_eq!(
+                        (&bits[g], lanes[g]),
+                        (&want.0, want.1),
+                        "K={k} {tier:?} lane {g}"
+                    );
+                }
+                // The launch runs as long as its slowest lane needs.
+                assert_eq!(lanes.iter().map(|l| l.0).max(), Some(CAP));
+
+                for pair in [[&early, &late], [&never, &early], [&late, &late]] {
+                    let mut bits: [Vec<u8>; BATCH] = Default::default();
+                    let lanes = dec.decode_pair_lanes_into(
+                        pair.map(BlockLlrs::from_turbo),
+                        crc,
+                        &mut scratch,
+                        &mut bits,
+                    );
+                    for g in 0..BATCH {
+                        let want = alone(pair[g], crc);
+                        assert_eq!(
+                            (&bits[g], lanes[g]),
+                            (&want.0, want.1),
+                            "K={k} {tier:?} lane {g}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -300,8 +300,13 @@ proptest! {
     fn native_quad_batch_matches_scalar_every_k(k_idx in 0usize..188, seed in any::<u64>()) {
         // The four-block quad-in-zmm kernel (pair/single split where
         // the host lacks AVX-512BW) decodes every lane bit-exactly
-        // against the scalar oracle for every legal QPP size.
-        use vran_phy::turbo::native_batch::{NativeBatchTurboDecoder, QUAD};
+        // against the scalar oracle for every legal QPP size — and
+        // given the launch's CRC, every lane of a quad launch and of
+        // the two pair launches it degrades to stops where the
+        // single-block decoder stops on that block alone, at every
+        // tier the host offers.
+        use vran_phy::turbo::native_batch::{NativeBatchTurboDecoder, BATCH, QUAD};
+        use vran_phy::turbo::{BatchScratch, BlockLlrs, DecoderIsa, NativeTurboDecoder};
         let k = QPP_TABLE[k_idx].k as usize;
         let mk = |s: u64| -> Vec<i16> {
             let mut x = s | 1;
@@ -325,6 +330,53 @@ proptest! {
         let got = NativeBatchTurboDecoder::new(k, 2).decode_quad(&quad);
         for (g, input) in got.iter().zip(&quad) {
             prop_assert_eq!(&g.bits, &dec.decode(input).bits, "K={} diverged", k);
+        }
+
+        // CRC24B-bearing lanes: clean (passes at once), noisy (passes
+        // late or not at all), one payload bit flipped after attach
+        // (decodes, never passes), garbage.
+        let coded = |noise: i16, flip: bool, s: u64| -> TurboLlrs {
+            let mut bits = CRC24B.attach(&random_bits(k - 24, s));
+            bits[0] ^= u8::from(flip);
+            let cw = TurboEncoder::new(k).encode(&bits);
+            let mut jitter = mk(s ^ 11).into_iter();
+            let soft = cw.to_dstreams().map(|st| {
+                st.iter()
+                    .map(|&b| {
+                        let n = jitter.next().map_or(0, |j| j % (noise + 1));
+                        vran_phy::llr::adds16(bit_to_llr(b, 14), n)
+                    })
+                    .collect()
+            });
+            TurboLlrs::from_dstreams(&soft, k)
+        };
+        let lanes_in =
+            [coded(40, false, seed), coded(0, false, seed ^ 1), coded(0, true, seed ^ 2), block(seed)];
+        let refs: [&TurboLlrs; QUAD] = core::array::from_fn(|g| &lanes_in[g]);
+        let batch = NativeBatchTurboDecoder::new(k, 4);
+        let mut scratch = BatchScratch::new();
+        let mut bits: [Vec<u8>; QUAD] = Default::default();
+        let lanes = batch.decode_quad_lanes_into(
+            refs.map(BlockLlrs::from_turbo), Some(&CRC24B), &mut scratch, &mut bits);
+        for half in 0..QUAD / BATCH {
+            let mut pair_bits: [Vec<u8>; BATCH] = Default::default();
+            let pair = batch.decode_pair_lanes_into(
+                core::array::from_fn(|g| BlockLlrs::from_turbo(refs[half * BATCH + g])),
+                Some(&CRC24B), &mut scratch, &mut pair_bits);
+            for g in 0..BATCH {
+                prop_assert_eq!(
+                    (&pair_bits[g], pair[g]), (&bits[half * BATCH + g], lanes[half * BATCH + g]),
+                    "K={} pair lane {} of half {}", k, g, half);
+            }
+        }
+        for isa in DecoderIsa::available() {
+            let single = NativeTurboDecoder::with_isa(k, 4, isa);
+            for g in 0..QUAD {
+                let alone = single.decode_with_crc(refs[g], &CRC24B);
+                prop_assert_eq!(
+                    (&bits[g], lanes[g]), (&alone.bits, (alone.iterations_run, alone.crc_ok)),
+                    "K={} lane {} vs {}", k, g, isa.name());
+            }
         }
     }
 

@@ -5,10 +5,13 @@
 use vran_arrange::StrideKernel;
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::turbo_workload;
+use vran_phy::crc::CRC24B;
 use vran_phy::turbo::batch_decoder::BatchTurboDecoder;
 use vran_phy::turbo::simd_decoder::SimdTurboDecoder;
-use vran_phy::turbo::{NativeBatchTurboDecoder, NativeTurboDecoder};
+use vran_phy::turbo::{BatchScratch, BlockLlrs, NativeBatchTurboDecoder, NativeTurboDecoder};
 use vran_simd::RegWidth;
+
+mod common;
 
 fn bench_batch_decoder(c: &mut Criterion) {
     let k = 256;
@@ -52,6 +55,33 @@ fn bench_native_batch(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_native_quad_crc(c: &mut Criterion) {
+    // The quad launch's stop-rule rows: four lanes that all end on
+    // SISO 1, on SISO 2, or at the cap (pairs / singles where the host
+    // lacks AVX-512BW).
+    let mut g = c.benchmark_group("batch_decode_native_crc");
+    g.sample_size(10);
+    for k in [512usize, 6144] {
+        g.throughput(Throughput::Elements(4 * k as u64));
+        let dec = NativeBatchTurboDecoder::new(k, common::CAP);
+        let mut scratch = BatchScratch::new();
+        let mut bits: [Vec<u8>; 4] = Default::default();
+        for (stop, input) in common::stop_blocks(k) {
+            g.bench_function(format!("quad/k{k}/{stop}"), |b| {
+                b.iter(|| {
+                    dec.decode_quad_lanes_into(
+                        [BlockLlrs::from_turbo(std::hint::black_box(&input)); 4],
+                        Some(&CRC24B),
+                        &mut scratch,
+                        &mut bits,
+                    )
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_stride(c: &mut Criterion) {
     let mut g = c.benchmark_group("stride_deinterleave_vm");
     g.sample_size(15);
@@ -73,7 +103,7 @@ fn bench_stride(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = fast();
-    targets = bench_batch_decoder, bench_native_batch, bench_stride
+    targets = bench_batch_decoder, bench_native_batch, bench_native_quad_crc, bench_stride
 }
 
 /// Short measurement windows keep `cargo bench --workspace` in CI

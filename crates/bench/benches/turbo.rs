@@ -10,6 +10,8 @@ use vran_phy::turbo::simd_decoder::SimdTurboDecoder;
 use vran_phy::turbo::{DecodeScratch, DecoderIsa, NativeTurboDecoder, TurboDecoder, TurboEncoder};
 use vran_simd::RegWidth;
 
+mod common;
+
 fn bench_encoder(c: &mut Criterion) {
     let mut g = c.benchmark_group("turbo_encode");
     for k in [512usize, 2048, 6144] {
@@ -99,6 +101,39 @@ fn bench_native_decoder(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_native_decoder_crc(c: &mut Criterion) {
+    // Where a CRC24B-bearing block can end: on SISO 1 (the common
+    // case on a good channel), on SISO 2, or at the cap having paid
+    // both hard-decision passes and both checks of every iteration.
+    let mut g = c.benchmark_group("turbo_decode_native_crc");
+    g.sample_size(20);
+    for k in [512usize, 6144] {
+        g.throughput(Throughput::Elements(k as u64));
+        for (stop, input) in common::stop_blocks(k) {
+            for isa in DecoderIsa::available() {
+                let dec = NativeTurboDecoder::with_isa(k, common::CAP, isa);
+                let mut scratch = DecodeScratch::new();
+                let mut bits = Vec::new();
+                g.bench_function(format!("{}/k{k}/{stop}", isa.name()), |b| {
+                    b.iter(|| {
+                        let r = dec.decode_streams_into(
+                            std::hint::black_box(&input.streams.sys),
+                            &input.streams.p1,
+                            &input.streams.p2,
+                            &input.tails,
+                            Some(&CRC24B),
+                            &mut scratch,
+                            &mut bits,
+                        );
+                        std::hint::black_box(r)
+                    })
+                });
+            }
+        }
+    }
+    g.finish();
+}
+
 fn bench_simd_decoder_vm(c: &mut Criterion) {
     // The VM-evaluated SIMD decoder (native mode): slower wall-clock
     // than the scalar decoder (it is an emulator), but bit-exact; this
@@ -121,6 +156,7 @@ criterion_group! {
     bench_decoder,
     bench_decoder_early_stop,
     bench_native_decoder,
+    bench_native_decoder_crc,
     bench_simd_decoder_vm
 }
 

@@ -179,3 +179,48 @@ fn baseline_has_scaleout_suites() {
         );
     }
 }
+
+#[test]
+fn trajectory_records_name_every_workload_and_metric() {
+    use vran_util::json::Json;
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trajectory.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_trajectory.json is checked in");
+    let doc = Json::parse(&text).expect("trajectory parses");
+    let names = |key: &str| -> Vec<String> {
+        let list = doc.get(key).and_then(Json::as_arr).expect("name list");
+        list.iter()
+            .map(|n| n.as_str().expect("a name").to_string())
+            .collect()
+    };
+    let (workloads, metrics) = (names("workloads"), names("metrics"));
+    assert_eq!((workloads.len(), metrics.len()), (5, 4));
+    let records = doc.get("records").and_then(Json::as_arr).expect("records");
+    let prs: Vec<f64> = records
+        .iter()
+        .map(|r| r.get("pr").and_then(Json::as_f64).expect("pr number"))
+        .collect();
+    assert!(prs.windows(2).all(|w| w[1] == w[0] + 1.0) && prs[0] == 11.0);
+    for (record, pr) in records.iter().zip(&prs) {
+        for key in ["host", "seeds", "source"] {
+            let field = record.get(key).and_then(Json::as_str);
+            assert!(field.is_some_and(|s| !s.is_empty()), "PR {pr}: {key}");
+        }
+        for w in &workloads {
+            for m in &metrics {
+                let cell = record.get("results").and_then(|r| r.get(w)?.get(m));
+                let cell = cell.unwrap_or_else(|| panic!("PR {pr} lacks {w}.{m}"));
+                // Every record has a change side; all but the PR that
+                // defined the benchmark have a parent side too.
+                for side in ["parent", "change"] {
+                    let s = cell.get(side).expect("both sides are keys");
+                    if side == "change" || *pr > 11.0 {
+                        let median = s.get("median").and_then(Json::as_f64);
+                        let iqr = s.get("iqr").and_then(Json::as_f64);
+                        assert!(median.is_some_and(|v| v > 0.0), "PR {pr} {w}.{m} {side}");
+                        assert!(iqr.is_some_and(|v| v >= 0.0), "PR {pr} {w}.{m} {side}");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -289,6 +289,8 @@ pub struct PipelineMetrics {
     pub ok_packets: Counter,
     /// Turbo-decoder iterations, summed over code blocks.
     pub decoder_iterations: Counter,
+    /// Turbo-decoder SISO passes, summed over code blocks.
+    pub siso_passes: Counter,
     /// Code blocks processed.
     pub code_blocks: Counter,
     /// Decoder-scratch buffer growths (heap allocations in the hot
@@ -379,6 +381,7 @@ impl PipelineMetrics {
             ok_packets: Counter::new(),
             decoder_iterations: Counter::new(),
             code_blocks: Counter::new(),
+            siso_passes: Counter::new(),
             decode_scratch_allocs: Counter::new(),
             decode_scratch_reuses: Counter::new(),
             errors: std::array::from_fn(|_| Counter::new()),
@@ -430,14 +433,15 @@ impl PipelineMetrics {
         self.decoder_iterations.add(decoder_iterations as u64);
     }
 
-    /// Record decoder-scratch acquisition outcomes for one packet
-    /// (no-op when disabled).
-    pub fn record_scratch(&self, allocs: u64, reuses: u64) {
+    /// Record decoder-scratch acquisition outcomes and the SISO passes
+    /// run through it for one packet (no-op when disabled).
+    pub fn record_scratch(&self, allocs: u64, reuses: u64, siso_passes: u64) {
         if !self.enabled {
             return;
         }
         self.decode_scratch_allocs.add(allocs);
         self.decode_scratch_reuses.add(reuses);
+        self.siso_passes.add(siso_passes);
     }
 
     /// Count one failed packet under its error category (no-op when
@@ -545,6 +549,7 @@ impl PipelineMetrics {
             "decoder_iterations".into(),
             self.decoder_iterations.get() as f64,
         ));
+        out.push(("decode.siso_passes".into(), self.siso_passes.get() as f64));
         out.push((
             "decode_scratch_allocs".into(),
             self.decode_scratch_allocs.get() as f64,
@@ -769,6 +774,10 @@ pub struct StageGraphMetrics {
     /// Decoder iterations launches occupied lanes for: a launch runs
     /// until its slowest lane is done, times the lanes it launched.
     pub launch_iterations: Counter,
+    /// SISO passes credited to lanes: each block's own count.
+    pub lane_siso_passes: Counter,
+    /// SISO passes launches occupied lanes for (slowest lane × lanes).
+    pub launch_siso_passes: Counter,
 }
 
 impl Default for StageGraphMetrics {
@@ -790,6 +799,8 @@ impl StageGraphMetrics {
             flush_drain: Counter::new(),
             lane_iterations: Counter::new(),
             launch_iterations: Counter::new(),
+            lane_siso_passes: Counter::new(),
+            launch_siso_passes: Counter::new(),
         }
     }
 
@@ -801,7 +812,7 @@ impl StageGraphMetrics {
 
     /// Record one batch launch of `lanes.len()` equal-K tasks (4 =
     /// quad, 2 = pair, 1 = single) from each lane's `(iterations,
-    /// crc_ok)`. No-op when disabled.
+    /// crc_ok, siso_passes)`. No-op when disabled.
     #[inline]
     pub fn record_launch(&self, lanes: &[LaneOutcome]) {
         if self.enabled {
@@ -815,6 +826,10 @@ impl StageGraphMetrics {
             self.lane_iterations.add(iters.clone().sum());
             self.launch_iterations
                 .add(iters.max().unwrap_or(0) * blocks);
+            let passes = lanes.iter().map(|l| l.2 as u64);
+            self.lane_siso_passes.add(passes.clone().sum());
+            self.launch_siso_passes
+                .add(passes.max().unwrap_or(0) * blocks);
         }
     }
 
@@ -843,15 +858,15 @@ impl StageGraphMetrics {
         }
     }
 
-    /// Fraction of the iterations launches occupied lanes for that
+    /// Fraction of the SISO passes launches occupied lanes for that
     /// were credited to a block — 1.0 when the lanes of every launch
-    /// stop together, lower when passed lanes idle behind a slower
-    /// one (the figure that would justify refilling them).
+    /// stop on the same pass, lower when passed lanes idle behind a
+    /// slower one (the figure that would justify refilling them).
     /// `NaN`-free: returns 0.0 before any block decodes.
     pub fn iteration_occupancy(&self) -> f64 {
-        match self.launch_iterations.get() {
+        match self.launch_siso_passes.get() {
             0 => 0.0,
-            launched => self.lane_iterations.get() as f64 / launched as f64,
+            launched => self.lane_siso_passes.get() as f64 / launched as f64,
         }
     }
 
@@ -895,6 +910,14 @@ impl StageGraphMetrics {
             (
                 "batch.launch_iterations.count".into(),
                 self.launch_iterations.get() as f64,
+            ),
+            (
+                "batch.lane_siso_passes.count".into(),
+                self.lane_siso_passes.get() as f64,
+            ),
+            (
+                "batch.launch_siso_passes.count".into(),
+                self.launch_siso_passes.get() as f64,
             ),
         ]
     }

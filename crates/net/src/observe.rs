@@ -910,13 +910,13 @@ mod tests {
         r.record_occupancy(3);
         r.record_packet(100);
         let g = StageGraphMetrics::new(true);
-        // One quad whose lanes stop at iterations 1, 3, 6 and 1: the
-        // launch holds four lanes for six iterations, eleven credited.
+        // One quad whose lanes stop on passes 1, 5, 12 (never) and 2:
+        // the launch holds four lanes for twelve passes, twenty credited.
         g.record_launch(&[
-            (1, Some(true)),
-            (3, Some(true)),
-            (6, Some(false)),
-            (1, Some(true)),
+            (1, Some(true), 1),
+            (3, Some(true), 5),
+            (6, Some(false), 12),
+            (1, Some(true), 2),
         ]);
         let snap = MetricsSnapshot::capture(Some(&p), Some(&r), Some(&g));
         assert_eq!(snap.get("pipeline.packets"), Some(1.0));
@@ -924,7 +924,11 @@ mod tests {
         assert_eq!(snap.get("stagegraph.batch.quad_blocks.count"), Some(4.0));
         assert_eq!(
             snap.get("stagegraph.batch.iteration_occupancy.ratio"),
-            Some(11.0 / 24.0)
+            Some(20.0 / 48.0)
+        );
+        assert_eq!(
+            snap.get("stagegraph.batch.lane_iterations.count"),
+            Some(11.0)
         );
         let h = snap.histogram("pipeline.stage.decode").expect("captured");
         assert_eq!(h.count, 1);

@@ -1142,6 +1142,8 @@ impl UplinkPipeline {
         }
         let scratch_allocs0 = hot.scratch.allocations();
         let scratch_reuses0 = hot.scratch.reuses();
+        let siso_passes0 = hot.scratch.siso_passes();
+        let mut oracle_passes = 0;
         if hot.bits_pool.len() < blocks.len() {
             hot.bits_pool.resize_with(blocks.len(), Vec::new);
         }
@@ -1365,6 +1367,7 @@ impl UplinkPipeline {
                         hot.scalars[si].1.decode_capped(&dec_in, iter_cap, crc)
                     });
                     iterations += out.iterations_run;
+                    oracle_passes += out.siso_passes as u64;
                     nanos.decode += t0.elapsed().as_nanos() as u64;
                     if out.crc_ok == Some(false) {
                         failed_blocks += 1;
@@ -1397,6 +1400,7 @@ impl UplinkPipeline {
                 m.record_scratch(
                     hot.scratch.allocations() - scratch_allocs0,
                     hot.scratch.reuses() - scratch_reuses0,
+                    0,
                 );
             }
             let frame = mutated.unwrap_or_else(|| packet.frame.clone());
@@ -1417,6 +1421,7 @@ impl UplinkPipeline {
             m.record_scratch(
                 hot.scratch.allocations() - scratch_allocs0,
                 hot.scratch.reuses() - scratch_reuses0,
+                hot.scratch.siso_passes() - siso_passes0 + oracle_passes,
             );
         }
 

@@ -493,6 +493,7 @@ impl StageGraph {
         let n = tasks.len();
         let mut j = 0;
         let mut total_decode_ns = 0u64;
+        let mut total_passes = 0u64;
         while j < n {
             // Staged launch: the kernels read the pooled task stream
             // buffers in place — no per-launch re-staging copy — and
@@ -537,7 +538,8 @@ impl StageGraph {
                         }
                     };
                     let input = input(0);
-                    lanes[0] = self.singles[si].decode_streams_capped_into(
+                    let passes0 = self.scratch.siso_passes();
+                    let (iters, crc_ok) = self.singles[si].decode_streams_capped_into(
                         input.sys,
                         input.p1,
                         input.p2,
@@ -547,10 +549,13 @@ impl StageGraph {
                         &mut self.scratch,
                         &mut self.lane_bits[0],
                     );
+                    let passes = self.scratch.siso_passes() - passes0;
+                    lanes[0] = (iters, crc_ok, passes as usize);
                 }
             }
             let ns = t0.elapsed().as_nanos() as u64;
             total_decode_ns += ns;
+            total_passes += lanes[..run].iter().map(|l| l.2 as u64).sum::<u64>();
             if let Some(m) = &self.metrics {
                 m.record_launch(&lanes[..run]);
             }
@@ -559,6 +564,7 @@ impl StageGraph {
         }
         if let Some(pm) = self.pipe.metrics().filter(|m| m.is_enabled()) {
             pm.record_stage(Stage::Decode, total_decode_ns);
+            pm.siso_passes.add(total_passes);
         }
 
         // Retire slots whose last block this flush decoded, then hand
@@ -593,7 +599,7 @@ impl StageGraph {
     /// of the launch's wall clock. `run` aligns with `lanes` and with
     /// `lane_bits[..run.len()]`.
     fn scatter(&mut self, run: &[PoolTask], lanes: &[LaneOutcome], share_ns: u64) {
-        for (lane, (t, &(iters, crc_ok))) in run.iter().zip(lanes).enumerate() {
+        for (lane, (t, &(iters, crc_ok, _))) in run.iter().zip(lanes).enumerate() {
             let entry = self.slots[t.slot as usize]
                 .entry
                 .as_mut()

@@ -205,6 +205,7 @@ impl BatchTurboDecoder {
             .map(|bits| DecodeOutcome {
                 bits,
                 iterations_run,
+                siso_passes: 2 * iterations_run,
                 crc_ok: None,
             })
             .collect();

@@ -18,6 +18,21 @@
 //!   (`e ← (e >> 1) + (e >> 2)`), the usual max-log correction factor.
 //! * Trellis termination: β is initialized by walking the 3 tail steps
 //!   backward from the all-zero state, using the received tail LLRs.
+//!
+//! # The stop rule
+//!
+//! Given a block CRC, the hard decisions of *every* SISO pass are
+//! checked — SISO 1's posterior in natural order, SISO 2's
+//! de-interleaved — and the first pass that passes ends the block with
+//! its bits; [`DecodeOutcome::siso_passes`] says which. A begun
+//! iteration counts as one, so a stop on SISO 1 of iteration `n`
+//! reports `iterations_run = n` like a stop on its SISO 2. A block that
+//! never passes returns the last full iteration's decisions. A check
+//! passes a wrong word with probability 2⁻²⁴ (CRC24A still guards the
+//! transport block) — except the all-zero word, which passes every LTE
+//! CRC and is what SISO 1 "decides" when it saw nothing, e.g. a HARQ
+//! retransmission without systematic bits. A zero posterior is
+//! therefore no decision: SISO 1 is checked only when it has none.
 
 use super::trellis::{self, STATES};
 use crate::crc::Crc;
@@ -34,9 +49,12 @@ pub const NEG_INF: Llr = -8192;
 pub struct DecodeOutcome {
     /// Hard-decision information bits (length K).
     pub bits: Vec<u8>,
-    /// Full iterations actually run (≤ the configured maximum when
-    /// early stopping is active).
+    /// Iterations begun (≤ the configured maximum when early stopping
+    /// is active); a stop on SISO 1 counts its iteration.
     pub iterations_run: usize,
+    /// SISO passes run: `2 · iterations_run`, or one less when the
+    /// block stopped on SISO 1's posterior.
+    pub siso_passes: usize,
     /// CRC verdict when an early-stop CRC was supplied.
     pub crc_ok: Option<bool>,
 }
@@ -228,9 +246,10 @@ impl TurboDecoder {
         self.decode_inner(input, None)
     }
 
-    /// Decode with CRC-based early stopping: after each full iteration
-    /// the hard decision is checked against `crc`, and decoding stops as
-    /// soon as it passes (the OAI/FlexRAN optimization).
+    /// Decode with CRC-based early stopping: after every SISO pass the
+    /// hard decision is checked against `crc`, and decoding stops as
+    /// soon as it passes (the OAI/FlexRAN optimization; see the module
+    /// doc's stop rule).
     pub fn decode_with_crc(&self, input: &TurboLlrs, crc: &Crc) -> DecodeOutcome {
         self.decode_inner(input, Some(crc))
     }
@@ -264,15 +283,28 @@ impl TurboDecoder {
         let mut la1 = vec![0 as Llr; k];
         let mut bits = vec![0u8; k];
         let mut iterations_run = 0;
+        let mut siso_passes = 0;
         let mut crc_ok = None;
 
         for _ in 0..iterations {
             iterations_run += 1;
-            let (e1, _) = siso(&s.sys, &s.p1, &la1, &input.tails.sys1, &input.tails.p1);
+            let (e1, post1) = siso(&s.sys, &s.p1, &la1, &input.tails.sys1, &input.tails.p1);
+            siso_passes += 1;
+            // Decoder 1's posterior is already in natural order. A zero
+            // in it is an erasure, not a decision for bit 0.
+            if let Some(c) = crc.filter(|_| post1.iter().all(|&l| l != 0)) {
+                let half: Vec<u8> = post1.iter().map(|&l| llr_to_bit(l)).collect();
+                if c.check(&half).is_some() {
+                    bits = half;
+                    crc_ok = Some(true);
+                    break;
+                }
+            }
             let la2: Vec<Llr> = self
                 .il
                 .interleave(&e1.iter().map(|&e| scale_extrinsic(e)).collect::<Vec<_>>());
             let (e2, post2) = siso(&sys_pi, &s.p2, &la2, &input.tails.sys2, &input.tails.p2);
+            siso_passes += 1;
             la1 = self
                 .il
                 .deinterleave(&e2.iter().map(|&e| scale_extrinsic(e)).collect::<Vec<_>>());
@@ -293,6 +325,7 @@ impl TurboDecoder {
         DecodeOutcome {
             bits,
             iterations_run,
+            siso_passes,
             crc_ok,
         }
     }

@@ -15,10 +15,11 @@
 //! the single-block SSSE3 kernel in [`super::native_decoder`], so a
 //! batched decode is bit-identical to two (or four) separate decodes
 //! (and to the scalar oracle). Iteration control is the single-block
-//! decoder's too, per lane: given the launch's CRC, each lane reports
-//! the iteration at which *its* block first passed and the bits it had
-//! then, and the launch ends when every lane has passed or at the cap;
-//! without a CRC every lane runs the cap.
+//! decoder's too, per lane — the stop rule of [`super::decoder`]: given
+//! the launch's CRC, each lane reports the SISO pass on which *its*
+//! block first passed (a begun iteration counting as one) and the bits
+//! it had then, and the launch ends when every lane has passed or at
+//! the cap; without a CRC every lane runs the cap.
 
 use super::decoder::{beta_init_from_tails, DecodeOutcome, NEG_INF};
 use super::native_decoder::{DecodeScratch, NativeTurboDecoder};
@@ -93,6 +94,7 @@ pub struct BatchScratch {
     single: DecodeScratch,
     allocations: u64,
     reuses: u64,
+    siso_passes: u64,
 }
 
 impl BatchScratch {
@@ -139,6 +141,11 @@ impl BatchScratch {
     pub fn reuses(&self) -> u64 {
         self.reuses
     }
+
+    /// SISO kernel passes run through this scratch, at any width.
+    pub fn siso_passes(&self) -> u64 {
+        self.siso_passes + self.single.siso_passes()
+    }
 }
 
 thread_local! {
@@ -151,10 +158,10 @@ thread_local! {
         core::cell::RefCell::new(BatchScratch::new());
 }
 
-/// What one lane of a batch launch reports: `(iterations_run, crc_ok)`,
-/// exactly what [`NativeTurboDecoder::decode_streams_capped_into`]
-/// returns for that block decoded alone.
-pub type LaneOutcome = (usize, Option<bool>);
+/// What one lane of a batch launch reports: `(iterations_run, crc_ok,
+/// siso_passes)` — what [`NativeTurboDecoder::decode_streams_capped_into`]
+/// returns for that block decoded alone, and the SISO passes it ran.
+pub type LaneOutcome = (usize, Option<bool>, usize);
 
 /// Batched decoder: two equal-size blocks per ymm pass on AVX2
 /// hardware, four per zmm pass on AVX-512BW, falling back to
@@ -255,7 +262,8 @@ impl NativeBatchTurboDecoder {
             let single = NativeTurboDecoder::new(self.il.k(), self.max_iterations);
             return core::array::from_fn(|g| {
                 let input = &inputs[g];
-                single.decode_streams_capped_into(
+                let passes0 = scratch.single.siso_passes();
+                let (iterations_run, crc_ok) = single.decode_streams_capped_into(
                     input.sys,
                     input.p1,
                     input.p2,
@@ -264,7 +272,9 @@ impl NativeBatchTurboDecoder {
                     crc,
                     &mut scratch.single,
                     &mut bits[g],
-                )
+                );
+                let passes = scratch.single.siso_passes() - passes0;
+                (iterations_run, crc_ok, passes as usize)
             });
         }
         #[cfg(target_arch = "x86_64")]
@@ -413,17 +423,11 @@ impl NativeBatchTurboDecoder {
             post,
             la1,
             la2,
+            siso_passes,
             ..
         } = scratch;
-        // Only the permuted systematic needs staging — the kernel
-        // reads `sys`/`p1`/`p2` in place from the caller's buffers.
         let pi = self.il.pi_table();
         let pi_inv = self.il.pi_inv_table();
-        for (dst, input) in sys_pi.chunks_exact_mut(k).zip(&inputs) {
-            for (s, &p) in dst.iter_mut().zip(pi) {
-                *s = input.sys[p as usize];
-            }
-        }
         let binit1 = inputs
             .each_ref()
             .map(|b| beta_init_from_tails(&b.tails.sys1, &b.tails.p1));
@@ -443,12 +447,52 @@ impl NativeBatchTurboDecoder {
         let p1 = inputs.each_ref().map(|b| b.p1);
         let p2 = inputs.each_ref().map(|b| b.p2);
 
-        let mut lanes: [LaneOutcome; N] = [(0, None); N];
+        // Pass `passes`' hard decisions and verdict for every live lane:
+        // SISO 1's posterior (odd pass) read in natural order and checked
+        // only if it decided every bit, SISO 2's through `pi_inv`. A
+        // lane whose CRC passed is done: its 128 bits keep computing, but
+        // its buffer and outcome are never written again.
+        let mut lanes: [LaneOutcome; N] = [(0, None, 0); N];
+        let mut decide = |post: &[i32], passes: usize| {
+            for (g, (lane, blk)) in lanes.iter_mut().zip(bits.iter_mut()).enumerate() {
+                if lane.1 == Some(true) {
+                    continue;
+                }
+                let mut decided = true;
+                if passes.is_multiple_of(2) {
+                    for (b, &p) in blk.iter_mut().zip(pi_inv) {
+                        *b = llr_to_bit(post[N * p as usize + g] as Llr);
+                    }
+                } else {
+                    for (b, row) in blk.iter_mut().zip(post.chunks_exact(N)) {
+                        *b = llr_to_bit(row[g] as Llr);
+                        decided &= row[g] as Llr != 0;
+                    }
+                }
+                let ok = crc.map(|c| decided && c.check(blk).is_some());
+                *lane = (passes.div_ceil(2), ok, passes);
+            }
+            lanes.iter().all(|&(_, crc_ok, _)| crc_ok == Some(true))
+        };
         // `ext` arrives scaled and block-interleaved, so each gather
         // is one table lookup and one `N`-wide row read per step,
         // fanned out to the block-major a-priori buffers.
         for it in 0..self.max_iterations {
             siso(sys, p1, parts(la1, k), &binit1, g0, gp, alpha, ext, post);
+            *siso_passes += 1;
+            // The single-block decoder's stop rule, per lane.
+            if crc.is_some() && decide(post, 2 * it + 1) {
+                break;
+            }
+            // Only the permuted systematic needs staging — the kernel
+            // reads `sys`/`p1`/`p2` in place — and only SISO 2 reads it.
+            if it == 0 {
+                for (dst, input) in sys_pi.chunks_exact_mut(k).zip(&inputs) {
+                    for (s, &p) in dst.iter_mut().zip(pi) {
+                        *s = input.sys[p as usize];
+                    }
+                }
+            }
             gather_rows::<N>(la2, ext, pi);
             siso(
                 parts(sys_pi, k),
@@ -461,30 +505,12 @@ impl NativeBatchTurboDecoder {
                 ext,
                 post,
             );
-            // A lane whose CRC passed is done: its 128 bits keep
-            // computing, but its buffer and count are never written
-            // again. Hard decisions are observable only through the
-            // CRC and the final output, so without a CRC the
-            // de-permuting bit pass runs once, after the last
-            // iteration.
-            let live = lanes.map(|(_, crc_ok)| crc_ok != Some(true));
+            *siso_passes += 1;
+            // Hard decisions are observable only through the CRC and
+            // the final output, so without a CRC the de-permuting bit
+            // pass runs once, after the last iteration.
             let last = it + 1 == self.max_iterations;
-            if crc.is_some() || last {
-                for (i, &p) in pi_inv.iter().enumerate() {
-                    let row = &post[N * p as usize..][..N];
-                    for ((blk, &l), live) in bits.iter_mut().zip(row).zip(live) {
-                        if live {
-                            blk[i] = llr_to_bit(l as Llr);
-                        }
-                    }
-                }
-            }
-            for ((lane, blk), live) in lanes.iter_mut().zip(bits.iter()).zip(live) {
-                if live {
-                    *lane = (it + 1, crc.map(|c| c.check(blk).is_some()));
-                }
-            }
-            if lanes.iter().all(|&(_, crc_ok)| crc_ok == Some(true)) {
+            if (crc.is_some() || last) && decide(post, 2 * it + 2) {
                 break;
             }
             // Only a further iteration reads the second extrinsic.
@@ -500,10 +526,11 @@ impl NativeBatchTurboDecoder {
 fn outcomes<const N: usize>(bits: [Vec<u8>; N], lanes: [LaneOutcome; N]) -> [DecodeOutcome; N] {
     let mut lanes = lanes.into_iter();
     bits.map(|bits| {
-        let (iterations_run, crc_ok) = lanes.next().expect("one outcome per lane");
+        let (iterations_run, crc_ok, siso_passes) = lanes.next().expect("one outcome per lane");
         DecodeOutcome {
             bits,
             iterations_run,
+            siso_passes,
             crc_ok,
         }
     })
@@ -1177,45 +1204,30 @@ mod tests {
         }
     }
 
-    /// A CRC24B-bearing block on a channel of LLR magnitude `mag` with
-    /// uniform noise in `±noise`; `flip` corrupts one payload bit
-    /// after CRC attach, so the block decodes but can never pass.
-    fn crc_block(k: usize, mag: Llr, noise: u64, flip: bool, seed: u64) -> TurboLlrs {
-        let mut block = crate::crc::CRC24B.attach(&random_bits(k - 24, seed));
-        block[3] ^= u8::from(flip);
-        let cw = TurboEncoder::new(k).encode(&block);
-        let mut rng = vran_util::rng::SmallRng::seed_from_u64(seed);
-        let soft = cw.to_dstreams().map(|st| {
-            st.iter()
-                .map(|&b| {
-                    let n = (rng.next_u64() % (2 * noise + 1)) as i16 - noise as i16;
-                    crate::llr::adds16(bit_to_llr(b, mag), n)
-                })
-                .collect()
-        });
-        TurboLlrs::from_dstreams(&soft, k)
-    }
-
     #[test]
     fn lanes_stop_on_their_own_crc_like_the_single_block_decoder() {
         use crate::crc::CRC24B;
+        use crate::turbo::native_decoder::tests::stop_blocks;
         const CAP: usize = 6;
         for k in [40usize, 512, 6144] {
             let single = NativeTurboDecoder::new(k, CAP);
             let alone = |input: &TurboLlrs, crc| {
                 let out = single.decode_scratch(input, crc, &mut DecodeScratch::new());
-                (out.bits, (out.iterations_run, out.crc_ok))
+                (out.bits, (out.iterations_run, out.crc_ok, out.siso_passes))
             };
-            let early = crc_block(k, 50, 0, false, 1);
-            let never = crc_block(k, 50, 0, true, 2);
-            // Moderate noise: the first seed whose block needs 2–4
-            // iterations alone, so the lane stops strictly inside the cap.
-            let late = (0..200u64)
-                .map(|seed| crc_block(k, 12, 22, false, 100 + seed))
-                .find(|b| (2..=4).contains(&alone(b, Some(&CRC24B)).1 .0))
-                .expect("some noisy block stops at iteration 2-4");
-            assert_eq!(alone(&early, Some(&CRC24B)).1, (1, Some(true)));
-            assert_eq!(alone(&never, Some(&CRC24B)).1, (CAP, Some(false)));
+            // Lanes that stop on SISO pass 1, 2 and 3, and one that
+            // never passes — the stops a launch must keep apart.
+            let [pass1, pass2, pass3, never, blind] = stop_blocks(k);
+            for (block, want) in [
+                (&pass1, (1, Some(true), 1)),
+                (&pass2, (1, Some(true), 2)),
+                (&pass3, (2, Some(true), 3)),
+                (&never, (CAP, Some(false), 2 * CAP)),
+                (&blind, (1, Some(true), 2)),
+            ] {
+                assert_eq!(alone(block, Some(&CRC24B)).1, want, "K={k}");
+                assert_eq!(alone(block, None).1, (CAP, None, 2 * CAP), "K={k}");
+            }
 
             // Every tier: the host's, pair-split, and single-split.
             let mut tiers = vec![NativeBatchTurboDecoder::new(k, CAP)];
@@ -1228,26 +1240,35 @@ mod tests {
             let mut scratch = BatchScratch::new();
             for (dec, crc) in tiers.iter().flat_map(|d| [(d, Some(&CRC24B)), (d, None)]) {
                 let tier = (dec.use_avx2, dec.use_avx512, crc.is_some());
-                let quad = [&late, &early, &never, &early];
-                let mut bits: [Vec<u8>; QUAD] = Default::default();
-                let lanes = dec.decode_quad_lanes_into(
-                    quad.map(BlockLlrs::from_turbo),
-                    crc,
-                    &mut scratch,
-                    &mut bits,
-                );
-                for g in 0..QUAD {
-                    let want = alone(quad[g], crc);
-                    assert_eq!(
-                        (&bits[g], lanes[g]),
-                        (&want.0, want.1),
-                        "K={k} {tier:?} lane {g}"
+                let passes0 = scratch.siso_passes();
+                for quad in [
+                    [&pass3, &pass1, &never, &pass2],
+                    [&pass2, &pass1, &pass3, &blind],
+                    [&pass1; QUAD],
+                ] {
+                    let mut bits: [Vec<u8>; QUAD] = Default::default();
+                    let lanes = dec.decode_quad_lanes_into(
+                        quad.map(BlockLlrs::from_turbo),
+                        crc,
+                        &mut scratch,
+                        &mut bits,
                     );
+                    for g in 0..QUAD {
+                        let want = alone(quad[g], crc);
+                        assert_eq!(
+                            (&bits[g], lanes[g]),
+                            (&want.0, want.1),
+                            "K={k} {tier:?} lane {g}"
+                        );
+                    }
                 }
-                // The launch runs as long as its slowest lane needs.
-                assert_eq!(lanes.iter().map(|l| l.0).max(), Some(CAP));
+                // A zmm launch runs as long as its slowest lane needs:
+                // 12, 3 and 1 passes for the three quads above.
+                if dec.use_avx512 && crc.is_some() {
+                    assert_eq!(scratch.siso_passes() - passes0, 16, "K={k}");
+                }
 
-                for pair in [[&early, &late], [&never, &early], [&late, &late]] {
+                for pair in [[&pass1, &pass3], [&never, &pass2], [&pass2, &pass2]] {
                     let mut bits: [Vec<u8>; BATCH] = Default::default();
                     let lanes = dec.decode_pair_lanes_into(
                         pair.map(BlockLlrs::from_turbo),

@@ -91,6 +91,15 @@
 //! the whole array, then permutes — so the interleaver gather is a
 //! plain indexed copy).
 //!
+//! # Iteration control
+//!
+//! The stop rule of [`super::decoder`], pass for pass: with a CRC, SISO
+//! 1's posterior is turned into bits where it lies (natural order) and
+//! a block that passes returns before SISO 2, its three permutations
+//! and the `sys_pi` staging run — `(it + 1, Some(true))`, a begun
+//! iteration counting as one; [`DecodeScratch::siso_passes`] counts
+//! what ran. Without a CRC no pass is looked at before the last.
+//!
 //! Dispatch is by [`std::arch::is_x86_feature_detected!`] via
 //! [`vran_simd::host`], with a portable scalar fallback, following
 //! `vran-arrange`'s native kernels.
@@ -175,6 +184,7 @@ pub struct DecodeScratch {
     sys_pi: Vec<Llr>,
     allocations: u64,
     reuses: u64,
+    siso_passes: u64,
 }
 
 impl DecodeScratch {
@@ -218,6 +228,11 @@ impl DecodeScratch {
     /// (i.e. heap allocations avoided).
     pub fn reuses(&self) -> u64 {
         self.reuses
+    }
+
+    /// SISO passes run through this scratch (two per full iteration).
+    pub fn siso_passes(&self) -> u64 {
+        self.siso_passes
     }
 }
 
@@ -290,6 +305,7 @@ impl NativeTurboDecoder {
     ) -> DecodeOutcome {
         assert_eq!(input.k, self.il.k(), "input block size mismatch");
         let mut bits = Vec::new();
+        let passes0 = scratch.siso_passes;
         let (iterations_run, crc_ok) = self.decode_streams_into(
             &input.streams.sys,
             &input.streams.p1,
@@ -302,6 +318,7 @@ impl NativeTurboDecoder {
         DecodeOutcome {
             bits,
             iterations_run,
+            siso_passes: (scratch.siso_passes - passes0) as usize,
             crc_ok,
         }
     }
@@ -354,6 +371,7 @@ impl NativeTurboDecoder {
             la1,
             la2,
             sys_pi,
+            siso_passes,
             ..
         } = scratch;
         let pi = self.il.pi_table();
@@ -364,9 +382,6 @@ impl NativeTurboDecoder {
         // was just sized to `k` by `ensure`.
         debug_assert!(pi.len() == k && pi_inv.len() == k);
 
-        for (s, &p) in sys_pi.iter_mut().zip(pi) {
-            *s = unsafe { *sys.get_unchecked(p as usize) };
-        }
         la1.fill(0);
         let mut iterations_run = 0;
         let mut crc_ok = None;
@@ -386,6 +401,25 @@ impl NativeTurboDecoder {
                 ext,
                 post,
             );
+            // The stop rule: SISO 1's posterior is in natural order,
+            // and a hard decision unless a zero left a bit undecided.
+            if let Some(c) = crc {
+                let mut decided = true;
+                for (b, &l) in bits.iter_mut().zip(post.iter()) {
+                    *b = llr_to_bit(l as Llr);
+                    decided &= l as Llr != 0;
+                }
+                if decided && c.check(bits).is_some() {
+                    *siso_passes += 2 * it as u64 + 1;
+                    return (iterations_run, Some(true));
+                }
+            }
+            // Only SISO 2 reads the permuted systematic.
+            if it == 0 {
+                for (s, &p) in sys_pi.iter_mut().zip(pi) {
+                    *s = unsafe { *sys.get_unchecked(p as usize) };
+                }
+            }
             // `ext` arrives scaled (see `siso_into`): the oracle scales
             // the whole array and then permutes, so the gather is a
             // plain indexed copy.
@@ -407,7 +441,8 @@ impl NativeTurboDecoder {
             );
             // Hard decisions are observable only through the CRC check
             // and the final output, so without a CRC the de-permuting
-            // bit pass runs once, after the last iteration.
+            // bit pass runs once, after the last iteration (with one it
+            // overwrites the decisions a failed SISO 1 check left).
             let last = it + 1 == iterations;
             if crc.is_some() || last {
                 for (b, &p) in bits.iter_mut().zip(pi_inv) {
@@ -428,6 +463,7 @@ impl NativeTurboDecoder {
                 }
             }
         }
+        *siso_passes += 2 * iterations_run as u64;
         (iterations_run, crc_ok)
     }
 }
@@ -1394,7 +1430,7 @@ mod x86 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bits::random_bits;
     use crate::crc::CRC24B;
@@ -1430,6 +1466,90 @@ mod tests {
             .try_into()
             .unwrap();
         (bits, TurboLlrs::from_dstreams(&soft, k))
+    }
+
+    /// A CRC24B-bearing block on a channel of LLR magnitude `mag` with
+    /// uniform noise in `±noise`; `flip` corrupts one payload bit
+    /// after CRC attach, so the block decodes but can never pass.
+    pub(crate) fn crc_block(k: usize, mag: Llr, noise: u64, flip: bool, seed: u64) -> TurboLlrs {
+        let mut block = CRC24B.attach(&random_bits(k - 24, seed));
+        block[3] ^= u8::from(flip);
+        let cw = TurboEncoder::new(k).encode(&block);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let soft = cw.to_dstreams().map(|st| {
+            st.iter()
+                .map(|&b| {
+                    let n = (rng.next_u64() % (2 * noise + 1)) as i16 - noise as i16;
+                    adds16(bit_to_llr(b, mag), n)
+                })
+                .collect()
+        });
+        TurboLlrs::from_dstreams(&soft, k)
+    }
+
+    /// Blocks that stop on SISO pass 1, 2 and 3 — `(noise, seed)` of
+    /// the noisy two searched once from seed 100 up and fixed; the
+    /// tests that use them assert the stops — a noisy block with a
+    /// payload bit flipped, which never passes, and a clean one with
+    /// only its second parity stream received (a retransmission
+    /// without systematic bits): SISO 1 decides nothing, and the
+    /// all-zero word it would hand the CRC passes.
+    pub(crate) fn stop_blocks(k: usize) -> [TurboLlrs; 5] {
+        let (pass2, pass3) = match k {
+            40 => ((20, 100), (20, 122)),
+            512 => ((20, 107), (20, 100)),
+            6144 => ((19, 486), (20, 101)),
+            _ => panic!("no searched seeds for K={k}"),
+        };
+        let mut blind = crc_block(k, 50, 0, false, 3);
+        blind.streams.sys.fill(0);
+        blind.streams.p1.fill(0);
+        [
+            crc_block(k, 50, 0, false, 1),
+            crc_block(k, 12, pass2.0, false, pass2.1),
+            crc_block(k, 12, pass3.0, false, pass3.1),
+            crc_block(k, 12, 30, true, 2),
+            blind,
+        ]
+    }
+
+    #[test]
+    fn stops_on_the_first_siso_pass_whose_decisions_pass_the_crc() {
+        const CAP: usize = 3;
+        for k in [40usize, 512, 6144] {
+            let [pass1, pass2, pass3, never, blind] = stop_blocks(k);
+            // One scratch per tier, so a block that stops on pass 1
+            // leaves the previous block's `sys_pi` behind for the next
+            // block that reaches SISO 2.
+            let order = [
+                (&pass3, (3, 2, Some(true))),
+                (&pass1, (1, 1, Some(true))),
+                (&pass2, (2, 1, Some(true))),
+                (&never, (2 * CAP, CAP, Some(false))),
+                (&blind, (2, 1, Some(true))),
+            ];
+            let oracle = TurboDecoder::new(k, CAP);
+            let expect = order.map(|(block, _)| oracle.decode_with_crc(block, &CRC24B));
+            for isa in DecoderIsa::available() {
+                let dec = NativeTurboDecoder::with_isa(k, CAP, isa);
+                let mut scratch = DecodeScratch::new();
+                for ((block, want), expect) in order.iter().zip(&expect) {
+                    let out = dec.decode_scratch(block, Some(&CRC24B), &mut scratch);
+                    assert_eq!(
+                        (out.siso_passes, out.iterations_run, out.crc_ok),
+                        *want,
+                        "{} K={k}",
+                        isa.name()
+                    );
+                    assert_eq!(&out, expect, "{} K={k} vs the oracle", isa.name());
+                }
+                assert_eq!(scratch.siso_passes(), 3 + 1 + 2 + 2 * CAP as u64 + 2);
+                // Without a CRC nothing stops early, and nothing is
+                // checked: every pass of the cap runs.
+                let plain = dec.decode_scratch(&pass1, None, &mut scratch);
+                assert_eq!((plain.siso_passes, plain.crc_ok), (2 * CAP, None));
+            }
+        }
     }
 
     #[test]

@@ -108,14 +108,29 @@ impl SimdTurboDecoder {
 
         let mut bits = vec![0u8; k];
         let mut iterations_run = 0;
+        let mut siso_passes = 0;
         let mut crc_ok = None;
         for _ in 0..self.max_iterations {
             iterations_run += 1;
             self.siso(vm, sys, p1, la1, &tails.sys1, &tails.p1, &s1);
+            siso_passes += 1;
+            // The stop rule of `super::decoder`: every pass's hard
+            // decisions face the CRC, SISO 1's in natural order and
+            // only if it decided every bit.
+            if let Some(c) = crc {
+                let post1: Vec<Llr> = (0..k).map(|i| vm.mem().get(s1.post.base + i)).collect();
+                let half: Vec<u8> = post1.iter().map(|&l| llr_to_bit(l)).collect();
+                if !post1.contains(&0) && c.check(&half).is_some() {
+                    bits = half;
+                    crc_ok = Some(true);
+                    break;
+                }
+            }
             for j in 0..k {
                 vm.scalar_map16(s1.ext.base + self.il.pi(j), la2.base + j, scale_extrinsic);
             }
             self.siso(vm, sys_pi, p2, la2, &tails.sys2, &tails.p2, &s2);
+            siso_passes += 1;
             for i in 0..k {
                 vm.scalar_map16(
                     s2.ext.base + self.il.pi_inv(i),
@@ -137,6 +152,7 @@ impl SimdTurboDecoder {
         DecodeOutcome {
             bits,
             iterations_run,
+            siso_passes,
             crc_ok,
         }
     }

@@ -16,8 +16,10 @@ use vran_util::proptest::prelude::*;
 
 /// Every legal QPP size — both parities of K/8, so the single-block
 /// kernel's leftover-group loops and its packed phases are each hit —
-/// on noisy input, at every ISA tier the host (or the ISA ceiling)
-/// allows: bits and iteration count equal the scalar oracle's.
+/// on noisy CRC24B-bearing input, at every ISA tier the host (or the
+/// ISA ceiling) allows: with and without the CRC, the whole outcome —
+/// bits, iterations, verdict and the SISO pass the block stopped on —
+/// equals the scalar oracle's.
 #[test]
 fn native_single_block_matches_scalar_every_k() {
     use vran_phy::llr::adds16;
@@ -25,7 +27,8 @@ fn native_single_block_matches_scalar_every_k() {
     use vran_util::rng::SmallRng;
     for row in QPP_TABLE.iter() {
         let k = row.k as usize;
-        let cw = TurboEncoder::new(k).encode(&random_bits(k, k as u64));
+        let block = CRC24B.attach(&random_bits(k - 24, k as u64));
+        let cw = TurboEncoder::new(k).encode(&block);
         let mut rng = SmallRng::seed_from_u64(0x5150 + k as u64);
         let soft: [Vec<i16>; 3] = cw.to_dstreams().map(|st| {
             st.iter()
@@ -33,13 +36,121 @@ fn native_single_block_matches_scalar_every_k() {
                 .collect()
         });
         let input = TurboLlrs::from_dstreams(&soft, k);
-        let oracle = TurboDecoder::new(k, 2).decode(&input);
+        let oracle = TurboDecoder::new(k, 2);
+        let (plain, stopped) = (
+            oracle.decode(&input),
+            oracle.decode_with_crc(&input, &CRC24B),
+        );
+        assert_eq!(plain.siso_passes, 4);
         for isa in DecoderIsa::available() {
-            let native = NativeTurboDecoder::with_isa(k, 2, isa).decode(&input);
-            assert_eq!(native.bits, oracle.bits, "bits on {} K={k}", isa.name());
-            assert_eq!(native.iterations_run, oracle.iterations_run);
+            let native = NativeTurboDecoder::with_isa(k, 2, isa);
+            assert_eq!(native.decode(&input), plain, "{} K={k}", isa.name());
+            let got = native.decode_with_crc(&input, &CRC24B);
+            assert_eq!(got, stopped, "with CRC24B on {} K={k}", isa.name());
         }
     }
+}
+
+/// The stop rule, stated four times, decides alike: 2 048 CRC24B-bearing
+/// K = 512 blocks across the waterfall through the scalar oracle, the
+/// VM instrument, every native tier, pair and quad launches — the same
+/// `(bits, iterations_run, crc_ok, siso_passes)` from each — and the
+/// sweep meets stops on every pass of the cap, odd ones included.
+#[test]
+fn every_decoder_stops_on_the_same_siso_pass_across_the_waterfall() {
+    use vran_phy::llr::adds16;
+    use vran_phy::turbo::native_batch::{NativeBatchTurboDecoder, BATCH, QUAD};
+    use vran_phy::turbo::simd_decoder::SimdTurboDecoder;
+    use vran_phy::turbo::{BlockLlrs, DecoderIsa, NativeTurboDecoder};
+    use vran_simd::{Mem, RegWidth, Vm};
+    use vran_util::rng::SmallRng;
+    const K: usize = 512;
+    const CAP: usize = 3;
+    let oracle = TurboDecoder::new(K, CAP);
+    let vm_dec = SimdTurboDecoder::new(K, CAP, RegWidth::Sse128);
+    let natives = DecoderIsa::available()
+        .into_iter()
+        .map(|isa| NativeTurboDecoder::with_isa(K, CAP, isa))
+        .collect::<Vec<_>>();
+    let batch = NativeBatchTurboDecoder::new(K, CAP);
+    let mut stops = [0usize; 2 * CAP + 1];
+    for quad in 0..512u64 {
+        let blocks: [TurboLlrs; QUAD] = core::array::from_fn(|g| {
+            let seed = QUAD as u64 * quad + g as u64;
+            let cw = TurboEncoder::new(K).encode(&CRC24B.attach(&random_bits(K - 24, seed)));
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x16);
+            let noise = 16 + seed % 11;
+            let soft = cw.to_dstreams().map(|st| {
+                st.iter()
+                    .map(|&b| {
+                        let n = (rng.next_u64() % (2 * noise + 1)) as i16 - noise as i16;
+                        adds16(bit_to_llr(b, 12), n)
+                    })
+                    .collect()
+            });
+            TurboLlrs::from_dstreams(&soft, K)
+        });
+        let want = blocks
+            .each_ref()
+            .map(|b| oracle.decode_with_crc(b, &CRC24B));
+        for (b, want) in blocks.iter().zip(&want) {
+            stops[if want.crc_ok == Some(true) {
+                want.siso_passes
+            } else {
+                0
+            }] += 1;
+            let mut mem = Mem::new();
+            let [sys, p1, p2] =
+                [&b.streams.sys, &b.streams.p1, &b.streams.p2].map(|s| mem.alloc_from(s));
+            let mut vm = Vm::native(mem);
+            let got = vm_dec.decode_in_vm(&mut vm, sys, p1, p2, &b.tails, Some(&CRC24B));
+            assert_eq!(&got, want, "VM, quad {quad}");
+            for native in &natives {
+                let got = native.decode_with_crc(b, &CRC24B);
+                assert_eq!(&got, want, "{}, quad {quad}", native.isa().name());
+            }
+        }
+        let mut scratch = Default::default();
+        let mut bits: [Vec<u8>; QUAD] = Default::default();
+        let lanes = batch.decode_quad_lanes_into(
+            blocks.each_ref().map(BlockLlrs::from_turbo),
+            Some(&CRC24B),
+            &mut scratch,
+            &mut bits,
+        );
+        let outcome = want
+            .each_ref()
+            .map(|w| (w.iterations_run, w.crc_ok, w.siso_passes));
+        for g in 0..QUAD {
+            assert_eq!(
+                (&bits[g], lanes[g]),
+                (&want[g].bits, outcome[g]),
+                "quad {quad} lane {g}"
+            );
+        }
+        for half in 0..QUAD / BATCH {
+            let mut pair_bits: [Vec<u8>; BATCH] = Default::default();
+            let pair = batch.decode_pair_lanes_into(
+                core::array::from_fn(|h| BlockLlrs::from_turbo(&blocks[half * BATCH + h])),
+                Some(&CRC24B),
+                &mut scratch,
+                &mut pair_bits,
+            );
+            for h in 0..BATCH {
+                let g = half * BATCH + h;
+                assert_eq!(
+                    (&pair_bits[h], pair[h]),
+                    (&want[g].bits, outcome[g]),
+                    "quad {quad} pair lane {g}"
+                );
+            }
+        }
+    }
+    eprintln!("K={K} cap {CAP}: blocks by stopping pass (index 0 = never) {stops:?}");
+    assert!(
+        stops.iter().all(|&n| n >= 20),
+        "a stop the sweep never met: {stops:?}"
+    );
 }
 
 fn bits_strategy(n: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -374,9 +485,18 @@ proptest! {
             for g in 0..QUAD {
                 let alone = single.decode_with_crc(refs[g], &CRC24B);
                 prop_assert_eq!(
-                    (&bits[g], lanes[g]), (&alone.bits, (alone.iterations_run, alone.crc_ok)),
+                    (&bits[g], lanes[g]),
+                    (&alone.bits, (alone.iterations_run, alone.crc_ok, alone.siso_passes)),
                     "K={} lane {} vs {}", k, g, isa.name());
             }
+        }
+        let oracle = TurboDecoder::new(k, 4);
+        for g in 0..QUAD {
+            let want = oracle.decode_with_crc(refs[g], &CRC24B);
+            prop_assert_eq!(
+                (&bits[g], lanes[g]),
+                (&want.bits, (want.iterations_run, want.crc_ok, want.siso_passes)),
+                "K={} lane {} vs the oracle", k, g);
         }
     }
 

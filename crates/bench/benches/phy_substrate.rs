@@ -33,23 +33,33 @@ fn bench_fft(c: &mut Criterion) {
     g.finish();
 }
 
-/// One OFDM symbol each way per tier. The stream entry points take the
-/// best tier the host has, so each row caps the process-wide ISA
-/// ceiling (a bench binary is its own single-threaded process).
+/// One OFDM symbol, and twelve (the shape of a 1400 B 64-QAM packet,
+/// which is what the repository benchmark's `rx_bulk` / `tx_bulk`
+/// call), each way per tier. The stream entry points take the best tier
+/// the host has, so each row caps the process-wide ISA ceiling (a bench
+/// binary is its own single-threaded process).
 fn bench_ofdm_symbol(c: &mut Criterion) {
     let cfg = OfdmConfig::lte5mhz();
-    let syms = Modulation::Qpsk.modulate(&random_bits(600, 1));
-    let air = cfg.modulate(&syms);
     let (mut tx, mut rx) = (Vec::new(), Vec::new());
     let mut g = c.benchmark_group("ofdm");
     for tier in host::available() {
         host::set_isa_ceiling(Some(tier));
-        g.bench_function(BenchmarkId::new("symbol/modulate", tier.name()), |b| {
-            b.iter(|| cfg.modulate_stream_into(std::hint::black_box(&syms), &mut tx))
-        });
-        g.bench_function(BenchmarkId::new("symbol/demodulate", tier.name()), |b| {
-            b.iter(|| cfg.demodulate_stream_into(std::hint::black_box(&air), syms.len(), &mut rx))
-        });
+        for (shape, n) in [("symbol", 1), ("stream12", 12)] {
+            let syms = Modulation::Qpsk.modulate(&random_bits(600 * n, 1));
+            let air = cfg.modulate_stream(&syms);
+            g.bench_function(
+                BenchmarkId::new(format!("{shape}/modulate"), tier.name()),
+                |b| b.iter(|| cfg.modulate_stream_into(std::hint::black_box(&syms), &mut tx)),
+            );
+            g.bench_function(
+                BenchmarkId::new(format!("{shape}/demodulate"), tier.name()),
+                |b| {
+                    b.iter(|| {
+                        cfg.demodulate_stream_into(std::hint::black_box(&air), syms.len(), &mut rx)
+                    })
+                },
+            );
+        }
     }
     host::set_isa_ceiling(None);
     g.finish();

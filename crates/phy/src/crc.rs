@@ -184,19 +184,22 @@ const fn xn_mod_p(poly: u32, width: u32, n: usize) -> u64 {
     v as u64
 }
 
-/// Pack a `{0,1}` bit slice MSB-first into bytes; returns the packed
-/// bytes and the ragged `< 8`-bit tail. One multiply gathers each
-/// 8-bit group (the `0x8040…0201` bit-gather constant is carry-free
-/// for this pattern).
-fn pack_bits_msb(bits: &[u8]) -> (Vec<u8>, &[u8]) {
-    let q = bits.len() / 8;
-    let (head, tail) = bits.split_at(8 * q);
-    let mut out = Vec::with_capacity(q);
-    for oct in head.chunks_exact(8) {
+/// Pack `8 · out.len()` `{0,1}` bits MSB-first into `out`. `simd`
+/// (the host has SSSE3) packs sixteen per `pmovmskb`; the portable form
+/// gathers each 8-bit group with one multiply (the `0x8040…0201`
+/// bit-gather constant is carry-free for this pattern).
+fn pack_bits_msb(simd: bool, bits: &[u8], out: &mut [u8]) {
+    assert_eq!(bits.len(), 8 * out.len());
+    let done = match simd {
+        // SAFETY: the caller saw SSSE3; the lengths were just checked.
+        #[cfg(target_arch = "x86_64")]
+        true => unsafe { x86::pack16(bits, out) },
+        _ => 0,
+    };
+    for (o, oct) in out[done..].iter_mut().zip(bits[8 * done..].chunks_exact(8)) {
         let x = u64::from_le_bytes(oct.try_into().unwrap());
-        out.push(((x & 0x0101_0101_0101_0101).wrapping_mul(0x8040_2010_0804_0201) >> 56) as u8);
+        *o = ((x & 0x0101_0101_0101_0101).wrapping_mul(0x8040_2010_0804_0201) >> 56) as u8;
     }
-    (out, tail)
 }
 
 impl Crc {
@@ -245,22 +248,7 @@ impl Crc {
 
     /// Compute with an explicit kernel tier.
     pub fn compute_with(&self, imp: CrcImpl, bits: &[u8]) -> Vec<u8> {
-        let reg = match imp {
-            CrcImpl::BitSerial => {
-                return self.compute_bit_serial(bits);
-            }
-            CrcImpl::Sliced8 => {
-                let (packed, tail) = pack_bits_msb(bits);
-                let reg = self.bytes_sliced(0, &packed);
-                self.bits_top_aligned(reg, tail)
-            }
-            CrcImpl::ClmulFold => {
-                let (packed, tail) = pack_bits_msb(bits);
-                let reg = self.bytes_clmul(&packed);
-                self.bits_top_aligned(reg, tail)
-            }
-        };
-        let r = reg >> (32 - self.width);
+        let r = self.remainder(imp, bits);
         (0..self.width)
             .rev()
             .map(|i| ((r >> i) & 1) as u8)
@@ -269,25 +257,46 @@ impl Crc {
 
     /// Bit-serial reference: one feedback step per bit.
     pub fn compute_bit_serial(&self, bits: &[u8]) -> Vec<u8> {
+        self.compute_with(CrcImpl::BitSerial, bits)
+    }
+
+    /// The CRC of `bits` as a `width`-bit number, with no heap use: the
+    /// byte kernels see the message packed a stack buffer at a time,
+    /// the register carried from one into the next.
+    fn remainder(&self, imp: CrcImpl, bits: &[u8]) -> u32 {
         let mut reg: u32 = 0;
-        let top = 1u32 << (self.width - 1);
-        let mask = if self.width == 32 {
-            u32::MAX
-        } else {
-            (1u32 << self.width) - 1
-        };
-        for &b in bits {
-            debug_assert!(b <= 1);
-            let fb = ((reg & top) != 0) as u32 ^ b as u32;
-            reg = (reg << 1) & mask;
-            if fb != 0 {
-                reg ^= self.poly;
+        if imp == CrcImpl::BitSerial {
+            let top = 1u32 << (self.width - 1);
+            for &b in bits {
+                debug_assert!(b <= 1);
+                let fb = ((reg & top) != 0) as u32 ^ b as u32;
+                reg <<= 1;
+                if fb != 0 {
+                    reg ^= self.poly;
+                }
             }
+            return reg & (u32::MAX >> (32 - self.width));
         }
-        (0..self.width)
-            .rev()
-            .map(|i| ((reg >> i) & 1) as u8)
-            .collect()
+        let clmul = imp == CrcImpl::ClmulFold && has_pclmul() && host::has(HostIsa::Ssse3);
+        let mut buf = [0u8; 1024];
+        for chunk in bits.chunks(8 * buf.len()) {
+            let (head, tail) = chunk.split_at(chunk.len() & !7);
+            let packed = &mut buf[..head.len() / 8];
+            pack_bits_msb(clmul, head, packed);
+            reg = match clmul && packed.len() >= 32 {
+                #[cfg(target_arch = "x86_64")]
+                true => {
+                    // a register going in is the xor of the first four bytes
+                    for (b, r) in packed.iter_mut().zip(reg.to_be_bytes()) {
+                        *b ^= r;
+                    }
+                    self.bytes_clmul(packed)
+                }
+                _ => self.bytes_sliced(reg, packed),
+            };
+            reg = self.bits_top_aligned(reg, tail);
+        }
+        reg >> (32 - self.width)
     }
 
     /// Advance a top-aligned register past packed message bytes,
@@ -326,20 +335,17 @@ impl Crc {
         reg
     }
 
-    /// Fold the packed byte stream down to a 128-bit residue with
+    /// Fold at least 32 packed bytes down to a 128-bit residue with
     /// carry-less multiplies, then finish through the table path.
-    /// Falls back to pure slicing below two 16-byte blocks.
+    #[cfg(target_arch = "x86_64")]
     fn bytes_clmul(&self, bytes: &[u8]) -> u32 {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if bytes.len() >= 32 && has_pclmul() && host::has(HostIsa::Ssse3) {
-                let (k128, k192) = self.fold_keys();
-                let (folded, consumed) = unsafe { x86::fold128(bytes, k128, k192) };
-                let reg = self.bytes_sliced(0, &folded);
-                return self.bytes_sliced(reg, &bytes[consumed..]);
-            }
-        }
-        self.bytes_sliced(0, bytes)
+        assert!(bytes.len() >= 32);
+        let (k128, k192) = self.fold_keys();
+        // SAFETY: `remainder` saw `pclmulqdq` and SSSE3; the length was
+        // just checked.
+        let (folded, consumed) = unsafe { x86::fold128(bytes, k128, k192) };
+        let reg = self.bytes_sliced(0, &folded);
+        self.bytes_sliced(reg, &bytes[consumed..])
     }
 
     /// Append this CRC to `bits` (TS 36.212 attachment).
@@ -362,17 +368,11 @@ impl Crc {
         self.check_with(best_crc(), bits)
     }
 
-    /// Check with an explicit kernel tier.
+    /// Check with an explicit kernel tier. Uses no heap.
     pub fn check_with<'a>(&self, imp: CrcImpl, bits: &'a [u8]) -> Option<&'a [u8]> {
-        if bits.len() < self.width() {
-            return None;
-        }
-        let (payload, tail) = bits.split_at(bits.len() - self.width());
-        if self.compute_with(imp, payload) == tail {
-            Some(payload)
-        } else {
-            None
-        }
+        let (payload, tail) = bits.split_at_checked(bits.len().checked_sub(self.width())?)?;
+        let want = tail.iter().fold(0, |r, &b| r << 1 | b as u32);
+        (self.remainder(imp, payload) == want).then_some(payload)
     }
 }
 
@@ -406,6 +406,23 @@ mod x86 {
         let mut out = [0u8; 16];
         _mm_storeu_si128(out.as_mut_ptr().cast(), _mm_shuffle_epi8(a, bswap));
         (out, off)
+    }
+
+    /// Pack `{0,1}` bits MSB-first, sixteen at a time; returns how many
+    /// bytes of `out` it wrote (all but at most one).
+    ///
+    /// # Safety
+    /// Caller guarantees `ssse3` and `bits.len() == 8 * out.len()`.
+    #[target_feature(enable = "ssse3")]
+    pub unsafe fn pack16(bits: &[u8], out: &mut [u8]) -> usize {
+        // `pmovmskb` takes byte 0 to bit 0: reverse each group of eight
+        let msb_first = _mm_set_epi8(8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7);
+        for (i, o) in out.chunks_exact_mut(2).enumerate() {
+            let v = _mm_loadu_si128(bits.as_ptr().add(16 * i).cast());
+            let m = _mm_movemask_epi8(_mm_slli_epi16(_mm_shuffle_epi8(v, msb_first), 7));
+            o.copy_from_slice(&(m as u16).to_le_bytes());
+        }
+        out.len() & !1
     }
 }
 

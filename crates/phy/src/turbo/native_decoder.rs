@@ -86,10 +86,12 @@
 //! rows — `K` rows in the `(K+1)×8` buffer the 128-bit tiers fill with
 //! α alone.
 //!
-//! After either schedule the extrinsic peels off lane-parallel,
-//! already scaled by ¾ for the next half-iteration (the oracle scales
-//! the whole array, then permutes — so the interleaver gather is a
-//! plain indexed copy).
+//! A pass leaves the posterior and `γ₀`; the extrinsic peels off them
+//! lane-parallel (`peel_extrinsic`) only if another pass will read it
+//! — a block that stops on its CRC, and the last pass of any decode,
+//! never pay for it — already scaled by ¾ for the next half-iteration
+//! (the oracle scales the whole array, then permutes — so the
+//! interleaver gather is a plain indexed copy).
 //!
 //! # Iteration control
 //!
@@ -398,7 +400,6 @@ impl NativeTurboDecoder {
                 g0,
                 gq,
                 alpha,
-                ext,
                 post,
             );
             // The stop rule: SISO 1's posterior is in natural order,
@@ -420,9 +421,11 @@ impl NativeTurboDecoder {
                     *s = unsafe { *sys.get_unchecked(p as usize) };
                 }
             }
-            // `ext` arrives scaled (see `siso_into`): the oracle scales
-            // the whole array and then permutes, so the gather is a
-            // plain indexed copy.
+            // The extrinsic exists only for a pass that follows: 97 % of
+            // `rx_bulk`'s blocks returned above. It peels off scaled
+            // (the oracle scales the whole array and then permutes), so
+            // the gather is a plain indexed copy.
+            peel_extrinsic(self.isa, post, g0, ext);
             for (l, &p) in la2.iter_mut().zip(pi) {
                 *l = unsafe { *ext.get_unchecked(p as usize) };
             }
@@ -436,7 +439,6 @@ impl NativeTurboDecoder {
                 g0,
                 gq,
                 alpha,
-                ext,
                 post,
             );
             // Hard decisions are observable only through the CRC check
@@ -458,6 +460,7 @@ impl NativeTurboDecoder {
             }
             // Only a further iteration reads the second extrinsic.
             if !last {
+                peel_extrinsic(self.isa, post, g0, ext);
                 for (l, &p) in la1.iter_mut().zip(pi_inv) {
                     *l = unsafe { *ext.get_unchecked(p as usize) };
                 }
@@ -470,10 +473,9 @@ impl NativeTurboDecoder {
 
 /// One SISO pass at the chosen ISA level, writing into caller buffers:
 /// `post` receives the posterior LLRs (low 16 bits of each element) and
-/// `ext` the extrinsic **already scaled** by
-/// [`scale_extrinsic`] — the next half-iteration's a-priori, still in
-/// this pass's order. `g0` (K) and `gq` (4·K) are branch-metric
-/// scratch, `alpha` the `(K+1)×8` trellis scratch.
+/// `g0` (K) the `γ₀` they were computed from, which is all
+/// [`peel_extrinsic`] needs should another pass follow. `gq` (4·K) is
+/// branch-metric scratch, `alpha` the `(K+1)×8` trellis scratch.
 ///
 /// This is the safe boundary of the kernel family: every length
 /// precondition the `unsafe` bodies index by is checked here, once.
@@ -488,7 +490,6 @@ pub(crate) fn siso_into(
     g0: &mut [Llr],
     gq: &mut [Llr],
     alpha: &mut [Llr],
-    ext: &mut [Llr],
     post: &mut [i32],
 ) {
     let k = sys.len();
@@ -499,32 +500,44 @@ pub(crate) fn siso_into(
     assert!(par.len() == k && apriori.len() == k, "input stream length");
     assert!(g0.len() == k && gq.len() == 4 * k, "γ scratch length");
     assert!(alpha.len() == (k + 1) * STATES, "trellis scratch length");
-    assert!(ext.len() == k && post.len() == k, "output length");
+    assert!(post.len() == k, "output length");
     // Only the AVX2 body stages four metrics per step; the others keep
     // `γₚ` alone in the first K words.
     let gp = &mut gq[..k];
     match isa {
         #[cfg(target_arch = "x86_64")]
         DecoderIsa::Sse2 => unsafe {
-            x86::siso_sse2(
-                sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
-            )
+            x86::siso_sse2(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post)
         },
         #[cfg(target_arch = "x86_64")]
         DecoderIsa::Ssse3 => unsafe {
-            x86::siso_ssse3(
-                sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
-            )
+            x86::siso_ssse3(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post)
         },
         #[cfg(target_arch = "x86_64")]
         DecoderIsa::Avx2 => unsafe {
-            x86::siso_avx2(
-                sys, par, apriori, tail_sys, tail_par, g0, gq, alpha, ext, post,
-            )
+            x86::siso_avx2(sys, par, apriori, tail_sys, tail_par, g0, gq, alpha, post)
         },
-        _ => siso_scalar(
-            sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
-        ),
+        _ => siso_scalar(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post),
+    }
+}
+
+/// The next half-iteration's a-priori, still in this pass's order, from
+/// a pass's posterior and `γ₀`: `scale_extrinsic(L − 2·γ₀)`, the same
+/// saturating ops on the same values as the oracle's in-loop
+/// subtraction and its whole-array scaling pass. Every element is an
+/// independent computation, so it runs after the recurrences — and only
+/// when a later pass will read it.
+pub(crate) fn peel_extrinsic(isa: DecoderIsa, post: &[i32], g0: &[Llr], ext: &mut [Llr]) {
+    let k = ext.len();
+    assert!(post.len() == k && g0.len() == k && k.is_multiple_of(STATES));
+    #[cfg(target_arch = "x86_64")]
+    if isa != DecoderIsa::Scalar {
+        // SAFETY: SSE2 is baseline on x86-64; the three buffers are `k`
+        // long, a multiple of the eight elements a step covers.
+        return unsafe { x86::peel_extrinsic(post, g0, ext) };
+    }
+    for ((e, &l), &g) in ext.iter_mut().zip(post).zip(g0) {
+        *e = scale_extrinsic(subs16(l as Llr, adds16(g, g)));
     }
 }
 
@@ -551,7 +564,6 @@ fn siso_scalar(
     g0: &mut [Llr],
     gp: &mut [Llr],
     alpha: &mut [Llr],
-    ext: &mut [Llr],
     post: &mut [i32],
 ) {
     let k = sys.len();
@@ -595,9 +607,7 @@ fn siso_scalar(
                 m[u as usize] = max16(m[u as usize], metric);
             }
         }
-        let l = subs16(m[0], m[1]);
-        post[i] = l as i32;
-        ext[i] = scale_extrinsic(subs16(l, adds16(g0[i], g0[i])));
+        post[i] = subs16(m[0], m[1]) as i32;
         let mut prev = [NEG_INF; STATES];
         for (s, pb) in prev.iter_mut().enumerate() {
             let mut best = NEG_INF;
@@ -863,12 +873,9 @@ mod x86 {
         g0: &mut [Llr],
         gp: &mut [Llr],
         alpha: &mut [Llr],
-        ext: &mut [Llr],
         post: &mut [i32],
     ) {
-        siso_body::<false>(
-            sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
-        )
+        siso_body::<false>(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -882,12 +889,9 @@ mod x86 {
         g0: &mut [Llr],
         gp: &mut [Llr],
         alpha: &mut [Llr],
-        ext: &mut [Llr],
         post: &mut [i32],
     ) {
-        siso_body::<true>(
-            sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, ext, post,
-        )
+        siso_body::<true>(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post)
     }
 
     const ALPHA0: [i16; 8] = [
@@ -905,13 +909,12 @@ mod x86 {
         g0: &mut [Llr],
         gp: &mut [Llr],
         alpha: &mut [Llr],
-        ext: &mut [Llr],
         post: &mut [i32],
     ) {
         let k = sys.len();
         debug_assert!(k.is_multiple_of(STATES) && par.len() == k && apriori.len() == k);
         debug_assert!(g0.len() == k && gp.len() == k);
-        debug_assert!(ext.len() == k && post.len() == k);
+        debug_assert!(post.len() == k);
         debug_assert!(alpha.len() == (k + 1) * STATES);
         let ctl = make_ctl();
 
@@ -957,7 +960,7 @@ mod x86 {
             base += STATES;
         }
 
-        // Backward β fused with the extrinsic.
+        // Backward β fused with the posterior.
         let binit = beta_init_from_tails(tail_sys, tail_par);
         let mut b = _mm_loadu_si128(binit.as_ptr() as *const __m128i);
         let mut base = k;
@@ -991,8 +994,7 @@ mod x86 {
                 let lv = _mm_subs_epi16(wf, _mm_srli_si128(wf, 2));
                 // In-bounds by the debug_asserts above (`step < k` and
                 // every buffer is `k` long). Only the posterior is
-                // stored here; the extrinsic peels off lane-parallel
-                // after the loop.
+                // stored; the extrinsic peels off it later, if at all.
                 *post.get_unchecked_mut(step) = _mm_cvtsi128_si32(lv);
                 // β update reusing the gathered successors.
                 let c0 = _mm_adds_epi16(b0, gam0);
@@ -1002,19 +1004,13 @@ mod x86 {
                 b = _mm_subs_epi16(m, n);
             }
         }
-
-        peel_extrinsic(post, g0, ext);
     }
 
-    /// Extrinsic peel-off, eight steps per register: the next
-    /// half-iteration's a-priori `scale_extrinsic(L − 2·γ₀)`. The same
-    /// saturating ops on the same values as the oracle's in-loop
-    /// subtraction and its whole-array scaling pass — each lane is an
-    /// independent scalar computation, so hoisting both out of the
-    /// recurrence costs nothing in exactness and keeps the hot loops
-    /// free of a second per-step store.
-    #[inline(always)]
-    unsafe fn peel_extrinsic(post: &[i32], g0: &[Llr], ext: &mut [Llr]) {
+    /// [`super::peel_extrinsic`], eight steps per register.
+    ///
+    /// # Safety
+    /// The three slices are equally long, a multiple of eight.
+    pub unsafe fn peel_extrinsic(post: &[i32], g0: &[Llr], ext: &mut [Llr]) {
         let mut i = 0;
         while i < ext.len() {
             // Recover the i16 posterior from each dword's low half:
@@ -1204,14 +1200,13 @@ mod x86 {
         g0: &mut [Llr],
         gq: &mut [Llr],
         trellis: &mut [Llr],
-        ext: &mut [Llr],
         post: &mut [i32],
     ) {
         let k = sys.len();
         debug_assert!(k.is_multiple_of(STATES) && k >= 2 * STATES);
         debug_assert!(par.len() == k && apriori.len() == k);
         debug_assert!(g0.len() == k && gq.len() == 4 * k);
-        debug_assert!(ext.len() == k && post.len() == k);
+        debug_assert!(post.len() == k);
         debug_assert!(trellis.len() == (k + 1) * STATES);
         let h = STATES * (k / (2 * STATES));
         let kp = 2 * h;
@@ -1390,8 +1385,6 @@ mod x86 {
             *postp.add(i) = _mm_cvtsi128_si32(lv);
             a = next;
         }
-
-        peel_extrinsic(post, g0, ext);
     }
 
     /// Test hook: run every lane gather on `[0..8]` so the shuffle
@@ -1648,9 +1641,9 @@ pub(crate) mod tests {
         let (mut ext, mut post) = (vec![0 as Llr; k], vec![0i32; k]);
         for isa in DecoderIsa::available() {
             siso_into(
-                isa, sys, par, la, tail_sys, tail_par, &mut g0, &mut gq, &mut alpha, &mut ext,
-                &mut post,
+                isa, sys, par, la, tail_sys, tail_par, &mut g0, &mut gq, &mut alpha, &mut post,
             );
+            peel_extrinsic(isa, &post, &g0, &mut ext);
             let post_lo: Vec<Llr> = post.iter().map(|&p| p as Llr).collect();
             assert_eq!(post_lo, post_ref, "posterior on {} K={k}", isa.name());
             assert_eq!(ext, ext_ref, "extrinsic on {} K={k}", isa.name());
@@ -1751,7 +1744,7 @@ pub(crate) mod tests {
         // every caller, whichever tier it names.
         let (mut g0, mut gq) = (vec![0; k], vec![0; k]);
         let mut alpha = vec![0; (k + 1) * STATES];
-        let (mut ext, mut post) = (vec![0 as Llr; k], vec![0i32; k]);
+        let mut post = vec![0i32; k];
         siso_into(
             DecoderIsa::Scalar,
             &z,
@@ -1762,7 +1755,6 @@ pub(crate) mod tests {
             &mut g0,
             &mut gq,
             &mut alpha,
-            &mut ext,
             &mut post,
         );
     }
@@ -1832,7 +1824,7 @@ pub(crate) mod tests {
             let tail_sys = [t[0], t[1], t[2]];
             let tail_par = [t[3], t[4], t[5]];
             let (ext_ref, post_ref) = siso(&sys, &par, &la, &tail_sys, &tail_par);
-            // `siso_into` hands back the extrinsic already scaled.
+            // the peel hands back the extrinsic already scaled
             let ext_ref: Vec<Llr> = ext_ref.into_iter().map(scale_extrinsic).collect();
             let k = sys.len();
             let (mut g0, mut gp) = (vec![0; k], vec![0; 4 * k]);
@@ -1841,8 +1833,9 @@ pub(crate) mod tests {
             for isa in DecoderIsa::available() {
                 siso_into(
                     isa, &sys, &par, &la, &tail_sys, &tail_par,
-                    &mut g0, &mut gp, &mut alpha, &mut ext, &mut post,
+                    &mut g0, &mut gp, &mut alpha, &mut post,
                 );
+                peel_extrinsic(isa, &post, &g0, &mut ext);
                 prop_assert_eq!(&ext, &ext_ref, "extrinsic diverged on {}", isa.name());
                 let post_lo: Vec<Llr> = post.iter().map(|&p| p as Llr).collect();
                 prop_assert_eq!(&post_lo, &post_ref, "posterior diverged on {}", isa.name());

@@ -31,7 +31,10 @@
 //! writes three **caller-owned slices** — the uplink pipeline points
 //! them at pooled per-block stream buffers so demapper output lands
 //! directly in the layout the quad-in-zmm batch decoder reads, with no
-//! intermediate copy.
+//! intermediate copy. Where those slices start is the heap's choice,
+//! so the kernels do not depend on it: each stream's groups start at
+//! its own first whole line (`cover`), and only a head and a tail
+//! group per stream store across one.
 //!
 //! AVX2 is deliberately absent, as in [`crate::native`]: 256-bit x86
 //! has no cross-lane 16-bit permute, so the restore step would decay
@@ -113,20 +116,25 @@ pub fn fused_ingest_into(
 ) {
     assert!(input.len() >= 3 * k, "need 3k interleaved LLRs");
     assert!(sys.len() == k && p1.len() == k && p2.len() == k);
+    assert!(host::has(imp.required_isa()), "host lacks {}", imp.name());
     match imp {
-        FusedImpl::Scalar => scalar(input, 0, k, sys, p1, p2),
+        // SAFETY (both): the host has the ISA, the lengths were checked
+        // above, and `k` holds at least one register of the kernel.
         #[cfg(target_arch = "x86_64")]
-        FusedImpl::MaskMergeSsse3 => unsafe { x86::mask_merge_ssse3(input, k, sys, p1, p2) },
+        FusedImpl::MaskMergeSsse3 if k >= 8 => unsafe {
+            x86::mask_merge_ssse3(input, k, sys, p1, p2)
+        },
         #[cfg(target_arch = "x86_64")]
-        FusedImpl::MaskMergeAvx512 => unsafe { x86::mask_merge_avx512(input, k, sys, p1, p2) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar(input, 0, k, sys, p1, p2),
+        FusedImpl::MaskMergeAvx512 if k >= 32 => unsafe {
+            x86::mask_merge_avx512(input, k, sys, p1, p2)
+        },
+        _ => scalar(input, k, sys, p1, p2),
     }
 }
 
-/// Scalar reference / tail shared by the vector kernels.
-fn scalar(input: &[Llr], from: usize, k: usize, sys: &mut [Llr], p1: &mut [Llr], p2: &mut [Llr]) {
-    for t in from..k {
+/// Scalar reference, and what a block shorter than a register takes.
+fn scalar(input: &[Llr], k: usize, sys: &mut [Llr], p1: &mut [Llr], p2: &mut [Llr]) {
+    for t in 0..k {
         sys[t] = input[3 * t];
         p1[t] = input[3 * t + 1];
         p2[t] = input[3 * t + 2];
@@ -152,6 +160,55 @@ mod x86 {
         core::array::from_fn(|i| ((3 * i + c) % W) as i16)
     }
 
+    /// Cover elements `0..k` of every stream with `store(c, t, &load(t))`
+    /// — `load(t)` the three shifted reloads of the group at `t`,
+    /// `store` cluster `c`'s elements `t..t + W` merged out of them —
+    /// so that every store but a head and a tail per stream is a whole
+    /// aligned register, wherever the caller's slices start. A
+    /// stream's group origin is the first element of its first whole
+    /// line (the residue masks hold at any origin: the input moves by
+    /// `3t`), and either end is one unaligned group overlapping the
+    /// aligned ones. Streams on one origin share every group's loads;
+    /// otherwise each reloads its own, which reads the input three
+    /// times and still costs less than splitting every store.
+    #[inline(always)]
+    unsafe fn cover<const W: usize, R>(
+        k: usize,
+        streams: [*mut Llr; 3],
+        load: impl Fn(usize) -> R,
+        store: impl Fn(usize, usize, &R),
+    ) {
+        let head = streams.map(|p| (p as usize).wrapping_neg() % (2 * W) / 2);
+        let groups = head.map(|h| (k - h) / W);
+        if head[0] == head[1] && head[1] == head[2] {
+            for t in (head[0]..).step_by(W).take(groups[0]) {
+                let r = load(t);
+                for c in 0..3 {
+                    store(c, t, &r);
+                }
+            }
+        } else {
+            for g in 0..groups[0].max(groups[1]).max(groups[2]) {
+                for c in 0..3 {
+                    if g < groups[c] {
+                        let t = head[c] + g * W;
+                        store(c, t, &load(t));
+                    }
+                }
+            }
+        }
+        for c in 0..3 {
+            if head[c] > 0 {
+                store(c, 0, &load(0));
+            }
+            if head[c] + groups[c] * W < k {
+                store(c, k - W, &load(k - W));
+            }
+        }
+    }
+
+    /// # Safety
+    /// SSSE3; `input` holds `3k` elements, each stream `k`, `k >= 8`.
     #[target_feature(enable = "ssse3")]
     pub unsafe fn mask_merge_ssse3(
         input: &[Llr],
@@ -161,7 +218,6 @@ mod x86 {
         p2: &mut [Llr],
     ) {
         const W: usize = 8;
-        let groups = k / W;
         // per (cluster, source register) residue masks…
         let mut masks = [[_mm_setzero_si128(); 3]; 3];
         // …and the per-cluster pshufb restore control (word permute as
@@ -179,25 +235,24 @@ mod x86 {
             }
             restore[c] = _mm_loadu_si128(ctl.as_ptr() as *const __m128i);
         }
-        let streams: [*mut i16; 3] = [sys.as_mut_ptr(), p1.as_mut_ptr(), p2.as_mut_ptr()];
-        for g in 0..groups {
-            let gbase = g * 3 * W;
-            // The shifted reloads: same group, three W-element offsets.
-            let r0 = _mm_loadu_si128(input.as_ptr().add(gbase) as *const __m128i);
-            let r1 = _mm_loadu_si128(input.as_ptr().add(gbase + W) as *const __m128i);
-            let r2 = _mm_loadu_si128(input.as_ptr().add(gbase + 2 * W) as *const __m128i);
-            for (c, stream) in streams.iter().enumerate() {
-                let a = _mm_and_si128(r0, masks[c][0]);
-                let b = _mm_and_si128(r1, masks[c][1]);
-                let d = _mm_and_si128(r2, masks[c][2]);
-                let merged = _mm_or_si128(_mm_or_si128(a, b), d);
-                let o = _mm_shuffle_epi8(merged, restore[c]);
-                _mm_storeu_si128(stream.add(g * W) as *mut __m128i, o);
-            }
-        }
-        scalar(input, groups * W, k, sys, p1, p2);
+        let streams = [sys.as_mut_ptr(), p1.as_mut_ptr(), p2.as_mut_ptr()];
+        // The shifted reloads: same group, three W-element offsets.
+        let load = |t: usize| {
+            let at = input.as_ptr().add(3 * t);
+            [0, W, 2 * W].map(|o| _mm_loadu_si128(at.add(o).cast()))
+        };
+        cover::<W, _>(k, streams, load, |c, t, r: &[__m128i; 3]| {
+            let a = _mm_and_si128(r[0], masks[c][0]);
+            let b = _mm_and_si128(r[1], masks[c][1]);
+            let d = _mm_and_si128(r[2], masks[c][2]);
+            let o = _mm_shuffle_epi8(_mm_or_si128(_mm_or_si128(a, b), d), restore[c]);
+            _mm_storeu_si128(streams[c].add(t).cast(), o);
+        });
     }
 
+    /// # Safety
+    /// AVX-512BW; `input` holds `3k` elements, each stream `k`,
+    /// `k >= 32`.
     #[target_feature(enable = "avx512bw", enable = "avx512f")]
     pub unsafe fn mask_merge_avx512(
         input: &[Llr],
@@ -207,7 +262,6 @@ mod x86 {
         p2: &mut [Llr],
     ) {
         const W: usize = 32;
-        let groups = k / W;
         let mut masks = [[_mm512_setzero_si512(); 3]; 3];
         let mut restore = [_mm512_setzero_si512(); 3];
         for c in 0..3 {
@@ -216,22 +270,19 @@ mod x86 {
             }
             restore[c] = _mm512_loadu_si512(restore_idx::<W>(c).as_ptr() as *const _);
         }
-        let streams: [*mut i16; 3] = [sys.as_mut_ptr(), p1.as_mut_ptr(), p2.as_mut_ptr()];
-        for g in 0..groups {
-            let gbase = g * 3 * W;
-            let r0 = _mm512_loadu_si512(input.as_ptr().add(gbase) as *const _);
-            let r1 = _mm512_loadu_si512(input.as_ptr().add(gbase + W) as *const _);
-            let r2 = _mm512_loadu_si512(input.as_ptr().add(gbase + 2 * W) as *const _);
-            for (c, stream) in streams.iter().enumerate() {
-                let a = _mm512_and_si512(r0, masks[c][0]);
-                let b = _mm512_and_si512(r1, masks[c][1]);
-                let d = _mm512_and_si512(r2, masks[c][2]);
-                let merged = _mm512_or_si512(_mm512_or_si512(a, b), d);
-                let o = _mm512_permutexvar_epi16(restore[c], merged);
-                _mm512_storeu_si512(stream.add(g * W) as *mut _, o);
-            }
-        }
-        scalar(input, groups * W, k, sys, p1, p2);
+        let streams = [sys.as_mut_ptr(), p1.as_mut_ptr(), p2.as_mut_ptr()];
+        let load = |t: usize| {
+            let at = input.as_ptr().add(3 * t);
+            [0, W, 2 * W].map(|o| _mm512_loadu_si512(at.add(o).cast()))
+        };
+        cover::<W, _>(k, streams, load, |c, t, r: &[__m512i; 3]| {
+            let a = _mm512_and_si512(r[0], masks[c][0]);
+            let b = _mm512_and_si512(r[1], masks[c][1]);
+            let d = _mm512_and_si512(r[2], masks[c][2]);
+            let merged = _mm512_or_si512(_mm512_or_si512(a, b), d);
+            let o = _mm512_permutexvar_epi16(restore[c], merged);
+            _mm512_storeu_si512(streams[c].add(t).cast(), o);
+        });
     }
 }
 
@@ -273,6 +324,39 @@ mod tests {
             let expect = run(FusedImpl::Scalar, &input, k);
             for imp in available_fused() {
                 assert_eq!(run(imp, &input, k), expect, "{} K={k}", imp.name());
+            }
+        }
+    }
+
+    #[test]
+    fn outputs_at_every_misalignment_match_scalar() {
+        // Each stream in turn at every word offset into its allocation
+        // (ending flush with it) while the others stay put, then all
+        // three on one shared phase, then on three different ones: both
+        // loops of `cover`, every head and tail length.
+        let shapes = (0..32).flat_map(|m| {
+            let one = (0..3).map(move |s| core::array::from_fn(|i| if i == s { m } else { 0 }));
+            one.chain([[m; 3], [m, (m + 7) % 32, (m + 19) % 32]])
+        });
+        let cases: Vec<[usize; 3]> = shapes.collect();
+        for k in [40usize, 96, 104, 999, 5696, 6144] {
+            let input = sample(3 * k);
+            let expect = run(FusedImpl::Scalar, &input, k);
+            for imp in available_fused() {
+                for offs in &cases {
+                    let mut bufs = offs.map(|o| vec![7; o + k]);
+                    let [a, b, c] = &mut bufs;
+                    let (a, b, c) = (&mut a[offs[0]..], &mut b[offs[1]..], &mut c[offs[2]..]);
+                    fused_ingest_into(imp, &input, k, a, b, c);
+                    for (s, (buf, &o)) in bufs.iter().zip(offs).enumerate() {
+                        assert_eq!(buf[o..], expect[s], "{} K={k} {offs:?}", imp.name());
+                        assert!(
+                            buf[..o].iter().all(|&v| v == 7),
+                            "{} underwrite",
+                            imp.name()
+                        );
+                    }
+                }
             }
         }
     }

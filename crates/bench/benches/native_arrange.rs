@@ -8,6 +8,7 @@
 //! APCM widens the gap further, exactly the Figure 14 trend.
 
 use vran_arrange::native::{available, deinterleave};
+use vran_arrange::{best_fused, fused_ingest_into};
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::interleaved_workload;
 
@@ -27,10 +28,45 @@ fn bench_native(c: &mut Criterion) {
     }
 }
 
+/// The fused ingest at `rx_bulk`'s block size with its three outputs
+/// on whole lines, one of them half a line off, and all three three
+/// quarters of a line off — where a heap puts them is not the caller's
+/// choice, so the kernel may not depend on it.
+fn bench_fused_alignment(c: &mut Criterion) {
+    let k = 5696;
+    let input = interleaved_workload(k, 3);
+    let mut bufs = [0; 3].map(|_| vec![0i16; k + 64]);
+    let mut g = c.benchmark_group("fused");
+    g.throughput(Throughput::Bytes((3 * k * 2) as u64));
+    for (name, bytes_off) in [
+        ("aligned", [0, 0, 0]),
+        ("off32", [0, 32, 0]),
+        ("off48x3", [48; 3]),
+    ] {
+        let at: [usize; 3] = core::array::from_fn(|i| {
+            ((bufs[i].as_ptr() as usize).wrapping_neg() % 64 + bytes_off[i]) / 2
+        });
+        let [sys, p1, p2] = &mut bufs;
+        g.bench_function(format!("k{k}/{name}"), |b| {
+            b.iter(|| {
+                fused_ingest_into(
+                    best_fused(),
+                    std::hint::black_box(&input.data),
+                    k,
+                    &mut sys[at[0]..][..k],
+                    &mut p1[at[1]..][..k],
+                    &mut p2[at[2]..][..k],
+                )
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = fast();
-    targets = bench_native
+    targets = bench_native, bench_fused_alignment
 }
 
 /// Short measurement windows keep `cargo bench --workspace` in CI

@@ -1,16 +1,18 @@
-//! Substrate component costs: FFT/OFDM, CRC, scrambler, rate matcher,
-//! QPP interleaver, modulation, Viterbi — the per-module cost
+//! Substrate component costs: FFT/OFDM, CRC, scrambler, bit packing,
+//! rate matcher, QPP interleaver, modulation, Viterbi — the per-module cost
 //! backdrop of Figures 3–6.
 
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use vran_phy::bits::random_bits;
+use vran_phy::bits::{
+    extend_bits_from_words, pack_lsb_words, pack_msb, packed_lsb_words, random_bits, unpack_msb,
+};
 use vran_phy::crc::CRC24A;
 use vran_phy::dci::{conv_encode, viterbi_decode_tb};
 use vran_phy::interleaver::QppInterleaver;
 use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::ofdm::{fft_with, OfdmConfig};
 use vran_phy::rate_match::RateMatcher;
-use vran_phy::scrambler::scramble_bits;
+use vran_phy::scrambler::{available_descramble, descramble_llrs_with, scramble_bits};
 use vran_simd::host;
 
 fn bench_fft(c: &mut Criterion) {
@@ -82,6 +84,51 @@ fn bench_scrambler(c: &mut Criterion) {
     g.bench_function("scramble_36k", |b| {
         b.iter(|| scramble_bits(std::hint::black_box(&mut bits), 0x5A5A5))
     });
+    // The codeword of a 1400 B 64-QAM packet, both directions, per
+    // tier: the scrambler's expand sits behind `host::has` (so a
+    // ceiling picks it), the descramblers take theirs by name.
+    let mut bits = random_bits(22_800, 3);
+    let mut llrs: Vec<i16> = (0..22_800).map(|i| (i * 37 % 201) as i16 - 100).collect();
+    g.throughput(Throughput::Elements(22_800));
+    for tier in host::available() {
+        host::set_isa_ceiling(Some(tier));
+        g.bench_function(BenchmarkId::new("scramble_22k", tier.name()), |b| {
+            b.iter(|| scramble_bits(std::hint::black_box(&mut bits), 0x5A5A5))
+        });
+    }
+    host::set_isa_ceiling(None);
+    for imp in available_descramble() {
+        g.bench_function(BenchmarkId::new("descramble_22k", imp.name()), |b| {
+            b.iter(|| descramble_llrs_with(imp, std::hint::black_box(&mut llrs), 0x5A5A5))
+        });
+    }
+    g.finish();
+}
+
+/// The packers and unpackers at the sizes a 1400 B packet gives them:
+/// its PDU into bits, its payload back into bytes, a rate-matched code
+/// block out of packed words, a code block into them.
+fn bench_bits(c: &mut Criterion) {
+    let mut g = c.benchmark_group("bits");
+    let pdu: Vec<u8> = (0..1430).map(|i| (i * 37 + 11) as u8).collect();
+    g.bench_function("unpack_msb_1430B", |b| {
+        b.iter(|| unpack_msb(std::hint::black_box(&pdu), 8 * pdu.len()))
+    });
+    let payload = random_bits(11_416, 5);
+    g.bench_function("pack_msb_11k", |b| {
+        b.iter(|| pack_msb(std::hint::black_box(&payload)))
+    });
+    let (words, mut out) = (packed_lsb_words(&random_bits(22_800, 9)), Vec::new());
+    g.bench_function("extend_22k", |b| {
+        b.iter(|| {
+            out.clear();
+            extend_bits_from_words(std::hint::black_box(&words), 22_800, &mut out)
+        })
+    });
+    let (block, mut packed) = (random_bits(6144, 6), vec![0; 96]);
+    g.bench_function("pack_lsb_6144", |b| {
+        b.iter(|| pack_lsb_words(std::hint::black_box(&block), &mut packed))
+    });
     g.finish();
 }
 
@@ -146,6 +193,12 @@ fn bench_modulation(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("demap", m.name()), &syms, |b, syms| {
             b.iter(|| m.demodulate(std::hint::black_box(syms), 1.0))
         });
+        // the symbols of a 1400 B 64-QAM packet, at each order
+        let bits = &bits[..m.bits_per_symbol() * 3800];
+        g.throughput(Throughput::Elements(3800));
+        g.bench_with_input(BenchmarkId::new("map", m.name()), bits, |b, bits| {
+            b.iter(|| m.modulate(std::hint::black_box(bits)))
+        });
     }
     g.finish();
 }
@@ -172,6 +225,7 @@ criterion_group! {
     bench_ofdm_symbol,
     bench_crc,
     bench_scrambler,
+    bench_bits,
     bench_rate_match,
     bench_interleaver,
     bench_modulation,

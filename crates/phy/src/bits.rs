@@ -1,54 +1,294 @@
-//! Bit-vector helpers shared across the PHY chain.
+//! The bit plane: hard bits as `u8 ∈ {0,1}`, and the two primitives that
+//! move them at register width.
 //!
-//! The 3GPP specs describe everything in terms of bit sequences; we keep
-//! bits as `u8 ∈ {0,1}` in `Vec<u8>` for clarity (the hot paths operate
-//! on LLRs, not bits, so this costs nothing that matters).
+//! The 3GPP specs describe everything in terms of bit sequences, and
+//! the chain keeps them one bit per byte so that every stage can index,
+//! slice and concatenate at any bit offset. The layout is not free: a
+//! pass that walks it a byte at a time fills one lane in 64 of a zmm,
+//! and before PR 18 such passes were 0.41 of the transmit chain. So
+//! nothing here walks bytes: every conversion between this form and a
+//! packed one (MSB-first bytes on the wire, LSB-first words in the
+//! packed encoder, Gold words in the scrambler, constellation indices
+//! in the mapper, CRC message bytes) is one of
+//!
+//! * **expand** ([`expand_bits`]) — 64 mask bits → 64 `{0,1}` bytes: a
+//!   zero-masked byte move at AVX-512BW (`vpmovm2b` class), `pshufb` +
+//!   `pcmpeqb` from SSSE3 up, a multiply-spread of eight bits per `u64`
+//!   as the portable form;
+//! * **compress** ([`compress_bits`]) — 64 bytes → 64 mask bits:
+//!   `vptestmb`, or `pcmpeqb` + `pmovmskb`, or a multiply-gather;
+//!
+//! tier chosen per call by [`vran_simd::host::has`], all bit-identical
+//! (the `frontend_exactness` sweep holds every caller to its per-bit
+//! oracle under every ISA ceiling). MSB-first callers get their
+//! per-byte bit reverse inside the kernel, not as a second pass.
+
+use vran_simd::host::{self, HostIsa};
+
+// Packed words are handed to the kernels as their in-memory bytes.
+const _: () = assert!(cfg!(target_endian = "little"));
+
+/// `0x01` in every byte.
+const ONES: u64 = 0x0101_0101_0101_0101;
+/// Multiplier bits at `9i`: gathers (or spreads) eight bits MSB-first —
+/// see [`compress_into`] and [`expand_into`].
+const DIAG_MSB: u64 = 0x8040_2010_0804_0201;
+/// Multiplier bits at `56 − 7i`: gathers eight bits LSB-first.
+const DIAG_LSB: u64 = 0x0102_0408_1020_4080;
+
+/// **Expand**: `out[i]` becomes bit `i` of `words` as a `{0,1}` byte,
+/// LSB-first (bit `i % 64` of word `i / 64`), for every `i <
+/// out.len()`. Panics if `words` holds fewer than `out.len()` bits.
+pub fn expand_bits(words: &[u64], out: &mut [u8]) {
+    // SAFETY: initialised `u64`s are initialised bytes, and `u8` has no
+    // alignment, so the middle part is the whole slice.
+    let (_, packed, _) = unsafe { words.align_to::<u8>() };
+    expand_into::<false, false>(packed, out);
+}
+
+/// [`expand_bits`] from 32-bit words — the Gold generator's — setting
+/// `out` or (`XOR`) XORing into it.
+pub(crate) fn expand_words<const XOR: bool>(words: &[u32], out: &mut [u8]) {
+    // SAFETY: as in `expand_bits`.
+    let (_, packed, _) = unsafe { words.align_to::<u8>() };
+    expand_into::<false, XOR>(packed, out);
+}
+
+/// **Compress**: bit `i` of `out`, LSB-first, becomes `bytes[i] & test
+/// != 0`; the bits of the last word past `bytes.len()` are zero. `test
+/// = 0xFF` counts any non-zero byte as 1 (the mapper's reading of its
+/// input), `test = 1` takes the low bit (the packers', which
+/// `debug_assert!` binary input). `out` must hold exactly
+/// `bytes.len().div_ceil(64)` words.
+pub fn compress_bits(bytes: &[u8], test: u8, out: &mut [u64]) {
+    assert_eq!(out.len(), bytes.len().div_ceil(64), "a word per 64 bytes");
+    // SAFETY: as in `expand_bits`; every byte pattern is a valid `u64`.
+    let (_, packed, _) = unsafe { out.align_to_mut::<u8>() };
+    let (used, pad) = packed.split_at_mut(bytes.len().div_ceil(8));
+    compress_into::<false>(bytes, test, used);
+    pad.fill(0);
+}
+
+/// The expand kernel behind every unpacker: bit `i` of `packed` is bit
+/// `i % 8` of byte `i / 8` (`MSB`: bit `7 − i % 8`), and `out[i]` is
+/// set to it (`XOR`: has it XORed in, which is scrambling).
+///
+/// Portable form: the product of a byte with [`DIAG_MSB`] holds bit `j`
+/// at `j + 9i` for each `i`, all distinct, so nothing carries; `>> 7`
+/// leaves bit `7 − i` at `8i`, the byte's bits spread MSB-first, and a
+/// byte swap makes that LSB-first.
+pub(crate) fn expand_into<const MSB: bool, const XOR: bool>(packed: &[u8], out: &mut [u8]) {
+    assert!(out.len() <= 8 * packed.len(), "more bits than were packed");
+    // The kernels take whole registers; what they leave, and a host
+    // without them, takes the portable form.
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if host::has(HostIsa::Avx512bw) {
+        // SAFETY: the host has AVX-512BW; `packed` covers `out`.
+        done = unsafe { x86::expand_avx512::<MSB, XOR>(packed, out) };
+    } else if host::has(HostIsa::Ssse3) {
+        // SAFETY: the host has SSSE3; `packed` covers `out`.
+        done = unsafe { x86::expand_ssse3::<MSB, XOR>(packed, out) };
+    }
+    let put = |o: &mut u8, bit: u8| *o = if XOR { *o ^ bit } else { bit };
+    let n = out.len();
+    let mut octets = out[8 * done..].chunks_exact_mut(8);
+    for (o, &b) in octets.by_ref().zip(&packed[done..]) {
+        let msb = (u64::from(b).wrapping_mul(DIAG_MSB) >> 7) & ONES;
+        let spread = if MSB { msb } else { msb.swap_bytes() };
+        o.iter_mut()
+            .zip(spread.to_le_bytes())
+            .for_each(|(o, bit)| put(o, bit));
+    }
+    for (i, o) in octets.into_remainder().iter_mut().enumerate() {
+        put(o, (packed[n / 8] >> if MSB { 7 - i } else { i }) & 1);
+    }
+}
+
+/// The compress kernel behind every packer: bit `i` of `packed` (as in
+/// [`expand_into`]) becomes `bytes[i] & test != 0`, the last byte
+/// zero-padded. `packed` must hold exactly `bytes.len().div_ceil(8)`
+/// bytes.
+///
+/// Portable form: eight bytes as a little-endian `u64`, each reduced
+/// to `{0,1}`, times [`DIAG_LSB`] places `Σ bⱼ · 2ʲ` in the top byte —
+/// term `bⱼ · 2^{8j}` times factor bit `2^{56−7i}` lands at `56 +
+/// 8(j−i) + i`, unique per `(i, j)`, so the sum is carry-free.
+/// [`DIAG_MSB`] mirrors it: factor bit `9i` moves the byte at `8j` to
+/// `8j + 9i`, in the top byte exactly for `i = 7 − j`.
+pub(crate) fn compress_into<const MSB: bool>(bytes: &[u8], test: u8, packed: &mut [u8]) {
+    assert_eq!(packed.len(), bytes.len().div_ceil(8), "a byte per 8 bits");
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if host::has(HostIsa::Avx512bw) {
+        // SAFETY: the host has AVX-512BW; `packed` holds a bit per byte.
+        done = unsafe { x86::compress_avx512::<MSB>(bytes, test, packed) };
+    } else if host::has(HostIsa::Ssse3) {
+        // SAFETY: the host has SSSE3; `packed` holds a bit per byte.
+        done = unsafe { x86::compress_ssse3::<MSB>(bytes, test, packed) };
+    }
+    let mut octets = bytes[8 * done..].chunks_exact(8);
+    for (p, o) in packed[done..].iter_mut().zip(octets.by_ref()) {
+        let x = u64::from_le_bytes(o.try_into().expect("chunk of 8")) & (ONES * u64::from(test));
+        // non-zero byte → 1: the low seven bits carry into bit 7
+        let ones = ((x | ((x & (0x7F * ONES)) + 0x7F * ONES)) >> 7) & ONES;
+        *p = (ones.wrapping_mul(if MSB { DIAG_MSB } else { DIAG_LSB }) >> 56) as u8;
+    }
+    if let (Some(last), tail @ [_, ..]) = (packed.last_mut(), octets.remainder()) {
+        let bit = |(i, &b)| u8::from(b & test != 0) << if MSB { 7 - i } else { i };
+        *last = tail.iter().enumerate().map(bit).fold(0, |v, b| v | b);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    #[allow(clippy::wildcard_imports)]
+    use std::arch::x86_64::*;
+
+    /// `pshufb` control reversing the bytes of each 8-byte half of a
+    /// 128-bit lane: applied to one byte per bit, it is the per-byte
+    /// bit reverse that turns LSB-first into MSB-first.
+    #[target_feature(enable = "sse2")]
+    fn rev8() -> __m128i {
+        _mm_set_epi64x(0x0809_0A0B_0C0D_0E0F, 0x0001_0203_0405_0607)
+    }
+
+    /// [`super::expand_into`], 64 bits per step; returns the bytes of
+    /// `packed` it expanded (all but a ragged end).
+    ///
+    /// # Safety
+    /// AVX-512BW, and `out.len() <= 8 * packed.len()`.
+    #[target_feature(enable = "avx512bw", enable = "avx512f")]
+    pub unsafe fn expand_avx512<const MSB: bool, const XOR: bool>(
+        packed: &[u8],
+        out: &mut [u8],
+    ) -> usize {
+        let (one, rev) = (_mm512_set1_epi8(1), _mm512_broadcast_i32x4(rev8()));
+        let whole = out.len() / 64;
+        for g in 0..whole {
+            let m = packed.as_ptr().add(8 * g).cast::<u64>().read_unaligned();
+            let mut v = _mm512_maskz_mov_epi8(m, one);
+            if MSB {
+                v = _mm512_shuffle_epi8(v, rev);
+            }
+            let p = out.as_mut_ptr().add(64 * g).cast::<__m512i>();
+            if XOR {
+                v = _mm512_xor_si512(v, _mm512_loadu_si512(p));
+            }
+            _mm512_storeu_si512(p, v);
+        }
+        8 * whole
+    }
+
+    /// [`super::expand_into`], 16 bits per step; returns the bytes of
+    /// `packed` it expanded (all but at most one pair and a ragged end).
+    ///
+    /// # Safety
+    /// SSSE3, and `out.len() <= 8 * packed.len()`.
+    #[target_feature(enable = "ssse3")]
+    pub unsafe fn expand_ssse3<const MSB: bool, const XOR: bool>(
+        packed: &[u8],
+        out: &mut [u8],
+    ) -> usize {
+        // byte j of the register ← packed byte j / 8, tested against
+        // its own bit j % 8 (mirrored for MSB-first)
+        let spread = _mm_set_epi64x(super::ONES as i64, 0);
+        let select = _mm_set1_epi64x(if MSB {
+            super::DIAG_LSB
+        } else {
+            super::DIAG_MSB
+        } as i64);
+        let one = _mm_set1_epi8(1);
+        let pairs = out.len() / 16;
+        for g in 0..pairs {
+            let m = packed.as_ptr().add(2 * g).cast::<u16>().read_unaligned();
+            let v = _mm_and_si128(
+                _mm_shuffle_epi8(_mm_cvtsi32_si128(m.into()), spread),
+                select,
+            );
+            let mut v = _mm_and_si128(_mm_cmpeq_epi8(v, select), one);
+            let p = out.as_mut_ptr().add(16 * g).cast::<__m128i>();
+            if XOR {
+                v = _mm_xor_si128(v, _mm_loadu_si128(p));
+            }
+            _mm_storeu_si128(p, v);
+        }
+        2 * pairs
+    }
+
+    /// [`super::compress_into`], 64 bytes per step; returns the bytes
+    /// of `packed` it wrote (all but a ragged end).
+    ///
+    /// # Safety
+    /// AVX-512BW, and `packed.len() == bytes.len().div_ceil(8)`.
+    #[target_feature(enable = "avx512bw", enable = "avx512f")]
+    pub unsafe fn compress_avx512<const MSB: bool>(
+        bytes: &[u8],
+        test: u8,
+        packed: &mut [u8],
+    ) -> usize {
+        let (test, rev) = (_mm512_set1_epi8(test as i8), _mm512_broadcast_i32x4(rev8()));
+        let whole = bytes.len() / 64;
+        for g in 0..whole {
+            let mut v = _mm512_loadu_si512(bytes.as_ptr().add(64 * g).cast());
+            if MSB {
+                v = _mm512_shuffle_epi8(v, rev);
+            }
+            let m = _mm512_test_epi8_mask(v, test);
+            packed
+                .as_mut_ptr()
+                .add(8 * g)
+                .cast::<u64>()
+                .write_unaligned(m);
+        }
+        8 * whole
+    }
+
+    /// [`super::compress_into`], 16 bytes per step; returns the bytes
+    /// of `packed` it wrote (all but at most one and a ragged end).
+    ///
+    /// # Safety
+    /// SSSE3, and `packed.len() == bytes.len().div_ceil(8)`.
+    #[target_feature(enable = "ssse3")]
+    pub unsafe fn compress_ssse3<const MSB: bool>(
+        bytes: &[u8],
+        test: u8,
+        packed: &mut [u8],
+    ) -> usize {
+        let (test, rev) = (_mm_set1_epi8(test as i8), rev8());
+        let pairs = bytes.len() / 16;
+        for g in 0..pairs {
+            let mut v = _mm_loadu_si128(bytes.as_ptr().add(16 * g).cast());
+            if MSB {
+                v = _mm_shuffle_epi8(v, rev);
+            }
+            let zero = _mm_cmpeq_epi8(_mm_and_si128(v, test), _mm_setzero_si128());
+            let m = !_mm_movemask_epi8(zero) as u16;
+            packed
+                .as_mut_ptr()
+                .add(2 * g)
+                .cast::<u16>()
+                .write_unaligned(m);
+        }
+        2 * pairs
+    }
+}
 
 /// Pack a `{0,1}` bit slice MSB-first into bytes (final partial byte is
-/// left-aligned, zero-padded).
-///
-/// Eight bits per step with the multiply-gather [`pack_lsb_words`]
-/// documents, mirrored: factor bit `9i` moves the bit-byte at `8j` to
-/// `8j + 9i`, which is in the top byte exactly for `i = 7 − j` (bit
-/// `63 − j`, so the first bit lands in the MSB), and `8j + 9i` is
-/// unique per `(i, j)`, so no two partial products meet and nothing
-/// carries.
+/// left-aligned, zero-padded): [`compress_bits`]' kernel by the low
+/// bit, with the per-byte bit reverse.
 pub fn pack_msb(bits: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bits.len().div_ceil(8));
-    let mut chunks = bits.chunks_exact(8);
-    for c in chunks.by_ref() {
-        let chunk = u64::from_le_bytes(c.try_into().expect("chunk of 8"));
-        debug_assert!(chunk & !0x0101_0101_0101_0101 == 0, "non-binary bits");
-        let ones = chunk & 0x0101_0101_0101_0101;
-        out.push((ones.wrapping_mul(0x8040_2010_0804_0201) >> 56) as u8);
-    }
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        let mut last = 0u8;
-        for (i, &b) in tail.iter().enumerate() {
-            debug_assert!(b <= 1, "non-binary bit {b}");
-            last |= (b & 1) << (7 - i);
-        }
-        out.push(last);
-    }
+    debug_assert!(bits.iter().all(|&b| b <= 1), "non-binary bits");
+    let mut out = vec![0; bits.len().div_ceil(8)];
+    compress_into::<true>(bits, 1, &mut out);
     out
 }
 
-/// Unpack bytes MSB-first into `n` bits, eight per `BYTE_BITS`
-/// lookup (the table is LSB-first, so the byte is bit-reversed first).
+/// Unpack bytes MSB-first into `n` bits: [`expand_bits`]' kernel with
+/// the per-byte bit reverse.
 pub fn unpack_msb(bytes: &[u8], n: usize) -> Vec<u8> {
-    assert!(
-        n <= bytes.len() * 8,
-        "asked for {n} bits from {} bytes",
-        bytes.len()
-    );
-    let mut out = Vec::with_capacity(n);
-    for &b in &bytes[..n / 8] {
-        out.extend_from_slice(&BYTE_BITS[b.reverse_bits() as usize]);
-    }
-    if !n.is_multiple_of(8) {
-        out.extend_from_slice(&BYTE_BITS[bytes[n / 8].reverse_bits() as usize][..n % 8]);
-    }
+    let mut out = vec![0; n];
+    expand_into::<true, false>(bytes, &mut out);
     out
 }
 
@@ -59,35 +299,11 @@ pub fn unpack_msb(bytes: &[u8], n: usize) -> Vec<u8> {
 ///
 /// The packed-word turbo encoder and rate matcher run on this layout:
 /// LSB-first means a left shift moves data *forward in time*, so the
-/// RSC recurrences become plain shift/XOR word arithmetic. The inner
-/// loop gathers 8 bits per step with a multiply: for bytes
-/// `b₀..b₇ ∈ {0,1}` read as a little-endian `u64`, the product with
-/// `0x0102_0408_1020_4080` places `Σ bⱼ · 2ʲ` in the top byte, and no
-/// two partial products collide (term `bⱼ · 2^{8j}` times factor bit
-/// `2^{56−7i}` lands at `56 + 8(j−i) + i`, unique per `(i, j)` pair),
-/// so the sum is carry-free.
+/// RSC recurrences become plain shift/XOR word arithmetic.
+/// [`compress_bits`] by the low bit.
 pub fn pack_lsb_words(bits: &[u8], out: &mut [u64]) {
-    assert_eq!(
-        out.len(),
-        bits.len().div_ceil(64),
-        "output must hold exactly {} words",
-        bits.len().div_ceil(64)
-    );
-    out.fill(0);
-    let mut chunks = bits.chunks_exact(8);
-    let mut i = 0usize;
-    for c in chunks.by_ref() {
-        let chunk = u64::from_le_bytes(c.try_into().expect("chunk of 8"));
-        debug_assert!(chunk & !0x0101_0101_0101_0101 == 0, "non-binary bits");
-        let byte = chunk.wrapping_mul(0x0102_0408_1020_4080) >> 56;
-        out[i >> 6] |= byte << (i & 63);
-        i += 8;
-    }
-    for &b in chunks.remainder() {
-        debug_assert!(b <= 1, "non-binary bit {b}");
-        out[i >> 6] |= u64::from(b & 1) << (i & 63);
-        i += 1;
-    }
+    debug_assert!(bits.iter().all(|&b| b <= 1), "non-binary bits");
+    compress_bits(bits, 1, out);
 }
 
 /// LSB-first word packing into a fresh vector (see [`pack_lsb_words`]).
@@ -99,52 +315,17 @@ pub fn packed_lsb_words(bits: &[u8]) -> Vec<u64> {
 
 /// Unpack `n` LSB-first bits from 64-bit words (see [`pack_lsb_words`]).
 pub fn unpack_lsb_words(words: &[u64], n: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(n);
-    extend_bits_from_words(words, n, &mut out);
+    let mut out = vec![0; n];
+    expand_bits(words, &mut out);
     out
 }
-
-/// LSB-first expansion of every byte value into eight `{0,1}` bytes, so
-/// unpacking moves 8 bits per table lookup instead of one per shift.
-const BYTE_BITS: [[u8; 8]; 256] = {
-    let mut t = [[0u8; 8]; 256];
-    let mut b = 0usize;
-    while b < 256 {
-        let mut j = 0;
-        while j < 8 {
-            t[b][j] = ((b >> j) & 1) as u8;
-            j += 1;
-        }
-        b += 1;
-    }
-    t
-};
 
 /// Append the first `n` LSB-first bits of `words` to `out` as
 /// `u8 ∈ {0,1}` values.
 pub fn extend_bits_from_words(words: &[u64], n: usize, out: &mut Vec<u8>) {
-    assert!(
-        n <= words.len() * 64,
-        "asked for {n} bits from {} words",
-        words.len()
-    );
-    out.reserve(n);
-    let mut left = n;
-    for &w in words {
-        if left == 0 {
-            break;
-        }
-        for byte in w.to_le_bytes() {
-            if left >= 8 {
-                out.extend_from_slice(&BYTE_BITS[byte as usize]);
-                left -= 8;
-            } else {
-                out.extend_from_slice(&BYTE_BITS[byte as usize][..left]);
-                left = 0;
-                break;
-            }
-        }
-    }
+    let at = out.len();
+    out.resize(at + n, 0);
+    expand_bits(words, &mut out[at..]);
 }
 
 /// XOR two equal-length bit slices into a fresh vector.
@@ -211,6 +392,21 @@ mod tests {
                 assert_eq!(pack_msb(&bits), packed, "pack v={v:#04x} n={n}");
             }
         }
+    }
+
+    #[test]
+    fn compress_reads_a_byte_by_its_test_mask() {
+        // What the packers (low bit) and the mapper (any bit) make of
+        // bytes that are not {0,1}; the rest of a word is zero.
+        let bytes = [0, 1, 2, 0x80, 0xFF, 0, 3];
+        let mut w = [!0u64];
+        compress_bits(&bytes, 1, &mut w);
+        assert_eq!(w, [0b101_0010]);
+        compress_bits(&bytes, 0xFF, &mut w);
+        assert_eq!(w, [0b101_1110]);
+        let mut back = [9u8; 7];
+        expand_bits(&w, &mut back);
+        assert_eq!(back, [0, 1, 1, 1, 1, 0, 1]);
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! ([`CrcImpl`]):
 //!
 //! * **Bit-serial** — one feedback step per bit; the oracle.
-//! * **Slicing-by-8** — a bit-packed adapter gathers 8 bits per byte
-//!   with one multiply, then compile-time 8×256 tables (top-aligned to
-//!   32 bits so one table scheme serves all four widths) eat 8 message
-//!   bytes per iteration; any sub-byte tail runs bit-serially. Pure
-//!   integer code — available on every host.
+//! * **Slicing-by-8** — the bit plane's compress kernel
+//!   ([`crate::bits`]) packs the bits MSB-first, then compile-time
+//!   8×256 tables (top-aligned to 32 bits so one table scheme serves
+//!   all four widths) eat 8 message bytes per iteration; any sub-byte
+//!   tail runs bit-serially. Available on every host.
 //! * **PCLMULQDQ folding** — 128-bit carry-less-multiply folding over
 //!   the packed bytes (`A·x¹²⁸ + N ≡ clmul(A_hi, x¹⁹² mod P) ⊕
 //!   clmul(A_lo, x¹²⁸ mod P) ⊕ N`), finishing the final 128-bit
@@ -27,6 +27,7 @@
 //! CRC24B runs per code block on every decode classification, so
 //! [`Crc::compute`] dispatches to the best kernel the host offers.
 
+use crate::bits::compress_into;
 use vran_simd::host::{self, HostIsa};
 
 /// A generic bit-serial CRC over GF(2).
@@ -184,24 +185,6 @@ const fn xn_mod_p(poly: u32, width: u32, n: usize) -> u64 {
     v as u64
 }
 
-/// Pack `8 · out.len()` `{0,1}` bits MSB-first into `out`. `simd`
-/// (the host has SSSE3) packs sixteen per `pmovmskb`; the portable form
-/// gathers each 8-bit group with one multiply (the `0x8040…0201`
-/// bit-gather constant is carry-free for this pattern).
-fn pack_bits_msb(simd: bool, bits: &[u8], out: &mut [u8]) {
-    assert_eq!(bits.len(), 8 * out.len());
-    let done = match simd {
-        // SAFETY: the caller saw SSSE3; the lengths were just checked.
-        #[cfg(target_arch = "x86_64")]
-        true => unsafe { x86::pack16(bits, out) },
-        _ => 0,
-    };
-    for (o, oct) in out[done..].iter_mut().zip(bits[8 * done..].chunks_exact(8)) {
-        let x = u64::from_le_bytes(oct.try_into().unwrap());
-        *o = ((x & 0x0101_0101_0101_0101).wrapping_mul(0x8040_2010_0804_0201) >> 56) as u8;
-    }
-}
-
 impl Crc {
     /// CRC width in bits.
     pub const fn width(&self) -> usize {
@@ -282,7 +265,7 @@ impl Crc {
         for chunk in bits.chunks(8 * buf.len()) {
             let (head, tail) = chunk.split_at(chunk.len() & !7);
             let packed = &mut buf[..head.len() / 8];
-            pack_bits_msb(clmul, head, packed);
+            compress_into::<true>(head, 1, packed);
             reg = match clmul && packed.len() >= 32 {
                 #[cfg(target_arch = "x86_64")]
                 true => {
@@ -406,23 +389,6 @@ mod x86 {
         let mut out = [0u8; 16];
         _mm_storeu_si128(out.as_mut_ptr().cast(), _mm_shuffle_epi8(a, bswap));
         (out, off)
-    }
-
-    /// Pack `{0,1}` bits MSB-first, sixteen at a time; returns how many
-    /// bytes of `out` it wrote (all but at most one).
-    ///
-    /// # Safety
-    /// Caller guarantees `ssse3` and `bits.len() == 8 * out.len()`.
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn pack16(bits: &[u8], out: &mut [u8]) -> usize {
-        // `pmovmskb` takes byte 0 to bit 0: reverse each group of eight
-        let msb_first = _mm_set_epi8(8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7);
-        for (i, o) in out.chunks_exact_mut(2).enumerate() {
-            let v = _mm_loadu_si128(bits.as_ptr().add(16 * i).cast());
-            let m = _mm_movemask_epi8(_mm_slli_epi16(_mm_shuffle_epi8(v, msb_first), 7));
-            o.copy_from_slice(&(m as u16).to_le_bytes());
-        }
-        out.len() & !1
     }
 }
 

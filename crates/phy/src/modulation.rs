@@ -4,6 +4,7 @@
 //! energy. The demapper emits fixed-point LLRs in the decoder's
 //! convention (positive → bit 0) scaled by [`LLR_SCALE`].
 
+use crate::bits::compress_into;
 use std::sync::OnceLock;
 
 /// A complex baseband sample.
@@ -136,19 +137,19 @@ impl Modulation {
         Cplx::new(self.axis_level(&ibits) * n, self.axis_level(&qbits) * n)
     }
 
-    /// The `2^bits_per_symbol` constellation points, indexed by the
-    /// symbol's bits read MSB-first.
-    fn constellation(self) -> &'static [Cplx] {
-        static TABLES: OnceLock<[Vec<Cplx>; 3]> = OnceLock::new();
+    /// The `2^bits_per_symbol` constellation points (repeated to fill
+    /// 64 slots), indexed by the symbol's bits read LSB-first: bit `j`
+    /// of the index is the symbol's `j`-th bit, which is how a field of
+    /// a compressed bit mask reads.
+    fn constellation(self) -> &'static [Cplx; 64] {
+        static TABLES: OnceLock<[[Cplx; 64]; 3]> = OnceLock::new();
         let tables = TABLES.get_or_init(|| {
             Modulation::ALL.map(|m| {
                 let bps = m.bits_per_symbol();
-                (0..1u8 << bps)
-                    .map(|v| {
-                        let c: Vec<u8> = (0..bps).map(|j| (v >> (bps - 1 - j)) & 1).collect();
-                        m.point(&c)
-                    })
-                    .collect()
+                core::array::from_fn(|v| {
+                    let c: Vec<u8> = (0..bps).map(|j| (v >> j) as u8 & 1).collect();
+                    m.point(&c)
+                })
             })
         });
         &tables[self as usize]
@@ -163,18 +164,49 @@ impl Modulation {
         out
     }
 
-    /// [`Self::modulate`] into a caller-owned buffer (cleared first):
-    /// one constellation-table lookup per symbol. A non-zero bit value
-    /// counts as 1.
+    /// [`Self::modulate`] into a caller-owned buffer (cleared first). A
+    /// non-zero bit value counts as 1: the bits are compressed by `!= 0`
+    /// into a mask ([`crate::bits`]), and each symbol is one table load
+    /// indexed by its field of the mask.
     pub fn modulate_into(self, bits: &[u8], out: &mut Vec<Cplx>) {
         let bps = self.bits_per_symbol();
         assert_eq!(bits.len() % bps, 0, "bit count must be a multiple of {bps}");
-        let table = self.constellation();
         out.clear();
-        out.extend(bits.chunks_exact(bps).map(|c| {
-            let index = c.iter().fold(0, |v, &b| v << 1 | usize::from(b != 0));
-            table[index]
-        }));
+        out.reserve(bits.len() / bps);
+        match self {
+            Modulation::Qpsk => self.map_fields::<2>(bits, out),
+            Modulation::Qam16 => self.map_fields::<4>(bits, out),
+            Modulation::Qam64 => self.map_fields::<6>(bits, out),
+        }
+    }
+
+    /// The mapper at `BPS` bits per symbol. 48 bits are a whole number
+    /// of symbols at every order and a whole number of mask bytes, so
+    /// the mask is read six bytes at a time and every field sits at a
+    /// constant shift.
+    fn map_fields<const BPS: usize>(self, bits: &[u8], out: &mut Vec<Cplx>) {
+        /// Bits compressed per call: whole 48-bit groups, whole words.
+        const CHUNK: usize = 48 * 64;
+        let table = self.constellation();
+        // two bytes over, for the 8-byte load of the last 6-byte group
+        let mut mask = [0u8; CHUNK / 8 + 2];
+        for chunk in bits.chunks(CHUNK) {
+            compress_into::<false>(chunk, 0xFF, &mut mask[..chunk.len().div_ceil(8)]);
+            let mut groups = mask.windows(8).step_by(6);
+            let mut map = |n: usize| {
+                let group = groups.next().expect("a group per 48 bits of the chunk");
+                let w = u64::from_le_bytes(group.try_into().expect("window of 8"));
+                out.extend((0..n).map(|s| table[(w >> (BPS * s)) as usize & ((1 << BPS) - 1)]));
+            };
+            let symbols = chunk.len() / BPS;
+            for _ in 0..symbols / (48 / BPS) {
+                map(48 / BPS);
+            }
+            match symbols % (48 / BPS) {
+                0 => {}
+                rest => map(rest),
+            }
+        }
     }
 
     /// Max-log soft demapping of one axis value `y` (already scaled by
@@ -267,6 +299,34 @@ mod tests {
                     "{} bits {c:?}",
                     m.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn mapper_matches_the_per_axis_expression_and_reads_non_zero_as_one() {
+        // Lengths either side of a 48-bit group and of a compressed
+        // chunk, ones spelled 1, 2, 0x80 and 0xFF.
+        let ones = [1u8, 2, 0x80, 0xFF];
+        for m in Modulation::ALL {
+            let bps = m.bits_per_symbol();
+            for symbols in [0usize, 1, 7, 8, 9, 23, 24, 25, 511, 512, 513, 3800] {
+                let bits: Vec<u8> = random_bits(bps * symbols, 6)
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &b)| b * ones[i % 4])
+                    .collect();
+                let got = m.modulate(&bits);
+                assert_eq!(got.len(), symbols);
+                for (c, got) in bits.chunks_exact(bps).zip(&got) {
+                    let want = m.point(&c.iter().map(|&b| u8::from(b != 0)).collect::<Vec<_>>());
+                    assert_eq!(
+                        (got.re.to_bits(), got.im.to_bits()),
+                        (want.re.to_bits(), want.im.to_bits()),
+                        "{} symbols={symbols} bits {c:?}",
+                        m.name()
+                    );
+                }
             }
         }
     }

@@ -4,25 +4,46 @@
 //! `Nc = 1600`, `x1` seeded to `1`, and `x2` seeded from the scrambling
 //! identity `c_init` (built from RNTI/cell id/slot per §6.3.1).
 //!
-//! Two performance tiers live here alongside the bit-serial reference:
+//! Three things keep the generator off the critical path; the
+//! bit-serial [`GoldSequence::new_bit_serial`] / `step` pair is the
+//! oracle for all of them:
 //!
-//! * **Word-parallel generation** — both 31-bit Fibonacci LFSRs extend
-//!   their state window inside a `u64` (two shift/XOR passes produce
-//!   33 future bits from the 31 live ones), emitting 32 scrambling
-//!   bits per iteration instead of one ([`GoldSequence::next_word`]).
-//!   The `Nc = 1600` warmup is a GF(2)-linear map, so it is jumped in
-//!   O(31) with compile-time `M^1600` parity masks (`leap_masks`) —
-//!   constructing a generator takes **zero** serial warmup steps
-//!   (pinned by [`bit_serial_warmup_steps`] in tests).
-//! * **SIMD sign-select descrambling** — LLR sign flips under the mask
-//!   words as saturating `0 − x` selects (`vpsubsw` + mask/blend),
-//!   with the established AVX-512BW → AVX2 → SSE2 → scalar-word
-//!   runtime dispatch ([`DescrambleImpl`]); every tier reproduces the
-//!   bit-serial [`descramble_llrs`] reference exactly, including its
-//!   `saturating_neg` edge at `i16::MIN`.
+//! * **The warmup is a leap.** `Nc = 1600` steps are a GF(2)-linear map,
+//!   jumped in O(31) with compile-time `M^1600` parity masks
+//!   (`leap_masks`) — constructing a generator takes **zero** serial
+//!   warmup steps (pinned by [`bit_serial_warmup_steps`] in tests).
+//! * **The first 31 words are window extensions.** Both 31-bit
+//!   Fibonacci LFSRs extend their state window inside a `u64` (two
+//!   shift/XOR passes produce 33 future bits from the 31 live ones),
+//!   32 scrambling bits per step ([`GoldSequence::next_word`]) — but
+//!   each step waits for the one before, ≈ 12 cycles.
+//! * **Every later word is a word recurrence**
+//!   ([`GoldSequence::fill_words`]). Squaring is the Frobenius map of
+//!   `GF(2)[x]`: `(a + b)² = a² + b²`, so squaring a feedback polynomial
+//!   only doubles its exponents, and five squarings of `x³¹ + x³ + 1`
+//!   give `(x³¹ + x³ + 1)³² = x⁹⁹² + x⁹⁶ + 1`. A sequence annihilated by
+//!   a polynomial is annihilated by its multiples, so `x1(n + 992) =
+//!   x1(n + 96) ⊕ x1(n)` for every `n`: the same taps at 32 × the
+//!   distance, which is the *word* index. With `W[i]` the `i`-th
+//!   32-bit output word of a register,
+//!   `W₁[i+31] = W₁[i+3] ⊕ W₁[i]` and
+//!   `W₂[i+31] = W₂[i+3] ⊕ W₂[i+2] ⊕ W₂[i+1] ⊕ W₂[i]`, whole words at
+//!   a time, and since the nearest operand is 28 words back, any 28
+//!   consecutive words are mutually independent: plain vector XORs.
+//!
+//! Consumers draw the words into a stack buffer and apply them at
+//! register width: [`scramble_bits`] XORs them in through the bit
+//! plane's expand primitive ([`crate::bits`]), the LLR descramblers
+//! flip signs as saturating `0 − x` selects (`vpsubsw` + mask/blend)
+//! with the established AVX-512BW → AVX2 → SSE2 → scalar-word runtime
+//! dispatch ([`DescrambleImpl`]), each tier one loop inside one
+//! `#[target_feature]` function reading its lane masks from the buffer;
+//! every tier reproduces the bit-serial [`descramble_llrs`] reference
+//! exactly, including its `saturating_neg` edge at `i16::MIN`.
 
 use std::cell::Cell;
 
+use crate::bits::expand_words;
 use vran_simd::host::{self, HostIsa};
 
 /// Offset into the m-sequences (spec constant).
@@ -46,6 +67,22 @@ thread_local! {
 pub fn bit_serial_warmup_steps() -> u64 {
     BIT_SERIAL_WARMUP_STEPS.get()
 }
+
+#[cfg(test)]
+thread_local! {
+    /// Window-extension word steps (each waits for the one before)
+    /// taken on this thread; tests pin what a packet costs.
+    static SERIAL_WORD_STEPS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Words the recurrence reaches back, so also the words that seed it.
+const SEED: usize = 31;
+/// Words [`GoldSequence::fill_words`] extends its histories by at a
+/// time: fourteen 16-word steps.
+const REFILL: usize = 16 * 14;
+/// Words a consumer draws per [`GoldSequence::fill_words`] call (32 768
+/// bits: a packet pays the serial seed words once).
+const WORD_CHUNK: usize = 1024;
 
 /// Parity masks for `steps` applications of the 31-bit LFSR with the
 /// given feedback `taps`: bit `i` of the post-leap state is the parity
@@ -183,73 +220,74 @@ impl GoldSequence {
         let (w2, n2) = x2_word(self.x2);
         self.x1 = n1;
         self.x2 = n2;
+        #[cfg(test)]
+        SERIAL_WORD_STEPS.set(SERIAL_WORD_STEPS.get() + 1);
         w1 ^ w2
+    }
+
+    /// Produce the next `out.len()` words of [`Self::next_word`]. The
+    /// first 31 are window extensions, each waiting for the one before;
+    /// the rest come from the word recurrences (module docs), so a long
+    /// draw costs 31 serial steps however long it is.
+    pub fn fill_words(&mut self, out: &mut [u32]) {
+        let (mut x1, mut x2) = ([0u32; SEED + REFILL], [0u32; SEED + REFILL]);
+        let seeded = out.len().min(SEED);
+        for i in 0..seeded {
+            (x1[i], self.x1) = x1_word(self.x1);
+            (x2[i], self.x2) = x2_word(self.x2);
+        }
+        #[cfg(test)]
+        SERIAL_WORD_STEPS.set(SERIAL_WORD_STEPS.get() + seeded as u64);
+        let mut last = 0;
+        for chunk in out.chunks_mut(REFILL) {
+            if last == REFILL {
+                x1.copy_within(REFILL.., 0);
+                x2.copy_within(REFILL.., 0);
+            }
+            // 16 mutually independent words per step (any 28 are)
+            for i in (SEED..SEED + if seeded == SEED { REFILL } else { 0 }).step_by(16) {
+                let a: [u32; 16] = core::array::from_fn(|j| x1[i + j - 31] ^ x1[i + j - 28]);
+                let b: [u32; 16] = core::array::from_fn(|j| {
+                    x2[i + j - 31] ^ x2[i + j - 30] ^ x2[i + j - 29] ^ x2[i + j - 28]
+                });
+                x1[i..i + 16].copy_from_slice(&a);
+                x2[i..i + 16].copy_from_slice(&b);
+            }
+            for (o, (a, b)) in chunk.iter_mut().zip(x1.iter().zip(&x2)) {
+                *o = a ^ b;
+            }
+            last = chunk.len();
+        }
+        // A register is the low 31 bits of its next word; a draw too
+        // short to recur has stepped them there.
+        if seeded == SEED {
+            (self.x1, self.x2) = (x1[last] & 0x7FFF_FFFF, x2[last] & 0x7FFF_FFFF);
+        }
     }
 
     /// Produce the next `n` scrambling bits.
     pub fn take(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.step()).collect()
+        let mut words = vec![0; n / 32];
+        self.fill_words(&mut words);
+        let mut out = vec![0; n];
+        let (whole, tail) = out.split_at_mut(32 * words.len());
+        expand_words::<false>(&words, whole);
+        tail.fill_with(|| self.step());
+        out
     }
 }
 
-/// 8-bit → 8-byte expansion, one `{0,1}` byte per bit, LSB-first.
-const fn bit_expand_lut() -> [u64; 256] {
-    let mut lut = [0u64; 256];
-    let mut b = 0;
-    while b < 256 {
-        let mut k = 0;
-        let mut v = 0u64;
-        while k < 8 {
-            v |= (((b >> k) & 1) as u64) << (8 * k);
-            k += 1;
-        }
-        lut[b] = v;
-        b += 1;
-    }
-    lut
-}
-
-/// 8-bit → 8-byte mask expansion, one `0x00`/`0xFF` byte per bit,
-/// LSB-first (feeds the SSE2/AVX2 lane-mask widening).
-const fn byte_mask_lut() -> [u64; 256] {
-    let mut lut = [0u64; 256];
-    let mut b = 0;
-    while b < 256 {
-        let mut k = 0;
-        let mut v = 0u64;
-        while k < 8 {
-            if (b >> k) & 1 == 1 {
-                v |= 0xFFu64 << (8 * k);
-            }
-            k += 1;
-        }
-        lut[b] = v;
-        b += 1;
-    }
-    lut
-}
-
-const BIT_EXPAND: [u64; 256] = bit_expand_lut();
-const BYTE_MASK: [u64; 256] = byte_mask_lut();
-
-/// Scramble a bit sequence in place: `b̃(i) = b(i) ⊕ c(i)`.
-///
-/// Word-parallel: 32 Gold bits per generator iteration, applied to the
-/// bit-per-byte buffer as four packed 8-byte XORs via `BIT_EXPAND`.
-/// Bit-exact with [`scramble_bits_serial`] (property-tested).
+/// Scramble a bit sequence in place: `b̃(i) = b(i) ⊕ c(i)` — the Gold
+/// words XORed into the bit-per-byte buffer by the bit plane's expand
+/// primitive, 64 bits per step. Each byte has `{0,1}` XORed into it
+/// whatever it held. Bit-exact with [`scramble_bits_serial`].
 pub fn scramble_bits(bits: &mut [u8], c_init: u32) {
     let mut g = GoldSequence::new(c_init);
-    let mut chunks = bits.chunks_exact_mut(32);
-    for chunk in &mut chunks {
-        let w = g.next_word();
-        for (k, oct) in chunk.chunks_exact_mut(8).enumerate() {
-            let cur = u64::from_le_bytes(oct.try_into().unwrap());
-            let v = cur ^ BIT_EXPAND[((w >> (8 * k)) & 0xFF) as usize];
-            oct.copy_from_slice(&v.to_le_bytes());
-        }
-    }
-    for b in chunks.into_remainder() {
-        *b ^= g.step();
+    let mut words = [0; WORD_CHUNK];
+    for chunk in bits.chunks_mut(32 * WORD_CHUNK) {
+        let words = &mut words[..chunk.len().div_ceil(32)];
+        g.fill_words(words);
+        expand_words::<true>(words, chunk);
     }
 }
 
@@ -341,29 +379,27 @@ pub fn best_descramble() -> DescrambleImpl {
 /// Descramble LLRs with an explicit kernel tier. All tiers are
 /// bit-exact with [`descramble_llrs`].
 pub fn descramble_llrs_with(imp: DescrambleImpl, llrs: &mut [i16], c_init: u32) {
+    assert!(host::has(imp.required_isa()), "host lacks {}", imp.name());
     let mut g = GoldSequence::new(c_init);
-    let mut rest = llrs;
-    while rest.len() >= 32 {
-        let (head, tail) = rest.split_at_mut(32);
-        let w = g.next_word();
+    let mut words = [0; WORD_CHUNK];
+    for chunk in llrs.chunks_mut(32 * WORD_CHUNK) {
+        let words = &mut words[..chunk.len().div_ceil(32)];
+        g.fill_words(words);
+        let (body, tail) = chunk.split_at_mut(chunk.len() & !31);
+        let (lanes, last) = words.split_at(body.len() / 32);
         match imp {
-            DescrambleImpl::ScalarWord => descramble_word_scalar(head, w),
+            DescrambleImpl::ScalarWord => descramble_words_scalar(body, lanes),
+            // SAFETY (all three): the host has the tier, checked above.
             #[cfg(target_arch = "x86_64")]
-            DescrambleImpl::Sse2 => unsafe { x86::descramble_word_sse2(head, w) },
+            DescrambleImpl::Sse2 => unsafe { x86::descramble_sse2(body, lanes) },
             #[cfg(target_arch = "x86_64")]
-            DescrambleImpl::Avx2 => unsafe { x86::descramble_word_avx2(head, w) },
+            DescrambleImpl::Avx2 => unsafe { x86::descramble_avx2(body, lanes) },
             #[cfg(target_arch = "x86_64")]
-            DescrambleImpl::Avx512bw => unsafe { x86::descramble_word_avx512(head, w) },
+            DescrambleImpl::Avx512bw => unsafe { x86::descramble_avx512(body, lanes) },
             #[cfg(not(target_arch = "x86_64"))]
-            _ => descramble_word_scalar(head, w),
+            _ => descramble_words_scalar(body, lanes),
         }
-        rest = tail;
-    }
-    // shared scalar tail, identical to the bit-serial reference
-    for l in rest.iter_mut() {
-        if g.step() == 1 {
-            *l = l.saturating_neg();
-        }
+        descramble_words_scalar(tail, last);
     }
 }
 
@@ -372,74 +408,81 @@ pub fn descramble_llrs_fast(llrs: &mut [i16], c_init: u32) {
     descramble_llrs_with(best_descramble(), llrs, c_init);
 }
 
-/// One 32-LLR block, scalar sign-select from the mask word.
-fn descramble_word_scalar(llrs: &mut [i16], w: u32) {
-    for (k, l) in llrs.iter_mut().enumerate() {
-        if (w >> k) & 1 == 1 {
-            *l = l.saturating_neg();
+/// Scalar sign-select, up to 32 LLRs per mask word.
+fn descramble_words_scalar(llrs: &mut [i16], words: &[u32]) {
+    for (block, &w) in llrs.chunks_mut(32).zip(words) {
+        for (k, l) in block.iter_mut().enumerate() {
+            if (w >> k) & 1 == 1 {
+                *l = l.saturating_neg();
+            }
         }
     }
 }
 
+/// The native tiers: `llrs` is 32 per mask word, and a flipped lane
+/// takes the saturating `0 − x`.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::BYTE_MASK;
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
+    /// Lane `j` holds bit `j`: a broadcast mask ANDed with this and
+    /// compared with it is all-ones in the lanes whose bit is set.
+    #[rustfmt::skip]
+    const LANE_BIT: [i16; 16] = [
+        1, 2, 4, 8, 16, 32, 64, 128, 1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, i16::MIN,
+    ];
+
     /// # Safety
-    /// Caller guarantees SSE2 and `llrs.len() == 32`.
+    /// Caller guarantees SSE2.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn descramble_word_sse2(llrs: &mut [i16], w: u32) {
-        debug_assert_eq!(llrs.len(), 32);
-        let zero = _mm_setzero_si128();
-        for k in 0..4 {
-            let p = llrs.as_mut_ptr().add(8 * k).cast::<__m128i>();
+    pub unsafe fn descramble_sse2(llrs: &mut [i16], words: &[u32]) {
+        let (zero, bit) = (
+            _mm_setzero_si128(),
+            _mm_loadu_si128(LANE_BIT.as_ptr().cast()),
+        );
+        for (q, oct) in llrs.chunks_exact_mut(8).enumerate() {
+            let p = oct.as_mut_ptr().cast::<__m128i>();
             let v = _mm_loadu_si128(p);
-            // widen the 8 mask bits to 0x0000/0xFFFF 16-bit lanes:
-            // LUT gives one 0x00/0xFF byte per bit, unpacklo(m, m)
-            // duplicates each into a full lane.
-            let m8 = _mm_set_epi64x(0, BYTE_MASK[((w >> (8 * k)) & 0xFF) as usize] as i64);
-            let m = _mm_unpacklo_epi8(m8, m8);
-            let neg = _mm_subs_epi16(zero, v); // saturating 0 − x
-            let out = _mm_or_si128(_mm_and_si128(m, neg), _mm_andnot_si128(m, v));
-            _mm_storeu_si128(p, out);
-        }
-    }
-
-    /// # Safety
-    /// Caller guarantees AVX2 and `llrs.len() == 32`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn descramble_word_avx2(llrs: &mut [i16], w: u32) {
-        debug_assert_eq!(llrs.len(), 32);
-        let zero = _mm256_setzero_si256();
-        for k in 0..2 {
-            let p = llrs.as_mut_ptr().add(16 * k).cast::<__m256i>();
-            let v = _mm256_loadu_si256(p);
-            let half = (w >> (16 * k)) as u16;
-            let m8 = _mm_set_epi64x(
-                BYTE_MASK[(half >> 8) as usize] as i64,
-                BYTE_MASK[(half & 0xFF) as usize] as i64,
+            let w = _mm_set1_epi16((words[q / 4] >> (8 * (q % 4)) & 0xFF) as i16);
+            let m = _mm_cmpeq_epi16(_mm_and_si128(w, bit), bit);
+            let neg = _mm_subs_epi16(zero, v);
+            _mm_storeu_si128(
+                p,
+                _mm_or_si128(_mm_and_si128(m, neg), _mm_andnot_si128(m, v)),
             );
-            // sign-extend 0x00/0xFF bytes to 0x0000/0xFFFF lanes
-            let m = _mm256_cvtepi8_epi16(m8);
-            let neg = _mm256_subs_epi16(zero, v); // saturating 0 − x
-            let out = _mm256_blendv_epi8(v, neg, m);
-            _mm256_storeu_si256(p, out);
         }
     }
 
     /// # Safety
-    /// Caller guarantees AVX-512BW+F and `llrs.len() == 32`.
+    /// Caller guarantees AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn descramble_avx2(llrs: &mut [i16], words: &[u32]) {
+        let (zero, bit) = (
+            _mm256_setzero_si256(),
+            _mm256_loadu_si256(LANE_BIT.as_ptr().cast()),
+        );
+        for (h, half) in llrs.chunks_exact_mut(16).enumerate() {
+            let p = half.as_mut_ptr().cast::<__m256i>();
+            let v = _mm256_loadu_si256(p);
+            let w = _mm256_set1_epi16((words[h / 2] >> (16 * (h % 2))) as i16);
+            let m = _mm256_cmpeq_epi16(_mm256_and_si256(w, bit), bit);
+            _mm256_storeu_si256(p, _mm256_blendv_epi8(v, _mm256_subs_epi16(zero, v), m));
+        }
+    }
+
+    /// The Gold word *is* the `__mmask32` of a masked `vpsubsw`.
+    ///
+    /// # Safety
+    /// Caller guarantees AVX-512BW.
     #[target_feature(enable = "avx512bw", enable = "avx512f")]
-    pub unsafe fn descramble_word_avx512(llrs: &mut [i16], w: u32) {
-        debug_assert_eq!(llrs.len(), 32);
-        let p = llrs.as_mut_ptr().cast::<__m512i>();
-        let v = _mm512_loadu_si512(p.cast());
-        // the Gold word is the lane mask: flipped lanes take the
-        // saturating 0 − x, the rest pass through.
-        let out = _mm512_mask_subs_epi16(v, w, _mm512_setzero_si512(), v);
-        _mm512_storeu_si512(p.cast(), out);
+    pub unsafe fn descramble_avx512(llrs: &mut [i16], words: &[u32]) {
+        let zero = _mm512_setzero_si512();
+        for (block, &w) in llrs.chunks_exact_mut(32).zip(words) {
+            let p = block.as_mut_ptr().cast();
+            let v = _mm512_loadu_si512(p);
+            _mm512_storeu_si512(p, _mm512_mask_subs_epi16(v, w, zero, v));
+        }
     }
 }
 
@@ -461,9 +504,10 @@ pub fn descramble_llrs_simd(
     c_init: u32,
     width: vran_simd::RegWidth,
 ) {
-    let mut g = GoldSequence::new(c_init);
-    let masks: Vec<i16> = (0..llrs.len)
-        .map(|_| if g.step() == 1 { -1 } else { 0 })
+    let masks: Vec<i16> = GoldSequence::new(c_init)
+        .take(llrs.len)
+        .iter()
+        .map(|&b| -i16::from(b))
         .collect();
     let mask_region = vm.mem_mut().alloc_from(&masks);
     let mut off = 0;
@@ -566,6 +610,53 @@ mod tests {
             // word/step interleave stays coherent
             assert_eq!(word.take(7), serial.take(7));
         }
+    }
+
+    #[test]
+    fn word_recurrence_matches_bit_serial_stepping() {
+        let mut rng = SmallRng::seed_from_u64(0xF111);
+        let seeds = (0..64).map(|_| (rng.next_u64() as u32) & 0x7FFF_FFFF);
+        for c_init in seeds.chain([0, 1, 0x7FFF_FFFF]) {
+            let mut serial = GoldSequence::new(c_init);
+            let mut words = [0u32; 4096];
+            GoldSequence::new(c_init).fill_words(&mut words);
+            for (i, w) in words.iter().enumerate() {
+                let want = (0..32).fold(0, |v, k| v | u32::from(serial.step()) << k);
+                assert_eq!(*w, want, "c_init {c_init:#x} word {i}");
+            }
+        }
+        // Draws of every length around the seed words and a refill leave
+        // the registers where that many serial words leave them.
+        for n in (0..70).chain([SEED + REFILL - 1, SEED + REFILL, SEED + REFILL + 1, 600]) {
+            let (mut by_draw, mut by_word) = (GoldSequence::new(0x2F0F), GoldSequence::new(0x2F0F));
+            let mut words = vec![0; n];
+            by_draw.fill_words(&mut words);
+            assert!(
+                words.iter().all(|&w| w == by_word.next_word()),
+                "draw of {n}"
+            );
+            assert_eq!(
+                (by_draw.x1, by_draw.x2),
+                (by_word.x1, by_word.x2),
+                "after {n}"
+            );
+            assert_eq!(by_draw.take(45), by_word.take(45), "bits after {n}");
+        }
+    }
+
+    #[test]
+    fn a_packet_costs_the_seed_words_of_serial_generation() {
+        // 22 800 bits are the codeword of a 1400 B 64-QAM packet: 713
+        // Gold words, of which only the 31 that seed the recurrence
+        // wait for one another.
+        let before = SERIAL_WORD_STEPS.get();
+        scramble_bits(&mut random_bits(22_800, 1), 0x5A5A5);
+        assert_eq!(SERIAL_WORD_STEPS.get() - before, 31);
+        descramble_llrs_fast(&mut [5; 22_800], 0x5A5A5);
+        assert_eq!(SERIAL_WORD_STEPS.get() - before, 62);
+        // a draw that needs no recurrence steps only what it draws
+        scramble_bits(&mut random_bits(96, 1), 0x5A5A5);
+        assert_eq!(SERIAL_WORD_STEPS.get() - before, 65);
     }
 
     #[test]

@@ -454,23 +454,22 @@ impl NativeBatchTurboDecoder {
         // its buffer and outcome are never written again.
         let mut lanes: [LaneOutcome; N] = [(0, None, 0); N];
         let mut decide = |post: &[i32], passes: usize| {
-            for (g, (lane, blk)) in lanes.iter_mut().zip(bits.iter_mut()).enumerate() {
-                if lane.1 == Some(true) {
-                    continue;
-                }
-                let mut decided = true;
-                if passes.is_multiple_of(2) {
+            let live = lanes.map(|(_, crc_ok, _)| crc_ok != Some(true));
+            let decided = if passes.is_multiple_of(2) {
+                for (g, blk) in bits.iter_mut().enumerate().filter(|&(g, _)| live[g]) {
                     for (b, &p) in blk.iter_mut().zip(pi_inv) {
                         *b = llr_to_bit(post[N * p as usize + g] as Llr);
                     }
-                } else {
-                    for (b, row) in blk.iter_mut().zip(post.chunks_exact(N)) {
-                        *b = llr_to_bit(row[g] as Llr);
-                        decided &= row[g] as Llr != 0;
-                    }
                 }
-                let ok = crc.map(|c| decided && c.check(blk).is_some());
-                *lane = (passes.div_ceil(2), ok, passes);
+                [true; N]
+            } else {
+                hard_decide_lanes(post, bits, live)
+            };
+            for (g, (lane, blk)) in lanes.iter_mut().zip(bits.iter()).enumerate() {
+                if live[g] {
+                    let ok = crc.map(|c| decided[g] && c.check(blk).is_some());
+                    *lane = (passes.div_ceil(2), ok, passes);
+                }
             }
             lanes.iter().all(|&(_, crc_ok, _)| crc_ok == Some(true))
         };
@@ -534,6 +533,37 @@ fn outcomes<const N: usize>(bits: [Vec<u8>; N], lanes: [LaneOutcome; N]) -> [Dec
             crc_ok,
         }
     })
+}
+
+/// [`super::native_decoder::hard_decide`] for the lanes of a
+/// block-interleaved pass (`post[N·i + g]` is lane `g`'s step `i`):
+/// each live lane's hard decisions in natural order, and per lane
+/// whether every bit was decided. A lane that is not live is not
+/// written. Four lanes go 16 rows a step — the packs that narrow the
+/// posteriors also bring each lane's bytes together; pairs, on their
+/// way out (ROADMAP item 2a), keep the strided loop.
+#[cfg(target_arch = "x86_64")]
+fn hard_decide_lanes<const N: usize>(
+    post: &[i32],
+    bits: &mut [Vec<u8>; N],
+    live: [bool; N],
+) -> [bool; N] {
+    let k = post.len() / N;
+    assert!(post.len() == N * k && bits.iter().all(|b| b.len() == k));
+    let (mut decided, mut done) = ([true; N], 0);
+    if N == QUAD && host::has(HostIsa::Avx512bw) {
+        let out = bits.each_mut().map(|b| b.as_mut_ptr());
+        // SAFETY: the host has AVX-512BW; `post` holds `k` rows of four
+        // lanes and every lane's buffer `k` bytes, checked above.
+        done = unsafe { x86::hard_decide_quad(post, &out, &live, &mut decided) };
+    }
+    for (g, blk) in bits.iter_mut().enumerate().filter(|&(g, _)| live[g]) {
+        for (b, row) in blk[done..].iter_mut().zip(post[N * done..].chunks_exact(N)) {
+            *b = llr_to_bit(row[g] as Llr);
+            decided[g] &= row[g] as Llr != 0;
+        }
+    }
+    decided
 }
 
 /// `dst[g·k + j] = src[N·table[j] + g]` for `k = table.len()`: permute
@@ -658,6 +688,57 @@ mod x86 {
             _mm256_adds_epi16(g0b, _mm256_sign_epi16(gpb, sgn0)),
             _mm256_adds_epi16(ng0, _mm256_sign_epi16(gpb, sgn1)),
         )
+    }
+
+    /// [`super::hard_decide_lanes`] for four lanes, 16 rows per step;
+    /// returns the rows covered (all but a ragged end).
+    ///
+    /// # Safety
+    /// AVX-512BW; `post` holds four lanes per row and every live
+    /// `out[g]` a byte per row.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub unsafe fn hard_decide_quad(
+        post: &[i32],
+        out: &[*mut u8],
+        live: &[bool],
+        decided: &mut [bool],
+    ) -> usize {
+        let one = _mm512_set1_epi8(1);
+        // 4 × 4 transposes: of the bytes of each 128 bits, and of the
+        // dwords of the register
+        let t4 = _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+        let (t4, t16) = (_mm512_broadcast_i32x4(t4), _mm512_cvtepi8_epi32(t4));
+        let mut nonzero = !0u64;
+        let steps = post.len() / 64;
+        for i in 0..steps {
+            let p = post.as_ptr().add(64 * i).cast::<__m512i>();
+            let l = |j| _mm512_slli_epi32(_mm512_loadu_si512(p.add(j).cast()), 16);
+            let (lo, hi) = (
+                _mm512_packs_epi32(l(0), l(1)),
+                _mm512_packs_epi32(l(2), l(3)),
+            );
+            // 128 bits ℓ: rows ℓ, ℓ+4, ℓ+8, ℓ+12, four lanes' bytes each
+            let x = _mm512_shuffle_epi8(_mm512_packs_epi16(lo, hi), t4);
+            // → lane g's rows as dword g → lane g's 16 rows as 128 bits g
+            let x = _mm512_shuffle_epi8(_mm512_permutexvar_epi32(t16, x), t4);
+            nonzero &= _mm512_test_epi8_mask(x, x);
+            let b = _mm512_and_si512(_mm512_srli_epi16(x, 7), one);
+            let b = [
+                _mm512_castsi512_si128(b),
+                _mm512_extracti32x4_epi32::<1>(b),
+                _mm512_extracti32x4_epi32::<2>(b),
+                _mm512_extracti32x4_epi32::<3>(b),
+            ];
+            for g in 0..QUAD {
+                if live[g] {
+                    _mm_storeu_si128(out[g].add(16 * i).cast(), b[g]);
+                }
+            }
+        }
+        for (g, d) in decided.iter_mut().enumerate() {
+            *d = (nonzero >> (16 * g)) as u16 == u16::MAX;
+        }
+        16 * steps
     }
 
     /// One fused SISO pass over two blocks. `sys`/`par`/`apriori` are
@@ -1034,6 +1115,49 @@ mod tests {
             .try_into()
             .unwrap();
         (bits, TurboLlrs::from_dstreams(&soft, k))
+    }
+
+    /// [`hard_decide_lanes`] against `llr_to_bit` per lane: no zero,
+    /// then one planted in each lane in turn at the first, the last and
+    /// either side of every 16-row step; lanes that are not live keep
+    /// their bytes.
+    #[cfg(target_arch = "x86_64")]
+    fn lanes_decide_like_llr_to_bit<const N: usize>() {
+        for k in [16usize, 40, 48, 104, 1024] {
+            let mut rng = vran_util::rng::SmallRng::seed_from_u64((N * k) as u64);
+            let clean: Vec<i32> = (0..N * k)
+                .map(|_| (rng.next_u32() as i32) << 16 | (rng.next_u32() % 0xFFFF + 1) as i32)
+                .collect();
+            let rows = (0..k).filter(|i| i % 16 == 0 || i % 16 == 15);
+            for zero in rows.map(Some).chain([None]) {
+                for lane in 0..N {
+                    let mut post = clean.clone();
+                    if let Some(z) = zero {
+                        post[N * z + lane] &= !0xFFFF;
+                    }
+                    let live: [bool; N] = core::array::from_fn(|g| g != (lane + 1) % N);
+                    let mut bits: [Vec<u8>; N] = core::array::from_fn(|_| vec![9; k]);
+                    let decided = hard_decide_lanes(&post, &mut bits, live);
+                    for g in 0..N {
+                        let want: Vec<u8> = match live[g] {
+                            true => (0..k).map(|i| llr_to_bit(post[N * i + g] as Llr)).collect(),
+                            false => vec![9; k],
+                        };
+                        assert_eq!(bits[g], want, "N={N} K={k} lane {g} zero {zero:?}");
+                        let vetoed = zero.is_some() && g == lane;
+                        assert!(!live[g] || decided[g] != vetoed, "N={N} K={k} lane {g}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn strided_hard_decisions_match_llr_to_bit_and_a_zero_vetoes_its_lane() {
+        lanes_decide_like_llr_to_bit::<1>();
+        lanes_decide_like_llr_to_bit::<BATCH>();
+        lanes_decide_like_llr_to_bit::<QUAD>();
     }
 
     #[test]

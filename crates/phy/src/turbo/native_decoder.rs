@@ -405,12 +405,7 @@ impl NativeTurboDecoder {
             // The stop rule: SISO 1's posterior is in natural order,
             // and a hard decision unless a zero left a bit undecided.
             if let Some(c) = crc {
-                let mut decided = true;
-                for (b, &l) in bits.iter_mut().zip(post.iter()) {
-                    *b = llr_to_bit(l as Llr);
-                    decided &= l as Llr != 0;
-                }
-                if decided && c.check(bits).is_some() {
+                if hard_decide(self.isa, post, bits) && c.check(bits).is_some() {
                     *siso_passes += 2 * it as u64 + 1;
                     return (iterations_run, Some(true));
                 }
@@ -539,6 +534,28 @@ pub(crate) fn peel_extrinsic(isa: DecoderIsa, post: &[i32], g0: &[Llr], ext: &mu
     for ((e, &l), &g) in ext.iter_mut().zip(post).zip(g0) {
         *e = scale_extrinsic(subs16(l as Llr, adds16(g, g)));
     }
+}
+
+/// A pass's hard decisions in its own order — `bits[i]` is
+/// [`llr_to_bit`] of the posterior in `post[i]`'s low half — and whether
+/// every one is decided (no posterior is zero). The AVX2 tier shifts
+/// the halves up and narrows with the saturating packs, which keep sign
+/// and zero, so a byte's sign bit is the bit; below it the loop is what
+/// the compiler vectorises at 128 bits already.
+pub(crate) fn hard_decide(isa: DecoderIsa, post: &[i32], bits: &mut [u8]) -> bool {
+    assert_eq!(post.len(), bits.len());
+    let (mut done, mut decided) = (0, true);
+    #[cfg(target_arch = "x86_64")]
+    if isa == DecoderIsa::Avx2 {
+        // SAFETY: a decoder is built at a tier only if the host has it;
+        // the slices are equally long.
+        (done, decided) = unsafe { x86::hard_decide_avx2(post, bits) };
+    }
+    for (b, &l) in bits[done..].iter_mut().zip(&post[done..]) {
+        *b = llr_to_bit(l as Llr);
+        decided &= l as Llr != 0;
+    }
+    decided
 }
 
 /// `±γ₀ then ±γₚ` — the exact op pairing of
@@ -1027,6 +1044,32 @@ mod x86 {
             _mm_storeu_si128(ext.as_mut_ptr().add(i) as *mut __m128i, la);
             i += 8;
         }
+    }
+
+    /// [`super::hard_decide`], 32 per step; returns how many elements
+    /// it covered (all but a ragged end) and whether all were decided.
+    ///
+    /// # Safety
+    /// AVX2, and `bits` is as long as `post`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn hard_decide_avx2(post: &[i32], bits: &mut [u8]) -> (usize, bool) {
+        let (one, mut zeros) = (_mm256_set1_epi8(1), _mm256_setzero_si256());
+        // the packs work per 128-bit lane: this puts their dwords back
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let steps = post.len() / 32;
+        for i in 0..steps {
+            let p = post.as_ptr().add(32 * i).cast::<__m256i>();
+            let l = |j| _mm256_slli_epi32(_mm256_loadu_si256(p.add(j)), 16);
+            let (lo, hi) = (
+                _mm256_packs_epi32(l(0), l(1)),
+                _mm256_packs_epi32(l(2), l(3)),
+            );
+            let b = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(lo, hi), order);
+            zeros = _mm256_or_si256(zeros, _mm256_cmpeq_epi8(b, _mm256_setzero_si256()));
+            let b = _mm256_and_si256(_mm256_srli_epi16(b, 7), one);
+            _mm256_storeu_si256(bits.as_mut_ptr().add(32 * i).cast(), b);
+        }
+        (32 * steps, _mm256_testz_si256(zeros, zeros) == 1)
     }
 
     // ---- AVX2 tier: lane-packed meet-in-the-middle SISO -------------
@@ -1598,6 +1641,40 @@ pub(crate) mod tests {
             for isa in DecoderIsa::available() {
                 let out = NativeTurboDecoder::with_isa(k, 3, isa).decode(&input);
                 assert_eq!(out, reference, "{} K={k}", isa.name());
+            }
+        }
+    }
+
+    #[test]
+    fn hard_decide_matches_llr_to_bit_and_a_zero_anywhere_vetoes() {
+        // The posterior is each element's low half, here any non-zero
+        // value; the high half is whatever the kernel left there.
+        let post = |k: usize| -> Vec<i32> {
+            let mut rng = vran_util::rng::SmallRng::seed_from_u64(k as u64);
+            (0..k)
+                .map(|_| (rng.next_u32() as i32) << 16 | (rng.next_u32() % 0xFFFF + 1) as i32)
+                .collect()
+        };
+        for isa in DecoderIsa::available() {
+            for k in [16usize, 40, 48, 64, 104, 5696] {
+                let clean = post(k);
+                let want: Vec<u8> = clean.iter().map(|&l| llr_to_bit(l as Llr)).collect();
+                assert!(want.contains(&0) && want.contains(&1));
+                // first, last, and either side of every register of
+                // either width
+                let planted = (0..k).filter(|i| i % 16 == 0 || i % 16 == 15);
+                for zero in planted.map(Some).chain([None]) {
+                    let mut post = clean.clone();
+                    let mut want = want.clone();
+                    if let Some(z) = zero {
+                        post[z] &= !0xFFFF;
+                        want[z] = 0;
+                    }
+                    let mut bits = vec![9; k];
+                    let decided = hard_decide(isa, &post, &mut bits);
+                    assert_eq!(bits, want, "{} K={k} zero at {zero:?}", isa.name());
+                    assert_eq!(decided, zero.is_none(), "{} K={k} {zero:?}", isa.name());
+                }
             }
         }
     }

@@ -258,7 +258,7 @@ impl PackedTurboEncoder {
         scratch.d[0][..nw].copy_from_slice(&scratch.in_w);
 
         // constituent 2: byte-gather the interleaved input, then pack
-        // 8 bits per multiply — far cheaper than per-bit word inserts.
+        // it 64 bits per step — far cheaper than per-bit word inserts.
         // Eight elements per trip (every legal K is a multiple of 8):
         // at one per trip the loop is 28 bytes of code, and whether
         // the linker happens to place it across a 64-byte line decides

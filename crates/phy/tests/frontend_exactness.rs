@@ -1,7 +1,9 @@
 //! The `frontend_exactness` sweep: every native front-end SIMD entry
-//! point (fixed-point demap, word-parallel descramble, sliced/folded
-//! CRC, row-wise de-rate-match) vs its scalar oracle across **all
-//! 188** TS 36.212 block sizes and **every** host-ISA tier.
+//! point (fixed-point demap, word-parallel scramble / descramble,
+//! sliced/folded CRC, row-wise de-rate-match, and the bit plane: the
+//! mapper and the packers / unpackers on `vran_phy::bits`' expand and
+//! compress) vs its scalar oracle across **all 188** TS 36.212 block
+//! sizes and **every** host-ISA tier.
 //!
 //! The uplink pipeline makes the SIMD front end the default path on
 //! the strength of this sweep (see `PipelineConfig::frontend_simd`):
@@ -17,6 +19,10 @@
 //! the harness would otherwise run per-kernel tests on concurrent
 //! threads and race on the ceiling.
 
+use vran_phy::bits::{
+    compress_bits, expand_bits, extend_bits_from_words, pack_lsb_words, pack_msb, unpack_lsb_words,
+    unpack_msb,
+};
 use vran_phy::crc::{available_crc, best_crc, has_pclmul, CrcImpl, CRC16, CRC24A, CRC24B, CRC8};
 use vran_phy::demap::{available_demap, best_demap, demap_with, DemapImpl};
 use vran_phy::interleaver::QPP_TABLE;
@@ -24,7 +30,8 @@ use vran_phy::llr::Llr;
 use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::rate_match::RateMatcher;
 use vran_phy::scrambler::{
-    available_descramble, best_descramble, descramble_llrs, descramble_llrs_with, DescrambleImpl,
+    available_descramble, best_descramble, descramble_llrs, descramble_llrs_with, scramble_bits,
+    scramble_bits_serial, DescrambleImpl,
 };
 use vran_simd::host::{set_isa_ceiling, HostIsa};
 use vran_util::rng::SmallRng;
@@ -88,6 +95,8 @@ fn all_frontend_kernels_bit_exact_at_every_isa_tier_all_188_k() {
     descramble_sweep();
     crc_sweep();
     de_rate_match_sweep();
+    mapper_sweep();
+    bit_pack_sweep();
 }
 
 fn demap_sweep() {
@@ -143,13 +152,21 @@ fn descramble_sweep() {
     // descrambler (always ≥ one SIMD block and usually a ragged tail);
     // c_init drawn per case across the full 31-bit range, plus
     // saturation-corner LLR values seeded into every buffer.
-    let cases: Vec<(usize, Vec<Llr>, u32)> = all_k()
+    // Ahead of them, the lengths around a mask word, around the 31
+    // seed words of the word recurrence and around a whole kilobit.
+    let cases: Vec<(usize, Vec<Llr>, u32)> = [0, 31, 32, 33, 991, 992, 993, 1023, 1024]
         .into_iter()
-        .map(|k| {
+        .map(|n| (0, n))
+        .chain(all_k().into_iter().map(|k| {
             let n = (3 * (k + 4) * 2).min(2 * k + 12).next_multiple_of(4);
+            (k, n)
+        }))
+        .map(|(k, n)| {
             let mut llrs: Vec<Llr> = (0..n).map(|_| rng.next_u32() as i16).collect();
-            llrs[0] = i16::MIN;
-            llrs[n / 2] = i16::MAX;
+            if n > 0 {
+                llrs[0] = i16::MIN;
+                llrs[n / 2] = i16::MAX;
+            }
             (k, llrs, rng.next_u32() & 0x7FFF_FFFF)
         })
         .collect();
@@ -181,6 +198,20 @@ fn descramble_sweep() {
                     ceiling.name()
                 );
             }
+            // The transmit side over the same lengths: the LLRs' low
+            // bytes as "bits", so what is XORed into is not only {0,1}
+            // (`2 ^ 1 = 3` on both sides).
+            let bits: Vec<u8> = llrs.iter().map(|&l| l as u8 & 3).collect();
+            let (mut got, mut expect) = (bits.clone(), bits);
+            scramble_bits(&mut got, *c_init);
+            scramble_bits_serial(&mut expect, *c_init);
+            assert_eq!(
+                got,
+                expect,
+                "scramble n={} c_init={c_init:#x} under {} ceiling",
+                llrs.len(),
+                ceiling.name()
+            );
         }
     }
     set_isa_ceiling(None);
@@ -266,6 +297,120 @@ fn de_rate_match_sweep() {
                     );
                 }
             }
+        }
+    }
+    set_isa_ceiling(None);
+}
+
+/// `v` ending flush with an allocation it starts `offset` bytes into.
+fn flush(v: &[u8], offset: usize) -> Vec<u8> {
+    [&vec![0; offset], v].concat()
+}
+
+/// The mapper has no `*_with` entry point either: the ceiling picks the
+/// compress tier under it. Oracle: the fold it replaced — a most-
+/// significant-bit-first index into the `2^bps` points, each taken
+/// from a one-symbol call (the unit tests hold those to the per-axis
+/// expression of TS 36.211) — over inputs whose ones are any non-zero
+/// byte, at every byte misalignment, ending flush with the allocation.
+fn mapper_sweep() {
+    let mut rng = SmallRng::seed_from_u64(0xDE3A_9005);
+    let ones = [1u8, 1, 1, 1, 1, 2, 0x80, 0xFF];
+    let bits: Vec<u8> = (0..6 * 3800)
+        .map(|_| match rng.next_u32() % 16 {
+            i @ 0..8 => ones[i as usize],
+            _ => 0,
+        })
+        .collect();
+    let tables = Modulation::ALL.map(|m| {
+        let bps = m.bits_per_symbol();
+        (0..1u8 << bps)
+            .map(|v| {
+                let c: Vec<u8> = (0..bps).map(|j| (v >> (bps - 1 - j)) & 1).collect();
+                m.modulate(&c)[0]
+            })
+            .collect::<Vec<Cplx>>()
+    });
+    let to_bits = |s: &[Cplx]| -> Vec<(u32, u32)> {
+        s.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    };
+    for ceiling in HostIsa::all() {
+        set_isa_ceiling(Some(ceiling));
+        for (m, table) in Modulation::ALL.into_iter().zip(&tables) {
+            let bps = m.bits_per_symbol();
+            for symbols in [0, 1, 9, 10, 11, 63, 64, 65, 3799, 3800] {
+                let bits = &bits[..bps * symbols];
+                let expect: Vec<Cplx> = bits
+                    .chunks_exact(bps)
+                    .map(|c| table[c.iter().fold(0, |v, &b| v << 1 | usize::from(b != 0))])
+                    .collect();
+                for offset in 0..64 {
+                    let buf = flush(bits, offset);
+                    assert_eq!(
+                        to_bits(&m.modulate(&buf[offset..])),
+                        to_bits(&expect),
+                        "{} symbols={symbols} offset={offset} under {} ceiling",
+                        m.name(),
+                        ceiling.name()
+                    );
+                }
+            }
+        }
+    }
+    set_isa_ceiling(None);
+}
+
+/// The packers and unpackers, and the two primitives under them, vs
+/// one-bit-per-iteration loops at every `n mod 64` (twice over, and at
+/// a packet's length) and every byte misalignment of the bit buffer.
+fn bit_pack_sweep() {
+    let mut rng = SmallRng::seed_from_u64(0xDE3A_9006);
+    let lengths: Vec<usize> = (0..=130).chain([11_439, 11_440]).collect();
+    let bits: Vec<u8> = (0..11_440).map(|_| (rng.next_u32() & 1) as u8).collect();
+    // bytes a compress by `!= 0` and one by the low bit read differently
+    let odd: Vec<u8> = (0..11_440)
+        .map(|_| [0, 1, 2, 0x80, 0xFF][rng.next_u32() as usize % 5])
+        .collect();
+    for ceiling in HostIsa::all() {
+        set_isa_ceiling(Some(ceiling));
+        for &n in &lengths {
+            let at = format!("n={n} under {} ceiling", ceiling.name());
+            let mut msb = vec![0u8; n.div_ceil(8)];
+            let mut lsb = vec![0u64; n.div_ceil(64)];
+            let (mut nonzero, mut low) = (lsb.clone(), lsb.clone());
+            for i in 0..n {
+                msb[i / 8] |= bits[i] << (7 - i % 8);
+                lsb[i / 64] |= u64::from(bits[i]) << (i % 64);
+                nonzero[i / 64] |= u64::from(odd[i] != 0) << (i % 64);
+                low[i / 64] |= u64::from(odd[i] & 1) << (i % 64);
+            }
+            for offset in [0, 1, 7, 33, 63] {
+                let buf = flush(&bits[..n], offset);
+                assert_eq!(pack_msb(&buf[offset..]), msb, "pack_msb {at}");
+                let mut got = vec![!0; lsb.len()];
+                pack_lsb_words(&buf[offset..], &mut got);
+                assert_eq!(got, lsb, "pack_lsb_words {at}");
+                let buf = flush(&odd[..n], offset);
+                compress_bits(&buf[offset..], 0xFF, &mut got);
+                assert_eq!(got, nonzero, "compress_bits != 0 {at}");
+                compress_bits(&buf[offset..], 1, &mut got);
+                assert_eq!(got, low, "compress_bits low bit {at}");
+                // the unpackers, into a buffer that starts `offset` in
+                // and must be left alone below it
+                let mut out = vec![9; offset];
+                extend_bits_from_words(&lsb, n, &mut out);
+                assert_eq!(out[offset..], bits[..n], "extend_bits_from_words {at}");
+                out[offset..].fill(7);
+                expand_bits(&lsb, &mut out[offset..]);
+                assert_eq!(out[offset..], bits[..n], "expand_bits {at}");
+                assert!(out[..offset].iter().all(|&b| b == 9), "underwrite {at}");
+            }
+            assert_eq!(unpack_msb(&msb, n), bits[..n], "unpack_msb {at}");
+            assert_eq!(
+                unpack_lsb_words(&lsb, n),
+                bits[..n],
+                "unpack_lsb_words {at}"
+            );
         }
     }
     set_isa_ceiling(None);

@@ -199,7 +199,10 @@ fn trajectory_records_name_every_workload_and_metric() {
         .iter()
         .map(|r| r.get("pr").and_then(Json::as_f64).expect("pr number"))
         .collect();
-    assert!(prs.windows(2).all(|w| w[1] == w[0] + 1.0) && prs[0] == 11.0);
+    // Consecutive from the PR that defined the benchmark, except that
+    // PRs 19 and 20 left nothing on main and so have no record.
+    let follows = |w: &[f64]| w[1] == w[0] + 1.0 || (w[0] == 18.0 && w[1] == 21.0);
+    assert!(prs.windows(2).all(follows) && prs[0] == 11.0);
     for (record, pr) in records.iter().zip(&prs) {
         for key in ["host", "seeds", "source"] {
             let field = record.get(key).and_then(Json::as_str);

@@ -3,32 +3,30 @@
 //! over a frequency-selective fading channel with pilot-based
 //! equalization.
 //!
-//! The UE side is honest about its information: it decodes the DCI
-//! first and takes the data channel's modulation and redundancy
-//! version *from the decoded grant*, so a corrupted PDCCH fails the
-//! whole subframe exactly as it would on air.
+//! The eNB's PDSCH is the same [`TxChain`] the uplink loopback
+//! transmits with, under the downlink's own [`Grant`]. The UE side is
+//! honest about its information: it decodes the DCI first and takes the
+//! data channel's modulation and redundancy version *from the decoded
+//! grant*, so a corrupted PDCCH fails the whole subframe exactly as it
+//! would on air.
 
-use crate::metrics::{PipelineMetrics, Stage};
+use crate::metrics::PipelineMetrics;
 use crate::packet::Packet;
-use crate::pipeline::{timed, EncoderBackend};
+use crate::pipeline::{fading_pass, Clock, DecoderBackend, EncoderBackend};
+use crate::rx::Capture;
+use crate::tx::{Grant, Kernels, TxChain};
 use std::cell::RefCell;
 use std::sync::Arc;
 use vran_arrange::{ArrangeKernel, Mechanism};
-use vran_phy::bits::{extend_bits_from_words, pack_msb, unpack_msb};
+use vran_phy::bits::{pack_msb, unpack_msb};
 use vran_phy::channel::AwgnChannel;
-use vran_phy::crc::{best_crc, CrcImpl, CRC24A, CRC24B};
+use vran_phy::crc::{CRC24A, CRC24B};
 use vran_phy::dci::{conv_encode_streams, llrs_from_streams, viterbi_decode_tb, Dci};
-use vran_phy::demap::{best_demap, demap_with};
-use vran_phy::equalizer::{Equalizer, FadingChannel};
 use vran_phy::llr::TurboLlrs;
 use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::rate_match::conv::ConvRateMatcher;
-use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
-use vran_phy::scrambler::{
-    best_descramble, descramble_llrs, descramble_llrs_with, scramble_bits, scramble_bits_serial,
-};
-use vran_phy::segmentation::Segmentation;
-use vran_phy::turbo::{EncodeScratch, EncoderIsa, PackedTurboEncoder, TurboDecoder, TurboEncoder};
+use vran_phy::rate_match::RateMatcher;
+use vran_phy::turbo::TurboDecoder;
 use vran_simd::RegWidth;
 
 /// Downlink configuration.
@@ -108,67 +106,30 @@ fn modulation_to_mcs(m: Modulation) -> u8 {
     }
 }
 
+/// PDSCH scrambling identity.
+const PDSCH_C_INIT: u32 = 0xC0FFEE & 0x7FFF_FFFF;
+
+/// PDSCH code rate ×1024: rate 1/2.
+const PDSCH_RATE_X1024: u32 = 2048;
+
 /// The downlink pipeline.
 #[derive(Debug, Clone)]
 pub struct DownlinkPipeline {
     cfg: DownlinkConfig,
-    eq: Equalizer,
     metrics: Option<Arc<PipelineMetrics>>,
-    hot: RefCell<EncodeHot>,
+    /// The eNB's PDSCH transmit chain (per-K encoders, rate matchers
+    /// and word buffers live in it: the steady-state encode loop
+    /// performs no heap allocation).
+    tx: RefCell<TxChain>,
 }
-
-/// Per-pipeline transmit-side hot state: packed encoders and rate
-/// matchers keyed by size, plus reusable word buffers — the
-/// steady-state PDSCH encode loop performs no heap allocation.
-#[derive(Debug, Clone, Default)]
-struct EncodeHot {
-    /// Packed encoders, keyed by block size K.
-    encs: Vec<PackedTurboEncoder>,
-    /// Packed rate matchers, keyed by per-stream length d.
-    rms: Vec<(usize, PackedRateMatcher)>,
-    /// Packed-word encode scratch shared across block sizes.
-    scratch: EncodeScratch,
-    /// Circular-buffer words (rate-matcher input).
-    wbuf: Vec<u64>,
-    /// Rate-matched output words.
-    ebuf: Vec<u64>,
-}
-
-impl EncodeHot {
-    /// Index of the cached packed encoder for block size `k`.
-    fn enc_index(&mut self, k: usize) -> usize {
-        match self.encs.iter().position(|e| e.k() == k) {
-            Some(i) => i,
-            None => {
-                self.encs.push(PackedTurboEncoder::new(k));
-                self.encs.len() - 1
-            }
-        }
-    }
-
-    /// Index of the cached packed rate matcher for stream length `d`.
-    fn rm_index(&mut self, d: usize) -> usize {
-        match self.rms.iter().position(|(rd, _)| *rd == d) {
-            Some(i) => i,
-            None => {
-                self.rms.push((d, PackedRateMatcher::new(d)));
-                self.rms.len() - 1
-            }
-        }
-    }
-}
-
-/// Subcarriers per resource grid (5 MHz).
-const GRID: usize = 300;
 
 impl DownlinkPipeline {
     /// New pipeline.
     pub fn new(cfg: DownlinkConfig) -> Self {
         Self {
             cfg,
-            eq: Equalizer::lte(),
             metrics: None,
-            hot: RefCell::default(),
+            tx: RefCell::default(),
         }
     }
 
@@ -185,68 +146,19 @@ impl DownlinkPipeline {
         self.metrics.as_deref()
     }
 
-    /// Turbo-encode + rate-match every code block through the
-    /// configured [`EncoderBackend`]; returns the concatenated coded
-    /// bits and the per-block rate-match lengths.
-    fn encode_blocks(&self, blocks: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
+    /// The one place the two A/B flags are read: `frontend_simd` and
+    /// `encoder_backend` become the eNB's kernels and the UE's
+    /// front-end kernels (its decode side is the scalar reference
+    /// behind the VM arrangement kernel under test).
+    fn resolve(&self) -> Kernels {
         let cfg = &self.cfg;
-        let m = self.metrics.as_deref().filter(|m| m.is_enabled());
-        let mut coded = Vec::new();
-        let mut block_e = Vec::with_capacity(blocks.len());
-        let hot = &mut *self.hot.borrow_mut();
-        if let Some(m) = m {
-            if cfg.encoder_backend == EncoderBackend::Packed {
-                if EncoderIsa::best() == EncoderIsa::Word64 {
-                    // Packed was requested but the host (or the test
-                    // ISA ceiling) offers no SIMD: the portable u64
-                    // kernel still runs 64 trellis steps per word, but
-                    // record the degradation for observability.
-                    m.packed_encoder_fallbacks.inc();
-                }
-                if EncoderIsa::best() < EncoderIsa::Avx512 {
-                    // Encoding runs below the widest (zmm) tier — the
-                    // deployment lost its 512-bit throughput.
-                    m.zmm_encoder_fallbacks.inc();
-                }
-            }
-        }
-        for blk in blocks {
-            let k = blk.len();
-            let e = (2 * k).next_multiple_of(cfg.modulation.bits_per_symbol() * 2);
-            match cfg.encoder_backend {
-                EncoderBackend::Scalar => {
-                    let enc = TurboEncoder::new(k);
-                    let cw = timed(m, Stage::Encode, || enc.encode(blk));
-                    let rm = RateMatcher::new(k + 4);
-                    let d = cw.to_dstreams();
-                    timed(m, Stage::RateMatch, || {
-                        coded.extend(rm.rate_match(&d, e, cfg.rv as usize))
-                    });
-                }
-                EncoderBackend::Packed => {
-                    let ei = hot.enc_index(k);
-                    let rmi = hot.rm_index(k + 4);
-                    timed(m, Stage::Encode, || {
-                        hot.encs[ei].encode_dstreams_into(blk, &mut hot.scratch)
-                    });
-                    timed(m, Stage::RateMatch, || {
-                        let rm = &hot.rms[rmi].1;
-                        rm.pack_circular_into(hot.scratch.dstream_words(), &mut hot.wbuf)
-                            .expect("scratch streams sized to d");
-                        rm.try_rate_match_packed_into(
-                            &hot.wbuf,
-                            e,
-                            cfg.rv as usize & 3,
-                            &mut hot.ebuf,
-                        )
-                        .expect("rv masked to 0..4");
-                        extend_bits_from_words(&hot.ebuf, e, &mut coded);
-                    });
-                }
-            }
-            block_e.push(e);
-        }
-        (coded, block_e)
+        Kernels::resolve(
+            cfg.frontend_simd,
+            cfg.encoder_backend,
+            false,
+            DecoderBackend::Scalar,
+            ArrangeKernel::new(cfg.width, cfg.mechanism),
+        )
     }
 
     /// Transmit symbols over the configured channel and return
@@ -254,31 +166,26 @@ impl DownlinkPipeline {
     fn channel_pass(&self, data: &[Cplx], seed: u64) -> (Vec<Cplx>, f32) {
         if self.cfg.fading {
             let mut out = Vec::with_capacity(data.len());
-            let n_pilots = self.eq.pilot_positions(GRID).len();
-            let per_grid = GRID - n_pilots;
-            let mut chan = FadingChannel::new(GRID, self.cfg.snr_db, 3, seed);
-            for chunk in data.chunks(per_grid) {
-                let mut d = chunk.to_vec();
-                d.resize(per_grid, Cplx::default());
-                let (grid, _) = self.eq.insert_pilots(&d, GRID);
-                let rx = chan.apply(&grid);
-                let h = self.eq.estimate(&rx);
-                let (eq_syms, _w) = self.eq.equalize(&rx, &h);
-                out.extend_from_slice(&eq_syms[..chunk.len().min(eq_syms.len())]);
-            }
-            out.truncate(data.len());
+            fading_pass(data, self.cfg.snr_db, seed, &mut out);
             (out, 1.0)
         } else {
             let mut chan = AwgnChannel::new(self.cfg.snr_db, seed);
-            let rx = chan.apply(data);
-            let scale = (chan.llr_scale() / 8.0).clamp(0.25, 16.0);
-            (rx, scale)
+            (chan.apply(data), Capture::llr_scale_of(&chan))
         }
     }
 
     /// Process one subframe carrying `packet` as its transport block.
     pub fn process(&self, packet: &Packet) -> DownlinkResult {
         let cfg = &self.cfg;
+        let kern = self.resolve();
+        let mut clock = Clock {
+            m: self.metrics.as_deref().filter(|m| m.is_enabled()),
+            kern,
+            nanos: Default::default(),
+        };
+        if let Some(m) = clock.m {
+            kern.count_tx_tiers(m);
+        }
 
         // ---- eNB: PDCCH (conv code + §5.1.4.2 rate matching at
         // aggregation level 2 = 144 coded bits, QPSK) ----
@@ -296,39 +203,29 @@ impl DownlinkPipeline {
         let pdcch_syms = Modulation::Qpsk.modulate(&dci_coded);
 
         // ---- eNB: PDSCH ----
-        let crc_imp = if cfg.frontend_simd {
-            best_crc()
-        } else {
-            CrcImpl::BitSerial
+        let pdsch = Grant {
+            modulation: cfg.modulation,
+            rate_x1024: PDSCH_RATE_X1024,
+            rv: grant.rv,
+            c_init: PDSCH_C_INIT,
         };
+        let tx = &mut *self.tx.borrow_mut();
+        tx.kern = kern;
         let frame_bits = unpack_msb(&packet.frame, packet.frame.len() * 8);
-        let tb = CRC24A.attach_with(crc_imp, &frame_bits);
-        let seg = Segmentation::plan(tb.len());
-        let blocks = seg.segment(&tb);
-        let (coded, block_e) = self.encode_blocks(&blocks);
-        let bps = cfg.modulation.bits_per_symbol();
-        let padded = coded.len().next_multiple_of(bps);
-        let mut tx_bits = coded;
-        tx_bits.resize(padded, 0);
-        if cfg.frontend_simd {
-            scramble_bits(&mut tx_bits, 0xC0FFEE & 0x7FFF_FFFF);
-        } else {
-            scramble_bits_serial(&mut tx_bits, 0xC0FFEE & 0x7FFF_FFFF);
-        }
-        let pdsch_syms = cfg.modulation.modulate(&tx_bits);
+        let seg = tx
+            .map(&frame_bits, &pdsch, &mut clock)
+            .expect("any frame plus its CRC24A segments, at rv < 4");
+        let padded = tx.bits.len();
 
         // ---- channel (control then data, separate passes) ----
         let (rx_pdcch, ctrl_scale) = self.channel_pass(&pdcch_syms, cfg.seed);
-        let (rx_pdsch, data_scale) = self.channel_pass(&pdsch_syms, cfg.seed ^ 0xD5D5);
+        let (rx_pdsch, data_scale) = self.channel_pass(&tx.symbols, cfg.seed ^ 0xD5D5);
 
         // ---- UE: decode the grant first (de-rate-match, then the
         // tail-biting Viterbi; the 144→66 repetition combines) ----
-        let dci_llrs = if cfg.frontend_simd {
-            demap_with(best_demap(), Modulation::Qpsk, &rx_pdcch, ctrl_scale)
-        } else {
-            Modulation::Qpsk.demodulate(&rx_pdcch, ctrl_scale)
-        };
-        let dci_d = crm.de_rate_match(&dci_llrs[..PDCCH_E]);
+        let mut llrs = Vec::new();
+        kern.demap_into(Modulation::Qpsk, &rx_pdcch, ctrl_scale, &mut llrs);
+        let dci_d = crm.de_rate_match(&llrs[..PDCCH_E]);
         let rx_bits = viterbi_decode_tb(&llrs_from_streams(&dci_d), Dci::BITS);
         let rx_grant = Dci::from_bits(&rx_bits);
         let dci_ok = rx_grant == grant;
@@ -336,51 +233,45 @@ impl DownlinkPipeline {
             return DownlinkResult {
                 dci_ok,
                 data_ok: false,
-                code_blocks: blocks.len(),
+                code_blocks: seg.c,
                 coded_bits: padded,
             };
         }
 
         // ---- UE: PDSCH with parameters FROM THE GRANT ----
-        let ue_mod = mcs_to_modulation(rx_grant.mcs);
-        let ue_rv = rx_grant.rv as usize;
-        let mut llrs = if cfg.frontend_simd {
-            demap_with(best_demap(), ue_mod, &rx_pdsch, data_scale)
-        } else {
-            ue_mod.demodulate(&rx_pdsch, data_scale)
+        let ue_grant = Grant {
+            modulation: mcs_to_modulation(rx_grant.mcs),
+            rv: rx_grant.rv,
+            ..pdsch
         };
+        kern.demap_into(ue_grant.modulation, &rx_pdsch, data_scale, &mut llrs);
         llrs.truncate(padded);
-        if cfg.frontend_simd {
-            descramble_llrs_with(best_descramble(), &mut llrs, 0xC0FFEE & 0x7FFF_FFFF);
-        } else {
-            descramble_llrs(&mut llrs, 0xC0FFEE & 0x7FFF_FFFF);
-        }
+        kern.descramble(&mut llrs, ue_grant.c_init);
 
         let mut decoded = Vec::new();
         let mut pos = 0;
         let mut all_ok = true;
-        for (i, blk) in blocks.iter().enumerate() {
-            let k = blk.len();
-            let e = block_e[i];
+        for i in 0..seg.c {
+            let k = seg.k_of(i);
+            let e = ue_grant.block_e(k);
             if pos + e > llrs.len() {
                 all_ok = false;
                 break;
             }
             let rm = RateMatcher::new(k + 4);
-            let d = rm.de_rate_match(&llrs[pos..pos + e], ue_rv);
+            let d = rm.de_rate_match(&llrs[pos..pos + e], usize::from(ue_grant.rv));
             pos += e;
             let turbo_in = TurboLlrs::from_dstreams(&d, k);
             // arrangement under test, as in the uplink
-            let kern = ArrangeKernel::new(cfg.width, cfg.mechanism);
-            let (streams, _) = kern.arrange(&turbo_in.to_interleaved(), false);
-            let streams = kern.depermute(&streams);
+            let (streams, _) = kern.vm.arrange(&turbo_in.to_interleaved(), false);
+            let streams = kern.vm.depermute(&streams);
             let input = TurboLlrs {
                 k,
                 streams,
                 tails: turbo_in.tails,
             };
             let dec = TurboDecoder::new(k, cfg.decoder_iterations);
-            let out = if blocks.len() > 1 {
+            let out = if seg.c > 1 {
                 let o = dec.decode_with_crc(&input, &CRC24B);
                 if o.crc_ok != Some(true) {
                     all_ok = false;
@@ -393,12 +284,12 @@ impl DownlinkPipeline {
         }
 
         let data_ok = all_ok
-            && decoded.len() == blocks.len()
+            && decoded.len() == seg.c
             && seg
                 .desegment(&decoded)
                 .and_then(|tb_bits| {
                     CRC24A
-                        .check_with(crc_imp, &tb_bits)
+                        .check_with(kern.crc, &tb_bits)
                         .map(|p| pack_msb(p) == packet.frame.to_vec())
                 })
                 .unwrap_or(false);
@@ -406,7 +297,7 @@ impl DownlinkPipeline {
         DownlinkResult {
             dci_ok,
             data_ok,
-            code_blocks: blocks.len(),
+            code_blocks: seg.c,
             coded_bits: padded,
         }
     }
@@ -524,14 +415,28 @@ mod tests {
         for _ in 0..4 {
             assert!(pipe.process(&p).data_ok);
         }
-        let hot = pipe.hot.borrow();
-        assert!(hot.scratch.allocations() > 0);
+        let scratch = &pipe.tx.borrow().scratch;
+        assert!(scratch.allocations() > 0);
         assert!(
-            hot.scratch.reuses() >= 3,
+            scratch.reuses() >= 3,
             "steady-state encodes must reuse scratch: allocs={} reuses={}",
-            hot.scratch.allocations(),
-            hot.scratch.reuses()
+            scratch.allocations(),
+            scratch.reuses()
         );
+    }
+
+    #[test]
+    fn a_frame_over_the_uplink_block_cap_still_closes_the_loop() {
+        // `MAX_CODE_BLOCKS` is the uplink receiver's limit; the PDSCH
+        // has never had one. 6200 B → 9 code blocks.
+        let cfg = DownlinkConfig {
+            snr_db: 25.0,
+            decoder_iterations: 2,
+            ..Default::default()
+        };
+        let r = DownlinkPipeline::new(cfg).process(&packet(6200));
+        assert!(r.code_blocks > crate::pipeline::MAX_CODE_BLOCKS, "{r:?}");
+        assert!(r.dci_ok && r.data_ok, "{r:?}");
     }
 
     #[test]

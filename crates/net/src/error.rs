@@ -113,6 +113,14 @@ pub enum FrameFault {
     Empty,
     /// The received sample capture cannot be demodulated.
     Capture(OfdmError),
+    /// The capture's symbol count is not the one its transport-block
+    /// size needs under the grant.
+    SymbolCount {
+        /// Constellation symbols the transport block needs.
+        need: usize,
+        /// Constellation symbols the capture claims.
+        got: usize,
+    },
 }
 
 /// Structural reasons a (de)segmentation can be inconsistent.

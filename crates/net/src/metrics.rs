@@ -4,8 +4,13 @@
 //! Everything here is lock-free (relaxed atomics) so the threaded
 //! runner can record from every stage thread, and **near-zero overhead
 //! when disabled**: each registry carries an `enabled` flag checked
-//! before any atomic touch, and the pipeline skips even the
-//! `Instant::now()` calls when no registry is attached.
+//! before any atomic touch.
+//!
+//! Time reaches the histograms one way: the transmit and receive chains
+//! ([`crate::tx`], [`crate::rx`]) bracket every stage in one
+//! [`Spans::lap`] over the fine stage list [`Op`], and the pipeline's
+//! span sink files each lap here through
+//! [`PipelineMetrics::record_lap`].
 //!
 //! Three registries mirror the three instrumented layers:
 //!
@@ -263,6 +268,91 @@ impl Stage {
     }
 }
 
+/// The chains' fine stage list, in chain order: what one
+/// [`Spans::lap`] brackets. `Encode`, `RateMatch`, `DeRateMatch`,
+/// `Arrange` and `Decode` lap once per code block, the rest once per
+/// packet. [`Op::stage`] folds the list onto the coarser [`Stage`]
+/// histograms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// PDCP/RLC/MAC framing of the frame into the transport block.
+    L2Encap,
+    /// CRC24A attach.
+    CrcAttach,
+    /// Segmentation plan + split into code blocks.
+    Seg,
+    /// Turbo encode of one code block.
+    Encode,
+    /// Rate match of one code block.
+    RateMatch,
+    /// Gold-sequence scrambling of the coded bits.
+    Scramble,
+    /// Constellation mapping.
+    Map,
+    /// OFDM modulation (IFFT + CP).
+    OfdmMod,
+    /// The channel model between the chains (loopback only).
+    Channel,
+    /// OFDM demodulation (CP strip + FFT).
+    OfdmDemod,
+    /// Soft demapping.
+    Demap,
+    /// LLR descrambling.
+    Descramble,
+    /// De-rate-match of one code block.
+    DeRateMatch,
+    /// The data arrangement of one code block (the paper's subject).
+    Arrange,
+    /// Turbo decode of one code block.
+    Decode,
+    /// Desegmentation of the decoded blocks.
+    Deseg,
+    /// CRC24A check.
+    CrcCheck,
+    /// MAC/RLC/PDCP de-encapsulation of the transport block.
+    L2Decap,
+}
+
+impl Op {
+    /// The [`Stage`] histogram this op's laps land in; the two L2 ops
+    /// have none.
+    pub fn stage(self) -> Option<Stage> {
+        Some(match self {
+            Op::L2Encap | Op::L2Decap => return None,
+            Op::CrcAttach | Op::CrcCheck => Stage::Crc,
+            Op::Seg | Op::Deseg => Stage::Segment,
+            Op::Encode => Stage::Encode,
+            Op::RateMatch | Op::DeRateMatch => Stage::RateMatch,
+            Op::Scramble | Op::Map => Stage::Modulate,
+            Op::OfdmMod | Op::Channel | Op::OfdmDemod => Stage::Ofdm,
+            Op::Demap | Op::Descramble => Stage::Demap,
+            Op::Arrange => Stage::Arrange,
+            Op::Decode => Stage::Decode,
+        })
+    }
+}
+
+/// A span sink: where a chain reports to its owner. The chains call
+/// [`Spans::lap`] around every stage and never read a clock
+/// themselves; what a lap costs and where it is filed is the sink's
+/// business. `()` is the sink that measures nothing.
+pub trait Spans {
+    /// Run `work` as one lap of `op`.
+    fn lap<T>(&mut self, op: Op, work: impl FnOnce() -> T) -> T;
+
+    /// A pooled buffer was filled: it `held` this capacity before and
+    /// has `now` after (0 → n a first allocation, equal a reuse,
+    /// anything else a growth).
+    fn staged(&mut self, _held: usize, _now: usize) {}
+}
+
+impl Spans for () {
+    #[inline]
+    fn lap<T>(&mut self, _op: Op, work: impl FnOnce() -> T) -> T {
+        work()
+    }
+}
+
 /// Per-stage latency histograms and packet counters for the uplink
 /// pipeline.
 #[derive(Debug)]
@@ -496,25 +586,38 @@ impl PipelineMetrics {
         &self.frontend_crc
     }
 
-    /// Record one SIMD-front-end demap+descramble split (no-op when
-    /// disabled). The combined total also lands in [`Stage::Demap`]
-    /// via the pipeline's stage timer, mirroring the `arrange_fused`
-    /// convention of per-tier histograms riding alongside the stage
-    /// series.
-    #[inline]
-    pub fn record_frontend_demap(&self, demap_ns: u64, descramble_ns: u64) {
-        if self.enabled {
-            self.frontend_demap.record(demap_ns);
-            self.frontend_descramble.record(descramble_ns);
+    /// File one chain lap: under the op's [`Stage`] series and, when
+    /// the lap ran a SIMD front-end kernel (`simd_frontend`) or the
+    /// fused ingest (`fused`), under that kernel's own histogram as
+    /// well (no-op when disabled).
+    pub fn record_lap(&self, op: Op, nanos: u64, simd_frontend: bool, fused: bool) {
+        if !self.enabled {
+            return;
+        }
+        match op {
+            Op::Arrange if fused => return self.record_arrange_fused(nanos),
+            Op::Demap if simd_frontend => self.frontend_demap.record(nanos),
+            Op::Descramble if simd_frontend => self.frontend_descramble.record(nanos),
+            Op::CrcAttach | Op::CrcCheck if simd_frontend => self.frontend_crc.record(nanos),
+            _ => {}
+        }
+        if let Some(stage) = op.stage() {
+            self.stages[stage as usize].record(nanos);
         }
     }
 
-    /// Record one SIMD-front-end CRC kernel latency (no-op when
-    /// disabled).
-    #[inline]
-    pub fn record_frontend_crc(&self, nanos: u64) {
-        if self.enabled {
-            self.frontend_crc.record(nanos);
+    /// File one pooled-buffer fill ([`Spans::staged`]) under the
+    /// staging counters (no-op when disabled).
+    pub fn record_staged(&self, held: usize, now: usize) {
+        if !self.enabled {
+            return;
+        }
+        if held == now {
+            self.staging_reuses.inc();
+        } else if held == 0 {
+            self.staging_allocs.inc();
+        } else {
+            self.staging_reallocs.inc();
         }
     }
 

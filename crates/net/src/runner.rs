@@ -13,7 +13,7 @@
 //! ([`crate::stagegraph`]) by default: each worker pools decode tasks
 //! by K across the packets in its ring and launches them as
 //! quad-in-zmm / pair-in-ymm batches, keeping the SIMD lanes full
-//! under mixed-K traffic. [`run_uplink_serial`] keeps the old
+//! under mixed-K traffic. [`run_uplink_serial_mixed`] keeps the old
 //! per-packet model as the measured baseline.
 
 use crate::downlink::{DownlinkConfig, DownlinkPipeline};
@@ -195,27 +195,9 @@ pub fn run_throughput_metered(
 
 /// Multi-core scaling driver: distribute packets round-robin across
 /// `workers` PHY threads (one SPSC ring each — the paper's Figure 16
-/// "cores required" setting, each core owning its share of the load).
-pub fn run_multicore(
-    cfg: PipelineConfig,
-    transport: Transport,
-    wire_len: usize,
-    n_packets: usize,
-    workers: usize,
-) -> ThroughputReport {
-    run_multicore_metered(
-        cfg,
-        transport,
-        wire_len,
-        n_packets,
-        workers,
-        &RunnerMetrics::new(false, RING_CAPACITY),
-        None,
-    )
-}
-
-/// [`run_multicore`] with runner metrics and an optional per-worker
-/// fault plan. Workers are panic-isolated: a panic mid-packet (real or
+/// "cores required" setting, each core owning its share of the load),
+/// with runner metrics and an optional per-worker fault plan. Workers
+/// are panic-isolated: a panic mid-packet (real or
 /// injected via [`crate::faultinject::FaultKind::WorkerPanic`])
 /// quarantines the worker's pipeline, rebuilds it, and resumes after
 /// an exponential back-off. The panicked packet is consumed (it counts
@@ -359,7 +341,7 @@ pub struct ScaleoutPoint {
 
 /// Multi-core downlink driver: distribute subframes round-robin across
 /// `workers` transmit pipelines (one SPSC ring each), mirroring
-/// [`run_multicore`] on the eNB transmit side. Each worker owns a
+/// [`run_multicore_metered`] on the eNB transmit side. Each worker owns a
 /// [`DownlinkPipeline`], so the packed encoder's hot state (encoders,
 /// rate matchers, scratch words) is per-core and contention-free.
 pub fn run_downlink_multicore(
@@ -443,7 +425,7 @@ pub fn run_downlink_multicore(
 /// the packets in its ring and launches them as quad-in-zmm /
 /// pair-in-ymm batches — batch SIMD is the default uplink path. For
 /// the old per-packet serial model (the comparison baseline), see
-/// [`run_uplink_serial`].
+/// [`run_uplink_serial_mixed`].
 pub fn run_uplink_multicore(
     cfg: PipelineConfig,
     transport: Transport,
@@ -469,18 +451,7 @@ pub fn run_uplink_multicore(
 /// time per worker ([`UplinkPipeline::process`]), no cross-packet
 /// batch formation. Kept as the measured baseline the stage-graph
 /// runtime is gated against (`uplink_stagegraph` benchgate suite); not
-/// panic-isolated.
-pub fn run_uplink_serial(
-    cfg: PipelineConfig,
-    transport: Transport,
-    wire_len: usize,
-    n_packets: usize,
-    workers: usize,
-) -> ThroughputReport {
-    run_uplink_serial_mixed(cfg, &[(transport, wire_len)], n_packets, workers)
-}
-
-/// [`run_uplink_serial`] over a mixed workload: packet `i` draws
+/// panic-isolated. Packet `i` draws
 /// `(transport, wire_len)` from `classes[i % classes.len()]` — the
 /// same round-robin schedule as [`run_uplink_stagegraph_metered`], so
 /// serial and stage-graph runs see byte-identical traffic.
@@ -780,6 +751,12 @@ mod tests {
     use super::*;
     use crate::faultinject::FaultKind;
 
+    /// A disabled runner registry, for the runs that read only the
+    /// report.
+    fn quiet() -> RunnerMetrics {
+        RunnerMetrics::new(false, RING_CAPACITY)
+    }
+
     #[test]
     fn threaded_pipeline_processes_all_packets() {
         let cfg = PipelineConfig {
@@ -828,7 +805,7 @@ mod tests {
             ..Default::default()
         };
         for workers in [1usize, 2, 3] {
-            let rep = run_multicore(cfg, Transport::Udp, 128, 9, workers);
+            let rep = run_multicore_metered(cfg, Transport::Udp, 128, 9, workers, &quiet(), None);
             assert_eq!(rep.packets, 9, "workers={workers}");
             assert_eq!(rep.ok_packets, 9, "workers={workers}");
             assert_eq!(rep.worker_restarts, 0, "workers={workers}");
@@ -848,8 +825,8 @@ mod tests {
             decoder_iterations: 4,
             ..Default::default()
         };
-        let one = run_multicore(cfg, Transport::Udp, 512, 12, 1);
-        let two = run_multicore(cfg, Transport::Udp, 512, 12, 2);
+        let one = run_multicore_metered(cfg, Transport::Udp, 512, 12, 1, &quiet(), None);
+        let two = run_multicore_metered(cfg, Transport::Udp, 512, 12, 2, &quiet(), None);
         assert_eq!(one.ok_packets, 12);
         assert_eq!(two.ok_packets, 12);
         if cores >= 3 {
@@ -932,7 +909,7 @@ mod tests {
             snr_db: 30.0,
             ..Default::default()
         };
-        let rep = run_uplink_serial(cfg, Transport::Udp, 200, 9, 2);
+        let rep = run_uplink_serial_mixed(cfg, &[(Transport::Udp, 200)], 9, 2);
         assert_eq!(rep.packets, 9);
         assert_eq!(rep.ok_packets, 9);
         assert_eq!(rep.wire_bytes, 9 * 200);

@@ -15,8 +15,8 @@
 //!          admit(ue, pkt)                    pools (one per K, cap, crc)
 //! ┌─────────────────────────────┐    ┌───────┐
 //! │ demod → de-rate-match →     │ K₁ │ ▓▓▓░  │── lanes full ──┐
-//! │ arrange  (UplinkPipeline::  │───▶├───────┤                ▼
-//! │ prepare, per packet)        │ K₂ │ ▓░░░  │── deadline ─▶ quad /
+//! │ arrange  (RxChain::front    │───▶├───────┤                ▼
+//! │ via prepare, per packet)    │ K₂ │ ▓░░░  │── deadline ─▶ quad /
 //! └─────────────────────────────┘    └───────┘    flush      pair /
 //!        │ staged tasks                                      single
 //!        ▼                                                     │
@@ -78,6 +78,8 @@ use crate::metrics::{Stage, StageGraphMetrics};
 use crate::observe::{FlightRecorder, TraceEvent};
 use crate::packet::Packet;
 use crate::pipeline::{Admission, PacketResult, PipelineConfig, PreparedUplink, UplinkPipeline};
+use crate::rx::Capture;
+use crate::tx::slot;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -201,8 +203,8 @@ pub struct StageGraph {
     in_flight: usize,
     pools: Vec<Pool>,
     /// Cached serial decoders for single-leftover launches, keyed by K
-    /// (same max-iteration construction as the pipeline's own cache).
-    singles: Vec<NativeTurboDecoder>,
+    /// (same max-iteration construction as the receive chain's cache).
+    singles: Vec<(usize, NativeTurboDecoder)>,
     scratch: DecodeScratch,
     /// Staged-batch-decoder working buffers, shared across pools and
     /// launches (capacity retained — the quad/pair kernels read the
@@ -302,7 +304,9 @@ impl StageGraph {
         self.in_flight
     }
 
-    /// Admit one packet for UE `ue`. Runs the receive path up to the
+    /// Admit one packet for UE `ue`: the loopback's transmitter and
+    /// channel in front of [`Self::admit_capture`]'s admission. Runs
+    /// the receive path up to the
     /// decode stage, pools the code blocks, and launches any batch
     /// whose lanes filled or whose deadline neared. Completed packets
     /// (this one or earlier ones its launches finished) become
@@ -314,9 +318,24 @@ impl StageGraph {
     /// is staged, so the graph stays consistent — swap in a fresh
     /// pipeline with [`Self::replace_pipeline`] and keep admitting.
     pub fn admit(&mut self, ue: u64, packet: &Packet) {
+        self.enqueue(ue, |pipe| pipe.prepare(packet));
+    }
+
+    /// Admit one received capture for UE `ue` — the receiver without
+    /// the test bench: `cap` goes straight into the receive front end
+    /// ([`UplinkPipeline::prepare_capture`]) and its blocks into the
+    /// pools; `expect` is the frame it should deliver.
+    pub fn admit_capture(&mut self, ue: u64, cap: &Capture<'_>, expect: &[u8]) {
+        self.enqueue(ue, |pipe| pipe.prepare_capture(cap, expect));
+    }
+
+    /// One admission tick: run `prepare` on the pipeline, give the
+    /// admission its sequence number and either retire it (it completed
+    /// serially) or take a ROB slot and pool its blocks.
+    fn enqueue(&mut self, ue: u64, prepare: impl FnOnce(&UplinkPipeline) -> Admission) {
         self.tick += 1;
         self.pipe.set_trace_ue(ue);
-        let admission = self.pipe.prepare(packet);
+        let admission = prepare(&self.pipe);
         let seq = {
             let s = self.next_seq.entry(ue).or_insert(0);
             let v = *s;
@@ -529,17 +548,13 @@ impl StageGraph {
                     lanes[..BATCH].copy_from_slice(&pair);
                 }
                 _ => {
-                    let si = match self.singles.iter().position(|d| d.k() == k) {
-                        Some(i) => i,
-                        None => {
-                            let max_iters = self.pipe.config().decoder_iterations;
-                            self.singles.push(NativeTurboDecoder::new(k, max_iters));
-                            self.singles.len() - 1
-                        }
-                    };
+                    let max_iters = self.pipe.config().decoder_iterations;
+                    let si = slot(&mut self.singles, k, || {
+                        NativeTurboDecoder::new(k, max_iters)
+                    });
                     let input = input(0);
                     let passes0 = self.scratch.siso_passes();
-                    let (iters, crc_ok) = self.singles[si].decode_streams_capped_into(
+                    let (iters, crc_ok) = self.singles[si].1.decode_streams_capped_into(
                         input.sys,
                         input.p1,
                         input.p2,

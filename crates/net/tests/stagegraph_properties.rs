@@ -10,8 +10,10 @@
 //! replaced, on AVX-512BW hosts).
 
 use std::sync::Arc;
+use vran_net::amc::MCS_TABLE;
 use vran_net::error::{ErrorCategory, PipelineError};
 use vran_net::faultinject::{FaultInjector, FaultKind, FaultMix};
+use vran_net::l2::{BearerTx, L2_OVERHEAD};
 use vran_net::metrics::{PipelineMetrics, RunnerMetrics, StageGraphMetrics};
 use vran_net::observe::{BreakerConfig, BreakerStage};
 use vran_net::packet::{PacketBuilder, Transport};
@@ -19,7 +21,12 @@ use vran_net::pipeline::{PacketResult, PipelineConfig, UplinkPipeline};
 use vran_net::runner::{
     run_uplink_serial_mixed, run_uplink_stagegraph_metered, FaultPlan, RING_CAPACITY,
 };
+use vran_net::rx::Capture;
+use vran_net::tx::TxChain;
 use vran_net::{StageGraph, StageGraphConfig};
+use vran_phy::bits::unpack_msb;
+use vran_phy::channel::AwgnChannel;
+use vran_phy::modulation::Modulation;
 use vran_util::rng::SmallRng;
 
 const SIZES: [usize; 7] = [64, 128, 300, 600, 900, 1200, 1400];
@@ -45,41 +52,81 @@ fn signature(r: &Result<PacketResult, PipelineError>) -> (bool, usize, usize, us
     }
 }
 
-/// Random packet-size / UE schedule for one seed, admitted to a stage
-/// graph and to the serial oracle (`process`) in lockstep; per-UE
-/// delivery order must equal per-UE admission order with identical
-/// outcome signatures.
+/// Random packet-size / UE schedule for one seed, through
+/// [`check_schedule`]; with `inject`, under the same fault storm on
+/// both sides.
 fn check_random_mix(seed: u64, n: usize, ues: u64, inject: bool) {
     let mut rng = SmallRng::seed_from_u64(seed);
+    let schedule: Vec<_> = (0..n)
+        .map(|_| {
+            let sz = SIZES[rng.gen_range_usize(0, SIZES.len())];
+            let ue = rng.next_u64() % ues;
+            let transport = if rng.next_u64().is_multiple_of(2) {
+                Transport::Udp
+            } else {
+                Transport::Tcp
+            };
+            (ue, transport, sz)
+        })
+        .collect();
+    check_schedule(cfg(), seed, &schedule, inject);
+}
+
+/// A `(ue, transport, size)` schedule admitted to a stage graph and to
+/// the serial oracle (`process`) in lockstep; per-UE delivery order
+/// must equal per-UE admission order with identical outcome
+/// signatures. `seed` labels the run and, with `inject`, seeds the
+/// fault injectors.
+fn check_schedule(
+    cfg: PipelineConfig,
+    seed: u64,
+    schedule: &[(u64, Transport, usize)],
+    inject: bool,
+) {
+    check_admissions(cfg, seed, schedule, inject, false);
+}
+
+/// [`check_schedule`]; with `as_captures` the graph is handed each
+/// frame as a capture made outside it (transmit chain + the pipeline's
+/// own channel) through `admit_capture`, the admission without the test
+/// bench — `process` stays the oracle.
+fn check_admissions(
+    cfg: PipelineConfig,
+    seed: u64,
+    schedule: &[(u64, Transport, usize)],
+    inject: bool,
+    as_captures: bool,
+) {
     let mut bs = PacketBuilder::new(1000, 2000);
     let mut bg = PacketBuilder::new(1000, 2000);
-    let mut serial = UplinkPipeline::new(cfg());
-    let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
+    let mut serial = UplinkPipeline::new(cfg);
+    let mut graph = StageGraph::with_config(cfg, StageGraphConfig::default());
     if inject {
         // Same seed on both sides: prepare draws one fault per packet
         // in the same order process does, so the storms are identical.
         serial.set_fault_injector(FaultInjector::new(seed));
-        let mut pipe = UplinkPipeline::new(cfg());
+        let mut pipe = UplinkPipeline::new(cfg);
         pipe.set_fault_injector(FaultInjector::new(seed));
         graph = StageGraph::new(pipe, StageGraphConfig::default());
     }
 
+    let n = schedule.len();
+    let ues = schedule.iter().map(|s| s.0 + 1).max().unwrap_or(0);
     let mut admitted: Vec<u64> = Vec::new(); // UE per admission index
     let mut expect: Vec<(bool, usize, usize, usize)> = Vec::new();
-    for _ in 0..n {
-        let sz = SIZES[rng.gen_range_usize(0, SIZES.len())];
-        let ue = rng.next_u64() % ues;
-        let transport = if rng.next_u64().is_multiple_of(2) {
-            Transport::Udp
-        } else {
-            Transport::Tcp
-        };
+    for &(ue, transport, sz) in schedule {
         let ps = bs.build(transport, sz).unwrap();
         let pg = bg.build(transport, sz).unwrap();
         assert_eq!(ps.frame, pg.frame, "builders in lockstep");
         expect.push(signature(&serial.process(&ps)));
         admitted.push(ue);
-        graph.admit(ue, &pg);
+        if as_captures {
+            with_capture(&cfg, &pg.frame, |cap| {
+                graph.admit_capture(ue, cap, &pg.frame)
+            });
+        } else {
+            graph.admit(ue, &pg);
+        }
     }
     graph.drain();
 
@@ -105,6 +152,97 @@ fn check_random_mix(seed: u64, n: usize, ues: u64, inject: bool) {
             "seed {seed} UE {ue}: delivery must be admission-ordered and serial-equivalent"
         );
     }
+}
+
+/// `frame` as the loopback would put it on the air — L2 framing, the
+/// transmit chain under the pipeline's grant, the pipeline's channel —
+/// handed to `then` as a capture.
+fn with_capture(cfg: &PipelineConfig, frame: &[u8], then: impl FnOnce(&Capture<'_>)) {
+    let pdu = BearerTx::default()
+        .encapsulate(frame, frame.len() + L2_OVERHEAD)
+        .expect("TB sized to fit");
+    let mut tx = TxChain::default();
+    let grant = UplinkPipeline::new(*cfg).grant();
+    let seg = tx
+        .tx(&unpack_msb(&pdu, pdu.len() * 8), &grant, &mut ())
+        .expect("grid frames segment");
+    let mut channel = AwgnChannel::new(cfg.snr_db, cfg.seed);
+    then(&Capture {
+        samples: &channel.apply(&tx.samples),
+        n_symbols: tx.symbols.len(),
+        tb_bits: seg.b,
+        llr_scale: Capture::llr_scale_of(&channel),
+    });
+}
+
+#[test]
+fn staged_path_matches_process_over_the_parity_grid() {
+    // `chain_parity`'s grid — every size class × modulation × SNR
+    // (operating, `amc`'s rate-1/2 threshold, hopeless) × transport —
+    // through prepare → pooled launches → complete, so the staging
+    // half of the receive chain is held to `process` wherever the
+    // serial half is held to the bare chains.
+    for (label, (modulation, operating)) in [
+        (Modulation::Qpsk, 8.0),
+        (Modulation::Qam16, 14.0),
+        (Modulation::Qam64, 20.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let threshold = MCS_TABLE
+            .iter()
+            .find(|e| e.modulation == modulation && e.rate_x1024 == 2048)
+            .expect("every modulation has a rate-1/2 entry")
+            .min_snr_db;
+        for snr_db in [operating, threshold, -10.0] {
+            let schedule: Vec<_> = [64usize, 256, 512, 1024, 1400, 1500]
+                .into_iter()
+                .flat_map(|sz| [(Transport::Udp, sz), (Transport::Tcp, sz)])
+                .enumerate()
+                .map(|(i, (transport, sz))| (i as u64 % 3, transport, sz))
+                .collect();
+            let cfg = PipelineConfig {
+                modulation,
+                snr_db,
+                ..Default::default()
+            };
+            check_schedule(cfg, label as u64, &schedule, false);
+            check_admissions(cfg, label as u64, &schedule, false, true);
+        }
+    }
+}
+
+#[test]
+fn a_capture_that_carries_another_frame_is_a_crc_mismatch() {
+    let cfg = cfg();
+    let mut b = PacketBuilder::new(1000, 2000);
+    let sent = b.build(Transport::Udp, 600).unwrap().frame;
+    let other = b.build(Transport::Udp, 600).unwrap().frame;
+    assert_ne!(sent, other);
+    let mut graph = StageGraph::with_config(cfg, StageGraphConfig::default());
+    with_capture(&cfg, &sent, |cap| {
+        graph.admit_capture(0, cap, &sent);
+        graph.admit_capture(0, cap, &other);
+        // a capture the front end refuses retires without staging
+        let short = Capture {
+            samples: &cap.samples[..cap.samples.len() - 1],
+            ..*cap
+        };
+        graph.admit_capture(0, &short, &sent);
+    });
+    graph.drain();
+    let outcomes: Vec<_> = std::iter::from_fn(|| graph.pop_completed())
+        .map(|(_, r)| r.map(|_| ()).map_err(|e| e.category()))
+        .collect();
+    assert_eq!(
+        outcomes,
+        [
+            Ok(()),
+            Err(ErrorCategory::CrcMismatch),
+            Err(ErrorCategory::MalformedFrame)
+        ]
+    );
 }
 
 #[test]

@@ -11,9 +11,10 @@ use vran_phy::dci::{conv_encode, viterbi_decode_tb};
 use vran_phy::interleaver::QppInterleaver;
 use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::ofdm::{fft_with, OfdmConfig};
-use vran_phy::rate_match::RateMatcher;
+use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
 use vran_phy::scrambler::{available_descramble, descramble_llrs_with, scramble_bits};
-use vran_simd::host;
+use vran_phy::turbo::{EncodeScratch, PackedTurboEncoder};
+use vran_simd::host::{self, HostIsa};
 
 fn bench_fft(c: &mut Criterion) {
     let mut g = c.benchmark_group("fft");
@@ -169,6 +170,52 @@ fn bench_rate_match(c: &mut Criterion) {
         }
         host::set_isa_ceiling(None);
     }
+    // The transmit arrangement, per code block: the compacted circular
+    // buffer out of the packed d-streams (K = 5632 is `tx_bulk`'s
+    // block), and its readout at the pipelines' E = 2K + 12 — from
+    // rv 0 one run, from rv 3 two with the second landing mid-word.
+    let (mut w, mut out) = (Vec::new(), Vec::new());
+    for k in [512usize, 5632, 6144] {
+        let rm = PackedRateMatcher::new(k + 4);
+        let d = [1, 2, 3].map(|seed| packed_lsb_words(&random_bits(k + 4, seed)));
+        let d = [&d[0][..], &d[1][..], &d[2][..]];
+        g.throughput(Throughput::Elements(3 * (k as u64 + 4)));
+        g.bench_function(format!("pack_circular/k{k}"), |b| {
+            b.iter(|| rm.pack_circular_into(std::hint::black_box(d), &mut w))
+        });
+        if k == 5632 {
+            let e = 2 * k + 12;
+            g.throughput(Throughput::Elements(e as u64));
+            for (shape, rv) in [("rv0", 0), ("wrap", 3)] {
+                g.bench_function(format!("readout_packed/k{k}/{shape}"), |b| {
+                    b.iter(|| {
+                        rm.try_rate_match_packed_into(std::hint::black_box(&w), e, rv, &mut out)
+                    })
+                });
+            }
+        }
+    }
+    g.finish();
+}
+
+/// The packed encoder per code block, into a warm scratch: at the best
+/// tier the host has, and under the Scalar ceiling (the `u64` trellis
+/// kernel and the byte gather — the portable rung).
+fn bench_turbo_encode_packed(c: &mut Criterion) {
+    let mut g = c.benchmark_group("turbo_encode_packed");
+    let mut scratch = EncodeScratch::new();
+    for k in [512usize, 5632, 6144] {
+        let bits = random_bits(k, 7);
+        g.throughput(Throughput::Elements(k as u64));
+        for (rung, ceiling) in [("best", None), ("portable", Some(HostIsa::Scalar))] {
+            host::set_isa_ceiling(ceiling);
+            let enc = PackedTurboEncoder::new(k);
+            g.bench_function(format!("k{k}/{rung}"), |b| {
+                b.iter(|| enc.encode_dstreams_into(std::hint::black_box(&bits), &mut scratch))
+            });
+        }
+        host::set_isa_ceiling(None);
+    }
     g.finish();
 }
 
@@ -227,6 +274,7 @@ criterion_group! {
     bench_scrambler,
     bench_bits,
     bench_rate_match,
+    bench_turbo_encode_packed,
     bench_interleaver,
     bench_modulation,
     bench_viterbi

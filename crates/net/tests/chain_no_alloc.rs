@@ -104,14 +104,14 @@ fn warm_chains_allocate_only_what_phy_and_l2_return_by_signature() {
         let coded_bits = tx.bits.len();
         assert_eq!(got.coded_bits, coded_bits);
 
-        // tx, 12: the CRC24A bits (`Crc::compute_with`) and the rest
-        // inside `Segmentation::try_segment` (the block list, then per
-        // block filler + copy and a CRC24B attach of its own) — both
-        // return `Vec`s by signature; the largest is one code block's
-        // `Vec` doubling as its CRC is appended.
-        assert_eq!(tx_allocs, 12, "warm TxChain::tx");
+        // tx, 5: the CRC24A bits (`Crc::compute_with`) and the rest
+        // inside `Segmentation::try_segment` (the block list, the
+        // candidate list of its one `best_crc()`, then one `Vec` per
+        // block, sized for filler, payload and CRC24B together) — both
+        // return `Vec`s by signature; the largest is one code block.
+        assert_eq!(tx_allocs, 5, "warm TxChain::tx");
         assert!(
-            tx_largest <= 2 * seg.k_plus,
+            tx_largest <= seg.k_plus,
             "{tx_largest} B against a {coded_bits} B coded block"
         );
 

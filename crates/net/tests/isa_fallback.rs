@@ -7,7 +7,9 @@
 //! same treatment one rung up: under an AVX2 ceiling the quad-in-zmm
 //! batch decoder and the 512-bit packed encoder must degrade to their
 //! narrower kernels bit-exactly, flagged as `batch_simd_fallbacks` /
-//! `zmm_encoder_fallbacks`.
+//! `zmm_encoder_fallbacks`. The whole transmit chain is held to the
+//! same rule at both ceilings: what `TxChain::tx` puts on the air does
+//! not depend on which rung arranged it.
 //!
 //! Lives in its own integration-test binary (= its own process)
 //! because the ceiling is process-global: unit tests elsewhere assume
@@ -19,7 +21,9 @@ use vran_net::downlink::{DownlinkConfig, DownlinkPipeline};
 use vran_net::metrics::PipelineMetrics;
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::{DecoderBackend, EncoderBackend, PipelineConfig, UplinkPipeline};
+use vran_net::tx::TxChain;
 use vran_net::{StageGraph, StageGraphConfig};
+use vran_phy::modulation::Modulation;
 use vran_simd::host::{set_isa_ceiling, HostIsa};
 
 /// The ISA ceiling is process-global; tests in this binary must not
@@ -219,4 +223,43 @@ fn packed_encoder_degrades_to_word64_kernel_without_simd() {
         Some(1.0),
         "fallback events must appear in snapshots: {snap:?}"
     );
+}
+
+#[test]
+fn tx_chain_output_is_byte_identical_below_every_ceiling() {
+    let _guard = CEILING_LOCK.lock().unwrap();
+    // tx_bulk's operating point: two code blocks of K = 5696, whose
+    // transposes, interleaved gather and OFDM all have a wide rung
+    let grant = UplinkPipeline::new(PipelineConfig {
+        modulation: Modulation::Qam64,
+        snr_db: 20.0,
+        ..Default::default()
+    })
+    .grant();
+    let payload: Vec<u8> = (0..8 * 1430u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 16) as u8 & 1)
+        .collect();
+    let air = || {
+        let mut tx = TxChain::default();
+        tx.tx(&payload, &grant, &mut ()).expect("the grant fits");
+        let samples: Vec<(u32, u32)> = tx
+            .samples
+            .iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect();
+        (tx.bits, samples)
+    };
+
+    let full = air();
+    assert!(!full.1.is_empty());
+    for ceiling in [HostIsa::Avx2, HostIsa::Scalar] {
+        set_isa_ceiling(Some(ceiling));
+        let masked = air();
+        set_isa_ceiling(None);
+        assert!(
+            masked == full,
+            "TxChain::tx under the {} ceiling differs from the uncapped run",
+            ceiling.name()
+        );
+    }
 }

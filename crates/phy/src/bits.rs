@@ -18,6 +18,11 @@
 //! * **compress** ([`compress_bits`]) — 64 bytes → 64 mask bits:
 //!   `vptestmb`, or `pcmpeqb` + `pmovmskb`, or a multiply-gather;
 //!
+//! and a permutation of packed bits never leaves the packed form:
+//! **gather** ([`gather_bits`]) reads bit `π(i)` out of the words
+//! themselves — `vpgatherdd` at `π(i) >> 5`, a per-lane shift by
+//! `π(i) & 31`, the lanes' bits collected as a mask;
+//!
 //! tier chosen per call by [`vran_simd::host::has`], all bit-identical
 //! (the `frontend_exactness` sweep holds every caller to its per-bit
 //! oracle under every ISA ceiling). MSB-first callers get their
@@ -67,6 +72,38 @@ pub fn compress_bits(bytes: &[u8], test: u8, out: &mut [u64]) {
     let (used, pad) = packed.split_at_mut(bytes.len().div_ceil(8));
     compress_into::<false>(bytes, test, used);
     pad.fill(0);
+}
+
+/// **Gather**: bit `i` of `out`, LSB-first, becomes bit `idx[i]` of
+/// `src`; the bits of the last word past `idx.len()` are zero. `out`
+/// must hold exactly `idx.len().div_ceil(64)` words. Every index is the
+/// caller's to keep below `64 * src.len()`: one past it reads the last
+/// 32 bits of `src` instead (on every tier alike), never memory.
+pub fn gather_bits(idx: &[u32], src: &[u64], out: &mut [u64]) {
+    assert_eq!(out.len(), idx.len().div_ceil(64), "a word per 64 bits");
+    assert!(
+        !src.is_empty() && src.len() <= 1 << 30,
+        "32-bit word indices"
+    );
+    // The kernels take whole words; what they leave, and a host
+    // without them, takes the portable form.
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if host::has(HostIsa::Avx512bw) {
+        // SAFETY: the host has AVX-512BW; `src` is not empty and `out`
+        // holds a word per 64 indices.
+        done = unsafe { x86::gather_avx512(idx, src, out) };
+    } else if host::has(HostIsa::Avx2) {
+        // SAFETY: the host has AVX2; as above.
+        done = unsafe { x86::gather_avx2(idx, src, out) };
+    }
+    let top = 2 * src.len() - 1;
+    for (o, chunk) in out[done..].iter_mut().zip(idx[64 * done..].chunks(64)) {
+        *o = chunk.iter().enumerate().fold(0, |word, (b, &i)| {
+            let at = (i as usize >> 5).min(top);
+            word | (src[at / 2] >> (32 * (at % 2) + (i as usize & 31)) & 1) << b
+        });
+    }
 }
 
 /// The expand kernel behind every unpacker: bit `i` of `packed` is bit
@@ -271,6 +308,61 @@ mod x86 {
                 .write_unaligned(m);
         }
         2 * pairs
+    }
+
+    /// [`super::gather_bits`], sixteen bits per `vpgatherdd` and
+    /// `vptestmd` straight into a mask register; returns the words of
+    /// `out` it wrote (all but a ragged last one).
+    ///
+    /// # Safety
+    /// AVX-512F, `src` not empty, and `out.len() >= idx.len() / 64`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gather_avx512(idx: &[u32], src: &[u64], out: &mut [u64]) -> usize {
+        // the last 32-bit word of `src`: no lane reads past it,
+        // whatever the index
+        let top = _mm512_set1_epi32((2 * src.len() - 1) as i32);
+        let (one, low5) = (_mm512_set1_epi32(1), _mm512_set1_epi32(31));
+        let sixteen = |idx: *const u32| -> u64 {
+            let i = _mm512_loadu_si512(idx.cast());
+            let at = _mm512_min_epu32(_mm512_srli_epi32::<5>(i), top);
+            let w = _mm512_i32gather_epi32::<4>(at, src.as_ptr().cast());
+            let bit = _mm512_srlv_epi32(w, _mm512_and_si512(i, low5));
+            u64::from(_mm512_test_epi32_mask(bit, one))
+        };
+        let whole = idx.chunks_exact(64);
+        let done = whole.len();
+        for (o, chunk) in out.iter_mut().zip(whole) {
+            let i = chunk.as_ptr();
+            *o = sixteen(i)
+                | sixteen(i.add(16)) << 16
+                | sixteen(i.add(32)) << 32
+                | sixteen(i.add(48)) << 48;
+        }
+        done
+    }
+
+    /// [`super::gather_bits`], eight bits per `vpgatherdd`: `vpsllvd`
+    /// moves each lane's bit to the sign, `vmovmskps` collects the
+    /// signs; returns the words of `out` it wrote.
+    ///
+    /// # Safety
+    /// AVX2, `src` not empty, and `out.len() >= idx.len() / 64`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gather_avx2(idx: &[u32], src: &[u64], out: &mut [u64]) -> usize {
+        let top = _mm256_set1_epi32((2 * src.len() - 1) as i32);
+        let low5 = _mm256_set1_epi32(31);
+        let whole = idx.chunks_exact(64);
+        let done = whole.len();
+        for (o, chunk) in out.iter_mut().zip(whole) {
+            *o = chunk.chunks_exact(8).rev().fold(0, |word, eight| {
+                let i = _mm256_loadu_si256(eight.as_ptr().cast());
+                let at = _mm256_min_epu32(_mm256_srli_epi32::<5>(i), top);
+                let w = _mm256_i32gather_epi32::<4>(src.as_ptr().cast(), at);
+                let sign = _mm256_sllv_epi32(w, _mm256_andnot_si256(i, low5));
+                word << 8 | _mm256_movemask_ps(_mm256_castsi256_ps(sign)) as u8 as u64
+            });
+        }
+        done
     }
 }
 

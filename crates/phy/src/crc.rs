@@ -231,11 +231,12 @@ impl Crc {
 
     /// Compute with an explicit kernel tier.
     pub fn compute_with(&self, imp: CrcImpl, bits: &[u8]) -> Vec<u8> {
-        let r = self.remainder(imp, bits);
-        (0..self.width)
-            .rev()
-            .map(|i| ((r >> i) & 1) as u8)
-            .collect()
+        self.msb_first(self.remainder(imp, bits)).collect()
+    }
+
+    /// The remainder `r` as `width()` bits, MSB-first.
+    fn msb_first(&self, r: u32) -> impl Iterator<Item = u8> {
+        (0..self.width).rev().map(move |i| ((r >> i) & 1) as u8)
     }
 
     /// Bit-serial reference: one feedback step per bit.
@@ -343,6 +344,13 @@ impl Crc {
         let mut out = bits.to_vec();
         out.extend(self.compute_with(imp, bits));
         out
+    }
+
+    /// Append this CRC to `bits` in place: no heap use beyond the
+    /// vector's own growth, none when it has `width()` to spare.
+    pub fn append_with(&self, imp: CrcImpl, bits: &mut Vec<u8>) {
+        let r = self.remainder(imp, bits);
+        bits.extend(self.msb_first(r));
     }
 
     /// Check a bit slice that has a CRC attached at its tail; returns

@@ -543,8 +543,10 @@ unsafe fn permute_rows_avx512(
 const MAX_D: usize = 6148;
 /// Rows of the sub-block interleaver matrix at [`MAX_D`].
 const MAX_ROWS: usize = MAX_D.div_ceil(NCOLS);
-/// Words per packed interleaver column at [`MAX_ROWS`].
-const MAX_COLW: usize = MAX_ROWS.div_ceil(64);
+/// Words per padded stream in [`PackedRateMatcher::pack_circular_into`]:
+/// whole transposes' worth (128 rows of one stream, or 64 rows each of
+/// two, are 64 words), zero past the matrix.
+const PADDED_WORDS: usize = MAX_ROWS.div_ceil(128) * 64;
 
 /// Word-at-a-time rate matcher over packed bit streams — the transmit
 /// fast path paired with
@@ -560,16 +562,13 @@ const MAX_COLW: usize = MAX_ROWS.div_ceil(64);
 ///   version's `k0` to its compacted offset, so the e-bit readout is
 ///   just a circular copy.
 /// * [`Self::pack_circular_into`] builds the compacted buffer from
-///   the packed d-streams with a 64×64 bit-matrix transpose (once per
+///   the packed d-streams with 64×64 bit-matrix transposes (once per
 ///   code block) — see its doc for the layout argument.
-/// * [`Self::try_rate_match_packed_into`] reads `e` bits out 64 at a
-///   time with funnel shifts — mask/merge over packed words replacing
-///   per-bit selection, including across wraps (repetition).
+/// * [`Self::try_rate_match_packed_into`] reads `e` bits out one lap
+///   of the buffer at a time, each a contiguous funnel-shift copy.
 #[derive(Debug, Clone)]
 pub struct PackedRateMatcher {
     d: usize,
-    /// Transmittable (non-`<NULL>`) circular-buffer bits: always `3d`.
-    n: usize,
     /// Compacted readout start for each redundancy version: how many
     /// real bits precede `k0(rv)` in the raw buffer.
     k0_real: [usize; 4],
@@ -582,11 +581,8 @@ impl PackedRateMatcher {
             d <= MAX_D,
             "PackedRateMatcher supports turbo stream lengths only (d ≤ {MAX_D}, got {d})"
         );
-        let wmap = circular_buffer_map(d);
-        let n = wmap.iter().filter(|&&p| p != usize::MAX).count();
-        debug_assert_eq!(n, 3 * d);
-        let k0_real = compacted_k0(&wmap, d.div_ceil(NCOLS));
-        Self { d, n, k0_real }
+        let k0_real = compacted_k0(&circular_buffer_map(d), d.div_ceil(NCOLS));
+        Self { d, k0_real }
     }
 
     /// Per-stream length `d`.
@@ -597,7 +593,7 @@ impl PackedRateMatcher {
     /// Number of transmittable (non-`<NULL>`) bits in the circular
     /// buffer: always `3d`.
     pub fn n_real(&self) -> usize {
-        self.n
+        3 * self.d
     }
 
     /// Words each packed d-stream must span: `(d).div_ceil(64)`.
@@ -611,14 +607,17 @@ impl PackedRateMatcher {
     /// word copies.
     ///
     /// The sub-block interleaver reads columns of an `R × 32` bit
-    /// matrix, so this never touches individual bits: each padded
-    /// stream is bit-transposed 64 rows at a time (the classic
-    /// XOR-swap halving network), after which every permuted column is
-    /// `R` *contiguous* bits appended with funnel shifts, the `d⁽¹⁾`/
-    /// `d⁽²⁾` interlace is a Morton bit-spread of two column words,
-    /// and the `<NULL>` padding — confined to row 0 (plus `d⁽²⁾`'s
-    /// single wrapped position) — is skipped by starting each column
-    /// copy one bit in.
+    /// matrix whose first `nd` entries are `<NULL>`, so this never
+    /// touches individual bits (DESIGN.md §5.13). Moved up by `nd`
+    /// bits, a packed stream's `u32` halves *are* the matrix rows;
+    /// `d⁽²⁾` is then rotated down one bit within the matrix — its
+    /// `+1` readout, the position that wraps landing at row `R − 1` of
+    /// column 31. A 64×64 transpose turns 128 rows of `d⁽⁰⁾` (row `j`
+    /// beside row `j + 64`) into 128 bits of every column, and 64 rows
+    /// each of `d⁽¹⁾` and `d⁽²⁾`, taken alternately, into 128 bits of
+    /// every column's `v⁽¹⁾`/`v⁽²⁾` interlace. The `<NULL>`s are then
+    /// the first zero, one or two bits of a column (and the last of
+    /// column 31): each column is one run appended in [`COL_PERM`] order.
     pub fn pack_circular_into(
         &self,
         d_words: [&[u64]; 3],
@@ -633,86 +632,85 @@ impl PackedRateMatcher {
                 });
             }
         }
-        let d = self.d;
-        let rows = d.div_ceil(NCOLS);
-        let nd = rows * NCOLS - d; // leading <NULL> count, < 32
-        let colw = rows.div_ceil(64);
+        const LOW32: u64 = 0xFFFF_FFFF;
+        let rows = self.d.div_ceil(NCOLS);
+        let nd = rows * NCOLS - self.d; // leading <NULL> count, < 32
+
+        let mut p = [[0u64; PADDED_WORDS]; 3];
+        for (s, padded) in d_words.into_iter().zip(&mut p) {
+            shift_up(s, nd as u32, padded);
+            if rows % 2 == 1 {
+                // half a word past the matrix: the stream's last word
+                // may have carried anything past bit d into it
+                padded[rows / 2] &= LOW32;
+            }
+        }
+        // d⁽²⁾ is read one position further on, cyclically: bit 0
+        // (<NULL> unless nd = 0) wraps to the matrix's last bit.
+        let (first, last) = (p[2][0] & 1, rows * NCOLS - 1);
+        for i in 0..need {
+            p[2][i] = p[2][i] >> 1 | p[2][i + 1] << 63;
+        }
+        p[2][last >> 6] |= first << (last & 63);
+
+        // Rows j and j + 64 of a transpose's 128 share a word, so that
+        // word k of column c comes out as word 32k + c of the blocks.
+        let zip_halves = |x: u64, y: u64| ((x & LOW32) | (y << 32), (x >> 32) | (y & !LOW32));
+        let mut sys = [[0u64; 64]; PADDED_WORDS / 64];
+        for (a, rows128) in sys
+            .iter_mut()
+            .zip(p[0][..rows.div_ceil(128) * 64].chunks_exact(64))
+        {
+            let (lo, hi) = rows128.split_at(32);
+            for (i, (&x, &y)) in lo.iter().zip(hi).enumerate() {
+                (a[2 * i], a[2 * i + 1]) = zip_halves(x, y);
+            }
+            transpose64_dispatch(a);
+        }
+        // Rows r of d⁽¹⁾ and d⁽²⁾ side by side: a column comes out
+        // already interlaced.
+        let mut par = [[0u64; 64]; PADDED_WORDS / 32];
+        let words = rows.div_ceil(64) * 32;
+        for (a, (p1, p2)) in par.iter_mut().zip(
+            p[1][..words]
+                .chunks_exact(32)
+                .zip(p[2][..words].chunks_exact(32)),
+        ) {
+            for i in 0..16 {
+                (a[4 * i], a[4 * i + 2]) = zip_halves(p1[i], p1[i + 16]);
+                (a[4 * i + 1], a[4 * i + 3]) = zip_halves(p2[i], p2[i + 16]);
+            }
+            transpose64_dispatch(a);
+        }
+
         w.clear();
-        w.reserve(self.n.div_ceil(64));
-
-        // Transpose each padded stream into its 32 packed columns.
-        let mut cols = [[0u64; NCOLS * MAX_COLW]; 3];
-        for (s, colbuf) in d_words.iter().zip(cols.iter_mut()) {
-            transpose_stream(s, rows, nd, colw, colbuf);
-        }
-
-        let mut dlen = 0usize;
-        // v0: permuted columns of d⁽⁰⁾; columns c < nd carry their
-        // <NULL> in row 0 — start those one bit in.
+        w.resize(self.n_real().div_ceil(64), 0);
+        let mut sink = BitSink {
+            w,
+            next: 0,
+            acc: 0,
+            fill: 0,
+        };
         for &c in COL_PERM.iter() {
-            let col = &cols[0][c * colw..(c + 1) * colw];
-            let skip = usize::from(c < nd);
-            append_bits(w, &mut dlen, col, skip, rows - skip);
+            sink.push_column(sys.as_flattened(), c, usize::from(c < nd), rows);
         }
-        // Interlaced v1/v2: raw order alternates d⁽¹⁾ then d⁽²⁾ per
-        // row, column-major in permuted order. v2 reads with a +1 bit
-        // shift (π(k) = P(c) + 32r + 1 mod Kp): column P(c)+1, except
-        // P(c) = 31 where the rows advance by one and the final
-        // readout position wraps to raw bit 0.
-        let mut tmp = [0u64; MAX_COLW];
         for &c in COL_PERM.iter() {
-            let a_col = &cols[1][c * colw..(c + 1) * colw];
-            let keep_a0 = c >= nd;
-            let (b_col, keep_b0, len_b): (&[u64], bool, usize) = if c + 1 < NCOLS {
-                (&cols[2][(c + 1) * colw..(c + 2) * colw], c + 1 >= nd, rows)
-            } else {
-                let col0 = &cols[2][..colw];
-                for (i, t) in tmp[..colw].iter_mut().enumerate() {
-                    *t = (col0[i] >> 1) | (col0.get(i + 1).copied().unwrap_or(0) << 63);
-                }
-                // The wrapped bit (raw position 0) is <NULL> unless the
-                // matrix has no padding at all.
-                let len_b = if nd == 0 {
-                    let r = rows - 1;
-                    tmp[r >> 6] |= (col0[0] & 1) << (r & 63);
-                    rows
-                } else {
-                    rows - 1
-                };
-                (&tmp[..colw], true, len_b)
-            };
-            // Row 0, with its possible <NULL>s, then strict A/B
-            // alternation from row 1 up.
-            if keep_a0 {
-                push_bits(w, &mut dlen, a_col[0] & 1, 1);
-            }
-            if keep_b0 {
-                push_bits(w, &mut dlen, b_col[0] & 1, 1);
-            }
-            let m = (rows - 1) + (len_b - 1);
-            let mut emitted = 0usize;
-            let mut k32 = 0usize;
-            while emitted < m {
-                let x = read_bits_or_zero(a_col, 1 + 32 * k32, 32) as u32;
-                let y = read_bits_or_zero(b_col, 1 + 32 * k32, 32) as u32;
-                let mut word = spread_even(x) | (spread_even(y) << 1);
-                let len = (m - emitted).min(64) as u32;
-                if len < 64 {
-                    word &= (1u64 << len) - 1;
-                }
-                push_bits(w, &mut dlen, word, len);
-                emitted += len as usize;
-                k32 += 1;
-            }
+            // row 0 of d⁽¹⁾, then of d⁽²⁾ one column further on; the
+            // wrapped position closes column 31
+            let null = usize::from(c < nd) + usize::from(c + 1 < nd);
+            let wrapped = usize::from(c == NCOLS - 1 && nd > 0);
+            sink.push_column(par.as_flattened(), c, null, 2 * rows - wrapped);
         }
-        debug_assert_eq!(dlen, self.n);
-        debug_assert_eq!(w.len(), self.n.div_ceil(64));
+        debug_assert_eq!(64 * sink.next + sink.fill as usize, self.n_real());
+        if sink.fill != 0 {
+            sink.w[sink.next] = sink.acc;
+        }
         Ok(())
     }
 
     /// Read `e` bits from the compacted circular buffer `w` (built by
     /// [`Self::pack_circular_into`]) starting at redundancy version
-    /// `rv`, 64 bits per step, into packed words in `out`.
+    /// `rv` into packed words in `out`: one contiguous copy per lap.
     pub fn try_rate_match_packed_into(
         &self,
         w: &[u64],
@@ -723,7 +721,7 @@ impl PackedRateMatcher {
         if rv >= 4 {
             return Err(RateMatchError::InvalidRv { rv });
         }
-        let n = self.n;
+        let n = self.n_real();
         if w.len() != n.div_ceil(64) {
             return Err(RateMatchError::WrongStreamLength {
                 expected: n.div_ceil(64),
@@ -731,24 +729,12 @@ impl PackedRateMatcher {
             });
         }
         out.clear();
-        out.reserve(e.div_ceil(64));
+        out.resize(e.div_ceil(64), 0);
         // if every real bit precedes k0 the readout wraps immediately
-        let mut q = self.k0_real[rv] % n;
-        let mut produced = 0usize;
-        while produced < e {
-            let len = (e - produced).min(64) as u32;
-            // n = 3d ≥ 132 > 64, so a word wraps at most once
-            let head = ((n - q) as u32).min(len);
-            let mut word = read_bits(w, q, head);
-            if head < len {
-                word |= read_bits(w, 0, len - head) << head;
-            }
-            out.push(word);
-            produced += len as usize;
-            q += len as usize;
-            if q >= n {
-                q -= n;
-            }
+        let (mut at, mut q) = (0, self.k0_real[rv] % n);
+        while at < e {
+            at = copy_bits(out, at, w, q, (n - q).min(e - at));
+            q = 0;
         }
         Ok(())
     }
@@ -782,60 +768,82 @@ fn read_bits(w: &[u64], q: usize, len: u32) -> u64 {
     v
 }
 
-/// [`read_bits`] tolerating out-of-range positions, which read as 0.
-#[inline]
-fn read_bits_or_zero(w: &[u64], q: usize, len: u32) -> u64 {
-    let idx = q >> 6;
-    let sh = (q & 63) as u32;
-    let mut v = w.get(idx).copied().unwrap_or(0) >> sh;
-    if sh != 0 && len > 64 - sh {
-        v |= w.get(idx + 1).copied().unwrap_or(0) << (64 - sh);
+/// The packed stream `s` moved up by `sh < 64` bits into `out[..s.len()]`
+/// (what leaves the last word is dropped).
+fn shift_up(s: &[u64], sh: u32, out: &mut [u64]) {
+    out[0] = s[0] << sh;
+    for (o, x) in out[1..].iter_mut().zip(s.windows(2)) {
+        *o = x[1] << sh | (x[0] >> 1) >> (63 - sh);
     }
-    if len < 64 {
-        v &= (1u64 << len) - 1;
-    }
-    v
 }
 
-/// Append the low `len` bits of `word` (already masked, `1 ≤ len ≤
-/// 64`) to a growing packed bit buffer of current length `*dlen`.
-#[inline]
-fn push_bits(dst: &mut Vec<u64>, dlen: &mut usize, word: u64, len: u32) {
-    debug_assert!(len >= 1 && (len == 64 || word >> len == 0));
-    let sh = (*dlen & 63) as u32;
+/// Bit appender over a pre-sized word buffer: whole words leave a
+/// register accumulator, each written once.
+struct BitSink<'a> {
+    w: &'a mut [u64],
+    next: usize,
+    acc: u64,
+    fill: u32,
+}
+
+impl BitSink<'_> {
+    /// Append the low `n` bits of `x` (`1 ≤ n ≤ 64`, `x` zero above).
+    #[inline]
+    fn push(&mut self, x: u64, n: u32) {
+        self.acc |= x << self.fill;
+        if self.fill + n >= 64 {
+            self.w[self.next] = self.acc;
+            self.next += 1;
+            self.acc = (x >> 1) >> (63 - self.fill);
+        }
+        self.fill = (self.fill + n) & 63;
+    }
+
+    /// Append bits `from .. to` of column `c`, whose word `k` is
+    /// `blocks[32k + c]` and which is zero from bit `to` up.
+    #[inline]
+    fn push_column(&mut self, blocks: &[u64], c: usize, from: usize, to: usize) {
+        if to <= 64 {
+            if from < to {
+                self.push(blocks[c] >> from, (to - from) as u32);
+            }
+            return;
+        }
+        self.push(blocks[c] >> from, (64 - from) as u32);
+        let last = (to - 1) / 64;
+        for k in 1..last {
+            self.push(blocks[32 * k + c], 64);
+        }
+        self.push(blocks[32 * last + c], (to - 64 * last) as u32);
+    }
+}
+
+/// Copy bits `start .. start + len` of `src` to bits `at ..` of `dst`
+/// and return the bit after them. The last word touched is left zero
+/// above the run and a run that starts mid-word ORs into it, so runs
+/// laid end to end from bit 0 need nothing of `dst` but its length.
+fn copy_bits(dst: &mut [u64], at: usize, src: &[u64], mut start: usize, mut len: usize) -> usize {
+    let (mut j, fill, end) = (at >> 6, at & 63, at + len);
+    if fill != 0 && len != 0 {
+        let head = len.min(64 - fill);
+        dst[j] |= read_bits(src, start, head as u32) << fill;
+        (j, start, len) = (j + 1, start + head, len - head);
+    }
+    let (k, sh, full) = (start >> 6, (start & 63) as u32, len >> 6);
     if sh == 0 {
-        dst.push(word);
-    } else {
-        *dst.last_mut().expect("bit cursor mid-word") |= word << sh;
-        if len > 64 - sh {
-            dst.push(word >> (64 - sh));
+        dst[j..j + full].copy_from_slice(&src[k..k + full]);
+    } else if full != 0 {
+        for (o, s) in dst[j..j + full]
+            .iter_mut()
+            .zip(src[k..=k + full].windows(2))
+        {
+            *o = s[0] >> sh | s[1] << (64 - sh);
         }
     }
-    *dlen += len as usize;
-}
-
-/// Append `n` bits of `src` starting at bit `start`, 64 at a time.
-#[inline]
-fn append_bits(dst: &mut Vec<u64>, dlen: &mut usize, src: &[u64], start: usize, n: usize) {
-    let mut done = 0;
-    while done < n {
-        let len = (n - done).min(64) as u32;
-        push_bits(dst, dlen, read_bits_or_zero(src, start + done, len), len);
-        done += len as usize;
+    if len & 63 != 0 {
+        dst[j + full] = read_bits(src, start + 64 * full, (len & 63) as u32);
     }
-}
-
-/// Spread the 32 bits of `x` to the even bit positions of a `u64`
-/// (bit `i` → bit `2i`): one half of a Morton interleave.
-#[inline]
-fn spread_even(x: u32) -> u64 {
-    let mut v = x as u64;
-    v = (v | (v << 16)) & 0x0000_FFFF_0000_FFFF;
-    v = (v | (v << 8)) & 0x00FF_00FF_00FF_00FF;
-    v = (v | (v << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    v = (v | (v << 2)) & 0x3333_3333_3333_3333;
-    v = (v | (v << 1)) & 0x5555_5555_5555_5555;
-    v
+    end
 }
 
 /// In-place 64×64 bit-matrix transpose (LSB-first rows): after the
@@ -928,33 +936,6 @@ fn transpose64_dispatch(a: &mut [u64; 64]) {
         return;
     }
     transpose64(a);
-}
-
-/// Bit-transpose one packed d-stream into its 32 sub-block interleaver
-/// columns: `out[c·colw + b]` holds rows `64b..64b+63` of column `c`,
-/// where column `c` bit `r` is padded-stream bit `32r + c` and the
-/// padded stream is `nd` zeros followed by the `d` data bits.
-fn transpose_stream(s: &[u64], rows: usize, nd: usize, colw: usize, out: &mut [u64]) {
-    let row_bits = |r: usize| -> u64 {
-        let start = 32 * r;
-        if start >= nd {
-            read_bits_or_zero(s, start - nd, 32)
-        } else {
-            // row 0 with padding: nd < 32 data-shifted zeros in front
-            read_bits_or_zero(s, 0, (32 - nd) as u32) << nd
-        }
-    };
-    let mut a = [0u64; 64];
-    for b in 0..rows.div_ceil(64) {
-        for (j, aj) in a.iter_mut().enumerate() {
-            let r = 64 * b + j;
-            *aj = if r < rows { row_bits(r) } else { 0 };
-        }
-        transpose64_dispatch(&mut a);
-        for c in 0..NCOLS {
-            out[c * colw + b] = a[c];
-        }
-    }
 }
 
 /// TS 36.212 §5.1.4.2 rate matching for *convolutionally* coded
@@ -1373,10 +1354,20 @@ mod tests {
     fn packed_matcher_matches_scalar_readout() {
         use crate::bits::packed_lsb_words;
         // puncturing, exact coverage, repetition with multiple wraps —
-        // at sub-word, word-boundary and multi-word stream lengths
-        for d in [44usize, 64, 108, 2052, 6148] {
+        // at sub-word, word-boundary and multi-word stream lengths, and
+        // at one-row lengths with padding (d < 32 used to underflow a
+        // row count: a panic in debug, an endless push in release).
+        // What a stream's last word holds past bit d is not the
+        // matcher's to read.
+        for d in [4usize, 20, 31, 44, 64, 108, 2052, 6148] {
             let streams = dstreams(d, d as u64);
-            let words = streams.clone().map(|s| packed_lsb_words(&s));
+            let words = streams.clone().map(|s| {
+                let mut w = packed_lsb_words(&s);
+                if d % 64 != 0 {
+                    *w.last_mut().unwrap() |= !0 << (d % 64);
+                }
+                w
+            });
             let scalar = RateMatcher::new(d);
             let packed = PackedRateMatcher::new(d);
             assert_eq!(packed.n_real(), 3 * d);

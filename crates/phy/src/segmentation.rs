@@ -4,7 +4,7 @@
 //! into code blocks, each receiving its own CRC24B; filler bits pad the
 //! first block up to the chosen QPP sizes.
 
-use crate::crc::CRC24B;
+use crate::crc::{best_crc, CRC24B};
 use crate::interleaver::QppInterleaver;
 
 /// Maximum code block size Z.
@@ -157,17 +157,21 @@ impl Segmentation {
             });
         }
         let mut out = Vec::with_capacity(self.c);
+        let crc = (self.c > 1).then(best_crc);
         let mut pos = 0;
         for i in 0..self.c {
             let k = self.k_of(i);
             let payload = if self.c == 1 { k } else { k - L };
             let filler = if i == 0 { self.f } else { 0 };
             let take = payload - filler;
-            let mut blk = vec![0u8; filler];
+            // one allocation per block: filler, payload and CRC24B all
+            // land in the block's final `Vec`
+            let mut blk = Vec::with_capacity(k);
+            blk.resize(filler, 0);
             blk.extend_from_slice(&bits[pos..pos + take]);
             pos += take;
-            if self.c > 1 {
-                blk = CRC24B.attach(&blk);
+            if let Some(imp) = crc {
+                CRC24B.append_with(imp, &mut blk);
             }
             debug_assert_eq!(blk.len(), k);
             out.push(blk);

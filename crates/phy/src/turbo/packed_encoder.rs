@@ -36,7 +36,7 @@
 
 use super::encoder::TurboCodeword;
 use super::trellis;
-use crate::bits::{pack_lsb_words, unpack_lsb_words};
+use crate::bits::{gather_bits, pack_lsb_words, unpack_lsb_words};
 use crate::interleaver::QppInterleaver;
 use vran_simd::host::{self, HostIsa};
 
@@ -123,9 +123,10 @@ impl EncodeScratch {
         Self::default()
     }
 
-    /// Size (and zero) every buffer for block length `k`, growing only
-    /// when the retained capacity is insufficient.
-    fn ensure(&mut self, k: usize) {
+    /// Size (and zero) every word buffer for block length `k`, and the
+    /// byte staging when the portable gather is going to use it,
+    /// growing only when the retained capacity is insufficient.
+    fn ensure(&mut self, k: usize, byte_staging: bool) {
         let nw = k.div_ceil(64);
         let ndw = (k + 4).div_ceil(64);
         let mut grew = false;
@@ -142,9 +143,10 @@ impl EncodeScratch {
                 fit(s, ndw);
             }
         }
-        grew |= self.il_b.capacity() < k;
-        self.il_b.clear();
-        self.il_b.resize(k, 0);
+        if byte_staging {
+            grew |= self.il_b.capacity() < k;
+            self.il_b.resize(k, 0);
+        }
         if grew {
             self.allocations += 1;
         } else {
@@ -243,7 +245,8 @@ impl PackedTurboEncoder {
     pub fn encode_dstreams_into(&self, bits: &[u8], scratch: &mut EncodeScratch) {
         let k = self.il.k();
         assert_eq!(bits.len(), k, "block must be exactly K={k} bits");
-        scratch.ensure(k);
+        let portable = !host::has(HostIsa::Avx2);
+        scratch.ensure(k, portable);
         let nw = k.div_ceil(64);
 
         // constituent 1: systematic is the input, parity into d1
@@ -257,23 +260,29 @@ impl PackedTurboEncoder {
         );
         scratch.d[0][..nw].copy_from_slice(&scratch.in_w);
 
-        // constituent 2: byte-gather the interleaved input, then pack
-        // it 64 bits per step — far cheaper than per-bit word inserts.
-        // Eight elements per trip (every legal K is a multiple of 8):
-        // at one per trip the loop is 28 bytes of code, and whether
-        // the linker happens to place it across a 64-byte line decides
-        // 9 µs or 13 µs per 1400 B packet (EXPERIMENTS.md, PR 14).
+        // constituent 2: the interleaved input, gathered straight from
+        // the packed words where the host has a gather.
         let pi = self.il.pi_table();
         assert!(
             k.is_multiple_of(8) && pi.len() == k,
             "QPP sizes are multiples of 8"
         );
-        for (b8, p8) in scratch.il_b.chunks_exact_mut(8).zip(pi.chunks_exact(8)) {
-            for (b, &p) in b8.iter_mut().zip(p8) {
-                *b = bits[p as usize];
+        if portable {
+            // Byte-gather, then pack 64 bits per step — far cheaper
+            // than per-bit word inserts. Eight elements per trip (every
+            // legal K is a multiple of 8): at one per trip the loop is
+            // 28 bytes of code, and whether the linker happens to place
+            // it across a 64-byte line decides 9 µs or 13 µs per 1400 B
+            // packet (EXPERIMENTS.md, PR 14).
+            for (b8, p8) in scratch.il_b.chunks_exact_mut(8).zip(pi.chunks_exact(8)) {
+                for (b, &p) in b8.iter_mut().zip(p8) {
+                    *b = bits[p as usize];
+                }
             }
+            pack_lsb_words(&scratch.il_b, &mut scratch.il_w);
+        } else {
+            gather_bits(pi, &scratch.in_w, &mut scratch.il_w);
         }
-        pack_lsb_words(&scratch.il_b, &mut scratch.il_w);
         let s2 = rsc_packed(
             self.isa,
             &scratch.il_w,

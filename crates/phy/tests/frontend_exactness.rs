@@ -17,24 +17,30 @@
 //! process-global; a single `#[test]` loops the tiers (and the four
 //! kernel families inside each tier) so masked regions never overlap —
 //! the harness would otherwise run per-kernel tests on concurrent
-//! threads and race on the ceiling.
+//! threads and race on the ceiling. The transmit arrangement's sweep is
+//! a second `#[test]` (`packed_*`, the name CI's transmit-side filter
+//! selects); the two take [`CEILING_LOCK`] in turn.
 
 use vran_phy::bits::{
-    compress_bits, expand_bits, extend_bits_from_words, pack_lsb_words, pack_msb, unpack_lsb_words,
-    unpack_msb,
+    compress_bits, expand_bits, extend_bits_from_words, gather_bits, pack_lsb_words, pack_msb,
+    unpack_lsb_words, unpack_msb,
 };
 use vran_phy::crc::{available_crc, best_crc, has_pclmul, CrcImpl, CRC16, CRC24A, CRC24B, CRC8};
 use vran_phy::demap::{available_demap, best_demap, demap_with, DemapImpl};
-use vran_phy::interleaver::QPP_TABLE;
+use vran_phy::interleaver::{QppInterleaver, QPP_TABLE};
 use vran_phy::llr::Llr;
 use vran_phy::modulation::{Cplx, Modulation};
-use vran_phy::rate_match::RateMatcher;
+use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
 use vran_phy::scrambler::{
     available_descramble, best_descramble, descramble_llrs, descramble_llrs_with, scramble_bits,
     scramble_bits_serial, DescrambleImpl,
 };
-use vran_simd::host::{set_isa_ceiling, HostIsa};
+use vran_phy::turbo::{EncodeScratch, PackedTurboEncoder, TurboEncoder};
+use vran_simd::host::{self, set_isa_ceiling, HostIsa};
 use vran_util::rng::SmallRng;
+
+/// The two tests of this binary must not overlap their ceilings.
+static CEILING_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// All 188 standard code-block sizes, the registry that drives every
 /// sweep below.
@@ -91,6 +97,7 @@ fn rx_symbols(k: usize, m: Modulation, rng: &mut SmallRng) -> Vec<Cplx> {
 
 #[test]
 fn all_frontend_kernels_bit_exact_at_every_isa_tier_all_188_k() {
+    let _ceiling = CEILING_LOCK.lock().unwrap();
     demap_sweep();
     descramble_sweep();
     crc_sweep();
@@ -411,6 +418,107 @@ fn bit_pack_sweep() {
                 bits[..n],
                 "unpack_lsb_words {at}"
             );
+        }
+    }
+    set_isa_ceiling(None);
+}
+
+/// The transmit arrangement — `pack_circular_into`'s transposes, its
+/// readout and the encoder's interleaved gather — has no `*_with` entry
+/// point: the ceiling reaches the AVX2 gather and the portable forms on
+/// an AVX-512 host. Oracles: the scalar `RateMatcher`'s table walk, a
+/// `pi_table` walk over the block's bytes and the scalar `TurboEncoder`,
+/// which never dispatch.
+/// Every `d = K + 4`, and the lengths around a row and a word that no
+/// `K` gives (one row with padding, no padding at all); every input and
+/// output ends flush with its allocation.
+#[test]
+fn packed_transmit_arrangement_bit_exact_at_every_ceiling_all_188_k() {
+    let _ceiling = CEILING_LOCK.lock().unwrap();
+    let mut rng = SmallRng::seed_from_u64(0xDE3A_9007);
+    let mut bits = |n: usize| -> Vec<u8> { (0..n).map(|_| (rng.next_u32() & 1) as u8).collect() };
+    let flush_words = |bits: &[u8]| -> Vec<u64> {
+        let mut w = vec![0; bits.len().div_ceil(64)];
+        pack_lsb_words(bits, &mut w);
+        assert_eq!(w.len(), w.capacity());
+        w
+    };
+
+    // (d, streams, per (rv, e) the scalar readout)
+    type RmCase = (usize, [Vec<u64>; 3], Vec<(usize, usize, Vec<u8>)>);
+    let rm_cases: Vec<RmCase> = all_k()
+        .into_iter()
+        .map(|k| k + 4)
+        .chain([4, 20, 31, 32, 33, 64, 96, 6144])
+        .map(|d| {
+            let streams = [bits(d), bits(d), bits(d)];
+            let rm = RateMatcher::new(d);
+            let expect = (0..4)
+                .flat_map(|rv| [1, 63, 64, 65, d, 3 * d, 3 * d + 17, 7 * d].map(|e| (rv, e)))
+                .map(|(rv, e)| (rv, e, rm.rate_match(&streams, e, rv)))
+                .collect();
+            let words = [0, 1, 2].map(|s| flush_words(&streams[s]));
+            (d, words, expect)
+        })
+        .collect();
+    // (K, block, its interleaved words by a `pi_table` walk, d-streams)
+    type EncCase = (usize, Vec<u8>, Vec<u64>, [Vec<u8>; 3]);
+    let enc_cases: Vec<EncCase> = all_k()
+        .into_iter()
+        .map(|k| {
+            let block = bits(k);
+            let il = QppInterleaver::new(k);
+            let walk: Vec<u8> = il.pi_table().iter().map(|&p| block[p as usize]).collect();
+            let expect = TurboEncoder::new(k).encode(&block).to_dstreams();
+            (k, block, flush_words(&walk), expect)
+        })
+        .collect();
+
+    for ceiling in [None, Some(HostIsa::Avx2), Some(HostIsa::Scalar)] {
+        set_isa_ceiling(ceiling);
+        let under = ceiling.map_or("no", HostIsa::name);
+        let rung = [HostIsa::Avx512bw, HostIsa::Avx2]
+            .into_iter()
+            .find(|&isa| host::has(isa))
+            .map_or("portable", HostIsa::name);
+        println!("packed gather rung under {under} ceiling: {rung}");
+
+        for (d, words, expect) in &rm_cases {
+            let rm = PackedRateMatcher::new(*d);
+            let mut w = Vec::with_capacity((3 * d).div_ceil(64));
+            rm.pack_circular_into([&words[0], &words[1], &words[2]], &mut w)
+                .unwrap();
+            assert_eq!(w.len(), w.capacity(), "d={d}: w is flush");
+            for (rv, e, want) in expect {
+                let mut out = Vec::with_capacity(e.div_ceil(64));
+                rm.try_rate_match_packed_into(&w, *e, *rv, &mut out)
+                    .unwrap();
+                assert_eq!(out.len(), out.capacity(), "d={d} e={e}: out is flush");
+                assert_eq!(
+                    unpack_lsb_words(&out, *e),
+                    *want,
+                    "d={d} rv={rv} e={e} under {under} ceiling"
+                );
+            }
+        }
+        // an index past `src` reads its last 32 bits, on every tier
+        let mut past = [0; 2];
+        gather_bits(&[u32::MAX; 128], &[1 << 63], &mut past);
+        assert_eq!(past, [!0; 2], "clamped gather under {under} ceiling");
+        let mut scratch = EncodeScratch::new();
+        for (k, block, walk, expect) in &enc_cases {
+            let enc = PackedTurboEncoder::new(*k);
+            let mut got = vec![!0; walk.len()];
+            gather_bits(enc.interleaver().pi_table(), &flush_words(block), &mut got);
+            assert_eq!(got, *walk, "gather_bits K={k} under {under} ceiling");
+            enc.encode_dstreams_into(block, &mut scratch);
+            for (s, (got, want)) in scratch.dstream_words().into_iter().zip(expect).enumerate() {
+                assert_eq!(
+                    unpack_lsb_words(got, k + 4),
+                    *want,
+                    "K={k} d({s}) under {under} ceiling"
+                );
+            }
         }
     }
     set_isa_ceiling(None);

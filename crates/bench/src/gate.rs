@@ -393,8 +393,8 @@ mod tests {
         s.push("SSE128.original.cycles", 2310.0);
         s.push("SSE128.original.upc", 1.25);
         r.suites.push(s);
-        let mut w = Suite::new("pipeline_wallclock", false);
-        w.push("mbps", 42.0);
+        let mut w = Suite::new("observe_overhead", false);
+        w.push("baseline.elapsed_s", 0.25);
         r.suites.push(w);
         r
     }

@@ -38,11 +38,27 @@ fn baseline_has_pipeline_suites() {
     let stat = b.suite("pipeline_static").expect("pipeline_static suite");
     assert!(stat.gated);
     assert!(stat.get("ok_packets.count").unwrap_or(0.0) > 0.0);
-    let wall = b
-        .suite("pipeline_wallclock")
-        .expect("pipeline_wallclock suite");
-    assert!(!wall.gated, "wall-clock numbers must never gate CI");
-    assert!(wall.get("stage.arrange.mean_ns").is_some());
+}
+
+#[test]
+fn baseline_records_no_wallclock_suite() {
+    // Wall-clock speed is `benchmark/`'s to measure; what benchgate
+    // records without gating is exactly these three.
+    let b = baseline();
+    let ungated: Vec<&str> = (b.suites.iter().filter(|s| !s.gated))
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(
+        ungated,
+        ["fused_ingest_uarch", "cell_scale_full", "observe_overhead"]
+    );
+    for suite in &b.suites {
+        let name = &suite.name;
+        assert!(
+            !name.ends_with("_wallclock") && !name.ends_with("_scaleout"),
+            "{name}: deleted as a second wall-clock instrument"
+        );
+    }
 }
 
 #[test]
@@ -53,30 +69,6 @@ fn baseline_is_self_consistent() {
         "a report must pass against itself"
     );
     assert_ne!(b.git_sha, "");
-}
-
-#[test]
-fn baseline_has_native_decoder_suite() {
-    let b = baseline();
-    let dn = b.suite("decoder_native").expect("decoder_native suite");
-    assert!(!dn.gated, "wall-clock decoder numbers must never gate CI");
-    assert!(dn.get("scalar.ns_per_block").unwrap_or(0.0) > 0.0);
-    // The scalar fallback of the native decoder is always measured;
-    // wider ISA rows depend on the recording host.
-    assert!(dn.get("native.scalar.ns_per_block").is_some());
-    let best = dn
-        .metrics
-        .iter()
-        .filter(|(name, _)| name.ends_with(".speedup"))
-        .map(|&(_, value)| value)
-        .fold(f64::NEG_INFINITY, f64::max);
-    assert!(
-        best > 1.0,
-        "recorded native fast path must beat the scalar decoder ({best})"
-    );
-    assert!(dn.get("batch2.ns_per_block").is_some());
-    assert!(dn.get("batch4.ns_per_block").is_some());
-    assert!(dn.get("batch4.accelerated").is_some());
 }
 
 #[test]
@@ -133,16 +125,6 @@ fn baseline_has_stagegraph_suites() {
             "{workers}: recorded occupancy {occ} below the ISSUE's 0.9 target"
         );
     }
-    let wall = b
-        .suite("uplink_stagegraph_wallclock")
-        .expect("uplink_stagegraph_wallclock");
-    assert!(!wall.gated, "wall-clock comparisons must never gate CI");
-    assert!(
-        wall.get("graph_vs_earlystop.ratio").unwrap_or(0.0) > 0.0,
-        "baseline lost the stage-graph vs serial early-stop ratio"
-    );
-    assert!(wall.get("batch.lane_occupancy.ratio").is_some());
-    assert!(wall.get("batch.iteration_occupancy.ratio").is_some());
 }
 
 #[test]
@@ -159,24 +141,6 @@ fn every_gated_baseline_metric_has_a_tolerance_class() {
                 metric
             );
         }
-    }
-}
-
-#[test]
-fn baseline_has_scaleout_suites() {
-    let b = baseline();
-    for name in ["downlink_scaleout", "uplink_scaleout"] {
-        let s = b.suite(name).expect(name);
-        assert!(!s.gated, "{name}: scale-out numbers must never gate CI");
-        assert!(s.get("w1.mbps").unwrap_or(0.0) > 0.0, "{name} lost w1.mbps");
-        assert!(
-            s.get("w1.mbps_per_core").is_some(),
-            "{name} lost per-core figure"
-        );
-        assert!(
-            s.get("w1.ok.count").unwrap_or(0.0) > 0.0,
-            "{name}: the clean-channel sweep must decode"
-        );
     }
 }
 

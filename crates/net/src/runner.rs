@@ -1,22 +1,30 @@
-//! Threaded pipeline driver: packet source → SPSC ring → PHY worker →
-//! SPSC ring → sink, mirroring the containerized eNB layout of the
-//! paper's Figure 1 (each stage its own execution context, queues in
-//! userspace).
+//! Threaded pipeline drivers: packet source → SPSC rings → PHY workers,
+//! mirroring the containerized eNB layout of the paper's Figure 1 (each
+//! stage its own execution context, queues in userspace).
 //!
-//! The multicore driver isolates worker panics: each packet is
-//! processed under `catch_unwind`, and a panicking worker quarantines
-//! its (possibly inconsistent) pipeline state, rebuilds a fresh one,
-//! backs off exponentially, and keeps draining its ring. One poisoned
-//! packet therefore costs one packet, not a core.
+//! There is one scaffold, `fan_out`: one ring per worker, a source
+//! thread that deals packet `i` to worker `i % workers` with traffic
+//! class `i % classes.len()`, a fixed quota per worker, and a pop loop
+//! that isolates panics — each packet is handled under `catch_unwind`,
+//! and a panicking worker quarantines its (possibly inconsistent)
+//! pipeline, rebuilds a fresh one, backs off exponentially, and keeps
+//! draining its ring. One poisoned packet therefore costs one packet,
+//! not a core. The drivers differ only in what a worker does with a
+//! popped packet (the `Worker` trait):
 //!
-//! The uplink drivers run the out-of-order stage-graph runtime
-//! ([`crate::stagegraph`]) by default: each worker pools decode tasks
-//! by K across the packets in its ring and launches them as
-//! quad-in-zmm / pair-in-ymm batches, keeping the SIMD lanes full
-//! under mixed-K traffic. [`run_uplink_serial_mixed`] keeps the old
-//! per-packet model as the measured baseline.
+//! * [`run_multicore_metered`] — the serial model, one packet fully
+//!   processed at a time ([`UplinkPipeline::process`]);
+//!   [`run_uplink_serial_mixed`] is the same with nothing attached.
+//! * [`run_uplink_stagegraph_metered`] — the out-of-order stage-graph
+//!   runtime ([`crate::stagegraph`]): each worker pools decode tasks by
+//!   K across the packets in its ring and launches them as quad-in-zmm
+//!   / pair-in-ymm batches, keeping the SIMD lanes full under mixed-K
+//!   traffic.
+//!
+//! Both see byte-identical traffic for the same arguments, which is
+//! what lets the serial model serve as the measured baseline of the
+//! stage graph (DESIGN.md §5.14 has the scaffold's contract).
 
-use crate::downlink::{DownlinkConfig, DownlinkPipeline};
 use crate::error::PipelineError;
 use crate::faultinject::{FaultInjector, FaultMix};
 use crate::metrics::{PipelineMetrics, RunnerMetrics, StageGraphMetrics};
@@ -26,9 +34,8 @@ use crate::pipeline::{PacketResult, PipelineConfig, UplinkPipeline};
 use crate::ring::SpscRing;
 use crate::stagegraph::{StageGraph, StageGraphConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Ring capacity used by the threaded drivers.
@@ -54,14 +61,13 @@ pub struct ThroughputReport {
     pub elapsed_s: f64,
     /// Goodput in Mbps over wire bytes.
     pub mbps: f64,
-    /// Worker panic-restarts absorbed by the multicore driver (always
-    /// 0 for the single-worker drivers, which do not isolate).
+    /// Worker panic-restarts absorbed.
     pub worker_restarts: usize,
 }
 
-/// Per-worker fault plan for [`run_multicore_metered`]: worker `w`
-/// draws from a [`FaultInjector`] seeded `seed + w`, so the fleet-wide
-/// fault sequence is deterministic but workers do not march in step.
+/// Per-worker fault plan: worker `w` draws from a [`FaultInjector`]
+/// seeded `seed + w`, so the fleet-wide fault sequence is deterministic
+/// but workers do not march in step.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
     /// Base injector seed.
@@ -70,467 +76,256 @@ pub struct FaultPlan {
     pub mix: FaultMix,
 }
 
-/// Drive `n_packets` of `wire_len` bytes through the threaded pipeline
-/// and measure sustained throughput.
-pub fn run_throughput(
-    cfg: PipelineConfig,
-    transport: Transport,
-    wire_len: usize,
-    n_packets: usize,
-) -> ThroughputReport {
-    run_throughput_metered(
-        cfg,
-        transport,
-        wire_len,
-        n_packets,
-        &RunnerMetrics::new(false, RING_CAPACITY),
-        None,
-    )
+/// A finished packet and the traffic class it was taken under.
+type Completed = (usize, Result<PacketResult, PipelineError>);
+
+/// What one [`fan_out`] worker does with the packets it pops.
+trait Worker {
+    /// Take packet `p` of traffic class `class`. May panic, provided
+    /// the panic leaves everything but the pipeline consistent: the
+    /// packet is then lost and [`Worker::restart`] follows.
+    fn take(&mut self, class: usize, p: &Packet);
+    /// Next finished packet, if any.
+    fn completed(&mut self) -> Option<Completed>;
+    /// Carry on with a fresh pipeline after a panic; `generation`
+    /// counts this worker's restarts.
+    fn restart(&mut self, generation: u64, pipe: UplinkPipeline);
+    /// The quota is consumed: finish whatever is still in flight.
+    fn drain(&mut self) {}
 }
 
-/// [`run_throughput`] with metrics attached: ring occupancy is sampled
-/// at every worker pop, producer/consumer spins are counted, and each
-/// completed packet lands in both the runner registry and (when given)
-/// the per-stage pipeline registry.
-pub fn run_throughput_metered(
-    cfg: PipelineConfig,
-    transport: Transport,
-    wire_len: usize,
-    n_packets: usize,
-    metrics: &RunnerMetrics,
-    pipeline_metrics: Option<Arc<PipelineMetrics>>,
-) -> ThroughputReport {
-    let (mut tx_in, mut rx_in) = SpscRing::with_capacity::<Packet>(RING_CAPACITY);
-    let (mut tx_out, mut rx_out) =
-        SpscRing::with_capacity::<Result<PacketResult, PipelineError>>(RING_CAPACITY);
-    let done = AtomicBool::new(false);
-    let results = Mutex::new(Vec::with_capacity(n_packets));
+/// One packet fully processed at a time, no cross-packet batching.
+struct Serial {
+    pipe: UplinkPipeline,
+    done: Option<Completed>,
+}
 
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        // source
-        s.spawn(|| {
-            let mut b = PacketBuilder::new(5000, 6000);
-            for _ in 0..n_packets {
-                let p = b.build(transport, wire_len).expect("valid size");
-                let mut item = p;
-                loop {
-                    match tx_in.push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            item = back;
-                            metrics.record_push_stall();
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-        });
-        // PHY worker
-        s.spawn(|| {
-            let pipe = match pipeline_metrics {
-                Some(pm) => UplinkPipeline::with_metrics(cfg, pm),
-                None => UplinkPipeline::new(cfg),
-            };
-            let mut processed = 0;
-            while processed < n_packets {
-                match rx_in.pop() {
-                    Some(p) => {
-                        metrics.record_occupancy(rx_in.len());
-                        let r = pipe.process(&p);
-                        let mut item = r;
-                        loop {
-                            match tx_out.push(item) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    item = back;
-                                    metrics.record_push_stall();
-                                    std::hint::spin_loop();
-                                }
-                            }
-                        }
-                        processed += 1;
-                    }
-                    None => {
-                        metrics.record_pop_stall();
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-        });
-        // sink
-        s.spawn(|| {
-            let mut got = 0;
-            while got < n_packets {
-                match rx_out.pop() {
-                    Some(r) => {
-                        metrics.record_packet(wire_len);
-                        results.lock().unwrap().push(r);
-                        got += 1;
-                    }
-                    None => {
-                        metrics.record_pop_stall();
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-            done.store(true, Ordering::Release);
-        });
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    assert!(done.load(Ordering::Acquire));
-
-    let results = results.into_inner().unwrap();
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    let wire_bytes = wire_len * results.len();
-    ThroughputReport {
-        packets: results.len(),
-        ok_packets: ok,
-        wire_bytes,
-        elapsed_s: elapsed,
-        mbps: wire_bytes as f64 * 8.0 / elapsed / 1e6,
-        worker_restarts: 0,
+impl Worker for Serial {
+    fn take(&mut self, class: usize, p: &Packet) {
+        self.done = Some((class, self.pipe.process(p)));
+    }
+    fn completed(&mut self) -> Option<Completed> {
+        self.done.take()
+    }
+    fn restart(&mut self, _generation: u64, pipe: UplinkPipeline) {
+        self.pipe = pipe;
     }
 }
 
-/// Multi-core scaling driver: distribute packets round-robin across
-/// `workers` PHY threads (one SPSC ring each — the paper's Figure 16
-/// "cores required" setting, each core owning its share of the load),
-/// with runner metrics and an optional per-worker fault plan. Workers
-/// are panic-isolated: a panic mid-packet (real or
-/// injected via [`crate::faultinject::FaultKind::WorkerPanic`])
-/// quarantines the worker's pipeline, rebuilds it, and resumes after
-/// an exponential back-off. The panicked packet is consumed (it counts
-/// against the worker's quota but produces no result), so the driver
-/// always terminates.
-pub fn run_multicore_metered(
+/// Admission into a [`StageGraph`]; the class index doubles as the UE
+/// id, so each class's packets are delivered in admission order.
+struct Graph {
+    graph: StageGraph,
+    worker: usize,
+    recorder: Option<Arc<FlightRecorder>>,
+}
+
+impl Worker for Graph {
+    fn take(&mut self, class: usize, p: &Packet) {
+        self.graph.admit(class as u64, p);
+    }
+    fn completed(&mut self) -> Option<Completed> {
+        self.graph.pop_completed().map(|(ue, r)| (ue as usize, r))
+    }
+    /// Quarantines the pipeline only: the panic unwound out of
+    /// `prepare` before anything was staged, so the graph's ROB, pools
+    /// and sequences are intact and in-flight packets still retire.
+    fn restart(&mut self, generation: u64, pipe: UplinkPipeline) {
+        if let Some(rec) = &self.recorder {
+            rec.record(TraceEvent::restart(self.worker, generation));
+        }
+        self.graph.replace_pipeline(pipe);
+    }
+    fn drain(&mut self) {
+        self.graph.drain();
+    }
+}
+
+/// How every worker builds, and after a panic rebuilds, its pipeline.
+struct PipeSpec {
     cfg: PipelineConfig,
-    transport: Transport,
-    wire_len: usize,
+    faults: Option<FaultPlan>,
+    metrics: Option<Arc<PipelineMetrics>>,
+}
+
+impl PipeSpec {
+    fn build(&self, worker: usize, generation: u64) -> UplinkPipeline {
+        let mut pipe = match &self.metrics {
+            Some(m) => UplinkPipeline::with_metrics(self.cfg, m.clone()),
+            None => UplinkPipeline::new(self.cfg),
+        };
+        if let Some(plan) = self.faults {
+            // Re-seed per generation so a rebuilt worker does not
+            // replay the fault that killed it in lock-step.
+            pipe.set_fault_injector(FaultInjector::with_mix(
+                plan.seed
+                    .wrapping_add(worker as u64)
+                    .wrapping_add(generation.wrapping_mul(0x9e37_79b9)),
+                plan.mix,
+            ));
+        }
+        pipe
+    }
+}
+
+/// What the workers of one [`fan_out`] add up to; statistics only,
+/// read after the scope has joined every thread.
+#[derive(Default)]
+struct Totals {
+    packets: AtomicUsize,
+    ok_packets: AtomicUsize,
+    wire_bytes: AtomicUsize,
+    restarts: AtomicUsize,
+}
+
+/// The one threaded scaffold. A source thread builds `n_packets` and
+/// deals packet `i` — `(transport, wire_len)` from
+/// `classes[i % classes.len()]` — into the ring of worker
+/// `i % workers`, spinning (and counting a push stall) while that ring
+/// is full. Worker `w` owns a `body(w, pipeline)` and pops exactly its
+/// quota, `⌈(n_packets − w) / workers⌉`; its `j`-th packet is global
+/// packet `w + j·workers`, which is how it knows the class without the
+/// ring carrying it. A panic out of [`Worker::take`] costs that packet
+/// (it still counts against the quota, so the driver always
+/// terminates), a quarantine, a rebuilt pipeline and an exponential
+/// back-off. The only two waits are the source's push spin and the
+/// worker's pop spin.
+fn fan_out<W: Worker>(
+    spec: PipeSpec,
+    classes: &[(Transport, usize)],
     n_packets: usize,
     workers: usize,
     metrics: &RunnerMetrics,
-    faults: Option<FaultPlan>,
+    body: impl Fn(usize, UplinkPipeline) -> W + Sync,
 ) -> ThroughputReport {
     assert!(workers >= 1);
-    let mut producers = Vec::new();
-    let mut consumers = Vec::new();
-    for _ in 0..workers {
-        let (p, c) = SpscRing::with_capacity::<Packet>(RING_CAPACITY);
-        producers.push(p);
-        consumers.push(c);
-    }
-    let counts: Vec<usize> = (0..workers)
-        .map(|w| n_packets / workers + usize::from(w < n_packets % workers))
-        .collect();
-    let results = Mutex::new(Vec::with_capacity(n_packets));
-    let restarts = AtomicUsize::new(0);
+    assert!(!classes.is_empty());
+    let (mut producers, consumers): (Vec<_>, Vec<_>) = (0..workers)
+        .map(|_| SpscRing::with_capacity::<Packet>(RING_CAPACITY))
+        .unzip();
+    let (spec, body, totals) = (&spec, &body, &Totals::default());
 
     let start = Instant::now();
     std::thread::scope(|s| {
-        // one source feeding every ring round-robin
         s.spawn(move || {
-            let mut producers = producers;
-            let mut b = PacketBuilder::new(7000, 7001);
+            let mut b = PacketBuilder::new(9000, 9001);
             for i in 0..n_packets {
+                let (transport, wire_len) = classes[i % classes.len()];
                 let mut item = b.build(transport, wire_len).expect("valid size");
-                let w = i % workers;
-                loop {
-                    match producers[w].push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            item = back;
-                            std::hint::spin_loop();
-                        }
-                    }
+                while let Err(back) = producers[i % workers].push(item) {
+                    item = back;
+                    metrics.record_push_stall();
+                    std::hint::spin_loop();
                 }
             }
         });
-        for (w, (mut rx, quota)) in consumers.into_iter().zip(counts).enumerate() {
-            let results = &results;
-            let restarts = &restarts;
+        for (w, mut rx) in consumers.into_iter().enumerate() {
             s.spawn(move || {
-                let build = |generation: u64| -> UplinkPipeline {
-                    match faults {
-                        Some(plan) => UplinkPipeline::with_faults(
-                            cfg,
-                            // Re-seed per generation so a rebuilt worker
-                            // does not replay the fault that killed it
-                            // in lock-step.
-                            FaultInjector::with_mix(
-                                plan.seed
-                                    .wrapping_add(w as u64)
-                                    .wrapping_add(generation.wrapping_mul(0x9e37_79b9)),
-                                plan.mix,
-                            ),
-                        ),
-                        None => UplinkPipeline::new(cfg),
+                let quota = n_packets / workers + usize::from(w < n_packets % workers);
+                let mut body = body(w, spec.build(w, 0));
+                let collect = |body: &mut W| {
+                    while let Some((class, r)) = body.completed() {
+                        let wire_len = classes[class].1;
+                        metrics.record_packet(wire_len);
+                        totals.packets.fetch_add(1, Relaxed);
+                        totals.ok_packets.fetch_add(usize::from(r.is_ok()), Relaxed);
+                        totals.wire_bytes.fetch_add(wire_len, Relaxed);
                     }
                 };
-                let mut pipe = build(0);
                 let mut generation = 0u64;
                 let mut consecutive_panics = 0u32;
                 let mut done = 0;
                 while done < quota {
-                    match rx.pop() {
-                        Some(p) => {
-                            metrics.record_occupancy(rx.len());
-                            match catch_unwind(AssertUnwindSafe(|| pipe.process(&p))) {
-                                Ok(r) => {
-                                    consecutive_panics = 0;
-                                    metrics.record_packet(wire_len);
-                                    results.lock().unwrap().push(r);
-                                }
-                                Err(_) => {
-                                    // Quarantine: the unwound pipeline's
-                                    // interior state is suspect — drop it
-                                    // wholesale and restart fresh.
-                                    metrics.record_quarantine();
-                                    metrics.record_worker_restart();
-                                    restarts.fetch_add(1, Ordering::Relaxed);
-                                    generation += 1;
-                                    pipe = build(generation);
-                                    let backoff = BACKOFF_BASE
-                                        .saturating_mul(1 << consecutive_panics.min(6))
-                                        .min(BACKOFF_CAP);
-                                    consecutive_panics += 1;
-                                    std::thread::sleep(backoff);
-                                }
-                            }
-                            done += 1;
-                        }
-                        None => {
-                            metrics.record_pop_stall();
-                            std::hint::spin_loop();
+                    let Some(p) = rx.pop() else {
+                        metrics.record_pop_stall();
+                        std::hint::spin_loop();
+                        continue;
+                    };
+                    metrics.record_occupancy(rx.len());
+                    let class = (w + done * workers) % classes.len();
+                    match catch_unwind(AssertUnwindSafe(|| body.take(class, &p))) {
+                        Ok(()) => consecutive_panics = 0,
+                        Err(_) => {
+                            // Quarantine: the unwound pipeline's
+                            // interior state is suspect — drop it
+                            // wholesale and restart fresh.
+                            metrics.record_quarantine();
+                            metrics.record_worker_restart();
+                            totals.restarts.fetch_add(1, Relaxed);
+                            generation += 1;
+                            body.restart(generation, spec.build(w, generation));
+                            let backoff = BACKOFF_BASE
+                                .saturating_mul(1 << consecutive_panics.min(6))
+                                .min(BACKOFF_CAP);
+                            consecutive_panics += 1;
+                            std::thread::sleep(backoff);
                         }
                     }
+                    collect(&mut body);
+                    done += 1;
                 }
+                body.drain();
+                collect(&mut body);
             });
         }
     });
-    let elapsed = start.elapsed().as_secs_f64();
-    let results = results.into_inner().unwrap();
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    let wire_bytes = wire_len * results.len();
+    let elapsed_s = start.elapsed().as_secs_f64();
+    let wire_bytes = totals.wire_bytes.load(Relaxed);
     ThroughputReport {
-        packets: results.len(),
-        ok_packets: ok,
+        packets: totals.packets.load(Relaxed),
+        ok_packets: totals.ok_packets.load(Relaxed),
         wire_bytes,
-        elapsed_s: elapsed,
-        mbps: wire_bytes as f64 * 8.0 / elapsed / 1e6,
-        worker_restarts: restarts.into_inner(),
+        elapsed_s,
+        mbps: wire_bytes as f64 * 8.0 / elapsed_s / 1e6,
+        worker_restarts: totals.restarts.load(Relaxed),
     }
 }
 
-/// One measurement of the downlink scale-out sweep: sustained
-/// throughput at a given worker count, plus the per-core efficiency
-/// figure the paper's Figure 16 "cores required" analysis turns on.
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleoutPoint {
-    /// PHY worker threads driven in parallel.
-    pub workers: usize,
-    /// Aggregate goodput in Mbps over wire bytes.
-    pub mbps: f64,
-    /// `mbps / workers` — flat until the host runs out of cores.
-    pub mbps_per_core: f64,
-    /// Packets completed.
-    pub packets: usize,
-    /// Packets whose DCI and data channel both decoded.
-    pub ok_packets: usize,
-}
-
-/// Multi-core downlink driver: distribute subframes round-robin across
-/// `workers` transmit pipelines (one SPSC ring each), mirroring
-/// [`run_multicore_metered`] on the eNB transmit side. Each worker owns a
-/// [`DownlinkPipeline`], so the packed encoder's hot state (encoders,
-/// rate matchers, scratch words) is per-core and contention-free.
-pub fn run_downlink_multicore(
-    cfg: DownlinkConfig,
-    transport: Transport,
-    wire_len: usize,
-    n_packets: usize,
-    workers: usize,
-) -> ThroughputReport {
-    assert!(workers >= 1);
-    let mut producers = Vec::new();
-    let mut consumers = Vec::new();
-    for _ in 0..workers {
-        let (p, c) = SpscRing::with_capacity::<Packet>(RING_CAPACITY);
-        producers.push(p);
-        consumers.push(c);
-    }
-    let counts: Vec<usize> = (0..workers)
-        .map(|w| n_packets / workers + usize::from(w < n_packets % workers))
-        .collect();
-    let results = Mutex::new(Vec::with_capacity(n_packets));
-
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut producers = producers;
-            let mut b = PacketBuilder::new(8000, 8001);
-            for i in 0..n_packets {
-                let mut item = b.build(transport, wire_len).expect("valid size");
-                let w = i % workers;
-                loop {
-                    match producers[w].push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            item = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-        });
-        for (mut rx, quota) in consumers.into_iter().zip(counts) {
-            let results = &results;
-            s.spawn(move || {
-                let pipe = DownlinkPipeline::new(cfg);
-                let mut done = 0;
-                while done < quota {
-                    match rx.pop() {
-                        Some(p) => {
-                            let r = pipe.process(&p);
-                            results.lock().unwrap().push(r);
-                            done += 1;
-                        }
-                        None => std::hint::spin_loop(),
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let results = results.into_inner().unwrap();
-    let ok = results.iter().filter(|r| r.dci_ok && r.data_ok).count();
-    let wire_bytes = wire_len * results.len();
-    ThroughputReport {
-        packets: results.len(),
-        ok_packets: ok,
-        wire_bytes,
-        elapsed_s: elapsed,
-        mbps: wire_bytes as f64 * 8.0 / elapsed / 1e6,
-        worker_restarts: 0,
-    }
-}
-
-/// Multi-core uplink driver: distribute received subframes round-robin
-/// across `workers` receive pipelines (one SPSC ring each). The
-/// counterpart of [`run_downlink_multicore`] on the eNB receive side.
-///
-/// Since the stage-graph runtime landed this is a thin wrapper over
-/// [`run_uplink_stagegraph_metered`] with a single traffic class:
-/// every worker owns a [`StageGraph`] that pools decode tasks across
-/// the packets in its ring and launches them as quad-in-zmm /
-/// pair-in-ymm batches — batch SIMD is the default uplink path. For
-/// the old per-packet serial model (the comparison baseline), see
-/// [`run_uplink_serial_mixed`].
-pub fn run_uplink_multicore(
+/// The serial driver: `workers` PHY threads (the paper's Figure 16
+/// "cores required" setting, each core owning its share of the load),
+/// each processing one packet fully at a time
+/// ([`UplinkPipeline::process`]) with no cross-packet batch formation —
+/// the model the stage-graph runtime replaced and is measured against.
+/// Packet `i` draws `(transport, wire_len)` from
+/// `classes[i % classes.len()]`, the same schedule as
+/// [`run_uplink_stagegraph_metered`]. Ring occupancy is sampled at
+/// every pop, producer and consumer spins are counted, and each
+/// completed packet lands in `metrics` and (when given) the per-stage
+/// `pipe_metrics`. Workers are panic-isolated: a panic mid-packet
+/// (real, or injected through `faults` as
+/// [`crate::faultinject::FaultKind::WorkerPanic`]) costs that packet,
+/// so `packets + worker_restarts == n_packets`.
+pub fn run_multicore_metered(
     cfg: PipelineConfig,
-    transport: Transport,
-    wire_len: usize,
+    classes: &[(Transport, usize)],
     n_packets: usize,
     workers: usize,
+    metrics: &RunnerMetrics,
+    faults: Option<FaultPlan>,
+    pipe_metrics: Option<Arc<PipelineMetrics>>,
 ) -> ThroughputReport {
-    run_uplink_stagegraph_metered(
+    let spec = PipeSpec {
         cfg,
-        &[(transport, wire_len)],
-        n_packets,
-        workers,
-        StageGraphConfig::default(),
-        &RunnerMetrics::new(false, RING_CAPACITY),
-        None,
-        None,
-        None,
-        None,
-    )
+        faults,
+        metrics: pipe_metrics,
+    };
+    fan_out(spec, classes, n_packets, workers, metrics, |_, pipe| {
+        Serial { pipe, done: None }
+    })
 }
 
-/// The pre-stage-graph uplink driver: one packet fully processed at a
-/// time per worker ([`UplinkPipeline::process`]), no cross-packet
-/// batch formation. Kept as the measured baseline the stage-graph
-/// runtime is gated against (`uplink_stagegraph` benchgate suite); not
-/// panic-isolated. Packet `i` draws
-/// `(transport, wire_len)` from `classes[i % classes.len()]` — the
-/// same round-robin schedule as [`run_uplink_stagegraph_metered`], so
-/// serial and stage-graph runs see byte-identical traffic.
+/// [`run_multicore_metered`] with no registry and no fault plan: the
+/// measured baseline the stage-graph runtime is gated against
+/// (`uplink_stagegraph` benchgate suite, `sg_saturate`'s
+/// `net.stagegraph.vs_serial.ratio`).
 pub fn run_uplink_serial_mixed(
     cfg: PipelineConfig,
     classes: &[(Transport, usize)],
     n_packets: usize,
     workers: usize,
 ) -> ThroughputReport {
-    assert!(workers >= 1);
-    assert!(!classes.is_empty());
-    let mut producers = Vec::new();
-    let mut consumers = Vec::new();
-    for _ in 0..workers {
-        let (p, c) = SpscRing::with_capacity::<Packet>(RING_CAPACITY);
-        producers.push(p);
-        consumers.push(c);
-    }
-    let counts: Vec<usize> = (0..workers)
-        .map(|w| n_packets / workers + usize::from(w < n_packets % workers))
-        .collect();
-    let results = Mutex::new(Vec::with_capacity(n_packets));
-    let wire_bytes = AtomicUsize::new(0);
-
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut producers = producers;
-            let mut b = PacketBuilder::new(9000, 9001);
-            for i in 0..n_packets {
-                let (transport, wire_len) = classes[i % classes.len()];
-                let mut item = b.build(transport, wire_len).expect("valid size");
-                let w = i % workers;
-                loop {
-                    match producers[w].push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            item = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-        });
-        for (w, (mut rx, quota)) in consumers.into_iter().zip(counts).enumerate() {
-            let results = &results;
-            let wire_bytes = &wire_bytes;
-            s.spawn(move || {
-                let pipe = UplinkPipeline::new(cfg);
-                let mut done = 0;
-                while done < quota {
-                    match rx.pop() {
-                        Some(p) => {
-                            // Worker w's j-th packet is global packet
-                            // w + j·workers (round-robin source).
-                            let i = w + done * workers;
-                            wire_bytes.fetch_add(classes[i % classes.len()].1, Ordering::Relaxed);
-                            let r = pipe.process(&p);
-                            results.lock().unwrap().push(r);
-                            done += 1;
-                        }
-                        None => std::hint::spin_loop(),
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let results = results.into_inner().unwrap();
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    let wire_bytes = wire_bytes.into_inner();
-    ThroughputReport {
-        packets: results.len(),
-        ok_packets: ok,
-        wire_bytes,
-        elapsed_s: elapsed,
-        mbps: wire_bytes as f64 * 8.0 / elapsed / 1e6,
-        worker_restarts: 0,
-    }
+    let quiet = RunnerMetrics::new(false, RING_CAPACITY);
+    run_multicore_metered(cfg, classes, n_packets, workers, &quiet, None, None)
 }
 
 /// The stage-graph uplink driver: each worker owns a [`StageGraph`]
@@ -541,11 +336,10 @@ pub fn run_uplink_serial_mixed(
 /// `classes[i % classes.len()]`; the class index doubles as the UE id,
 /// so each class's packets are delivered in admission order.
 ///
-/// Workers are panic-isolated like [`run_multicore_metered`]: a panic
-/// during admission (real or injected
-/// [`crate::faultinject::FaultKind::WorkerPanic`]) quarantines only
-/// the worker's *pipeline* — the graph's ROB, pools and sequence state
-/// survive, so packets staged before the panic still retire and the
+/// Workers are panic-isolated like [`run_multicore_metered`]'s, but a
+/// panic during admission quarantines only the worker's *pipeline* —
+/// the graph's ROB, pools and sequence state survive, so packets staged
+/// before the panic still retire and the
 /// `packets + worker_restarts == n` invariant holds.
 #[allow(clippy::too_many_arguments)]
 pub fn run_uplink_stagegraph_metered(
@@ -560,190 +354,32 @@ pub fn run_uplink_stagegraph_metered(
     recorder: Option<Arc<FlightRecorder>>,
     pipe_metrics: Option<Arc<PipelineMetrics>>,
 ) -> ThroughputReport {
-    assert!(workers >= 1);
-    assert!(!classes.is_empty());
-    let mut producers = Vec::new();
-    let mut consumers = Vec::new();
-    for _ in 0..workers {
-        let (p, c) = SpscRing::with_capacity::<Packet>(RING_CAPACITY);
-        producers.push(p);
-        consumers.push(c);
-    }
-    let counts: Vec<usize> = (0..workers)
-        .map(|w| n_packets / workers + usize::from(w < n_packets % workers))
-        .collect();
-    let results = Mutex::new(Vec::with_capacity(n_packets));
-    let wire_bytes = AtomicUsize::new(0);
-    let restarts = AtomicUsize::new(0);
-
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut producers = producers;
-            let mut b = PacketBuilder::new(9000, 9001);
-            for i in 0..n_packets {
-                let (transport, wire_len) = classes[i % classes.len()];
-                let mut item = b.build(transport, wire_len).expect("valid size");
-                let w = i % workers;
-                loop {
-                    match producers[w].push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            item = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
+    let spec = PipeSpec {
+        cfg,
+        faults,
+        metrics: pipe_metrics,
+    };
+    fan_out(
+        spec,
+        classes,
+        n_packets,
+        workers,
+        metrics,
+        |worker, pipe| {
+            let mut graph = StageGraph::new(pipe, sg_cfg);
+            if let Some(m) = &sg_metrics {
+                graph.set_metrics(m.clone());
             }
-        });
-        for (w, (mut rx, quota)) in consumers.into_iter().zip(counts).enumerate() {
-            let results = &results;
-            let wire_bytes = &wire_bytes;
-            let restarts = &restarts;
-            let sg_metrics = sg_metrics.clone();
-            let recorder = recorder.clone();
-            let pipe_metrics = pipe_metrics.clone();
-            s.spawn(move || {
-                let build = move |generation: u64| -> UplinkPipeline {
-                    let mut pipe = match &pipe_metrics {
-                        Some(m) => UplinkPipeline::with_metrics(cfg, m.clone()),
-                        None => UplinkPipeline::new(cfg),
-                    };
-                    if let Some(plan) = faults {
-                        // Re-seed per generation so a rebuilt worker
-                        // does not replay the fault that killed it in
-                        // lock-step.
-                        pipe.set_fault_injector(FaultInjector::with_mix(
-                            plan.seed
-                                .wrapping_add(w as u64)
-                                .wrapping_add(generation.wrapping_mul(0x9e37_79b9)),
-                            plan.mix,
-                        ));
-                    }
-                    pipe
-                };
-                let mut graph = StageGraph::new(build(0), sg_cfg);
-                if let Some(m) = sg_metrics {
-                    graph.set_metrics(m);
-                }
-                if let Some(rec) = &recorder {
-                    graph.set_recorder(rec.clone());
-                }
-                let mut generation = 0u64;
-                let mut consecutive_panics = 0u32;
-                let mut done = 0;
-                let collect = |graph: &mut StageGraph| {
-                    while let Some((ue, r)) = graph.pop_completed() {
-                        let wl = classes[ue as usize].1;
-                        wire_bytes.fetch_add(wl, Ordering::Relaxed);
-                        metrics.record_packet(wl);
-                        results.lock().unwrap().push(r);
-                    }
-                };
-                while done < quota {
-                    match rx.pop() {
-                        Some(p) => {
-                            metrics.record_occupancy(rx.len());
-                            let i = w + done * workers;
-                            let ue = (i % classes.len()) as u64;
-                            match catch_unwind(AssertUnwindSafe(|| graph.admit(ue, &p))) {
-                                Ok(()) => consecutive_panics = 0,
-                                Err(_) => {
-                                    // Quarantine the pipeline only: the
-                                    // panic unwound out of `prepare`
-                                    // before anything was staged, so the
-                                    // graph's ROB/pools/sequences are
-                                    // intact and in-flight packets still
-                                    // retire.
-                                    metrics.record_quarantine();
-                                    metrics.record_worker_restart();
-                                    restarts.fetch_add(1, Ordering::Relaxed);
-                                    generation += 1;
-                                    if let Some(rec) = &recorder {
-                                        rec.record(TraceEvent::restart(w, generation));
-                                    }
-                                    graph.replace_pipeline(build(generation));
-                                    let backoff = BACKOFF_BASE
-                                        .saturating_mul(1 << consecutive_panics.min(6))
-                                        .min(BACKOFF_CAP);
-                                    consecutive_panics += 1;
-                                    std::thread::sleep(backoff);
-                                }
-                            }
-                            collect(&mut graph);
-                            done += 1;
-                        }
-                        None => {
-                            metrics.record_pop_stall();
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-                graph.drain();
-                collect(&mut graph);
-            });
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let results = results.into_inner().unwrap();
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    let wire_bytes = wire_bytes.into_inner();
-    ThroughputReport {
-        packets: results.len(),
-        ok_packets: ok,
-        wire_bytes,
-        elapsed_s: elapsed,
-        mbps: wire_bytes as f64 * 8.0 / elapsed / 1e6,
-        worker_restarts: restarts.into_inner(),
-    }
-}
-
-/// Sweep the uplink driver over 1..=`max_workers` worker counts and
-/// report aggregate and per-core throughput at each point — the
-/// receive-side twin of [`downlink_scaleout_sweep`], feeding the
-/// `uplink_scaleout` benchgate suite.
-pub fn uplink_scaleout_sweep(
-    cfg: PipelineConfig,
-    transport: Transport,
-    wire_len: usize,
-    n_packets: usize,
-    max_workers: usize,
-) -> Vec<ScaleoutPoint> {
-    (1..=max_workers)
-        .map(|w| {
-            let rep = run_uplink_multicore(cfg, transport, wire_len, n_packets, w);
-            ScaleoutPoint {
-                workers: w,
-                mbps: rep.mbps,
-                mbps_per_core: rep.mbps / w as f64,
-                packets: rep.packets,
-                ok_packets: rep.ok_packets,
+            if let Some(rec) = &recorder {
+                graph.set_recorder(rec.clone());
             }
-        })
-        .collect()
-}
-
-/// Sweep the downlink driver over 1..=`max_workers` worker counts and
-/// report aggregate and per-core throughput at each point.
-pub fn downlink_scaleout_sweep(
-    cfg: DownlinkConfig,
-    transport: Transport,
-    wire_len: usize,
-    n_packets: usize,
-    max_workers: usize,
-) -> Vec<ScaleoutPoint> {
-    (1..=max_workers)
-        .map(|w| {
-            let rep = run_downlink_multicore(cfg, transport, wire_len, n_packets, w);
-            ScaleoutPoint {
-                workers: w,
-                mbps: rep.mbps,
-                mbps_per_core: rep.mbps / w as f64,
-                packets: rep.packets,
-                ok_packets: rep.ok_packets,
+            Graph {
+                graph,
+                worker,
+                recorder: recorder.clone(),
             }
-        })
-        .collect()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -757,13 +393,41 @@ mod tests {
         RunnerMetrics::new(false, RING_CAPACITY)
     }
 
-    #[test]
-    fn threaded_pipeline_processes_all_packets() {
-        let cfg = PipelineConfig {
+    fn clean() -> PipelineConfig {
+        PipelineConfig {
             snr_db: 30.0,
             ..Default::default()
-        };
-        let rep = run_throughput(cfg, Transport::Udp, 128, 8);
+        }
+    }
+
+    /// The stage-graph driver on a clean channel with its default
+    /// configuration and neither recorder nor pipeline registry.
+    fn graph_run(
+        classes: &[(Transport, usize)],
+        n: usize,
+        workers: usize,
+        rm: &RunnerMetrics,
+        sg: Option<Arc<StageGraphMetrics>>,
+        plan: Option<FaultPlan>,
+    ) -> ThroughputReport {
+        let sg_cfg = StageGraphConfig::default();
+        run_uplink_stagegraph_metered(
+            clean(),
+            classes,
+            n,
+            workers,
+            sg_cfg,
+            rm,
+            sg,
+            plan,
+            None,
+            None,
+        )
+    }
+
+    #[test]
+    fn threaded_pipeline_processes_all_packets() {
+        let rep = run_uplink_serial_mixed(clean(), &[(Transport::Udp, 128)], 8, 1);
         assert_eq!(rep.packets, 8);
         assert_eq!(rep.ok_packets, 8, "clean channel must decode everything");
         assert!(rep.mbps > 0.0);
@@ -773,23 +437,16 @@ mod tests {
 
     #[test]
     fn tcp_flow_also_flows() {
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            ..Default::default()
-        };
-        let rep = run_throughput(cfg, Transport::Tcp, 256, 4);
+        let rep = run_uplink_serial_mixed(clean(), &[(Transport::Tcp, 256)], 4, 1);
         assert_eq!(rep.ok_packets, 4);
     }
 
     #[test]
     fn metered_run_populates_both_registries() {
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            ..Default::default()
-        };
         let rm = RunnerMetrics::new(true, RING_CAPACITY);
         let pm = Arc::new(PipelineMetrics::new(true));
-        let rep = run_throughput_metered(cfg, Transport::Udp, 128, 6, &rm, Some(pm.clone()));
+        let udp128 = [(Transport::Udp, 128)];
+        let rep = run_multicore_metered(clean(), &udp128, 6, 1, &rm, None, Some(pm.clone()));
         assert_eq!(rep.ok_packets, 6);
         assert_eq!(rm.packets.get(), 6);
         assert_eq!(rm.wire_bytes.get(), 6 * 128);
@@ -799,13 +456,27 @@ mod tests {
     }
 
     #[test]
+    fn a_full_ring_counts_push_stalls_on_both_drivers() {
+        // The source builds a packet in about a microsecond and the one
+        // worker needs tens to decode it, so with two rings' worth of
+        // packets the source must find the ring full.
+        let classes = [(Transport::Udp, 64)];
+        let n = 2 * RING_CAPACITY;
+        let serial = RunnerMetrics::new(true, RING_CAPACITY);
+        let rep = run_multicore_metered(clean(), &classes, n, 1, &serial, None, None);
+        assert_eq!(rep.packets, n);
+        assert!(serial.push_stalls.get() > 0, "serial driver");
+        let graph = RunnerMetrics::new(true, RING_CAPACITY);
+        let rep = graph_run(&classes, n, 1, &graph, None, None);
+        assert_eq!(rep.packets, n);
+        assert!(graph.push_stalls.get() > 0, "stage-graph driver");
+    }
+
+    #[test]
     fn multicore_distributes_and_loses_nothing() {
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            ..Default::default()
-        };
         for workers in [1usize, 2, 3] {
-            let rep = run_multicore_metered(cfg, Transport::Udp, 128, 9, workers, &quiet(), None);
+            let udp128 = [(Transport::Udp, 128)];
+            let rep = run_multicore_metered(clean(), &udp128, 9, workers, &quiet(), None, None);
             assert_eq!(rep.packets, 9, "workers={workers}");
             assert_eq!(rep.ok_packets, 9, "workers={workers}");
             assert_eq!(rep.worker_restarts, 0, "workers={workers}");
@@ -825,8 +496,9 @@ mod tests {
             decoder_iterations: 4,
             ..Default::default()
         };
-        let one = run_multicore_metered(cfg, Transport::Udp, 512, 12, 1, &quiet(), None);
-        let two = run_multicore_metered(cfg, Transport::Udp, 512, 12, 2, &quiet(), None);
+        let udp512 = [(Transport::Udp, 512)];
+        let one = run_multicore_metered(cfg, &udp512, 12, 1, &quiet(), None, None);
+        let two = run_multicore_metered(cfg, &udp512, 12, 2, &quiet(), None, None);
         assert_eq!(one.ok_packets, 12);
         assert_eq!(two.ok_packets, 12);
         if cores >= 3 {
@@ -840,76 +512,18 @@ mod tests {
     }
 
     #[test]
-    fn downlink_multicore_distributes_and_loses_nothing() {
-        let cfg = DownlinkConfig {
-            snr_db: 28.0,
-            ..Default::default()
-        };
-        for workers in [1usize, 2, 3] {
-            let rep = run_downlink_multicore(cfg, Transport::Udp, 200, 9, workers);
-            assert_eq!(rep.packets, 9, "workers={workers}");
-            assert_eq!(rep.ok_packets, 9, "workers={workers}");
-            assert!(rep.mbps > 0.0, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn downlink_sweep_covers_every_worker_count() {
-        let cfg = DownlinkConfig {
-            snr_db: 28.0,
-            ..Default::default()
-        };
-        let sweep = downlink_scaleout_sweep(cfg, Transport::Udp, 200, 6, 3);
-        assert_eq!(sweep.len(), 3);
-        for (i, pt) in sweep.iter().enumerate() {
-            assert_eq!(pt.workers, i + 1);
-            assert_eq!(pt.packets, 6);
-            assert_eq!(pt.ok_packets, 6, "clean channel at every width");
-            assert!(pt.mbps > 0.0);
-            let per_core = pt.mbps / pt.workers as f64;
-            assert!((pt.mbps_per_core - per_core).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn uplink_multicore_distributes_and_loses_nothing() {
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            ..Default::default()
-        };
         for workers in [1usize, 2, 3] {
-            let rep = run_uplink_multicore(cfg, Transport::Udp, 200, 9, workers);
+            let rep = graph_run(&[(Transport::Udp, 200)], 9, workers, &quiet(), None, None);
             assert_eq!(rep.packets, 9, "workers={workers}");
             assert_eq!(rep.ok_packets, 9, "workers={workers}");
             assert!(rep.mbps > 0.0, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn uplink_sweep_covers_every_worker_count() {
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            ..Default::default()
-        };
-        let sweep = uplink_scaleout_sweep(cfg, Transport::Udp, 200, 6, 3);
-        assert_eq!(sweep.len(), 3);
-        for (i, pt) in sweep.iter().enumerate() {
-            assert_eq!(pt.workers, i + 1);
-            assert_eq!(pt.packets, 6);
-            assert_eq!(pt.ok_packets, 6, "clean channel at every width");
-            assert!(pt.mbps > 0.0);
-            let per_core = pt.mbps / pt.workers as f64;
-            assert!((pt.mbps_per_core - per_core).abs() < 1e-9);
         }
     }
 
     #[test]
     fn uplink_serial_baseline_still_flows() {
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            ..Default::default()
-        };
-        let rep = run_uplink_serial_mixed(cfg, &[(Transport::Udp, 200)], 9, 2);
+        let rep = run_uplink_serial_mixed(clean(), &[(Transport::Udp, 200)], 9, 2);
         assert_eq!(rep.packets, 9);
         assert_eq!(rep.ok_packets, 9);
         assert_eq!(rep.wire_bytes, 9 * 200);
@@ -917,10 +531,6 @@ mod tests {
 
     #[test]
     fn stagegraph_mixed_classes_lose_nothing_and_fill_lanes() {
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            ..Default::default()
-        };
         // paper_sweep-style mixed-K workload: 2 transports × sizes.
         let classes: Vec<(Transport, usize)> = [64usize, 300, 900, 1400]
             .into_iter()
@@ -929,18 +539,7 @@ mod tests {
         let sg = Arc::new(crate::metrics::StageGraphMetrics::default());
         let rm = RunnerMetrics::new(true, RING_CAPACITY);
         let n = classes.len() * 8;
-        let rep = run_uplink_stagegraph_metered(
-            cfg,
-            &classes,
-            n,
-            2,
-            StageGraphConfig::default(),
-            &rm,
-            Some(sg.clone()),
-            None,
-            None,
-            None,
-        );
+        let rep = graph_run(&classes, n, 2, &rm, Some(sg.clone()), None);
         assert_eq!(rep.packets, n);
         assert_eq!(rep.ok_packets, n, "clean channel must decode everything");
         let expect_bytes: usize = classes.iter().map(|(_, l)| l * 8).sum();
@@ -963,10 +562,6 @@ mod tests {
         // Same invariant as the serial multicore driver: a panicking
         // admission costs exactly one packet, and everything staged
         // before the panic still retires through the ROB.
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            ..Default::default()
-        };
         let plan = FaultPlan {
             seed: 99,
             mix: FaultMix::only(FaultKind::Clean)
@@ -975,18 +570,8 @@ mod tests {
         };
         let rm = RunnerMetrics::new(true, RING_CAPACITY);
         let n = 48;
-        let rep = run_uplink_stagegraph_metered(
-            cfg,
-            &[(Transport::Udp, 128), (Transport::Udp, 600)],
-            n,
-            2,
-            StageGraphConfig::default(),
-            &rm,
-            None,
-            Some(plan),
-            None,
-            None,
-        );
+        let classes = [(Transport::Udp, 128), (Transport::Udp, 600)];
+        let rep = graph_run(&classes, n, 2, &rm, None, Some(plan));
         assert!(rep.worker_restarts > 0, "the plan must have fired: {rep:?}");
         assert_eq!(
             rep.packets + rep.worker_restarts,
@@ -1002,10 +587,7 @@ mod tests {
     fn multicore_survives_injected_worker_panics() {
         // 1-in-8 packets panic mid-decode; every worker must absorb
         // its panics, restart, and still drain its quota.
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            ..Default::default()
-        };
+        let cfg = clean();
         let plan = FaultPlan {
             seed: 99,
             mix: FaultMix::only(FaultKind::Clean)
@@ -1014,7 +596,7 @@ mod tests {
         };
         let rm = RunnerMetrics::new(true, RING_CAPACITY);
         let n = 48;
-        let rep = run_multicore_metered(cfg, Transport::Udp, 128, n, 2, &rm, Some(plan));
+        let rep = run_multicore_metered(cfg, &[(Transport::Udp, 128)], n, 2, &rm, Some(plan), None);
         assert!(rep.worker_restarts > 0, "the plan must have fired: {rep:?}");
         assert_eq!(
             rep.packets + rep.worker_restarts,

@@ -216,7 +216,7 @@ fn multicore_panic_soak_survives() {
     };
     let rm = RunnerMetrics::new(true, RING_CAPACITY);
     let n = full_soak_packets() / 5;
-    let rep = run_multicore_metered(cfg, Transport::Udp, 256, n, 4, &rm, Some(plan));
+    let rep = run_multicore_metered(cfg, &[(Transport::Udp, 256)], n, 4, &rm, Some(plan), None);
     assert!(rep.worker_restarts > 0, "panics must have fired: {rep:?}");
     assert_eq!(rep.packets + rep.worker_restarts, n);
     // Survivors are clean traffic; allow the turbo decoder's residual

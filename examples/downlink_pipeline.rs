@@ -1,8 +1,7 @@
 //! Drive control + data subframes through the complete downlink chain
 //! (grant → turbo encode → rate match → OFDM → AWGN → decode) under
 //! both encoder backends, then show what the packed-word fast path
-//! buys: per-ISA encode throughput at K=6144 and a multi-worker
-//! scale-out sweep.
+//! buys: per-ISA encode throughput at K=6144.
 //!
 //! ```text
 //! cargo run --release -p apcm --example downlink_pipeline
@@ -12,7 +11,6 @@ use std::time::Instant;
 use vran_net::downlink::{DownlinkConfig, DownlinkPipeline};
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::EncoderBackend;
-use vran_net::runner::downlink_scaleout_sweep;
 use vran_phy::bits::random_bits;
 use vran_phy::turbo::{EncodeScratch, EncoderIsa, PackedTurboEncoder, TurboEncoder};
 
@@ -90,25 +88,6 @@ fn main() {
             ns,
             K as f64 / ns * 1e3,
             scalar_ns / ns
-        );
-    }
-    println!();
-
-    // Multi-worker scale-out: one downlink pipeline per worker thread.
-    let workers = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
-    let cfg = DownlinkConfig {
-        snr_db: 30.0,
-        ..Default::default()
-    };
-    println!("== downlink scale-out sweep: 24 × 256 B UDP packets ==");
-    println!(
-        "{:>7}  {:>8}  {:>9}  {:>5}",
-        "workers", "Mbps", "Mbps/core", "ok"
-    );
-    for pt in downlink_scaleout_sweep(cfg, Transport::Udp, 256, 24, workers) {
-        println!(
-            "{:>7}  {:>8.2}  {:>9.2}  {:>3}/{}",
-            pt.workers, pt.mbps, pt.mbps_per_core, pt.ok_packets, pt.packets
         );
     }
 }

@@ -5,7 +5,7 @@ use vran_arrange::{ApcmVariant, Mechanism};
 use vran_net::error::{ErrorCategory, PipelineError};
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::{PacketResult, PipelineConfig, UplinkPipeline};
-use vran_net::runner::run_throughput;
+use vran_net::runner::run_uplink_serial_mixed;
 use vran_phy::modulation::Modulation;
 use vran_simd::RegWidth;
 
@@ -133,7 +133,7 @@ fn threaded_runner_matches_single_shot_results() {
         snr_db: 28.0,
         ..Default::default()
     };
-    let rep = run_throughput(cfg, Transport::Udp, 300, 6);
+    let rep = run_uplink_serial_mixed(cfg, &[(Transport::Udp, 300)], 6, 1);
     assert_eq!(rep.packets, 6);
     assert_eq!(rep.ok_packets, 6);
     assert!(process(cfg, Transport::Udp, 300).is_ok());

@@ -2,9 +2,10 @@
 //! reference across **all 188** TS 36.212 block sizes and **every**
 //! host-ISA tier.
 //!
-//! The uplink pipeline makes `fused_ingest_into` the default native
-//! ingest path on the strength of this sweep (see
-//! `PipelineConfig::fused_ingest`): whatever K the segmenter picks and
+//! The uplink receive chain arranges every code block with
+//! `fused_ingest_into` — the best tier under `Profile::Production`,
+//! `FusedImpl::Scalar` under `Profile::Reference` — on the strength of
+//! this sweep: whatever K the segmenter picks and
 //! whatever tier the dispatcher lands on — AVX-512BW zmm, SSSE3 xmm or
 //! the scalar floor — the fused kernel must reproduce the scalar
 //! deinterleave bit for bit, including the ragged scalar tail and the

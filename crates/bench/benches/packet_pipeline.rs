@@ -1,20 +1,16 @@
 //! Figure 13 complement: wall-clock per-packet processing through the
-//! complete uplink pipeline, per packet size, transport and
-//! arrangement mechanism.
+//! complete uplink pipeline, per packet size and profile.
 
-use vran_arrange::{ApcmVariant, Mechanism};
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_net::packet::{PacketBuilder, Transport};
-use vran_net::pipeline::{PipelineConfig, UplinkPipeline};
-use vran_simd::RegWidth;
+use vran_net::pipeline::{PipelineConfig, Profile, UplinkPipeline};
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("packet_pipeline");
     g.sample_size(10);
-    for mech in [Mechanism::Baseline, Mechanism::Apcm(ApcmVariant::Shuffle)] {
+    for profile in [Profile::Production, Profile::Reference] {
         let cfg = PipelineConfig {
-            width: RegWidth::Sse128,
-            mechanism: mech,
+            profile,
             snr_db: 30.0,
             decoder_iterations: 3,
             ..Default::default()
@@ -25,7 +21,7 @@ fn bench_pipeline(c: &mut Criterion) {
             let p = b.build(Transport::Udp, size).unwrap();
             g.throughput(Throughput::Bytes(size as u64));
             g.bench_with_input(
-                BenchmarkId::new(mech.name(), format!("{size}B")),
+                BenchmarkId::new(format!("{profile:?}"), format!("{size}B")),
                 &p,
                 |bch, p| {
                     bch.iter(|| {

@@ -1,21 +1,21 @@
 //! `benchgate` — the perf-trajectory regression gate.
 //!
-//! Twelve suites. Nine are deterministic and gate: `arrange_sim` (the
+//! Eleven suites. Eight are deterministic and gate: `arrange_sim` (the
 //! arrangement kernels, original vs APCM, at all three register widths
 //! through the `vran-uarch` simulator), `downlink_static` and
 //! `pipeline_static` (static pipeline invariants, the downlink once
-//! per encoder backend so scalar/packed bit-equality is itself gated),
-//! `pipeline_faults` (fault-injection classification counts),
-//! `uplink_fused_ingest` and `uplink_frontend` (A/B outcome counts,
-//! bit-equality, tier pins, and four wide-margin booleans over paired
-//! cycle times), `uplink_stagegraph` (the out-of-order runtime's
-//! outcome and batch-formation counters), `cell_scale_smoke` (the
+//! per profile so reference/production equality is itself gated),
+//! `pipeline_faults` (fault-injection classification counts, once per
+//! profile), `uplink_profiles` (the production-vs-reference A/B:
+//! outcome counts, delivery equality, tier pins, and two wide-margin
+//! booleans over paired cycle times), `uplink_stagegraph` (the
+//! out-of-order runtime's outcome and batch-formation counters), `cell_scale_smoke` (the
 //! deterministic cell-scale preset with its p50/p95/p99 tail
 //! latencies) and `chaos_recovery` (the phased storm schedules of
 //! `vran_net::chaos`: time-to-recover, breaker trips, worker restarts,
 //! and the flight-recorder's <2 % overhead boolean). Three are
 //! recorded and never gate: `fused_ingest_uarch` (the simulator's
-//! port-pressure profile behind the fused-ingest booleans; the hard
+//! port-pressure profile behind the arrangement boolean; the hard
 //! assertions live in the fig15 tests), `cell_scale_full` (the diurnal
 //! sweep's cores-per-(cells × 300 Mbps) figures — a model output to
 //! plot, too slow for the smoke job) and `observe_overhead` (the raw
@@ -53,7 +53,7 @@ use vran_net::faultinject::{FaultInjector, FaultKind};
 use vran_net::metrics::{PipelineMetrics, RunnerMetrics, Stage, StageGraphMetrics, UarchMetrics};
 use vran_net::observe::FlightRecorder;
 use vran_net::packet::PacketBuilder;
-use vran_net::pipeline::{DecoderBackend, EncoderBackend, PipelineConfig, UplinkPipeline};
+use vran_net::pipeline::{PipelineConfig, Profile, UplinkPipeline};
 use vran_net::runner::{run_uplink_stagegraph_metered, RING_CAPACITY};
 use vran_net::{StageGraphConfig, Transport};
 use vran_phy::crc::{best_crc, CrcImpl};
@@ -71,7 +71,7 @@ const SIM_SEED: u64 = 1;
 const SMOKE_PACKETS: usize = 16;
 /// Wire bytes per smoke packet.
 const SMOKE_WIRE_LEN: usize = 512;
-/// Packets per backend pushed through the fault-classification suite.
+/// Packets per profile pushed through the fault-classification suite.
 const FAULT_PACKETS: usize = 240;
 /// Fault-injector seeds (match the fault-soak test family).
 const FAULT_SEED_SCALAR: u64 = 17;
@@ -83,8 +83,8 @@ const STAGEGRAPH_PACKETS: usize = 168;
 const STAGEGRAPH_WALLCLOCK_PACKETS: usize = 420;
 /// Seed for both chaos storm schedules (cell-scale and runner).
 const CHAOS_SEED: u64 = 7;
-/// Wire sizes cycled by the fused-ingest and front-end A/B runs (one
-/// TB per size, spanning single-block and multi-block K).
+/// Wire sizes cycled by the profile A/B run (one TB per size, spanning
+/// single-block and multi-block K).
 const FUSED_SIZES: [usize; 4] = [64, 300, 900, 1400];
 /// Measured size cycles per A/B arm, run as that many order-alternated
 /// pairs (one extra warm-up cycle fills the pools first).
@@ -280,31 +280,39 @@ fn uplink_stagegraph_suite() -> Suite {
     suite
 }
 
-/// One arm of an uplink A/B over [`FUSED_SIZES`]: a warmed pipeline
-/// with its own registry, the outcome signature of every packet it has
-/// decoded (bit-exactness evidence) and, per measured size cycle, the
-/// time it spent in the stage the suite judges.
+/// The stages the profile A/B judges, from the same cycles.
+const JUDGED: [Stage; 2] = [Stage::Arrange, Stage::Demap];
+
+/// One arm of the uplink profile A/B over [`FUSED_SIZES`]: a warmed
+/// pipeline with its own registry, what every packet it decoded
+/// delivered, and, per measured size cycle, the time it spent in each
+/// [`JUDGED`] stage.
 struct AbArm {
     pipe: UplinkPipeline,
     pm: std::sync::Arc<PipelineMetrics>,
     packets: PacketBuilder,
-    stage: Stage,
     /// Staging (re)allocations the warm-up cycle made.
     allocs0: u64,
-    sigs: Vec<(usize, usize, usize, usize)>,
-    stage_ns: Vec<f64>,
+    /// `(tb_bits, code_blocks, coded_bits)` per packet — not the
+    /// iteration count, which the Q11 and f32 demappers may move.
+    delivered: Vec<(usize, usize, usize)>,
+    stage_ns: Vec<[f64; JUDGED.len()]>,
 }
 
 impl AbArm {
-    fn warmed(cfg: PipelineConfig, stage: Stage) -> Self {
+    fn warmed(profile: Profile) -> Self {
         let pm = std::sync::Arc::new(PipelineMetrics::new(true));
+        let cfg = PipelineConfig {
+            profile,
+            snr_db: 30.0,
+            ..Default::default()
+        };
         let mut arm = Self {
             pipe: UplinkPipeline::with_metrics(cfg, pm.clone()),
             pm,
             packets: PacketBuilder::new(1000, 2000),
-            stage,
             allocs0: 0,
-            sigs: Vec::new(),
+            delivered: Vec::new(),
             stage_ns: Vec::new(),
         };
         // Warm-up cycle: decoder caches build, stream pools fill.
@@ -316,7 +324,8 @@ impl AbArm {
 
     /// One packet of every size; returns the elapsed seconds.
     fn cycle(&mut self) -> f64 {
-        let stage0 = self.pm.stage(self.stage).sum();
+        let stage_sum = |pm: &PipelineMetrics| JUDGED.map(|s| pm.stage(s).sum() as f64);
+        let stage0 = stage_sum(&self.pm);
         let t = Instant::now();
         for &size in &FUSED_SIZES {
             let p = self
@@ -324,12 +333,13 @@ impl AbArm {
                 .build(Transport::Udp, size)
                 .expect("valid size");
             let r = self.pipe.process(&p).expect("30 dB decodes");
-            self.sigs
-                .push((r.tb_bits, r.code_blocks, r.coded_bits, r.decoder_iterations));
+            self.delivered
+                .push((r.tb_bits, r.code_blocks, r.coded_bits));
         }
         let elapsed_s = t.elapsed().as_secs_f64();
+        let stage1 = stage_sum(&self.pm);
         self.stage_ns
-            .push((self.pm.stage(self.stage).sum() - stage0) as f64);
+            .push(std::array::from_fn(|i| stage1[i] - stage0[i]));
         elapsed_s
     }
 
@@ -340,95 +350,46 @@ impl AbArm {
 }
 
 /// Run [`FUSED_REPS`] size cycles on each arm as order-alternated pairs
-/// ([`paired_ratio`]) and return the median per-pair time ratios
-/// `reference / candidate` — end to end, and of the judged stage. A
-/// pair is two ≈ 2 ms cycles run back to back, so a host stall lands
-/// in one pair instead of on one side.
-fn paired_cycles(candidate: &mut AbArm, reference: &mut AbArm) -> (f64, f64) {
-    let e2e = paired_ratio(FUSED_REPS, 0.0, || candidate.cycle(), || reference.cycle());
-    let mut stage: Vec<f64> = (candidate.stage_ns.iter().zip(&reference.stage_ns))
-        .map(|(c, r)| r / c)
-        .collect();
-    stage.sort_by(f64::total_cmp);
-    (e2e.median, stage[stage.len() / 2])
+/// ([`paired_ratio`]: a pair is two cycles run back to back, so a host
+/// stall lands in one pair instead of on one side) and return, per
+/// [`JUDGED`] stage, the median per-pair time ratio
+/// `reference / production`.
+fn paired_cycles(production: &mut AbArm, reference: &mut AbArm) -> [f64; JUDGED.len()] {
+    paired_ratio(FUSED_REPS, 0.0, || production.cycle(), || reference.cycle());
+    std::array::from_fn(|i| {
+        let mut ratios: Vec<f64> = (production.stage_ns.iter().zip(&reference.stage_ns))
+            .map(|(p, r)| r[i] / p[i])
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios[ratios.len() / 2]
+    })
 }
 
-/// Gated: fused against unfused ingest on the same traffic. Only exact
-/// metrics: outcome counts (fused and unfused must both stay pinned),
-/// the fused/unfused bit-equality boolean, the AVX-512BW tier pin, the
-/// zero-steady-state-allocation count, and two wall-clock-derived
-/// booleans with wide margins over [`paired_cycles`]' medians —
-/// arrangement stage ≥1.3× faster fused than unfused, and end-to-end
-/// time within 5 % of the unfused path. The nanoseconds behind them
-/// are `arrange.fused.*` in `benchmark/`, so host noise never gates CI.
-fn uplink_fused_ingest_suite() -> Suite {
-    let mut suite = Suite::new("uplink_fused_ingest", true);
-    let arm = |fused_ingest| {
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            fused_ingest,
-            ..Default::default()
-        };
-        AbArm::warmed(cfg, Stage::Arrange)
-    };
-    let (mut fused, mut unfused) = (arm(true), arm(false));
-    let (e2e_ratio, arrange_speedup) = paired_cycles(&mut fused, &mut unfused);
+/// Gated: the production profile against the reference profile on the
+/// same traffic. Only exact metrics: outcome counts, the cross-profile
+/// delivery equality (iteration counts may differ: the Q11 demapper
+/// quantizes LLRs), the AVX-512BW/clmul tier pins, the zero-fallback
+/// and zero-steady-state-allocation counts, and two wall-clock-derived
+/// booleans with wide margins, judged from the same [`paired_cycles`]:
+/// the fused ingest ≥ 1.3× faster than its scalar tier, and demap +
+/// descramble ≥ 3× faster than the f32 demapper + bit-serial
+/// descrambler. The nanoseconds behind them are `arrange.fused.*`,
+/// `phy.demap.*` and `phy.scrambler.descramble_*` in `benchmark/`, so
+/// host noise never gates CI.
+fn uplink_profiles_suite() -> Suite {
+    let mut suite = Suite::new("uplink_profiles", true);
+    let (mut production, mut reference) = (
+        AbArm::warmed(Profile::Production),
+        AbArm::warmed(Profile::Reference),
+    );
+    let [arrange_speedup, demap_speedup] = paired_cycles(&mut production, &mut reference);
 
     suite.push(
-        "avx512bw.accelerated",
+        "fused.avx512bw.accelerated",
         f64::from(best_fused() == FusedImpl::MaskMergeAvx512),
     );
-    suite.push("fused.ok.count", fused.pm.ok_packets.get() as f64);
-    suite.push("unfused.ok.count", unfused.pm.ok_packets.get() as f64);
-    suite.push("fused.code_blocks", fused.pm.code_blocks.get() as f64);
     suite.push(
-        "fused.ingest_blocks.count",
-        fused.pm.fused_ingest_blocks.get() as f64,
-    );
-    suite.push(
-        "fused.fallbacks.count",
-        fused.pm.fused_ingest_fallbacks.get() as f64,
-    );
-    suite.push("bitexact.count", f64::from(fused.sigs == unfused.sigs));
-    suite.push(
-        "staging.steady_state_allocs.count",
-        (fused.steady_allocs() + unfused.steady_allocs()) as f64,
-    );
-    suite.push(
-        "arrange.speedup_ge_1p3.count",
-        f64::from(arrange_speedup >= 1.3),
-    );
-    suite.push("e2e.fused_within_5pct.count", f64::from(e2e_ratio >= 0.95));
-    suite
-}
-
-/// Gated: SIMD against scalar receive front end on the same traffic.
-/// Only exact metrics: outcome counts and the cross-arm
-/// outcome-signature equality (same payloads decoded — iteration
-/// counts may differ because the fixed-point demapper quantizes LLRs),
-/// the AVX-512BW/clmul tier pins, the zero-fallback count, and two
-/// wall-clock-derived booleans with wide margins over
-/// [`paired_cycles`]' medians — the demap stage (fixed-point demap +
-/// word-parallel descramble) ≥3× faster than the f32 + bit-serial arm,
-/// and end-to-end time within 5 % of the scalar front end. The
-/// nanoseconds behind them are `phy.demap.*`,
-/// `phy.scrambler.descramble_*` and `phy.crc.check_*` in `benchmark/`.
-fn uplink_frontend_suite() -> Suite {
-    let mut suite = Suite::new("uplink_frontend", true);
-    let arm = |frontend_simd| {
-        let cfg = PipelineConfig {
-            snr_db: 30.0,
-            frontend_simd,
-            ..Default::default()
-        };
-        AbArm::warmed(cfg, Stage::Demap)
-    };
-    let (mut simd, mut scalar) = (arm(true), arm(false));
-    let (e2e_ratio, demap_speedup) = paired_cycles(&mut simd, &mut scalar);
-    let payloads = |arm: &AbArm| -> Vec<_> { arm.sigs.iter().map(|s| (s.0, s.1, s.2)).collect() };
-
-    suite.push(
-        "avx512bw.accelerated",
+        "frontend.avx512bw.accelerated",
         f64::from(
             best_demap() == DemapImpl::Avx512bw && best_descramble() == DescrambleImpl::Avx512bw,
         ),
@@ -437,29 +398,41 @@ fn uplink_frontend_suite() -> Suite {
         "crc.clmul.accelerated",
         f64::from(best_crc() == CrcImpl::ClmulFold),
     );
-    suite.push("simd.ok.count", simd.pm.ok_packets.get() as f64);
-    suite.push("scalar.ok.count", scalar.pm.ok_packets.get() as f64);
+    for (name, arm) in [("production", &production), ("reference", &reference)] {
+        suite.push(format!("{name}.ok.count"), arm.pm.ok_packets.get() as f64);
+        suite.push(
+            format!("{name}.frontend_packets.count"),
+            arm.pm.frontend_packets.get() as f64,
+        );
+    }
     suite.push(
-        "simd.frontend_packets.count",
-        simd.pm.frontend_packets.get() as f64,
+        "production.code_blocks",
+        production.pm.code_blocks.get() as f64,
     );
     suite.push(
-        "scalar.frontend_packets.count",
-        scalar.pm.frontend_packets.get() as f64,
+        "production.ingest_blocks.count",
+        production.pm.fused_ingest_blocks.get() as f64,
     );
     suite.push(
-        "simd.fallbacks.count",
-        simd.pm.frontend_fallbacks.get() as f64,
+        "production.fallbacks.count",
+        production.pm.frontend_fallbacks.get() as f64,
     );
     suite.push(
         "outcomes.bitexact.count",
-        f64::from(payloads(&simd) == payloads(&scalar)),
+        f64::from(production.delivered == reference.delivered),
+    );
+    suite.push(
+        "staging.steady_state_allocs.count",
+        (production.steady_allocs() + reference.steady_allocs()) as f64,
+    );
+    suite.push(
+        "arrange.speedup_ge_1p3.count",
+        f64::from(arrange_speedup >= 1.3),
     );
     suite.push(
         "demap_descramble.speedup_ge_3x.count",
         f64::from(demap_speedup >= 3.0),
     );
-    suite.push("e2e.simd_within_5pct.count", f64::from(e2e_ratio >= 0.95));
     suite
 }
 
@@ -501,18 +474,20 @@ fn fused_ingest_uarch_suite() -> Suite {
 }
 
 /// Gated: host-independent downlink outcomes at pinned seeds and
-/// sizes, once per [`EncoderBackend`] — the two backends must stay
-/// bit-identical (every metric equal between the `scalar.` and
-/// `packed.` prefixes) and must not drift across commits.
+/// sizes, once per [`Profile`] — `scalar.` runs [`Profile::Reference`]
+/// and `packed.` [`Profile::Production`] (the prefixes predate the
+/// profiles and are kept so the keys stay comparable). The two must
+/// agree (every metric equal between the prefixes) and must not drift
+/// across commits.
 fn downlink_static_suite() -> Suite {
     let mut suite = Suite::new("downlink_static", true);
-    for (backend, name) in [
-        (EncoderBackend::Scalar, "scalar"),
-        (EncoderBackend::Packed, "packed"),
+    for (profile, name) in [
+        (Profile::Reference, "scalar"),
+        (Profile::Production, "packed"),
     ] {
         let cfg = DownlinkConfig {
             snr_db: 30.0,
-            encoder_backend: backend,
+            profile,
             ..Default::default()
         };
         let pipe = DownlinkPipeline::new(cfg);
@@ -558,20 +533,22 @@ fn pipeline_static_suite() -> Suite {
 }
 
 /// Gated: deterministic fault-injection classification. Pushes the
-/// standard soak mix through both decoder backends at pinned seeds and
-/// pins every typed-error category count (`.count` metrics gate
-/// exactly): drift here means the error taxonomy, the injector's
-/// deterministic draw/mutation stream, or a backend's bit-exactness
-/// changed.
+/// standard soak mix through both profiles at pinned seeds and pins
+/// every typed-error category count (`.count` metrics gate exactly):
+/// drift here means the error taxonomy, the injector's deterministic
+/// draw/mutation stream, or a kernel's exactness changed. `scalar.`
+/// runs [`Profile::Reference`] and `native.` [`Profile::Production`]
+/// (the prefixes predate the profiles and are kept so the keys stay
+/// comparable).
 fn pipeline_faults_suite() -> Suite {
     let mut suite = Suite::new("pipeline_faults", true);
-    for (backend, seed) in [
-        (DecoderBackend::Scalar, FAULT_SEED_SCALAR),
-        (DecoderBackend::Native, FAULT_SEED_NATIVE),
+    for (profile, seed, prefix) in [
+        (Profile::Reference, FAULT_SEED_SCALAR, "scalar"),
+        (Profile::Production, FAULT_SEED_NATIVE, "native"),
     ] {
         let pm = std::sync::Arc::new(PipelineMetrics::new(true));
         let cfg = PipelineConfig {
-            backend,
+            profile,
             snr_db: 30.0,
             decoder_iterations: 4,
             ..Default::default()
@@ -589,10 +566,6 @@ fn pipeline_faults_suite() -> Suite {
             let p = b.build(transport, sizes[i % sizes.len()]).expect("valid");
             let _ = pipe.process(&p);
         }
-        let prefix = match backend {
-            DecoderBackend::Scalar => "scalar",
-            DecoderBackend::Native => "native",
-        };
         suite.push(format!("{prefix}.ok.count"), pm.ok_packets.get() as f64);
         for cat in ErrorCategory::ALL {
             suite.push(
@@ -689,12 +662,11 @@ fn observe_overhead_suite(overhead: &PairedRatio) -> Suite {
 }
 
 /// Suite names `--only` accepts (also the build order).
-const SUITES: [&str; 12] = [
+const SUITES: [&str; 11] = [
     "arrange_sim",
     "fused_ingest_uarch",
     "downlink_static",
-    "uplink_fused_ingest",
-    "uplink_frontend",
+    "uplink_profiles",
     "uplink_stagegraph",
     "cell_scale_smoke",
     "cell_scale_full",
@@ -746,11 +718,8 @@ fn build_report(only: &[String]) -> Result<(BenchReport, Option<String>), String
     if want("downlink_static") {
         report.suites.push(downlink_static_suite());
     }
-    if want("uplink_fused_ingest") {
-        report.suites.push(uplink_fused_ingest_suite());
-    }
-    if want("uplink_frontend") {
-        report.suites.push(uplink_frontend_suite());
+    if want("uplink_profiles") {
+        report.suites.push(uplink_profiles_suite());
     }
     if want("uplink_stagegraph") {
         report.suites.push(uplink_stagegraph_suite());

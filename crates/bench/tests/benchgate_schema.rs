@@ -38,6 +38,12 @@ fn baseline_has_pipeline_suites() {
     let stat = b.suite("pipeline_static").expect("pipeline_static suite");
     assert!(stat.gated);
     assert!(stat.get("ok_packets.count").unwrap_or(0.0) > 0.0);
+    // One production-vs-reference A/B, where there were two flag A/Bs.
+    let ab = b.suite("uplink_profiles").expect("uplink_profiles suite");
+    assert!(ab.gated);
+    for old in ["uplink_fused_ingest", "uplink_frontend"] {
+        assert!(b.suite(old).is_none(), "{old}: folded into uplink_profiles");
+    }
 }
 
 #[test]
@@ -164,8 +170,9 @@ fn trajectory_records_name_every_workload_and_metric() {
         .map(|r| r.get("pr").and_then(Json::as_f64).expect("pr number"))
         .collect();
     // Consecutive from the PR that defined the benchmark, except that
-    // PRs 19 and 20 left nothing on main and so have no record.
-    let follows = |w: &[f64]| w[1] == w[0] + 1.0 || (w[0] == 18.0 && w[1] == 21.0);
+    // PRs 19, 20 and 24 left nothing on main and so have no record.
+    let follows =
+        |w: &[f64]| w[1] == w[0] + 1.0 || [(18.0, 21.0), (23.0, 25.0)].contains(&(w[0], w[1]));
     assert!(prs.windows(2).all(follows) && prs[0] == 11.0);
     for (record, pr) in records.iter().zip(&prs) {
         for key in ["host", "seeds", "source"] {

@@ -8,16 +8,17 @@
 //! honest about its information: it decodes the DCI first and takes the
 //! data channel's modulation and redundancy version *from the decoded
 //! grant*, so a corrupted PDCCH fails the whole subframe exactly as it
-//! would on air.
+//! would on air. Its turbo decoder is the scalar reference under either
+//! [`Profile`]; the profile picks the eNB's encoder and CRC and the
+//! UE's demapper, descrambler and CRC.
 
 use crate::metrics::PipelineMetrics;
 use crate::packet::Packet;
-use crate::pipeline::{fading_pass, Clock, DecoderBackend, EncoderBackend};
+use crate::pipeline::{fading_pass, Clock};
 use crate::rx::Capture;
-use crate::tx::{Grant, Kernels, TxChain};
+use crate::tx::{Grant, Profile, TxChain};
 use std::cell::RefCell;
 use std::sync::Arc;
-use vran_arrange::{ArrangeKernel, Mechanism};
 use vran_phy::bits::{pack_msb, unpack_msb};
 use vran_phy::channel::AwgnChannel;
 use vran_phy::crc::{CRC24A, CRC24B};
@@ -27,20 +28,14 @@ use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::rate_match::conv::ConvRateMatcher;
 use vran_phy::rate_match::RateMatcher;
 use vran_phy::turbo::TurboDecoder;
-use vran_simd::RegWidth;
 
 /// Downlink configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DownlinkConfig {
-    /// Arrangement width.
-    pub width: RegWidth,
-    /// Arrangement mechanism.
-    pub mechanism: Mechanism,
+    /// The kernel composition both ends run.
+    pub profile: Profile,
     /// PDSCH modulation (PDCCH is always QPSK).
     pub modulation: Modulation,
-    /// Transmit-side encoder implementation (bit-exact by
-    /// construction; see [`EncoderBackend`]).
-    pub encoder_backend: EncoderBackend,
     /// Es/N0 in dB.
     pub snr_db: f32,
     /// Turbo iteration cap.
@@ -52,26 +47,18 @@ pub struct DownlinkConfig {
     pub rv: u8,
     /// Channel seed.
     pub seed: u64,
-    /// Native SIMD front end (the default): fixed-point max-log
-    /// demapping, word-parallel Gold scrambling/descrambling and
-    /// table/clmul CRC — same A/B contrast as
-    /// [`PipelineConfig::frontend_simd`](crate::pipeline::PipelineConfig::frontend_simd).
-    pub frontend_simd: bool,
 }
 
 impl Default for DownlinkConfig {
     fn default() -> Self {
         Self {
-            width: RegWidth::Sse128,
-            mechanism: Mechanism::Baseline,
+            profile: Profile::Production,
             modulation: Modulation::Qam16,
-            encoder_backend: EncoderBackend::Packed,
             snr_db: 16.0,
             decoder_iterations: 6,
             fading: false,
             rv: 0,
             seed: 1,
-            frontend_simd: true,
         }
     }
 }
@@ -146,21 +133,6 @@ impl DownlinkPipeline {
         self.metrics.as_deref()
     }
 
-    /// The one place the two A/B flags are read: `frontend_simd` and
-    /// `encoder_backend` become the eNB's kernels and the UE's
-    /// front-end kernels (its decode side is the scalar reference
-    /// behind the VM arrangement kernel under test).
-    fn resolve(&self) -> Kernels {
-        let cfg = &self.cfg;
-        Kernels::resolve(
-            cfg.frontend_simd,
-            cfg.encoder_backend,
-            false,
-            DecoderBackend::Scalar,
-            ArrangeKernel::new(cfg.width, cfg.mechanism),
-        )
-    }
-
     /// Transmit symbols over the configured channel and return
     /// equalized data symbols plus LLR weights.
     fn channel_pass(&self, data: &[Cplx], seed: u64) -> (Vec<Cplx>, f32) {
@@ -177,7 +149,7 @@ impl DownlinkPipeline {
     /// Process one subframe carrying `packet` as its transport block.
     pub fn process(&self, packet: &Packet) -> DownlinkResult {
         let cfg = &self.cfg;
-        let kern = self.resolve();
+        let kern = cfg.profile.kernels();
         let mut clock = Clock {
             m: self.metrics.as_deref().filter(|m| m.is_enabled()),
             kern,
@@ -251,6 +223,7 @@ impl DownlinkPipeline {
         let mut decoded = Vec::new();
         let mut pos = 0;
         let mut all_ok = true;
+        let (iters, crc) = (cfg.decoder_iterations, (seg.c > 1).then_some(&CRC24B));
         for i in 0..seg.c {
             let k = seg.k_of(i);
             let e = ue_grant.block_e(k);
@@ -261,25 +234,9 @@ impl DownlinkPipeline {
             let rm = RateMatcher::new(k + 4);
             let d = rm.de_rate_match(&llrs[pos..pos + e], usize::from(ue_grant.rv));
             pos += e;
-            let turbo_in = TurboLlrs::from_dstreams(&d, k);
-            // arrangement under test, as in the uplink
-            let (streams, _) = kern.vm.arrange(&turbo_in.to_interleaved(), false);
-            let streams = kern.vm.depermute(&streams);
-            let input = TurboLlrs {
-                k,
-                streams,
-                tails: turbo_in.tails,
-            };
-            let dec = TurboDecoder::new(k, cfg.decoder_iterations);
-            let out = if seg.c > 1 {
-                let o = dec.decode_with_crc(&input, &CRC24B);
-                if o.crc_ok != Some(true) {
-                    all_ok = false;
-                }
-                o
-            } else {
-                dec.decode(&input)
-            };
+            let input = TurboLlrs::from_dstreams(&d, k);
+            let out = TurboDecoder::new(k, iters).decode_capped(&input, iters, crc);
+            all_ok &= out.crc_ok != Some(false);
             decoded.push(out.bits);
         }
 
@@ -307,7 +264,6 @@ impl DownlinkPipeline {
 mod tests {
     use super::*;
     use crate::packet::{PacketBuilder, Transport};
-    use vran_arrange::ApcmVariant;
 
     fn packet(size: usize) -> Packet {
         PacketBuilder::new(80, 443)
@@ -365,34 +321,19 @@ mod tests {
     }
 
     #[test]
-    fn mechanism_transparent_on_downlink_too() {
-        let mut outcomes = Vec::new();
-        for mech in [Mechanism::Baseline, Mechanism::Apcm(ApcmVariant::Shuffle)] {
-            let cfg = DownlinkConfig {
-                mechanism: mech,
-                snr_db: 14.0,
-                ..Default::default()
-            };
-            let r = DownlinkPipeline::new(cfg).process(&packet(700));
-            outcomes.push((r.dci_ok, r.data_ok, r.code_blocks));
-        }
-        assert_eq!(outcomes[0], outcomes[1]);
-    }
-
-    #[test]
     fn packed_and_scalar_downlink_backends_agree() {
-        // Same packet, same channel seed: the packed fast path is
-        // bit-exact, so every observable field matches the scalar
-        // reference — including the noise realization, because the
-        // channel sees identical coded bits.
+        // Same packet, same channel seed: the production profile's
+        // packed encoder is bit-exact, so the channel sees identical
+        // coded bits and the same noise, and every observable field
+        // matches the reference profile's.
         for (size, rv) in [(256usize, 0u8), (700, 2)] {
-            let outcomes: Vec<_> = [EncoderBackend::Scalar, EncoderBackend::Packed]
+            let outcomes: Vec<_> = [Profile::Reference, Profile::Production]
                 .into_iter()
-                .map(|encoder_backend| {
+                .map(|profile| {
                     let cfg = DownlinkConfig {
                         snr_db: 25.0,
                         rv,
-                        encoder_backend,
+                        profile,
                         ..Default::default()
                     };
                     let r = DownlinkPipeline::new(cfg).process(&packet(size));

@@ -359,11 +359,6 @@ impl Spans for () {
 pub struct PipelineMetrics {
     enabled: bool,
     stages: [Histogram; Stage::COUNT],
-    /// Arrangement-stage latency when the fused APCM ingest ran —
-    /// recorded *in addition to* [`Stage::Arrange`] so dashboards keep
-    /// one continuous arrange series while the fused-vs-unfused split
-    /// stays visible.
-    arrange_fused: Histogram,
     /// Demap share of [`Stage::Demap`] when the native SIMD front end
     /// ran (fixed-point kernel time only, excluding descramble).
     frontend_demap: Histogram,
@@ -394,25 +389,23 @@ pub struct PipelineMetrics {
     /// Code blocks whose decoder iteration budget was clamped by the
     /// per-packet deadline.
     pub deadline_clamps: Counter,
-    /// Native→Scalar backend degradations after repeated decode
-    /// failures.
+    /// Native→scalar decoder demotions after repeated decode failures.
     pub backend_degradations: Counter,
-    /// Degraded pipelines restored to the Native backend after
+    /// Demoted pipelines restored to the native decoder after
     /// sustained success.
     pub backend_restorations: Counter,
-    /// Packets that requested the Native backend but ran the scalar
-    /// SISO kernel because no SIMD ISA level was available.
+    /// Packets on the native decoder that ran its scalar SISO kernel
+    /// because no SIMD ISA level was available.
     pub native_simd_fallbacks: Counter,
-    /// Packets that requested the Packed encoder backend but ran the
-    /// portable `u64` kernel because no SIMD ISA level was available
+    /// Packets on the packed encoder that ran its portable `u64`
+    /// kernel because no SIMD ISA level was available
     /// (transmit-side counterpart of `native_simd_fallbacks`).
     pub packed_encoder_fallbacks: Counter,
-    /// Packets that requested batched Native decoding but ran the
+    /// Packets staged for batched native decoding that ran the
     /// narrower pair/single kernels because the host (or the test ISA
     /// ceiling) lacks AVX-512BW — the quad-in-zmm tier degraded.
     pub batch_simd_fallbacks: Counter,
-    /// Packets that requested the Packed encoder backend but ran a
-    /// sub-512-bit kernel because the host (or the test ISA ceiling)
+    /// Packets on the packed encoder that ran a sub-512-bit kernel because the host (or the test ISA ceiling)
     /// lacks AVX-512BW — the zmm encoder tier degraded.
     pub zmm_encoder_fallbacks: Counter,
     /// Circuit-breaker trips (a protected stage opened after
@@ -436,16 +429,13 @@ pub struct PipelineMetrics {
     /// Pooled LLR staging buffers whose capacity had to grow for a new
     /// block size K (a heap reallocation despite pooling).
     pub staging_reallocs: Counter,
-    /// Code blocks staged through the fused demap→zmm APCM ingest
-    /// (de-rate-match straight into decoder-layout streams).
+    /// Code blocks staged through the fused APCM ingest (de-rate-match
+    /// straight into decoder-layout streams).
     pub fused_ingest_blocks: Counter,
-    /// Code blocks that requested fused ingest but fell back to the
-    /// unfused demap → de-rate-match → deinterleave chain.
-    pub fused_ingest_fallbacks: Counter,
     /// Packets that ran the native SIMD front end (fixed-point demap +
     /// word-parallel descramble + table/clmul CRC).
     pub frontend_packets: Counter,
-    /// Packets that requested the SIMD front end but ran one or more
+    /// Packets on the SIMD front end that ran one or more
     /// scalar front-end kernels because no vector ISA level was
     /// available (the front-end tier degraded).
     pub frontend_fallbacks: Counter,
@@ -463,7 +453,6 @@ impl PipelineMetrics {
         Self {
             enabled,
             stages: std::array::from_fn(|_| Histogram::latency_ns()),
-            arrange_fused: Histogram::latency_ns(),
             frontend_demap: Histogram::latency_ns(),
             frontend_descramble: Histogram::latency_ns(),
             frontend_crc: Histogram::latency_ns(),
@@ -490,7 +479,6 @@ impl PipelineMetrics {
             staging_reuses: Counter::new(),
             staging_reallocs: Counter::new(),
             fused_ingest_blocks: Counter::new(),
-            fused_ingest_fallbacks: Counter::new(),
             frontend_packets: Counter::new(),
             frontend_fallbacks: Counter::new(),
         }
@@ -553,23 +541,6 @@ impl PipelineMetrics {
         &self.stages[stage as usize]
     }
 
-    /// The fused-ingest arrangement histogram (recorded alongside
-    /// [`Stage::Arrange`] when the fused path ran).
-    pub fn arrange_fused(&self) -> &Histogram {
-        &self.arrange_fused
-    }
-
-    /// Record one fused-ingest arrangement latency: lands in both the
-    /// [`Stage::Arrange`] series and the fused-only histogram (no-op
-    /// when disabled).
-    #[inline]
-    pub fn record_arrange_fused(&self, nanos: u64) {
-        if self.enabled {
-            self.stages[Stage::Arrange as usize].record(nanos);
-            self.arrange_fused.record(nanos);
-        }
-    }
-
     /// The SIMD-front-end demap histogram (the demap share of
     /// [`Stage::Demap`] when the native tier ran).
     pub fn frontend_demap(&self) -> &Histogram {
@@ -587,15 +558,13 @@ impl PipelineMetrics {
     }
 
     /// File one chain lap: under the op's [`Stage`] series and, when
-    /// the lap ran a SIMD front-end kernel (`simd_frontend`) or the
-    /// fused ingest (`fused`), under that kernel's own histogram as
-    /// well (no-op when disabled).
-    pub fn record_lap(&self, op: Op, nanos: u64, simd_frontend: bool, fused: bool) {
+    /// the lap ran a SIMD front-end kernel (`simd_frontend`), under
+    /// that kernel's own histogram as well (no-op when disabled).
+    pub fn record_lap(&self, op: Op, nanos: u64, simd_frontend: bool) {
         if !self.enabled {
             return;
         }
         match op {
-            Op::Arrange if fused => return self.record_arrange_fused(nanos),
             Op::Demap if simd_frontend => self.frontend_demap.record(nanos),
             Op::Descramble if simd_frontend => self.frontend_descramble.record(nanos),
             Op::CrcAttach | Op::CrcCheck if simd_frontend => self.frontend_crc.record(nanos),
@@ -629,14 +598,6 @@ impl PipelineMetrics {
             out.push((format!("stage.{}.mean_ns", s.name()), h.mean()));
             out.push((format!("stage.{}.count", s.name()), h.count() as f64));
         }
-        out.push((
-            "stage.arrange_fused.mean_ns".into(),
-            self.arrange_fused.mean(),
-        ));
-        out.push((
-            "stage.arrange_fused.count".into(),
-            self.arrange_fused.count() as f64,
-        ));
         for (name, h) in [
             ("frontend_demap", &self.frontend_demap),
             ("frontend_descramble", &self.frontend_descramble),
@@ -705,10 +666,6 @@ impl PipelineMetrics {
         out.push((
             "fused_ingest_blocks".into(),
             self.fused_ingest_blocks.get() as f64,
-        ));
-        out.push((
-            "fused_ingest_fallbacks".into(),
-            self.fused_ingest_fallbacks.get() as f64,
         ));
         out.push((
             "frontend_packets".into(),

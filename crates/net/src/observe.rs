@@ -89,8 +89,9 @@ const NO_REASON: u8 = 0xFF;
 pub struct TraceEvent {
     /// Event kind discriminant (see [`TraceKind`]).
     pub kind: u8,
-    /// Effective decoder backend (0 = native, 1 = scalar, 2 = native
-    /// degraded to scalar by the ladder); unused for non-packet events.
+    /// The packet's composition: 0 = production, 1 = reference, 2 =
+    /// production with the scalar decoder (the degradation ladder);
+    /// unused for non-packet events.
     pub backend: u8,
     /// Flush reason discriminant for [`TraceKind::BatchFlush`]
     /// (0 = lanes full, 1 = deadline, 2 = drain, 0xFF = n/a).
@@ -660,14 +661,7 @@ impl MetricsSnapshot {
                     p.stage(s),
                 ));
             }
-            // The fused-ingest share of the arrangement stage gets its
-            // own histogram (the `arrange` stage histogram covers both
-            // fused and unfused blocks).
-            histograms.push(HistogramSnapshot::capture(
-                "pipeline.stage.arrange_fused",
-                p.arrange_fused(),
-            ));
-            // Likewise the SIMD front-end kernels: the `demap` stage
+            // The SIMD front-end kernels: the `demap` stage
             // histogram covers the combined demap+descramble wall time
             // while these break out the per-kernel shares.
             histograms.push(HistogramSnapshot::capture(
@@ -904,7 +898,6 @@ mod tests {
     fn snapshot_captures_counters_and_histograms() {
         let p = PipelineMetrics::new(true);
         p.record_stage(Stage::Decode, 512);
-        p.record_arrange_fused(128);
         p.record_packet(true, 2, 8);
         let r = RunnerMetrics::new(true, 16);
         r.record_occupancy(3);
@@ -934,17 +927,6 @@ mod tests {
         assert_eq!(h.count, 1);
         assert_eq!(h.bucket_sum(), 1);
         assert!(h.bucket_sum() <= h.count);
-        // The fused-ingest share of arrangement rides as its own
-        // histogram alongside the per-stage set.
-        let f = snap
-            .histogram("pipeline.stage.arrange_fused")
-            .expect("fused histogram captured");
-        assert_eq!(f.count, 1);
-        assert!(
-            snap.histogram("pipeline.stage.arrange")
-                .is_some_and(|h| h.count == 1),
-            "fused recording also lands in the arrange stage histogram"
-        );
         // JSON flattens into the benchgate namespace.
         let flat = snap.to_json().flatten_numbers();
         assert_eq!(flat.get("counters.pipeline.packets"), Some(&1.0));

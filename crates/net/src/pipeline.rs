@@ -25,13 +25,13 @@
 //! is resolved to kernels, fault injection, the deadline, the
 //! degradation ladder, circuit breakers, metrics and the trace.
 //!
-//! The receive side runs one of two [`DecoderBackend`]s: `Native`
-//! (default) uses real-intrinsics arrangement and turbo-decode kernels
-//! with runtime ISA dispatch and per-chain scratch reuse — the
-//! wall-clock fast path; `Scalar` runs the arrangement through the
-//! `vran-arrange` VM kernels and the scalar reference decoder — the
-//! functional-model path. Both are bit-exact by construction, so the
-//! backend never changes WHAT is computed, only how fast.
+//! Both chains run one of two compositions, [`PipelineConfig::profile`]:
+//! [`Profile::Production`] (the default) puts every stage on its fast
+//! path at the best ISA tier the host offers; [`Profile::Reference`]
+//! runs every stage's scalar oracle. Every production kernel is
+//! bit-exact with its oracle except the Q11 demapper (quantization), so
+//! at operating SNR the profile changes how fast a frame is delivered,
+//! not which.
 //!
 //! # Fault tolerance
 //!
@@ -50,12 +50,13 @@
 //!   iteration cap when the packet has spent half its budget, then
 //!   aborts with [`PipelineError::DeadlineExceeded`] once the budget is
 //!   gone.
-//! * **Backend degradation ladder** — after [`DEGRADE_AFTER`]
-//!   consecutive decode failures a `Native` pipeline falls back to the
-//!   `Scalar` reference backend (bit-exact, so behavior-neutral —
-//!   this models falling off a suspect fast path), and restores after
-//!   [`RESTORE_AFTER`] consecutive successes. Both transitions are
-//!   observable in [`crate::metrics::PipelineMetrics`].
+//! * **Decoder degradation ladder** — after [`DEGRADE_AFTER`]
+//!   consecutive decode failures a production pipeline demotes its
+//!   decoder, and only its decoder, to the scalar reference (bit-exact,
+//!   so behavior-neutral — this models falling off a suspect fast
+//!   path), and restores it after [`RESTORE_AFTER`] consecutive
+//!   successes. Both transitions are observable in
+//!   [`crate::metrics::PipelineMetrics`].
 
 use crate::error::{DecodeFailure, ErrorCategory, FrameFault, PipelineError};
 use crate::faultinject::{FaultInjector, FaultKind};
@@ -64,13 +65,13 @@ use crate::observe::{
     BreakerConfig, BreakerStage, BreakerState, CircuitBreaker, FlightRecorder, TraceEvent,
 };
 use crate::packet::{Packet, ParsedPacket};
+use crate::rx::DecoderBackend;
 use crate::rx::{plan_blocks, Capture, Delivered, RxChain, RxHooks, Staged};
 use crate::tx::{Grant, Kernels, TxChain};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::Instant;
-use vran_arrange::{ArrangeKernel, Mechanism};
 use vran_phy::bits::unpack_msb;
 use vran_phy::channel::AwgnChannel;
 use vran_phy::crc::CRC24A;
@@ -80,30 +81,23 @@ use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::scrambler::GoldSequence;
 use vran_phy::segmentation::Segmentation;
 use vran_phy::turbo::NativeBatchTurboDecoder;
-use vran_simd::RegWidth;
 
-pub use crate::rx::{DecoderBackend, MAX_CODE_BLOCKS};
-pub use crate::tx::EncoderBackend;
+pub use crate::rx::MAX_CODE_BLOCKS;
+pub use crate::tx::Profile;
 
 /// Consecutive decode failures (CRC mismatch / divergence) before a
-/// `Native` pipeline degrades to the `Scalar` reference backend.
+/// production pipeline demotes its decoder to the scalar reference.
 pub const DEGRADE_AFTER: u32 = 8;
 
-/// Consecutive successes while degraded before the `Native` backend is
+/// Consecutive successes while degraded before the native decoder is
 /// restored.
 pub const RESTORE_AFTER: u32 = 32;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// SIMD register width for the arrangement / decoder kernels.
-    pub width: RegWidth,
-    /// Arrangement mechanism under test.
-    pub mechanism: Mechanism,
-    /// Receive-side decoder implementation.
-    pub backend: DecoderBackend,
-    /// Transmit-side encoder implementation.
-    pub encoder_backend: EncoderBackend,
+    /// The kernel composition both chains run.
+    pub profile: Profile,
     /// Data-channel modulation.
     pub modulation: Modulation,
     /// Channel Es/N0 in dB.
@@ -125,30 +119,6 @@ pub struct PipelineConfig {
     /// a `deadline_clamps` metrics event); once the budget is exhausted
     /// the packet aborts with [`PipelineError::DeadlineExceeded`].
     pub deadline_ns: Option<u64>,
-    /// Fused APCM ingest (the default): under [`DecoderBackend::Native`]
-    /// the de-rate-matcher writes triple-interleaved clusters and one
-    /// mask/merge pass ([`vran_arrange::fused_ingest_into`]) segregates
-    /// them straight into pooled per-block stream buffers — replacing
-    /// the de-rate-match copy → stream multiplex → APCM de-interleave →
-    /// per-block clone chain with a single pass and zero intermediate
-    /// full-buffer copies. Bit-exact with the unfused chain (enforced
-    /// across all 188 QPP sizes and every ISA tier by the
-    /// `fused_exactness` sweep); `false` keeps the unfused chain for
-    /// A/B comparison.
-    pub fused_ingest: bool,
-    /// Native SIMD front end (the default): soft demapping runs the
-    /// Q11 fixed-point max-log kernels ([`vran_phy::demap`]) at the
-    /// best available ISA tier, LLR descrambling runs the
-    /// word-parallel Gold generator with SIMD sign-select, and CRC
-    /// attach/check run the table/clmul kernels — each bit-exact with
-    /// its scalar oracle (enforced by the `frontend_exactness` sweep).
-    /// `false` keeps the f32 reference demapper, bit-serial
-    /// descrambler and bit-serial CRC for A/B comparison. Note the
-    /// fixed-point demapper's LLRs differ from the f32 reference's by
-    /// quantization (≤ a couple of LSBs), so decode iteration counts
-    /// can shift between the two settings; decoded bits are unaffected
-    /// at operating SNR.
-    pub frontend_simd: bool,
     /// Per-stage circuit breakers (equalizer / demapper / decoder).
     /// `None` (the default) disables them — fault-injection soaks and
     /// the gated benchgate suites predate breakers and pin exact error
@@ -162,10 +132,7 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
-            width: RegWidth::Sse128,
-            mechanism: Mechanism::Baseline,
-            backend: DecoderBackend::Native,
-            encoder_backend: EncoderBackend::Packed,
+            profile: Profile::Production,
             modulation: Modulation::Qam16,
             snr_db: 14.0,
             decoder_iterations: 6,
@@ -173,8 +140,6 @@ impl Default for PipelineConfig {
             fading: false,
             seed: 1,
             deadline_ns: None,
-            fused_ingest: true,
-            frontend_simd: true,
             breakers: None,
         }
     }
@@ -230,13 +195,16 @@ impl StageNanos {
 /// decoded the tasks (in whatever quad/pair/single grouping lane
 /// occupancy allowed). Everything the completion half needs — the
 /// segmentation plan, the original frame for the delivery check, the
-/// fault drawn for this packet, partial stage timings — rides along so
-/// the packet can retire out of order, long after the source `Packet`
-/// is gone.
+/// fault drawn for this packet, the kernels it was staged under, partial
+/// stage timings — rides along so the packet can retire out of order,
+/// long after the source `Packet` is gone and the degradation ladder
+/// may have moved.
 #[derive(Debug)]
 pub struct PreparedUplink {
     pub(crate) start: Instant,
     pub(crate) fault: FaultKind,
+    pub(crate) kern: Kernels,
+    pub(crate) trace_backend: u8,
     pub(crate) frame: Vec<u8>,
     pub(crate) seg: Segmentation,
     pub(crate) coded_bits: usize,
@@ -255,7 +223,7 @@ impl PreparedUplink {
 }
 
 /// Outcome of [`UplinkPipeline::prepare`]: either decode tasks to pool
-/// (the common Native-backend case) or a packet the serial path already
+/// (the common production case) or a packet the serial path already
 /// finished end to end.
 #[derive(Debug)]
 pub enum Admission {
@@ -263,9 +231,9 @@ pub enum Admission {
     /// [`PreparedUplink`] back to [`UplinkPipeline::complete`] with the
     /// decoded bits to finish the packet.
     Staged(PreparedUplink),
-    /// The packet already completed serially — because the Scalar
-    /// backend (configured or via the degradation ladder) decodes
-    /// inline, or because it failed before reaching decode. Metrics and
+    /// The packet already completed serially — because the scalar
+    /// decoder ([`Profile::Reference`], or the degradation ladder)
+    /// decodes inline, or because it failed before reaching decode. Metrics and
     /// the degradation ladder are already settled.
     Ready(Result<PacketResult, PipelineError>),
 }
@@ -305,7 +273,8 @@ struct Hot {
     consecutive_failures: u32,
     /// Degradation ladder: consecutive successes while degraded.
     consecutive_successes: u32,
-    /// Whether the Native backend is currently degraded to Scalar.
+    /// Whether the ladder currently has the decoder on the scalar
+    /// reference.
     degraded: bool,
 }
 
@@ -327,7 +296,7 @@ impl Spans for Clock<'_> {
             *bucket += ns;
         }
         if let Some(m) = self.m {
-            m.record_lap(op, ns, self.kern.demap.is_some(), self.kern.fused.is_some());
+            m.record_lap(op, ns, self.kern.demap.is_some());
         }
         out
     }
@@ -349,11 +318,7 @@ struct InPacket<'a> {
     /// The deadline budget, and when it started running.
     budget_ns: Option<u64>,
     start: Instant,
-    /// Fused ingest was asked for but the degradation ladder has the
-    /// packet on the scalar decoder, where it does not exist.
-    fused_demoted: bool,
-    /// Compact backend discriminant for trace events: 0 = native,
-    /// 1 = scalar (configured), 2 = native degraded to scalar.
+    /// The composition's trace code ([`TraceEvent::backend`]).
     trace_backend: u8,
 }
 
@@ -495,8 +460,8 @@ impl UplinkPipeline {
         self.faults.borrow().as_ref().map(|f| *f.injected())
     }
 
-    /// Whether the degradation ladder currently forces the scalar
-    /// backend.
+    /// Whether the degradation ladder currently has the decoder on the
+    /// scalar reference.
     pub fn is_degraded(&self) -> bool {
         self.hot.borrow().degraded
     }
@@ -556,42 +521,32 @@ impl UplinkPipeline {
     }
 
     /// A passage through this pipeline, no fault drawn yet. This is the
-    /// one place the four A/B flags are read: `frontend_simd`,
-    /// `encoder_backend`, `fused_ingest` and `backend` (with the
-    /// degradation ladder applied) become kernel choices, per packet
-    /// because `best_*()` follows the process-global ISA ceiling.
+    /// one place the profile and the degradation ladder become kernels
+    /// — per packet, because `best_*()` follows the process-global ISA
+    /// ceiling — and a trace code ([`TraceEvent::backend`]).
     fn passage(&self) -> InPacket<'_> {
-        let cfg = &self.cfg;
-        let (configured, fused_ingest) = (cfg.backend, cfg.fused_ingest);
-        let native = configured == DecoderBackend::Native;
-        let demoted = native && self.hot.borrow().degraded;
-        let decoder = if demoted {
-            DecoderBackend::Scalar
-        } else {
-            configured
+        let (kern, trace_backend) = match self.cfg.profile {
+            Profile::Reference => (Kernels::reference(), 1),
+            Profile::Production if self.hot.borrow().degraded => {
+                let demoted = Kernels {
+                    decoder: DecoderBackend::Scalar,
+                    ..Kernels::production()
+                };
+                (demoted, 2)
+            }
+            Profile::Production => (Kernels::production(), 0),
         };
         InPacket {
             clock: Clock {
                 m: self.metrics.as_deref().filter(|m| m.is_enabled()),
-                kern: Kernels::resolve(
-                    cfg.frontend_simd,
-                    cfg.encoder_backend,
-                    fused_ingest,
-                    decoder,
-                    ArrangeKernel::new(cfg.width, cfg.mechanism),
-                ),
+                kern,
                 nanos: StageNanos::default(),
             },
             faults: &self.faults,
             fault: FaultKind::Clean,
-            budget_ns: cfg.deadline_ns,
+            budget_ns: self.cfg.deadline_ns,
             start: Instant::now(),
-            fused_demoted: fused_ingest && demoted,
-            trace_backend: match (native, demoted) {
-                (false, _) => 1,
-                (true, true) => 2,
-                (true, false) => 0,
-            },
+            trace_backend,
         }
     }
 
@@ -684,12 +639,11 @@ impl UplinkPipeline {
     /// A staged block carries no iteration semantics of its own: the
     /// launch that decodes it stops it where [`Self::process`] would
     /// have (its CRC24B when the packet has more than one block,
-    /// [`PreparedUplink::iter_cap`] otherwise). The Scalar/serial
-    /// fallback ladder stays intact: when the
-    /// configured backend is `Scalar`, or the degradation ladder has
-    /// demoted a `Native` pipeline, the packet is processed serially to
-    /// completion and returned as [`Admission::Ready`] (already
-    /// settled). Pre-decode failures (malformed frames, segmentation
+    /// [`PreparedUplink::iter_cap`] otherwise). Under the scalar
+    /// decoder — [`Profile::Reference`], or a production pipeline the
+    /// degradation ladder has demoted — the packet is processed
+    /// serially to completion and returned as [`Admission::Ready`]
+    /// (already settled). Pre-decode failures (malformed frames, segmentation
     /// overflows, blown deadlines) also come back `Ready`.
     pub fn prepare(&self, packet: &Packet) -> Admission {
         let mut pk = match self.open() {
@@ -742,7 +696,8 @@ impl UplinkPipeline {
     /// Finish a packet staged by [`Self::prepare`]: the receive chain's
     /// own tail ([`RxChain::deliver`]: desegmentation, CRC24A, L2) and
     /// the delivery check, then metrics and degradation-ladder
-    /// settlement.
+    /// settlement — under the kernels and trace code the packet was
+    /// staged under, wherever the ladder has moved since.
     ///
     /// `decoded` holds one bit buffer per staged task, in task order;
     /// `iterations` is the decoder-iteration total across the packet's
@@ -759,7 +714,8 @@ impl UplinkPipeline {
     ) -> Result<PacketResult, PipelineError> {
         debug_assert_eq!(decoded.len(), prep.seg.c, "one bit buffer per block");
         let mut pk = self.passage();
-        (pk.fault, pk.start, pk.clock.nanos) = (prep.fault, prep.start, prep.nanos);
+        (pk.fault, pk.start, pk.clock.kern) = (prep.fault, prep.start, prep.kern);
+        (pk.clock.nanos, pk.trace_backend) = (prep.nanos, prep.trace_backend);
         pk.clock.nanos.decode += decode_ns;
         let delivered = {
             let rx = &mut self.hot.borrow_mut().rx;
@@ -819,6 +775,8 @@ impl UplinkPipeline {
         Ok(PreparedUplink {
             start: pk.start,
             fault: pk.fault,
+            kern: pk.clock.kern,
+            trace_backend: pk.trace_backend,
             frame: frame.into_owned(),
             seg: staged.seg,
             coded_bits: staged.coded_bits,
@@ -880,13 +838,7 @@ impl UplinkPipeline {
         if let Some(m) = pk.clock.m {
             pk.clock.kern.count_rx_tiers(m);
             // per code block, like the ingest they describe
-            let blocks = staged.tasks.len() as u64;
-            if pk.clock.kern.fused.is_some() {
-                m.fused_ingest_blocks.add(blocks);
-            }
-            if pk.fused_demoted {
-                m.fused_ingest_fallbacks.add(blocks);
-            }
+            m.fused_ingest_blocks.add(staged.tasks.len() as u64);
         }
         self.trace_k.set(staged.seg.k_of(0) as u16);
         Ok(staged)
@@ -1039,7 +991,7 @@ impl UplinkPipeline {
                 }
                 // Only decode-quality failures climb the ladder; a
                 // malformed frame or a blown deadline says nothing
-                // about the decoder backend.
+                // about the decoder.
                 if matches!(
                     e.category(),
                     ErrorCategory::CrcMismatch | ErrorCategory::DecoderDiverged
@@ -1047,7 +999,7 @@ impl UplinkPipeline {
                     hot.consecutive_successes = 0;
                     hot.consecutive_failures += 1;
                     if !hot.degraded
-                        && self.cfg.backend == DecoderBackend::Native
+                        && self.cfg.profile == Profile::Production
                         && hot.consecutive_failures >= DEGRADE_AFTER
                     {
                         hot.degraded = true;

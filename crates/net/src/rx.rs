@@ -32,7 +32,6 @@ use crate::l2::BearerRx;
 use crate::metrics::{Op, Spans};
 use crate::tx::{slot, Grant, Kernels, OFDM};
 use vran_arrange::fused_ingest_into;
-use vran_arrange::native::{best_apcm, deinterleave_into};
 use vran_phy::bits::pack_msb;
 use vran_phy::channel::AwgnChannel;
 use vran_phy::crc::{CRC24A, CRC24B};
@@ -53,21 +52,17 @@ pub const MAX_CODE_BLOCKS: usize = 8;
 /// rather than hoarded.
 const LLR_POOL_CAP: usize = 4 * MAX_CODE_BLOCKS;
 
-/// Which decoder implementation the receive path runs.
-///
-/// Both backends compute bit-identical results (the native kernels use
-/// the same saturating i16 operations in the same order as the scalar
-/// reference, enforced by `vran-phy`'s property tests); they differ
-/// only in wall-clock cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DecoderBackend {
-    /// Scalar max-log-MAP reference plus the VM arrangement kernel
-    /// selected by `width`/`mechanism` — the functional-model path.
+/// Which turbo decoder the receive chain runs. Both compute
+/// bit-identical results (the native kernels run the scalar
+/// reference's saturating i16 operations in the same order, enforced
+/// by `vran-phy`'s property tests); they differ only in wall-clock
+/// cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DecoderBackend {
+    /// The scalar max-log-MAP reference.
     Scalar,
-    /// Real-intrinsics fast path: native APCM arrangement and the
-    /// runtime-dispatched [`NativeTurboDecoder`], with per-chain
+    /// The runtime-dispatched [`NativeTurboDecoder`], with per-chain
     /// scratch reuse (allocation-free per code block after warm-up).
-    #[default]
     Native,
 }
 
@@ -159,9 +154,8 @@ pub struct RxChain {
     pub(crate) symbols: Vec<Cplx>,
     /// The packet's soft bits, descrambled in place.
     llrs: Vec<Llr>,
-    /// De-rate-matcher output staging (`d⁽⁰⁾ d⁽¹⁾ d⁽²⁾`, length K+4).
-    dllr: [Vec<Llr>; 3],
-    /// Interleaved-triple staging for the arrangement step.
+    /// De-rate-matcher output: triple-interleaved clusters, the fused
+    /// ingest's input.
     inter: Vec<Llr>,
     /// Free list of per-block stream buffers: the arrangement pops one
     /// (retaining its capacity), whoever decoded the block pushes it
@@ -280,11 +274,11 @@ impl RxChain {
         }
     }
 
-    /// Per code block: de-rate-match its share of the soft bits, then
-    /// the data arrangement process under test, in the flavour the
-    /// resolved kernels name ([`Kernels::resolve`] is their only
-    /// constructor: fused ingest comes with the native decoder or not
-    /// at all), into a stream buffer the decoder reads in place.
+    /// Per code block: de-rate-match its share of the soft bits
+    /// straight into the triple-interleaved cluster layout (Fig 8a),
+    /// then the data arrangement process under test — one mask/merge
+    /// pass ([`fused_ingest_into`]) segregating the clusters into a
+    /// pooled stream buffer the decoder reads in place.
     fn arrange_blocks(
         &mut self,
         seg: &Segmentation,
@@ -292,7 +286,7 @@ impl RxChain {
         hooks: &mut impl RxHooks,
         tasks: &mut Vec<TurboLlrs>,
     ) -> Result<(), PipelineError> {
-        let kern = self.kern;
+        let fused = self.kern.fused;
         let rv = usize::from(grant.rv);
         let bps = grant.modulation.bits_per_symbol();
         let mut pos = 0;
@@ -313,81 +307,31 @@ impl RxChain {
             pos += e;
             let rmi = slot(&mut self.rms, k + 4, || RateMatcher::new(k + 4));
             let rm = &self.rms[rmi].1;
-
-            let tails = match kern.fused {
-                // The fused chain's only staging write: the
-                // de-rate-matcher accumulates straight into the
-                // triple-interleaved cluster layout (Fig 8a), so no
-                // separate multiplex pass runs before arrangement.
-                Some(_) => {
-                    hooks.lap(Op::DeRateMatch, || {
-                        rm.try_de_rate_match_interleaved_into(share, rv, &mut self.inter)
-                    })?;
-                    TailLlrs::from_interleaved(&self.inter, k)
-                }
-                None => {
-                    hooks.lap(Op::DeRateMatch, || {
-                        rm.try_de_rate_match_into(share, rv, &mut self.dllr)
-                    })?;
-                    TailLlrs::from_dstreams(&self.dllr, k)
-                }
-            };
-
-            let streams = match (kern.decoder, kern.fused) {
-                // Fused: one mask/merge pass segregates the clusters
-                // straight into the layout the quad-in-zmm batch
-                // decoder reads in place. No multiplex copy, no shared
-                // staging buffer, no per-block clone.
-                (DecoderBackend::Native, Some(imp)) => {
-                    let mut s = acquire(&mut self.pool, k, hooks);
-                    hooks.lap(Op::Arrange, || {
-                        fused_ingest_into(imp, &self.inter, k, &mut s.sys, &mut s.p1, &mut s.p2)
-                    });
-                    s
-                }
-                // Unfused native (kept for A/B against the fused
-                // ingest): multiplex the streams into the triples the
-                // de-rate-matcher hands the decoder (Fig 8a), then
-                // segregate them with the best real-intrinsics APCM
-                // kernel the host supports.
-                (DecoderBackend::Native, None) => {
-                    let mut s = acquire(&mut self.pool, k, hooks);
-                    hooks.lap(Op::Arrange, || {
-                        self.inter.resize(3 * k, 0);
-                        for j in 0..k {
-                            self.inter[3 * j] = self.dllr[0][j];
-                            self.inter[3 * j + 1] = self.dllr[1][j];
-                            self.inter[3 * j + 2] = self.dllr[2][j];
-                        }
-                        deinterleave_into(best_apcm(), &self.inter, k, &mut s);
-                    });
-                    s
-                }
-                // VM flavour: the configured mechanism/width kernel
-                // segregates the interleaved triples (and returns its
-                // own buffer, which never joins the free list).
-                (DecoderBackend::Scalar, _) => hooks.lap(Op::Arrange, || {
-                    let interleaved = TurboLlrs::from_dstreams(&self.dllr, k).to_interleaved();
-                    let (arranged, _) = kern.vm.arrange(&interleaved, false);
-                    kern.vm.depermute(&arranged)
-                }),
-            };
-            tasks.push(TurboLlrs { k, streams, tails });
+            hooks.lap(Op::DeRateMatch, || {
+                rm.try_de_rate_match_interleaved_into(share, rv, &mut self.inter)
+            })?;
+            let tails = TailLlrs::from_interleaved(&self.inter, k);
+            let mut s = acquire(&mut self.pool, k, hooks);
+            hooks.lap(Op::Arrange, || {
+                fused_ingest_into(fused, &self.inter, k, &mut s.sys, &mut s.p1, &mut s.p2)
+            });
+            tasks.push(TurboLlrs {
+                k,
+                streams: s,
+                tails,
+            });
         }
         Ok(())
     }
 
-    /// Take a finished (or abandoned) task list back: pooled stream
+    /// Take a finished (or abandoned) task list back: the stream
     /// buffers rejoin the free list — last block first, so block `i`
     /// keeps meeting the buffer it grew — and the list keeps its
     /// capacity for the next packet.
     fn reclaim(&mut self, mut tasks: Vec<TurboLlrs>) {
-        if self.kern.decoder == DecoderBackend::Native {
-            for t in tasks.drain(..).rev() {
-                self.recycle(t.streams);
-            }
+        for t in tasks.drain(..).rev() {
+            self.recycle(t.streams);
         }
-        tasks.clear();
         self.tasks = tasks;
     }
 

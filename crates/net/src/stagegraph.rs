@@ -344,10 +344,11 @@ impl StageGraph {
         };
         match admission {
             Admission::Ready(result) => {
-                // Completed serially (Scalar backend, degraded ladder,
-                // or a pre-decode failure) — but an earlier same-UE
-                // packet may still be in flight, so it joins the
-                // reorder stage like everyone else.
+                // Completed serially (the scalar decoder of the
+                // reference profile or the degraded ladder, or a
+                // pre-decode failure) — but an earlier same-UE packet
+                // may still be in flight, so it joins the reorder
+                // stage like everyone else.
                 self.retire(ue, seq, result);
             }
             Admission::Staged(mut prep) => {
@@ -646,7 +647,7 @@ impl StageGraph {
 mod tests {
     use super::*;
     use crate::packet::{PacketBuilder, Transport};
-    use crate::pipeline::DecoderBackend;
+    use crate::pipeline::Profile;
 
     fn cfg() -> PipelineConfig {
         PipelineConfig {
@@ -819,7 +820,7 @@ mod tests {
     fn scalar_backend_retires_through_reorder_stage() {
         let mut graph = StageGraph::with_config(
             PipelineConfig {
-                backend: DecoderBackend::Scalar,
+                profile: Profile::Reference,
                 snr_db: 30.0,
                 ..Default::default()
             },

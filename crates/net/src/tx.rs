@@ -20,7 +20,7 @@
 use crate::error::PipelineError;
 use crate::metrics::{Op, PipelineMetrics, Spans};
 use crate::rx::DecoderBackend;
-use vran_arrange::{best_fused, ArrangeKernel, FusedImpl};
+use vran_arrange::{best_fused, FusedImpl};
 use vran_phy::bits::extend_bits_from_words;
 use vran_phy::crc::{best_crc, CrcImpl, CRC24A};
 use vran_phy::demap::{best_demap, demap_into, DemapImpl};
@@ -38,23 +38,43 @@ use vran_phy::turbo::{DecoderIsa, EncodeScratch, EncoderIsa, PackedTurboEncoder,
 /// The air interface both chains speak: FDD, 5 MHz.
 pub(crate) const OFDM: OfdmConfig = OfdmConfig::lte5mhz();
 
-/// Which transmit-side turbo encoder + rate matcher the pipelines run.
-///
-/// Both backends are bit-exact by construction — the packed path
-/// exploits the encoder's GF(2) linearity, which cannot change WHAT is
-/// encoded, only how many bits advance per instruction (enforced by
-/// `vran-phy`'s property tests across all 188 QPP sizes).
+/// Which kernel composition a pipeline runs. Every production kernel
+/// is bit-exact with the oracle it replaces except the Q11 demapper,
+/// whose LLRs differ from the f32 reference by quantization (a couple
+/// of LSBs): decoder iteration counts can shift between the profiles,
+/// delivered frames do not at operating SNR.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EncoderBackend {
-    /// Per-bit trellis walk and per-position rate-match readout — the
-    /// reference path.
-    Scalar,
-    /// Bitsliced fast path: [`PackedTurboEncoder`] (64 trellis steps
-    /// per `u64`, 128/256 per register under SSE2/AVX2) plus the
-    /// word-at-a-time [`PackedRateMatcher`], with per-chain
-    /// [`EncodeScratch`] reuse (allocation-free per code block after
-    /// warm-up).
+pub enum Profile {
+    /// Every stage's fast path at the best tier the host offers: the
+    /// table/clmul CRC, the word-parallel Gold scrambler, the Q11 SIMD
+    /// demapper and descrambler, the packed turbo encoder and rate
+    /// matcher, the fused APCM ingest and the native turbo decoder.
     #[default]
+    Production,
+    /// Every stage's oracle: bit-serial CRC and scrambler, the f32
+    /// demapper, the bit-serial descrambler, the scalar turbo encoder
+    /// and rate matcher, the scalar fused ingest and the scalar turbo
+    /// decoder.
+    Reference,
+}
+
+impl Profile {
+    /// The kernels this profile names, at the tiers the host offers now.
+    pub(crate) fn kernels(self) -> Kernels {
+        match self {
+            Profile::Production => Kernels::production(),
+            Profile::Reference => Kernels::reference(),
+        }
+    }
+}
+
+/// Transmit-side turbo encoder + rate matcher.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EncoderBackend {
+    /// Per-bit trellis walk and per-position rate-match readout.
+    Scalar,
+    /// [`PackedTurboEncoder`] plus the word-at-a-time
+    /// [`PackedRateMatcher`], with per-chain [`EncodeScratch`] reuse.
     Packed,
 }
 
@@ -81,10 +101,10 @@ impl Grant {
     }
 }
 
-/// The kernels the chains run — what the configurations' A/B flags
-/// (`frontend_simd`, `encoder_backend`, `fused_ingest`, `backend`)
-/// resolve to. Resolved per packet by the chains' owner, because
-/// `best_*()` follows the process-global ISA ceiling.
+/// The kernels the chains run — a [`Profile`], or production with the
+/// decoder demoted by the uplink's degradation ladder. Resolved per
+/// packet by the chains' owner, because `best_*()` follows the
+/// process-global ISA ceiling.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Kernels {
     /// CRC24A attach / check kernel.
@@ -99,43 +119,38 @@ pub(crate) struct Kernels {
     /// Word-parallel descrambler tier; `None` runs the bit-serial
     /// reference.
     pub(crate) descramble: Option<DescrambleImpl>,
-    /// Fused APCM ingest (native decoder only): the de-rate-matcher
-    /// writes triple-interleaved clusters and one mask/merge pass
-    /// segregates them. `None` de-rate-matches to three streams and
-    /// arranges them separately.
-    pub(crate) fused: Option<FusedImpl>,
-    /// Decoder; `Scalar` arranges with the VM kernel `vm`.
+    /// Fused APCM ingest tier: the de-rate-matcher writes
+    /// triple-interleaved clusters and one mask/merge pass segregates
+    /// them into the decoder's streams.
+    pub(crate) fused: FusedImpl,
+    /// Turbo decoder.
     pub(crate) decoder: DecoderBackend,
-    /// The tracing-VM arrangement kernel under test.
-    pub(crate) vm: ArrangeKernel,
 }
 
 impl Kernels {
-    /// The kernels the flags select, at the best tier the host offers.
-    /// Fused ingest exists only in front of the native decoder: a
-    /// scalar one (configured, or demoted by the degradation ladder)
-    /// gets the unfused chain.
-    pub(crate) fn resolve(
-        frontend_simd: bool,
-        encoder: EncoderBackend,
-        fused_ingest: bool,
-        decoder: DecoderBackend,
-        vm: ArrangeKernel,
-    ) -> Self {
-        let (crc, scramble): (_, fn(&mut [u8], u32)) = if frontend_simd {
-            (best_crc(), scramble_bits)
-        } else {
-            (CrcImpl::BitSerial, scramble_bits_serial)
-        };
+    /// [`Profile::Production`] at the best tiers the host offers.
+    pub(crate) fn production() -> Self {
         Self {
-            crc,
-            scramble,
-            encoder,
-            demap: frontend_simd.then(best_demap),
-            descramble: frontend_simd.then(best_descramble),
-            fused: (fused_ingest && decoder == DecoderBackend::Native).then(best_fused),
-            decoder,
-            vm,
+            crc: best_crc(),
+            scramble: scramble_bits,
+            encoder: EncoderBackend::Packed,
+            demap: Some(best_demap()),
+            descramble: Some(best_descramble()),
+            fused: best_fused(),
+            decoder: DecoderBackend::Native,
+        }
+    }
+
+    /// [`Profile::Reference`]: every stage's oracle.
+    pub(crate) fn reference() -> Self {
+        Self {
+            crc: CrcImpl::BitSerial,
+            scramble: scramble_bits_serial,
+            encoder: EncoderBackend::Scalar,
+            demap: None,
+            descramble: None,
+            fused: FusedImpl::Scalar,
+            decoder: DecoderBackend::Scalar,
         }
     }
 
@@ -194,16 +209,7 @@ impl Kernels {
 impl Default for Kernels {
     /// The production composition.
     fn default() -> Self {
-        Self::resolve(
-            true,
-            EncoderBackend::Packed,
-            true,
-            DecoderBackend::Native,
-            ArrangeKernel::new(
-                vran_simd::RegWidth::Sse128,
-                vran_arrange::Mechanism::Baseline,
-            ),
-        )
+        Self::production()
     }
 }
 

@@ -1,7 +1,7 @@
 //! Scalar-fallback coverage: simulate a SIMD-less host via the
 //! `vran-simd` ISA ceiling and prove both directions survive it —
-//! the Native uplink pipeline still decodes bit-exactly, and the
-//! Packed downlink encoder still encodes bit-exactly — while flagging
+//! the production uplink's native decoder still decodes bit-exactly,
+//! and the downlink's packed encoder still encodes bit-exactly — while flagging
 //! the lost speedup as `native_simd_fallbacks` /
 //! `packed_encoder_fallbacks` metrics events. The zmm tiers get the
 //! same treatment one rung up: under an AVX2 ceiling the quad-in-zmm
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use vran_net::downlink::{DownlinkConfig, DownlinkPipeline};
 use vran_net::metrics::PipelineMetrics;
 use vran_net::packet::{PacketBuilder, Transport};
-use vran_net::pipeline::{DecoderBackend, EncoderBackend, PipelineConfig, UplinkPipeline};
+use vran_net::pipeline::{PipelineConfig, UplinkPipeline};
 use vran_net::tx::TxChain;
 use vran_net::{StageGraph, StageGraphConfig};
 use vran_phy::modulation::Modulation;
@@ -34,7 +34,6 @@ static CEILING_LOCK: Mutex<()> = Mutex::new(());
 fn native_backend_degrades_to_scalar_kernels_without_simd() {
     let _guard = CEILING_LOCK.lock().unwrap();
     let cfg = PipelineConfig {
-        backend: DecoderBackend::Native,
         snr_db: 12.0,
         ..Default::default()
     };
@@ -78,7 +77,6 @@ fn native_backend_degrades_to_scalar_kernels_without_simd() {
 fn batched_decode_degrades_below_avx512_ceiling() {
     let _guard = CEILING_LOCK.lock().unwrap();
     let cfg = PipelineConfig {
-        backend: DecoderBackend::Native,
         snr_db: 12.0,
         ..Default::default()
     };
@@ -137,7 +135,6 @@ fn batched_decode_degrades_below_avx512_ceiling() {
 fn packed_encoder_degrades_below_avx512_ceiling() {
     let _guard = CEILING_LOCK.lock().unwrap();
     let cfg = DownlinkConfig {
-        encoder_backend: EncoderBackend::Packed,
         snr_db: 25.0,
         ..Default::default()
     };
@@ -186,7 +183,6 @@ fn packed_encoder_degrades_below_avx512_ceiling() {
 fn packed_encoder_degrades_to_word64_kernel_without_simd() {
     let _guard = CEILING_LOCK.lock().unwrap();
     let cfg = DownlinkConfig {
-        encoder_backend: EncoderBackend::Packed,
         snr_db: 25.0,
         ..Default::default()
     };

@@ -5,9 +5,9 @@
 //! compress) vs its scalar oracle across **all 188** TS 36.212 block
 //! sizes and **every** host-ISA tier.
 //!
-//! The uplink pipeline makes the SIMD front end the default path on
-//! the strength of this sweep (see `PipelineConfig::frontend_simd`):
-//! whatever K the segmenter picks, whatever modulation the grant
+//! `vran_net`'s `Profile::Production` (the default) runs the SIMD front
+//! end and `Profile::Reference` these oracles, on the strength of this
+//! sweep: whatever K the segmenter picks, whatever modulation the grant
 //! carries and whatever tier the dispatcher lands on, each kernel must
 //! reproduce its scalar reference bit for bit — including ragged
 //! non-vector tails, saturation corners and non-byte-multiple CRC bit

@@ -1,11 +1,17 @@
 //! End-to-end integration: real packets through the complete PHY loop
-//! across mechanisms, widths, modulations and SNR points.
+//! across modulations and SNR points, and every arrangement mechanism
+//! and width on a real packet's soft bits.
 
-use vran_arrange::{ApcmVariant, Mechanism};
+use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use vran_net::error::{ErrorCategory, PipelineError};
+use vran_net::l2::{BearerTx, L2_OVERHEAD};
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::{PacketResult, PipelineConfig, UplinkPipeline};
 use vran_net::runner::run_uplink_serial_mixed;
+use vran_net::rx::{Capture, RxChain};
+use vran_net::tx::TxChain;
+use vran_phy::bits::unpack_msb;
+use vran_phy::channel::AwgnChannel;
 use vran_phy::modulation::Modulation;
 use vran_simd::RegWidth;
 
@@ -64,33 +70,53 @@ fn snr_waterfall_is_monotone() {
 
 #[test]
 fn mechanisms_are_functionally_transparent_at_the_packet_level() {
-    // The central functional requirement: swapping the arrangement
-    // mechanism (and width) changes nothing observable.
-    let mut reference: Option<(bool, usize)> = None;
-    for width in RegWidth::ALL {
-        for mech in [
-            Mechanism::Baseline,
-            Mechanism::Apcm(ApcmVariant::Shuffle),
-            Mechanism::Apcm(ApcmVariant::MaskRotate),
-        ] {
-            let cfg = PipelineConfig {
-                width,
-                mechanism: mech,
-                modulation: Modulation::Qam16,
-                snr_db: 11.5,
-                ..Default::default()
-            };
-            let r = process(cfg, Transport::Udp, 700);
-            let key = match &r {
-                Ok(p) => (true, p.decoder_iterations),
-                Err(e) => (
-                    false,
-                    e.decode_failure().map_or(0, |f| f.decoder_iterations),
-                ),
-            };
-            match &reference {
-                None => reference = Some(key),
-                Some(k) => assert_eq!(&key, k, "{width}/{} diverged", mech.name()),
+    // The central functional requirement, on a real packet's soft bits:
+    // every arrangement mechanism at every width hands the decoder
+    // exactly the streams the receiver's fused ingest staged.
+    let cfg = PipelineConfig {
+        modulation: Modulation::Qam16,
+        snr_db: 11.5,
+        ..Default::default()
+    };
+    let grant = UplinkPipeline::new(cfg).grant();
+    let frame = PacketBuilder::new(4000, 4001)
+        .build(Transport::Udp, 700)
+        .unwrap()
+        .frame;
+    let pdu = BearerTx::default()
+        .encapsulate(&frame, frame.len() + L2_OVERHEAD)
+        .unwrap();
+    let mut tx = TxChain::default();
+    let seg = tx
+        .tx(&unpack_msb(&pdu, pdu.len() * 8), &grant, &mut ())
+        .unwrap();
+    let mut channel = AwgnChannel::new(cfg.snr_db, cfg.seed);
+    let air = channel.apply(&tx.samples);
+    let cap = Capture {
+        samples: &air,
+        n_symbols: tx.symbols.len(),
+        tb_bits: seg.b,
+        llr_scale: Capture::llr_scale_of(&channel),
+    };
+    let staged = RxChain::new(cfg.decoder_iterations)
+        .front(&cap, &grant, &mut ())
+        .unwrap();
+    assert_eq!(staged.tasks.len(), seg.c);
+    for task in &staged.tasks {
+        let interleaved = task.to_interleaved();
+        for width in RegWidth::ALL {
+            for mech in [
+                Mechanism::Baseline,
+                Mechanism::Apcm(ApcmVariant::Shuffle),
+                Mechanism::Apcm(ApcmVariant::MaskRotate),
+            ] {
+                let kern = ArrangeKernel::new(width, mech);
+                let (arranged, _) = kern.arrange(&interleaved, false);
+                assert!(
+                    kern.depermute(&arranged) == task.streams,
+                    "{width}/{} diverged",
+                    mech.name()
+                );
             }
         }
     }

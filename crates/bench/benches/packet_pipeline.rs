@@ -54,6 +54,27 @@ fn bench_ring(c: &mut Criterion) {
             acc
         })
     });
+    // Two threads through one ring: the price of the wake check (a
+    // fence and a flag load per call) on cross-thread traffic, plus
+    // whatever waits happen.
+    const ITEMS: u64 = 100_000;
+    g.throughput(Throughput::Elements(ITEMS));
+    g.bench_function("wait_cross_thread_100k", |b| {
+        b.iter(|| {
+            let (mut p, mut cns) = SpscRing::with_capacity::<u64>(1024);
+            let producer = std::thread::spawn(move || {
+                for i in 0..ITEMS {
+                    p.push_wait(i).expect("the consumer outlives the producer");
+                }
+            });
+            let mut acc = 0u64;
+            while let Some(v) = cns.pop_wait() {
+                acc = acc.wrapping_add(v);
+            }
+            producer.join().unwrap();
+            acc
+        })
+    });
     g.finish();
 }
 

@@ -18,8 +18,8 @@
 //!   chain ([`Stage`]: CRC → segment → encode → rate-match → modulate
 //!   → OFDM → arrange → decode) plus packet counters, recorded by
 //!   [`crate::pipeline::UplinkPipeline`].
-//! * [`RunnerMetrics`] — ring occupancy and producer/consumer stall
-//!   spins from [`crate::runner`]'s threaded drivers.
+//! * [`RunnerMetrics`] — ring occupancy and producer/consumer ring
+//!   waits from [`crate::runner`]'s threaded drivers.
 //! * [`StageGraphMetrics`] — batch-formation counters (quad/pair/single
 //!   launches, flush reasons, zmm lane occupancy) from the out-of-order
 //!   stage-graph runtime in [`crate::stagegraph`].
@@ -690,9 +690,10 @@ pub struct RunnerMetrics {
     enabled: bool,
     /// Uplink-ring occupancy sampled at each worker pop.
     pub ring_occupancy: Histogram,
-    /// Producer spins on a full ring.
+    /// Times the producer found a full ring and waited — wait episodes,
+    /// not loop turns. Each lasts until the ring is at most half full.
     pub push_stalls: Counter,
-    /// Consumer spins on an empty ring.
+    /// Times a consumer found an empty ring and waited for a push.
     pub pop_stalls: Counter,
     /// Packets completing the pipeline.
     pub packets: Counter,
@@ -740,7 +741,7 @@ impl RunnerMetrics {
         }
     }
 
-    /// Count one full-ring producer spin (no-op when disabled).
+    /// Count one full-ring producer wait (no-op when disabled).
     #[inline]
     pub fn record_push_stall(&self) {
         if self.enabled {
@@ -748,7 +749,7 @@ impl RunnerMetrics {
         }
     }
 
-    /// Count one empty-ring consumer spin (no-op when disabled).
+    /// Count one empty-ring consumer wait (no-op when disabled).
     #[inline]
     pub fn record_pop_stall(&self) {
         if self.enabled {

@@ -33,7 +33,7 @@ use crate::packet::{Packet, PacketBuilder, Transport};
 use crate::pipeline::{PacketResult, PipelineConfig, UplinkPipeline};
 use crate::ring::SpscRing;
 use crate::stagegraph::{StageGraph, StageGraphConfig};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -181,15 +181,23 @@ struct Totals {
 /// The one threaded scaffold. A source thread builds `n_packets` and
 /// deals packet `i` — `(transport, wire_len)` from
 /// `classes[i % classes.len()]` — into the ring of worker
-/// `i % workers`, spinning (and counting a push stall) while that ring
-/// is full. Worker `w` owns a `body(w, pipeline)` and pops exactly its
-/// quota, `⌈(n_packets − w) / workers⌉`; its `j`-th packet is global
+/// `i % workers`, waiting (and counting one push stall) whenever that
+/// ring is full. Worker `w` owns a `body(w, pipeline)` and pops exactly
+/// its quota, `⌈(n_packets − w) / workers⌉`; its `j`-th packet is global
 /// packet `w + j·workers`, which is how it knows the class without the
 /// ring carrying it. A panic out of [`Worker::take`] costs that packet
 /// (it still counts against the quota, so the driver always
 /// terminates), a quarantine, a rebuilt pipeline and an exponential
-/// back-off. The only two waits are the source's push spin and the
-/// worker's pop spin.
+/// back-off. Any other panic ends the run: the dying thread's ring
+/// endpoints close on drop, which stops its peers, and the first panic
+/// is re-raised to the caller. The only two waits are the source's
+/// [`Producer::push_wait`](crate::ring::Producer::push_wait) and the
+/// worker's [`Consumer::pop_wait`](crate::ring::Consumer::pop_wait).
+///
+/// # Panics
+///
+/// If `workers` is 0, `classes` is empty, or a class's `wire_len`
+/// cannot hold its headers.
 fn fan_out<W: Worker>(
     spec: PipeSpec,
     classes: &[(Transport, usize)],
@@ -200,6 +208,14 @@ fn fan_out<W: Worker>(
 ) -> ThroughputReport {
     assert!(workers >= 1);
     assert!(!classes.is_empty());
+    for (i, &(transport, wire_len)) in classes.iter().enumerate() {
+        assert!(
+            PacketBuilder::new(9000, 9001)
+                .build(transport, wire_len)
+                .is_some(),
+            "classes[{i}] = ({transport:?}, {wire_len} B) is shorter than its headers"
+        );
+    }
     let (mut producers, consumers): (Vec<_>, Vec<_>) = (0..workers)
         .map(|_| SpscRing::with_capacity::<Packet>(RING_CAPACITY))
         .unzip();
@@ -207,20 +223,24 @@ fn fan_out<W: Worker>(
 
     let start = Instant::now();
     std::thread::scope(|s| {
-        s.spawn(move || {
+        let mut threads = vec![s.spawn(move || {
             let mut b = PacketBuilder::new(9000, 9001);
             for i in 0..n_packets {
                 let (transport, wire_len) = classes[i % classes.len()];
-                let mut item = b.build(transport, wire_len).expect("valid size");
-                while let Err(back) = producers[i % workers].push(item) {
-                    item = back;
+                let item = b.build(transport, wire_len).expect("classes checked");
+                let tx = &mut producers[i % workers];
+                let sent = tx.push(item).or_else(|item| {
                     metrics.record_push_stall();
-                    std::hint::spin_loop();
+                    tx.push_wait(item)
+                });
+                if sent.is_err() {
+                    // That worker died; dropping the rings stops the rest.
+                    return;
                 }
             }
-        });
+        })];
         for (w, mut rx) in consumers.into_iter().enumerate() {
-            s.spawn(move || {
+            threads.push(s.spawn(move || {
                 let quota = n_packets / workers + usize::from(w < n_packets % workers);
                 let mut body = body(w, spec.build(w, 0));
                 let collect = |body: &mut W| {
@@ -236,10 +256,12 @@ fn fan_out<W: Worker>(
                 let mut consecutive_panics = 0u32;
                 let mut done = 0;
                 while done < quota {
-                    let Some(p) = rx.pop() else {
+                    let Some(p) = rx.pop().or_else(|| {
                         metrics.record_pop_stall();
-                        std::hint::spin_loop();
-                        continue;
+                        rx.pop_wait()
+                    }) else {
+                        // The source died before dealing the quota.
+                        break;
                     };
                     metrics.record_occupancy(rx.len());
                     let class = (w + done * workers) % classes.len();
@@ -266,7 +288,14 @@ fn fan_out<W: Worker>(
                 }
                 body.drain();
                 collect(&mut body);
-            });
+            }));
+        }
+        // Joined by hand so the caller sees the first panic itself, not
+        // `scope`'s generic one.
+        for t in threads {
+            if let Err(panic) = t.join() {
+                resume_unwind(panic);
+            }
         }
     });
     let elapsed_s = start.elapsed().as_secs_f64();
@@ -289,7 +318,7 @@ fn fan_out<W: Worker>(
 /// Packet `i` draws `(transport, wire_len)` from
 /// `classes[i % classes.len()]`, the same schedule as
 /// [`run_uplink_stagegraph_metered`]. Ring occupancy is sampled at
-/// every pop, producer and consumer spins are counted, and each
+/// every pop, producer and consumer waits are counted, and each
 /// completed packet lands in `metrics` and (when given) the per-stage
 /// `pipe_metrics`. Workers are panic-isolated: a panic mid-packet
 /// (real, or injected through `faults` as
@@ -459,17 +488,89 @@ mod tests {
     fn a_full_ring_counts_push_stalls_on_both_drivers() {
         // The source builds a packet in about a microsecond and the one
         // worker needs tens to decode it, so with two rings' worth of
-        // packets the source must find the ring full.
+        // packets the source must find the ring full. A stall is one
+        // wait, and each wait lasts until the ring is half empty, so it
+        // admits at least half a ring of packets.
         let classes = [(Transport::Udp, 64)];
         let n = 2 * RING_CAPACITY;
+        let bound = n.div_ceil(RING_CAPACITY / 2) as u64 + 1;
         let serial = RunnerMetrics::new(true, RING_CAPACITY);
         let rep = run_multicore_metered(clean(), &classes, n, 1, &serial, None, None);
         assert_eq!(rep.packets, n);
-        assert!(serial.push_stalls.get() > 0, "serial driver");
+        let stalls = serial.push_stalls.get();
+        assert!(
+            (1..=bound).contains(&stalls),
+            "serial driver: {stalls} push stalls, bound {bound}"
+        );
         let graph = RunnerMetrics::new(true, RING_CAPACITY);
         let rep = graph_run(&classes, n, 1, &graph, None, None);
         assert_eq!(rep.packets, n);
-        assert!(graph.push_stalls.get() > 0, "stage-graph driver");
+        let stalls = graph.push_stalls.get();
+        assert!(
+            (1..=bound).contains(&stalls),
+            "stage-graph driver: {stalls} push stalls, bound {bound}"
+        );
+    }
+
+    /// Run `driver` on a helper thread and return its panic message;
+    /// fail if it returns, or has done neither within 10 s (a hung
+    /// helper is left behind rather than joined).
+    fn panics_within_10s(driver: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(driver));
+            let _ = tx.send(outcome.err().map(|p| {
+                p.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            }));
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(Some(message)) => message,
+            Ok(None) => panic!("the driver returned instead of panicking"),
+            Err(_) => panic!("the driver has neither returned nor panicked after 10 s"),
+        }
+    }
+
+    #[test]
+    fn a_class_shorter_than_its_headers_panics_instead_of_hanging() {
+        // 40 B cannot hold Ethernet + IPv4 + TCP headers (54 B).
+        let message = panics_within_10s(|| {
+            let classes = [(Transport::Udp, 128), (Transport::Tcp, 40)];
+            run_uplink_serial_mixed(PipelineConfig::default(), &classes, 4, 1);
+        });
+        assert!(message.contains("classes[1]"), "{message}");
+    }
+
+    /// Panics the first time the scaffold collects from it, outside the
+    /// `catch_unwind` around `take`.
+    struct DiesOutsideTake;
+
+    impl Worker for DiesOutsideTake {
+        fn take(&mut self, _class: usize, _p: &Packet) {}
+        fn completed(&mut self) -> Option<Completed> {
+            panic!("worker died outside take")
+        }
+        fn restart(&mut self, _generation: u64, _pipe: UplinkPipeline) {}
+    }
+
+    #[test]
+    fn a_worker_dying_outside_take_panics_instead_of_hanging() {
+        // Four rings' worth: the source fills the ring while the worker
+        // builds its pipeline, and is waiting on it when the worker dies.
+        let message = panics_within_10s(|| {
+            let spec = PipeSpec {
+                cfg: clean(),
+                faults: None,
+                metrics: None,
+            };
+            let classes = [(Transport::Udp, 64)];
+            fan_out(spec, &classes, 4 * RING_CAPACITY, 1, &quiet(), |_, _| {
+                DiesOutsideTake
+            });
+        });
+        assert!(message.contains("worker died outside take"), "{message}");
     }
 
     #[test]

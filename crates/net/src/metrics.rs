@@ -810,9 +810,12 @@ impl RunnerMetrics {
 /// Batch-formation counters for the out-of-order stage-graph runtime
 /// ([`crate::stagegraph::StageGraph`]): how decode tasks actually
 /// launched (quad-in-zmm / pair-in-ymm / single leftover) and why each
-/// pool flushed. The headline figure is [`Self::lane_occupancy`] — the
-/// fraction of code blocks that rode a full quad launch, i.e. how often
-/// the AVX-512BW lanes were actually full.
+/// pool flushed — one counter per [`crate::stagegraph::FlushReason`],
+/// the same four reasons [`crate::observe::TraceEvent::flush`] codes
+/// 0–3. The headline figure is [`Self::lane_occupancy`] — the fraction
+/// of code blocks that rode a full quad launch, i.e. how often the
+/// AVX-512BW lanes were actually full. An underloaded graph trades it
+/// away on purpose: `flush_idle` counts those flushes.
 #[derive(Debug)]
 pub struct StageGraphMetrics {
     enabled: bool,
@@ -829,6 +832,9 @@ pub struct StageGraphMetrics {
     pub flush_deadline: Counter,
     /// Pool flushes at end-of-run drain (no more admissions coming).
     pub flush_drain: Counter,
+    /// Pool flushes because the graph was underloaded: an admission
+    /// launched every non-empty pool before returning.
+    pub flush_idle: Counter,
     /// Decoder iterations credited to lanes: each block's own count,
     /// which stops at its CRC pass.
     pub lane_iterations: Counter,
@@ -858,6 +864,7 @@ impl StageGraphMetrics {
             flush_lanes_full: Counter::new(),
             flush_deadline: Counter::new(),
             flush_drain: Counter::new(),
+            flush_idle: Counter::new(),
             lane_iterations: Counter::new(),
             launch_iterations: Counter::new(),
             lane_siso_passes: Counter::new(),
@@ -902,6 +909,7 @@ impl StageGraphMetrics {
                 crate::stagegraph::FlushReason::LanesFull => self.flush_lanes_full.inc(),
                 crate::stagegraph::FlushReason::Deadline => self.flush_deadline.inc(),
                 crate::stagegraph::FlushReason::Drain => self.flush_drain.inc(),
+                crate::stagegraph::FlushReason::Idle => self.flush_idle.inc(),
             }
         }
     }
@@ -963,6 +971,10 @@ impl StageGraphMetrics {
             (
                 "batch.flush.drain.count".into(),
                 self.flush_drain.get() as f64,
+            ),
+            (
+                "batch.flush.idle.count".into(),
+                self.flush_idle.get() as f64,
             ),
             (
                 "batch.lane_iterations.count".into(),

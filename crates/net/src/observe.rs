@@ -94,7 +94,7 @@ pub struct TraceEvent {
     /// unused for non-packet events.
     pub backend: u8,
     /// Flush reason discriminant for [`TraceKind::BatchFlush`]
-    /// (0 = lanes full, 1 = deadline, 2 = drain, 0xFF = n/a).
+    /// (0 = lanes full, 1 = deadline, 2 = drain, 3 = idle, 0xFF = n/a).
     pub flush_reason: u8,
     /// Terminal [`ErrorCategory`] discriminant for
     /// [`TraceKind::PacketError`] (0xFF = none).
@@ -159,6 +159,7 @@ impl TraceEvent {
                 FlushReason::LanesFull => 0,
                 FlushReason::Deadline => 1,
                 FlushReason::Drain => 2,
+                FlushReason::Idle => 3,
             },
             category: NO_CATEGORY,
             ue: 0,
@@ -768,10 +769,12 @@ mod tests {
             TraceEvent::packet(0, 0, 40, 0, None, 1, 2, 3),
             TraceEvent::flush(99, 512, 4, FlushReason::LanesFull),
             TraceEvent::restart(3, 11),
+            TraceEvent::flush(100, 6144, 1, FlushReason::Idle),
         ];
         for ev in cases {
             assert_eq!(TraceEvent::unpack(ev.pack()), ev, "{ev:?}");
         }
+        assert_eq!(cases[4].flush_reason, 3, "idle is reason code 3");
         assert_eq!(cases[0].trace_kind(), TraceKind::PacketError);
         assert_eq!(
             cases[0].error_category(),

@@ -9,7 +9,7 @@
 //! from different packets** are pooled by `(K, iteration cap,
 //! CRC24B-bearing)`, then launched as quad-in-zmm / pair-in-ymm batches
 //! the moment lanes fill — or earlier, when a member packet's deadline
-//! (or an age bound) nears.
+//! (or an age bound) nears, or at once while the graph is underloaded.
 //!
 //! ```text
 //!          admit(ue, pkt)                    pools (one per K, cap, crc)
@@ -65,12 +65,29 @@
 //!
 //! # Flush policy
 //!
+//! Batching pays only under load. Every admission that stages blocks
+//! is measured: `busy` is its own wall time, `idle` the time since the
+//! previous admission returned. After [`QUAD`] such admissions in a row
+//! with idle > busy the graph is *underloaded*; after `QUAD` in a row
+//! with idle ≤ busy it is loaded again. The threshold is the graph's
+//! own service time, so there is no setting, and a closed loop — the
+//! gap between admissions is one ring pop — never leaves the loaded
+//! state. An admission that stages nothing (a breaker fast-fail, a
+//! pre-decode failure, the scalar decoder) is not measured: it adds no
+//! task to wait for lanes, and a run of sub-microsecond fast-fails is
+//! no service time to hold a ring pop against.
+//! [`StageGraph::replace_pipeline`] forgets the previous return, so a
+//! worker's back-off after a panic never reads as idle.
+//!
 //! * `LanesFull` — a pool reached four tasks: launch a quad now.
 //! * `Deadline` — the pool's oldest task aged past
 //!   [`StageGraphConfig::flush_age`] admissions, or its packet spent
 //!   3/4 of its [`PipelineConfig::deadline_ns`] budget: launch what's
 //!   there (pair + single) rather than blow the budget waiting for a
 //!   fourth.
+//! * `Idle` — the graph is underloaded: every non-empty pool launches
+//!   before the admission returns, because the core would sit idle
+//!   while the packet waited for lanes that will not fill in time.
 //! * `Drain` — end of run (or ROB pressure): flush everything.
 
 use crate::error::PipelineError;
@@ -101,6 +118,10 @@ pub enum FlushReason {
     /// End-of-run drain or ROB pressure: no more admissions are coming
     /// to fill the lanes.
     Drain,
+    /// The graph is underloaded (admissions arrive further apart than
+    /// they take): the admission launches every non-empty pool before
+    /// it returns rather than hold its packets for lanes.
+    Idle,
 }
 
 /// Stage-graph tuning knobs.
@@ -110,9 +131,11 @@ pub struct StageGraphConfig {
     /// retired). The free list spans exactly this many slots.
     pub rob_slots: usize,
     /// Age bound, in admissions: a pool whose oldest task has waited
-    /// this many `admit` calls is deadline-flushed. Under the mixed-K
-    /// `paper_sweep` round-robin the same-K re-arrival distance is
-    /// well under this, so the bound only fires on rare stragglers.
+    /// this many `admit` calls is deadline-flushed. It binds only
+    /// under load — an underloaded graph launches every pool at once
+    /// ([`FlushReason::Idle`]). Under the mixed-K `paper_sweep`
+    /// round-robin the same-K re-arrival distance is well under this,
+    /// so the bound only fires on rare stragglers.
     pub flush_age: u64,
 }
 
@@ -181,6 +204,40 @@ struct Pool {
     dec: NativeBatchTurboDecoder,
 }
 
+/// The idle-flush state (module docs, "Flush policy"): whether
+/// admissions arrive further apart than they take.
+#[derive(Debug, Default)]
+struct Load {
+    /// When the previous admission returned; `None` before the first
+    /// and after a pipeline swap, so the next admission is not measured.
+    last_return: Option<Instant>,
+    underloaded: bool,
+    /// Measured admissions in a row that disagree with `underloaded`.
+    against: usize,
+}
+
+impl Load {
+    /// Measure one staging admission that began at `start` and was busy
+    /// until `end`; `QUAD` in a row against the current state flip it.
+    /// Returns whether the graph is underloaded.
+    fn measure(&mut self, start: Instant, end: Instant) -> bool {
+        if let Some(prev) = self.last_return {
+            let idle = start.saturating_duration_since(prev);
+            let busy = end.saturating_duration_since(start);
+            if (idle > busy) == self.underloaded {
+                self.against = 0;
+            } else {
+                self.against += 1;
+                if self.against == QUAD {
+                    self.underloaded = !self.underloaded;
+                    self.against = 0;
+                }
+            }
+        }
+        self.underloaded
+    }
+}
+
 /// The out-of-order stage-graph runtime. One instance per worker
 /// thread (single-threaded interior, like [`UplinkPipeline`] itself).
 ///
@@ -217,6 +274,8 @@ pub struct StageGraph {
     lane_bits: [Vec<u8>; QUAD],
     /// Admission counter (the age clock).
     tick: u64,
+    /// Whether to launch every pool before returning (idle flush).
+    load: Load,
     /// Per-UE: next sequence number to assign at admission.
     next_seq: HashMap<u64, u64>,
     /// Per-UE: next sequence number eligible for delivery.
@@ -257,6 +316,7 @@ impl StageGraph {
             batch_scratch: BatchScratch::default(),
             lane_bits: Default::default(),
             tick: 0,
+            load: Load::default(),
             next_seq: HashMap::new(),
             next_deliver: HashMap::new(),
             held: HashMap::new(),
@@ -291,12 +351,15 @@ impl StageGraph {
     /// *keeping* the ROB, pools and per-UE sequence state — in-flight
     /// packets staged before the panic still retire, and delivery
     /// order is unbroken. (Prepare stages nothing before it returns,
-    /// so a panicking packet leaves no orphaned tasks behind.)
+    /// so a panicking packet leaves no orphaned tasks behind.) The gap
+    /// across the swap is the caller's back-off, not idle time, so the
+    /// next admission is not measured for the idle flush.
     pub fn replace_pipeline(&mut self, mut pipe: UplinkPipeline) {
         if let Some(rec) = &self.recorder {
             pipe.set_recorder(rec.clone());
         }
         self.pipe = pipe;
+        self.load.last_return = None;
     }
 
     /// Packets staged but not yet retired.
@@ -308,7 +371,8 @@ impl StageGraph {
     /// channel in front of [`Self::admit_capture`]'s admission. Runs
     /// the receive path up to the
     /// decode stage, pools the code blocks, and launches any batch
-    /// whose lanes filled or whose deadline neared. Completed packets
+    /// whose lanes filled or whose deadline neared — or, while the
+    /// graph is underloaded, every batch. Completed packets
     /// (this one or earlier ones its launches finished) become
     /// available via [`Self::pop_completed`].
     ///
@@ -331,8 +395,10 @@ impl StageGraph {
 
     /// One admission tick: run `prepare` on the pipeline, give the
     /// admission its sequence number and either retire it (it completed
-    /// serially) or take a ROB slot and pool its blocks.
+    /// serially) or take a ROB slot and pool its blocks; then measure
+    /// the load and, underloaded, launch every pool.
     fn enqueue(&mut self, ue: u64, prepare: impl FnOnce(&UplinkPipeline) -> Admission) {
+        let start = Instant::now();
         self.tick += 1;
         self.pipe.set_trace_ue(ue);
         let admission = prepare(&self.pipe);
@@ -342,6 +408,7 @@ impl StageGraph {
             *s += 1;
             v
         };
+        let staged = matches!(admission, Admission::Staged(_));
         match admission {
             Admission::Ready(result) => {
                 // Completed serially (the scalar decoder of the
@@ -375,16 +442,19 @@ impl StageGraph {
             }
         }
         self.flush_aged();
+        // Only a staging admission is measured (module docs). One that
+        // staged nothing has nothing to launch either: underloaded, the
+        // pools are empty between admissions.
+        if staged && self.load.measure(start, Instant::now()) {
+            self.flush_all(FlushReason::Idle);
+        }
+        self.load.last_return = Some(Instant::now());
     }
 
     /// Flush every pool (end of stream): remaining tasks launch as
     /// pairs and singles, and all in-flight packets retire.
     pub fn drain(&mut self) {
-        for pi in 0..self.pools.len() {
-            if !self.pools[pi].tasks.is_empty() {
-                self.flush_pool(pi, FlushReason::Drain);
-            }
-        }
+        self.flush_all(FlushReason::Drain);
         debug_assert_eq!(self.in_flight, 0, "drain retires everything");
     }
 
@@ -400,16 +470,20 @@ impl StageGraph {
     /// (flushing retires every in-flight packet, so the list refills).
     fn alloc_slot(&mut self) -> u32 {
         if self.free_head == FREE_END {
-            for pi in 0..self.pools.len() {
-                if !self.pools[pi].tasks.is_empty() {
-                    self.flush_pool(pi, FlushReason::Drain);
-                }
-            }
+            self.flush_all(FlushReason::Drain);
             debug_assert_ne!(self.free_head, FREE_END, "flush-all frees slots");
         }
         let slot = self.free_head;
         self.free_head = self.slots[slot as usize].next_free;
         slot
+    }
+
+    /// Launch every non-empty pool, which retires every in-flight
+    /// packet.
+    fn flush_all(&mut self, reason: FlushReason) {
+        for pi in 0..self.pools.len() {
+            self.flush_pool(pi, reason);
+        }
     }
 
     /// Push a retired slot back onto the free list.
@@ -670,21 +744,30 @@ mod tests {
     #[test]
     fn staged_results_match_serial_process() {
         let sizes = [64usize, 128, 300, 512, 600, 900, 1200, 1400, 1500];
-        let mut bs = PacketBuilder::new(1000, 2000);
-        let mut bg = PacketBuilder::new(1000, 2000);
+        let mut b = PacketBuilder::new(1000, 2000);
+        let packets: Vec<_> = sizes
+            .iter()
+            .cycle()
+            .take(40)
+            .map(|&sz| b.build(Transport::Udp, sz).unwrap())
+            .collect();
         // Lanes stop where the serial decoder stops, so the
-        // iteration-for-iteration oracle is plain `process`.
+        // iteration-for-iteration oracle is plain `process`. It runs
+        // first: work between admissions would read as idle time and
+        // launch every block alone.
         let serial = UplinkPipeline::new(cfg());
+        let expect: Vec<_> = packets
+            .iter()
+            .map(|p| signature(&serial.process(p)))
+            .collect();
+        let m = Arc::new(StageGraphMetrics::default());
         let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
-        let mut expect = Vec::new();
-        for (i, &sz) in sizes.iter().cycle().take(40).enumerate() {
-            let ps = bs.build(Transport::Udp, sz).unwrap();
-            let pg = bg.build(Transport::Udp, sz).unwrap();
-            assert_eq!(ps.frame, pg.frame, "builders in lockstep");
-            expect.push(signature(&serial.process(&ps)));
-            graph.admit((i % 5) as u64, &pg);
+        graph.set_metrics(m.clone());
+        for (i, p) in packets.iter().enumerate() {
+            graph.admit((i % 5) as u64, p);
         }
         graph.drain();
+        assert!(m.quad_blocks.get() > 0, "the batch kernels ran");
         let mut got: Vec<(u64, (bool, usize, usize, usize))> = Vec::new();
         while let Some((ue, r)) = graph.pop_completed() {
             got.push((ue, signature(&r)));
@@ -713,17 +796,19 @@ mod tests {
         // cap); 1024 B is two K = 4160 blocks that each stop on theirs.
         // Keyed on K alone the first four would share a launch that is
         // wrong for one kind or the other.
+        let mut b = PacketBuilder::new(1000, 2000);
+        let sizes = [503usize, 1024, 503, 503, 1024, 503];
+        let packets = sizes.map(|sz| b.build(Transport::Udp, sz).unwrap());
+        let serial = UplinkPipeline::new(cfg());
+        let expect: Vec<_> = packets
+            .iter()
+            .map(|p| signature(&serial.process(p)))
+            .collect();
         let m = Arc::new(StageGraphMetrics::default());
         let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
         graph.set_metrics(m.clone());
-        let serial = UplinkPipeline::new(cfg());
-        let mut bs = PacketBuilder::new(1000, 2000);
-        let mut bg = PacketBuilder::new(1000, 2000);
-        let mut expect = Vec::new();
-        for sz in [503usize, 1024, 503, 503, 1024, 503] {
-            let ps = bs.build(Transport::Udp, sz).unwrap();
-            expect.push(signature(&serial.process(&ps)));
-            graph.admit(sz as u64, &bg.build(Transport::Udp, sz).unwrap());
+        for (sz, p) in sizes.iter().zip(&packets) {
+            graph.admit(*sz as u64, p);
         }
         assert_eq!(graph.in_flight(), 0, "both pools filled their lanes");
         assert_eq!(expect[0], (true, 4104, 1, 6));
@@ -865,5 +950,160 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 10);
+    }
+
+    /// The benchmark's twelve classes, {UDP, TCP} × six sizes, round
+    /// twice: four packets per size, so every pool fills a quad when
+    /// nothing launches early. Packet `i` is UE `i % 12`.
+    fn twelve_classes() -> Vec<Packet> {
+        let mut b = PacketBuilder::new(1000, 2000);
+        [Transport::Udp, Transport::Tcp]
+            .into_iter()
+            .flat_map(|t| [64usize, 128, 256, 512, 1024, 1400].map(|sz| (t, sz)))
+            .cycle()
+            .take(24)
+            .map(|(t, sz)| b.build(t, sz).unwrap())
+            .collect()
+    }
+
+    /// Outcome signatures per UE, each in delivery order.
+    fn per_ue(
+        results: impl IntoIterator<Item = (u64, Result<PacketResult, PipelineError>)>,
+    ) -> BTreeMap<u64, Vec<(bool, usize, usize, usize)>> {
+        let mut map: BTreeMap<_, Vec<_>> = BTreeMap::new();
+        for (ue, r) in results {
+            map.entry(ue).or_default().push(signature(&r));
+        }
+        map
+    }
+
+    /// `(quad, pair, single)` blocks and lanes-full flushes of
+    /// [`twelve_classes`] admitted back to back: eight quads.
+    const BACK_TO_BACK: [u64; 4] = [32, 0, 0, 8];
+
+    fn batch_counts(m: &StageGraphMetrics) -> [u64; 4] {
+        [
+            m.quad_blocks.get(),
+            m.pair_blocks.get(),
+            m.single_blocks.get(),
+            m.flush_lanes_full.get(),
+        ]
+    }
+
+    #[test]
+    fn a_paced_graph_launches_every_pool_before_admit_returns() {
+        let packets = twelve_classes();
+        let serial = UplinkPipeline::new(cfg());
+        let expect = per_ue(
+            packets
+                .iter()
+                .enumerate()
+                .map(|(i, p)| ((i % 12) as u64, serial.process(p))),
+        );
+        let m = Arc::new(StageGraphMetrics::default());
+        let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
+        graph.set_metrics(m.clone());
+        let mut got = Vec::new();
+        for (i, p) in packets.iter().enumerate() {
+            // Far longer than an admission takes, even on a loaded host.
+            std::thread::sleep(Duration::from_millis(10));
+            graph.admit((i % 12) as u64, p);
+            // The first admission has no gap before it; the next QUAD
+            // measure idle > busy, and the last of them enters the
+            // underloaded state and launches everything.
+            if i >= QUAD {
+                assert_eq!(graph.in_flight(), 0, "after admission {}", i + 1);
+            }
+            got.extend(std::iter::from_fn(|| graph.pop_completed()));
+        }
+        assert!(m.flush_idle.get() > 0);
+        assert_eq!(m.flush_drain.get(), 0, "nothing was left to drain");
+        assert_eq!(per_ue(got), expect);
+    }
+
+    #[test]
+    fn back_to_back_admissions_never_flush_idle() {
+        let packets = twelve_classes();
+        let m = Arc::new(StageGraphMetrics::default());
+        let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
+        graph.set_metrics(m.clone());
+        for (i, p) in packets.iter().enumerate() {
+            graph.admit((i % 12) as u64, p);
+        }
+        graph.drain();
+        assert_eq!(m.flush_idle.get(), 0);
+        assert_eq!(batch_counts(&m), BACK_TO_BACK);
+    }
+
+    /// The load state after each of 16 admissions of an open loop (the
+    /// benchmark's `sg_paced` generator): packet `i` is due at
+    /// `i × gap_us`, is sent when due or when admission `i − 1`
+    /// returns, whichever is later, and is busy `busy_us(i)`.
+    fn open_loop_states(gap_us: u64, busy_us: impl Fn(u64) -> u64) -> Vec<bool> {
+        let t0 = Instant::now();
+        let at = |us: u64| t0 + Duration::from_micros(us);
+        let mut load = Load::default();
+        let mut end = 0;
+        (0..16)
+            .map(|i| {
+                let start = end.max(i * gap_us);
+                end = start + busy_us(i);
+                let underloaded = load.measure(at(start), at(end));
+                load.last_return = Some(at(end));
+                underloaded
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_slow_admission_does_not_end_the_underloaded_state() {
+        // 400 pkt/s at 300 µs an admission: underloaded from the fifth.
+        let calm = open_loop_states(2_500, |_| 300);
+        assert_eq!(calm[..=QUAD], [false, false, false, false, true]);
+        assert!(calm[QUAD..].iter().all(|&u| u));
+        // One 5 ms admission at 2 ms spacing: it and the two packets
+        // due during it (sent late, back to back) measure busy — three
+        // in a row, one short of leaving.
+        let stalled = open_loop_states(2_000, |i| if i == 8 { 5_000 } else { 300 });
+        assert!(stalled[QUAD..].iter().all(|&u| u), "{stalled:?}");
+        // A sustained overload from admission 8 on leaves on its QUADth.
+        let overload = open_loop_states(2_500, |i| if i < 8 { 300 } else { 3_000 });
+        assert_eq!(overload[8..=8 + QUAD], [true, true, true, false, false]);
+    }
+
+    #[test]
+    fn a_worker_panic_and_its_back_off_do_not_read_as_idle() {
+        use crate::faultinject::{FaultInjector, FaultKind, FaultMix};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Before every admission but the first, the worker dies in
+        // `prepare` and sleeps the way `fan_out` recovers (fresh
+        // pipeline, ≥ 1 ms back-off), then admits the packet again. Were
+        // that gap measured, every admission would read idle > busy.
+        let packets = twelve_classes();
+        let m = Arc::new(StageGraphMetrics::default());
+        let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
+        graph.set_metrics(m.clone());
+        for (i, p) in packets.iter().enumerate() {
+            let ue = (i % 12) as u64;
+            if i > 0 {
+                let mut dying = UplinkPipeline::new(cfg());
+                dying.set_fault_injector(FaultInjector::with_mix(
+                    i as u64,
+                    FaultMix::only(FaultKind::WorkerPanic),
+                ));
+                graph.replace_pipeline(dying);
+                let died = catch_unwind(AssertUnwindSafe(|| graph.admit(ue, p)));
+                assert!(died.is_err(), "admission {} was meant to panic", i + 1);
+                graph.replace_pipeline(UplinkPipeline::new(cfg()));
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            graph.admit(ue, p);
+        }
+        graph.drain();
+        assert_eq!(m.flush_idle.get(), 0);
+        assert_eq!(batch_counts(&m), BACK_TO_BACK);
+        let delivered: Vec<_> = std::iter::from_fn(|| graph.pop_completed()).collect();
+        assert_eq!(delivered.len(), packets.len());
+        assert!(delivered.iter().all(|(_, r)| r.is_ok()));
     }
 }

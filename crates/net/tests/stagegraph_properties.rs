@@ -26,7 +26,7 @@ use vran_net::tx::TxChain;
 use vran_net::{StageGraph, StageGraphConfig};
 use vran_phy::bits::unpack_msb;
 use vran_phy::channel::AwgnChannel;
-use vran_phy::modulation::Modulation;
+use vran_phy::modulation::{Cplx, Modulation};
 use vran_util::rng::SmallRng;
 
 const SIZES: [usize; 7] = [64, 128, 300, 600, 900, 1200, 1400];
@@ -72,63 +72,70 @@ fn check_random_mix(seed: u64, n: usize, ues: u64, inject: bool) {
     check_schedule(cfg(), seed, &schedule, inject);
 }
 
-/// A `(ue, transport, size)` schedule admitted to a stage graph and to
-/// the serial oracle (`process`) in lockstep; per-UE delivery order
-/// must equal per-UE admission order with identical outcome
+/// A `(ue, transport, size)` schedule run through the serial oracle
+/// (`process`) and then admitted to a stage graph; per-UE delivery
+/// order must equal per-UE admission order with identical outcome
 /// signatures. `seed` labels the run and, with `inject`, seeds the
-/// fault injectors.
+/// fault injectors. Returns the graph's batch counters.
 fn check_schedule(
     cfg: PipelineConfig,
     seed: u64,
     schedule: &[(u64, Transport, usize)],
     inject: bool,
-) {
-    check_admissions(cfg, seed, schedule, inject, false);
+) -> Arc<StageGraphMetrics> {
+    check_admissions(cfg, seed, schedule, inject, false)
 }
 
 /// [`check_schedule`]; with `as_captures` the graph is handed each
 /// frame as a capture made outside it (transmit chain + the pipeline's
 /// own channel) through `admit_capture`, the admission without the test
-/// bench — `process` stays the oracle.
+/// bench — `process` stays the oracle. Packets, captures and the
+/// oracle's outcomes are all made before the first admission: work
+/// between admissions would read as idle time and launch every block
+/// alone, leaving the batch kernels untested.
 fn check_admissions(
     cfg: PipelineConfig,
     seed: u64,
     schedule: &[(u64, Transport, usize)],
     inject: bool,
     as_captures: bool,
-) {
-    let mut bs = PacketBuilder::new(1000, 2000);
-    let mut bg = PacketBuilder::new(1000, 2000);
+) -> Arc<StageGraphMetrics> {
+    let mut b = PacketBuilder::new(1000, 2000);
+    let packets: Vec<_> = schedule
+        .iter()
+        .map(|&(_, transport, sz)| b.build(transport, sz).unwrap())
+        .collect();
     let mut serial = UplinkPipeline::new(cfg);
-    let mut graph = StageGraph::with_config(cfg, StageGraphConfig::default());
+    let mut pipe = UplinkPipeline::new(cfg);
     if inject {
         // Same seed on both sides: prepare draws one fault per packet
         // in the same order process does, so the storms are identical.
         serial.set_fault_injector(FaultInjector::new(seed));
-        let mut pipe = UplinkPipeline::new(cfg);
         pipe.set_fault_injector(FaultInjector::new(seed));
-        graph = StageGraph::new(pipe, StageGraphConfig::default());
     }
+    let expect: Vec<_> = packets
+        .iter()
+        .map(|p| signature(&serial.process(p)))
+        .collect();
+    let air: Vec<Air> = if as_captures {
+        packets.iter().map(|p| Air::new(&cfg, &p.frame)).collect()
+    } else {
+        Vec::new()
+    };
 
-    let n = schedule.len();
-    let ues = schedule.iter().map(|s| s.0 + 1).max().unwrap_or(0);
-    let mut admitted: Vec<u64> = Vec::new(); // UE per admission index
-    let mut expect: Vec<(bool, usize, usize, usize)> = Vec::new();
-    for &(ue, transport, sz) in schedule {
-        let ps = bs.build(transport, sz).unwrap();
-        let pg = bg.build(transport, sz).unwrap();
-        assert_eq!(ps.frame, pg.frame, "builders in lockstep");
-        expect.push(signature(&serial.process(&ps)));
-        admitted.push(ue);
+    let m = Arc::new(StageGraphMetrics::default());
+    let mut graph = StageGraph::new(pipe, StageGraphConfig::default());
+    graph.set_metrics(m.clone());
+    for (i, (&(ue, ..), p)) in schedule.iter().zip(&packets).enumerate() {
         if as_captures {
-            with_capture(&cfg, &pg.frame, |cap| {
-                graph.admit_capture(ue, cap, &pg.frame)
-            });
+            graph.admit_capture(ue, &air[i].capture(), &p.frame);
         } else {
-            graph.admit(ue, &pg);
+            graph.admit(ue, p);
         }
     }
     graph.drain();
+    let n = schedule.len();
+    let ues = schedule.iter().map(|s| s.0 + 1).max().unwrap_or(0);
 
     let mut got: Vec<(u64, (bool, usize, usize, usize))> = Vec::new();
     while let Some((ue, r)) = graph.pop_completed() {
@@ -143,8 +150,8 @@ fn check_admissions(
             .collect();
         let want: Vec<_> = expect
             .iter()
-            .zip(&admitted)
-            .filter(|(_, u)| **u == ue)
+            .zip(schedule)
+            .filter(|(_, s)| s.0 == ue)
             .map(|(s, _)| *s)
             .collect();
         assert_eq!(
@@ -152,27 +159,45 @@ fn check_admissions(
             "seed {seed} UE {ue}: delivery must be admission-ordered and serial-equivalent"
         );
     }
+    m
 }
 
 /// `frame` as the loopback would put it on the air — L2 framing, the
-/// transmit chain under the pipeline's grant, the pipeline's channel —
-/// handed to `then` as a capture.
-fn with_capture(cfg: &PipelineConfig, frame: &[u8], then: impl FnOnce(&Capture<'_>)) {
-    let pdu = BearerTx::default()
-        .encapsulate(frame, frame.len() + L2_OVERHEAD)
-        .expect("TB sized to fit");
-    let mut tx = TxChain::default();
-    let grant = UplinkPipeline::new(*cfg).grant();
-    let seg = tx
-        .tx(&unpack_msb(&pdu, pdu.len() * 8), &grant, &mut ())
-        .expect("grid frames segment");
-    let mut channel = AwgnChannel::new(cfg.snr_db, cfg.seed);
-    then(&Capture {
-        samples: &channel.apply(&tx.samples),
-        n_symbols: tx.symbols.len(),
-        tb_bits: seg.b,
-        llr_scale: Capture::llr_scale_of(&channel),
-    });
+/// transmit chain under the pipeline's grant, the pipeline's channel.
+struct Air {
+    samples: Vec<Cplx>,
+    n_symbols: usize,
+    tb_bits: usize,
+    llr_scale: f32,
+}
+
+impl Air {
+    fn new(cfg: &PipelineConfig, frame: &[u8]) -> Self {
+        let pdu = BearerTx::default()
+            .encapsulate(frame, frame.len() + L2_OVERHEAD)
+            .expect("TB sized to fit");
+        let mut tx = TxChain::default();
+        let grant = UplinkPipeline::new(*cfg).grant();
+        let seg = tx
+            .tx(&unpack_msb(&pdu, pdu.len() * 8), &grant, &mut ())
+            .expect("grid frames segment");
+        let mut channel = AwgnChannel::new(cfg.snr_db, cfg.seed);
+        Self {
+            samples: channel.apply(&tx.samples),
+            n_symbols: tx.symbols.len(),
+            tb_bits: seg.b,
+            llr_scale: Capture::llr_scale_of(&channel),
+        }
+    }
+
+    fn capture(&self) -> Capture<'_> {
+        Capture {
+            samples: &self.samples,
+            n_symbols: self.n_symbols,
+            tb_bits: self.tb_bits,
+            llr_scale: self.llr_scale,
+        }
+    }
 }
 
 #[test]
@@ -207,8 +232,13 @@ fn staged_path_matches_process_over_the_parity_grid() {
                 snr_db,
                 ..Default::default()
             };
-            check_schedule(cfg, label as u64, &schedule, false);
-            check_admissions(cfg, label as u64, &schedule, false, true);
+            for as_captures in [false, true] {
+                let m = check_admissions(cfg, label as u64, &schedule, false, as_captures);
+                assert!(
+                    m.quad_blocks.get() + m.pair_blocks.get() > 0,
+                    "{modulation:?} at {snr_db} dB: the staged path ran no batch kernel"
+                );
+            }
         }
     }
 }
@@ -221,16 +251,16 @@ fn a_capture_that_carries_another_frame_is_a_crc_mismatch() {
     let other = b.build(Transport::Udp, 600).unwrap().frame;
     assert_ne!(sent, other);
     let mut graph = StageGraph::with_config(cfg, StageGraphConfig::default());
-    with_capture(&cfg, &sent, |cap| {
-        graph.admit_capture(0, cap, &sent);
-        graph.admit_capture(0, cap, &other);
-        // a capture the front end refuses retires without staging
-        let short = Capture {
-            samples: &cap.samples[..cap.samples.len() - 1],
-            ..*cap
-        };
-        graph.admit_capture(0, &short, &sent);
-    });
+    let air = Air::new(&cfg, &sent);
+    let cap = air.capture();
+    graph.admit_capture(0, &cap, &sent);
+    graph.admit_capture(0, &cap, &other);
+    // a capture the front end refuses retires without staging
+    let short = Capture {
+        samples: &cap.samples[..cap.samples.len() - 1],
+        ..cap
+    };
+    graph.admit_capture(0, &short, &sent);
     graph.drain();
     let outcomes: Vec<_> = std::iter::from_fn(|| graph.pop_completed())
         .map(|(_, r)| r.map(|_| ()).map_err(|e| e.category()))

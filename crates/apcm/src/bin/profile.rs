@@ -85,9 +85,9 @@ fn build_trace(args: &Args) -> Trace {
             t.expect("tracing")
         }
         "decoder" => {
+            use apcm::turbo::simd_decoder::SimdTurboDecoder;
             use vran_phy::bits::random_bits;
             use vran_phy::llr::{bit_to_llr, TurboLlrs};
-            use vran_phy::turbo::simd_decoder::SimdTurboDecoder;
             use vran_phy::turbo::TurboEncoder;
             let k = vran_phy::interleaver::QppInterleaver::next_legal_k(args.k.min(6144))
                 .expect("legal K");

@@ -1,13 +1,13 @@
 //! Window-batching measurement (`abl-batch`): the real batched decoder
-//! from `vran-phy::turbo::batch_decoder` vs serial single-block
+//! from [`crate::turbo::batch_decoder`] vs serial single-block
 //! decodes, validating the √B batching-efficiency factor the latency
 //! model assumes (EXPERIMENTS.md "Calibration").
 
 use crate::report::{Figure, Row};
+use crate::turbo::batch_decoder::BatchTurboDecoder;
+use crate::turbo::simd_decoder::SimdTurboDecoder;
 use vran_phy::bits::random_bits;
 use vran_phy::llr::{bit_to_llr, TurboLlrs};
-use vran_phy::turbo::batch_decoder::BatchTurboDecoder;
-use vran_phy::turbo::simd_decoder::SimdTurboDecoder;
 use vran_phy::turbo::TurboEncoder;
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim};

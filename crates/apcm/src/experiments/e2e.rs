@@ -14,9 +14,9 @@
 //! core) is the operationally meaningful framing of the same gain.
 
 use crate::experiments::DECODER_ITERATIONS;
+use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
 use vran_arrange::{ApcmVariant, Mechanism};
-use vran_net::latency::LatencyModel;
 use vran_net::packet::Transport;
 use vran_simd::RegWidth;
 use vran_uarch::CoreConfig;

@@ -6,10 +6,10 @@
 //! (>50 % of the processing time, §5).
 
 use crate::experiments::DECODER_ITERATIONS;
+use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
 use crate::workloads;
 use vran_arrange::Mechanism;
-use vran_net::latency::LatencyModel;
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim, SimReport};
 

@@ -6,9 +6,9 @@
 //! registers widen while the original arrangement does not.
 
 use crate::experiments::DECODER_ITERATIONS;
+use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
 use vran_arrange::{ApcmVariant, Mechanism};
-use vran_net::latency::LatencyModel;
 use vran_simd::RegWidth;
 use vran_uarch::CoreConfig;
 

@@ -7,9 +7,9 @@
 //! (−49 % at 256, −51 % more at 512).
 
 use crate::experiments::DECODER_ITERATIONS;
+use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
 use vran_arrange::{ApcmVariant, Mechanism};
-use vran_net::latency::LatencyModel;
 use vran_net::packet::Transport;
 use vran_simd::RegWidth;
 use vran_uarch::CoreConfig;

@@ -5,9 +5,9 @@
 //! 25.5→32.9 (AVX512); cores for 300 Mbps 18→16, 14→12, 12→9.
 
 use crate::experiments::DECODER_ITERATIONS;
+use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
 use vran_arrange::{ApcmVariant, Mechanism};
-use vran_net::latency::LatencyModel;
 use vran_simd::RegWidth;
 use vran_uarch::CoreConfig;
 

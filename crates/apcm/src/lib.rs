@@ -21,6 +21,29 @@
 //! `results/` as text, CSV and JSON) or a single one with e.g.
 //! `-- fig15`; `--bin check` prints the paper-vs-measured verdicts.
 //!
+//! The figures need two things the product crates (`vran-phy`,
+//! `vran-net`) do not ship, and both live here. Each module keeps the
+//! name of the product module it shadows.
+//!
+//! **Instruments** — `vran-simd` VM twins of production kernels, traced
+//! into the `vran-uarch` simulator the way the paper profiles OAI with
+//! VTune, and checked against `vran-phy`'s scalar oracles:
+//!
+//! * [`turbo`] — the max-log-MAP decoder, single-block
+//!   ([`turbo::simd_decoder`]) and one block per 128-bit lane group
+//!   ([`turbo::batch_decoder`]);
+//! * [`modulation_simd`] — the Q11 16-QAM soft demapper;
+//! * [`scrambler`] — the LLR descrambler.
+//!
+//! **Model** — cycle counts turned into packet times, cores and tails:
+//!
+//! * [`latency`] — [`latency::LatencyModel`], per-packet processing
+//!   time and capacity (Figs 9, 13, 14, 16);
+//! * [`cellsim`] — M cells × many UEs under scheduling, bursty/diurnal
+//!   arrivals and HARQ storms, charged by the latency model;
+//! * [`chaos`] — a windowed storm over [`cellsim`] with a measured
+//!   time-to-recover (the runner-scale storm is `vran_net::chaos`).
+//!
 //! # Example
 //!
 //! ```
@@ -30,9 +53,15 @@
 //! assert!(orig > 0.35 && apcm < 0.10); // the paper's 45 % → 3 %
 //! ```
 
+pub mod cellsim;
+pub mod chaos;
 pub mod experiments;
+pub mod latency;
+pub mod modulation_simd;
 pub mod report;
+pub mod scrambler;
 pub mod server;
+pub mod turbo;
 pub mod workloads;
 
 pub use report::{Figure, Row};

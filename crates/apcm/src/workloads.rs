@@ -160,11 +160,11 @@ pub fn scrambling_twin(bits: usize) -> Trace {
 }
 
 /// Receiver-side descrambling: the *real* SIMD LLR sign-flip kernel
-/// from `vran-phy::scrambler::descramble_llrs_simd`, traced — not a
-/// twin. Replaces the scrambling twin on the uplink (Figures 3/5),
-/// where the profiled work is LLR-domain.
+/// [`crate::scrambler::descramble_llrs_simd`], traced — not a twin.
+/// Replaces the scrambling twin on the uplink (Figures 3/5), where the
+/// profiled work is LLR-domain.
 pub fn descrambling_trace(llrs: usize) -> Trace {
-    use vran_phy::scrambler::descramble_llrs_simd;
+    use crate::scrambler::descramble_llrs_simd;
     let mut mem = vran_simd::Mem::new();
     let vals: Vec<i16> = (0..llrs).map(|i| (i % 255) as i16 - 127).collect();
     let region = mem.alloc_from(&vals);
@@ -227,11 +227,11 @@ pub fn turbo_encode_twin(bits: usize) -> Trace {
 }
 
 /// Soft-demapper workload: the *real* fixed-point 16-QAM SIMD demapper
-/// from `vran-phy::modulation_simd`, traced — `_mm_adds`/`_mm_subs`/
+/// from [`crate::modulation_simd`], traced — `_mm_adds`/`_mm_subs`/
 /// `_mm_max` over symbol blocks, the "Demodulation" bar of Figures
 /// 3/5.
 pub fn demodulation_twin(symbols: usize) -> Trace {
-    use vran_phy::modulation_simd::demap_qam16_simd;
+    use crate::modulation_simd::demap_qam16_simd;
     let n = (2 * symbols).max(16); // I+Q samples
     let mut mem = vran_simd::Mem::new();
     let iq: Vec<i16> = (0..n).map(|i| ((i * 97) % 4096) as i16 - 2048).collect();

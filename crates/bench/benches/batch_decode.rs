@@ -2,12 +2,12 @@
 //! wall-clock complements to the `abl-batch` and `gen-stride`
 //! experiments.
 
+use apcm::turbo::batch_decoder::BatchTurboDecoder;
+use apcm::turbo::simd_decoder::SimdTurboDecoder;
 use vran_arrange::StrideKernel;
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::turbo_workload;
 use vran_phy::crc::CRC24B;
-use vran_phy::turbo::batch_decoder::BatchTurboDecoder;
-use vran_phy::turbo::simd_decoder::SimdTurboDecoder;
 use vran_phy::turbo::{BatchScratch, BlockLlrs, NativeBatchTurboDecoder, NativeTurboDecoder};
 use vran_simd::RegWidth;
 

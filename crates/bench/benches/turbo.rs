@@ -2,11 +2,11 @@
 //! scalar fixed-point decoder (the pipeline's workhorse) and the
 //! encoder, plus one SIMD-decoder (VM) data point.
 
+use apcm::turbo::simd_decoder::SimdTurboDecoder;
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::turbo_workload;
 use vran_phy::bits::random_bits;
 use vran_phy::crc::CRC24B;
-use vran_phy::turbo::simd_decoder::SimdTurboDecoder;
 use vran_phy::turbo::{DecodeScratch, DecoderIsa, NativeTurboDecoder, TurboDecoder, TurboEncoder};
 use vran_simd::RegWidth;
 

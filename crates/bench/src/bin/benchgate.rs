@@ -11,9 +11,10 @@
 //! booleans over paired cycle times), `uplink_stagegraph` (the
 //! out-of-order runtime's outcome and batch-formation counters), `cell_scale_smoke` (the
 //! deterministic cell-scale preset with its p50/p95/p99 tail
-//! latencies) and `chaos_recovery` (the phased storm schedules of
-//! `vran_net::chaos`: time-to-recover, breaker trips, worker restarts,
-//! and the flight-recorder's <2 % overhead boolean). Three are
+//! latencies) and `chaos_recovery` (the cell-scale storm of
+//! `apcm::chaos` with its time-to-recover, the runner storm of
+//! `vran_net::chaos` with its breaker trips and worker restarts, and
+//! the flight-recorder's <2 % overhead boolean). Three are
 //! recorded and never gate: `fused_ingest_uarch` (the simulator's
 //! port-pressure profile behind the arrangement boolean; the hard
 //! assertions live in the fig15 tests), `cell_scale_full` (the diurnal
@@ -40,17 +41,18 @@
 //!           [--flight-dump <path>]
 //! ```
 
+use apcm::chaos::{run_cell_chaos, CellChaosConfig};
 use std::process::ExitCode;
 use std::time::Instant;
 use vran_arrange::{best_fused, ApcmVariant, ArrangeKernel, FusedImpl, Mechanism};
 use vran_bench::cellscale::{cell_scale_full_suite, cell_scale_smoke_suite};
 use vran_bench::gate::{compare, BenchReport, Suite};
 use vran_bench::interleaved_workload;
-use vran_net::chaos::{run_cell_chaos, run_runner_chaos, CellChaosConfig, RunnerChaosConfig};
+use vran_net::chaos::{run_runner_chaos, RunnerChaosConfig};
 use vran_net::downlink::{DownlinkConfig, DownlinkPipeline};
 use vran_net::error::ErrorCategory;
 use vran_net::faultinject::{FaultInjector, FaultKind};
-use vran_net::metrics::{PipelineMetrics, RunnerMetrics, Stage, StageGraphMetrics, UarchMetrics};
+use vran_net::metrics::{PipelineMetrics, RunnerMetrics, Stage, StageGraphMetrics};
 use vran_net::observe::FlightRecorder;
 use vran_net::packet::PacketBuilder;
 use vran_net::pipeline::{PipelineConfig, Profile, UplinkPipeline};
@@ -183,13 +185,11 @@ fn arrange_sim_suite() -> Suite {
             let kern = ArrangeKernel::new(width, mech);
             let (_, trace) = kern.arrange(&input, true);
             let report = sim.run(&trace.expect("trace requested"));
-            let m = UarchMetrics::new(true);
-            m.record_report(&report);
             let prefix = format!("{}.{}", width.name(), mech.name());
             suite.push(format!("{prefix}.cycles"), report.cycles as f64);
             suite.push(format!("{prefix}.uops"), report.uops as f64);
-            suite.push(format!("{prefix}.upc"), m.upc());
-            for (p, pressure) in m.port_pressure().iter().enumerate() {
+            suite.push(format!("{prefix}.upc"), report.upc);
+            for (p, pressure) in report.port_util.iter().enumerate() {
                 suite.push(format!("{prefix}.port{p}.pressure"), *pressure);
             }
             cycles_of.push((mech.name(), report.cycles));

@@ -1,6 +1,6 @@
 //! Benchgate suites for the cell-scale workload harness.
 //!
-//! Two suites over [`vran_net::cellsim`]:
+//! Two suites over [`apcm::cellsim`]:
 //!
 //! * `cell_scale_smoke` — **gated**. The deterministic
 //!   [`CellSimConfig::smoke`] preset (2 cells × 48 UEs × 1200 TTIs of
@@ -13,7 +13,7 @@
 //!   cells × 300 Mbps of this traffic shape.
 
 use crate::gate::Suite;
-use vran_net::cellsim::{run_cell_sim, CellSimConfig};
+use apcm::cellsim::{run_cell_sim, CellSimConfig};
 
 /// Pinned seed of the gated smoke preset. Changing it is a baseline
 /// refresh, not a tolerance question.

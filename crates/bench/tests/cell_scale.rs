@@ -3,9 +3,9 @@
 //! must carry a tolerance class, and a p99 tail regression must fail
 //! the gate.
 
+use apcm::cellsim::{run_cell_sim, CellSimConfig};
 use vran_bench::cellscale::{cell_scale_smoke_suite, SMOKE_SEED};
 use vran_bench::gate::{compare, BenchReport, ToleranceClass};
-use vran_net::cellsim::{run_cell_sim, CellSimConfig};
 
 /// Two invocations at the pinned seed must serialize byte-identically
 /// (the ISSUE's determinism acceptance criterion, minus the

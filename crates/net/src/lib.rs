@@ -22,13 +22,10 @@
 //!   channel → `rx`) and its policies: configuration, fault injection,
 //!   deadline, degradation ladder, metrics.
 //! * [`downlink`] — PDCCH + PDSCH subframes with an honest UE.
-//! * [`latency`] — the per-packet processing-time and capacity models
-//!   that turn `vran-uarch` cycle counts into Figure 13/14/16 numbers.
 //! * [`runner`] — a threaded source→PHY→sink driver for sustained
 //!   throughput measurements, with panic-isolated multicore workers.
-//! * [`cellsim`] — cell-scale workload generation: M cells × many UEs,
-//!   per-TTI scheduling, bursty/diurnal arrivals, HARQ storms, and
-//!   per-packet tail-latency accounting.
+//! * [`scheduler`], [`amc`], [`harq`] — per-TTI scheduling, link
+//!   adaptation and chase-combining retransmission.
 //! * [`stagegraph`] — the out-of-order stage-graph runtime: decode
 //!   tasks from different packets pool by K and launch as quad-in-zmm /
 //!   pair-in-ymm batches, retiring through a ROB with per-UE in-order
@@ -40,8 +37,12 @@
 //! * [`observe`] — flight-recorder observability: a lock-free
 //!   per-packet trace ring, consistent metrics snapshots, and the
 //!   per-stage circuit breakers of the degradation ladder.
-//! * [`chaos`] — a deterministic chaos scheduler (phased storms over
-//!   [`cellsim`] and [`runner`]) with a CI-gated time-to-recover.
+//! * [`chaos`] — a deterministic chaos scheduler: phased storms over
+//!   [`runner`] with circuit breakers armed, CI-gated.
+//!
+//! The models that turn `vran-uarch` cycle counts into the paper's
+//! figures — the latency model, the cell-scale simulator and its
+//! windowed storm — build on this crate and live in `apcm`.
 //!
 //! # Example
 //!
@@ -62,14 +63,12 @@
 #![deny(clippy::too_many_lines)]
 
 pub mod amc;
-pub mod cellsim;
 pub mod chaos;
 pub mod downlink;
 pub mod error;
 pub mod faultinject;
 pub mod harq;
 pub mod l2;
-pub mod latency;
 pub mod metrics;
 pub mod observe;
 pub mod packet;

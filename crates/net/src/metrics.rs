@@ -23,9 +23,6 @@
 //! * [`StageGraphMetrics`] — batch-formation counters (quad/pair/single
 //!   launches, flush reasons, zmm lane occupancy) from the out-of-order
 //!   stage-graph runtime in [`crate::stagegraph`].
-//! * [`UarchMetrics`] — cycle, µop and per-port pressure counters
-//!   accumulated from `vran-uarch` [`SimReport`]s, so simulator runs
-//!   land in the same snapshot namespace as wall-clock metrics.
 //!
 //! Every registry exports a flat `name → value` snapshot (and a
 //! [`Json`] document) — the stable schema `benchgate` compares across
@@ -34,7 +31,6 @@
 use crate::error::ErrorCategory;
 use std::sync::atomic::{AtomicU64, Ordering};
 use vran_phy::turbo::native_batch::LaneOutcome;
-use vran_uarch::{Port, SimReport};
 use vran_util::Json;
 
 /// A monotonic event counter (wrapping on overflow, like hardware
@@ -1001,101 +997,6 @@ impl StageGraphMetrics {
     }
 }
 
-/// Cycle and port-pressure counters accumulated from `vran-uarch`
-/// simulator runs, so micro-architectural metrics share the snapshot
-/// namespace with wall-clock ones.
-#[derive(Debug)]
-pub struct UarchMetrics {
-    enabled: bool,
-    /// Simulator runs ingested.
-    pub runs: Counter,
-    /// Simulated core cycles.
-    pub cycles: Counter,
-    /// µops dispatched.
-    pub uops: Counter,
-    /// Instructions retired.
-    pub instructions: Counter,
-    /// Busy cycles per execution port.
-    pub port_busy: [Counter; Port::COUNT],
-}
-
-impl Default for UarchMetrics {
-    fn default() -> Self {
-        Self::new(true)
-    }
-}
-
-impl UarchMetrics {
-    /// New registry.
-    pub fn new(enabled: bool) -> Self {
-        Self {
-            enabled,
-            runs: Counter::new(),
-            cycles: Counter::new(),
-            uops: Counter::new(),
-            instructions: Counter::new(),
-            port_busy: std::array::from_fn(|_| Counter::new()),
-        }
-    }
-
-    /// Whether recording is live.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Fold one simulator report into the totals (no-op when
-    /// disabled).
-    pub fn record_report(&self, r: &SimReport) {
-        if !self.enabled {
-            return;
-        }
-        self.runs.inc();
-        self.cycles.add(r.cycles);
-        self.uops.add(r.uops);
-        self.instructions.add(r.instructions);
-        for (c, &b) in self.port_busy.iter().zip(r.port_busy.iter()) {
-            c.add(b);
-        }
-    }
-
-    /// Aggregate µops per cycle across all ingested runs.
-    pub fn upc(&self) -> f64 {
-        let c = self.cycles.get();
-        if c == 0 {
-            0.0
-        } else {
-            self.uops.get() as f64 / c as f64
-        }
-    }
-
-    /// Port pressure: busy fraction of total cycles, per port.
-    pub fn port_pressure(&self) -> [f64; Port::COUNT] {
-        let c = self.cycles.get().max(1) as f64;
-        std::array::from_fn(|p| self.port_busy[p].get() as f64 / c)
-    }
-
-    /// Flat snapshot.
-    pub fn snapshot(&self) -> Vec<(String, f64)> {
-        let mut out = vec![
-            ("runs".into(), self.runs.get() as f64),
-            ("cycles".into(), self.cycles.get() as f64),
-            ("uops".into(), self.uops.get() as f64),
-            ("instructions".into(), self.instructions.get() as f64),
-            ("upc".into(), self.upc()),
-        ];
-        for (p, pressure) in self.port_pressure().iter().enumerate() {
-            out.push((format!("port{p}.pressure"), *pressure));
-        }
-        out
-    }
-
-    /// Snapshot as a JSON object.
-    pub fn to_json(&self) -> Json {
-        snapshot_json(self.snapshot())
-    }
-}
-
 /// Build an insertion-ordered JSON object from a flat snapshot.
 fn snapshot_json(entries: Vec<(String, f64)>) -> Json {
     Json::Obj(
@@ -1186,10 +1087,6 @@ mod tests {
             r.push_stalls.get() + r.pop_stalls.get() + r.packets.get(),
             0
         );
-
-        let u = UarchMetrics::new(false);
-        u.record_report(&SimReport::default());
-        assert_eq!(u.runs.get(), 0);
     }
 
     #[test]
@@ -1248,27 +1145,6 @@ mod tests {
         let get = |k: &str| snap.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
         assert_eq!(get("worker_restarts"), Some(1.0));
         assert_eq!(get("quarantined"), Some(1.0));
-    }
-
-    #[test]
-    fn uarch_metrics_accumulate_reports() {
-        let u = UarchMetrics::new(true);
-        let mut port_busy = [0u64; Port::COUNT];
-        port_busy[0] = 80;
-        let rep = SimReport {
-            cycles: 100,
-            uops: 250,
-            instructions: 200,
-            port_busy,
-            ..Default::default()
-        };
-        u.record_report(&rep);
-        u.record_report(&rep);
-        assert_eq!(u.runs.get(), 2);
-        assert_eq!(u.cycles.get(), 200);
-        assert!((u.upc() - 2.5).abs() < 1e-12);
-        assert!((u.port_pressure()[0] - 0.8).abs() < 1e-12);
-        assert_eq!(u.port_pressure()[7], 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Native fixed-point max-log demappers.
 //!
 //! The Q-format ladder prototyped on the `vran-simd` VM
-//! ([`crate::modulation_simd`]) promoted to real `std::arch` kernels,
+//! (`apcm::modulation_simd`) promoted to real `std::arch` kernels,
 //! plus the 64-QAM tier the VM never had, with the established
 //! AVX-512BW → AVX2 → SSE2 → scalar runtime dispatch ([`DemapImpl`]).
 //!

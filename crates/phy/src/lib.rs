@@ -10,14 +10,10 @@
 //! convolutional code with a
 //! tail-biting Viterbi decoder (DCI path).
 //!
-//! Two execution styles coexist, mirroring DESIGN.md §5.1:
-//!
-//! * plain Rust implementations used by the end-to-end pipeline,
-//!   correctness tests and native wall-clock benches;
-//! * `vran-simd` VM kernels for the SIMD-accelerated hot paths (the
-//!   max-log-MAP decoder in [`turbo::simd_decoder`]) whose traces feed
-//!   the `vran-uarch` simulator — these *are* the functional
-//!   implementation when run in native mode, not a model.
+//! Every module is a production kernel (runtime-dispatched `std::arch`
+//! tiers) or the scalar oracle it is checked against. The `vran-simd`
+//! VM twins that feed the `vran-uarch` simulator for the paper's
+//! figures are instruments and live with the experiments, in `apcm`.
 //!
 //! The data the paper's arrangement process shuffles — interleaved
 //! systematic/parity LLR triples — is produced here ([`llr`]) and
@@ -58,7 +54,6 @@ pub mod equalizer;
 pub mod interleaver;
 pub mod llr;
 pub mod modulation;
-pub mod modulation_simd;
 pub mod ofdm;
 pub mod rate_match;
 pub mod scrambler;

@@ -2,10 +2,11 @@
 //!
 //! This is the reference ("oracle") implementation: it performs exactly
 //! the same i16 saturating operations, in the same order, as the SIMD
-//! kernel in [`super::simd_decoder`], so the two are bit-exact. That
-//! contract is what lets the arrangement experiments claim functional
-//! equivalence: baseline-arranged and APCM-arranged inputs feed the same
-//! decoder and must produce identical transport blocks.
+//! kernels — [`super::native_decoder`] and `apcm`'s VM instrument — so
+//! they are bit-exact. That contract is what lets the arrangement
+//! experiments claim functional equivalence: baseline-arranged and
+//! APCM-arranged inputs feed the same decoder and must produce
+//! identical transport blocks.
 //!
 //! Algorithm notes:
 //!
@@ -88,16 +89,18 @@ impl Gamma {
     }
 }
 
-/// Extrinsic scaling by 0.75: `(e >> 1) + (e >> 2)`.
+/// Extrinsic scaling by 0.75: `(e >> 1) + (e >> 2)`. Public so every
+/// decoder twin — native tiers here, VM instruments in `apcm` — scales
+/// exactly as the oracle does.
 #[inline]
-pub(crate) fn scale_extrinsic(e: Llr) -> Llr {
+pub fn scale_extrinsic(e: Llr) -> Llr {
     adds16(srai16(e, 1), srai16(e, 2))
 }
 
 /// Walk the three termination steps backward to produce β at step K.
-/// Shared by both decoder implementations (tail work is O(1) and
-/// special-cased in OAI too).
-pub(crate) fn beta_init_from_tails(tail_sys: &[Llr; 3], tail_par: &[Llr; 3]) -> [Llr; STATES] {
+/// Shared by every decoder implementation, the VM instruments in `apcm`
+/// included (tail work is O(1) and special-cased in OAI too).
+pub fn beta_init_from_tails(tail_sys: &[Llr; 3], tail_par: &[Llr; 3]) -> [Llr; STATES] {
     let mut beta = [NEG_INF; STATES];
     beta[0] = 0;
     for t in (0..3).rev() {

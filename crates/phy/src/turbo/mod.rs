@@ -8,30 +8,26 @@
 //! bits (12 transmitted tail bits total).
 //!
 //! * [`trellis`] — the state-transition tables shared by encoder and
-//!   decoders (and the SIMD decoder's shuffle patterns).
+//!   decoders (and the SIMD decoders' shuffle patterns).
 //! * [`encoder`] — bit-level encoder producing the spec's `d⁽⁰⁾ d⁽¹⁾ d⁽²⁾`
 //!   streams.
 //! * [`decoder`] — scalar fixed-point (i16 saturating) max-log-MAP
 //!   iterative decoder; the bit-exact oracle.
-//! * [`simd_decoder`] — the same arithmetic expressed as `vran-simd`
-//!   VM kernels (the OAI `_mm_adds/_mm_subs/_mm_max` style), usable in
-//!   native mode (functional) or tracing mode (feeds `vran-uarch`).
-
 //! * [`native_decoder`] — the same arithmetic as real `std::arch`
 //!   intrinsics with runtime ISA dispatch: the wall-clock fast path
 //!   used by the uplink pipeline.
+//! * [`native_batch`] — two or four blocks per ymm/zmm register, one
+//!   per 128-bit lane group: the stage graph's batched decoder.
 //! * [`packed_encoder`] — bitsliced packed-word encoder exploiting the
 //!   code's GF(2) linearity: 64 trellis steps per `u64` (128/256 per
 //!   register under SSE2/AVX2), the transmit-side fast path used by
 //!   the downlink pipeline.
 
-pub mod batch_decoder;
 pub mod decoder;
 pub mod encoder;
 pub mod native_batch;
 pub mod native_decoder;
 pub mod packed_encoder;
-pub mod simd_decoder;
 pub mod trellis;
 
 pub use decoder::{DecodeOutcome, TurboDecoder};

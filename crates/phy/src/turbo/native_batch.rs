@@ -1,10 +1,11 @@
 //! AVX2/AVX-512BW multi-block-per-register native batch turbo
 //! decoding.
 //!
-//! The real-hardware counterpart of [`super::batch_decoder`]: the
-//! 8-state α/β recursions cannot widen, so a ymm register carries
-//! *two* independent code blocks and a zmm register carries *four*,
-//! one per 128-bit lane. AVX2's `_mm256_shuffle_epi8`,
+//! The real-hardware counterpart of the VM batch decoder
+//! `apcm::turbo::batch_decoder`: the 8-state α/β recursions cannot
+//! widen, so a ymm register carries *two* independent code blocks and
+//! a zmm register carries *four*, one per 128-bit lane. AVX2's
+//! `_mm256_shuffle_epi8`,
 //! `_mm256_srli_si256` and the `shufflelo/hi` family all operate
 //! per-128-bit-lane — exactly the per-block state gathers the
 //! recursion needs, with zero cross-block traffic — and AVX-512BW's

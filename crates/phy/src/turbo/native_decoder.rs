@@ -1,6 +1,6 @@
 //! Real-intrinsics max-log-MAP turbo decoder for the host CPU.
 //!
-//! The VM kernel in [`super::simd_decoder`] is an *instrument*: it
+//! The VM kernel `apcm::turbo::simd_decoder` is an *instrument*: it
 //! interprets the decoder's SIMD instruction stream so `vran-uarch`
 //! can account ports and µops. This module is the *fast path*: the
 //! same algorithm written against `std::arch` so the uplink pipeline

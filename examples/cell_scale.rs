@@ -8,7 +8,7 @@
 //! cargo run --release -p apcm --example cell_scale
 //! ```
 
-use vran_net::cellsim::{run_cell_sim, CellSimConfig, CellSimReport};
+use apcm::cellsim::{run_cell_sim, CellSimConfig, CellSimReport};
 
 fn fmt_ns(ns: u64) -> String {
     match ns {

@@ -61,9 +61,9 @@ fn golden_trace_shapes() {
 
 #[test]
 fn golden_decoder_cycles() {
+    use apcm::turbo::simd_decoder::SimdTurboDecoder;
     use vran_phy::bits::random_bits;
     use vran_phy::llr::{bit_to_llr, TurboLlrs};
-    use vran_phy::turbo::simd_decoder::SimdTurboDecoder;
     use vran_phy::turbo::TurboEncoder;
 
     let k = 128;

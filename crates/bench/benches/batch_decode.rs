@@ -32,33 +32,37 @@ fn bench_batch_decoder(c: &mut Criterion) {
 }
 
 fn bench_native_batch(c: &mut Criterion) {
-    // Real-hardware pair decode: two blocks per ymm vs two sequential
-    // single-block native decodes on the same inputs.
-    let k = 6144;
-    let pair = [turbo_workload(k, 30).1, turbo_workload(k, 31).1];
+    // Real-hardware launches against as many sequential single-block
+    // native decodes of the same blocks: a pair (one zmm) against two,
+    // a quad (two zmm) against four.
     let mut g = c.benchmark_group("batch_decode_native");
     g.sample_size(10);
-    g.throughput(Throughput::Elements(2 * k as u64));
-    g.bench_function("single_x2", |b| {
-        let dec = NativeTurboDecoder::new(k, 4);
-        b.iter(|| {
-            (
-                dec.decode(std::hint::black_box(&pair[0])),
-                dec.decode(std::hint::black_box(&pair[1])),
-            )
-        })
-    });
-    g.bench_function("pair_ymm", |b| {
-        let dec = NativeBatchTurboDecoder::new(k, 4);
-        b.iter(|| dec.decode_pair(std::hint::black_box(&pair)))
-    });
+    for k in [512usize, 6144] {
+        let blocks: [_; 4] = core::array::from_fn(|i| turbo_workload(k, 30 + i as u64).1);
+        let single = NativeTurboDecoder::new(k, 4);
+        let batch = NativeBatchTurboDecoder::new(k, 4);
+        let serial = |n: usize| -> Vec<_> {
+            let decode = |b| single.decode(std::hint::black_box(b));
+            blocks[..n].iter().map(decode).collect()
+        };
+        g.throughput(Throughput::Elements(2 * k as u64));
+        g.bench_function(format!("single_x2/k{k}"), |b| b.iter(|| serial(2)));
+        g.bench_function(format!("pair/k{k}"), |b| {
+            b.iter(|| batch.decode_pair_refs(std::hint::black_box([&blocks[0], &blocks[1]])))
+        });
+        g.throughput(Throughput::Elements(4 * k as u64));
+        g.bench_function(format!("single_x4/k{k}"), |b| b.iter(|| serial(4)));
+        g.bench_function(format!("quad/k{k}"), |b| {
+            b.iter(|| batch.decode_quad(std::hint::black_box(&blocks)))
+        });
+    }
     g.finish();
 }
 
 fn bench_native_quad_crc(c: &mut Criterion) {
     // The quad launch's stop-rule rows: four lanes that all end on
-    // SISO 1, on SISO 2, or at the cap (pairs / singles where the host
-    // lacks AVX-512BW).
+    // SISO 1, on SISO 2, or at the cap (single-block decodes where the
+    // host lacks AVX-512BW).
     let mut g = c.benchmark_group("batch_decode_native_crc");
     g.sample_size(10);
     for k in [512usize, 6144] {

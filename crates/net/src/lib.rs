@@ -27,9 +27,9 @@
 //! * [`scheduler`], [`amc`], [`harq`] — per-TTI scheduling, link
 //!   adaptation and chase-combining retransmission.
 //! * [`stagegraph`] — the out-of-order stage-graph runtime: decode
-//!   tasks from different packets pool by K and launch as quad-in-zmm /
-//!   pair-in-ymm batches, retiring through a ROB with per-UE in-order
-//!   delivery. The default uplink path in [`runner`].
+//!   tasks from different packets pool by K and launch as quad / pair
+//!   batches on the zmm kernel, retiring through a ROB with per-UE
+//!   in-order delivery. The default uplink path in [`runner`].
 //! * [`error`] — the typed fault taxonomy ([`error::PipelineError`])
 //!   every receive-path failure classifies into.
 //! * [`faultinject`] — deterministic, seeded fault injection for soak

@@ -397,9 +397,9 @@ pub struct PipelineMetrics {
     /// kernel because no SIMD ISA level was available
     /// (transmit-side counterpart of `native_simd_fallbacks`).
     pub packed_encoder_fallbacks: Counter,
-    /// Packets staged for batched native decoding that ran the
-    /// narrower pair/single kernels because the host (or the test ISA
-    /// ceiling) lacks AVX-512BW — the quad-in-zmm tier degraded.
+    /// Packets staged for batched native decoding whose lanes ran as
+    /// single-block decodes because the host (or the test ISA ceiling)
+    /// lacks AVX-512BW — the zmm batch tier degraded.
     pub batch_simd_fallbacks: Counter,
     /// Packets on the packed encoder that ran a sub-512-bit kernel because the host (or the test ISA ceiling)
     /// lacks AVX-512BW — the zmm encoder tier degraded.
@@ -805,7 +805,7 @@ impl RunnerMetrics {
 
 /// Batch-formation counters for the out-of-order stage-graph runtime
 /// ([`crate::stagegraph::StageGraph`]): how decode tasks actually
-/// launched (quad-in-zmm / pair-in-ymm / single leftover) and why each
+/// launched (quad / pair / single leftover) and why each
 /// pool flushed — one counter per [`crate::stagegraph::FlushReason`],
 /// the same four reasons [`crate::observe::TraceEvent::flush`] codes
 /// 0–3. The headline figure is [`Self::lane_occupancy`] — the fraction
@@ -815,9 +815,10 @@ impl RunnerMetrics {
 #[derive(Debug)]
 pub struct StageGraphMetrics {
     enabled: bool,
-    /// Code blocks decoded as part of a full quad-in-zmm launch.
+    /// Code blocks decoded as part of a full quad launch (two zmm
+    /// registers of the batch kernel).
     pub quad_blocks: Counter,
-    /// Code blocks decoded as part of a pair-in-ymm launch.
+    /// Code blocks decoded as part of a pair launch (one zmm register).
     pub pair_blocks: Counter,
     /// Code blocks decoded alone (pool remainder below pair width).
     pub single_blocks: Counter,

@@ -17,9 +17,9 @@
 //!   [`run_uplink_serial_mixed`] is the same with nothing attached.
 //! * [`run_uplink_stagegraph_metered`] — the out-of-order stage-graph
 //!   runtime ([`crate::stagegraph`]): each worker pools decode tasks by
-//!   K across the packets in its ring and launches them as quad-in-zmm
-//!   / pair-in-ymm batches, keeping the SIMD lanes full under mixed-K
-//!   traffic.
+//!   K across the packets in its ring and launches them as quad / pair
+//!   batches on the zmm kernel, keeping the SIMD lanes full under
+//!   mixed-K traffic.
 //!
 //! Both see byte-identical traffic for the same arguments, which is
 //! what lets the serial model serve as the measured baseline of the

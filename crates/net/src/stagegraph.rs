@@ -1,14 +1,15 @@
 //! Out-of-order stage-graph runtime with cross-packet batch formation.
 //!
-//! The quad-in-zmm decoder (`vran-phy`'s [`NativeBatchTurboDecoder`])
-//! only pays off when all four lanes hold a code block of the *same* K
+//! The batch decoder (`vran-phy`'s [`NativeBatchTurboDecoder`], two
+//! code blocks per zmm register) only pays off when all four lanes of
+//! a quad launch hold a code block of the *same* K
 //! — and a single transport block rarely carries four. Under mixed-K
 //! traffic the per-packet serial model leaves the zmm lanes mostly
 //! idle. This module restructures the dataflow instead of widening the
 //! kernels: uplink work decomposes into stage tasks, and **decode tasks
 //! from different packets** are pooled by `(K, iteration cap,
-//! CRC24B-bearing)`, then launched as quad-in-zmm / pair-in-ymm batches
-//! the moment lanes fill — or earlier, when a member packet's deadline
+//! CRC24B-bearing)`, then launched as quad (two zmm) / pair (one zmm)
+//! batches the moment lanes fill — or earlier, when a member packet's deadline
 //! (or an age bound) nears, or at once while the graph is underloaded.
 //!
 //! ```text

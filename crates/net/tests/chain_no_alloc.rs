@@ -104,24 +104,23 @@ fn warm_chains_allocate_only_what_phy_and_l2_return_by_signature() {
         let coded_bits = tx.bits.len();
         assert_eq!(got.coded_bits, coded_bits);
 
-        // tx, 5: the CRC24A bits (`Crc::compute_with`) and the rest
-        // inside `Segmentation::try_segment` (the block list, the
-        // candidate list of its one `best_crc()`, then one `Vec` per
-        // block, sized for filler, payload and CRC24B together) — both
-        // return `Vec`s by signature; the largest is one code block.
-        assert_eq!(tx_allocs, 5, "warm TxChain::tx");
+        // tx, 4: the CRC24A bits (`Crc::compute_with`) and the rest
+        // inside `Segmentation::try_segment` (the block list, then one
+        // `Vec` per block, sized for filler, payload and CRC24B
+        // together) — both return `Vec`s by signature; the largest is
+        // one code block.
+        assert_eq!(tx_allocs, 4, "warm TxChain::tx");
         assert!(
             tx_largest <= seg.k_plus,
             "{tx_largest} B against a {coded_bits} B coded block"
         );
 
-        // rx, 7: four 8-byte candidate lists of `best_crc()` (inside
-        // `Crc::check`: the decoder's CRC24B stop and
-        // `Segmentation::try_desegment`, once per block each), the
-        // reassembled transport block `try_desegment` returns, its
-        // packed bytes (`pack_msb`) and the SDU
-        // (`BearerRx::decapsulate`).
-        assert_eq!(rx_allocs, 7, "warm RxChain::rx");
+        // rx, 3: the reassembled transport block
+        // `Segmentation::try_desegment` returns, its packed bytes
+        // (`pack_msb`) and the SDU (`BearerRx::decapsulate`).
+        // (`Crc::check`, per SISO pass and per block, asks `best_crc()`
+        // without a heap candidate list.)
+        assert_eq!(rx_allocs, 3, "warm RxChain::rx");
         assert!(
             rx_largest <= seg.b,
             "{rx_largest} B against a {coded_bits} B coded block"

@@ -4,8 +4,8 @@
 //! and the downlink's packed encoder still encodes bit-exactly — while flagging
 //! the lost speedup as `native_simd_fallbacks` /
 //! `packed_encoder_fallbacks` metrics events. The zmm tiers get the
-//! same treatment one rung up: under an AVX2 ceiling the quad-in-zmm
-//! batch decoder and the 512-bit packed encoder must degrade to their
+//! same treatment one rung up: under an AVX2 ceiling the zmm batch
+//! decoder and the 512-bit packed encoder must degrade to their
 //! narrower kernels bit-exactly, flagged as `batch_simd_fallbacks` /
 //! `zmm_encoder_fallbacks`. The whole transmit chain is held to the
 //! same rule at both ceilings: what `TxChain::tx` puts on the air does
@@ -95,14 +95,15 @@ fn batched_decode_degrades_below_avx512_ceiling() {
             .collect::<Vec<_>>()
     };
 
-    // Reference outcome with the host's real capabilities (quad-in-zmm
-    // where available, pair/single otherwise).
+    // Reference outcome with the host's real capabilities (the zmm
+    // batch kernel where available, single-block decodes otherwise).
     let full = run(UplinkPipeline::new(cfg));
     assert_eq!(full.len(), 3);
 
-    // Cap the ISA at AVX2, then at SSSE3: the quad kernel is off the
-    // table, the batch launches must split into ymm pairs, then into
-    // single-block decodes, bit-exactly, and flag the loss.
+    // Cap the ISA at AVX2, then at SSSE3: the zmm kernel is off the
+    // table, every lane of a launch must run as a single-block decode
+    // (on the AVX2, then the SSSE3 kernel), bit-exactly, and flag the
+    // loss.
     for ceiling in [HostIsa::Avx2, HostIsa::Ssse3] {
         set_isa_ceiling(Some(ceiling));
         let metrics = Arc::new(PipelineMetrics::new(true));

@@ -113,17 +113,19 @@ pub fn has_pclmul() -> bool {
 
 /// The CRC kernels usable on this host (ceiling-aware), ascending.
 pub fn available_crc() -> Vec<CrcImpl> {
+    usable_crc().collect()
+}
+
+/// The most capable CRC kernel on this host. Uses no heap: every
+/// [`Crc::check`] asks.
+pub fn best_crc() -> CrcImpl {
+    usable_crc().last().expect("bit-serial is always available")
+}
+
+fn usable_crc() -> impl Iterator<Item = CrcImpl> {
     CrcImpl::all()
         .into_iter()
         .filter(|i| host::has(i.required_isa()) && (*i != CrcImpl::ClmulFold || has_pclmul()))
-        .collect()
-}
-
-/// The most capable CRC kernel on this host.
-pub fn best_crc() -> CrcImpl {
-    *available_crc()
-        .last()
-        .expect("bit-serial is always available")
 }
 
 /// Slicing-by-8 tables for a 32-bit top-aligned register.

@@ -16,8 +16,9 @@
 //! * [`native_decoder`] — the same arithmetic as real `std::arch`
 //!   intrinsics with runtime ISA dispatch: the wall-clock fast path
 //!   used by the uplink pipeline.
-//! * [`native_batch`] — two or four blocks per ymm/zmm register, one
-//!   per 128-bit lane group: the stage graph's batched decoder.
+//! * [`native_batch`] — [`native_decoder`]'s AVX2 schedule on two
+//!   blocks per zmm register, a pair launch in one register and a quad
+//!   in two: the stage graph's batched decoder.
 //! * [`packed_encoder`] — bitsliced packed-word encoder exploiting the
 //!   code's GF(2) linearity: 64 trellis steps per `u64` (128/256 per
 //!   register under SSE2/AVX2), the transmit-side fast path used by

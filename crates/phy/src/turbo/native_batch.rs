@@ -1,39 +1,43 @@
-//! AVX2/AVX-512BW multi-block-per-register native batch turbo
-//! decoding.
+//! AVX-512BW multi-block native batch turbo decoding.
 //!
 //! The real-hardware counterpart of the VM batch decoder
-//! `apcm::turbo::batch_decoder`: the 8-state α/β recursions cannot
-//! widen, so a ymm register carries *two* independent code blocks and
-//! a zmm register carries *four*, one per 128-bit lane. AVX2's
-//! `_mm256_shuffle_epi8`,
-//! `_mm256_srli_si256` and the `shufflelo/hi` family all operate
-//! per-128-bit-lane — exactly the per-block state gathers the
-//! recursion needs, with zero cross-block traffic — and AVX-512BW's
-//! `_mm512_shuffle_epi8` / `_mm512_bsrli_epi128` keep the identical
-//! lane-local contract across four lanes.
+//! `apcm::turbo::batch_decoder`. The 8-state recursions cannot widen,
+//! so a wider register must carry more blocks — and the single-block
+//! AVX2 kernel of [`super::native_decoder`] already fills a ymm with
+//! one block: its α chain in one 128-bit lane, its β chain in the
+//! other, meeting in the middle (DESIGN §5.8). Here a zmm carries two
+//! blocks' (α, β) lane pairs. Lanes 0 and 1 hold one chain of block
+//! `2r` and of block `2r + 1`, lanes 2 and 3 the other chain of each,
+//! so one 32-byte load broadcast to both halves feeds both blocks'
+//! branch metrics, and each block's lane pair runs the ymm kernel's
+//! instruction sequence: `vpshufb`, `unpack` and the byte shifts are
+//! lane-local, and the two moves that cross lanes (the chains' trade
+//! before phase 2, the phase-2 blends) move whole 256-bit halves. A
+//! pair launch is one such register; a quad launch is two, interleaved
+//! step by step in one loop so each hides the other's ≈ 6-cycle
+//! recurrence.
 //!
-//! Each 128-bit lane performs precisely the instruction sequence of
-//! the single-block SSSE3 kernel in [`super::native_decoder`], so a
-//! batched decode is bit-identical to two (or four) separate decodes
-//! (and to the scalar oracle). Iteration control is the single-block
-//! decoder's too, per lane — the stop rule of [`super::decoder`]: given
-//! the launch's CRC, each lane reports the SISO pass on which *its*
-//! block first passed (a begun iteration counting as one) and the bits
-//! it had then, and the launch ends when every lane has passed or at
-//! the cap; without a CRC every lane runs the cap.
+//! Every lane is therefore bit-identical to a [`NativeTurboDecoder`]
+//! decode of its block alone (and to the scalar oracle). Iteration
+//! control is the single-block decoder's too, per lane — the stop rule
+//! of [`super::decoder`]: given the launch's CRC, each lane reports the
+//! SISO pass on which *its* block first passed (a begun iteration
+//! counting as one) and the bits it had then, and the launch ends when
+//! every lane has passed or at the cap; without a CRC every lane runs
+//! the cap. Without AVX-512BW every lane is a single-block decode.
 
 use super::decoder::{beta_init_from_tails, DecodeOutcome, NEG_INF};
-use super::native_decoder::{DecodeScratch, NativeTurboDecoder};
+use super::native_decoder::{hard_decide, DecodeScratch, DecoderIsa, NativeTurboDecoder};
 use super::trellis::STATES;
 use crate::crc::Crc;
 use crate::interleaver::QppInterleaver;
 use crate::llr::{llr_to_bit, Llr, SoftStreams, TailLlrs, TurboLlrs};
 use vran_simd::host::{self, HostIsa};
 
-/// Number of blocks decoded per ymm pass.
+/// Number of blocks in a pair launch: one zmm register.
 pub const BATCH: usize = 2;
 
-/// Number of blocks decoded per zmm pass.
+/// Number of blocks in a quad launch: two zmm registers.
 pub const QUAD: usize = 4;
 
 /// Borrowed per-block decoder input for the staged (zero-copy) batch
@@ -74,24 +78,35 @@ impl<'a> BlockLlrs<'a> {
     }
 }
 
+/// Words of slack that let the kernel's scratch start on a cache line
+/// (see [`aligned`]).
+const ALIGN_SLACK: usize = 32;
+
+/// Words of branch metrics a launch of `blocks` blocks stages: a quad
+/// per step, and room for the leftover group's, one per 128-bit lane.
+fn gq_len(k: usize, blocks: usize) -> usize {
+    blocks * (4 * k + 4 * STATES)
+}
+
 /// Reusable batch-decode working memory — the [`DecodeScratch`] idiom
-/// widened to N blocks: the interleaved branch metrics, the α trellis,
-/// extrinsic/a-priori buffers and the permuted-systematic staging.
-/// Owned by long-lived callers (stage-graph batch pools, the uplink
-/// pipeline) so steady-state batch decodes perform no heap allocation;
-/// the counters make that claim checkable.
+/// widened to N blocks: branch metrics, the trellis, extrinsic and
+/// a-priori buffers and the permuted-systematic staging, each block's
+/// run in natural order except where the kernel folds two blocks
+/// together. Owned by long-lived callers (stage-graph batch pools, the
+/// uplink pipeline) so steady-state batch decodes perform no heap
+/// allocation; the counters make that claim checkable.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     sys_pi: Vec<Llr>,
     g0: Vec<Llr>,
-    gp: Vec<Llr>,
-    alpha: Vec<Llr>,
+    gq: Vec<Llr>,
+    trellis: Vec<Llr>,
     ext: Vec<Llr>,
     post: Vec<i32>,
     la1: Vec<Llr>,
     la2: Vec<Llr>,
-    /// Degradation-tier scratch for the single-block decodes the pair
-    /// path falls back to without AVX2.
+    /// Scratch for the single-block decodes lanes run as without
+    /// AVX-512BW.
     single: DecodeScratch,
     allocations: u64,
     reuses: u64,
@@ -104,27 +119,33 @@ impl BatchScratch {
         Self::default()
     }
 
-    /// Size every buffer for `blocks` blocks of length `k`, growing
-    /// only when the retained capacity is insufficient.
+    /// Grow every buffer to hold `blocks` blocks of length `k`. No
+    /// buffer shrinks: one scratch serves the pools of every K, and a
+    /// launch after a larger one must not re-zero what the kernel
+    /// overwrites anyway, so a launch works in the front of each.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     fn ensure(&mut self, k: usize, blocks: usize) {
         let n = blocks * k;
         let mut grew = false;
         {
             let mut fit = |v: &mut Vec<Llr>, len: usize| {
-                grew |= v.capacity() < len;
-                v.resize(len, 0);
+                if v.len() < len {
+                    grew |= v.capacity() < len;
+                    v.resize(len, 0);
+                }
             };
             fit(&mut self.sys_pi, n);
             fit(&mut self.g0, n);
-            fit(&mut self.gp, n);
-            fit(&mut self.alpha, (k + 1) * blocks * STATES);
-            fit(&mut self.ext, n);
+            fit(&mut self.gq, gq_len(k, blocks) + ALIGN_SLACK);
+            fit(&mut self.trellis, STATES * n + ALIGN_SLACK);
+            fit(&mut self.ext, n + 1);
             fit(&mut self.la1, n);
             fit(&mut self.la2, n);
         }
-        grew |= self.post.capacity() < n;
-        self.post.resize(n, 0);
+        if self.post.len() < n {
+            grew |= self.post.capacity() < n;
+            self.post.resize(n, 0);
+        }
         if grew {
             self.allocations += 1;
         } else {
@@ -164,36 +185,28 @@ thread_local! {
 /// returns for that block decoded alone, and the SISO passes it ran.
 pub type LaneOutcome = (usize, Option<bool>, usize);
 
-/// Batched decoder: two equal-size blocks per ymm pass on AVX2
-/// hardware, four per zmm pass on AVX-512BW, falling back to
-/// sequential narrower decodes when the host lacks the feature
-/// (identical outputs either way).
+/// Batched decoder: two or four equal-size blocks per launch, two per
+/// zmm register on AVX-512BW hosts; elsewhere every lane is a
+/// single-block decode (identical outputs either way).
 #[derive(Debug, Clone)]
 pub struct NativeBatchTurboDecoder {
     il: QppInterleaver,
-    max_iterations: usize,
-    use_avx2: bool,
+    /// What every lane runs as without AVX-512BW, built once.
+    single: NativeTurboDecoder,
     use_avx512: bool,
 }
 
 impl NativeBatchTurboDecoder {
-    /// Whether the ymm fast path is usable on this host.
-    pub fn is_accelerated() -> bool {
-        cfg!(target_arch = "x86_64") && host::has(HostIsa::Avx2)
-    }
-
-    /// Whether the quad-in-zmm fast path is usable on this host.
+    /// Whether the zmm kernel is usable on this host.
     pub fn is_zmm_accelerated() -> bool {
         cfg!(target_arch = "x86_64") && host::has(HostIsa::Avx512bw)
     }
 
     /// Decoder for two or four parallel blocks of size `k`.
     pub fn new(k: usize, max_iterations: usize) -> Self {
-        assert!(max_iterations >= 1);
         Self {
             il: QppInterleaver::new(k),
-            max_iterations,
-            use_avx2: Self::is_accelerated(),
+            single: NativeTurboDecoder::new(k, max_iterations),
             use_avx512: Self::is_zmm_accelerated(),
         }
     }
@@ -249,7 +262,7 @@ impl NativeBatchTurboDecoder {
     /// `crc`, a lane stops counting — and its `bits` buffer is final —
     /// at the first iteration whose hard decisions pass; the launch
     /// ends when every lane has passed or at the configured cap.
-    /// Without AVX2 it degrades to two single-block native decodes,
+    /// Without AVX-512BW each lane is a single-block native decode,
     /// with identical per-lane results.
     pub fn decode_pair_lanes_into(
         &self,
@@ -258,53 +271,12 @@ impl NativeBatchTurboDecoder {
         scratch: &mut BatchScratch,
         bits: &mut [Vec<u8>; BATCH],
     ) -> [LaneOutcome; BATCH] {
-        self.check_lengths(&inputs);
-        if !self.use_avx2 {
-            let single = NativeTurboDecoder::new(self.il.k(), self.max_iterations);
-            return core::array::from_fn(|g| {
-                let input = &inputs[g];
-                let passes0 = scratch.single.siso_passes();
-                let (iterations_run, crc_ok) = single.decode_streams_capped_into(
-                    input.sys,
-                    input.p1,
-                    input.p2,
-                    &input.tails,
-                    self.max_iterations,
-                    crc,
-                    &mut scratch.single,
-                    &mut bits[g],
-                );
-                let passes = scratch.single.siso_passes() - passes0;
-                (iterations_run, crc_ok, passes as usize)
-            });
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.decode_lanes(
-                inputs,
-                crc,
-                scratch,
-                bits,
-                |sys, par, apriori, binit, g0, gp, alpha, ext, post| {
-                    let binit = binit.as_flattened().try_into().expect("BATCH × STATES");
-                    // SAFETY: `use_avx2` was read from the host probe,
-                    // and `decode_lanes` sized every buffer for two
-                    // blocks of the inputs' common K.
-                    unsafe {
-                        x86::siso_pair_avx2(sys, par, apriori, binit, g0, gp, alpha, ext, post)
-                    }
-                },
-            )
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("use_avx2 implies x86_64")
+        self.launch(inputs, crc, scratch, bits)
     }
 
     /// Decode four blocks for all configured iterations (no CRC).
-    /// Without AVX-512BW this degrades to two pair decodes (which
-    /// themselves degrade to four single-block decodes without AVX2) —
-    /// identical outputs on every tier by same-op/same-order
-    /// construction.
+    /// Without AVX-512BW this is four single-block decodes — identical
+    /// outputs on every tier by same-op/same-order construction.
     pub fn decode_quad(&self, inputs: &[TurboLlrs; QUAD]) -> [DecodeOutcome; QUAD] {
         self.decode_quad_refs([&inputs[0], &inputs[1], &inputs[2], &inputs[3]])
     }
@@ -337,10 +309,8 @@ impl NativeBatchTurboDecoder {
     /// Zero-copy quad decode (see [`Self::decode_pair_lanes_into`]):
     /// reads four staged blocks in place, writes hard decisions into
     /// caller-owned bit buffers, allocation-free after warm-up, each
-    /// lane stopping on its own `crc`. Without AVX-512BW this degrades
-    /// to two pair launches (which themselves degrade to four
-    /// single-block decodes without AVX2) — identical per-lane results
-    /// on every tier.
+    /// lane stopping on its own `crc`. Without AVX-512BW each lane is a
+    /// single-block native decode, with identical per-lane results.
     pub fn decode_quad_lanes_into(
         &self,
         inputs: [BlockLlrs<'_>; QUAD],
@@ -348,51 +318,50 @@ impl NativeBatchTurboDecoder {
         scratch: &mut BatchScratch,
         bits: &mut [Vec<u8>; QUAD],
     ) -> [LaneOutcome; QUAD] {
-        self.check_lengths(&inputs);
-        if !self.use_avx512 {
-            let [i0, i1, i2, i3] = inputs;
-            let (lo, hi) = bits.split_at_mut(BATCH);
-            let lo: &mut [Vec<u8>; BATCH] = lo.try_into().unwrap();
-            let hi: &mut [Vec<u8>; BATCH] = hi.try_into().unwrap();
-            let [l0, l1] = self.decode_pair_lanes_into([i0, i1], crc, scratch, lo);
-            let [l2, l3] = self.decode_pair_lanes_into([i2, i3], crc, scratch, hi);
-            return [l0, l1, l2, l3];
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            self.decode_lanes(
-                inputs,
-                crc,
-                scratch,
-                bits,
-                |sys, par, apriori, binit, g0, gp, alpha, ext, post| {
-                    let binit = binit.as_flattened().try_into().expect("QUAD × STATES");
-                    // SAFETY: `use_avx512` was read from the host
-                    // probe, and `decode_lanes` sized every buffer for
-                    // four blocks of the inputs' common K.
-                    unsafe {
-                        x86::siso_quad_avx512(sys, par, apriori, binit, g0, gp, alpha, ext, post)
-                    }
-                },
-            )
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("use_avx512 implies x86_64")
+        self.launch(inputs, crc, scratch, bits)
     }
 
-    fn check_lengths(&self, inputs: &[BlockLlrs<'_>]) {
+    /// One launch of `N` lanes: the zmm kernel, or without it one
+    /// single-block decode per lane through the decoder built in
+    /// [`Self::new`].
+    fn launch<const N: usize>(
+        &self,
+        inputs: [BlockLlrs<'_>; N],
+        crc: Option<&Crc>,
+        scratch: &mut BatchScratch,
+        bits: &mut [Vec<u8>; N],
+    ) -> [LaneOutcome; N] {
         let k = self.il.k();
-        for b in inputs {
+        for b in &inputs {
             assert!(
                 b.sys.len() == k && b.p1.len() == k && b.p2.len() == k,
                 "all blocks in a batch share K"
             );
         }
+        #[cfg(target_arch = "x86_64")]
+        if self.use_avx512 {
+            return self.decode_lanes(inputs, crc, scratch, bits);
+        }
+        core::array::from_fn(|g| {
+            let input = &inputs[g];
+            let passes0 = scratch.single.siso_passes();
+            let (iterations_run, crc_ok) = self.single.decode_streams_into(
+                input.sys,
+                input.p1,
+                input.p2,
+                &input.tails,
+                crc,
+                &mut scratch.single,
+                &mut bits[g],
+            );
+            let passes = scratch.single.siso_passes() - passes0;
+            (iterations_run, crc_ok, passes as usize)
+        })
     }
 
-    /// The turbo iteration loop over `N` lanes, `siso` being the
-    /// `N`-blocks-per-register SISO pass. This is the one place that
-    /// decides when a batched block stops iterating, and it decides as
+    /// The turbo iteration loop over `N` lanes of the zmm kernel. This
+    /// is the one place that decides when a batched block stops
+    /// iterating, and it decides as
     /// [`NativeTurboDecoder::decode_streams_capped_into`] does.
     #[cfg(target_arch = "x86_64")]
     fn decode_lanes<const N: usize>(
@@ -401,25 +370,14 @@ impl NativeBatchTurboDecoder {
         crc: Option<&Crc>,
         scratch: &mut BatchScratch,
         bits: &mut [Vec<u8>; N],
-        siso: impl Fn(
-            [&[Llr]; N],
-            [&[Llr]; N],
-            [&[Llr]; N],
-            &[[Llr; STATES]; N],
-            &mut [Llr],
-            &mut [Llr],
-            &mut [Llr],
-            &mut [Llr],
-            &mut [i32],
-        ),
     ) -> [LaneOutcome; N] {
-        let k = self.il.k();
+        let (k, n) = (self.il.k(), N * self.il.k());
         scratch.ensure(k, N);
         let BatchScratch {
             sys_pi,
             g0,
-            gp,
-            alpha,
+            gq,
+            trellis,
             ext,
             post,
             la1,
@@ -427,6 +385,11 @@ impl NativeBatchTurboDecoder {
             siso_passes,
             ..
         } = scratch;
+        let (gq, trellis) = (aligned(gq, gq_len(k, N)), aligned(trellis, STATES * n));
+        let (sys_pi, g0, post) = (&mut sys_pi[..n], &mut g0[..n], &mut post[..n]);
+        // The gathers read `ext` a dword at a time: one word of slack.
+        let ext = &mut ext[..n + 1];
+        let (la1, la2) = (&mut la1[..n], &mut la2[..n]);
         let pi = self.il.pi_table();
         let pi_inv = self.il.pi_inv_table();
         let binit1 = inputs
@@ -451,20 +414,21 @@ impl NativeBatchTurboDecoder {
         // Pass `passes`' hard decisions and verdict for every live lane:
         // SISO 1's posterior (odd pass) read in natural order and checked
         // only if it decided every bit, SISO 2's through `pi_inv`. A
-        // lane whose CRC passed is done: its 128 bits keep computing, but
+        // lane whose CRC passed is done: its block keeps computing, but
         // its buffer and outcome are never written again.
         let mut lanes: [LaneOutcome; N] = [(0, None, 0); N];
         let mut decide = |post: &[i32], passes: usize| {
             let live = lanes.map(|(_, crc_ok, _)| crc_ok != Some(true));
             let decided = if passes.is_multiple_of(2) {
                 for (g, blk) in bits.iter_mut().enumerate().filter(|&(g, _)| live[g]) {
+                    let post = &post[g * k..(g + 1) * k];
                     for (b, &p) in blk.iter_mut().zip(pi_inv) {
-                        *b = llr_to_bit(post[N * p as usize + g] as Llr);
+                        *b = llr_to_bit(post[p as usize] as Llr);
                     }
                 }
                 [true; N]
             } else {
-                hard_decide_lanes(post, bits, live)
+                hard_decide_lanes(DecoderIsa::Avx2, post, bits, live)
             };
             for (g, (lane, blk)) in lanes.iter_mut().zip(bits.iter()).enumerate() {
                 if live[g] {
@@ -474,11 +438,13 @@ impl NativeBatchTurboDecoder {
             }
             lanes.iter().all(|&(_, crc_ok, _)| crc_ok == Some(true))
         };
-        // `ext` arrives scaled and block-interleaved, so each gather
-        // is one table lookup and one `N`-wide row read per step,
-        // fanned out to the block-major a-priori buffers.
-        for it in 0..self.max_iterations {
-            siso(sys, p1, parts(la1, k), &binit1, g0, gp, alpha, ext, post);
+        // A launch runs this loop only where the host probe found
+        // AVX-512BW (`use_avx512`), and the kernels check every length
+        // and alignment they rely on.
+        let max_iterations = self.single.max_iterations();
+        for it in 0..max_iterations {
+            // SAFETY: AVX-512BW, as above.
+            unsafe { x86::siso(sys, p1, parts(la1, k), &binit1, g0, gq, trellis, post) };
             *siso_passes += 1;
             // The single-block decoder's stop rule, per lane.
             if crc.is_some() && decide(post, 2 * it + 1) {
@@ -493,33 +459,44 @@ impl NativeBatchTurboDecoder {
                     }
                 }
             }
-            gather_rows::<N>(la2, ext, pi);
-            siso(
-                parts(sys_pi, k),
-                p2,
-                parts(la2, k),
-                &binit2,
-                g0,
-                gp,
-                alpha,
-                ext,
-                post,
-            );
+            // The extrinsic exists only for a pass that follows; it
+            // peels off scaled, so the gather is a plain indexed copy.
+            // SAFETY: AVX-512BW, as above.
+            unsafe {
+                x86::peel(post, g0, &mut ext[..n]);
+                x86::gather_rows::<N>(la2, ext, pi);
+            }
+            let (sys_pi, la2) = (parts(sys_pi, k), parts(la2, k));
+            // SAFETY: AVX-512BW, as above.
+            unsafe { x86::siso(sys_pi, p2, la2, &binit2, g0, gq, trellis, post) };
             *siso_passes += 1;
             // Hard decisions are observable only through the CRC and
             // the final output, so without a CRC the de-permuting bit
             // pass runs once, after the last iteration.
-            let last = it + 1 == self.max_iterations;
+            let last = it + 1 == max_iterations;
             if (crc.is_some() || last) && decide(post, 2 * it + 2) {
                 break;
             }
             // Only a further iteration reads the second extrinsic.
             if !last {
-                gather_rows::<N>(la1, ext, pi_inv);
+                // SAFETY: AVX-512BW, as above.
+                unsafe {
+                    x86::peel(post, g0, &mut ext[..n]);
+                    x86::gather_rows::<N>(la1, ext, pi_inv);
+                }
             }
         }
         lanes
     }
+}
+
+/// `len` words of `v` from its first 64-byte boundary (`v` has
+/// [`ALIGN_SLACK`] words to spare): the kernel's rows are whole cache
+/// lines, loaded and stored aligned.
+#[cfg(target_arch = "x86_64")]
+fn aligned(v: &mut [Llr], len: usize) -> &mut [Llr] {
+    let skip = v.as_ptr().addr().wrapping_neg() % 64 / size_of::<Llr>();
+    &mut v[skip..skip + len]
 }
 
 /// Pair each lane's bit buffer with its outcome.
@@ -536,61 +513,35 @@ fn outcomes<const N: usize>(bits: [Vec<u8>; N], lanes: [LaneOutcome; N]) -> [Dec
     })
 }
 
-/// [`super::native_decoder::hard_decide`] for the lanes of a
-/// block-interleaved pass (`post[N·i + g]` is lane `g`'s step `i`):
-/// each live lane's hard decisions in natural order, and per lane
-/// whether every bit was decided. A lane that is not live is not
-/// written. Four lanes go 16 rows a step — the packs that narrow the
-/// posteriors also bring each lane's bytes together; pairs, on their
-/// way out (ROADMAP item 2a), keep the strided loop.
+/// [`super::native_decoder::hard_decide`] at `isa` for the lanes of a
+/// block-major pass (`post[g·k + i]` is lane `g`'s step `i`): each live
+/// lane's hard decisions in natural order, and per lane whether every
+/// bit was decided. A lane that is not live is not written.
 #[cfg(target_arch = "x86_64")]
 fn hard_decide_lanes<const N: usize>(
+    isa: DecoderIsa,
     post: &[i32],
     bits: &mut [Vec<u8>; N],
     live: [bool; N],
 ) -> [bool; N] {
     let k = post.len() / N;
     assert!(post.len() == N * k && bits.iter().all(|b| b.len() == k));
-    let (mut decided, mut done) = ([true; N], 0);
-    if N == QUAD && host::has(HostIsa::Avx512bw) {
-        let out = bits.each_mut().map(|b| b.as_mut_ptr());
-        // SAFETY: the host has AVX-512BW; `post` holds `k` rows of four
-        // lanes and every lane's buffer `k` bytes, checked above.
-        done = unsafe { x86::hard_decide_quad(post, &out, &live, &mut decided) };
-    }
-    for (g, blk) in bits.iter_mut().enumerate().filter(|&(g, _)| live[g]) {
-        for (b, row) in blk[done..].iter_mut().zip(post[N * done..].chunks_exact(N)) {
-            *b = llr_to_bit(row[g] as Llr);
-            decided[g] &= row[g] as Llr != 0;
-        }
-    }
-    decided
-}
-
-/// `dst[g·k + j] = src[N·table[j] + g]` for `k = table.len()`: permute
-/// a block-interleaved array by `table` while splitting it into `N`
-/// block-major runs.
-#[cfg(target_arch = "x86_64")]
-fn gather_rows<const N: usize>(dst: &mut [Llr], src: &[Llr], table: &[u32]) {
-    let k = table.len();
-    assert!(dst.len() == N * k && src.len() == N * k);
-    let mut runs = dst.chunks_exact_mut(k);
-    let mut runs: [&mut [Llr]; N] = core::array::from_fn(|_| runs.next().unwrap());
-    for (j, &p) in table.iter().enumerate() {
-        let row = &src[N * p as usize..][..N];
-        for (run, &e) in runs.iter_mut().zip(row) {
-            run[j] = e;
-        }
-    }
+    let mut runs = post.chunks_exact(k);
+    core::array::from_fn(|g| {
+        let run = runs.next().expect("one run per lane");
+        !live[g] || hard_decide(isa, run, &mut bits[g])
+    })
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::super::native_decoder::peel_extrinsic;
     use super::super::trellis;
     use super::*;
+    use core::hint::black_box;
     use std::arch::x86_64::*;
 
-    /// Byte-level shuffle control for one 128-bit lane, from a
+    /// Byte-level `vpshufb` control for one 128-bit lane, from a
     /// lane-level i16 gather table.
     fn lane_ctrl(table: [u8; STATES]) -> [i8; 16] {
         let mut c = [0i8; 16];
@@ -601,500 +552,513 @@ mod x86 {
         c
     }
 
-    fn sign_vec(par: [u8; STATES]) -> [i16; STATES] {
-        core::array::from_fn(|i| if par[i] == 0 { 1 } else { -1 })
+    /// `vpshufb` control picking, for each state lane, the γ-quad entry
+    /// `[γ₀+γₚ, γ₀−γₚ, −γ₀+γₚ, −γ₀−γₚ][2u + parity]` out of the quad
+    /// that starts at word `base` of a 16-byte quad pair.
+    fn quad_ctrl(par: [u8; STATES], u: u8, base: u8) -> [i8; 16] {
+        lane_ctrl(par.map(|p| base + 2 * u + p))
     }
 
-    struct Ctl {
-        pred0: __m256i,
-        pred1: __m256i,
-        next0: __m256i,
-        next1: __m256i,
-        bcast0: __m256i,
-        pairsel: __m256i,
-        sgn_pp0: __m256i,
-        sgn_pp1: __m256i,
-        sgn_np0: __m256i,
-        sgn_np1: __m256i,
-        floor: __m256i,
-    }
-
-    /// Replicate a 16-byte control into both 128-bit lanes —
-    /// `_mm256_shuffle_epi8` indexes are lane-local, which is exactly
-    /// the per-block state gather.
-    #[inline(always)]
-    unsafe fn dup_ctrl(a: [i8; 16]) -> __m256i {
-        let x = _mm_loadu_si128(a.as_ptr() as *const __m128i);
-        _mm256_set_m128i(x, x)
-    }
-
-    #[inline(always)]
-    unsafe fn dup_mask(a: [i16; 8]) -> __m256i {
-        let x = _mm_loadu_si128(a.as_ptr() as *const __m128i);
-        _mm256_set_m128i(x, x)
-    }
-
-    #[inline(always)]
-    unsafe fn make_ctl() -> Ctl {
-        // Shuffle controls go through `black_box` for the same reason
-        // as the single-block kernel's: LLVM otherwise re-expands the
-        // constant-control `pshufb`s into multi-µop shuffle chains.
-        use core::hint::black_box;
-        // Low lane selects block 0's i16 (bytes 0-1 of the broadcast
-        // dword), high lane block 1's (bytes 2-3).
-        let mut pairsel = [0i8; 32];
-        for (i, b) in pairsel.iter_mut().enumerate() {
-            *b = if i < 16 {
-                (i % 2) as i8
-            } else {
-                (2 + i % 2) as i8
+    /// The bytes of the kernel's `vpshufb` controls, built once: `[st₀,
+    /// st₁, γ₀, γ₁]` (state gathers and γ selects under input bit 0
+    /// and 1) for a register whose lanes 0 and 1 carry the α chains,
+    /// the same for the β chains, then the γ phase's word reversal of
+    /// lanes 2 and 3. Each is the single-block kernel's `pair_ctl` with
+    /// its 128-bit halves doubled: lanes 0 and 1 read the first quad of
+    /// a quad pair, lanes 2 and 3 the second. Loading them from memory
+    /// also keeps them opaque, as the single-block kernel's
+    /// `black_box` does: LLVM re-expands a constant-control `vpshufb`
+    /// into a multi-µop shuffle chain.
+    fn control_bytes() -> &'static [[i8; 64]; 9] {
+        static BYTES: std::sync::OnceLock<[[i8; 64]; 9]> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let halves = |lo: [i8; 16], hi: [i8; 16]| -> [i8; 64] {
+                core::array::from_fn(|i| if i < 32 { lo[i % 16] } else { hi[i % 16] })
             };
-        }
+            let tables = |alpha: bool, u: u8| {
+                if alpha {
+                    (trellis::pred_table(u), trellis::pred_parity(u))
+                } else {
+                    (trellis::next_table(u), trellis::next_parity(u))
+                }
+            };
+            let ctl = |alpha_low: bool, u: u8| {
+                let (lo_t, lo_p) = tables(alpha_low, u);
+                let (hi_t, hi_p) = tables(!alpha_low, u);
+                [
+                    halves(lane_ctrl(lo_t), lane_ctrl(hi_t)),
+                    halves(quad_ctrl(lo_p, u, 0), quad_ctrl(hi_p, u, 4)),
+                ]
+            };
+            let [[a0, ag0], [a1, ag1], [b0, bg0], [b1, bg1]] =
+                [(true, 0), (true, 1), (false, 0), (false, 1)].map(|(a, u)| ctl(a, u));
+            let rev = core::array::from_fn(|i| 14 - (i as i8 & !1) + (i as i8 & 1));
+            let rev = halves(core::array::from_fn(|i| i as i8), rev);
+            [a0, a1, ag0, ag1, b0, b1, bg0, bg1, rev]
+        })
+    }
+
+    /// The `vpshufb` controls of one packed trellis step, `[u = 0,
+    /// u = 1]` each: state gathers and γ selects.
+    struct Ctl {
+        st: [__m512i; 2],
+        gam: [__m512i; 2],
+    }
+
+    /// The controls for a register whose lanes 0 and 1 carry the α
+    /// chains (`alpha_low`) or the β chains.
+    #[inline(always)]
+    unsafe fn make_ctl(alpha_low: bool) -> Ctl {
+        let b = &control_bytes()[if alpha_low { 0 } else { 4 }..];
         Ctl {
-            pred0: black_box(dup_ctrl(lane_ctrl(trellis::pred_table(0)))),
-            pred1: black_box(dup_ctrl(lane_ctrl(trellis::pred_table(1)))),
-            next0: black_box(dup_ctrl(lane_ctrl(trellis::next_table(0)))),
-            next1: black_box(dup_ctrl(lane_ctrl(trellis::next_table(1)))),
-            bcast0: black_box(dup_ctrl([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])),
-            pairsel: black_box(_mm256_loadu_si256(pairsel.as_ptr() as *const __m256i)),
-            sgn_pp0: dup_mask(sign_vec(trellis::pred_parity(0))),
-            sgn_pp1: dup_mask(sign_vec(trellis::pred_parity(1))),
-            sgn_np0: dup_mask(sign_vec(trellis::next_parity(0))),
-            sgn_np1: dup_mask(sign_vec(trellis::next_parity(1))),
-            floor: _mm256_set1_epi16(NEG_INF),
+            st: [load_64(&b[0]), load_64(&b[1])],
+            gam: [load_64(&b[2]), load_64(&b[3])],
         }
     }
 
-    /// Both blocks' branch metric at `step` in one shot: a dword
-    /// broadcast of the interleaved pair, then a lane-local byte
-    /// shuffle fans block 0's i16 across the low lane and block 1's
-    /// across the high lane.
     #[inline(always)]
-    unsafe fn pair_bcast(buf: &[Llr], step: usize, sel: __m256i) -> __m256i {
-        let d = (buf.as_ptr().add(BATCH * step) as *const i32).read_unaligned();
-        _mm256_shuffle_epi8(_mm256_set1_epi32(d), sel)
+    unsafe fn load_64(b: &[i8; 64]) -> __m512i {
+        _mm512_loadu_si512(b.as_ptr().cast())
     }
 
-    /// `±γ₀ ± γₚ` for both hypotheses; `vpsignw` with a ±1 mask equals
-    /// `subs16(0, ·)` because `|γ| ≤ 2¹⁴` after the `>>1` halving.
+    /// The four branch metrics of eight trellis steps per lane,
+    /// `adds16(±γ₀, ±γₚ)` with `subs16(0, ·)` negation exactly as the
+    /// oracle's `branch()`, transposed to one quad per step: register
+    /// `m` of the result holds steps `2m` and `2m + 1` of each lane.
     #[inline(always)]
-    unsafe fn gammas(
-        g0b: __m256i,
-        gpb: __m256i,
-        sgn0: __m256i,
-        sgn1: __m256i,
-    ) -> (__m256i, __m256i) {
-        let ng0 = _mm256_subs_epi16(_mm256_setzero_si256(), g0b);
+    unsafe fn quads(g0: __m512i, gp: __m512i) -> [__m512i; 4] {
+        let zero = _mm512_setzero_si512();
+        let ng0 = _mm512_subs_epi16(zero, g0);
+        let ngp = _mm512_subs_epi16(zero, gp);
+        let q0 = _mm512_adds_epi16(g0, gp);
+        let q1 = _mm512_adds_epi16(g0, ngp);
+        let q2 = _mm512_adds_epi16(ng0, gp);
+        let q3 = _mm512_adds_epi16(ng0, ngp);
+        let lo01 = _mm512_unpacklo_epi16(q0, q1);
+        let hi01 = _mm512_unpackhi_epi16(q0, q1);
+        let lo23 = _mm512_unpacklo_epi16(q2, q3);
+        let hi23 = _mm512_unpackhi_epi16(q2, q3);
+        [
+            _mm512_unpacklo_epi32(lo01, lo23),
+            _mm512_unpackhi_epi32(lo01, lo23),
+            _mm512_unpacklo_epi32(hi01, hi23),
+            _mm512_unpackhi_epi32(hi01, hi23),
+        ]
+    }
+
+    /// 128-bit lanes `[v₀[a..] | v₁[a..] | v₀[b..] | v₁[b..]]`: two
+    /// blocks' eight-step groups at `a`, then at `b`.
+    #[inline(always)]
+    unsafe fn groups(v: [*const Llr; 2], a: usize, b: usize) -> __m512i {
+        let lo = _mm256_loadu2_m128i(v[1].add(a).cast(), v[0].add(a).cast());
+        let hi = _mm256_loadu2_m128i(v[1].add(b).cast(), v[0].add(b).cast());
+        _mm512_inserti64x4::<1>(_mm512_castsi256_si512(lo), hi)
+    }
+
+    /// The four 128-bit lanes of `v` to four unaligned addresses.
+    #[inline(always)]
+    unsafe fn store_4x128(v: __m512i, p: [*mut __m128i; 4]) {
+        _mm_storeu_si128(p[0], _mm512_castsi512_si128(v));
+        _mm_storeu_si128(p[1], _mm512_extracti32x4_epi32::<1>(v));
+        _mm_storeu_si128(p[2], _mm512_extracti32x4_epi32::<2>(v));
+        _mm_storeu_si128(p[3], _mm512_extracti32x4_epi32::<3>(v));
+    }
+
+    /// One packed trellis step on both blocks: gather the chains'
+    /// states under both input bits, add the branch metrics selected
+    /// from the quad pairs `q`. Returns the gathered states, the γ
+    /// vectors and the two candidate registers, each `[u=0, u=1]`.
+    #[inline(always)]
+    unsafe fn candidates(s: __m512i, q: __m512i, c: &Ctl) -> [[__m512i; 2]; 3] {
+        let st = [
+            _mm512_shuffle_epi8(s, c.st[0]),
+            _mm512_shuffle_epi8(s, c.st[1]),
+        ];
+        let gam = [
+            _mm512_shuffle_epi8(q, c.gam[0]),
+            _mm512_shuffle_epi8(q, c.gam[1]),
+        ];
+        let cand = [
+            _mm512_adds_epi16(st[0], gam[0]),
+            _mm512_adds_epi16(st[1], gam[1]),
+        ];
+        [st, gam, cand]
+    }
+
+    /// Max over the two candidates, `NEG_INF` floor, state-0
+    /// normalise — per 128-bit lane.
+    #[inline(always)]
+    unsafe fn select(cand: [__m512i; 2], floor: __m512i, bcast0: __m512i) -> __m512i {
+        let m = _mm512_max_epi16(_mm512_max_epi16(cand[0], cand[1]), floor);
+        _mm512_subs_epi16(m, _mm512_shuffle_epi8(m, bcast0))
+    }
+
+    /// The ymm form of [`candidates`] + [`select`] for the leftover
+    /// group's step `i`, one chain per block in lanes 0 and 1 under
+    /// those lanes of the packed controls `c` (which read the first
+    /// quad of a lane, where the leftover quads sit): returns `(cand,
+    /// next state)`.
+    #[inline(always)]
+    unsafe fn leftover_step(
+        s: __m256i,
+        l: &Lanes,
+        (kp, i): (usize, usize),
+        c: &Ctl,
+        floor: __m512i,
+        bcast0: __m512i,
+    ) -> ([__m256i; 2], __m256i) {
+        let q = _mm256_load_si256(l.gq.add(8 * kp + 16 * (i - kp)).cast());
+        let (st0, st1) = (
+            _mm512_castsi512_si256(c.st[0]),
+            _mm512_castsi512_si256(c.st[1]),
+        );
+        let (gam0, gam1) = (
+            _mm512_castsi512_si256(c.gam[0]),
+            _mm512_castsi512_si256(c.gam[1]),
+        );
+        let (floor, bcast0) = (
+            _mm512_castsi512_si256(floor),
+            _mm512_castsi512_si256(bcast0),
+        );
+        let c0 = _mm256_adds_epi16(_mm256_shuffle_epi8(s, st0), _mm256_shuffle_epi8(q, gam0));
+        let c1 = _mm256_adds_epi16(_mm256_shuffle_epi8(s, st1), _mm256_shuffle_epi8(q, gam1));
+        let m = _mm256_max_epi16(_mm256_max_epi16(c0, c1), floor);
         (
-            _mm256_adds_epi16(g0b, _mm256_sign_epi16(gpb, sgn0)),
-            _mm256_adds_epi16(ng0, _mm256_sign_epi16(gpb, sgn1)),
+            [c0, c1],
+            _mm256_subs_epi16(m, _mm256_shuffle_epi8(m, bcast0)),
         )
     }
 
-    /// [`super::hard_decide_lanes`] for four lanes, 16 rows per step;
-    /// returns the rows covered (all but a ragged end).
+    /// Where one register's two blocks are read from and written to:
+    /// per block its streams, β termination, `γ₀` and posterior runs;
+    /// shared, the register's folded branch metrics and trellis.
+    struct Lanes {
+        sys: [*const Llr; 2],
+        par: [*const Llr; 2],
+        apriori: [*const Llr; 2],
+        binit: [[Llr; STATES]; 2],
+        g0: [*mut Llr; 2],
+        post: [*mut i32; 2],
+        gq: *mut Llr,
+        trellis: *mut Llr,
+    }
+
+    /// One SISO pass over `N` blocks (a pair or a quad), two per zmm
+    /// register: the safe boundary of the kernel, where every length
+    /// it indexes by is checked. `sys`/`par`/`apriori` are read in
+    /// place; `g0` (`γ₀`, for [`peel`]) and `post` (the posteriors, low
+    /// 16 bits of each element) are block-major, each block's run in
+    /// natural order. Per register `r` (blocks `2r` and `2r + 1`), with
+    /// `h = 8·⌊K/16⌋` and `K' = 2h`:
+    ///
+    /// * `gq[(8K + 64)·r..]` — slot `p < h` at words `16p..16p+16`
+    ///   holds both blocks' quad pairs `[quad(p) | quad(K'−1−p)]`,
+    ///   block `2r` first; the leftover group's step `i ∈ [K', K)` at
+    ///   words `8K' + 16(i − K')`, one block's quad at the bottom of
+    ///   each 128-bit lane.
+    /// * `trellis[16K·r..]` — slot `p < h` at words `32p..32p+32` is the
+    ///   register `[α_p, α_p | β_{K'−p}, β_{K'−p}]` of phase 1; the
+    ///   leftover group's `[β_{i+1}, β_{i+1}]` at words `16i`.
+    ///
+    /// Both start on a cache line, so every slot and row is loaded and
+    /// stored aligned.
     ///
     /// # Safety
-    /// AVX-512BW; `post` holds four lanes per row and every live
-    /// `out[g]` a byte per row.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn hard_decide_quad(
-        post: &[i32],
-        out: &[*mut u8],
-        live: &[bool],
-        decided: &mut [bool],
-    ) -> usize {
-        let one = _mm512_set1_epi8(1);
-        // 4 × 4 transposes: of the bytes of each 128 bits, and of the
-        // dwords of the register
-        let t4 = _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
-        let (t4, t16) = (_mm512_broadcast_i32x4(t4), _mm512_cvtepi8_epi32(t4));
-        let mut nonzero = !0u64;
-        let steps = post.len() / 64;
-        for i in 0..steps {
-            let p = post.as_ptr().add(64 * i).cast::<__m512i>();
-            let l = |j| _mm512_slli_epi32(_mm512_loadu_si512(p.add(j).cast()), 16);
-            let (lo, hi) = (
-                _mm512_packs_epi32(l(0), l(1)),
-                _mm512_packs_epi32(l(2), l(3)),
+    /// The host must support AVX-512BW.
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn siso<const N: usize>(
+        sys: [&[Llr]; N],
+        par: [&[Llr]; N],
+        apriori: [&[Llr]; N],
+        binit: &[[Llr; STATES]; N],
+        g0: &mut [Llr],
+        gq: &mut [Llr],
+        trellis: &mut [Llr],
+        post: &mut [i32],
+    ) {
+        let k = sys[0].len();
+        assert!(
+            k.is_multiple_of(STATES) && k >= 2 * STATES,
+            "block size {k} is not a multiple of 8 that is at least 16"
+        );
+        let mut streams = sys.iter().chain(&par).chain(&apriori);
+        assert!(streams.all(|s| s.len() == k), "input stream length");
+        assert!(g0.len() == N * k && post.len() == N * k, "output length");
+        assert!(gq.len() == gq_len(k, N), "γ scratch length");
+        assert!(trellis.len() == STATES * N * k, "trellis scratch length");
+        let line = |v: &[Llr]| v.as_ptr().addr().is_multiple_of(64);
+        assert!(line(gq) && line(trellis), "scratch starts on a cache line");
+        let (g0, post) = (g0.as_mut_ptr(), post.as_mut_ptr());
+        let (gq, tr) = (gq.as_mut_ptr(), trellis.as_mut_ptr());
+        let lanes = |r: usize| {
+            let b = [2 * r, 2 * r + 1];
+            Lanes {
+                sys: b.map(|g| sys[g].as_ptr()),
+                par: b.map(|g| par[g].as_ptr()),
+                apriori: b.map(|g| apriori[g].as_ptr()),
+                binit: b.map(|g| binit[g]),
+                g0: b.map(|g| g0.add(g * k)),
+                post: b.map(|g| post.add(g * k)),
+                gq: gq.add(gq_len(k, 2) * r),
+                trellis: tr.add(16 * k * r),
+            }
+        };
+        match N {
+            BATCH => siso_regs(k, &[lanes(0)]),
+            QUAD => siso_regs(k, &[lanes(0), lanes(1)]),
+            _ => unreachable!("a launch is a pair or a quad"),
+        }
+    }
+
+    /// The γ phase of one register, sixteen steps per block per pass:
+    /// each block's group `a` from the front in lanes 0 and 1, its
+    /// mirror group `b` in lanes 2 and 3 with the step order reversed,
+    /// so each stored slot holds both blocks' `[quad(p) | quad(K'−1−p)]`.
+    #[inline(always)]
+    unsafe fn stage_gammas(l: &Lanes, k: usize, h: usize) {
+        let kp = 2 * h;
+        let rev = load_64(&control_bytes()[8]);
+        // Qwords `[a₀ a₁ | b₀ b₁ | c₀ c₁ | d₀ d₁]` → `[a₀ c₀ b₀ d₀ |
+        // a₁ c₁ b₁ d₁]`: slot `p`'s quads, then slot `p + 1`'s.
+        let fold = _mm512_setr_epi64(0, 4, 2, 6, 1, 5, 3, 7);
+        let mut a = 0;
+        while a < h {
+            let b = kp - STATES - a;
+            let ls = groups(l.sys, a, b);
+            let g0v = _mm512_srai_epi16::<1>(_mm512_adds_epi16(ls, groups(l.apriori, a, b)));
+            let gpv = _mm512_srai_epi16::<1>(groups(l.par, a, b));
+            let g0 = l.g0;
+            store_4x128(
+                g0v,
+                [g0[0].add(a), g0[1].add(a), g0[0].add(b), g0[1].add(b)].map(|p| p.cast()),
             );
-            // 128 bits ℓ: rows ℓ, ℓ+4, ℓ+8, ℓ+12, four lanes' bytes each
-            let x = _mm512_shuffle_epi8(_mm512_packs_epi16(lo, hi), t4);
-            // → lane g's rows as dword g → lane g's 16 rows as 128 bits g
-            let x = _mm512_shuffle_epi8(_mm512_permutexvar_epi32(t16, x), t4);
-            nonzero &= _mm512_test_epi8_mask(x, x);
-            let b = _mm512_and_si512(_mm512_srli_epi16(x, 7), one);
-            let b = [
-                _mm512_castsi512_si128(b),
-                _mm512_extracti32x4_epi32::<1>(b),
-                _mm512_extracti32x4_epi32::<2>(b),
-                _mm512_extracti32x4_epi32::<3>(b),
-            ];
-            for g in 0..QUAD {
-                if live[g] {
-                    _mm_storeu_si128(out[g].add(16 * i).cast(), b[g]);
-                }
+            let q = quads(_mm512_shuffle_epi8(g0v, rev), _mm512_shuffle_epi8(gpv, rev));
+            for (m, qm) in q.into_iter().enumerate() {
+                let slot = l.gq.add(16 * (a + 2 * m));
+                _mm512_store_si512(slot.cast(), _mm512_permutexvar_epi64(fold, qm));
+            }
+            a += STATES;
+        }
+        if kp < k {
+            // The leftover group, block by block in lanes 0 and 1 (2
+            // and 3 repeat them): each step's quads at the bottom of
+            // each lane, 32 bytes a step.
+            let ls = groups(l.sys, kp, kp);
+            let g0v = _mm512_srai_epi16::<1>(_mm512_adds_epi16(ls, groups(l.apriori, kp, kp)));
+            let gpv = _mm512_srai_epi16::<1>(groups(l.par, kp, kp));
+            _mm_storeu_si128(l.g0[0].add(kp).cast(), _mm512_castsi512_si128(g0v));
+            _mm_storeu_si128(l.g0[1].add(kp).cast(), _mm512_extracti32x4_epi32::<1>(g0v));
+            for (m, qm) in quads(g0v, gpv).into_iter().enumerate() {
+                let (x, step) = (_mm512_castsi512_si256(qm), l.gq.add(8 * kp + 32 * m));
+                _mm256_store_si256(step.cast(), x);
+                _mm256_store_si256(step.add(16).cast(), _mm256_unpackhi_epi64(x, x));
             }
         }
-        for (g, d) in decided.iter_mut().enumerate() {
-            *d = (nonzero >> (16 * g)) as u16 == u16::MAX;
-        }
-        16 * steps
     }
 
-    /// One fused SISO pass over two blocks. `sys`/`par`/`apriori` are
-    /// per-block slices read in place (no block-major staging copy);
-    /// `g0`, `gp` and `ext` are written pair-interleaved
-    /// (`[2*step+block]`, `ext` already through `scale_extrinsic`),
-    /// `post` is dword-stride pair-interleaved;
-    /// `alpha` holds `(K+1) × 16` lanes, `binit` the two blocks' β
-    /// terminations.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn siso_pair_avx2(
-        sys: [&[Llr]; BATCH],
-        par: [&[Llr]; BATCH],
-        apriori: [&[Llr]; BATCH],
-        binit: &[Llr; BATCH * STATES],
-        g0: &mut [Llr],
-        gp: &mut [Llr],
-        alpha: &mut [Llr],
-        ext: &mut [Llr],
-        post: &mut [i32],
-    ) {
-        let k = sys[0].len();
-        let n = BATCH * k;
-        debug_assert!(k.is_multiple_of(STATES));
-        debug_assert!(sys.iter().all(|s| s.len() == k));
-        debug_assert!(par.iter().all(|s| s.len() == k));
-        debug_assert!(apriori.iter().all(|s| s.len() == k));
-        debug_assert!(g0.len() == n && gp.len() == n);
-        debug_assert!(ext.len() == n && post.len() == n);
-        debug_assert!(alpha.len() == (k + 1) * BATCH * STATES);
-        let ctl = make_ctl();
-        let lanes = BATCH * STATES;
-
-        // γ phase: per-block metrics in xmm halves, stored interleaved
-        // so the recursions can broadcast a step's pair with one dword
-        // load.
-        let mut i = 0;
-        while i < k {
-            let pair = |bufs: [&[Llr]; BATCH]| {
-                (
-                    _mm_loadu_si128(bufs[0].as_ptr().add(i) as *const __m128i),
-                    _mm_loadu_si128(bufs[1].as_ptr().add(i) as *const __m128i),
-                )
-            };
-            let (ls0, ls1) = pair(sys);
-            let (la0, la1) = pair(apriori);
-            let (lp0, lp1) = pair(par);
-            let g0a = _mm_srai_epi16(_mm_adds_epi16(ls0, la0), 1);
-            let g0b = _mm_srai_epi16(_mm_adds_epi16(ls1, la1), 1);
-            let gpa = _mm_srai_epi16(lp0, 1);
-            let gpb = _mm_srai_epi16(lp1, 1);
-            let at = |v: &mut [Llr], off: usize| v.as_mut_ptr().add(off) as *mut __m128i;
-            _mm_storeu_si128(at(g0, BATCH * i), _mm_unpacklo_epi16(g0a, g0b));
-            _mm_storeu_si128(at(g0, BATCH * i + 8), _mm_unpackhi_epi16(g0a, g0b));
-            _mm_storeu_si128(at(gp, BATCH * i), _mm_unpacklo_epi16(gpa, gpb));
-            _mm_storeu_si128(at(gp, BATCH * i + 8), _mm_unpackhi_epi16(gpa, gpb));
-            i += 8;
-        }
-
-        // Forward α: blocks 0 and 1 each own a 128-bit half.
-        let mut a0init = [NEG_INF; 16];
-        a0init[0] = 0;
-        a0init[STATES] = 0;
-        let mut a = _mm256_loadu_si256(a0init.as_ptr() as *const __m256i);
-        _mm256_storeu_si256(alpha.as_mut_ptr() as *mut __m256i, a);
-        for step in 0..k {
-            let g0b = pair_bcast(g0, step, ctl.pairsel);
-            let gpb = pair_bcast(gp, step, ctl.pairsel);
-            let (gam0, gam1) = gammas(g0b, gpb, ctl.sgn_pp0, ctl.sgn_pp1);
-            let p0 = _mm256_shuffle_epi8(a, ctl.pred0);
-            let p1 = _mm256_shuffle_epi8(a, ctl.pred1);
-            let c0 = _mm256_adds_epi16(p0, gam0);
-            let c1 = _mm256_adds_epi16(p1, gam1);
-            let m = _mm256_max_epi16(_mm256_max_epi16(c0, c1), ctl.floor);
-            let norm = _mm256_shuffle_epi8(m, ctl.bcast0);
-            a = _mm256_subs_epi16(m, norm);
-            _mm256_storeu_si256(
-                alpha.as_mut_ptr().add((step + 1) * lanes) as *mut __m256i,
-                a,
-            );
-        }
-
-        // Backward β fused with the posterior; the joint interleaved
-        // reduction and the dword-stride posterior store mirror the
-        // single-block kernel (`srli`/`unpack` are lane-local, so each
-        // block reduces inside its own half).
-        let mut b = _mm256_loadu_si256(binit.as_ptr() as *const __m256i);
-        for step in (0..k).rev() {
-            let g0b = pair_bcast(g0, step, ctl.pairsel);
-            let gpb = pair_bcast(gp, step, ctl.pairsel);
-            let (gam0, gam1) = gammas(g0b, gpb, ctl.sgn_np0, ctl.sgn_np1);
-            let b0 = _mm256_shuffle_epi8(b, ctl.next0);
-            let b1 = _mm256_shuffle_epi8(b, ctl.next1);
-            let av = _mm256_loadu_si256(alpha.as_ptr().add(step * lanes) as *const __m256i);
-            let t0 = _mm256_adds_epi16(_mm256_adds_epi16(av, gam0), b0);
-            let t1 = _mm256_adds_epi16(_mm256_adds_epi16(av, gam1), b1);
-            let y = _mm256_max_epi16(_mm256_unpacklo_epi16(t0, t1), _mm256_unpackhi_epi16(t0, t1));
-            let z = _mm256_max_epi16(y, _mm256_srli_si256(y, 8));
-            let w = _mm256_max_epi16(z, _mm256_srli_si256(z, 4));
-            let wf = _mm256_max_epi16(w, ctl.floor);
-            let lv = _mm256_subs_epi16(wf, _mm256_srli_si256(wf, 2));
-            // Both blocks' posteriors with one 8-byte store: dword 0
-            // of each half, low 16 bits the payload.
-            let pd =
-                _mm_unpacklo_epi32(_mm256_castsi256_si128(lv), _mm256_extracti128_si256(lv, 1));
-            _mm_storel_epi64(post.as_mut_ptr().add(BATCH * step) as *mut __m128i, pd);
-            let c0 = _mm256_adds_epi16(b0, gam0);
-            let c1 = _mm256_adds_epi16(b1, gam1);
-            let m = _mm256_max_epi16(_mm256_max_epi16(c0, c1), ctl.floor);
-            let norm = _mm256_shuffle_epi8(m, ctl.bcast0);
-            b = _mm256_subs_epi16(m, norm);
-        }
-
-        // Extrinsic peel-off, sixteen interleaved entries per pass:
-        // `ext = scale_extrinsic(L − 2·γ₀)`, the oracle's ops on the
-        // oracle's values (it scales the whole array, then permutes).
-        // The `permute4x64` undoes `packs_epi32`'s lane-wise ordering;
-        // the pack itself is exact because every lane is an in-range
-        // i16 after the sign-extending shift pair.
-        let mut i = 0;
-        while i < n {
-            let p0 = _mm256_loadu_si256(post.as_ptr().add(i) as *const __m256i);
-            let p1 = _mm256_loadu_si256(post.as_ptr().add(i + 8) as *const __m256i);
-            let w0 = _mm256_srai_epi32(_mm256_slli_epi32(p0, 16), 16);
-            let w1 = _mm256_srai_epi32(_mm256_slli_epi32(p1, 16), 16);
-            let pv = _mm256_permute4x64_epi64(_mm256_packs_epi32(w0, w1), 0b11011000);
-            let g0v = _mm256_loadu_si256(g0.as_ptr().add(i) as *const __m256i);
-            let ev = _mm256_subs_epi16(pv, _mm256_adds_epi16(g0v, g0v));
-            let sv = _mm256_adds_epi16(_mm256_srai_epi16(ev, 1), _mm256_srai_epi16(ev, 2));
-            _mm256_storeu_si256(ext.as_mut_ptr().add(i) as *mut __m256i, sv);
-            i += 16;
-        }
-    }
-
-    struct QCtl {
-        pred0: __m512i,
-        pred1: __m512i,
-        next0: __m512i,
-        next1: __m512i,
-        bcast0: __m512i,
-        quadsel: __m512i,
-        neg_pp0: __mmask32,
-        neg_pp1: __mmask32,
-        neg_np0: __mmask32,
-        neg_np1: __mmask32,
-        floor: __m512i,
-    }
-
-    /// Replicate a 16-byte control into all four 128-bit lanes —
-    /// `_mm512_shuffle_epi8` indexes are lane-local under AVX-512BW,
-    /// the same per-block state-gather contract as the ymm kernel.
-    #[inline(always)]
-    unsafe fn quad_ctrl(a: [i8; 16]) -> __m512i {
-        _mm512_broadcast_i32x4(_mm_loadu_si128(a.as_ptr() as *const __m128i))
-    }
-
-    /// Negation mask for all 32 i16 elements from a per-state parity
-    /// table: block lanes repeat the same 8-bit pattern.
-    fn neg_mask(par: [u8; STATES]) -> __mmask32 {
-        let mut m8 = 0u32;
-        for (s, &p) in par.iter().enumerate() {
-            m8 |= u32::from(p != 0) << s;
-        }
-        m8 * 0x0101_0101
-    }
-
-    #[inline(always)]
-    unsafe fn make_qctl() -> QCtl {
-        use core::hint::black_box;
-        // Lane L selects block L's i16 of the broadcast qword: bytes
-        // 2L / 2L+1, alternating.
-        let mut quadsel = [0i8; 64];
-        for (i, b) in quadsel.iter_mut().enumerate() {
-            *b = (2 * (i / 16) + i % 2) as i8;
-        }
-        QCtl {
-            pred0: black_box(quad_ctrl(lane_ctrl(trellis::pred_table(0)))),
-            pred1: black_box(quad_ctrl(lane_ctrl(trellis::pred_table(1)))),
-            next0: black_box(quad_ctrl(lane_ctrl(trellis::next_table(0)))),
-            next1: black_box(quad_ctrl(lane_ctrl(trellis::next_table(1)))),
-            bcast0: black_box(quad_ctrl([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])),
-            quadsel: black_box(_mm512_loadu_si512(quadsel.as_ptr() as *const _)),
-            neg_pp0: neg_mask(trellis::pred_parity(0)),
-            neg_pp1: neg_mask(trellis::pred_parity(1)),
-            neg_np0: neg_mask(trellis::next_parity(0)),
-            neg_np1: neg_mask(trellis::next_parity(1)),
-            floor: _mm512_set1_epi16(NEG_INF),
-        }
-    }
-
-    /// All four blocks' branch metric at `step` in one shot: a qword
-    /// broadcast of the interleaved quad, then a lane-local byte
-    /// shuffle fans block L's i16 across lane L.
-    #[inline(always)]
-    unsafe fn quad_bcast(buf: &[Llr], step: usize, sel: __m512i) -> __m512i {
-        let q = (buf.as_ptr().add(QUAD * step) as *const i64).read_unaligned();
-        _mm512_shuffle_epi8(_mm512_set1_epi64(q), sel)
-    }
-
-    /// `±γ₀ ± γₚ` for both hypotheses. AVX-512 has no `vpsignw`; a
-    /// masked wrapping subtract-from-zero is the exact same negation
-    /// the ymm kernel's ±1 `vpsignw` performs.
-    #[inline(always)]
-    unsafe fn quad_gammas(
-        g0b: __m512i,
-        gpb: __m512i,
-        neg0: __mmask32,
-        neg1: __mmask32,
-    ) -> (__m512i, __m512i) {
-        let zero = _mm512_setzero_si512();
-        let ng0 = _mm512_subs_epi16(zero, g0b);
-        (
-            _mm512_adds_epi16(g0b, _mm512_mask_sub_epi16(gpb, neg0, zero, gpb)),
-            _mm512_adds_epi16(ng0, _mm512_mask_sub_epi16(gpb, neg1, zero, gpb)),
-        )
-    }
-
-    /// One fused SISO pass over four blocks: the zmm widening of
-    /// [`siso_pair_avx2`], each 128-bit lane running the identical
-    /// instruction sequence on its own block. `sys`/`par`/`apriori`
-    /// are per-block slices read in place (no block-major staging
-    /// copy); `g0`, `gp` and `ext` are written quad-interleaved
-    /// (`[4*step+block]`, `ext` already through `scale_extrinsic`),
-    /// `post` is dword-stride quad-interleaved;
-    /// `alpha` holds `(K+1) × 32` lanes, `binit` the four blocks' β
-    /// terminations.
-    #[allow(clippy::too_many_arguments)]
+    /// The single-block AVX2 kernel's schedule on `R` registers of two
+    /// blocks each, step by step together (layouts: [`siso`]).
     #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn siso_quad_avx512(
-        sys: [&[Llr]; QUAD],
-        par: [&[Llr]; QUAD],
-        apriori: [&[Llr]; QUAD],
-        binit: &[Llr; QUAD * STATES],
-        g0: &mut [Llr],
-        gp: &mut [Llr],
-        alpha: &mut [Llr],
-        ext: &mut [Llr],
-        post: &mut [i32],
-    ) {
-        let k = sys[0].len();
-        let n = QUAD * k;
-        debug_assert!(k.is_multiple_of(STATES));
-        debug_assert!(sys.iter().all(|s| s.len() == k));
-        debug_assert!(par.iter().all(|s| s.len() == k));
-        debug_assert!(apriori.iter().all(|s| s.len() == k));
-        debug_assert!(g0.len() == n && gp.len() == n);
-        debug_assert!(ext.len() == n && post.len() == n);
-        debug_assert!(alpha.len() == (k + 1) * QUAD * STATES);
-        let ctl = make_qctl();
-        let lanes = QUAD * STATES;
+    unsafe fn siso_regs<const R: usize>(k: usize, regs: &[Lanes; R]) {
+        let h = STATES * (k / (2 * STATES));
+        let kp = 2 * h;
+        for l in regs {
+            stage_gammas(l, k, h);
+        }
+        let c1 = make_ctl(true);
+        let c2 = make_ctl(false);
+        let floor = _mm512_set1_epi16(NEG_INF);
+        let bcast0 = black_box(_mm512_set1_epi16(0x0100));
 
-        // γ phase: per-block metrics in xmm quarters, 4×8 i16
-        // transposed through two unpack rounds so the recursions can
-        // broadcast a step's quad with one qword load.
-        let mut i = 0;
-        while i < k {
-            let quad = |bufs: [&[Llr]; QUAD]| -> [__m128i; QUAD] {
-                core::array::from_fn(|g| _mm_loadu_si128(bufs[g].as_ptr().add(i) as *const __m128i))
-            };
-            let ls = quad(sys);
-            let la = quad(apriori);
-            let lp = quad(par);
-            let g0x: [__m128i; QUAD] =
-                core::array::from_fn(|g| _mm_srai_epi16(_mm_adds_epi16(ls[g], la[g]), 1));
-            let gpx: [__m128i; QUAD] = core::array::from_fn(|g| _mm_srai_epi16(lp[g], 1));
-            let store4 = |v: &mut [Llr], x: [__m128i; QUAD]| {
-                let t0 = _mm_unpacklo_epi16(x[0], x[1]);
-                let t1 = _mm_unpacklo_epi16(x[2], x[3]);
-                let t2 = _mm_unpackhi_epi16(x[0], x[1]);
-                let t3 = _mm_unpackhi_epi16(x[2], x[3]);
-                let base = v.as_mut_ptr();
-                let at = |off: usize| base.add(QUAD * i + off) as *mut __m128i;
-                _mm_storeu_si128(at(0), _mm_unpacklo_epi32(t0, t1));
-                _mm_storeu_si128(at(8), _mm_unpackhi_epi32(t0, t1));
-                _mm_storeu_si128(at(16), _mm_unpacklo_epi32(t2, t3));
-                _mm_storeu_si128(at(24), _mm_unpackhi_epi32(t2, t3));
-            };
-            store4(g0, g0x);
-            store4(gp, gpx);
-            i += 8;
+        // Leftover group, β side: walk `[K', K)` backward so the packed
+        // phases start from β at step K'. The chains are lanes 0 and 1
+        // of the packed controls: β leads phase 1, α trails phase 2.
+        let mut b = [_mm256_setzero_si256(); R];
+        for (b, l) in b.iter_mut().zip(regs) {
+            *b = _mm256_loadu_si256(l.binit.as_ptr().cast());
+        }
+        for i in (kp..k).rev() {
+            for (b, l) in b.iter_mut().zip(regs) {
+                _mm256_store_si256(l.trellis.add(16 * i).cast(), *b);
+                *b = leftover_step(*b, l, (kp, i), &c2, floor, bcast0).1;
+            }
         }
 
-        // Forward α: each block owns a 128-bit lane.
-        let mut a0init = [NEG_INF; 32];
-        for g in 0..QUAD {
-            a0init[g * STATES] = 0;
+        // Phase 1: α forward over `[0, h)` in lanes 0 and 1, β backward
+        // over `[h, K')` in lanes 2 and 3; each step first stores the
+        // row pairs it starts from.
+        let mut a0 = [NEG_INF; 2 * STATES];
+        a0[0] = 0;
+        a0[STATES] = 0;
+        let a0 = _mm512_castsi256_si512(_mm256_loadu_si256(a0.as_ptr().cast()));
+        let mut s = [_mm512_setzero_si512(); R];
+        for (s, b) in s.iter_mut().zip(b) {
+            *s = _mm512_inserti64x4::<1>(a0, b);
         }
-        let mut a = _mm512_loadu_si512(a0init.as_ptr() as *const _);
-        _mm512_storeu_si512(alpha.as_mut_ptr() as *mut _, a);
-        for step in 0..k {
-            let g0b = quad_bcast(g0, step, ctl.quadsel);
-            let gpb = quad_bcast(gp, step, ctl.quadsel);
-            let (gam0, gam1) = quad_gammas(g0b, gpb, ctl.neg_pp0, ctl.neg_pp1);
-            let p0 = _mm512_shuffle_epi8(a, ctl.pred0);
-            let p1 = _mm512_shuffle_epi8(a, ctl.pred1);
-            let c0 = _mm512_adds_epi16(p0, gam0);
-            let c1 = _mm512_adds_epi16(p1, gam1);
-            let m = _mm512_max_epi16(_mm512_max_epi16(c0, c1), ctl.floor);
-            let norm = _mm512_shuffle_epi8(m, ctl.bcast0);
-            a = _mm512_subs_epi16(m, norm);
-            _mm512_storeu_si512(alpha.as_mut_ptr().add((step + 1) * lanes) as *mut _, a);
-        }
-
-        // Backward β fused with the posterior; `bsrli_epi128`/`unpack`
-        // are lane-local, so each block reduces inside its own lane.
-        // The posterior quad (dword 0 of each lane) compresses to one
-        // 16-byte store.
-        let mut b = _mm512_loadu_si512(binit.as_ptr() as *const _);
-        for step in (0..k).rev() {
-            let g0b = quad_bcast(g0, step, ctl.quadsel);
-            let gpb = quad_bcast(gp, step, ctl.quadsel);
-            let (gam0, gam1) = quad_gammas(g0b, gpb, ctl.neg_np0, ctl.neg_np1);
-            let b0 = _mm512_shuffle_epi8(b, ctl.next0);
-            let b1 = _mm512_shuffle_epi8(b, ctl.next1);
-            let av = _mm512_loadu_si512(alpha.as_ptr().add(step * lanes) as *const _);
-            let t0 = _mm512_adds_epi16(_mm512_adds_epi16(av, gam0), b0);
-            let t1 = _mm512_adds_epi16(_mm512_adds_epi16(av, gam1), b1);
-            let y = _mm512_max_epi16(_mm512_unpacklo_epi16(t0, t1), _mm512_unpackhi_epi16(t0, t1));
-            let z = _mm512_max_epi16(y, _mm512_bsrli_epi128::<8>(y));
-            let w = _mm512_max_epi16(z, _mm512_bsrli_epi128::<4>(z));
-            let wf = _mm512_max_epi16(w, ctl.floor);
-            let lv = _mm512_subs_epi16(wf, _mm512_bsrli_epi128::<2>(wf));
-            let pd = _mm512_maskz_compress_epi32(0x1111, lv);
-            _mm_storeu_si128(
-                post.as_mut_ptr().add(QUAD * step) as *mut __m128i,
-                _mm512_castsi512_si128(pd),
-            );
-            let c0 = _mm512_adds_epi16(b0, gam0);
-            let c1 = _mm512_adds_epi16(b1, gam1);
-            let m = _mm512_max_epi16(_mm512_max_epi16(c0, c1), ctl.floor);
-            let norm = _mm512_shuffle_epi8(m, ctl.bcast0);
-            b = _mm512_subs_epi16(m, norm);
+        for p in 0..h {
+            for (s, l) in s.iter_mut().zip(regs) {
+                _mm512_store_si512(l.trellis.add(32 * p).cast(), *s);
+                let q = _mm512_broadcast_i64x4(_mm256_load_si256(l.gq.add(16 * p).cast()));
+                let [_, _, cand] = candidates(*s, q, &c1);
+                *s = select(cand, floor, bcast0);
+            }
         }
 
-        // Extrinsic peel-off, thirty-two interleaved entries per pass:
-        // `ext = scale_extrinsic(L − 2·γ₀)`. `packs_epi32` packs per
-        // 128-bit lane, so a
-        // qword permute restores sequential order; the pack itself is
-        // exact because every element is an in-range i16 after the
-        // sign-extending shift pair.
+        // Phase 2: the chains trade halves (β in lanes 0 and 1, α in 2
+        // and 3) so slot `p` lines up as loaded, and each lane also
+        // owns its step's posterior `max₀ − max₁` over `(α + γ) + β` —
+        // the β lanes per source state (row α, gathered β), the α
+        // lanes per destination state (gathered α, row β), as in the
+        // single-block kernel. Four steps share one reduction tree.
+        for s in &mut s {
+            *s = _mm512_shuffle_i64x2::<0x4E>(*s, *s);
+        }
+        // Lanes 0 and 1 (β) as words, lanes 2 and 3 (α) as dwords —
+        // opaque, or LLVM turns the masked ops below into half-register
+        // `vshufi64x2` selects that queue on the shuffle port.
+        let (beta_words, alpha_dwords) = black_box((0xFFFF, 0xFF00));
+        let mut p = h;
+        while p > 0 {
+            let mut y = [[_mm512_setzero_si512(); 4]; R];
+            for j in 0..4 {
+                p -= 1;
+                for ((s, y), l) in s.iter_mut().zip(&mut y).zip(regs) {
+                    let row = _mm512_load_si512(l.trellis.add(32 * p).cast());
+                    let q = _mm512_broadcast_i64x4(_mm256_load_si256(l.gq.add(16 * p).cast()));
+                    let [st, gam, cand] = candidates(*s, q, &c2);
+                    // `(α + γ) + β`: the β lanes add γ to their row, the
+                    // α lanes' candidate already is `α[pred] + γ` — one
+                    // masked add where the ymm kernel blends twice.
+                    let mut t = [_mm512_setzero_si512(); 2];
+                    for u in 0..2 {
+                        let a_side = _mm512_mask_adds_epi16(cand[u], beta_words, row, gam[u]);
+                        let b_side = _mm512_mask_blend_epi32(alpha_dwords, st[u], row);
+                        t[u] = _mm512_adds_epi16(a_side, b_side);
+                    }
+                    y[j] = _mm512_max_epi16(
+                        _mm512_unpacklo_epi16(t[0], t[1]),
+                        _mm512_unpackhi_epi16(t[0], t[1]),
+                    );
+                    *s = select(cand, floor, bcast0);
+                }
+            }
+            // y[j] belongs to steps p+3−j (β lanes) and K'−4−p+j (α
+            // lanes); reducing in the order 3,2,1,0 leaves the β lanes
+            // ascending in memory and the α lanes descending.
+            for (y, l) in y.iter().zip(regs) {
+                let u1 = _mm512_max_epi16(
+                    _mm512_unpacklo_epi32(y[3], y[2]),
+                    _mm512_unpackhi_epi32(y[3], y[2]),
+                );
+                let u2 = _mm512_max_epi16(
+                    _mm512_unpacklo_epi32(y[1], y[0]),
+                    _mm512_unpackhi_epi32(y[1], y[0]),
+                );
+                let v =
+                    _mm512_max_epi16(_mm512_unpacklo_epi64(u1, u2), _mm512_unpackhi_epi64(u1, u2));
+                let wf = _mm512_max_epi16(v, floor);
+                // Low word of each dword: `max₀ − max₁`; the high word
+                // is scrap, as in the 128-bit tiers.
+                let post = _mm512_subs_epi16(wf, _mm512_srli_epi32::<16>(wf));
+                let post = _mm512_mask_shuffle_epi32::<_MM_PERM_ABCD>(post, alpha_dwords, post);
+                let (at, back) = (p, kp - 4 - p);
+                let dst = [l.post[0].add(at), l.post[1].add(at)];
+                let dst = [dst[0], dst[1], l.post[0].add(back), l.post[1].add(back)];
+                store_4x128(post, dst.map(|p| p.cast()));
+            }
+        }
+
+        // Leftover group, α side: one chain per block forward over
+        // `[K', K)` against the β rows its twin stored,
+        // destination-indexed as in the α lanes above.
+        let mut a = [_mm256_setzero_si256(); R];
+        for (a, s) in a.iter_mut().zip(s) {
+            *a = _mm512_extracti64x4_epi64::<1>(s);
+        }
+        let floor2 = _mm512_castsi512_si256(floor);
+        for i in kp..k {
+            for (a, l) in a.iter_mut().zip(regs) {
+                let brow = _mm256_load_si256(l.trellis.add(16 * i).cast());
+                let (cand, next) = leftover_step(*a, l, (kp, i), &c1, floor, bcast0);
+                let t0 = _mm256_adds_epi16(cand[0], brow);
+                let t1 = _mm256_adds_epi16(cand[1], brow);
+                let y =
+                    _mm256_max_epi16(_mm256_unpacklo_epi16(t0, t1), _mm256_unpackhi_epi16(t0, t1));
+                let z = _mm256_max_epi16(y, _mm256_srli_si256::<8>(y));
+                let w = _mm256_max_epi16(z, _mm256_srli_si256::<4>(z));
+                let wf = _mm256_max_epi16(w, floor2);
+                let lv = _mm256_subs_epi16(wf, _mm256_srli_si256::<2>(wf));
+                *l.post[0].add(i) = _mm256_extract_epi32::<0>(lv);
+                *l.post[1].add(i) = _mm256_extract_epi32::<4>(lv);
+                *a = next;
+            }
+        }
+    }
+
+    /// `dst[g·k + j] = src[g·k + table[j]]` for `k = table.len()`: each
+    /// of `N` block-major runs permuted by `table`, sixteen steps of a
+    /// run per `vpgatherdd`. A gather reads dwords, so `src` holds a
+    /// word past its runs; the indices are clamped to `k − 1`, so a
+    /// table that is not a permutation of `0..k` cannot read outside
+    /// `src`.
+    ///
+    /// # Safety
+    /// The host must support AVX-512BW.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub unsafe fn gather_rows<const N: usize>(dst: &mut [Llr], src: &[Llr], table: &[u32]) {
+        let k = table.len();
+        assert!(
+            k > 0 && dst.len() == N * k && src.len() > N * k,
+            "gather lengths"
+        );
+        let last = _mm512_set1_epi32(k as i32 - 1);
+        let mut j = 0;
+        while j + 16 <= k {
+            let at = _mm512_loadu_si512(table.as_ptr().add(j).cast());
+            let at = _mm512_min_epu32(at, last);
+            for g in 0..N {
+                let row = _mm512_i32gather_epi32::<2>(at, src.as_ptr().add(g * k).cast());
+                let out = dst.as_mut_ptr().add(g * k + j).cast();
+                _mm256_storeu_si256(out, _mm512_cvtepi32_epi16(row));
+            }
+            j += 16;
+        }
+        for (j, &p) in table.iter().enumerate().skip(j) {
+            for g in 0..N {
+                dst[g * k + j] = src[g * k + p as usize];
+            }
+        }
+    }
+
+    /// The next half-iteration's a-priori from a pass's block-major
+    /// posterior and `γ₀`: the single-block decoder's `peel_extrinsic`,
+    /// `scale_extrinsic(L − 2·γ₀)`, thirty-two steps per register.
+    /// `packs_epi32` packs per 128-bit lane, so a qword permute
+    /// restores sequential order; the pack itself is exact because
+    /// every element is an in-range i16 after the sign-extending shift
+    /// pair.
+    ///
+    /// # Safety
+    /// The host must support AVX-512BW.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub unsafe fn peel(post: &[i32], g0: &[Llr], ext: &mut [Llr]) {
+        let n = ext.len();
+        assert!(post.len() == n && g0.len() == n);
         let unlace = _mm512_set_epi64(7, 5, 3, 1, 6, 4, 2, 0);
         let mut i = 0;
-        while i < n {
-            let p0 = _mm512_loadu_si512(post.as_ptr().add(i) as *const _);
-            let p1 = _mm512_loadu_si512(post.as_ptr().add(i + 16) as *const _);
-            let w0 = _mm512_srai_epi32(_mm512_slli_epi32(p0, 16), 16);
-            let w1 = _mm512_srai_epi32(_mm512_slli_epi32(p1, 16), 16);
+        while i + 32 <= n {
+            let p0 = _mm512_loadu_si512(post.as_ptr().add(i).cast());
+            let p1 = _mm512_loadu_si512(post.as_ptr().add(i + 16).cast());
+            let w0 = _mm512_srai_epi32::<16>(_mm512_slli_epi32::<16>(p0));
+            let w1 = _mm512_srai_epi32::<16>(_mm512_slli_epi32::<16>(p1));
             let pv = _mm512_permutexvar_epi64(unlace, _mm512_packs_epi32(w0, w1));
-            let g0v = _mm512_loadu_si512(g0.as_ptr().add(i) as *const _);
+            let g0v = _mm512_loadu_si512(g0.as_ptr().add(i).cast());
             let ev = _mm512_subs_epi16(pv, _mm512_adds_epi16(g0v, g0v));
-            let sv = _mm512_adds_epi16(_mm512_srai_epi16(ev, 1), _mm512_srai_epi16(ev, 2));
-            _mm512_storeu_si512(ext.as_mut_ptr().add(i) as *mut _, sv);
+            let sv = _mm512_adds_epi16(_mm512_srai_epi16::<1>(ev), _mm512_srai_epi16::<2>(ev));
+            _mm512_storeu_si512(ext.as_mut_ptr().add(i).cast(), sv);
             i += 32;
         }
+        peel_extrinsic(DecoderIsa::Sse2, &post[i..], &g0[i..], &mut ext[i..]);
     }
 }
 
@@ -1134,14 +1098,14 @@ mod tests {
                 for lane in 0..N {
                     let mut post = clean.clone();
                     if let Some(z) = zero {
-                        post[N * z + lane] &= !0xFFFF;
+                        post[lane * k + z] &= !0xFFFF;
                     }
                     let live: [bool; N] = core::array::from_fn(|g| g != (lane + 1) % N);
                     let mut bits: [Vec<u8>; N] = core::array::from_fn(|_| vec![9; k]);
-                    let decided = hard_decide_lanes(&post, &mut bits, live);
+                    let decided = hard_decide_lanes(DecoderIsa::best(), &post, &mut bits, live);
                     for g in 0..N {
                         let want: Vec<u8> = match live[g] {
-                            true => (0..k).map(|i| llr_to_bit(post[N * i + g] as Llr)).collect(),
+                            true => (0..k).map(|i| llr_to_bit(post[g * k + i] as Llr)).collect(),
                             false => vec![9; k],
                         };
                         assert_eq!(bits[g], want, "N={N} K={k} lane {g} zero {zero:?}");
@@ -1354,17 +1318,16 @@ mod tests {
                 assert_eq!(alone(block, None).1, (CAP, None, 2 * CAP), "K={k}");
             }
 
-            // Every tier: the host's, pair-split, and single-split.
-            let mut tiers = vec![NativeBatchTurboDecoder::new(k, CAP)];
-            for narrow in [(true, false), (false, false)] {
-                let mut d = tiers[0].clone();
-                d.use_avx2 &= narrow.0;
-                d.use_avx512 &= narrow.1;
-                tiers.push(d);
-            }
+            // Both tiers: the host's, and every lane a single decode.
+            let host = NativeBatchTurboDecoder::new(k, CAP);
+            let mut split = host.clone();
+            split.use_avx512 = false;
             let mut scratch = BatchScratch::new();
-            for (dec, crc) in tiers.iter().flat_map(|d| [(d, Some(&CRC24B)), (d, None)]) {
-                let tier = (dec.use_avx2, dec.use_avx512, crc.is_some());
+            for (dec, crc) in [host, split]
+                .iter()
+                .flat_map(|d| [(d, Some(&CRC24B)), (d, None)])
+            {
+                let tier = (dec.use_avx512, crc.is_some());
                 let passes0 = scratch.siso_passes();
                 for quad in [
                     [&pass3, &pass1, &never, &pass2],
@@ -1414,54 +1377,74 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quad_zmm_beats_four_serial_native_decodes() {
-        // The acceptance bar for the quad kernel: on an AVX-512BW host
-        // four blocks through one zmm pass must cost less wall-clock
-        // than four serial single-block native decodes. Skipped (not
-        // failed) where the host lacks the ISA — exactness is covered
-        // unconditionally above.
+    /// Median of 15 alternated pairs: one `N`-lane launch against `N`
+    /// serial single-block native decodes of the same blocks at
+    /// K = 6144, four iterations, failing unless the launch is more
+    /// than `bar` times faster. Skipped (not failed) where the host
+    /// lacks the zmm kernel — exactness is covered unconditionally
+    /// above.
+    ///
+    /// On a 2-vCPU Sapphire Rapids guest, in the test build, this
+    /// kernel read 2.0–2.2× (quad) and 1.9–2.2× (pair); the
+    /// α-then-β quad-in-zmm and pair-in-ymm bodies it replaced read
+    /// 1.43–1.47× and 1.07–1.08×, so the bars (1.6×, 1.3×) fail them.
+    fn launch_beats_serial_decodes<const N: usize>(bar: f64) {
+        let name = format!("{N}-lane launch");
         if !NativeBatchTurboDecoder::is_zmm_accelerated() {
-            eprintln!("quad_zmm_beats_four_serial_native_decodes: SKIPPED (no avx512bw)");
+            eprintln!("{name} vs serial decodes: SKIPPED (no avx512bw)");
             return;
         }
-        let k = 6144;
-        let iters = 4;
-        let inputs: [TurboLlrs; QUAD] = core::array::from_fn(|g| make_input(k, 300 + g as u64).1);
+        let (k, iters) = (6144, 4);
+        let inputs: [TurboLlrs; N] = core::array::from_fn(|g| make_input(k, 300 + g as u64).1);
         let batch = NativeBatchTurboDecoder::new(k, iters);
         let single = NativeTurboDecoder::new(k, iters);
+        let mut scratch = BatchScratch::new();
+        let mut bits: [Vec<u8>; N] = core::array::from_fn(|_| Vec::new());
+        let mut launch = || {
+            let refs = inputs.each_ref().map(BlockLlrs::from_turbo);
+            std::hint::black_box(batch.launch(refs, None, &mut scratch, &mut bits));
+        };
+        let mut serial_scratch = DecodeScratch::new();
+        let mut serial = || {
+            for i in &inputs {
+                let i = std::hint::black_box(i);
+                std::hint::black_box(single.decode_scratch(i, None, &mut serial_scratch));
+            }
+        };
         // Warm up, then judge the median of alternated back-to-back
         // pairs, so neither a scheduler blip nor a clock that drifts
         // between two blocks of runs can fail the build.
-        let _ = batch.decode_quad(&inputs);
-        for i in &inputs {
-            let _ = single.decode(i);
-        }
-        let pairs = vran_util::paired::paired_ratio(
-            9,
-            0.0,
-            || {
-                let t = std::time::Instant::now();
-                std::hint::black_box(batch.decode_quad(std::hint::black_box(&inputs)));
-                t.elapsed().as_secs_f64()
-            },
-            || {
-                let t = std::time::Instant::now();
-                for i in &inputs {
-                    std::hint::black_box(single.decode(std::hint::black_box(i)));
-                }
-                t.elapsed().as_secs_f64()
-            },
-        );
-        let (speedup, quad_ns, serial_ns) = (pairs.median, pairs.a_s * 1e9, pairs.b_s * 1e9);
+        launch();
+        serial();
+        let timed = |f: &mut dyn FnMut()| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        };
+        let pairs =
+            vran_util::paired::paired_ratio(15, 0.0, || timed(&mut launch), || timed(&mut serial));
+        let (speedup, launch_ns, serial_ns) = (pairs.median, pairs.a_s * 1e9, pairs.b_s * 1e9);
+        eprintln!("{name}: {speedup:.2}× over {N} serial decodes at K={k}");
         assert!(
-            speedup > 1.0,
-            "batched zmm decode must beat 4 serial native decodes: {speedup:.2}× \
-             ({serial_ns:.0} ns serial vs {quad_ns:.0} ns quad at K={k})"
+            speedup > bar,
+            "a {name} must beat {N} serial native decodes by {bar}×: {speedup:.2}× \
+             ({serial_ns:.0} ns serial vs {launch_ns:.0} ns batched)"
         );
+        // A zmm holds two blocks where the single-block kernel's ymm
+        // holds one.
         assert!(
-            speedup < 4.5,
-            "speedup cannot exceed the lane advantage: {speedup:.2}×"
+            speedup < 3.0,
+            "speedup cannot exceed the width advantage: {speedup:.2}×"
         );
+    }
+
+    #[test]
+    fn quad_zmm_beats_four_serial_native_decodes() {
+        launch_beats_serial_decodes::<QUAD>(1.6);
+    }
+
+    #[test]
+    fn pair_zmm_beats_two_serial_native_decodes() {
+        launch_beats_serial_decodes::<BATCH>(1.3);
     }
 }

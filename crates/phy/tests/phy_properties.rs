@@ -52,98 +52,206 @@ fn native_single_block_matches_scalar_every_k() {
 }
 
 /// The stop rule, stated three times, decides alike: 2 048 CRC24B-bearing
-/// K = 512 blocks across the waterfall through the scalar oracle, every
+/// blocks per K across the waterfall through the scalar oracle, every
 /// native tier, pair and quad launches — the same
 /// `(bits, iterations_run, crc_ok, siso_passes)` from each — and the
-/// sweep meets stops on every pass of the cap, odd ones included. (The
-/// VM instrument meets the same blocks in `apcm`'s `simd_decoder`
-/// tests.)
+/// sweep meets stops on every pass of the cap, odd ones included. K = 512
+/// is a whole number of 16-step groups; K = 504 leaves one 8-step group
+/// over, which the batch kernel and the AVX2 single-block kernel run on
+/// their own. (The VM instrument meets the K = 512 blocks in `apcm`'s
+/// `simd_decoder` tests.)
 #[test]
 fn every_decoder_stops_on_the_same_siso_pass_across_the_waterfall() {
     use vran_phy::llr::adds16;
     use vran_phy::turbo::native_batch::{NativeBatchTurboDecoder, BATCH, QUAD};
     use vran_phy::turbo::{BlockLlrs, DecoderIsa, NativeTurboDecoder};
     use vran_util::rng::SmallRng;
-    const K: usize = 512;
     const CAP: usize = 3;
-    let oracle = TurboDecoder::new(K, CAP);
-    let natives = DecoderIsa::available()
-        .into_iter()
-        .map(|isa| NativeTurboDecoder::with_isa(K, CAP, isa))
-        .collect::<Vec<_>>();
-    let batch = NativeBatchTurboDecoder::new(K, CAP);
-    let mut stops = [0usize; 2 * CAP + 1];
-    for quad in 0..512u64 {
-        let blocks: [TurboLlrs; QUAD] = core::array::from_fn(|g| {
-            let seed = QUAD as u64 * quad + g as u64;
-            let cw = TurboEncoder::new(K).encode(&CRC24B.attach(&random_bits(K - 24, seed)));
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x16);
-            let noise = 16 + seed % 11;
+    for k in [504, 512] {
+        let oracle = TurboDecoder::new(k, CAP);
+        let natives = DecoderIsa::available()
+            .into_iter()
+            .map(|isa| NativeTurboDecoder::with_isa(k, CAP, isa))
+            .collect::<Vec<_>>();
+        let batch = NativeBatchTurboDecoder::new(k, CAP);
+        let mut stops = [0usize; 2 * CAP + 1];
+        for quad in 0..512u64 {
+            let blocks: [TurboLlrs; QUAD] = core::array::from_fn(|g| {
+                let seed = QUAD as u64 * quad + g as u64;
+                let cw = TurboEncoder::new(k).encode(&CRC24B.attach(&random_bits(k - 24, seed)));
+                let mut rng = SmallRng::seed_from_u64(seed ^ 0x16);
+                let noise = 16 + seed % 11;
+                let soft = cw.to_dstreams().map(|st| {
+                    st.iter()
+                        .map(|&b| {
+                            let n = (rng.next_u64() % (2 * noise + 1)) as i16 - noise as i16;
+                            adds16(bit_to_llr(b, 12), n)
+                        })
+                        .collect()
+                });
+                TurboLlrs::from_dstreams(&soft, k)
+            });
+            let want = blocks
+                .each_ref()
+                .map(|b| oracle.decode_with_crc(b, &CRC24B));
+            for (b, want) in blocks.iter().zip(&want) {
+                stops[if want.crc_ok == Some(true) {
+                    want.siso_passes
+                } else {
+                    0
+                }] += 1;
+                for native in &natives {
+                    let got = native.decode_with_crc(b, &CRC24B);
+                    assert_eq!(&got, want, "{}, K={k} quad {quad}", native.isa().name());
+                }
+            }
+            let mut scratch = Default::default();
+            let mut bits: [Vec<u8>; QUAD] = Default::default();
+            let lanes = batch.decode_quad_lanes_into(
+                blocks.each_ref().map(BlockLlrs::from_turbo),
+                Some(&CRC24B),
+                &mut scratch,
+                &mut bits,
+            );
+            let outcome = want
+                .each_ref()
+                .map(|w| (w.iterations_run, w.crc_ok, w.siso_passes));
+            for g in 0..QUAD {
+                assert_eq!(
+                    (&bits[g], lanes[g]),
+                    (&want[g].bits, outcome[g]),
+                    "K={k} quad {quad} lane {g}"
+                );
+            }
+            for half in 0..QUAD / BATCH {
+                let mut pair_bits: [Vec<u8>; BATCH] = Default::default();
+                let pair = batch.decode_pair_lanes_into(
+                    core::array::from_fn(|h| BlockLlrs::from_turbo(&blocks[half * BATCH + h])),
+                    Some(&CRC24B),
+                    &mut scratch,
+                    &mut pair_bits,
+                );
+                for h in 0..BATCH {
+                    let g = half * BATCH + h;
+                    assert_eq!(
+                        (&pair_bits[h], pair[h]),
+                        (&want[g].bits, outcome[g]),
+                        "K={k} quad {quad} pair lane {g}"
+                    );
+                }
+            }
+        }
+        eprintln!("K={k} cap {CAP}: blocks by stopping pass (index 0 = never) {stops:?}");
+        assert!(
+            stops.iter().all(|&n| n >= 20),
+            "K={k}: a stop the sweep never met: {stops:?}"
+        );
+    }
+}
+
+/// Every legal QPP size — both parities of K/8, so the batch kernel's
+/// leftover-group code and its packed phases are each hit — on four
+/// lanes: CRC24B-bearing and noisy (passes late or not at all), clean
+/// (passes at once), clean with a payload bit flipped after attach
+/// (decodes, never passes), and garbage. A quad launch and the two pair
+/// launches over the same blocks give every lane the scalar oracle's
+/// `(bits, iterations_run, crc_ok, siso_passes)`, without the CRC and
+/// with it, and the single-block decoder's at every tier the host (or
+/// the ISA ceiling) offers. (The zmm kernel where the host has
+/// AVX-512BW, single-block decodes per lane where it does not.)
+#[test]
+fn native_quad_batch_matches_scalar_every_k() {
+    use vran_phy::llr::adds16;
+    use vran_phy::turbo::native_batch::{NativeBatchTurboDecoder, BATCH, QUAD};
+    use vran_phy::turbo::{BatchScratch, BlockLlrs, DecoderIsa, NativeTurboDecoder};
+    const CAP: usize = 4;
+    let mut scratch = BatchScratch::new();
+    for row in QPP_TABLE.iter() {
+        let k = row.k as usize;
+        let seed = 0x9E37_79B9 ^ k as u64;
+        let mk = |s: u64| -> Vec<i16> {
+            let mut x = s | 1;
+            (0..k)
+                .map(|_| {
+                    x ^= x >> 12;
+                    x ^= x << 25;
+                    x ^= x >> 27;
+                    (x >> 48) as i16
+                })
+                .collect()
+        };
+        let coded = |noise: i16, flip: bool, s: u64| -> TurboLlrs {
+            let mut bits = CRC24B.attach(&random_bits(k - 24, s));
+            bits[0] ^= u8::from(flip);
+            let cw = TurboEncoder::new(k).encode(&bits);
+            let mut jitter = mk(s ^ 11).into_iter();
             let soft = cw.to_dstreams().map(|st| {
                 st.iter()
                     .map(|&b| {
-                        let n = (rng.next_u64() % (2 * noise + 1)) as i16 - noise as i16;
-                        adds16(bit_to_llr(b, 12), n)
+                        let n = jitter.next().map_or(0, |j| j % (noise + 1));
+                        adds16(bit_to_llr(b, 14), n)
                     })
                     .collect()
             });
-            TurboLlrs::from_dstreams(&soft, K)
-        });
-        let want = blocks
-            .each_ref()
-            .map(|b| oracle.decode_with_crc(b, &CRC24B));
-        for (b, want) in blocks.iter().zip(&want) {
-            stops[if want.crc_ok == Some(true) {
-                want.siso_passes
-            } else {
-                0
-            }] += 1;
-            for native in &natives {
-                let got = native.decode_with_crc(b, &CRC24B);
-                assert_eq!(&got, want, "{}, quad {quad}", native.isa().name());
+            TurboLlrs::from_dstreams(&soft, k)
+        };
+        let garbage = TurboLlrs {
+            k,
+            streams: SoftStreams {
+                sys: mk(seed),
+                p1: mk(seed ^ 3),
+                p2: mk(seed ^ 7),
+            },
+            tails: Default::default(),
+        };
+        let blocks = [
+            coded(40, false, seed),
+            coded(0, false, seed ^ 1),
+            coded(0, true, seed ^ 2),
+            garbage,
+        ];
+        let inputs = blocks.each_ref().map(BlockLlrs::from_turbo);
+        let oracle = TurboDecoder::new(k, CAP);
+        let batch = NativeBatchTurboDecoder::new(k, CAP);
+        let singles: Vec<_> = DecoderIsa::available()
+            .into_iter()
+            .map(|isa| NativeTurboDecoder::with_isa(k, CAP, isa))
+            .collect();
+        for crc in [None, Some(&CRC24B)] {
+            let want = blocks.each_ref().map(|b| {
+                let w = crc.map_or_else(|| oracle.decode(b), |c| oracle.decode_with_crc(b, c));
+                (w.bits, (w.iterations_run, w.crc_ok, w.siso_passes))
+            });
+            let mut bits: [Vec<u8>; QUAD] = Default::default();
+            let lanes = batch.decode_quad_lanes_into(inputs, crc, &mut scratch, &mut bits);
+            for g in 0..QUAD {
+                let got = (&bits[g], lanes[g]);
+                assert_eq!(got, (&want[g].0, want[g].1), "K={k} {crc:?} quad lane {g}");
             }
-        }
-        let mut scratch = Default::default();
-        let mut bits: [Vec<u8>; QUAD] = Default::default();
-        let lanes = batch.decode_quad_lanes_into(
-            blocks.each_ref().map(BlockLlrs::from_turbo),
-            Some(&CRC24B),
-            &mut scratch,
-            &mut bits,
-        );
-        let outcome = want
-            .each_ref()
-            .map(|w| (w.iterations_run, w.crc_ok, w.siso_passes));
-        for g in 0..QUAD {
-            assert_eq!(
-                (&bits[g], lanes[g]),
-                (&want[g].bits, outcome[g]),
-                "quad {quad} lane {g}"
-            );
-        }
-        for half in 0..QUAD / BATCH {
-            let mut pair_bits: [Vec<u8>; BATCH] = Default::default();
-            let pair = batch.decode_pair_lanes_into(
-                core::array::from_fn(|h| BlockLlrs::from_turbo(&blocks[half * BATCH + h])),
-                Some(&CRC24B),
-                &mut scratch,
-                &mut pair_bits,
-            );
-            for h in 0..BATCH {
-                let g = half * BATCH + h;
-                assert_eq!(
-                    (&pair_bits[h], pair[h]),
-                    (&want[g].bits, outcome[g]),
-                    "quad {quad} pair lane {g}"
-                );
+            for half in 0..QUAD / BATCH {
+                let mut bits: [Vec<u8>; BATCH] = Default::default();
+                let pair = core::array::from_fn(|h| inputs[half * BATCH + h]);
+                let lanes = batch.decode_pair_lanes_into(pair, crc, &mut scratch, &mut bits);
+                for h in 0..BATCH {
+                    let (got, want) = ((&bits[h], lanes[h]), &want[half * BATCH + h]);
+                    assert_eq!(
+                        got,
+                        (&want.0, want.1),
+                        "K={k} {crc:?} pair lane {h} of {half}"
+                    );
+                }
+            }
+            for single in &singles {
+                for (b, w) in blocks.iter().zip(&want) {
+                    let got =
+                        crc.map_or_else(|| single.decode(b), |c| single.decode_with_crc(b, c));
+                    let got = (&got.bits, (got.iterations_run, got.crc_ok, got.siso_passes));
+                    let isa = single.isa().name();
+                    assert_eq!(got, (&w.0, w.1), "K={k} {crc:?} single block on {isa}");
+                }
             }
         }
     }
-    eprintln!("K={K} cap {CAP}: blocks by stopping pass (index 0 = never) {stops:?}");
-    assert!(
-        stops.iter().all(|&n| n >= 20),
-        "a stop the sweep never met: {stops:?}"
-    );
 }
 
 fn bits_strategy(n: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -345,7 +453,7 @@ proptest! {
 
     #[test]
     fn native_batch_matches_scalar_on_garbage(seed in any::<u64>(), k_idx in 0usize..8) {
-        // The two-block batch kernel decodes both lanes bit-exactly.
+        // A pair launch decodes both lanes bit-exactly.
         use vran_phy::turbo::NativeBatchTurboDecoder;
         let k = QPP_TABLE[k_idx].k as usize;
         let mk = |s: u64| -> Vec<i16> {
@@ -369,99 +477,6 @@ proptest! {
         let got = NativeBatchTurboDecoder::new(k, 2).decode_pair(&pair);
         for (g, input) in got.iter().zip(&pair) {
             prop_assert_eq!(&g.bits, &dec.decode(input).bits);
-        }
-    }
-
-    #[test]
-    fn native_quad_batch_matches_scalar_every_k(k_idx in 0usize..188, seed in any::<u64>()) {
-        // The four-block quad-in-zmm kernel (pair/single split where
-        // the host lacks AVX-512BW) decodes every lane bit-exactly
-        // against the scalar oracle for every legal QPP size — and
-        // given the launch's CRC, every lane of a quad launch and of
-        // the two pair launches it degrades to stops where the
-        // single-block decoder stops on that block alone, at every
-        // tier the host offers.
-        use vran_phy::turbo::native_batch::{NativeBatchTurboDecoder, BATCH, QUAD};
-        use vran_phy::turbo::{BatchScratch, BlockLlrs, DecoderIsa, NativeTurboDecoder};
-        let k = QPP_TABLE[k_idx].k as usize;
-        let mk = |s: u64| -> Vec<i16> {
-            let mut x = s | 1;
-            (0..k)
-                .map(|_| {
-                    x ^= x >> 12;
-                    x ^= x << 25;
-                    x ^= x >> 27;
-                    (x >> 48) as i16
-                })
-                .collect()
-        };
-        let block = |s: u64| TurboLlrs {
-            k,
-            streams: SoftStreams { sys: mk(s), p1: mk(s ^ 3), p2: mk(s ^ 7) },
-            tails: Default::default(),
-        };
-        let quad: [TurboLlrs; QUAD] =
-            core::array::from_fn(|g| block(seed ^ (0x9E37 * g as u64)));
-        let dec = TurboDecoder::new(k, 2);
-        let got = NativeBatchTurboDecoder::new(k, 2).decode_quad(&quad);
-        for (g, input) in got.iter().zip(&quad) {
-            prop_assert_eq!(&g.bits, &dec.decode(input).bits, "K={} diverged", k);
-        }
-
-        // CRC24B-bearing lanes: clean (passes at once), noisy (passes
-        // late or not at all), one payload bit flipped after attach
-        // (decodes, never passes), garbage.
-        let coded = |noise: i16, flip: bool, s: u64| -> TurboLlrs {
-            let mut bits = CRC24B.attach(&random_bits(k - 24, s));
-            bits[0] ^= u8::from(flip);
-            let cw = TurboEncoder::new(k).encode(&bits);
-            let mut jitter = mk(s ^ 11).into_iter();
-            let soft = cw.to_dstreams().map(|st| {
-                st.iter()
-                    .map(|&b| {
-                        let n = jitter.next().map_or(0, |j| j % (noise + 1));
-                        vran_phy::llr::adds16(bit_to_llr(b, 14), n)
-                    })
-                    .collect()
-            });
-            TurboLlrs::from_dstreams(&soft, k)
-        };
-        let lanes_in =
-            [coded(40, false, seed), coded(0, false, seed ^ 1), coded(0, true, seed ^ 2), block(seed)];
-        let refs: [&TurboLlrs; QUAD] = core::array::from_fn(|g| &lanes_in[g]);
-        let batch = NativeBatchTurboDecoder::new(k, 4);
-        let mut scratch = BatchScratch::new();
-        let mut bits: [Vec<u8>; QUAD] = Default::default();
-        let lanes = batch.decode_quad_lanes_into(
-            refs.map(BlockLlrs::from_turbo), Some(&CRC24B), &mut scratch, &mut bits);
-        for half in 0..QUAD / BATCH {
-            let mut pair_bits: [Vec<u8>; BATCH] = Default::default();
-            let pair = batch.decode_pair_lanes_into(
-                core::array::from_fn(|g| BlockLlrs::from_turbo(refs[half * BATCH + g])),
-                Some(&CRC24B), &mut scratch, &mut pair_bits);
-            for g in 0..BATCH {
-                prop_assert_eq!(
-                    (&pair_bits[g], pair[g]), (&bits[half * BATCH + g], lanes[half * BATCH + g]),
-                    "K={} pair lane {} of half {}", k, g, half);
-            }
-        }
-        for isa in DecoderIsa::available() {
-            let single = NativeTurboDecoder::with_isa(k, 4, isa);
-            for g in 0..QUAD {
-                let alone = single.decode_with_crc(refs[g], &CRC24B);
-                prop_assert_eq!(
-                    (&bits[g], lanes[g]),
-                    (&alone.bits, (alone.iterations_run, alone.crc_ok, alone.siso_passes)),
-                    "K={} lane {} vs {}", k, g, isa.name());
-            }
-        }
-        let oracle = TurboDecoder::new(k, 4);
-        for g in 0..QUAD {
-            let want = oracle.decode_with_crc(refs[g], &CRC24B);
-            prop_assert_eq!(
-                (&bits[g], lanes[g]),
-                (&want.bits, (want.iterations_run, want.crc_ok, want.siso_passes)),
-                "K={} lane {} vs the oracle", k, g);
         }
     }
 

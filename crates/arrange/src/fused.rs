@@ -42,7 +42,7 @@
 //! points; AVX2-only hosts take the SSSE3 tier.
 
 use vran_phy::llr::Llr;
-use vran_simd::host::{self, HostIsa};
+use vran_simd::host::{best_tier, HostIsa, Tier};
 
 /// Available fused-ingest implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +66,16 @@ impl FusedImpl {
             FusedImpl::MaskMergeAvx512 => "fused-maskmerge-avx512",
         }
     }
+}
 
-    /// The [`HostIsa`] level this implementation requires.
-    pub fn required_isa(self) -> HostIsa {
+impl Tier for FusedImpl {
+    const LADDER: &'static [FusedImpl] = &[
+        FusedImpl::Scalar,
+        FusedImpl::MaskMergeSsse3,
+        FusedImpl::MaskMergeAvx512,
+    ];
+
+    fn required_isa(self) -> HostIsa {
         match self {
             FusedImpl::Scalar => HostIsa::Scalar,
             FusedImpl::MaskMergeSsse3 => HostIsa::Ssse3,
@@ -77,35 +84,17 @@ impl FusedImpl {
     }
 }
 
-/// The fused implementations usable on this host, scalar first.
-pub fn available_fused() -> Vec<FusedImpl> {
-    [
-        FusedImpl::Scalar,
-        FusedImpl::MaskMergeSsse3,
-        FusedImpl::MaskMergeAvx512,
-    ]
-    .into_iter()
-    .filter(|imp| host::has(imp.required_isa()))
-    .collect()
-}
-
 /// The fastest fused-ingest implementation the host supports.
 pub fn best_fused() -> FusedImpl {
-    if host::has(HostIsa::Avx512bw) {
-        FusedImpl::MaskMergeAvx512
-    } else if host::has(HostIsa::Ssse3) {
-        FusedImpl::MaskMergeSsse3
-    } else {
-        FusedImpl::Scalar
-    }
+    best_tier()
 }
 
 /// De-interleave the first `3k` LLRs of `input` into three caller-owned
 /// `k`-element slices with the chosen implementation. `input` may be
 /// longer than `3k` (the de-rate-matcher's triple-interleaved buffer
 /// carries the four tail triples after position `3k`); the excess is
-/// ignored. Panics if the host lacks the required feature (check
-/// [`available_fused`] first).
+/// ignored. Panics if the host lacks the required feature (pick from
+/// [`vran_simd::host::tiers`]).
 pub fn fused_ingest_into(
     imp: FusedImpl,
     input: &[Llr],
@@ -116,7 +105,7 @@ pub fn fused_ingest_into(
 ) {
     assert!(input.len() >= 3 * k, "need 3k interleaved LLRs");
     assert!(sys.len() == k && p1.len() == k && p2.len() == k);
-    assert!(host::has(imp.required_isa()), "host lacks {}", imp.name());
+    assert!(imp.usable(), "host lacks {}", imp.name());
     match imp {
         // SAFETY (both): the host has the ISA, the lengths were checked
         // above, and `k` holds at least one register of the kernel.
@@ -289,6 +278,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vran_simd::host::tiers;
 
     fn sample(n: usize) -> Vec<Llr> {
         (0..n)
@@ -322,7 +312,7 @@ mod tests {
         for k in [8usize, 32, 40, 96, 104, 999, 6144] {
             let input = sample(3 * k);
             let expect = run(FusedImpl::Scalar, &input, k);
-            for imp in available_fused() {
+            for imp in tiers::<FusedImpl>() {
                 assert_eq!(run(imp, &input, k), expect, "{} K={k}", imp.name());
             }
         }
@@ -342,7 +332,7 @@ mod tests {
         for k in [40usize, 96, 104, 999, 5696, 6144] {
             let input = sample(3 * k);
             let expect = run(FusedImpl::Scalar, &input, k);
-            for imp in available_fused() {
+            for imp in tiers::<FusedImpl>() {
                 for offs in &cases {
                     let mut bufs = offs.map(|o| vec![7; o + k]);
                     let [a, b, c] = &mut bufs;
@@ -368,14 +358,14 @@ mod tests {
         let k = 96;
         let mut input = sample(3 * (k + 4));
         let expect = run(FusedImpl::Scalar, &input, k);
-        for imp in available_fused() {
+        for imp in tiers::<FusedImpl>() {
             assert_eq!(run(imp, &input, k), expect, "{}", imp.name());
         }
         // Mutating the tail region changes nothing.
         for v in input[3 * k..].iter_mut() {
             *v = i16::MAX;
         }
-        for imp in available_fused() {
+        for imp in tiers::<FusedImpl>() {
             assert_eq!(run(imp, &input, k), expect, "{} tail bleed", imp.name());
         }
     }
@@ -386,7 +376,7 @@ mod tests {
         let k = 6144;
         let input = sample(3 * k);
         let native_out = native::deinterleave(native::NativeImpl::Scalar, &input, k);
-        for imp in available_fused() {
+        for imp in tiers::<FusedImpl>() {
             let [sys, p1, p2] = run(imp, &input, k);
             assert_eq!(sys, native_out.sys, "{}", imp.name());
             assert_eq!(p1, native_out.p1, "{}", imp.name());
@@ -395,22 +385,17 @@ mod tests {
     }
 
     #[test]
-    fn best_fused_is_available() {
-        assert!(available_fused().contains(&best_fused()));
-    }
-
-    #[test]
     fn available_always_contains_scalar_first() {
-        assert_eq!(available_fused()[0], FusedImpl::Scalar);
+        assert_eq!(FusedImpl::LADDER[0].required_isa(), HostIsa::Scalar);
+        assert_eq!(tiers::<FusedImpl>().next(), Some(FusedImpl::Scalar));
     }
 
     #[test]
     fn names_and_isa_levels_are_consistent() {
         let names: std::collections::HashSet<_> =
-            available_fused().iter().map(|i| i.name()).collect();
-        assert_eq!(names.len(), available_fused().len());
-        for imp in available_fused() {
-            assert!(host::has(imp.required_isa()), "{}", imp.name());
-        }
+            FusedImpl::LADDER.iter().map(|i| i.name()).collect();
+        assert_eq!(names.len(), FusedImpl::LADDER.len());
+        let levels: Vec<HostIsa> = FusedImpl::LADDER.iter().map(|i| i.required_isa()).collect();
+        assert!(levels.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -64,6 +64,6 @@ pub mod native;
 pub mod stride;
 pub mod tables;
 
-pub use fused::{available_fused, best_fused, fused_ingest_into, FusedImpl};
+pub use fused::{best_fused, fused_ingest_into, FusedImpl};
 pub use kernel::{ApcmVariant, ArrangeKernel, Mechanism, OutRegions};
 pub use stride::StrideKernel;

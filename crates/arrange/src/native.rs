@@ -16,7 +16,7 @@
 //! `pshufb`) and 512 bits (AVX-512BW `vpermi2w`), the two clean points.
 
 use vran_phy::llr::SoftStreams;
-use vran_simd::host::{self, HostIsa};
+use vran_simd::host::{best_tier, HostIsa, Tier};
 
 /// Available native kernel implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,9 +45,20 @@ impl NativeImpl {
             NativeImpl::ApcmAvx512 => "apcm-avx512",
         }
     }
+}
 
-    /// The [`HostIsa`] level this implementation requires.
-    pub fn required_isa(self) -> HostIsa {
+/// Each APCM tier sits above the original mechanism at its width, so the
+/// top rung a host has is an APCM one wherever it has SSSE3.
+impl Tier for NativeImpl {
+    const LADDER: &'static [NativeImpl] = &[
+        NativeImpl::Scalar,
+        NativeImpl::BaselineSse2,
+        NativeImpl::ApcmSsse3,
+        NativeImpl::BaselineAvx512,
+        NativeImpl::ApcmAvx512,
+    ];
+
+    fn required_isa(self) -> HostIsa {
         match self {
             NativeImpl::Scalar => HostIsa::Scalar,
             NativeImpl::BaselineSse2 => HostIsa::Sse2,
@@ -57,34 +68,15 @@ impl NativeImpl {
     }
 }
 
-/// The implementations usable on this host, scalar first.
-pub fn available() -> Vec<NativeImpl> {
-    [
-        NativeImpl::Scalar,
-        NativeImpl::BaselineSse2,
-        NativeImpl::ApcmSsse3,
-        NativeImpl::BaselineAvx512,
-        NativeImpl::ApcmAvx512,
-    ]
-    .into_iter()
-    .filter(|imp| host::has(imp.required_isa()))
-    .collect()
-}
-
-/// The fastest arrangement (APCM) implementation the host supports.
+/// The fastest arrangement implementation the host supports: APCM from
+/// SSSE3 up (on an SSE2-only host, the original mechanism).
 pub fn best_apcm() -> NativeImpl {
-    if host::has(HostIsa::Avx512bw) {
-        NativeImpl::ApcmAvx512
-    } else if host::has(HostIsa::Ssse3) {
-        NativeImpl::ApcmSsse3
-    } else {
-        NativeImpl::Scalar
-    }
+    best_tier()
 }
 
 /// De-interleave `3k` triple-interleaved LLRs into three arrays using
 /// the chosen implementation. Panics if the host lacks the required
-/// feature (check [`available`] first).
+/// feature (pick from [`vran_simd::host::tiers`]).
 pub fn deinterleave(imp: NativeImpl, input: &[i16], k: usize) -> SoftStreams {
     let mut out = SoftStreams::zeros(k);
     deinterleave_into(imp, input, k, &mut out);
@@ -96,6 +88,8 @@ pub fn deinterleave(imp: NativeImpl, input: &[i16], k: usize) -> SoftStreams {
 pub fn deinterleave_into(imp: NativeImpl, input: &[i16], k: usize, out: &mut SoftStreams) {
     assert_eq!(input.len(), 3 * k);
     assert!(out.sys.len() == k && out.p1.len() == k && out.p2.len() == k);
+    assert!(imp.usable(), "host lacks {}", imp.name());
+    // SAFETY (all four): the host has the tier, checked above.
     match imp {
         NativeImpl::Scalar => scalar(input, k, out),
         #[cfg(target_arch = "x86_64")]
@@ -302,6 +296,7 @@ use x86::{apcm_avx512, apcm_ssse3, baseline_avx512, baseline_sse2};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vran_simd::host::tiers;
 
     fn sample(k: usize) -> Vec<i16> {
         (0..3 * k)
@@ -326,7 +321,7 @@ mod tests {
         for k in [32usize, 96, 104, 6144] {
             let input = sample(k);
             let expect = deinterleave(NativeImpl::Scalar, &input, k);
-            for imp in available() {
+            for imp in tiers::<NativeImpl>() {
                 let got = deinterleave(imp, &input, k);
                 assert_eq!(got, expect, "{} K={k}", imp.name());
             }
@@ -335,20 +330,15 @@ mod tests {
 
     #[test]
     fn available_always_contains_scalar() {
-        assert_eq!(available()[0], NativeImpl::Scalar);
+        assert_eq!(NativeImpl::LADDER[0].required_isa(), HostIsa::Scalar);
+        assert_eq!(tiers::<NativeImpl>().next(), Some(NativeImpl::Scalar));
     }
 
     #[test]
     fn names_are_distinct() {
-        let names: std::collections::HashSet<_> = available().iter().map(|i| i.name()).collect();
-        assert_eq!(names.len(), available().len());
-    }
-
-    #[test]
-    fn available_matches_host_isa_levels() {
-        for imp in available() {
-            assert!(host::has(imp.required_isa()), "{}", imp.name());
-        }
+        let names: std::collections::HashSet<_> =
+            NativeImpl::LADDER.iter().map(|i| i.name()).collect();
+        assert_eq!(names.len(), NativeImpl::LADDER.len());
     }
 
     #[test]
@@ -357,16 +347,11 @@ mod tests {
         let input = sample(k);
         let expect = deinterleave(NativeImpl::Scalar, &input, k);
         let mut out = SoftStreams::zeros(k);
-        for imp in available() {
+        for imp in tiers::<NativeImpl>() {
             let ptr = out.sys.as_ptr();
             deinterleave_into(imp, &input, k, &mut out);
             assert_eq!(out, expect, "{}", imp.name());
             assert_eq!(out.sys.as_ptr(), ptr, "{} must not reallocate", imp.name());
         }
-    }
-
-    #[test]
-    fn best_apcm_is_available() {
-        assert!(available().contains(&best_apcm()));
     }
 }

@@ -16,10 +16,10 @@
 //! process-global; the sweep loops the tiers inside one `#[test]` so
 //! masked regions never overlap.
 
-use vran_arrange::{available_fused, best_fused, fused_ingest_into, FusedImpl};
+use vran_arrange::{fused_ingest_into, FusedImpl};
 use vran_phy::interleaver::QPP_TABLE;
 use vran_phy::llr::Llr;
-use vran_simd::host::{set_isa_ceiling, HostIsa};
+use vran_simd::host::{tiers, with_isa_ceiling, HostIsa, Tier};
 
 /// Deterministic non-trivial LLRs; tail region beyond `3k` poisoned to
 /// catch any kernel reading past the K-th triple.
@@ -39,16 +39,6 @@ fn run(imp: FusedImpl, input: &[Llr], k: usize) -> [Vec<Llr>; 3] {
     [sys, p1, p2]
 }
 
-/// The dispatch tier `best_fused` must pick under each ceiling (when
-/// the host itself is capable enough to reach it).
-fn expected_best(ceiling: HostIsa) -> FusedImpl {
-    match ceiling {
-        HostIsa::Scalar | HostIsa::Sse2 => FusedImpl::Scalar,
-        HostIsa::Ssse3 | HostIsa::Avx2 => FusedImpl::MaskMergeSsse3,
-        HostIsa::Avx512bw => FusedImpl::MaskMergeAvx512,
-    }
-}
-
 #[test]
 fn all_188_block_sizes_bit_exact_at_every_isa_tier() {
     // Reference outputs computed once, at full host capability, with
@@ -62,31 +52,22 @@ fn all_188_block_sizes_bit_exact_at_every_isa_tier() {
         .collect();
     assert_eq!(cases.len(), 188, "the registry drives the sweep");
 
-    for ceiling in HostIsa::all() {
-        set_isa_ceiling(Some(ceiling));
-        let best = best_fused();
-        // On a fully-capable host the ceiling alone decides the tier;
-        // on a weaker host the pick degrades further, which
-        // `available_fused` containment below still validates.
-        if vran_simd::host::has(expected_best(ceiling).required_isa()) {
-            assert_eq!(best, expected_best(ceiling), "ceiling {}", ceiling.name());
-        }
-        assert!(available_fused().contains(&best));
-
-        for (k, input) in &cases {
-            let expect = run(FusedImpl::Scalar, input, *k);
-            for imp in available_fused() {
-                assert_eq!(
-                    run(imp, input, *k),
-                    expect,
-                    "K={k} {} under {} ceiling",
-                    imp.name(),
-                    ceiling.name()
-                );
+    for &ceiling in HostIsa::LADDER {
+        with_isa_ceiling(Some(ceiling), || {
+            for (k, input) in &cases {
+                let expect = run(FusedImpl::Scalar, input, *k);
+                for imp in tiers::<FusedImpl>() {
+                    assert_eq!(
+                        run(imp, input, *k),
+                        expect,
+                        "K={k} {} under {} ceiling",
+                        imp.name(),
+                        ceiling.name()
+                    );
+                }
             }
-        }
+        });
     }
-    set_isa_ceiling(None);
 }
 
 #[test]

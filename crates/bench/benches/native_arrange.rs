@@ -7,17 +7,18 @@
 //! APCM's ALU batching runs several times faster — and the AVX-512
 //! APCM widens the gap further, exactly the Figure 14 trend.
 
-use vran_arrange::native::{available, deinterleave};
+use vran_arrange::native::{deinterleave, NativeImpl};
 use vran_arrange::{best_fused, fused_ingest_into};
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::interleaved_workload;
+use vran_simd::host::tiers;
 
 fn bench_native(c: &mut Criterion) {
     for k in [1504usize, 6144] {
         let input = interleaved_workload(k, 3);
         let mut g = c.benchmark_group(format!("native_arrange_k{k}"));
         g.throughput(Throughput::Bytes((3 * k * 2) as u64));
-        for imp in available() {
+        for imp in tiers::<NativeImpl>() {
             g.bench_with_input(
                 BenchmarkId::from_parameter(imp.name()),
                 &input,

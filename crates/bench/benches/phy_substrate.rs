@@ -12,9 +12,9 @@ use vran_phy::interleaver::QppInterleaver;
 use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::ofdm::{fft_with, OfdmConfig};
 use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
-use vran_phy::scrambler::{available_descramble, descramble_llrs_with, scramble_bits};
+use vran_phy::scrambler::{descramble_llrs_with, scramble_bits, DescrambleImpl};
 use vran_phy::turbo::{EncodeScratch, PackedTurboEncoder};
-use vran_simd::host::{self, HostIsa};
+use vran_simd::host::{tiers, with_isa_ceiling, HostIsa};
 
 fn bench_fft(c: &mut Criterion) {
     let mut g = c.benchmark_group("fft");
@@ -24,7 +24,7 @@ fn bench_fft(c: &mut Criterion) {
             .collect();
         let mut t = buf.clone();
         g.throughput(Throughput::Elements(n as u64));
-        for tier in host::available() {
+        for tier in tiers::<HostIsa>() {
             g.bench_with_input(BenchmarkId::new(n, tier.name()), &buf, |b, buf| {
                 b.iter(|| {
                     t.copy_from_slice(buf);
@@ -45,26 +45,22 @@ fn bench_ofdm_symbol(c: &mut Criterion) {
     let cfg = OfdmConfig::lte5mhz();
     let (mut tx, mut rx) = (Vec::new(), Vec::new());
     let mut g = c.benchmark_group("ofdm");
-    for tier in host::available() {
-        host::set_isa_ceiling(Some(tier));
+    for tier in tiers::<HostIsa>() {
         for (shape, n) in [("symbol", 1), ("stream12", 12)] {
             let syms = Modulation::Qpsk.modulate(&random_bits(600 * n, 1));
-            let air = cfg.modulate_stream(&syms);
-            g.bench_function(
-                BenchmarkId::new(format!("{shape}/modulate"), tier.name()),
-                |b| b.iter(|| cfg.modulate_stream_into(std::hint::black_box(&syms), &mut tx)),
-            );
-            g.bench_function(
-                BenchmarkId::new(format!("{shape}/demodulate"), tier.name()),
-                |b| {
-                    b.iter(|| {
-                        cfg.demodulate_stream_into(std::hint::black_box(&air), syms.len(), &mut rx)
-                    })
-                },
-            );
+            let (air, len) = (cfg.modulate_stream(&syms), syms.len());
+            let [modulate, demodulate] = ["modulate", "demodulate"]
+                .map(|way| BenchmarkId::new(format!("{shape}/{way}"), tier.name()));
+            with_isa_ceiling(Some(tier), || {
+                g.bench_function(modulate, |b| {
+                    b.iter(|| cfg.modulate_stream_into(std::hint::black_box(&syms), &mut tx))
+                });
+                g.bench_function(demodulate, |b| {
+                    b.iter(|| cfg.demodulate_stream_into(std::hint::black_box(&air), len, &mut rx))
+                });
+            });
         }
     }
-    host::set_isa_ceiling(None);
     g.finish();
 }
 
@@ -91,14 +87,14 @@ fn bench_scrambler(c: &mut Criterion) {
     let mut bits = random_bits(22_800, 3);
     let mut llrs: Vec<i16> = (0..22_800).map(|i| (i * 37 % 201) as i16 - 100).collect();
     g.throughput(Throughput::Elements(22_800));
-    for tier in host::available() {
-        host::set_isa_ceiling(Some(tier));
-        g.bench_function(BenchmarkId::new("scramble_22k", tier.name()), |b| {
-            b.iter(|| scramble_bits(std::hint::black_box(&mut bits), 0x5A5A5))
+    for tier in tiers::<HostIsa>() {
+        with_isa_ceiling(Some(tier), || {
+            g.bench_function(BenchmarkId::new("scramble_22k", tier.name()), |b| {
+                b.iter(|| scramble_bits(std::hint::black_box(&mut bits), 0x5A5A5))
+            })
         });
     }
-    host::set_isa_ceiling(None);
-    for imp in available_descramble() {
+    for imp in tiers::<DescrambleImpl>() {
         g.bench_function(BenchmarkId::new("descramble_22k", imp.name()), |b| {
             b.iter(|| descramble_llrs_with(imp, std::hint::black_box(&mut llrs), 0x5A5A5))
         });
@@ -159,16 +155,17 @@ fn bench_rate_match(c: &mut Criterion) {
         let rm = RateMatcher::new(k + 4);
         let llrs: Vec<i16> = (0..2 * k).map(|i| (i * 37 % 201) as i16 - 100).collect();
         g.throughput(Throughput::Elements(2 * k as u64));
-        for tier in host::available() {
-            host::set_isa_ceiling(Some(tier));
+        for tier in tiers::<HostIsa>() {
             let id = BenchmarkId::new(format!("dematch_interleaved_into/k{k}"), tier.name());
-            g.bench_function(id, |b| {
-                b.iter(|| {
-                    rm.try_de_rate_match_interleaved_into(std::hint::black_box(&llrs), 0, &mut out)
+            with_isa_ceiling(Some(tier), || {
+                g.bench_function(id, |b| {
+                    b.iter(|| {
+                        let llrs = std::hint::black_box(&llrs);
+                        rm.try_de_rate_match_interleaved_into(llrs, 0, &mut out)
+                    })
                 })
             });
         }
-        host::set_isa_ceiling(None);
     }
     // The transmit arrangement, per code block: the compacted circular
     // buffer out of the packed d-streams (K = 5632 is `tx_bulk`'s
@@ -208,13 +205,13 @@ fn bench_turbo_encode_packed(c: &mut Criterion) {
         let bits = random_bits(k, 7);
         g.throughput(Throughput::Elements(k as u64));
         for (rung, ceiling) in [("best", None), ("portable", Some(HostIsa::Scalar))] {
-            host::set_isa_ceiling(ceiling);
-            let enc = PackedTurboEncoder::new(k);
-            g.bench_function(format!("k{k}/{rung}"), |b| {
-                b.iter(|| enc.encode_dstreams_into(std::hint::black_box(&bits), &mut scratch))
+            with_isa_ceiling(ceiling, || {
+                let enc = PackedTurboEncoder::new(k);
+                g.bench_function(format!("k{k}/{rung}"), |b| {
+                    b.iter(|| enc.encode_dstreams_into(std::hint::black_box(&bits), &mut scratch))
+                })
             });
         }
-        host::set_isa_ceiling(None);
     }
     g.finish();
 }

@@ -8,6 +8,7 @@ use vran_bench::turbo_workload;
 use vran_phy::bits::random_bits;
 use vran_phy::crc::CRC24B;
 use vran_phy::turbo::{DecodeScratch, DecoderIsa, NativeTurboDecoder, TurboDecoder, TurboEncoder};
+use vran_simd::host::tiers;
 use vran_simd::RegWidth;
 
 mod common;
@@ -78,7 +79,7 @@ fn bench_native_decoder(c: &mut Criterion) {
     for k in [512usize, 6144] {
         let (_, input) = turbo_workload(k, 11);
         g.throughput(Throughput::Elements(k as u64));
-        for isa in DecoderIsa::available() {
+        for isa in tiers::<DecoderIsa>() {
             let dec = NativeTurboDecoder::with_isa(k, 4, isa);
             let mut scratch = DecodeScratch::new();
             let mut bits = Vec::new();
@@ -112,7 +113,7 @@ fn bench_native_decoder_crc(c: &mut Criterion) {
     for k in [512usize, 5696, 6144] {
         g.throughput(Throughput::Elements(k as u64));
         for (stop, input) in common::stop_blocks(k) {
-            for isa in DecoderIsa::available() {
+            for isa in tiers::<DecoderIsa>() {
                 let dec = NativeTurboDecoder::with_isa(k, common::CAP, isa);
                 let mut scratch = DecodeScratch::new();
                 let mut bits = Vec::new();

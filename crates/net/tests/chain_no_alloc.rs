@@ -1,13 +1,16 @@
 //! The chains own the packet's large buffers: a warm `TxChain::tx` or
 //! `RxChain::rx` on a 1400 B frame makes a small, fixed number of heap
 //! allocations — the ones `vran-phy` and `l2` make by signature —
-//! and none of them is LLR-, sample- or coded-bit-sized.
+//! and none of them is LLR-, sample- or coded-bit-sized. Resolving the
+//! kernel tiers, which every packet does, makes none.
 //!
 //! Its own test binary, because the counting allocator is global; the
 //! ledger itself is per thread, so the harness's threads do not show.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use vran_arrange::best_fused;
+use vran_arrange::native::best_apcm;
 use vran_net::l2::{BearerTx, L2_OVERHEAD};
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::{PipelineConfig, UplinkPipeline};
@@ -15,7 +18,12 @@ use vran_net::rx::{Capture, RxChain};
 use vran_net::tx::TxChain;
 use vran_phy::bits::unpack_msb;
 use vran_phy::channel::AwgnChannel;
+use vran_phy::crc::best_crc;
+use vran_phy::demap::best_demap;
 use vran_phy::modulation::Modulation;
+use vran_phy::scrambler::best_descramble;
+use vran_phy::turbo::{DecoderIsa, EncoderIsa};
+use vran_simd::host;
 
 struct Counting;
 
@@ -55,6 +63,21 @@ fn ledger_of<T>(work: impl FnOnce() -> T) -> (T, u64, usize) {
     let out = work();
     let (after, largest) = LEDGER.get();
     (out, after - before, largest)
+}
+
+/// Every packet resolves its kernels through these (`Kernels::production`,
+/// the encoders' and the decoder's tier counters): none may allocate.
+#[test]
+fn dispatch_resolves_every_family_without_the_heap() {
+    let resolve = || {
+        let front = (best_demap(), best_descramble(), best_crc(), best_fused());
+        let rest = (best_apcm(), DecoderIsa::best(), EncoderIsa::best());
+        (front, rest, host::best())
+    };
+    let cold = resolve();
+    let (warm, allocs, _) = ledger_of(resolve);
+    assert_eq!(warm, cold);
+    assert_eq!(allocs, 0, "dispatch allocated: {warm:?}");
 }
 
 #[test]

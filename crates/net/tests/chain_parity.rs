@@ -13,7 +13,6 @@
 //! Each runs at every ISA ceiling `isa_fallback` uses; the ceiling is
 //! process-global, so the tests of this binary take turns.
 
-use std::sync::Mutex;
 use vran_net::amc::MCS_TABLE;
 use vran_net::error::{ErrorCategory, PipelineError};
 use vran_net::l2::{BearerTx, L2_OVERHEAD};
@@ -30,9 +29,7 @@ use vran_phy::rate_match::RateMatcher;
 use vran_phy::scrambler::scramble_bits_serial;
 use vran_phy::segmentation::Segmentation;
 use vran_phy::turbo::TurboEncoder;
-use vran_simd::host::{set_isa_ceiling, HostIsa};
-
-static CEILING_LOCK: Mutex<()> = Mutex::new(());
+use vran_simd::host::{with_isa_ceiling, HostIsa};
 
 const CEILINGS: [Option<HostIsa>; 4] = [
     None,
@@ -46,17 +43,14 @@ const SIZES: [usize; 6] = [64, 256, 512, 1024, 1400, 1500];
 /// Run `body` under each ceiling in turn; the full grid under the
 /// host's own tiers, every other ceiling on the grid's corners.
 fn at_every_ceiling(mut body: impl FnMut(&[usize])) {
-    let _guard = CEILING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for ceiling in CEILINGS {
-        set_isa_ceiling(ceiling);
         let sizes: &[usize] = if ceiling.is_none() {
             &SIZES
         } else {
             &[64, 1500]
         };
-        body(sizes);
+        with_isa_ceiling(ceiling, || body(sizes));
     }
-    set_isa_ceiling(None);
 }
 
 /// Operating point, `amc`'s rate-1/2 threshold, and a hopeless channel.

@@ -13,10 +13,11 @@
 //!
 //! Lives in its own integration-test binary (= its own process)
 //! because the ceiling is process-global: unit tests elsewhere assume
-//! the host's full capability set. Within this binary the tests
-//! serialize on [`CEILING_LOCK`] for the same reason.
+//! the host's full capability set. Within this binary every run, the
+//! uncapped references included, is inside `with_isa_ceiling`, so the
+//! tests take turns.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use vran_net::downlink::{DownlinkConfig, DownlinkPipeline};
 use vran_net::metrics::PipelineMetrics;
 use vran_net::packet::{PacketBuilder, Transport};
@@ -24,15 +25,10 @@ use vran_net::pipeline::{PipelineConfig, UplinkPipeline};
 use vran_net::tx::TxChain;
 use vran_net::{StageGraph, StageGraphConfig};
 use vran_phy::modulation::Modulation;
-use vran_simd::host::{set_isa_ceiling, HostIsa};
-
-/// The ISA ceiling is process-global; tests in this binary must not
-/// overlap their masked regions.
-static CEILING_LOCK: Mutex<()> = Mutex::new(());
+use vran_simd::host::{with_isa_ceiling, HostIsa};
 
 #[test]
 fn native_backend_degrades_to_scalar_kernels_without_simd() {
-    let _guard = CEILING_LOCK.lock().unwrap();
     let cfg = PipelineConfig {
         snr_db: 12.0,
         ..Default::default()
@@ -41,15 +37,16 @@ fn native_backend_degrades_to_scalar_kernels_without_simd() {
     let p = b.build(Transport::Udp, 512).unwrap();
 
     // Reference outcome with the host's real capabilities.
-    let native = UplinkPipeline::new(cfg).process(&p).expect("12 dB decodes");
+    let native =
+        with_isa_ceiling(None, || UplinkPipeline::new(cfg).process(&p)).expect("12 dB decodes");
 
     // Mask every SIMD tier: the same pipeline must still decode — via
     // the native decoder's scalar kernels — and report the fallback.
-    set_isa_ceiling(Some(HostIsa::Scalar));
     let metrics = Arc::new(PipelineMetrics::new(true));
-    let masked_pipe = UplinkPipeline::with_metrics(cfg, metrics.clone());
-    let masked = masked_pipe.process(&p).expect("scalar fallback decodes");
-    set_isa_ceiling(None);
+    let masked = with_isa_ceiling(Some(HostIsa::Scalar), || {
+        UplinkPipeline::with_metrics(cfg, metrics.clone()).process(&p)
+    })
+    .expect("scalar fallback decodes");
 
     assert_eq!(masked.tb_bits, native.tb_bits);
     assert_eq!(masked.code_blocks, native.code_blocks);
@@ -75,7 +72,6 @@ fn native_backend_degrades_to_scalar_kernels_without_simd() {
 
 #[test]
 fn batched_decode_degrades_below_avx512_ceiling() {
-    let _guard = CEILING_LOCK.lock().unwrap();
     let cfg = PipelineConfig {
         snr_db: 12.0,
         ..Default::default()
@@ -97,7 +93,7 @@ fn batched_decode_degrades_below_avx512_ceiling() {
 
     // Reference outcome with the host's real capabilities (the zmm
     // batch kernel where available, single-block decodes otherwise).
-    let full = run(UplinkPipeline::new(cfg));
+    let full = with_isa_ceiling(None, || run(UplinkPipeline::new(cfg)));
     assert_eq!(full.len(), 3);
 
     // Cap the ISA at AVX2, then at SSSE3: the zmm kernel is off the
@@ -105,10 +101,10 @@ fn batched_decode_degrades_below_avx512_ceiling() {
     // (on the AVX2, then the SSSE3 kernel), bit-exactly, and flag the
     // loss.
     for ceiling in [HostIsa::Avx2, HostIsa::Ssse3] {
-        set_isa_ceiling(Some(ceiling));
         let metrics = Arc::new(PipelineMetrics::new(true));
-        let masked = run(UplinkPipeline::with_metrics(cfg, metrics.clone()));
-        set_isa_ceiling(None);
+        let masked = with_isa_ceiling(Some(ceiling), || {
+            run(UplinkPipeline::with_metrics(cfg, metrics.clone()))
+        });
 
         assert_eq!(
             masked,
@@ -134,7 +130,6 @@ fn batched_decode_degrades_below_avx512_ceiling() {
 
 #[test]
 fn packed_encoder_degrades_below_avx512_ceiling() {
-    let _guard = CEILING_LOCK.lock().unwrap();
     let cfg = DownlinkConfig {
         snr_db: 25.0,
         ..Default::default()
@@ -143,17 +138,16 @@ fn packed_encoder_degrades_below_avx512_ceiling() {
     let p = b.build(Transport::Udp, 300).unwrap();
 
     // Reference outcome with the host's real capabilities.
-    let full = DownlinkPipeline::new(cfg).process(&p);
+    let full = with_isa_ceiling(None, || DownlinkPipeline::new(cfg).process(&p));
     assert!(full.dci_ok && full.data_ok, "{full:?}");
 
     // Cap the ISA at AVX2: the packed encoder must drop from the
     // 512-bit kernel to the 256-bit one, stay bit-exact, and report
     // the zmm-tier degradation (but NOT the full word64 fallback).
-    set_isa_ceiling(Some(HostIsa::Avx2));
     let metrics = Arc::new(PipelineMetrics::new(true));
-    let masked_pipe = DownlinkPipeline::with_metrics(cfg, metrics.clone());
-    let masked = masked_pipe.process(&p);
-    set_isa_ceiling(None);
+    let masked = with_isa_ceiling(Some(HostIsa::Avx2), || {
+        DownlinkPipeline::with_metrics(cfg, metrics.clone()).process(&p)
+    });
 
     assert_eq!(masked.dci_ok, full.dci_ok);
     assert_eq!(masked.data_ok, full.data_ok);
@@ -182,7 +176,6 @@ fn packed_encoder_degrades_below_avx512_ceiling() {
 
 #[test]
 fn packed_encoder_degrades_to_word64_kernel_without_simd() {
-    let _guard = CEILING_LOCK.lock().unwrap();
     let cfg = DownlinkConfig {
         snr_db: 25.0,
         ..Default::default()
@@ -191,16 +184,15 @@ fn packed_encoder_degrades_to_word64_kernel_without_simd() {
     let p = b.build(Transport::Udp, 300).unwrap();
 
     // Reference outcome with the host's real capabilities.
-    let native = DownlinkPipeline::new(cfg).process(&p);
+    let native = with_isa_ceiling(None, || DownlinkPipeline::new(cfg).process(&p));
     assert!(native.dci_ok && native.data_ok, "{native:?}");
 
     // Mask every SIMD tier: the packed encoder must fall back to the
     // portable u64 kernel, stay bit-exact, and report the degradation.
-    set_isa_ceiling(Some(HostIsa::Scalar));
     let metrics = Arc::new(PipelineMetrics::new(true));
-    let masked_pipe = DownlinkPipeline::with_metrics(cfg, metrics.clone());
-    let masked = masked_pipe.process(&p);
-    set_isa_ceiling(None);
+    let masked = with_isa_ceiling(Some(HostIsa::Scalar), || {
+        DownlinkPipeline::with_metrics(cfg, metrics.clone()).process(&p)
+    });
 
     assert_eq!(masked.dci_ok, native.dci_ok);
     assert_eq!(masked.data_ok, native.data_ok);
@@ -224,7 +216,6 @@ fn packed_encoder_degrades_to_word64_kernel_without_simd() {
 
 #[test]
 fn tx_chain_output_is_byte_identical_below_every_ceiling() {
-    let _guard = CEILING_LOCK.lock().unwrap();
     // tx_bulk's operating point: two code blocks of K = 5696, whose
     // transposes, interleaved gather and OFDM all have a wide rung
     let grant = UplinkPipeline::new(PipelineConfig {
@@ -247,12 +238,10 @@ fn tx_chain_output_is_byte_identical_below_every_ceiling() {
         (tx.bits, samples)
     };
 
-    let full = air();
+    let full = with_isa_ceiling(None, air);
     assert!(!full.1.is_empty());
     for ceiling in [HostIsa::Avx2, HostIsa::Scalar] {
-        set_isa_ceiling(Some(ceiling));
-        let masked = air();
-        set_isa_ceiling(None);
+        let masked = with_isa_ceiling(Some(ceiling), air);
         assert!(
             masked == full,
             "TxChain::tx under the {} ceiling differs from the uncapped run",

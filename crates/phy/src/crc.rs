@@ -28,7 +28,7 @@
 //! [`Crc::compute`] dispatches to the best kernel the host offers.
 
 use crate::bits::compress_into;
-use vran_simd::host::{self, HostIsa};
+use vran_simd::host::{self, best_tier, HostIsa, Tier};
 
 /// A generic bit-serial CRC over GF(2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,54 +78,34 @@ impl CrcImpl {
             CrcImpl::ClmulFold => "clmul",
         }
     }
+}
 
-    /// Minimum host ISA level this tier needs ([`CrcImpl::ClmulFold`]
-    /// additionally needs the `pclmulqdq` extension, probed by
-    /// [`available_crc`]).
-    pub fn required_isa(self) -> HostIsa {
+impl Tier for CrcImpl {
+    const LADDER: &'static [CrcImpl] = &[CrcImpl::BitSerial, CrcImpl::Sliced8, CrcImpl::ClmulFold];
+
+    fn required_isa(self) -> HostIsa {
         match self {
             CrcImpl::BitSerial | CrcImpl::Sliced8 => HostIsa::Scalar,
-            // byteswap uses pshufb; clmul itself is probed separately
+            // byteswap uses pshufb; clmul itself is probed in `usable`
             CrcImpl::ClmulFold => HostIsa::Ssse3,
         }
     }
 
-    /// All tiers, ascending.
-    pub fn all() -> [CrcImpl; 3] {
-        [CrcImpl::BitSerial, CrcImpl::Sliced8, CrcImpl::ClmulFold]
+    /// PCLMULQDQ is orthogonal to vector width, so it is no
+    /// [`HostIsa`] level: probed here (never present off x86-64).
+    fn usable(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let pclmul = std::arch::is_x86_feature_detected!("pclmulqdq");
+        #[cfg(not(target_arch = "x86_64"))]
+        let pclmul = false;
+        host::has(self.required_isa()) && (self != CrcImpl::ClmulFold || pclmul)
     }
-}
-
-/// Whether the host has carry-less multiply (always false off x86-64).
-/// PCLMULQDQ is probed separately from the [`HostIsa`] ladder because
-/// it is orthogonal to vector width — the exactness sweep uses this to
-/// predict which tier `best_crc` lands on.
-pub fn has_pclmul() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("pclmulqdq")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// The CRC kernels usable on this host (ceiling-aware), ascending.
-pub fn available_crc() -> Vec<CrcImpl> {
-    usable_crc().collect()
 }
 
 /// The most capable CRC kernel on this host. Uses no heap: every
 /// [`Crc::check`] asks.
 pub fn best_crc() -> CrcImpl {
-    usable_crc().last().expect("bit-serial is always available")
-}
-
-fn usable_crc() -> impl Iterator<Item = CrcImpl> {
-    CrcImpl::all()
-        .into_iter()
-        .filter(|i| host::has(i.required_isa()) && (*i != CrcImpl::ClmulFold || has_pclmul()))
+    best_tier()
 }
 
 /// Slicing-by-8 tables for a 32-bit top-aligned register.
@@ -231,7 +211,9 @@ impl Crc {
         self.compute_with(best_crc(), bits)
     }
 
-    /// Compute with an explicit kernel tier.
+    /// Compute with an explicit kernel tier. Panics if the host lacks
+    /// `imp`, as do [`Crc::attach_with`], [`Crc::append_with`] and
+    /// [`Crc::check_with`].
     pub fn compute_with(&self, imp: CrcImpl, bits: &[u8]) -> Vec<u8> {
         self.msb_first(self.remainder(imp, bits)).collect()
     }
@@ -250,6 +232,7 @@ impl Crc {
     /// byte kernels see the message packed a stack buffer at a time,
     /// the register carried from one into the next.
     fn remainder(&self, imp: CrcImpl, bits: &[u8]) -> u32 {
+        assert!(imp.usable(), "host lacks {}", imp.name());
         let mut reg: u32 = 0;
         if imp == CrcImpl::BitSerial {
             let top = 1u32 << (self.width - 1);
@@ -263,7 +246,7 @@ impl Crc {
             }
             return reg & (u32::MAX >> (32 - self.width));
         }
-        let clmul = imp == CrcImpl::ClmulFold && has_pclmul() && host::has(HostIsa::Ssse3);
+        let clmul = imp == CrcImpl::ClmulFold;
         let mut buf = [0u8; 1024];
         for chunk in bits.chunks(8 * buf.len()) {
             let (head, tail) = chunk.split_at(chunk.len() & !7);
@@ -448,8 +431,9 @@ mod tests {
 
     #[test]
     fn clmul_kernel_matches_bit_serial_all_polys() {
-        if !available_crc().contains(&CrcImpl::ClmulFold) {
-            eprintln!("clmul unavailable on this host; fold tier exercised as sliced");
+        if !CrcImpl::ClmulFold.usable() {
+            eprintln!("clmul_kernel_matches_bit_serial_all_polys: SKIPPED (no pclmulqdq)");
+            return;
         }
         for crc in [CRC24A, CRC24B, CRC16, CRC8] {
             // spans the <32-byte internal fallback, block boundaries,
@@ -468,10 +452,8 @@ mod tests {
 
     #[test]
     fn default_compute_uses_best_available_kernel() {
-        let avail = available_crc();
-        assert_eq!(avail[0], CrcImpl::BitSerial);
-        assert!(avail.contains(&CrcImpl::Sliced8));
-        assert_eq!(best_crc(), *avail.last().unwrap());
+        assert_eq!(CrcImpl::LADDER[0].required_isa(), HostIsa::Scalar);
+        assert!(CrcImpl::Sliced8.usable());
         let bits = random_bits(777, 4);
         assert_eq!(CRC24A.compute(&bits), CRC24A.compute_bit_serial(&bits));
     }

@@ -28,7 +28,7 @@
 
 use crate::llr::{adds16, max16, subs16, Llr};
 use crate::modulation::{Cplx, Modulation, LLR_SCALE};
-use vran_simd::host::{self, HostIsa};
+use vran_simd::host::{best_tier, HostIsa, Tier};
 
 /// Native demapper tiers, least to most capable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,26 +56,6 @@ impl DemapImpl {
         }
     }
 
-    /// Minimum host ISA level this tier needs.
-    pub fn required_isa(self) -> HostIsa {
-        match self {
-            DemapImpl::Scalar => HostIsa::Scalar,
-            DemapImpl::Sse2 => HostIsa::Sse2,
-            DemapImpl::Avx2 => HostIsa::Avx2,
-            DemapImpl::Avx512bw => HostIsa::Avx512bw,
-        }
-    }
-
-    /// All tiers, ascending.
-    pub fn all() -> [DemapImpl; 4] {
-        [
-            DemapImpl::Scalar,
-            DemapImpl::Sse2,
-            DemapImpl::Avx2,
-            DemapImpl::Avx512bw,
-        ]
-    }
-
     /// Axis samples consumed per vector iteration.
     fn group(self) -> usize {
         match self {
@@ -87,19 +67,27 @@ impl DemapImpl {
     }
 }
 
-/// The demap tiers usable on this host (ceiling-aware), ascending.
-pub fn available_demap() -> Vec<DemapImpl> {
-    DemapImpl::all()
-        .into_iter()
-        .filter(|i| host::has(i.required_isa()))
-        .collect()
+impl Tier for DemapImpl {
+    const LADDER: &'static [DemapImpl] = &[
+        DemapImpl::Scalar,
+        DemapImpl::Sse2,
+        DemapImpl::Avx2,
+        DemapImpl::Avx512bw,
+    ];
+
+    fn required_isa(self) -> HostIsa {
+        match self {
+            DemapImpl::Scalar => HostIsa::Scalar,
+            DemapImpl::Sse2 => HostIsa::Sse2,
+            DemapImpl::Avx2 => HostIsa::Avx2,
+            DemapImpl::Avx512bw => HostIsa::Avx512bw,
+        }
+    }
 }
 
 /// The most capable demap tier on this host.
 pub fn best_demap() -> DemapImpl {
-    *available_demap()
-        .last()
-        .expect("scalar tier is always available")
+    best_tier()
 }
 
 /// The fixed-point LLR gain for a given `noise_scale`: the float
@@ -146,7 +134,7 @@ pub fn demap_with(imp: DemapImpl, m: Modulation, symbols: &[Cplx], noise_scale: 
 }
 
 /// [`demap_with`] into a caller-owned buffer (cleared first) so hot
-/// paths can reuse allocations.
+/// paths can reuse allocations. Panics if the host lacks `imp`.
 pub fn demap_into(
     imp: DemapImpl,
     m: Modulation,
@@ -154,6 +142,7 @@ pub fn demap_into(
     noise_scale: f32,
     out: &mut Vec<Llr>,
 ) {
+    assert!(imp.usable(), "host lacks {}", imp.name());
     let gain = fixed_gain(noise_scale);
     let factor = gain as f32 / m.norm();
     let bps = m.bits_per_symbol();
@@ -169,6 +158,7 @@ pub fn demap_into(
     } else {
         vals.len() - vals.len() % group
     };
+    // SAFETY (all three): the host has the tier, checked above.
     match imp {
         DemapImpl::Scalar => {}
         #[cfg(target_arch = "x86_64")]
@@ -520,6 +510,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vran_simd::host::tiers;
     use vran_util::rng::SmallRng;
 
     fn random_symbols(n: usize, seed: u64, span: f32) -> Vec<Cplx> {
@@ -542,7 +533,7 @@ mod tests {
                 let syms = random_symbols(n, 42 + n as u64, 2.5);
                 for ns in [0.25f32, 1.0, 3.7, 16.0] {
                     let expect = demap_with(DemapImpl::Scalar, m, &syms, ns);
-                    for imp in available_demap() {
+                    for imp in tiers::<DemapImpl>() {
                         assert_eq!(
                             demap_with(imp, m, &syms, ns),
                             expect,
@@ -580,7 +571,7 @@ mod tests {
         for m in Modulation::ALL {
             for ns in [0.25f32, 16.0, 128.0, 1e9] {
                 let expect = demap_with(DemapImpl::Scalar, m, &specials, ns);
-                for imp in available_demap() {
+                for imp in tiers::<DemapImpl>() {
                     assert_eq!(
                         demap_with(imp, m, &specials, ns),
                         expect,
@@ -599,7 +590,7 @@ mod tests {
         for m in Modulation::ALL {
             let bits = random_bits(m.bits_per_symbol() * 500, 9);
             let syms = m.modulate(&bits);
-            for imp in available_demap() {
+            for imp in tiers::<DemapImpl>() {
                 let llrs = demap_with(imp, m, &syms, 1.0);
                 assert_eq!(llrs.len(), bits.len());
                 let rx: Vec<u8> = llrs.iter().map(|&l| u8::from(l < 0)).collect();
@@ -644,8 +635,7 @@ mod tests {
 
     #[test]
     fn best_demap_is_last_available() {
-        let avail = available_demap();
-        assert_eq!(avail[0], DemapImpl::Scalar);
-        assert_eq!(best_demap(), *avail.last().unwrap());
+        assert_eq!(DemapImpl::LADDER[0].required_isa(), HostIsa::Scalar);
+        assert_eq!(Some(best_demap()), tiers::<DemapImpl>().last());
     }
 }

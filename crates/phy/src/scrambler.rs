@@ -44,7 +44,7 @@
 use std::cell::Cell;
 
 use crate::bits::expand_words;
-use vran_simd::host::{self, HostIsa};
+use vran_simd::host::{best_tier, HostIsa, Tier};
 
 /// Offset into the m-sequences (spec constant).
 const NC: usize = 1600;
@@ -339,9 +339,17 @@ impl DescrambleImpl {
             DescrambleImpl::Avx512bw => "avx512bw",
         }
     }
+}
 
-    /// Minimum host ISA level this tier needs.
-    pub fn required_isa(self) -> HostIsa {
+impl Tier for DescrambleImpl {
+    const LADDER: &'static [DescrambleImpl] = &[
+        DescrambleImpl::ScalarWord,
+        DescrambleImpl::Sse2,
+        DescrambleImpl::Avx2,
+        DescrambleImpl::Avx512bw,
+    ];
+
+    fn required_isa(self) -> HostIsa {
         match self {
             DescrambleImpl::ScalarWord => HostIsa::Scalar,
             DescrambleImpl::Sse2 => HostIsa::Sse2,
@@ -349,37 +357,17 @@ impl DescrambleImpl {
             DescrambleImpl::Avx512bw => HostIsa::Avx512bw,
         }
     }
-
-    /// All tiers, ascending.
-    pub fn all() -> [DescrambleImpl; 4] {
-        [
-            DescrambleImpl::ScalarWord,
-            DescrambleImpl::Sse2,
-            DescrambleImpl::Avx2,
-            DescrambleImpl::Avx512bw,
-        ]
-    }
-}
-
-/// The descramble tiers usable on this host (ceiling-aware), ascending.
-pub fn available_descramble() -> Vec<DescrambleImpl> {
-    DescrambleImpl::all()
-        .into_iter()
-        .filter(|i| host::has(i.required_isa()))
-        .collect()
 }
 
 /// The most capable descramble tier on this host.
 pub fn best_descramble() -> DescrambleImpl {
-    *available_descramble()
-        .last()
-        .expect("scalar tier is always available")
+    best_tier()
 }
 
 /// Descramble LLRs with an explicit kernel tier. All tiers are
-/// bit-exact with [`descramble_llrs`].
+/// bit-exact with [`descramble_llrs`]. Panics if the host lacks `imp`.
 pub fn descramble_llrs_with(imp: DescrambleImpl, llrs: &mut [i16], c_init: u32) {
-    assert!(host::has(imp.required_isa()), "host lacks {}", imp.name());
+    assert!(imp.usable(), "host lacks {}", imp.name());
     let mut g = GoldSequence::new(c_init);
     let mut words = [0; WORD_CHUNK];
     for chunk in llrs.chunks_mut(32 * WORD_CHUNK) {
@@ -490,6 +478,7 @@ mod x86 {
 mod tests {
     use super::*;
     use crate::bits::random_bits;
+    use vran_simd::host::tiers;
     use vran_util::rng::SmallRng;
 
     #[test]
@@ -638,7 +627,7 @@ mod tests {
             let c_init = (rng.next_u64() as u32) & 0x7FFF_FFFF;
             let mut expect = orig.clone();
             descramble_llrs(&mut expect, c_init);
-            for imp in available_descramble() {
+            for imp in tiers::<DescrambleImpl>() {
                 let mut got = orig.clone();
                 descramble_llrs_with(imp, &mut got, c_init);
                 assert_eq!(got, expect, "{} len {len}", imp.name());
@@ -655,7 +644,7 @@ mod tests {
         let mut expect = orig.clone();
         descramble_llrs(&mut expect, 1);
         assert!(expect.contains(&i16::MAX), "some Gold bits must be 1");
-        for imp in available_descramble() {
+        for imp in tiers::<DescrambleImpl>() {
             let mut got = orig.clone();
             descramble_llrs_with(imp, &mut got, 1);
             assert_eq!(got, expect, "{}", imp.name());
@@ -664,9 +653,8 @@ mod tests {
 
     #[test]
     fn best_descramble_is_last_available() {
-        let avail = available_descramble();
-        assert_eq!(avail[0], DescrambleImpl::ScalarWord);
-        assert_eq!(best_descramble(), *avail.last().unwrap());
+        assert_eq!(DescrambleImpl::LADDER[0].required_isa(), HostIsa::Scalar);
+        assert_eq!(Some(best_descramble()), tiers::<DescrambleImpl>().last());
     }
 
     #[test]

@@ -111,7 +111,7 @@ use super::trellis::{self, STATES};
 use crate::crc::Crc;
 use crate::interleaver::QppInterleaver;
 use crate::llr::{adds16, llr_to_bit, max16, srai16, subs16, Llr, TailLlrs, TurboLlrs};
-use vran_simd::host::{self, HostIsa};
+use vran_simd::host::{best_tier, HostIsa, Tier};
 
 /// ISA level a [`NativeTurboDecoder`] runs its SISO kernel at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -138,34 +138,27 @@ impl DecoderIsa {
         }
     }
 
-    /// The [`HostIsa`] feature level this kernel requires.
-    pub fn required_isa(self) -> HostIsa {
+    /// The most capable level the host supports.
+    pub fn best() -> DecoderIsa {
+        best_tier()
+    }
+}
+
+impl Tier for DecoderIsa {
+    const LADDER: &'static [DecoderIsa] = &[
+        DecoderIsa::Scalar,
+        DecoderIsa::Sse2,
+        DecoderIsa::Ssse3,
+        DecoderIsa::Avx2,
+    ];
+
+    fn required_isa(self) -> HostIsa {
         match self {
             DecoderIsa::Scalar => HostIsa::Scalar,
             DecoderIsa::Sse2 => HostIsa::Sse2,
             DecoderIsa::Ssse3 => HostIsa::Ssse3,
             DecoderIsa::Avx2 => HostIsa::Avx2,
         }
-    }
-
-    /// Levels usable on this host, ascending; `Scalar` always first.
-    pub fn available() -> Vec<DecoderIsa> {
-        [
-            DecoderIsa::Scalar,
-            DecoderIsa::Sse2,
-            DecoderIsa::Ssse3,
-            DecoderIsa::Avx2,
-        ]
-        .into_iter()
-        .filter(|isa| host::has(isa.required_isa()))
-        .collect()
-    }
-
-    /// The most capable level the host supports.
-    pub fn best() -> DecoderIsa {
-        *DecoderIsa::available()
-            .last()
-            .expect("scalar always present")
     }
 }
 
@@ -255,15 +248,11 @@ impl NativeTurboDecoder {
     }
 
     /// Decoder pinned to a specific ISA level (for A/B testing and
-    /// reproducibility). Panics if the host lacks the feature — check
-    /// [`DecoderIsa::available`] first.
+    /// reproducibility). Panics if the host lacks the feature — pick
+    /// from [`vran_simd::host::tiers`].
     pub fn with_isa(k: usize, max_iterations: usize, isa: DecoderIsa) -> Self {
         assert!(max_iterations >= 1);
-        assert!(
-            host::has(isa.required_isa()),
-            "host lacks {} support",
-            isa.name()
-        );
+        assert!(isa.usable(), "host lacks {} support", isa.name());
         Self {
             il: QppInterleaver::new(k),
             max_iterations,
@@ -1474,6 +1463,7 @@ pub(crate) mod tests {
     use crate::llr::bit_to_llr;
     use crate::turbo::decoder::{siso, TurboDecoder};
     use crate::turbo::TurboEncoder;
+    use vran_simd::host::tiers;
     use vran_util::proptest::prelude::*;
     use vran_util::rng::SmallRng;
 
@@ -1566,7 +1556,7 @@ pub(crate) mod tests {
             ];
             let oracle = TurboDecoder::new(k, CAP);
             let expect = order.map(|(block, _)| oracle.decode_with_crc(block, &CRC24B));
-            for isa in DecoderIsa::available() {
+            for isa in tiers::<DecoderIsa>() {
                 let dec = NativeTurboDecoder::with_isa(k, CAP, isa);
                 let mut scratch = DecodeScratch::new();
                 for ((block, want), expect) in order.iter().zip(&expect) {
@@ -1590,10 +1580,9 @@ pub(crate) mod tests {
 
     #[test]
     fn available_isas_start_with_scalar() {
-        let isas = DecoderIsa::available();
-        assert_eq!(isas[0], DecoderIsa::Scalar);
-        assert!(isas.windows(2).all(|w| w[0] < w[1]));
-        assert!(isas.contains(&DecoderIsa::best()));
+        assert_eq!(DecoderIsa::LADDER[0].required_isa(), HostIsa::Scalar);
+        assert!(DecoderIsa::LADDER.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(Some(DecoderIsa::best()), tiers::<DecoderIsa>().last());
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -1607,7 +1596,7 @@ pub(crate) mod tests {
             expect(trellis::next_table(1)),
             [0i16; 8],
         ];
-        for isa in DecoderIsa::available() {
+        for isa in tiers::<DecoderIsa>() {
             let got = match isa {
                 DecoderIsa::Sse2 => unsafe { x86::probe::gathers_sse2() },
                 // The Avx2 kernel joins the same `lane_ctrl` controls
@@ -1623,7 +1612,7 @@ pub(crate) mod tests {
     fn noiseless_block_decodes_exactly_on_every_isa() {
         for k in [40usize, 104, 512] {
             let (bits, input) = noisy_input(k, 100, 0, k as u64);
-            for isa in DecoderIsa::available() {
+            for isa in tiers::<DecoderIsa>() {
                 let out = NativeTurboDecoder::with_isa(k, 4, isa).decode(&input);
                 assert_eq!(out.bits, bits, "{} K={k}", isa.name());
                 assert_eq!(out.iterations_run, 4);
@@ -1638,7 +1627,7 @@ pub(crate) mod tests {
         for k in [40usize, 496, 2048, 6144] {
             let (_, input) = noisy_input(k, 24, 20, 3 * k as u64 + 1);
             let reference = TurboDecoder::new(k, 3).decode(&input);
-            for isa in DecoderIsa::available() {
+            for isa in tiers::<DecoderIsa>() {
                 let out = NativeTurboDecoder::with_isa(k, 3, isa).decode(&input);
                 assert_eq!(out, reference, "{} K={k}", isa.name());
             }
@@ -1655,7 +1644,7 @@ pub(crate) mod tests {
                 .map(|_| (rng.next_u32() as i32) << 16 | (rng.next_u32() % 0xFFFF + 1) as i32)
                 .collect()
         };
-        for isa in DecoderIsa::available() {
+        for isa in tiers::<DecoderIsa>() {
             for k in [16usize, 40, 48, 64, 104, 5696] {
                 let clean = post(k);
                 let want: Vec<u8> = clean.iter().map(|&l| llr_to_bit(l as Llr)).collect();
@@ -1695,7 +1684,7 @@ pub(crate) mod tests {
         let input = TurboLlrs::from_dstreams(&soft, k);
         let reference = TurboDecoder::new(k, 8).decode_with_crc(&input, &CRC24B);
         assert_eq!(reference.crc_ok, Some(true));
-        for isa in DecoderIsa::available() {
+        for isa in tiers::<DecoderIsa>() {
             let out = NativeTurboDecoder::with_isa(k, 8, isa).decode_with_crc(&input, &CRC24B);
             assert_eq!(out, reference, "{}", isa.name());
         }
@@ -1716,7 +1705,7 @@ pub(crate) mod tests {
         let (mut g0, mut gq) = (vec![0; k], vec![0; 4 * k]);
         let mut alpha = vec![0; (k + 1) * STATES];
         let (mut ext, mut post) = (vec![0 as Llr; k], vec![0i32; k]);
-        for isa in DecoderIsa::available() {
+        for isa in tiers::<DecoderIsa>() {
             siso_into(
                 isa, sys, par, la, tail_sys, tail_par, &mut g0, &mut gq, &mut alpha, &mut post,
             );
@@ -1806,7 +1795,7 @@ pub(crate) mod tests {
             "want a stop strictly inside the cap, got {}",
             reference.iterations_run
         );
-        for isa in DecoderIsa::available() {
+        for isa in tiers::<DecoderIsa>() {
             let out = NativeTurboDecoder::with_isa(k, 8, isa).decode_with_crc(&input, &CRC24B);
             assert_eq!(out, reference, "{}", isa.name());
         }
@@ -1841,7 +1830,7 @@ pub(crate) mod tests {
         let k = 104;
         let (_, input) = noisy_input(k, 24, 20, 17);
         let reference = TurboDecoder::new(k, 8).decode_capped(&input, 2, None);
-        for isa in DecoderIsa::available() {
+        for isa in tiers::<DecoderIsa>() {
             let dec = NativeTurboDecoder::with_isa(k, 8, isa);
             let mut scratch = DecodeScratch::new();
             let mut bits = Vec::new();
@@ -1907,7 +1896,7 @@ pub(crate) mod tests {
             let (mut g0, mut gp) = (vec![0; k], vec![0; 4 * k]);
             let mut alpha = vec![0; (k + 1) * STATES];
             let (mut ext, mut post) = (vec![0 as Llr; k], vec![0i32; k]);
-            for isa in DecoderIsa::available() {
+            for isa in tiers::<DecoderIsa>() {
                 siso_into(
                     isa, &sys, &par, &la, &tail_sys, &tail_par,
                     &mut g0, &mut gp, &mut alpha, &mut post,
@@ -1930,7 +1919,7 @@ pub(crate) mod tests {
             prop_assume!(k <= 1024); // keep the property-run time bounded
             let (_, input) = noisy_input(k, mag, noise, seed);
             let reference = TurboDecoder::new(k, 2).decode(&input);
-            for isa in DecoderIsa::available() {
+            for isa in tiers::<DecoderIsa>() {
                 let out = NativeTurboDecoder::with_isa(k, 2, isa).decode(&input);
                 prop_assert_eq!(
                     &out.bits, &reference.bits,

@@ -38,7 +38,7 @@ use super::encoder::TurboCodeword;
 use super::trellis;
 use crate::bits::{gather_bits, pack_lsb_words, unpack_lsb_words};
 use crate::interleaver::QppInterleaver;
-use vran_simd::host::{self, HostIsa};
+use vran_simd::host::{self, best_tier, HostIsa, Tier};
 
 /// Word width a [`PackedTurboEncoder`] advances the trellis at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -70,34 +70,27 @@ impl EncoderIsa {
         }
     }
 
-    /// The [`HostIsa`] feature level this kernel requires.
-    pub fn required_isa(self) -> HostIsa {
+    /// The most capable level the host supports.
+    pub fn best() -> EncoderIsa {
+        best_tier()
+    }
+}
+
+impl Tier for EncoderIsa {
+    const LADDER: &'static [EncoderIsa] = &[
+        EncoderIsa::Word64,
+        EncoderIsa::Sse2,
+        EncoderIsa::Avx2,
+        EncoderIsa::Avx512,
+    ];
+
+    fn required_isa(self) -> HostIsa {
         match self {
             EncoderIsa::Word64 => HostIsa::Scalar,
             EncoderIsa::Sse2 => HostIsa::Sse2,
             EncoderIsa::Avx2 => HostIsa::Avx2,
             EncoderIsa::Avx512 => HostIsa::Avx512bw,
         }
-    }
-
-    /// Levels usable on this host, ascending; `Word64` always first.
-    pub fn available() -> Vec<EncoderIsa> {
-        [
-            EncoderIsa::Word64,
-            EncoderIsa::Sse2,
-            EncoderIsa::Avx2,
-            EncoderIsa::Avx512,
-        ]
-        .into_iter()
-        .filter(|isa| host::has(isa.required_isa()))
-        .collect()
-    }
-
-    /// The most capable level the host supports.
-    pub fn best() -> EncoderIsa {
-        *EncoderIsa::available()
-            .last()
-            .expect("word64 always present")
     }
 }
 
@@ -189,12 +182,9 @@ impl PackedTurboEncoder {
     }
 
     /// Encoder pinned to a specific ISA level (tests, benchmarks).
+    /// Panics if the host lacks it.
     pub fn with_isa(k: usize, isa: EncoderIsa) -> Self {
-        assert!(
-            host::has(isa.required_isa()),
-            "host lacks {} support",
-            isa.name()
-        );
+        assert!(isa.usable(), "host lacks {} support", isa.name());
         Self {
             il: QppInterleaver::new(k),
             isa,
@@ -563,12 +553,13 @@ mod tests {
     use super::*;
     use crate::bits::random_bits;
     use crate::turbo::TurboEncoder;
+    use vran_simd::host::tiers;
 
     #[test]
     fn word64_is_always_available_and_first() {
-        let avail = EncoderIsa::available();
-        assert_eq!(avail[0], EncoderIsa::Word64);
-        assert!(avail.contains(&EncoderIsa::best()));
+        assert_eq!(EncoderIsa::LADDER[0], EncoderIsa::Word64);
+        assert_eq!(EncoderIsa::Word64.required_isa(), HostIsa::Scalar);
+        assert_eq!(Some(EncoderIsa::best()), tiers::<EncoderIsa>().last());
     }
 
     #[test]
@@ -578,7 +569,7 @@ mod tests {
         for k in [40usize, 64, 104, 128, 256, 512, 2048, 6144] {
             let bits = random_bits(k, k as u64);
             let oracle = TurboEncoder::new(k).encode(&bits);
-            for isa in EncoderIsa::available() {
+            for isa in tiers::<EncoderIsa>() {
                 let got = PackedTurboEncoder::with_isa(k, isa).encode(&bits);
                 assert_eq!(got, oracle, "K={k} isa={}", isa.name());
             }
@@ -615,7 +606,7 @@ mod tests {
         let mut bits = vec![0u8; 128];
         bits[0] = 1;
         let oracle = TurboEncoder::new(128).encode(&bits);
-        for isa in EncoderIsa::available() {
+        for isa in tiers::<EncoderIsa>() {
             let got = PackedTurboEncoder::with_isa(128, isa).encode(&bits);
             assert_eq!(got, oracle, "isa {}", isa.name());
         }
@@ -664,7 +655,6 @@ mod tests {
         // kernel must out-encode the ymm kernel in wall-clock. Skipped
         // (not failed) where the host lacks AVX-512BW — exactness is
         // covered unconditionally by the oracle tests.
-        use vran_simd::host::{self, HostIsa};
         if !host::has(HostIsa::Avx512bw) {
             eprintln!("avx512_encoder_beats_avx2_at_max_k: SKIPPED (no avx512bw)");
             return;

@@ -19,7 +19,7 @@ use vran_phy::interleaver::QPP_TABLE;
 use vran_phy::llr::{adds16, bit_to_llr, TurboLlrs};
 use vran_phy::turbo::native_batch::{LaneOutcome, NativeBatchTurboDecoder, BATCH, QUAD};
 use vran_phy::turbo::{BatchScratch, BlockLlrs, TurboEncoder};
-use vran_simd::host::{set_isa_ceiling, HostIsa};
+use vran_simd::host::{with_isa_ceiling, HostIsa};
 use vran_util::rng::SmallRng;
 
 struct Counting;
@@ -114,10 +114,7 @@ fn warm_launches_below_avx512_allocate_nothing_and_match_the_host_lanes() {
         let inputs = blocks.each_ref().map(BlockLlrs::from_turbo);
         let host = NativeBatchTurboDecoder::new(k, CAP);
         let capped = ceilings.map(|ceiling| {
-            set_isa_ceiling(Some(ceiling));
-            let dec = NativeBatchTurboDecoder::new(k, CAP);
-            set_isa_ceiling(None);
-            dec
+            with_isa_ceiling(Some(ceiling), || NativeBatchTurboDecoder::new(k, CAP))
         });
         for crc in [None, Some(&CRC24B)] {
             let outcome = launch(&host, inputs, crc, &mut host_scratch, &mut want);

@@ -19,28 +19,26 @@
 //! the harness would otherwise run per-kernel tests on concurrent
 //! threads and race on the ceiling. The transmit arrangement's sweep is
 //! a second `#[test]` (`packed_*`, the name CI's transmit-side filter
-//! selects); the two take [`CEILING_LOCK`] in turn.
+//! selects); `with_isa_ceiling` makes the two take turns. Which tier
+//! each `best_*` picks under a ceiling is `vran-arrange`'s `dispatch`
+//! test.
 
 use vran_phy::bits::{
     compress_bits, expand_bits, extend_bits_from_words, gather_bits, pack_lsb_words, pack_msb,
     unpack_lsb_words, unpack_msb,
 };
-use vran_phy::crc::{available_crc, best_crc, has_pclmul, CrcImpl, CRC16, CRC24A, CRC24B, CRC8};
-use vran_phy::demap::{available_demap, best_demap, demap_with, DemapImpl};
+use vran_phy::crc::{CrcImpl, CRC16, CRC24A, CRC24B, CRC8};
+use vran_phy::demap::{demap_with, DemapImpl};
 use vran_phy::interleaver::{QppInterleaver, QPP_TABLE};
 use vran_phy::llr::Llr;
 use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
 use vran_phy::scrambler::{
-    available_descramble, best_descramble, descramble_llrs, descramble_llrs_with, scramble_bits,
-    scramble_bits_serial, DescrambleImpl,
+    descramble_llrs, descramble_llrs_with, scramble_bits, scramble_bits_serial, DescrambleImpl,
 };
 use vran_phy::turbo::{EncodeScratch, PackedTurboEncoder, TurboEncoder};
-use vran_simd::host::{self, set_isa_ceiling, HostIsa};
+use vran_simd::host::{self, tiers, with_isa_ceiling, HostIsa, Tier};
 use vran_util::rng::SmallRng;
-
-/// The two tests of this binary must not overlap their ceilings.
-static CEILING_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// All 188 standard code-block sizes, the registry that drives every
 /// sweep below.
@@ -50,33 +48,10 @@ fn all_k() -> Vec<usize> {
     ks
 }
 
-/// The demap tier `best_demap` must pick under each ceiling (when the
-/// host itself is capable enough to reach it).
-fn expected_best_demap(ceiling: HostIsa) -> DemapImpl {
-    match ceiling {
-        HostIsa::Scalar => DemapImpl::Scalar,
-        HostIsa::Sse2 | HostIsa::Ssse3 => DemapImpl::Sse2,
-        HostIsa::Avx2 => DemapImpl::Avx2,
-        HostIsa::Avx512bw => DemapImpl::Avx512bw,
-    }
-}
-
-fn expected_best_descramble(ceiling: HostIsa) -> DescrambleImpl {
-    match ceiling {
-        HostIsa::Scalar => DescrambleImpl::ScalarWord,
-        HostIsa::Sse2 | HostIsa::Ssse3 => DescrambleImpl::Sse2,
-        HostIsa::Avx2 => DescrambleImpl::Avx2,
-        HostIsa::Avx512bw => DescrambleImpl::Avx512bw,
-    }
-}
-
-/// CRC tier expectation: clmul needs the Ssse3 ceiling *and* the
-/// orthogonal PCLMULQDQ probe; sliced8 is the scalar-ISA best.
-fn expected_best_crc(ceiling: HostIsa) -> CrcImpl {
-    if ceiling >= HostIsa::Ssse3 && has_pclmul() {
-        CrcImpl::ClmulFold
-    } else {
-        CrcImpl::Sliced8
+/// Run `sweep` under every ceiling in turn.
+fn at_every_ceiling(mut sweep: impl FnMut(HostIsa)) {
+    for &ceiling in HostIsa::LADDER {
+        with_isa_ceiling(Some(ceiling), || sweep(ceiling));
     }
 }
 
@@ -97,13 +72,15 @@ fn rx_symbols(k: usize, m: Modulation, rng: &mut SmallRng) -> Vec<Cplx> {
 
 #[test]
 fn all_frontend_kernels_bit_exact_at_every_isa_tier_all_188_k() {
-    let _ceiling = CEILING_LOCK.lock().unwrap();
-    demap_sweep();
-    descramble_sweep();
-    crc_sweep();
-    de_rate_match_sweep();
-    mapper_sweep();
-    bit_pack_sweep();
+    // uncapped while the oracles are built, capped by each sweep
+    with_isa_ceiling(None, || {
+        demap_sweep();
+        descramble_sweep();
+        crc_sweep();
+        de_rate_match_sweep();
+        mapper_sweep();
+        bit_pack_sweep();
+    });
 }
 
 fn demap_sweep() {
@@ -123,22 +100,10 @@ fn demap_sweep() {
         })
         .collect();
 
-    for ceiling in HostIsa::all() {
-        set_isa_ceiling(Some(ceiling));
-        let best = best_demap();
-        if vran_simd::host::has(expected_best_demap(ceiling).required_isa()) {
-            assert_eq!(
-                best,
-                expected_best_demap(ceiling),
-                "ceiling {}",
-                ceiling.name()
-            );
-        }
-        assert!(available_demap().contains(&best));
-
+    at_every_ceiling(|ceiling| {
         for (k, m, syms, ns) in &cases {
             let expect = demap_with(DemapImpl::Scalar, *m, syms, *ns);
-            for imp in available_demap() {
+            for imp in tiers::<DemapImpl>() {
                 assert_eq!(
                     demap_with(imp, *m, syms, *ns),
                     expect,
@@ -149,8 +114,7 @@ fn demap_sweep() {
                 );
             }
         }
-    }
-    set_isa_ceiling(None);
+    });
 }
 
 fn descramble_sweep() {
@@ -178,23 +142,11 @@ fn descramble_sweep() {
         })
         .collect();
 
-    for ceiling in HostIsa::all() {
-        set_isa_ceiling(Some(ceiling));
-        let best = best_descramble();
-        if vran_simd::host::has(expected_best_descramble(ceiling).required_isa()) {
-            assert_eq!(
-                best,
-                expected_best_descramble(ceiling),
-                "ceiling {}",
-                ceiling.name()
-            );
-        }
-        assert!(available_descramble().contains(&best));
-
+    at_every_ceiling(|ceiling| {
         for (k, llrs, c_init) in &cases {
             let mut expect = llrs.clone();
             descramble_llrs(&mut expect, *c_init);
-            for imp in available_descramble() {
+            for imp in tiers::<DescrambleImpl>() {
                 let mut got = llrs.clone();
                 descramble_llrs_with(imp, &mut got, *c_init);
                 assert_eq!(
@@ -220,8 +172,7 @@ fn descramble_sweep() {
                 ceiling.name()
             );
         }
-    }
-    set_isa_ceiling(None);
+    });
 }
 
 fn crc_sweep() {
@@ -236,21 +187,11 @@ fn crc_sweep() {
         .map(|bits| (0..bits).map(|_| (rng.next_u32() & 1) as u8).collect())
         .collect();
 
-    for ceiling in HostIsa::all() {
-        set_isa_ceiling(Some(ceiling));
-        let best = best_crc();
-        assert_eq!(
-            best,
-            expected_best_crc(ceiling),
-            "ceiling {}",
-            ceiling.name()
-        );
-        assert!(available_crc().contains(&best));
-
+    at_every_ceiling(|ceiling| {
         for bits in &cases {
             for crc in [CRC24A, CRC24B, CRC16, CRC8] {
                 let expect = crc.compute_with(CrcImpl::BitSerial, bits);
-                for imp in available_crc() {
+                for imp in tiers::<CrcImpl>() {
                     assert_eq!(
                         crc.compute_with(imp, bits),
                         expect,
@@ -263,8 +204,7 @@ fn crc_sweep() {
                 }
             }
         }
-    }
-    set_isa_ceiling(None);
+    });
 }
 
 /// The interleaved (row-wise) de-rate-matcher has two arms behind
@@ -285,8 +225,7 @@ fn de_rate_match_sweep() {
         })
         .collect();
     let (mut per_stream, mut got) = ([Vec::new(), Vec::new(), Vec::new()], Vec::new());
-    for ceiling in HostIsa::all() {
-        set_isa_ceiling(Some(ceiling));
+    at_every_ceiling(|ceiling| {
         for (k, rm, llrs) in &cases {
             for l in llrs {
                 for rv in 0..4 {
@@ -305,8 +244,7 @@ fn de_rate_match_sweep() {
                 }
             }
         }
-    }
-    set_isa_ceiling(None);
+    });
 }
 
 /// `v` ending flush with an allocation it starts `offset` bytes into.
@@ -341,8 +279,7 @@ fn mapper_sweep() {
     let to_bits = |s: &[Cplx]| -> Vec<(u32, u32)> {
         s.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
     };
-    for ceiling in HostIsa::all() {
-        set_isa_ceiling(Some(ceiling));
+    at_every_ceiling(|ceiling| {
         for (m, table) in Modulation::ALL.into_iter().zip(&tables) {
             let bps = m.bits_per_symbol();
             for symbols in [0, 1, 9, 10, 11, 63, 64, 65, 3799, 3800] {
@@ -363,8 +300,7 @@ fn mapper_sweep() {
                 }
             }
         }
-    }
-    set_isa_ceiling(None);
+    });
 }
 
 /// The packers and unpackers, and the two primitives under them, vs
@@ -378,8 +314,7 @@ fn bit_pack_sweep() {
     let odd: Vec<u8> = (0..11_440)
         .map(|_| [0, 1, 2, 0x80, 0xFF][rng.next_u32() as usize % 5])
         .collect();
-    for ceiling in HostIsa::all() {
-        set_isa_ceiling(Some(ceiling));
+    at_every_ceiling(|ceiling| {
         for &n in &lengths {
             let at = format!("n={n} under {} ceiling", ceiling.name());
             let mut msb = vec![0u8; n.div_ceil(8)];
@@ -419,8 +354,7 @@ fn bit_pack_sweep() {
                 "unpack_lsb_words {at}"
             );
         }
-    }
-    set_isa_ceiling(None);
+    });
 }
 
 /// The transmit arrangement — `pack_circular_into`'s transposes, its
@@ -434,7 +368,6 @@ fn bit_pack_sweep() {
 /// output ends flush with its allocation.
 #[test]
 fn packed_transmit_arrangement_bit_exact_at_every_ceiling_all_188_k() {
-    let _ceiling = CEILING_LOCK.lock().unwrap();
     let mut rng = SmallRng::seed_from_u64(0xDE3A_9007);
     let mut bits = |n: usize| -> Vec<u8> { (0..n).map(|_| (rng.next_u32() & 1) as u8).collect() };
     let flush_words = |bits: &[u8]| -> Vec<u64> {
@@ -475,51 +408,52 @@ fn packed_transmit_arrangement_bit_exact_at_every_ceiling_all_188_k() {
         .collect();
 
     for ceiling in [None, Some(HostIsa::Avx2), Some(HostIsa::Scalar)] {
-        set_isa_ceiling(ceiling);
-        let under = ceiling.map_or("no", HostIsa::name);
-        let rung = [HostIsa::Avx512bw, HostIsa::Avx2]
-            .into_iter()
-            .find(|&isa| host::has(isa))
-            .map_or("portable", HostIsa::name);
-        println!("packed gather rung under {under} ceiling: {rung}");
+        with_isa_ceiling(ceiling, || {
+            let under = ceiling.map_or("no", HostIsa::name);
+            let rung = [HostIsa::Avx512bw, HostIsa::Avx2]
+                .into_iter()
+                .find(|&isa| host::has(isa))
+                .map_or("portable", HostIsa::name);
+            println!("packed gather rung under {under} ceiling: {rung}");
 
-        for (d, words, expect) in &rm_cases {
-            let rm = PackedRateMatcher::new(*d);
-            let mut w = Vec::with_capacity((3 * d).div_ceil(64));
-            rm.pack_circular_into([&words[0], &words[1], &words[2]], &mut w)
-                .unwrap();
-            assert_eq!(w.len(), w.capacity(), "d={d}: w is flush");
-            for (rv, e, want) in expect {
-                let mut out = Vec::with_capacity(e.div_ceil(64));
-                rm.try_rate_match_packed_into(&w, *e, *rv, &mut out)
+            for (d, words, expect) in &rm_cases {
+                let rm = PackedRateMatcher::new(*d);
+                let mut w = Vec::with_capacity((3 * d).div_ceil(64));
+                rm.pack_circular_into([&words[0], &words[1], &words[2]], &mut w)
                     .unwrap();
-                assert_eq!(out.len(), out.capacity(), "d={d} e={e}: out is flush");
-                assert_eq!(
-                    unpack_lsb_words(&out, *e),
-                    *want,
-                    "d={d} rv={rv} e={e} under {under} ceiling"
-                );
+                assert_eq!(w.len(), w.capacity(), "d={d}: w is flush");
+                for (rv, e, want) in expect {
+                    let mut out = Vec::with_capacity(e.div_ceil(64));
+                    rm.try_rate_match_packed_into(&w, *e, *rv, &mut out)
+                        .unwrap();
+                    assert_eq!(out.len(), out.capacity(), "d={d} e={e}: out is flush");
+                    assert_eq!(
+                        unpack_lsb_words(&out, *e),
+                        *want,
+                        "d={d} rv={rv} e={e} under {under} ceiling"
+                    );
+                }
             }
-        }
-        // an index past `src` reads its last 32 bits, on every tier
-        let mut past = [0; 2];
-        gather_bits(&[u32::MAX; 128], &[1 << 63], &mut past);
-        assert_eq!(past, [!0; 2], "clamped gather under {under} ceiling");
-        let mut scratch = EncodeScratch::new();
-        for (k, block, walk, expect) in &enc_cases {
-            let enc = PackedTurboEncoder::new(*k);
-            let mut got = vec![!0; walk.len()];
-            gather_bits(enc.interleaver().pi_table(), &flush_words(block), &mut got);
-            assert_eq!(got, *walk, "gather_bits K={k} under {under} ceiling");
-            enc.encode_dstreams_into(block, &mut scratch);
-            for (s, (got, want)) in scratch.dstream_words().into_iter().zip(expect).enumerate() {
-                assert_eq!(
-                    unpack_lsb_words(got, k + 4),
-                    *want,
-                    "K={k} d({s}) under {under} ceiling"
-                );
+            // an index past `src` reads its last 32 bits, on every tier
+            let mut past = [0; 2];
+            gather_bits(&[u32::MAX; 128], &[1 << 63], &mut past);
+            assert_eq!(past, [!0; 2], "clamped gather under {under} ceiling");
+            let mut scratch = EncodeScratch::new();
+            for (k, block, walk, expect) in &enc_cases {
+                let enc = PackedTurboEncoder::new(*k);
+                let mut got = vec![!0; walk.len()];
+                gather_bits(enc.interleaver().pi_table(), &flush_words(block), &mut got);
+                assert_eq!(got, *walk, "gather_bits K={k} under {under} ceiling");
+                enc.encode_dstreams_into(block, &mut scratch);
+                for (s, (got, want)) in scratch.dstream_words().into_iter().zip(expect).enumerate()
+                {
+                    assert_eq!(
+                        unpack_lsb_words(got, k + 4),
+                        *want,
+                        "K={k} d({s}) under {under} ceiling"
+                    );
+                }
             }
-        }
+        });
     }
-    set_isa_ceiling(None);
 }

@@ -16,7 +16,7 @@
 
 use vran_phy::modulation::Cplx;
 use vran_phy::ofdm::{fft, fft_with, OfdmConfig};
-use vran_simd::host::{self, set_isa_ceiling, HostIsa};
+use vran_simd::host::{self, tiers, with_isa_ceiling, HostIsa};
 use vran_util::rng::SmallRng;
 
 const SIZES: [usize; 11] = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
@@ -109,7 +109,7 @@ fn tiers_match_scalar(rng: &mut SmallRng) {
                 bits(&plain),
                 "scalar tier vs textbook at N={n} inverse={inverse}"
             );
-            for tier in host::available() {
+            for tier in tiers::<HostIsa>() {
                 for offset in 0..16 {
                     let mut arena = vec![Cplx::default(); n + 16];
                     arena[offset..offset + n].copy_from_slice(&input);
@@ -173,39 +173,37 @@ fn streams_at_the_tails(cfg: &OfdmConfig, syms: &[Cplx]) -> Vec<Vec<(u32, u32)>>
 
 #[test]
 fn every_tier_is_bit_identical_to_scalar_and_close_to_f64() {
-    let host_tiers = host::available();
+    let host_tiers: Vec<HostIsa> = tiers().collect();
     let cfg = OfdmConfig::lte5mhz();
     let mut rng = SmallRng::seed_from_u64(0x0FD3);
     let syms = unit_amplitude(1450, &mut rng);
 
-    set_isa_ceiling(Some(HostIsa::Scalar));
-    let scalar_stream = stream_bits(&cfg, &syms);
-    let scalar_tails = streams_at_the_tails(&cfg, &syms);
-    if host_tiers.contains(&HostIsa::Sse2) {
+    let (scalar_stream, scalar_tails) = with_isa_ceiling(Some(HostIsa::Scalar), || {
         let above = std::panic::catch_unwind(|| {
             fft_with(HostIsa::Sse2, &mut [Cplx::default(); 64], false);
         });
         assert!(above.is_err(), "a tier above the ceiling must be refused");
-    }
+        (stream_bits(&cfg, &syms), streams_at_the_tails(&cfg, &syms))
+    });
 
     for &ceiling in &host_tiers {
-        set_isa_ceiling(Some(ceiling));
-        assert_eq!(host::best(), ceiling);
-        tiers_match_scalar(&mut rng);
-        assert_eq!(
-            stream_bits(&cfg, &syms),
-            scalar_stream,
-            "OFDM stream under the {} ceiling",
-            ceiling.name()
-        );
-        assert_eq!(
-            streams_at_the_tails(&cfg, &syms),
-            scalar_tails,
-            "stream tails under the {} ceiling",
-            ceiling.name()
-        );
+        with_isa_ceiling(Some(ceiling), || {
+            assert_eq!(host::best(), ceiling);
+            tiers_match_scalar(&mut rng);
+            assert_eq!(
+                stream_bits(&cfg, &syms),
+                scalar_stream,
+                "OFDM stream under the {} ceiling",
+                ceiling.name()
+            );
+            assert_eq!(
+                streams_at_the_tails(&cfg, &syms),
+                scalar_tails,
+                "stream tails under the {} ceiling",
+                ceiling.name()
+            );
+        });
     }
-    set_isa_ceiling(None);
 
     // accuracy: N = 512, unit-amplitude input, absolute error per bin
     let x = unit_amplitude(512, &mut rng);

@@ -12,6 +12,7 @@ use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
 use vran_phy::scrambler::{descramble_llrs, scramble_bits, GoldSequence};
 use vran_phy::segmentation::Segmentation;
 use vran_phy::turbo::{TurboDecoder, TurboEncoder};
+use vran_simd::host::tiers;
 use vran_util::proptest::prelude::*;
 
 /// Every legal QPP size — both parities of K/8, so the single-block
@@ -42,7 +43,7 @@ fn native_single_block_matches_scalar_every_k() {
             oracle.decode_with_crc(&input, &CRC24B),
         );
         assert_eq!(plain.siso_passes, 4);
-        for isa in DecoderIsa::available() {
+        for isa in tiers::<DecoderIsa>() {
             let native = NativeTurboDecoder::with_isa(k, 2, isa);
             assert_eq!(native.decode(&input), plain, "{} K={k}", isa.name());
             let got = native.decode_with_crc(&input, &CRC24B);
@@ -69,8 +70,7 @@ fn every_decoder_stops_on_the_same_siso_pass_across_the_waterfall() {
     const CAP: usize = 3;
     for k in [504, 512] {
         let oracle = TurboDecoder::new(k, CAP);
-        let natives = DecoderIsa::available()
-            .into_iter()
+        let natives = tiers::<DecoderIsa>()
             .map(|isa| NativeTurboDecoder::with_isa(k, CAP, isa))
             .collect::<Vec<_>>();
         let batch = NativeBatchTurboDecoder::new(k, CAP);
@@ -213,8 +213,7 @@ fn native_quad_batch_matches_scalar_every_k() {
         let inputs = blocks.each_ref().map(BlockLlrs::from_turbo);
         let oracle = TurboDecoder::new(k, CAP);
         let batch = NativeBatchTurboDecoder::new(k, CAP);
-        let singles: Vec<_> = DecoderIsa::available()
-            .into_iter()
+        let singles: Vec<_> = tiers::<DecoderIsa>()
             .map(|isa| NativeTurboDecoder::with_isa(k, CAP, isa))
             .collect();
         for crc in [None, Some(&CRC24B)] {
@@ -445,7 +444,7 @@ proptest! {
             tails: Default::default(),
         };
         let oracle = TurboDecoder::new(k, 2).decode(&input);
-        for isa in DecoderIsa::available() {
+        for isa in tiers::<DecoderIsa>() {
             let native = NativeTurboDecoder::with_isa(k, 2, isa).decode(&input);
             prop_assert_eq!(&native.bits, &oracle.bits, "ISA {} diverged", isa.name());
         }
@@ -507,7 +506,7 @@ proptest! {
         let k = QPP_TABLE[k_idx].k as usize;
         let bits = random_bits(k, seed);
         let oracle = TurboEncoder::new(k).encode(&bits);
-        for isa in EncoderIsa::available() {
+        for isa in tiers::<EncoderIsa>() {
             let got = PackedTurboEncoder::with_isa(k, isa).encode(&bits);
             prop_assert_eq!(&got, &oracle, "ISA {} diverged at K={}", isa.name(), k);
         }

@@ -1,12 +1,17 @@
-//! Runtime host-CPU SIMD capability detection shared by every crate
-//! that carries real `std::arch` kernels.
+//! Runtime host-CPU SIMD capability detection, and the one dispatch
+//! ladder every crate with real `std::arch` kernels shares.
 //!
 //! The VM ([`crate::vm::Vm`]) models ISA widths abstractly; the native
-//! kernels in `vran-arrange` and `vran-phy` instead dispatch on what
-//! the *host* actually supports. This module centralizes that
-//! detection so the feature-probe logic (and its always-true scalar
-//! fallback) is written once: callers map [`HostIsa`] levels onto
-//! their own kernel variants.
+//! kernels in `vran-arrange` and `vran-phy` dispatch on what the *host*
+//! supports, decided here once. Each kernel family's tier enum
+//! implements [`Tier`] (its ladder and the level each rung needs);
+//! [`best_tier`] picks the top rung [`has`] admits, without the heap,
+//! and every safe entry point taking a tier asserts [`Tier::usable`]
+//! once. [`with_isa_ceiling`] lets a test run as if the CPU stopped lower.
+
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// An x86 SIMD capability level the native kernels dispatch on,
 /// ordered from least to most capable. On non-x86 targets only
@@ -36,62 +41,91 @@ impl HostIsa {
             HostIsa::Avx512bw => "avx512bw",
         }
     }
+}
 
-    /// All levels in ascending capability order.
-    pub fn all() -> [HostIsa; 5] {
-        [
-            HostIsa::Scalar,
-            HostIsa::Sse2,
-            HostIsa::Ssse3,
-            HostIsa::Avx2,
-            HostIsa::Avx512bw,
-        ]
+/// A kernel family's tiers: the variants of one enum, each needing a
+/// host level to run.
+pub trait Tier: Copy + 'static {
+    /// Every tier, ascending, the portable floor (needing
+    /// [`HostIsa::Scalar`]) first; [`best_tier`] picks the last usable.
+    const LADDER: &'static [Self];
+
+    /// The [`HostIsa`] level this tier's kernel needs.
+    fn required_isa(self) -> HostIsa;
+
+    /// Whether the host (under the ceiling) can run this tier.
+    fn usable(self) -> bool {
+        has(self.required_isa())
     }
 }
 
-use std::sync::atomic::{AtomicU8, Ordering};
+impl Tier for HostIsa {
+    const LADDER: &'static [HostIsa] = &[
+        HostIsa::Scalar,
+        HostIsa::Sse2,
+        HostIsa::Ssse3,
+        HostIsa::Avx2,
+        HostIsa::Avx512bw,
+    ];
+
+    fn required_isa(self) -> HostIsa {
+        self
+    }
+}
+
+/// The tiers of `T` usable on this host, ascending; the floor first.
+pub fn tiers<T: Tier>() -> impl DoubleEndedIterator<Item = T> {
+    T::LADDER.iter().copied().filter(|t| t.usable())
+}
+
+/// The most capable tier of `T` usable on this host.
+pub fn best_tier<T: Tier>() -> T {
+    tiers().next_back().expect("the floor is usable")
+}
+
+/// The most capable level the host supports (at worst `Scalar`).
+pub fn best() -> HostIsa {
+    best_tier()
+}
 
 /// Process-wide ISA ceiling: `u8::MAX` means "no ceiling", any other
 /// value is the maximum [`HostIsa`] (by declaration order) that
-/// [`has`] may report as available. Exists so robustness tests can
-/// simulate a SIMD-less host on real hardware and exercise scalar
-/// fallback paths end to end.
+/// [`has`] may report as available.
 static ISA_CEILING: AtomicU8 = AtomicU8::new(u8::MAX);
 
-fn isa_rank(isa: HostIsa) -> u8 {
-    match isa {
-        HostIsa::Scalar => 0,
-        HostIsa::Sse2 => 1,
-        HostIsa::Ssse3 => 2,
-        HostIsa::Avx2 => 3,
-        HostIsa::Avx512bw => 4,
+/// Run `f` with every [`has`] answer capped at `ceiling` (`None`: no
+/// cap; `Scalar` stays available), restoring the previous ceiling when
+/// `f` returns or panics, so tests reach fallback paths on real
+/// hardware. Callers on different threads take turns on one lock (a
+/// nested call re-caps without it); the cap is still process-wide, so
+/// keep such tests in their own integration-test binary.
+pub fn with_isa_ceiling<R>(ceiling: Option<HostIsa>, f: impl FnOnce() -> R) -> R {
+    static LOCK: Mutex<()> = Mutex::new(());
+    thread_local!(static HELD: Cell<bool> = const { Cell::new(false) });
+    struct Restore(u8, Option<MutexGuard<'static, ()>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            ISA_CEILING.store(self.0, Ordering::SeqCst);
+            HELD.set(HELD.get() && self.1.is_none());
+        }
     }
-}
-
-/// Cap every subsequent [`has`] answer at `ceiling` (`None` removes
-/// the cap). `Scalar` always stays available. Affects the whole
-/// process: dispatchers in `vran-phy` and `vran-arrange` will refuse
-/// ISA levels above the ceiling exactly as if the CPU lacked them.
-///
-/// Intended for fault-injection and fallback tests; production code
-/// should never call this. Tests that use it must not run concurrently
-/// with tests that assume full host capability (use a dedicated
-/// integration-test binary, which cargo runs in its own process).
-pub fn set_isa_ceiling(ceiling: Option<HostIsa>) {
-    let v = ceiling.map_or(u8::MAX, isa_rank);
-    ISA_CEILING.store(v, Ordering::SeqCst);
+    // a panic under the lock poisons it only after restoring the ceiling
+    let lock = (!HELD.replace(true)).then(|| LOCK.lock().unwrap_or_else(PoisonError::into_inner));
+    let cap = ceiling.map_or(u8::MAX, |c| c as u8);
+    let _restore = Restore(ISA_CEILING.swap(cap, Ordering::SeqCst), lock);
+    f()
 }
 
 /// The currently configured ceiling, if any.
 pub fn isa_ceiling() -> Option<HostIsa> {
     let v = ISA_CEILING.load(Ordering::SeqCst);
-    HostIsa::all().into_iter().find(|&i| isa_rank(i) == v)
+    HostIsa::LADDER.iter().copied().find(|&i| i as u8 == v)
 }
 
 /// Whether the running host supports `isa` (and the test ceiling, if
 /// one is set, admits it).
 pub fn has(isa: HostIsa) -> bool {
-    if isa_rank(isa) > ISA_CEILING.load(Ordering::Relaxed) {
+    if isa as u8 > ISA_CEILING.load(Ordering::Relaxed) {
         return false;
     }
     detect(isa)
@@ -116,41 +150,60 @@ fn detect(isa: HostIsa) -> bool {
     }
 }
 
-/// The levels usable on this host, ascending; `Scalar` is always
-/// first.
-pub fn available() -> Vec<HostIsa> {
-    HostIsa::all().into_iter().filter(|&i| has(i)).collect()
-}
-
-/// The most capable level the host supports (at worst `Scalar`).
-pub fn best() -> HostIsa {
-    HostIsa::all()
-        .into_iter()
-        .rev()
-        .find(|&i| has(i))
-        .expect("scalar is always available")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A family whose top rung is never usable, whatever the host — the
+    /// shape of a tier with a probe beyond its [`HostIsa`] level.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Probe {
+        Floor,
+        Narrow,
+        Wide,
+        Unprobed,
+    }
+
+    impl Tier for Probe {
+        const LADDER: &'static [Probe] =
+            &[Probe::Floor, Probe::Narrow, Probe::Wide, Probe::Unprobed];
+
+        fn required_isa(self) -> HostIsa {
+            match self {
+                Probe::Floor => HostIsa::Scalar,
+                Probe::Narrow => HostIsa::Sse2,
+                Probe::Wide | Probe::Unprobed => HostIsa::Avx512bw,
+            }
+        }
+
+        fn usable(self) -> bool {
+            self != Probe::Unprobed && has(self.required_isa())
+        }
+    }
+
     #[test]
     fn scalar_is_always_available_and_first() {
         assert!(has(HostIsa::Scalar));
-        assert_eq!(available()[0], HostIsa::Scalar);
+        assert_eq!(tiers::<HostIsa>().next(), Some(HostIsa::Scalar));
     }
 
     #[test]
     fn available_is_ascending_and_distinct() {
-        let avail = available();
-        assert!(avail.windows(2).all(|w| w[0] < w[1]));
+        // the ladder is the declaration order the ceiling compares by
+        for (i, &level) in HostIsa::LADDER.iter().enumerate() {
+            assert_eq!(level as usize, i);
+        }
     }
 
     #[test]
     fn best_is_the_last_available_level() {
-        assert_eq!(best(), *available().last().unwrap());
-        assert!(has(best()));
+        let got: Vec<Probe> = tiers().collect();
+        assert_eq!(got[0], Probe::Floor);
+        assert_eq!(got.contains(&Probe::Narrow), has(HostIsa::Sse2));
+        assert_eq!(got.contains(&Probe::Wide), has(HostIsa::Avx512bw));
+        assert!(!got.contains(&Probe::Unprobed));
+        assert_eq!(Some(&best_tier::<Probe>()), got.last());
+        assert_eq!(Some(best()), tiers::<HostIsa>().last());
     }
 
     #[test]
@@ -167,7 +220,8 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
-        let names: std::collections::HashSet<_> = HostIsa::all().iter().map(|i| i.name()).collect();
-        assert_eq!(names.len(), HostIsa::all().len());
+        let names: std::collections::HashSet<_> =
+            HostIsa::LADDER.iter().map(|i| i.name()).collect();
+        assert_eq!(names.len(), HostIsa::LADDER.len());
     }
 }

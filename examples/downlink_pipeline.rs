@@ -13,6 +13,7 @@ use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::Profile;
 use vran_phy::bits::random_bits;
 use vran_phy::turbo::{EncodeScratch, EncoderIsa, PackedTurboEncoder, TurboEncoder};
+use vran_simd::host::tiers;
 
 fn main() {
     println!("== downlink pipeline: QPSK PDCCH + 16-QAM PDSCH over 25 dB AWGN ==\n");
@@ -77,7 +78,7 @@ fn main() {
         K as f64 / scalar_ns * 1e3,
         "1.00x"
     );
-    for isa in EncoderIsa::available() {
+    for isa in tiers::<EncoderIsa>() {
         let enc = PackedTurboEncoder::with_isa(K, isa);
         let mut scratch = EncodeScratch::new();
         let t = Instant::now();

@@ -39,22 +39,26 @@ fn bench_native_batch(c: &mut Criterion) {
     g.sample_size(10);
     for k in [512usize, 6144] {
         let blocks: [_; 4] = core::array::from_fn(|i| turbo_workload(k, 30 + i as u64).1);
+        let inputs = blocks.each_ref().map(BlockLlrs::from_turbo);
         let single = NativeTurboDecoder::new(k, 4);
         let batch = NativeBatchTurboDecoder::new(k, 4);
         let serial = |n: usize| -> Vec<_> {
             let decode = |b| single.decode(std::hint::black_box(b));
             blocks[..n].iter().map(decode).collect()
         };
+        let mut scratch = BatchScratch::new();
+        let (mut bits, mut lanes) = (vec![Vec::new(); 4], [(0, None, 0); 4]);
+        let mut launch = |n: usize| {
+            let blocks = std::hint::black_box(&inputs[..n]);
+            let (bits, lanes) = (&mut bits[..n], &mut lanes[..n]);
+            batch.decode_blocks_into(blocks, 4, None, &mut scratch, bits, lanes);
+        };
         g.throughput(Throughput::Elements(2 * k as u64));
         g.bench_function(format!("single_x2/k{k}"), |b| b.iter(|| serial(2)));
-        g.bench_function(format!("pair/k{k}"), |b| {
-            b.iter(|| batch.decode_pair_refs(std::hint::black_box([&blocks[0], &blocks[1]])))
-        });
+        g.bench_function(format!("pair/k{k}"), |b| b.iter(|| launch(2)));
         g.throughput(Throughput::Elements(4 * k as u64));
         g.bench_function(format!("single_x4/k{k}"), |b| b.iter(|| serial(4)));
-        g.bench_function(format!("quad/k{k}"), |b| {
-            b.iter(|| batch.decode_quad(std::hint::black_box(&blocks)))
-        });
+        g.bench_function(format!("quad/k{k}"), |b| b.iter(|| launch(4)));
     }
     g.finish();
 }
@@ -69,15 +73,17 @@ fn bench_native_quad_crc(c: &mut Criterion) {
         g.throughput(Throughput::Elements(4 * k as u64));
         let dec = NativeBatchTurboDecoder::new(k, common::CAP);
         let mut scratch = BatchScratch::new();
-        let mut bits: [Vec<u8>; 4] = Default::default();
+        let (mut bits, mut lanes) = (vec![Vec::new(); 4], [(0, None, 0); 4]);
         for (stop, input) in common::stop_blocks(k) {
             g.bench_function(format!("quad/k{k}/{stop}"), |b| {
                 b.iter(|| {
-                    dec.decode_quad_lanes_into(
-                        [BlockLlrs::from_turbo(std::hint::black_box(&input)); 4],
+                    dec.decode_blocks_into(
+                        &[BlockLlrs::from_turbo(std::hint::black_box(&input)); 4],
+                        common::CAP,
                         Some(&CRC24B),
                         &mut scratch,
                         &mut bits,
+                        &mut lanes,
                     )
                 })
             });

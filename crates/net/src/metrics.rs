@@ -265,8 +265,11 @@ impl Stage {
 }
 
 /// The chains' fine stage list, in chain order: what one
-/// [`Spans::lap`] brackets. `Encode`, `RateMatch`, `DeRateMatch`,
-/// `Arrange` and `Decode` lap once per code block, the rest once per
+/// [`Spans::lap`] brackets. `Encode`, `RateMatch`, `DeRateMatch` and
+/// `Arrange` lap once per code block; `Decode` once per run of equal-K
+/// blocks on the native decoder (one call decodes the run, so a packet
+/// laps once or twice and `stage.decode.count` counts runs, not
+/// blocks) and once per block on the scalar oracle; the rest once per
 /// packet. [`Op::stage`] folds the list onto the coarser [`Stage`]
 /// histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,7 +302,8 @@ pub enum Op {
     DeRateMatch,
     /// The data arrangement of one code block (the paper's subject).
     Arrange,
-    /// Turbo decode of one code block.
+    /// Turbo decode of one run of equal-K code blocks (one block on
+    /// the scalar oracle).
     Decode,
     /// Desegmentation of the decoded blocks.
     Deseg,
@@ -370,7 +374,9 @@ pub struct PipelineMetrics {
     pub ok_packets: Counter,
     /// Turbo-decoder iterations, summed over code blocks.
     pub decoder_iterations: Counter,
-    /// Turbo-decoder SISO passes, summed over code blocks.
+    /// Turbo-decoder SISO passes, summed over code blocks: each
+    /// block's own count (where it stopped), not the passes a batch
+    /// launch ran for its slowest lane.
     pub siso_passes: Counter,
     /// Code blocks processed.
     pub code_blocks: Counter,
@@ -382,8 +388,8 @@ pub struct PipelineMetrics {
     pub decode_scratch_reuses: Counter,
     /// Failed packets by [`ErrorCategory`] (indexed by discriminant).
     pub errors: [Counter; ErrorCategory::COUNT],
-    /// Code blocks whose decoder iteration budget was clamped by the
-    /// per-packet deadline.
+    /// Packets whose decoder iteration budget was clamped by the
+    /// per-packet deadline (the gate is asked once per packet).
     pub deadline_clamps: Counter,
     /// Native→scalar decoder demotions after repeated decode failures.
     pub backend_degradations: Counter,

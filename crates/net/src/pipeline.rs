@@ -114,10 +114,11 @@ pub struct PipelineConfig {
     /// Channel noise seed.
     pub seed: u64,
     /// Per-packet processing budget in nanoseconds. `None` disables
-    /// deadline handling. When half the budget is spent before a code
-    /// block's decode, the decoder iteration cap is halved (recorded as
+    /// deadline handling. When half the budget is spent before the
+    /// packet's decode, its decoder iteration cap is halved (recorded as
     /// a `deadline_clamps` metrics event); once the budget is exhausted
-    /// the packet aborts with [`PipelineError::DeadlineExceeded`].
+    /// the packet aborts with [`PipelineError::DeadlineExceeded`]. The
+    /// gate is asked once per packet, before its first block decodes.
     pub deadline_ns: Option<u64>,
     /// Per-stage circuit breakers (equalizer / demapper / decoder).
     /// `None` (the default) disables them — fault-injection soaks and
@@ -346,10 +347,10 @@ impl RxHooks for InPacket<'_> {
     }
 
     /// Deadline gate before the expensive decode: abort when the
-    /// budget is gone, halve the iteration cap when half is. The
-    /// serial path asks per block; staged blocks decode after
-    /// `prepare` returns, so it asks once and the clamped cap rides
-    /// into the pool.
+    /// budget is gone, halve the iteration cap when half is. Asked once
+    /// per packet on both paths: the serial path before its decode
+    /// call, the staging path in `prepare` (its blocks decode after
+    /// `prepare` returns, so the clamped cap rides into the pool).
     fn iter_cap(&mut self, cap: usize) -> Result<usize, PipelineError> {
         let Some(budget) = self.budget_ns else {
             return Ok(cap);
@@ -765,9 +766,8 @@ impl UplinkPipeline {
         if let Some(m) = pk.clock.m {
             if !NativeBatchTurboDecoder::is_zmm_accelerated() {
                 // Blocks are staged for batch launches but the host
-                // (or the test ISA ceiling) lacks AVX-512BW: they
-                // decode through the narrower pair/single kernels,
-                // bit-exactly.
+                // (or the test ISA ceiling) lacks AVX-512BW: every lane
+                // is a single-block decode, bit-exactly.
                 m.batch_simd_fallbacks.inc();
             }
         }

@@ -5,8 +5,8 @@
 //! front:  samples → OFDM demodulate → soft demap → descramble
 //!           → per block (de-rate-match → DATA ARRANGEMENT into a
 //!             pooled stream buffer)                  → staged TurboLlrs
-//! back:   per block turbo decode (CRC24B stop) → desegment → CRC24A
-//!           → L2 de-encapsulate                      → Delivered
+//! back:   turbo decode, one call per run of equal-K blocks (CRC24B
+//!           stop) → desegment → CRC24A → L2 de-encapsulate → Delivered
 //! ```
 //!
 //! [`RxChain::rx`] is `front` + `back`; the stage-graph runtime takes
@@ -39,7 +39,8 @@ use vran_phy::llr::{Llr, SoftStreams, TailLlrs, TurboLlrs};
 use vran_phy::modulation::Cplx;
 use vran_phy::rate_match::RateMatcher;
 use vran_phy::segmentation::{Segmentation, Z_MAX};
-use vran_phy::turbo::{DecodeScratch, NativeTurboDecoder, TurboDecoder};
+use vran_phy::turbo::native_batch::LaneOutcome;
+use vran_phy::turbo::{BatchScratch, BlockLlrs, NativeBatchTurboDecoder, TurboDecoder};
 
 /// Maximum code blocks per transport block the receive path accepts;
 /// plans beyond this classify as
@@ -61,8 +62,9 @@ const LLR_POOL_CAP: usize = 4 * MAX_CODE_BLOCKS;
 pub(crate) enum DecoderBackend {
     /// The scalar max-log-MAP reference.
     Scalar,
-    /// The runtime-dispatched [`NativeTurboDecoder`], with per-chain
-    /// scratch reuse (allocation-free per code block after warm-up).
+    /// The runtime-dispatched [`NativeBatchTurboDecoder`], one call
+    /// per run of equal-K blocks, with per-chain scratch reuse
+    /// (allocation-free after warm-up).
     Native,
 }
 
@@ -120,8 +122,10 @@ pub trait RxHooks: Spans {
     /// models a corrupted fronthaul buffer here).
     fn soft_bits(&mut self, _llrs: &mut [Llr]) {}
 
-    /// The iteration cap of the next decode, given the configured
+    /// The iteration cap of the packet's decode, given the configured
     /// `cap` — or the error that ends the packet (the deadline gate).
+    /// Asked once per packet, before its first block decodes, on every
+    /// path: the serial decode and staging for the stage graph alike.
     fn iter_cap(&mut self, cap: usize) -> Result<usize, PipelineError> {
         Ok(cap)
     }
@@ -142,8 +146,8 @@ pub struct RxChain {
     pub(crate) kern: Kernels,
     /// Turbo decoder iteration cap (and the cached decoders' maximum).
     decoder_iterations: usize,
-    /// Native decoders, keyed by block size K.
-    natives: Vec<(usize, NativeTurboDecoder)>,
+    /// Native batch decoders, keyed by block size K.
+    natives: Vec<(usize, NativeBatchTurboDecoder)>,
     /// Scalar decoders, keyed by block size K.
     scalars: Vec<(usize, TurboDecoder)>,
     /// Rate matchers, keyed by per-stream length `d = K + 4`.
@@ -163,9 +167,10 @@ pub struct RxChain {
     pool: Vec<SoftStreams>,
     /// The serial path's task list between packets (capacity retained).
     tasks: Vec<TurboLlrs>,
-    scratch: DecodeScratch,
-    /// SISO passes the scalar decoder ran (it keeps no ledger itself).
-    oracle_passes: u64,
+    scratch: BatchScratch,
+    /// SISO passes the decoded blocks ran, each block's own count,
+    /// whichever decoder ran it.
+    siso_passes: u64,
     /// Decoded-bit buffers, one per code-block index.
     bits: Vec<Vec<u8>>,
 }
@@ -186,7 +191,7 @@ impl RxChain {
         [
             self.scratch.allocations(),
             self.scratch.reuses(),
-            self.scratch.siso_passes() + self.oracle_passes,
+            self.siso_passes,
         ]
     }
 
@@ -335,7 +340,7 @@ impl RxChain {
         self.tasks = tasks;
     }
 
-    /// The serial back end: decode each staged block with the CRC24B
+    /// The serial back end: decode the staged blocks with the CRC24B
     /// stop, then [`Self::deliver`].
     pub(crate) fn back(
         &mut self,
@@ -356,7 +361,10 @@ impl RxChain {
         )
     }
 
-    /// Decode `tasks` in order into `self.bits`; returns the iteration
+    /// Decode `tasks` into `self.bits` under one iteration cap: the
+    /// native decoder in one call per run of equal-K blocks
+    /// (segmentation puts every K− block before the K+ ones, so at most
+    /// two), the scalar oracle block by block. Returns the iteration
     /// total and how many blocks failed their CRC24B.
     fn decode_blocks(
         &mut self,
@@ -367,42 +375,50 @@ impl RxChain {
             self.bits.resize_with(tasks.len(), Vec::new);
         }
         let max_iters = self.decoder_iterations;
+        let cap = hooks.iter_cap(max_iters)?;
         let crc = (tasks.len() > 1).then_some(&CRC24B);
-        let (mut iterations, mut failed_blocks) = (0, 0);
-        for (task, bits) in tasks.iter().zip(&mut self.bits) {
-            let cap = hooks.iter_cap(max_iters)?;
-            let k = task.k;
-            let (iters, crc_ok) = match self.kern.decoder {
-                DecoderBackend::Native => {
+        let mut lanes: [LaneOutcome; MAX_CODE_BLOCKS] = Default::default();
+        let lanes = &mut lanes[..tasks.len()];
+        match self.kern.decoder {
+            DecoderBackend::Native => {
+                let mut at = 0;
+                for run in tasks.chunk_by(|a, b| a.k == b.k) {
+                    let (k, r) = (run[0].k, at..at + run.len());
+                    at += run.len();
                     let di = slot(&mut self.natives, k, || {
-                        NativeTurboDecoder::new(k, max_iters)
+                        NativeBatchTurboDecoder::new(k, max_iters)
                     });
+                    // The tail past the run repeats its last block and
+                    // is never read.
+                    let blocks: [BlockLlrs<'_>; MAX_CODE_BLOCKS] =
+                        std::array::from_fn(|g| BlockLlrs::from_turbo(&run[g.min(run.len() - 1)]));
                     hooks.lap(Op::Decode, || {
-                        self.natives[di].1.decode_streams_capped_into(
-                            &task.streams.sys,
-                            &task.streams.p1,
-                            &task.streams.p2,
-                            &task.tails,
+                        self.natives[di].1.decode_blocks_into(
+                            &blocks[..run.len()],
                             cap,
                             crc,
                             &mut self.scratch,
-                            bits,
+                            &mut self.bits[r.clone()],
+                            &mut lanes[r],
                         )
-                    })
+                    });
                 }
-                DecoderBackend::Scalar => {
+            }
+            DecoderBackend::Scalar => {
+                for ((task, bits), lane) in tasks.iter().zip(&mut self.bits).zip(lanes.iter_mut()) {
+                    let k = task.k;
                     let si = slot(&mut self.scalars, k, || TurboDecoder::new(k, max_iters));
                     let out = hooks.lap(Op::Decode, || {
                         self.scalars[si].1.decode_capped(task, cap, crc)
                     });
-                    self.oracle_passes += out.siso_passes as u64;
                     *bits = out.bits;
-                    (out.iterations_run, out.crc_ok)
+                    *lane = (out.iterations_run, out.crc_ok, out.siso_passes);
                 }
-            };
-            iterations += iters;
-            failed_blocks += usize::from(crc_ok == Some(false));
+            }
         }
+        self.siso_passes += lanes.iter().map(|l| l.2 as u64).sum::<u64>();
+        let iterations = lanes.iter().map(|l| l.0).sum();
+        let failed_blocks = lanes.iter().filter(|l| l.1 == Some(false)).count();
         Ok((iterations, failed_blocks))
     }
 
@@ -514,4 +530,154 @@ fn acquire(pool: &mut Vec<SoftStreams>, k: usize, sink: &mut impl Spans) -> Soft
     s.p2.resize(k, 0);
     sink.staged(held, capacity(&s));
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::l2::{BearerTx, L2_OVERHEAD};
+    use crate::packet::{PacketBuilder, Transport};
+    use crate::pipeline::{PipelineConfig, UplinkPipeline};
+    use crate::tx::TxChain;
+    use vran_phy::bits::unpack_msb;
+    use vran_phy::modulation::Modulation;
+
+    /// Hooks that count the deadline gate's calls and the decode laps;
+    /// with `expired`, the gate ends the packet.
+    #[derive(Default)]
+    struct Counted {
+        expired: bool,
+        iter_caps: usize,
+        decode_laps: usize,
+    }
+
+    impl Spans for Counted {
+        fn lap<T>(&mut self, op: Op, work: impl FnOnce() -> T) -> T {
+            self.decode_laps += usize::from(op == Op::Decode);
+            work()
+        }
+    }
+
+    impl RxHooks for Counted {
+        fn iter_cap(&mut self, cap: usize) -> Result<usize, PipelineError> {
+            self.iter_caps += 1;
+            match self.expired {
+                false => Ok(cap),
+                true => Err(PipelineError::DeadlineExceeded {
+                    budget_ns: 1,
+                    elapsed_ns: 2,
+                }),
+            }
+        }
+    }
+
+    /// A `size`-byte UDP frame sent under a grant through an AWGN
+    /// channel: the frame, the plan, and what the receiver captures.
+    struct OnAir {
+        frame: Vec<u8>,
+        seg: Segmentation,
+        air: Vec<Cplx>,
+        n_symbols: usize,
+        llr_scale: f32,
+    }
+
+    impl OnAir {
+        fn send(grant: &Grant, size: usize, snr_db: f32) -> Self {
+            let frame = PacketBuilder::new(4000, 4001)
+                .build(Transport::Udp, size)
+                .unwrap()
+                .frame;
+            let pdu = BearerTx::default()
+                .encapsulate(&frame, frame.len() + L2_OVERHEAD)
+                .unwrap();
+            let mut tx = TxChain::default();
+            let seg = tx
+                .tx(&unpack_msb(&pdu, pdu.len() * 8), grant, &mut ())
+                .unwrap();
+            let mut channel = AwgnChannel::new(snr_db, 3);
+            let mut air = Vec::new();
+            channel.apply_into(&tx.samples, &mut air);
+            let (n_symbols, llr_scale) = (tx.symbols.len(), Capture::llr_scale_of(&channel));
+            Self {
+                frame,
+                seg,
+                air,
+                n_symbols,
+                llr_scale,
+            }
+        }
+
+        fn capture(&self) -> Capture<'_> {
+            Capture {
+                samples: &self.air,
+                n_symbols: self.n_symbols,
+                tb_bits: self.seg.b,
+                llr_scale: self.llr_scale,
+            }
+        }
+    }
+
+    /// Two-block packets at rx_bulk's operating point: 1400 B splits
+    /// into one K = 5632 and one K = 5696 block, 1500 B into two
+    /// K = 6080 blocks. Either asks its cap once; the native decoder
+    /// laps once per K, so only the equal-K pair decodes in one call.
+    /// Both deliver what the scalar oracle delivers, in as many
+    /// iterations and SISO passes.
+    #[test]
+    fn a_two_block_packet_asks_its_cap_once_and_decodes_each_k_in_one_call() {
+        let cfg = PipelineConfig {
+            modulation: Modulation::Qam64,
+            snr_db: 20.0,
+            ..Default::default()
+        };
+        let grant = UplinkPipeline::new(cfg).grant();
+        for (size, ks, native_laps) in [(1400, [5632, 5696], 2), (1500, [6080; 2], 1)] {
+            let sent = OnAir::send(&grant, size, cfg.snr_db);
+            let got_ks: Vec<_> = (0..sent.seg.c).map(|i| sent.seg.k_of(i)).collect();
+            assert_eq!(got_ks, ks, "{size} B");
+            let cap = sent.capture();
+
+            let mut hooks = Counted::default();
+            let mut native = RxChain::new(cfg.decoder_iterations);
+            let got = native.rx(&cap, &grant, &mut hooks).unwrap();
+            assert_eq!(got.sdu, sent.frame, "{size} B");
+            let counts = (hooks.iter_caps, hooks.decode_laps);
+            assert_eq!(counts, (1, native_laps), "{size} B native");
+
+            let mut hooks = Counted::default();
+            let mut oracle = RxChain::new(cfg.decoder_iterations);
+            oracle.kern = Kernels::reference();
+            let want = oracle.rx(&cap, &grant, &mut hooks).unwrap();
+            let counts = (hooks.iter_caps, hooks.decode_laps);
+            assert_eq!(counts, (1, 2), "{size} B oracle: one lap per block");
+            assert_eq!(got, want, "{size} B");
+            let passes = |rx: &RxChain| rx.decode_ledger()[2];
+            assert_eq!(passes(&native), passes(&oracle), "{size} B");
+        }
+    }
+
+    #[test]
+    fn an_expired_deadline_ends_the_packet_before_any_decode() {
+        let grant = UplinkPipeline::new(PipelineConfig::default()).grant();
+        // 1024 B: two K = 4160 blocks.
+        let sent = OnAir::send(&grant, 1024, 30.0);
+        let seg = &sent.seg;
+        assert_eq!((seg.c_minus, seg.c_plus, seg.k_plus), (0, 2, 4160));
+        let cap = sent.capture();
+        for kern in [Kernels::production(), Kernels::reference()] {
+            let mut hooks = Counted {
+                expired: true,
+                ..Default::default()
+            };
+            let mut rx = RxChain::new(6);
+            rx.kern = kern;
+            let got = rx.rx(&cap, &grant, &mut hooks);
+            assert!(
+                matches!(got, Err(PipelineError::DeadlineExceeded { .. })),
+                "{got:?}"
+            );
+            assert_eq!((hooks.iter_caps, hooks.decode_laps), (1, 0));
+            assert_eq!(rx.decode_ledger()[2], 0, "no SISO pass ran");
+        }
+    }
 }

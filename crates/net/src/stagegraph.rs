@@ -103,10 +103,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vran_phy::crc::CRC24B;
 use vran_phy::llr::TurboLlrs;
-use vran_phy::turbo::native_batch::{LaneOutcome, BATCH, QUAD};
-use vran_phy::turbo::{
-    BatchScratch, BlockLlrs, DecodeScratch, NativeBatchTurboDecoder, NativeTurboDecoder,
-};
+use vran_phy::turbo::native_batch::{launches, LaneOutcome, QUAD};
+use vran_phy::turbo::{BatchScratch, BlockLlrs, NativeBatchTurboDecoder};
 
 /// Why a decode pool launched before (or at) lane width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,7 +191,7 @@ struct PoolTask {
     flush_at: Option<Instant>,
 }
 
-/// Same-`(K, iter_cap, crc)` decode pool with its cached batch decoder.
+/// Same-`(K, iter_cap, crc)` decode pool.
 #[derive(Debug)]
 struct Pool {
     k: usize,
@@ -202,7 +200,6 @@ struct Pool {
     /// more than one code block) and so stop as soon as it passes.
     crc: bool,
     tasks: Vec<PoolTask>,
-    dec: NativeBatchTurboDecoder,
 }
 
 /// The idle-flush state (module docs, "Flush policy"): whether
@@ -260,14 +257,12 @@ pub struct StageGraph {
     /// In-flight packet count (occupied ROB slots).
     in_flight: usize,
     pools: Vec<Pool>,
-    /// Cached serial decoders for single-leftover launches, keyed by K
-    /// (same max-iteration construction as the receive chain's cache).
-    singles: Vec<(usize, NativeTurboDecoder)>,
-    scratch: DecodeScratch,
-    /// Staged-batch-decoder working buffers, shared across pools and
-    /// launches (capacity retained — the quad/pair kernels read the
-    /// pooled task buffers in place, so this is the only decode-side
-    /// staging left).
+    /// Batch decoders, keyed by K, each built with the pipeline's
+    /// `decoder_iterations` (a pool's cap clamps below it per call).
+    decoders: Vec<(usize, NativeBatchTurboDecoder)>,
+    /// Batch-decoder working buffers, shared across pools and launches
+    /// (capacity retained — the kernels read the pooled task buffers in
+    /// place, so this is the only decode-side staging left).
     batch_scratch: BatchScratch,
     /// Per-lane decoded-bit landing buffers, reused across launches;
     /// the scatter step copies each lane's `K` bytes into the owning
@@ -312,8 +307,7 @@ impl StageGraph {
             free_head: 0,
             in_flight: 0,
             pools: Vec::new(),
-            singles: Vec::new(),
-            scratch: DecodeScratch::default(),
+            decoders: Vec::new(),
             batch_scratch: BatchScratch::default(),
             lane_bits: Default::default(),
             tick: 0,
@@ -518,7 +512,6 @@ impl StageGraph {
                     iter_cap,
                     crc,
                     tasks: Vec::with_capacity(QUAD),
-                    dec: NativeBatchTurboDecoder::new(k, iter_cap),
                 });
                 self.pools.len() - 1
             }
@@ -559,11 +552,11 @@ impl StageGraph {
         }
     }
 
-    /// Launch everything in pool `pi`: quads while four remain, then a
-    /// pair, then a single leftover, each with the pool's CRC. Scatters
-    /// bits / iterations / CRC verdicts / decode-time shares to the
-    /// owning ROB slots and retires any slot whose last block this
-    /// launch decoded.
+    /// Launch everything in pool `pi` in one decode call — quads while
+    /// four remain, then a pair, then a single leftover
+    /// ([`launches`]), each with the pool's CRC. Scatters bits /
+    /// iterations / CRC verdicts / decode-time shares to the owning ROB
+    /// slots and retires any slot whose last block this flush decoded.
     fn flush_pool(&mut self, pi: usize, reason: FlushReason) {
         let pool = &mut self.pools[pi];
         if pool.tasks.is_empty() {
@@ -582,77 +575,39 @@ impl StageGraph {
         }
         self.batch_seq += 1;
         let tasks = std::mem::take(&mut pool.tasks);
-        let iter_cap = pool.iter_cap;
-        let k = pool.k;
+        let (k, iter_cap) = (pool.k, pool.iter_cap);
         let crc = pool.crc.then_some(&CRC24B);
         let n = tasks.len();
-        let mut j = 0;
-        let mut total_decode_ns = 0u64;
-        let mut total_passes = 0u64;
-        while j < n {
-            // Staged launch: the kernels read the pooled task stream
-            // buffers in place — no per-launch re-staging copy — and
-            // land bits in the reused lane buffers. Every width gives
-            // each lane the serial decoder's `(iterations, crc_ok)`.
-            let run = match n - j {
-                QUAD.. => QUAD,
-                BATCH.. => BATCH,
-                _ => 1,
-            };
-            let input = |g: usize| BlockLlrs::from_turbo(&tasks[j + g].task);
-            let mut lanes: [LaneOutcome; QUAD] = Default::default();
-            let t0 = Instant::now();
-            match run {
-                QUAD => {
-                    lanes = self.pools[pi].dec.decode_quad_lanes_into(
-                        std::array::from_fn(input),
-                        crc,
-                        &mut self.batch_scratch,
-                        &mut self.lane_bits,
-                    );
-                }
-                BATCH => {
-                    let bits = (&mut self.lane_bits[..BATCH])
-                        .try_into()
-                        .expect("pair lanes");
-                    let pair = self.pools[pi].dec.decode_pair_lanes_into(
-                        std::array::from_fn(input),
-                        crc,
-                        &mut self.batch_scratch,
-                        bits,
-                    );
-                    lanes[..BATCH].copy_from_slice(&pair);
-                }
-                _ => {
-                    let max_iters = self.pipe.config().decoder_iterations;
-                    let si = slot(&mut self.singles, k, || {
-                        NativeTurboDecoder::new(k, max_iters)
-                    });
-                    let input = input(0);
-                    let passes0 = self.scratch.siso_passes();
-                    let (iters, crc_ok) = self.singles[si].1.decode_streams_capped_into(
-                        input.sys,
-                        input.p1,
-                        input.p2,
-                        &input.tails,
-                        iter_cap,
-                        crc,
-                        &mut self.scratch,
-                        &mut self.lane_bits[0],
-                    );
-                    let passes = self.scratch.siso_passes() - passes0;
-                    lanes[0] = (iters, crc_ok, passes as usize);
-                }
+        let max_iters = self.pipe.config().decoder_iterations;
+        let di = slot(&mut self.decoders, k, || {
+            NativeBatchTurboDecoder::new(k, max_iters)
+        });
+        // The kernels read the pooled task stream buffers in place (the
+        // array's tail past `n` repeats the last block and is never
+        // read) and land bits in the reused lane buffers; every lane
+        // gets the serial decoder's `(iterations, crc_ok)`.
+        let blocks: [BlockLlrs<'_>; QUAD] =
+            std::array::from_fn(|g| BlockLlrs::from_turbo(&tasks[g.min(n - 1)].task));
+        let mut lanes: [LaneOutcome; QUAD] = Default::default();
+        let t0 = Instant::now();
+        self.decoders[di].1.decode_blocks_into(
+            &blocks[..n],
+            iter_cap,
+            crc,
+            &mut self.batch_scratch,
+            &mut self.lane_bits[..n],
+            &mut lanes[..n],
+        );
+        let total_decode_ns = t0.elapsed().as_nanos() as u64;
+        let total_passes = lanes[..n].iter().map(|l| l.2 as u64).sum::<u64>();
+        if let Some(m) = &self.metrics {
+            let mut at = 0;
+            for run in launches(n) {
+                m.record_launch(&lanes[at..at + run]);
+                at += run;
             }
-            let ns = t0.elapsed().as_nanos() as u64;
-            total_decode_ns += ns;
-            total_passes += lanes[..run].iter().map(|l| l.2 as u64).sum::<u64>();
-            if let Some(m) = &self.metrics {
-                m.record_launch(&lanes[..run]);
-            }
-            self.scatter(&tasks[j..j + run], &lanes[..run], ns / run as u64);
-            j += run;
         }
+        self.scatter(&tasks, &lanes[..n], total_decode_ns / n as u64);
         if let Some(pm) = self.pipe.metrics().filter(|m| m.is_enabled()) {
             pm.record_stage(Stage::Decode, total_decode_ns);
             pm.siso_passes.add(total_passes);

@@ -82,7 +82,7 @@ fn dispatch_resolves_every_family_without_the_heap() {
 
 #[test]
 fn warm_chains_allocate_only_what_phy_and_l2_return_by_signature() {
-    // rx_bulk's operating point: two code blocks of K = 5696
+    // rx_bulk's operating point: two code blocks, K = 5632 and 5696
     let cfg = PipelineConfig {
         modulation: Modulation::Qam64,
         snr_db: 20.0,

@@ -521,6 +521,7 @@ fn stagegraph_throughput_beats_serial_on_wide_hosts() {
         },
     );
     let (median, ratios) = (speedup.median, &speedup.ratios);
+    eprintln!("stage graph over serial: median {median:.3} at {workers} workers");
     assert!(
         median >= 1.0,
         "stage graph must not lose to the serial early-stop path on zmm hosts: \

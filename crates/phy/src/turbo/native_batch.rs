@@ -25,12 +25,16 @@
 //! counting as one) and the bits it had then, and the launch ends when
 //! every lane has passed or at the cap; without a CRC every lane runs
 //! the cap. Without AVX-512BW every lane is a single-block decode.
+//!
+//! One entry point, [`NativeBatchTurboDecoder::decode_blocks_into`],
+//! takes any number of equal-K blocks and splits them as [`launches`]
+//! says: quads while four remain, then a pair, then a single-block
+//! decode of the leftover.
 
-use super::decoder::{beta_init_from_tails, DecodeOutcome, NEG_INF};
+use super::decoder::{beta_init_from_tails, NEG_INF};
 use super::native_decoder::{hard_decide, DecodeScratch, DecoderIsa, NativeTurboDecoder};
 use super::trellis::STATES;
 use crate::crc::Crc;
-use crate::interleaver::QppInterleaver;
 use crate::llr::{llr_to_bit, Llr, SoftStreams, TailLlrs, TurboLlrs};
 use vran_simd::host::{self, HostIsa};
 
@@ -105,8 +109,8 @@ pub struct BatchScratch {
     post: Vec<i32>,
     la1: Vec<Llr>,
     la2: Vec<Llr>,
-    /// Scratch for the single-block decodes lanes run as without
-    /// AVX-512BW.
+    /// Scratch for the single-block decodes: a leftover single, and
+    /// every lane without AVX-512BW.
     single: DecodeScratch,
     allocations: u64,
     reuses: u64,
@@ -153,15 +157,16 @@ impl BatchScratch {
         }
     }
 
-    /// Times `ensure` had to grow at least one buffer.
+    /// zmm launches and single-block decodes that had to grow at least
+    /// one buffer.
     pub fn allocations(&self) -> u64 {
-        self.allocations
+        self.allocations + self.single.allocations()
     }
 
-    /// Times `ensure` was served entirely from retained capacity
-    /// (i.e. heap allocations avoided).
+    /// zmm launches and single-block decodes served entirely from
+    /// retained capacity (i.e. heap allocations avoided).
     pub fn reuses(&self) -> u64 {
-        self.reuses
+        self.reuses + self.single.reuses()
     }
 
     /// SISO kernel passes run through this scratch, at any width.
@@ -170,28 +175,36 @@ impl BatchScratch {
     }
 }
 
-thread_local! {
-    /// Scratch behind the allocating convenience entry points
-    /// (`decode_pair*`, `decode_quad*`), kept per thread: a quad's
-    /// ≈ 0.8 MB at K = 6144 goes back to the OS when dropped, so a fresh
-    /// one per call pays its page faults every call — about a fifth of
-    /// that decode.
-    static OWN_SCRATCH: core::cell::RefCell<BatchScratch> =
-        core::cell::RefCell::new(BatchScratch::new());
-}
-
 /// What one lane of a batch launch reports: `(iterations_run, crc_ok,
 /// siso_passes)` — what [`NativeTurboDecoder::decode_streams_capped_into`]
 /// returns for that block decoded alone, and the SISO passes it ran.
 pub type LaneOutcome = (usize, Option<bool>, usize);
 
-/// Batched decoder: two or four equal-size blocks per launch, two per
-/// zmm register on AVX-512BW hosts; elsewhere every lane is a
-/// single-block decode (identical outputs either way).
+/// The launches [`NativeBatchTurboDecoder::decode_blocks_into`] splits
+/// `n` equal-K blocks into, in order: quads while four remain, then a
+/// pair, then a single (`7` → `4, 2, 1`).
+pub fn launches(n: usize) -> impl Iterator<Item = usize> {
+    let mut left = n;
+    core::iter::from_fn(move || {
+        let run = match left {
+            0 => return None,
+            QUAD.. => QUAD,
+            BATCH.. => BATCH,
+            _ => 1,
+        };
+        left -= run;
+        Some(run)
+    })
+}
+
+/// Batched decoder for any number of equal-size blocks: two per zmm
+/// register on AVX-512BW hosts, and a leftover single (or, without
+/// AVX-512BW, every block) through a single-block decoder — identical
+/// per-block outputs either way.
 #[derive(Debug, Clone)]
 pub struct NativeBatchTurboDecoder {
-    il: QppInterleaver,
-    /// What every lane runs as without AVX-512BW, built once.
+    /// The single-block decoder: the leftover of an odd count, every
+    /// block without AVX-512BW, and the QPP tables the kernel reads.
     single: NativeTurboDecoder,
     use_avx512: bool,
 }
@@ -202,10 +215,9 @@ impl NativeBatchTurboDecoder {
         cfg!(target_arch = "x86_64") && host::has(HostIsa::Avx512bw)
     }
 
-    /// Decoder for two or four parallel blocks of size `k`.
+    /// Decoder for blocks of size `k`, at most `max_iterations` each.
     pub fn new(k: usize, max_iterations: usize) -> Self {
         Self {
-            il: QppInterleaver::new(k),
             single: NativeTurboDecoder::new(k, max_iterations),
             use_avx512: Self::is_zmm_accelerated(),
         }
@@ -213,165 +225,108 @@ impl NativeBatchTurboDecoder {
 
     /// Block size K.
     pub fn k(&self) -> usize {
-        self.il.k()
+        self.single.k()
     }
 
-    /// Blocks per call.
-    pub fn batch(&self) -> usize {
-        BATCH
-    }
-
-    /// Decode two blocks for all configured iterations (no CRC).
-    pub fn decode_pair(&self, inputs: &[TurboLlrs; BATCH]) -> [DecodeOutcome; BATCH] {
-        self.decode_pair_refs([&inputs[0], &inputs[1]])
-    }
-
-    /// [`Self::decode_pair`] over borrowed, non-contiguous blocks — the
-    /// entry point cross-packet batch pools use: pooled decode tasks
-    /// live in separate reorder-buffer slots, so a launch hands the
-    /// kernel four scattered references instead of cloning them into a
-    /// contiguous array.
-    pub fn decode_pair_refs(&self, inputs: [&TurboLlrs; BATCH]) -> [DecodeOutcome; BATCH] {
-        let k = self.il.k();
-        for input in inputs.iter() {
-            assert_eq!(input.k, k, "both blocks in a batch share K");
-        }
-        let mut bits: [Vec<u8>; BATCH] = core::array::from_fn(|_| Vec::new());
-        let lanes = OWN_SCRATCH.with_borrow_mut(|scratch| {
-            self.decode_pair_lanes_into(inputs.map(BlockLlrs::from_turbo), None, scratch, &mut bits)
-        });
-        outcomes(bits, lanes)
-    }
-
-    /// [`Self::decode_pair_lanes_into`] without a CRC: every lane runs
-    /// all configured iterations; returns that count.
-    pub fn decode_pair_staged_into(
-        &self,
-        inputs: [BlockLlrs<'_>; BATCH],
-        scratch: &mut BatchScratch,
-        bits: &mut [Vec<u8>; BATCH],
-    ) -> usize {
-        self.decode_pair_lanes_into(inputs, None, scratch, bits)[0].0
-    }
-
-    /// Zero-copy pair decode with the single-block decoder's iteration
-    /// control per lane: the kernel reads the arranged streams in place
-    /// from wherever the caller staged them and writes the hard
-    /// decisions into caller-owned bit buffers, allocation-free once
-    /// `scratch` and `bits` have warmed to this block size. With a
-    /// `crc`, a lane stops counting — and its `bits` buffer is final —
-    /// at the first iteration whose hard decisions pass; the launch
-    /// ends when every lane has passed or at the configured cap.
-    /// Without AVX-512BW each lane is a single-block native decode,
-    /// with identical per-lane results.
-    pub fn decode_pair_lanes_into(
-        &self,
-        inputs: [BlockLlrs<'_>; BATCH],
-        crc: Option<&Crc>,
-        scratch: &mut BatchScratch,
-        bits: &mut [Vec<u8>; BATCH],
-    ) -> [LaneOutcome; BATCH] {
-        self.launch(inputs, crc, scratch, bits)
-    }
-
-    /// Decode four blocks for all configured iterations (no CRC).
-    /// Without AVX-512BW this is four single-block decodes — identical
-    /// outputs on every tier by same-op/same-order construction.
-    pub fn decode_quad(&self, inputs: &[TurboLlrs; QUAD]) -> [DecodeOutcome; QUAD] {
-        self.decode_quad_refs([&inputs[0], &inputs[1], &inputs[2], &inputs[3]])
-    }
-
-    /// [`Self::decode_quad`] over borrowed, non-contiguous blocks (see
-    /// [`Self::decode_pair_refs`]).
-    pub fn decode_quad_refs(&self, inputs: [&TurboLlrs; QUAD]) -> [DecodeOutcome; QUAD] {
-        let k = self.il.k();
-        for input in inputs.iter() {
-            assert_eq!(input.k, k, "all blocks in a batch share K");
-        }
-        let mut bits: [Vec<u8>; QUAD] = core::array::from_fn(|_| Vec::new());
-        let lanes = OWN_SCRATCH.with_borrow_mut(|scratch| {
-            self.decode_quad_lanes_into(inputs.map(BlockLlrs::from_turbo), None, scratch, &mut bits)
-        });
-        outcomes(bits, lanes)
-    }
-
-    /// [`Self::decode_quad_lanes_into`] without a CRC: every lane runs
-    /// all configured iterations; returns that count.
+    /// Four blocks without a CRC, every lane running all configured
+    /// iterations; returns that count. A wrapper over
+    /// [`Self::decode_blocks_into`] kept for the repository benchmark's
+    /// kernel table (`benchmark/src/kernels.rs`), which calls it by
+    /// name.
     pub fn decode_quad_staged_into(
         &self,
         inputs: [BlockLlrs<'_>; QUAD],
         scratch: &mut BatchScratch,
         bits: &mut [Vec<u8>; QUAD],
     ) -> usize {
-        self.decode_quad_lanes_into(inputs, None, scratch, bits)[0].0
+        let mut lanes = [(0, None, 0); QUAD];
+        self.decode_blocks_into(&inputs, usize::MAX, None, scratch, bits, &mut lanes);
+        lanes[0].0
     }
 
-    /// Zero-copy quad decode (see [`Self::decode_pair_lanes_into`]):
-    /// reads four staged blocks in place, writes hard decisions into
-    /// caller-owned bit buffers, allocation-free after warm-up, each
-    /// lane stopping on its own `crc`. Without AVX-512BW each lane is a
-    /// single-block native decode, with identical per-lane results.
-    pub fn decode_quad_lanes_into(
+    /// Decode `blocks` (one or more, all of size K) in the launches
+    /// [`launches`] names, reading the arranged streams in place from
+    /// wherever the caller staged them. Block `g`'s hard decisions land
+    /// in `bits[g]` and its outcome in `lanes[g]`: what
+    /// [`NativeTurboDecoder::decode_streams_capped_into`] gives that
+    /// block alone under the same `cap` — clamped to
+    /// `1..=max_iterations` the same way — and `crc`. With a `crc`, a
+    /// lane stops counting, and its buffer is final, at the first SISO
+    /// pass whose hard decisions pass; a launch ends when all its lanes
+    /// have passed or at the cap. Allocation-free once `scratch` and
+    /// `bits` have warmed to this block size.
+    pub fn decode_blocks_into(
         &self,
-        inputs: [BlockLlrs<'_>; QUAD],
+        blocks: &[BlockLlrs<'_>],
+        cap: usize,
         crc: Option<&Crc>,
         scratch: &mut BatchScratch,
-        bits: &mut [Vec<u8>; QUAD],
-    ) -> [LaneOutcome; QUAD] {
-        self.launch(inputs, crc, scratch, bits)
-    }
-
-    /// One launch of `N` lanes: the zmm kernel, or without it one
-    /// single-block decode per lane through the decoder built in
-    /// [`Self::new`].
-    fn launch<const N: usize>(
-        &self,
-        inputs: [BlockLlrs<'_>; N],
-        crc: Option<&Crc>,
-        scratch: &mut BatchScratch,
-        bits: &mut [Vec<u8>; N],
-    ) -> [LaneOutcome; N] {
-        let k = self.il.k();
-        for b in &inputs {
+        bits: &mut [Vec<u8>],
+        lanes: &mut [LaneOutcome],
+    ) {
+        let k = self.k();
+        assert!(!blocks.is_empty(), "a launch decodes at least one block");
+        assert!(
+            bits.len() == blocks.len() && lanes.len() == blocks.len(),
+            "one bit buffer and one outcome per block"
+        );
+        for b in blocks {
             assert!(
                 b.sys.len() == k && b.p1.len() == k && b.p2.len() == k,
                 "all blocks in a batch share K"
             );
         }
-        #[cfg(target_arch = "x86_64")]
-        if self.use_avx512 {
-            return self.decode_lanes(inputs, crc, scratch, bits);
+        let mut at = 0;
+        for run in launches(blocks.len()) {
+            let r = at..at + run;
+            at += run;
+            let (blocks, bits, lanes) = (&blocks[r.clone()], &mut bits[r.clone()], &mut lanes[r]);
+            #[cfg(target_arch = "x86_64")]
+            if self.use_avx512 && run > 1 {
+                let iterations = cap.clamp(1, self.single.max_iterations());
+                let launch = match run {
+                    QUAD => Self::decode_lanes::<QUAD>,
+                    _ => Self::decode_lanes::<BATCH>,
+                };
+                launch(self, blocks, iterations, crc, scratch, bits, lanes);
+                continue;
+            }
+            for ((b, bits), lane) in blocks.iter().zip(bits).zip(lanes) {
+                let passes0 = scratch.single.siso_passes();
+                let (iterations_run, crc_ok) = self.single.decode_streams_capped_into(
+                    b.sys,
+                    b.p1,
+                    b.p2,
+                    &b.tails,
+                    cap,
+                    crc,
+                    &mut scratch.single,
+                    bits,
+                );
+                let passes = scratch.single.siso_passes() - passes0;
+                *lane = (iterations_run, crc_ok, passes as usize);
+            }
         }
-        core::array::from_fn(|g| {
-            let input = &inputs[g];
-            let passes0 = scratch.single.siso_passes();
-            let (iterations_run, crc_ok) = self.single.decode_streams_into(
-                input.sys,
-                input.p1,
-                input.p2,
-                &input.tails,
-                crc,
-                &mut scratch.single,
-                &mut bits[g],
-            );
-            let passes = scratch.single.siso_passes() - passes0;
-            (iterations_run, crc_ok, passes as usize)
-        })
     }
 
-    /// The turbo iteration loop over `N` lanes of the zmm kernel. This
-    /// is the one place that decides when a batched block stops
-    /// iterating, and it decides as
+    /// The turbo iteration loop over one launch of `N` lanes of the zmm
+    /// kernel, for at most `iterations`. This is the one place that
+    /// decides when a batched block stops iterating, and it decides as
     /// [`NativeTurboDecoder::decode_streams_capped_into`] does.
     #[cfg(target_arch = "x86_64")]
     fn decode_lanes<const N: usize>(
         &self,
-        inputs: [BlockLlrs<'_>; N],
+        inputs: &[BlockLlrs<'_>],
+        iterations: usize,
         crc: Option<&Crc>,
         scratch: &mut BatchScratch,
-        bits: &mut [Vec<u8>; N],
-    ) -> [LaneOutcome; N] {
-        let (k, n) = (self.il.k(), N * self.il.k());
+        bits: &mut [Vec<u8>],
+        out: &mut [LaneOutcome],
+    ) {
+        let inputs: [BlockLlrs<'_>; N] = inputs.try_into().expect("one input per lane");
+        let bits: &mut [Vec<u8>; N] = bits.try_into().expect("one bit buffer per lane");
+        let il = self.single.interleaver();
+        let (k, n) = (il.k(), N * il.k());
         scratch.ensure(k, N);
         let BatchScratch {
             sys_pi,
@@ -390,8 +345,8 @@ impl NativeBatchTurboDecoder {
         // The gathers read `ext` a dword at a time: one word of slack.
         let ext = &mut ext[..n + 1];
         let (la1, la2) = (&mut la1[..n], &mut la2[..n]);
-        let pi = self.il.pi_table();
-        let pi_inv = self.il.pi_inv_table();
+        let pi = il.pi_table();
+        let pi_inv = il.pi_inv_table();
         let binit1 = inputs
             .each_ref()
             .map(|b| beta_init_from_tails(&b.tails.sys1, &b.tails.p1));
@@ -399,8 +354,8 @@ impl NativeBatchTurboDecoder {
             .each_ref()
             .map(|b| beta_init_from_tails(&b.tails.sys2, &b.tails.p2));
         la1.fill(0);
-        for out in bits.iter_mut() {
-            out.resize(k, 0);
+        for blk in bits.iter_mut() {
+            blk.resize(k, 0);
         }
         // Block-major scratch (`la1`/`la2`/`sys_pi`) splits into the
         // same per-block slices the caller's buffers arrive as.
@@ -441,8 +396,7 @@ impl NativeBatchTurboDecoder {
         // A launch runs this loop only where the host probe found
         // AVX-512BW (`use_avx512`), and the kernels check every length
         // and alignment they rely on.
-        let max_iterations = self.single.max_iterations();
-        for it in 0..max_iterations {
+        for it in 0..iterations {
             // SAFETY: AVX-512BW, as above.
             unsafe { x86::siso(sys, p1, parts(la1, k), &binit1, g0, gq, trellis, post) };
             *siso_passes += 1;
@@ -473,7 +427,7 @@ impl NativeBatchTurboDecoder {
             // Hard decisions are observable only through the CRC and
             // the final output, so without a CRC the de-permuting bit
             // pass runs once, after the last iteration.
-            let last = it + 1 == max_iterations;
+            let last = it + 1 == iterations;
             if (crc.is_some() || last) && decide(post, 2 * it + 2) {
                 break;
             }
@@ -486,7 +440,7 @@ impl NativeBatchTurboDecoder {
                 }
             }
         }
-        lanes
+        out.copy_from_slice(&lanes);
     }
 }
 
@@ -497,20 +451,6 @@ impl NativeBatchTurboDecoder {
 fn aligned(v: &mut [Llr], len: usize) -> &mut [Llr] {
     let skip = v.as_ptr().addr().wrapping_neg() % 64 / size_of::<Llr>();
     &mut v[skip..skip + len]
-}
-
-/// Pair each lane's bit buffer with its outcome.
-fn outcomes<const N: usize>(bits: [Vec<u8>; N], lanes: [LaneOutcome; N]) -> [DecodeOutcome; N] {
-    let mut lanes = lanes.into_iter();
-    bits.map(|bits| {
-        let (iterations_run, crc_ok, siso_passes) = lanes.next().expect("one outcome per lane");
-        DecodeOutcome {
-            bits,
-            iterations_run,
-            siso_passes,
-            crc_ok,
-        }
-    })
 }
 
 /// [`super::native_decoder::hard_decide`] at `isa` for the lanes of a
@@ -1126,32 +1066,93 @@ mod tests {
     }
 
     #[test]
-    fn pair_decode_equals_two_scalar_decodes() {
-        for k in [40usize, 64, 512] {
-            let (bits_a, in_a) = make_input(k, 11 + k as u64);
-            let (bits_b, in_b) = make_input(k, 29 + k as u64);
-            let batch = NativeBatchTurboDecoder::new(k, 3);
-            let [out_a, out_b] = batch.decode_pair(&[in_a.clone(), in_b.clone()]);
-            let scalar = TurboDecoder::new(k, 3);
-            assert_eq!(out_a.bits, scalar.decode(&in_a).bits, "K={k} block 0");
-            assert_eq!(out_b.bits, scalar.decode(&in_b).bits, "K={k} block 1");
-            assert_eq!(out_a.bits, bits_a);
-            assert_eq!(out_b.bits, bits_b);
-            assert_eq!(out_a.iterations_run, 3);
-            assert_eq!(out_a.crc_ok, None, "no CRC was given");
+    fn launches_split_quads_then_a_pair_then_a_single() {
+        for (n, want) in [
+            (1, &[1][..]),
+            (2, &[2]),
+            (3, &[2, 1]),
+            (4, &[4]),
+            (5, &[4, 1]),
+            (6, &[4, 2]),
+            (7, &[4, 2, 1]),
+            (8, &[4, 4]),
+        ] {
+            assert_eq!(launches(n).collect::<Vec<_>>(), want, "n={n}");
+        }
+        assert_eq!(launches(0).count(), 0);
+    }
+
+    /// Decode `inputs` in one call; each block's bits and outcome.
+    fn decode_all(
+        dec: &NativeBatchTurboDecoder,
+        inputs: &[BlockLlrs<'_>],
+        cap: usize,
+        crc: Option<&Crc>,
+        scratch: &mut BatchScratch,
+    ) -> Vec<(Vec<u8>, LaneOutcome)> {
+        let mut bits = vec![Vec::new(); inputs.len()];
+        let mut lanes = vec![(0, None, 0); inputs.len()];
+        dec.decode_blocks_into(inputs, cap, crc, scratch, &mut bits, &mut lanes);
+        bits.into_iter().zip(lanes).collect()
+    }
+
+    /// One to eight blocks (a transport block's most) per call under
+    /// each of `caps`: each lane is the scalar oracle's decode of its
+    /// block alone under the same cap — bits, iterations, verdict and
+    /// SISO passes — and decodes the payload; a warm scratch grows no
+    /// further.
+    fn every_count_decodes_like_the_oracle(caps: &[usize]) {
+        const MAX: usize = 3;
+        for k in [40usize, 64, 104, 512] {
+            let made: Vec<_> = (0..8)
+                .map(|g| make_input(k, 11 + 18 * g + k as u64))
+                .collect();
+            let inputs: Vec<_> = made.iter().map(|(_, t)| BlockLlrs::from_turbo(t)).collect();
+            let batch = NativeBatchTurboDecoder::new(k, MAX);
+            let scalar = TurboDecoder::new(k, MAX);
+            let mut scratch = BatchScratch::new();
+            // Seven blocks run a quad, a pair and a single: every buffer.
+            decode_all(&batch, &inputs[..7], MAX, None, &mut scratch);
+            let warm = scratch.allocations();
+            for &cap in caps {
+                for n in 1..=8 {
+                    let got = decode_all(&batch, &inputs[..n], cap, None, &mut scratch);
+                    for (g, (bits, lane)) in got.into_iter().enumerate() {
+                        let (payload, input) = &made[g];
+                        let want = scalar.decode_capped(input, cap, None);
+                        let ctx = format!("K={k} cap {cap} n={n} block {g}");
+                        assert_eq!(bits, want.bits, "{ctx}");
+                        assert_eq!(lane, (want.iterations_run, None, want.siso_passes), "{ctx}");
+                        assert_eq!(lane.0, cap.clamp(1, MAX), "{ctx}");
+                        assert_eq!(&bits, payload, "{ctx}");
+                    }
+                }
+            }
+            assert_eq!(scratch.allocations(), warm, "K={k}: a warm scratch grew");
         }
     }
 
     #[test]
-    fn pair_decode_equals_single_native_decodes() {
-        let k = 256;
-        let (_, in_a) = make_input(k, 3);
-        let (_, in_b) = make_input(k, 4);
-        let batch = NativeBatchTurboDecoder::new(k, 2);
-        let single = NativeTurboDecoder::new(k, 2);
-        let [out_a, out_b] = batch.decode_pair(&[in_a.clone(), in_b.clone()]);
-        assert_eq!(out_a.bits, single.decode(&in_a).bits);
-        assert_eq!(out_b.bits, single.decode(&in_b).bits);
+    fn every_block_count_decodes_like_lone_blocks() {
+        every_count_decodes_like_the_oracle(&[usize::MAX]);
+    }
+
+    #[test]
+    fn caps_clamp_like_the_single_block_decoder() {
+        // Below the floor, and inside the decoder's own cap.
+        every_count_decodes_like_the_oracle(&[0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one block")]
+    fn an_empty_call_panics() {
+        decode_all(
+            &NativeBatchTurboDecoder::new(40, 1),
+            &[],
+            1,
+            None,
+            &mut BatchScratch::new(),
+        );
     }
 
     #[test]
@@ -1159,53 +1160,14 @@ mod tests {
     fn mismatched_block_sizes_panic() {
         let (_, in_a) = make_input(40, 1);
         let (_, in_b) = make_input(48, 2);
-        let _ = NativeBatchTurboDecoder::new(40, 1).decode_pair(&[in_a, in_b]);
-    }
-
-    #[test]
-    fn quad_decode_equals_four_scalar_decodes() {
-        for k in [40usize, 64, 512] {
-            let mk = |s: u64| make_input(k, s + k as u64);
-            let (payloads, inputs): (Vec<_>, Vec<_>) = [11, 29, 47, 83].map(mk).into_iter().unzip();
-            let inputs: [TurboLlrs; QUAD] = inputs.try_into().unwrap();
-            let batch = NativeBatchTurboDecoder::new(k, 3);
-            let outs = batch.decode_quad(&inputs);
-            let scalar = TurboDecoder::new(k, 3);
-            for g in 0..QUAD {
-                assert_eq!(
-                    outs[g].bits,
-                    scalar.decode(&inputs[g]).bits,
-                    "K={k} block {g}"
-                );
-                assert_eq!(outs[g].bits, payloads[g]);
-                assert_eq!(outs[g].iterations_run, 3);
-                assert_eq!(outs[g].crc_ok, None, "no CRC was given");
-            }
-        }
-    }
-
-    #[test]
-    fn quad_decode_equals_pair_and_single_native_decodes() {
-        let k = 256;
-        let inputs: [TurboLlrs; QUAD] = core::array::from_fn(|g| make_input(k, 5 + g as u64).1);
-        let batch = NativeBatchTurboDecoder::new(k, 2);
-        let single = NativeTurboDecoder::new(k, 2);
-        let outs = batch.decode_quad(&inputs);
-        let lo: &[TurboLlrs; BATCH] = inputs[..BATCH].try_into().unwrap();
-        let hi: &[TurboLlrs; BATCH] = inputs[BATCH..].try_into().unwrap();
-        let pairs = [batch.decode_pair(lo), batch.decode_pair(hi)];
-        for g in 0..QUAD {
-            assert_eq!(
-                outs[g].bits,
-                single.decode(&inputs[g]).bits,
-                "block {g} vs single"
-            );
-            assert_eq!(
-                outs[g].bits,
-                pairs[g / BATCH][g % BATCH].bits,
-                "block {g} vs pair"
-            );
-        }
+        let inputs = [&in_a, &in_b].map(BlockLlrs::from_turbo);
+        decode_all(
+            &NativeBatchTurboDecoder::new(40, 1),
+            &inputs,
+            1,
+            None,
+            &mut BatchScratch::new(),
+        );
     }
 
     #[test]
@@ -1213,61 +1175,14 @@ mod tests {
     fn mismatched_quad_block_sizes_panic() {
         let (_, in_a) = make_input(40, 1);
         let (_, in_b) = make_input(48, 2);
-        let _ = NativeBatchTurboDecoder::new(40, 1).decode_quad(&[
-            in_a.clone(),
-            in_a.clone(),
-            in_a,
-            in_b,
-        ]);
-    }
-
-    #[test]
-    fn staged_quad_matches_refs_and_reuses_scratch() {
-        for k in [40usize, 512] {
-            let inputs: [TurboLlrs; QUAD] =
-                core::array::from_fn(|g| make_input(k, 900 + g as u64 + k as u64).1);
-            let batch = NativeBatchTurboDecoder::new(k, 3);
-            let expect = batch.decode_quad(&inputs);
-            let mut scratch = BatchScratch::new();
-            let mut bits: [Vec<u8>; QUAD] = core::array::from_fn(|_| Vec::new());
-            let refs: [&TurboLlrs; QUAD] = core::array::from_fn(|g| &inputs[g]);
-            for round in 0..3 {
-                let iters = batch.decode_quad_staged_into(
-                    refs.map(BlockLlrs::from_turbo),
-                    &mut scratch,
-                    &mut bits,
-                );
-                assert_eq!(iters, 3);
-                for g in 0..QUAD {
-                    assert_eq!(bits[g], expect[g].bits, "K={k} block {g} round {round}");
-                }
-            }
-            if NativeBatchTurboDecoder::is_zmm_accelerated() {
-                assert_eq!(scratch.allocations(), 1, "warm scratch must not grow");
-                assert_eq!(scratch.reuses(), 2);
-            }
-        }
-    }
-
-    #[test]
-    fn staged_pair_matches_pair_refs() {
-        let k = 256;
-        let inputs: [TurboLlrs; BATCH] = core::array::from_fn(|g| make_input(k, 70 + g as u64).1);
-        let batch = NativeBatchTurboDecoder::new(k, 2);
-        let expect = batch.decode_pair(&inputs);
-        let mut scratch = BatchScratch::new();
-        let mut bits: [Vec<u8>; BATCH] = core::array::from_fn(|_| Vec::new());
-        let iters = batch.decode_pair_staged_into(
-            [
-                BlockLlrs::from_turbo(&inputs[0]),
-                BlockLlrs::from_turbo(&inputs[1]),
-            ],
-            &mut scratch,
-            &mut bits,
+        let inputs = [&in_a, &in_a, &in_a, &in_b].map(BlockLlrs::from_turbo);
+        decode_all(
+            &NativeBatchTurboDecoder::new(40, 1),
+            &inputs,
+            1,
+            None,
+            &mut BatchScratch::new(),
         );
-        assert_eq!(iters, 2);
-        assert_eq!(bits[0], expect[0].bits);
-        assert_eq!(bits[1], expect[1].bits);
     }
 
     #[test]
@@ -1276,20 +1191,23 @@ mod tests {
         // `SoftStreams` (not inside a `TurboLlrs`) decode identically.
         let k = 104;
         let inputs: [TurboLlrs; QUAD] = core::array::from_fn(|g| make_input(k, 40 + g as u64).1);
-        let expect = NativeBatchTurboDecoder::new(k, 2).decode_quad(&inputs);
+        let batch = NativeBatchTurboDecoder::new(k, 2);
+        let mut scratch = BatchScratch::new();
+        let expect = decode_all(
+            &batch,
+            &inputs.each_ref().map(BlockLlrs::from_turbo),
+            2,
+            None,
+            &mut scratch,
+        );
         let pooled: Vec<SoftStreams> = inputs.iter().map(|i| i.streams.clone()).collect();
         let staged: [BlockLlrs<'_>; QUAD] =
             core::array::from_fn(|g| BlockLlrs::from_streams(&pooled[g], inputs[g].tails));
-        let mut scratch = BatchScratch::new();
         let mut bits: [Vec<u8>; QUAD] = core::array::from_fn(|_| Vec::new());
-        let iters = NativeBatchTurboDecoder::new(k, 2).decode_quad_staged_into(
-            staged,
-            &mut scratch,
-            &mut bits,
-        );
+        let iters = batch.decode_quad_staged_into(staged, &mut scratch, &mut bits);
         assert_eq!(iters, 2);
         for g in 0..QUAD {
-            assert_eq!(bits[g], expect[g].bits, "block {g}");
+            assert_eq!(bits[g], expect[g].0, "block {g}");
         }
     }
 
@@ -1329,60 +1247,36 @@ mod tests {
             {
                 let tier = (dec.use_avx512, crc.is_some());
                 let passes0 = scratch.siso_passes();
-                for quad in [
-                    [&pass3, &pass1, &never, &pass2],
-                    [&pass2, &pass1, &pass3, &blind],
-                    [&pass1; QUAD],
+                for blocks in [
+                    &[&pass3, &pass1, &never, &pass2][..],
+                    &[&pass2, &pass1, &pass3, &blind],
+                    &[&pass1; QUAD],
+                    &[&pass1, &pass3],
+                    &[&never, &pass2],
+                    &[&pass2, &pass2],
                 ] {
-                    let mut bits: [Vec<u8>; QUAD] = Default::default();
-                    let lanes = dec.decode_quad_lanes_into(
-                        quad.map(BlockLlrs::from_turbo),
-                        crc,
-                        &mut scratch,
-                        &mut bits,
-                    );
-                    for g in 0..QUAD {
-                        let want = alone(quad[g], crc);
-                        assert_eq!(
-                            (&bits[g], lanes[g]),
-                            (&want.0, want.1),
-                            "K={k} {tier:?} lane {g}"
-                        );
+                    let inputs: Vec<_> = blocks.iter().map(|b| BlockLlrs::from_turbo(b)).collect();
+                    let got = decode_all(dec, &inputs, CAP, crc, &mut scratch);
+                    for (g, (bits, lane)) in got.into_iter().enumerate() {
+                        let want = alone(blocks[g], crc);
+                        assert_eq!((bits, lane), want, "K={k} {tier:?} lane {g}");
                     }
                 }
                 // A zmm launch runs as long as its slowest lane needs:
-                // 12, 3 and 1 passes for the three quads above.
+                // 12, 3 and 1 passes for the three quads above, and
+                // 3, 12 and 2 for the pairs.
                 if dec.use_avx512 && crc.is_some() {
-                    assert_eq!(scratch.siso_passes() - passes0, 16, "K={k}");
-                }
-
-                for pair in [[&pass1, &pass3], [&never, &pass2], [&pass2, &pass2]] {
-                    let mut bits: [Vec<u8>; BATCH] = Default::default();
-                    let lanes = dec.decode_pair_lanes_into(
-                        pair.map(BlockLlrs::from_turbo),
-                        crc,
-                        &mut scratch,
-                        &mut bits,
-                    );
-                    for g in 0..BATCH {
-                        let want = alone(pair[g], crc);
-                        assert_eq!(
-                            (&bits[g], lanes[g]),
-                            (&want.0, want.1),
-                            "K={k} {tier:?} lane {g}"
-                        );
-                    }
+                    assert_eq!(scratch.siso_passes() - passes0, 16 + 17, "K={k}");
                 }
             }
         }
     }
 
-    /// Median of 15 alternated pairs: one `N`-lane launch against `N`
-    /// serial single-block native decodes of the same blocks at
-    /// K = 6144, four iterations, failing unless the launch is more
-    /// than `bar` times faster. Skipped (not failed) where the host
-    /// lacks the zmm kernel — exactness is covered unconditionally
-    /// above.
+    /// Median of 15 alternated pairs: one call on `N` blocks against
+    /// `N` serial single-block native decodes of the same blocks at
+    /// K = 6144, four iterations, failing unless the call is more than
+    /// `bar` times faster. Skipped (not failed) where the host lacks the
+    /// zmm kernel — exactness is covered unconditionally above.
     ///
     /// On a 2-vCPU Sapphire Rapids guest, in the test build, this
     /// kernel read 2.0–2.2× (quad) and 1.9–2.2× (pair); the
@@ -1400,9 +1294,11 @@ mod tests {
         let single = NativeTurboDecoder::new(k, iters);
         let mut scratch = BatchScratch::new();
         let mut bits: [Vec<u8>; N] = core::array::from_fn(|_| Vec::new());
+        let mut lanes = [(0, None, 0); N];
         let mut launch = || {
             let refs = inputs.each_ref().map(BlockLlrs::from_turbo);
-            std::hint::black_box(batch.launch(refs, None, &mut scratch, &mut bits));
+            batch.decode_blocks_into(&refs, iters, None, &mut scratch, &mut bits, &mut lanes);
+            std::hint::black_box(&lanes);
         };
         let mut serial_scratch = DecodeScratch::new();
         let mut serial = || {

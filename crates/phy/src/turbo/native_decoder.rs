@@ -270,6 +270,12 @@ impl NativeTurboDecoder {
         self.max_iterations
     }
 
+    /// The QPP interleaver of block size K (the batch decoder reads its
+    /// tables rather than building its own).
+    pub(crate) fn interleaver(&self) -> &QppInterleaver {
+        &self.il
+    }
+
     /// The ISA level this decoder dispatches to.
     pub fn isa(&self) -> DecoderIsa {
         self.isa

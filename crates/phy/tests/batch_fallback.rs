@@ -1,11 +1,12 @@
-//! Below the AVX-512BW ceiling every lane of a pair or quad launch is a
-//! single-block decode through the one `NativeTurboDecoder` the batch
-//! decoder built along with itself. Across all 188 block sizes, with
-//! and without CRC24B, under every ceiling the host can be capped to, a
-//! warm launch touches no heap and hands each lane what the host's own
-//! tier (the zmm kernel on an AVX-512BW host) hands it; `phy_properties`
-//! holds that tier to the scalar oracle at every K, so every ceiling
-//! meets the oracle too.
+//! One `decode_blocks_into` call on any number of blocks, 1 to 8 (a
+//! transport block's most), under the host's own tier and under every
+//! ISA ceiling below AVX-512BW, where every lane is a single-block
+//! decode through the one `NativeTurboDecoder` the batch decoder built
+//! along with itself. Across all 188 block sizes, with and without
+//! CRC24B, a warm call touches no heap and hands each lane what a lone
+//! `NativeTurboDecoder` decode of its block gives: bits, iterations,
+//! verdict and SISO passes. `phy_properties` holds that decoder to the
+//! scalar oracle at every K, so every ceiling meets the oracle too.
 //!
 //! Its own test binary (= its own process): the ISA ceiling is
 //! process-global, and so is the counting allocator (its count is per
@@ -14,11 +15,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use vran_phy::bits::random_bits;
-use vran_phy::crc::{Crc, CRC24B};
+use vran_phy::crc::CRC24B;
 use vran_phy::interleaver::QPP_TABLE;
 use vran_phy::llr::{adds16, bit_to_llr, TurboLlrs};
-use vran_phy::turbo::native_batch::{LaneOutcome, NativeBatchTurboDecoder, BATCH, QUAD};
-use vran_phy::turbo::{BatchScratch, BlockLlrs, TurboEncoder};
+use vran_phy::turbo::native_batch::{LaneOutcome, NativeBatchTurboDecoder};
+use vran_phy::turbo::{BatchScratch, BlockLlrs, DecodeScratch, NativeTurboDecoder, TurboEncoder};
 use vran_simd::host::{with_isa_ceiling, HostIsa};
 use vran_util::rng::SmallRng;
 
@@ -48,14 +49,17 @@ static GLOBAL: Counting = Counting;
 
 const CAP: usize = 4;
 
-/// Four CRC24B-bearing blocks of size `k` at rising noise, so that the
+/// The most blocks one call decodes here: a transport block's most.
+const MOST: usize = 8;
+
+/// Eight CRC24B-bearing blocks of size `k` at rising noise, so that the
 /// lanes stop on different passes, or never.
-fn blocks(k: usize) -> [TurboLlrs; QUAD] {
+fn blocks(k: usize) -> [TurboLlrs; MOST] {
     core::array::from_fn(|g| {
-        let seed = (QUAD * k + g) as u64;
+        let seed = (MOST * k + g) as u64;
         let cw = TurboEncoder::new(k).encode(&CRC24B.attach(&random_bits(k - 24, seed)));
         let mut rng = SmallRng::seed_from_u64(seed);
-        let noise = 10 + 8 * g as u64;
+        let noise = 10 + 4 * g as u64;
         let soft = cw.to_dstreams().map(|st| {
             st.iter()
                 .map(|&b| {
@@ -68,66 +72,63 @@ fn blocks(k: usize) -> [TurboLlrs; QUAD] {
     })
 }
 
-/// One decoder's lane bit buffers: a quad's, and two pairs'.
-#[derive(Default, Clone, PartialEq, Debug)]
-struct LaneBits {
-    quad: [Vec<u8>; QUAD],
-    pairs: [[Vec<u8>; BATCH]; 2],
-}
-
-/// One quad launch and the two pair launches over the same blocks;
-/// the quad's lane outcomes, then the pairs'.
-fn launch(
-    dec: &NativeBatchTurboDecoder,
-    inputs: [BlockLlrs<'_>; QUAD],
-    crc: Option<&Crc>,
-    scratch: &mut BatchScratch,
-    lanes: &mut LaneBits,
-) -> [LaneOutcome; 2 * QUAD] {
-    let mut out = [(0, None, 0); 2 * QUAD];
-    out[..QUAD].copy_from_slice(&dec.decode_quad_lanes_into(inputs, crc, scratch, &mut lanes.quad));
-    for (half, bits) in lanes.pairs.iter_mut().enumerate() {
-        let pair = core::array::from_fn(|h| inputs[half * BATCH + h]);
-        let got = dec.decode_pair_lanes_into(pair, crc, scratch, bits);
-        out[QUAD + half * BATCH..][..BATCH].copy_from_slice(&got);
-    }
-    out
+/// One decoder under one ceiling, with the buffers it reuses.
+struct Lane {
+    ceiling: Option<HostIsa>,
+    scratch: BatchScratch,
+    bits: Vec<Vec<u8>>,
+    lanes: Vec<LaneOutcome>,
 }
 
 #[test]
 fn warm_launches_below_avx512_allocate_nothing_and_match_the_host_lanes() {
     let ceilings = [
-        HostIsa::Avx2,
-        HostIsa::Ssse3,
-        HostIsa::Sse2,
-        HostIsa::Scalar,
+        None,
+        Some(HostIsa::Avx2),
+        Some(HostIsa::Ssse3),
+        Some(HostIsa::Sse2),
+        Some(HostIsa::Scalar),
     ];
-    let mut host_scratch = BatchScratch::new();
-    let mut scratch: Vec<BatchScratch> = ceilings.iter().map(|_| BatchScratch::new()).collect();
-    let (mut want, mut lanes) = (
-        LaneBits::default(),
-        vec![LaneBits::default(); ceilings.len()],
-    );
+    let mut under: Vec<Lane> = ceilings
+        .map(|ceiling| Lane {
+            ceiling,
+            scratch: BatchScratch::new(),
+            bits: vec![Vec::new(); MOST],
+            lanes: vec![(0, None, 0); MOST],
+        })
+        .into();
+    let mut lone_scratch = DecodeScratch::new();
     for row in QPP_TABLE.iter() {
         let k = row.k as usize;
         let blocks = blocks(k);
         let inputs = blocks.each_ref().map(BlockLlrs::from_turbo);
-        let host = NativeBatchTurboDecoder::new(k, CAP);
-        let capped = ceilings.map(|ceiling| {
-            with_isa_ceiling(Some(ceiling), || NativeBatchTurboDecoder::new(k, CAP))
-        });
+        let lone = NativeTurboDecoder::new(k, CAP);
         for crc in [None, Some(&CRC24B)] {
-            let outcome = launch(&host, inputs, crc, &mut host_scratch, &mut want);
-            for (c, dec) in capped.iter().enumerate() {
-                let ceiling = ceilings[c].name();
-                // The first launch at a new K grows the buffers.
-                launch(dec, inputs, crc, &mut scratch[c], &mut lanes[c]);
-                let before = ALLOCATIONS.get();
-                let got = launch(dec, inputs, crc, &mut scratch[c], &mut lanes[c]);
-                let allocations = ALLOCATIONS.get() - before;
-                assert_eq!(allocations, 0, "K={k} {crc:?} under {ceiling}");
-                assert_eq!(got, outcome, "K={k} {crc:?} under {ceiling}");
-                assert_eq!(lanes[c], want, "K={k} {crc:?} under {ceiling}");
+            let want = blocks.each_ref().map(|b| {
+                let out = lone.decode_scratch(b, crc, &mut lone_scratch);
+                (out.bits, (out.iterations_run, out.crc_ok, out.siso_passes))
+            });
+            for u in &mut under {
+                let dec = with_isa_ceiling(u.ceiling, || NativeBatchTurboDecoder::new(k, CAP));
+                let ceiling = u.ceiling.map_or("the host", |c| c.name());
+                // Seven blocks run a quad, a pair and a single, eight
+                // fill every bit buffer: at a new K both grow.
+                for n in [MOST - 1, MOST] {
+                    let (bits, lanes) = (&mut u.bits[..n], &mut u.lanes[..n]);
+                    dec.decode_blocks_into(&inputs[..n], CAP, crc, &mut u.scratch, bits, lanes);
+                }
+                for n in 1..=MOST {
+                    let (bits, lanes) = (&mut u.bits[..n], &mut u.lanes[..n]);
+                    let before = ALLOCATIONS.get();
+                    dec.decode_blocks_into(&inputs[..n], CAP, crc, &mut u.scratch, bits, lanes);
+                    let allocations = ALLOCATIONS.get() - before;
+                    let ctx = format!("K={k} {crc:?} n={n} under {ceiling}");
+                    assert_eq!(allocations, 0, "{ctx}");
+                    let got = u.bits.iter().zip(&u.lanes);
+                    for (g, ((bits, lane), want)) in got.zip(&want[..n]).enumerate() {
+                        assert_eq!((bits, lane), (&want.0, &want.1), "{ctx} lane {g}");
+                    }
+                }
             }
         }
     }

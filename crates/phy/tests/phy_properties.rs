@@ -65,7 +65,7 @@ fn native_single_block_matches_scalar_every_k() {
 fn every_decoder_stops_on_the_same_siso_pass_across_the_waterfall() {
     use vran_phy::llr::adds16;
     use vran_phy::turbo::native_batch::{NativeBatchTurboDecoder, BATCH, QUAD};
-    use vran_phy::turbo::{BlockLlrs, DecoderIsa, NativeTurboDecoder};
+    use vran_phy::turbo::{BatchScratch, BlockLlrs, DecoderIsa, NativeTurboDecoder};
     use vran_util::rng::SmallRng;
     const CAP: usize = 3;
     for k in [504, 512] {
@@ -74,6 +74,7 @@ fn every_decoder_stops_on_the_same_siso_pass_across_the_waterfall() {
             .map(|isa| NativeTurboDecoder::with_isa(k, CAP, isa))
             .collect::<Vec<_>>();
         let batch = NativeBatchTurboDecoder::new(k, CAP);
+        let mut scratch = BatchScratch::new();
         let mut stops = [0usize; 2 * CAP + 1];
         for quad in 0..512u64 {
             let blocks: [TurboLlrs; QUAD] = core::array::from_fn(|g| {
@@ -105,38 +106,21 @@ fn every_decoder_stops_on_the_same_siso_pass_across_the_waterfall() {
                     assert_eq!(&got, want, "{}, K={k} quad {quad}", native.isa().name());
                 }
             }
-            let mut scratch = Default::default();
-            let mut bits: [Vec<u8>; QUAD] = Default::default();
-            let lanes = batch.decode_quad_lanes_into(
-                blocks.each_ref().map(BlockLlrs::from_turbo),
-                Some(&CRC24B),
-                &mut scratch,
-                &mut bits,
-            );
             let outcome = want
                 .each_ref()
                 .map(|w| (w.iterations_run, w.crc_ok, w.siso_passes));
-            for g in 0..QUAD {
-                assert_eq!(
-                    (&bits[g], lanes[g]),
-                    (&want[g].bits, outcome[g]),
-                    "K={k} quad {quad} lane {g}"
-                );
-            }
-            for half in 0..QUAD / BATCH {
-                let mut pair_bits: [Vec<u8>; BATCH] = Default::default();
-                let pair = batch.decode_pair_lanes_into(
-                    core::array::from_fn(|h| BlockLlrs::from_turbo(&blocks[half * BATCH + h])),
-                    Some(&CRC24B),
-                    &mut scratch,
-                    &mut pair_bits,
-                );
-                for h in 0..BATCH {
-                    let g = half * BATCH + h;
+            let inputs = blocks.each_ref().map(BlockLlrs::from_turbo);
+            // A quad, then each half as a pair.
+            for run in [0..QUAD, 0..BATCH, BATCH..QUAD] {
+                let mut bits = vec![Vec::new(); run.len()];
+                let mut lanes = vec![(0, None, 0); run.len()];
+                let (crc, blocks) = (Some(&CRC24B), &inputs[run.clone()]);
+                batch.decode_blocks_into(blocks, CAP, crc, &mut scratch, &mut bits, &mut lanes);
+                for (h, g) in run.clone().enumerate() {
                     assert_eq!(
-                        (&pair_bits[h], pair[h]),
+                        (&bits[h], lanes[h]),
                         (&want[g].bits, outcome[g]),
-                        "K={k} quad {quad} pair lane {g}"
+                        "K={k} quad {quad} lane {g} of {run:?}"
                     );
                 }
             }
@@ -221,22 +205,18 @@ fn native_quad_batch_matches_scalar_every_k() {
                 let w = crc.map_or_else(|| oracle.decode(b), |c| oracle.decode_with_crc(b, c));
                 (w.bits, (w.iterations_run, w.crc_ok, w.siso_passes))
             });
-            let mut bits: [Vec<u8>; QUAD] = Default::default();
-            let lanes = batch.decode_quad_lanes_into(inputs, crc, &mut scratch, &mut bits);
-            for g in 0..QUAD {
-                let got = (&bits[g], lanes[g]);
-                assert_eq!(got, (&want[g].0, want[g].1), "K={k} {crc:?} quad lane {g}");
-            }
-            for half in 0..QUAD / BATCH {
-                let mut bits: [Vec<u8>; BATCH] = Default::default();
-                let pair = core::array::from_fn(|h| inputs[half * BATCH + h]);
-                let lanes = batch.decode_pair_lanes_into(pair, crc, &mut scratch, &mut bits);
-                for h in 0..BATCH {
-                    let (got, want) = ((&bits[h], lanes[h]), &want[half * BATCH + h]);
+            // A quad, then each half as a pair.
+            for run in [0..QUAD, 0..BATCH, BATCH..QUAD] {
+                let mut bits = vec![Vec::new(); run.len()];
+                let mut lanes = vec![(0, None, 0); run.len()];
+                let blocks = &inputs[run.clone()];
+                batch.decode_blocks_into(blocks, CAP, crc, &mut scratch, &mut bits, &mut lanes);
+                for (h, g) in run.clone().enumerate() {
+                    let got = (&bits[h], lanes[h]);
                     assert_eq!(
                         got,
-                        (&want.0, want.1),
-                        "K={k} {crc:?} pair lane {h} of {half}"
+                        (&want[g].0, want[g].1),
+                        "K={k} {crc:?} lane {g} of {run:?}"
                     );
                 }
             }
@@ -453,7 +433,7 @@ proptest! {
     #[test]
     fn native_batch_matches_scalar_on_garbage(seed in any::<u64>(), k_idx in 0usize..8) {
         // A pair launch decodes both lanes bit-exactly.
-        use vran_phy::turbo::NativeBatchTurboDecoder;
+        use vran_phy::turbo::{BatchScratch, BlockLlrs, NativeBatchTurboDecoder};
         let k = QPP_TABLE[k_idx].k as usize;
         let mk = |s: u64| -> Vec<i16> {
             let mut x = s | 1;
@@ -473,9 +453,17 @@ proptest! {
         };
         let pair = [block(seed), block(seed ^ 0x9E37)];
         let dec = TurboDecoder::new(k, 2);
-        let got = NativeBatchTurboDecoder::new(k, 2).decode_pair(&pair);
-        for (g, input) in got.iter().zip(&pair) {
-            prop_assert_eq!(&g.bits, &dec.decode(input).bits);
+        let mut bits = [Vec::new(), Vec::new()];
+        NativeBatchTurboDecoder::new(k, 2).decode_blocks_into(
+            &pair.each_ref().map(BlockLlrs::from_turbo),
+            2,
+            None,
+            &mut BatchScratch::new(),
+            &mut bits,
+            &mut [(0, None, 0); 2],
+        );
+        for (got, input) in bits.iter().zip(&pair) {
+            prop_assert_eq!(got, &dec.decode(input).bits);
         }
     }
 

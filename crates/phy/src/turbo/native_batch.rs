@@ -1144,6 +1144,121 @@ mod tests {
     }
 
     #[test]
+    fn pair_decode_equals_two_scalar_decodes() {
+        for k in [40usize, 64, 512] {
+            let (bits_a, in_a) = make_input(k, 11 + k as u64);
+            let (bits_b, in_b) = make_input(k, 29 + k as u64);
+            let batch = NativeBatchTurboDecoder::new(k, 3);
+            let inputs = [&in_a, &in_b].map(BlockLlrs::from_turbo);
+            let got = decode_all(&batch, &inputs, usize::MAX, None, &mut BatchScratch::new());
+            let [(out_a, lane_a), (out_b, _)] = got.try_into().unwrap();
+            let scalar = TurboDecoder::new(k, 3);
+            assert_eq!(out_a, scalar.decode(&in_a).bits, "K={k} block 0");
+            assert_eq!(out_b, scalar.decode(&in_b).bits, "K={k} block 1");
+            assert_eq!(out_a, bits_a);
+            assert_eq!(out_b, bits_b);
+            assert_eq!(lane_a.0, 3);
+            assert_eq!(lane_a.1, None, "no CRC was given");
+        }
+    }
+
+    #[test]
+    fn pair_decode_equals_single_native_decodes() {
+        let k = 256;
+        let (_, in_a) = make_input(k, 3);
+        let (_, in_b) = make_input(k, 4);
+        let batch = NativeBatchTurboDecoder::new(k, 2);
+        let single = NativeTurboDecoder::new(k, 2);
+        let inputs = [&in_a, &in_b].map(BlockLlrs::from_turbo);
+        let got = decode_all(&batch, &inputs, usize::MAX, None, &mut BatchScratch::new());
+        assert_eq!(got[0].0, single.decode(&in_a).bits);
+        assert_eq!(got[1].0, single.decode(&in_b).bits);
+    }
+
+    #[test]
+    fn quad_decode_equals_four_scalar_decodes() {
+        for k in [40usize, 64, 512] {
+            let mk = |s: u64| make_input(k, s + k as u64);
+            let (payloads, inputs): (Vec<_>, Vec<_>) = [11, 29, 47, 83].map(mk).into_iter().unzip();
+            let batch = NativeBatchTurboDecoder::new(k, 3);
+            let refs: Vec<_> = inputs.iter().map(BlockLlrs::from_turbo).collect();
+            let outs = decode_all(&batch, &refs, usize::MAX, None, &mut BatchScratch::new());
+            let scalar = TurboDecoder::new(k, 3);
+            for g in 0..QUAD {
+                assert_eq!(outs[g].0, scalar.decode(&inputs[g]).bits, "K={k} block {g}");
+                assert_eq!(outs[g].0, payloads[g]);
+                assert_eq!(outs[g].1 .0, 3);
+                assert_eq!(outs[g].1 .1, None, "no CRC was given");
+            }
+        }
+    }
+
+    #[test]
+    fn quad_decode_equals_pair_and_single_native_decodes() {
+        let k = 256;
+        let inputs: [TurboLlrs; QUAD] = core::array::from_fn(|g| make_input(k, 5 + g as u64).1);
+        let batch = NativeBatchTurboDecoder::new(k, 2);
+        let single = NativeTurboDecoder::new(k, 2);
+        let mut scratch = BatchScratch::new();
+        let refs = inputs.each_ref().map(BlockLlrs::from_turbo);
+        let outs = decode_all(&batch, &refs, usize::MAX, None, &mut scratch);
+        let pairs = [
+            decode_all(&batch, &refs[..BATCH], usize::MAX, None, &mut scratch),
+            decode_all(&batch, &refs[BATCH..], usize::MAX, None, &mut scratch),
+        ];
+        for g in 0..QUAD {
+            assert_eq!(
+                outs[g].0,
+                single.decode(&inputs[g]).bits,
+                "block {g} vs single"
+            );
+            assert_eq!(outs[g], pairs[g / BATCH][g % BATCH], "block {g} vs pair");
+        }
+    }
+
+    #[test]
+    fn staged_quad_matches_refs_and_reuses_scratch() {
+        for k in [40usize, 512] {
+            let inputs: [TurboLlrs; QUAD] =
+                core::array::from_fn(|g| make_input(k, 900 + g as u64 + k as u64).1);
+            let batch = NativeBatchTurboDecoder::new(k, 3);
+            let refs = inputs.each_ref().map(BlockLlrs::from_turbo);
+            let expect = decode_all(&batch, &refs, usize::MAX, None, &mut BatchScratch::new());
+            let mut scratch = BatchScratch::new();
+            let mut bits: [Vec<u8>; QUAD] = core::array::from_fn(|_| Vec::new());
+            for round in 0..3 {
+                let iters = batch.decode_quad_staged_into(refs, &mut scratch, &mut bits);
+                assert_eq!(iters, 3);
+                for g in 0..QUAD {
+                    assert_eq!(bits[g], expect[g].0, "K={k} block {g} round {round}");
+                }
+            }
+            if NativeBatchTurboDecoder::is_zmm_accelerated() {
+                assert_eq!(scratch.allocations(), 1, "warm scratch must not grow");
+                assert_eq!(scratch.reuses(), 2);
+            }
+        }
+    }
+
+    #[test]
+    fn staged_pair_matches_pair_refs() {
+        // A pair staged in pooled `SoftStreams` decodes as the same
+        // pair read from inside its `TurboLlrs`.
+        let k = 256;
+        let inputs: [TurboLlrs; BATCH] = core::array::from_fn(|g| make_input(k, 70 + g as u64).1);
+        let batch = NativeBatchTurboDecoder::new(k, 2);
+        let mut scratch = BatchScratch::new();
+        let refs = inputs.each_ref().map(BlockLlrs::from_turbo);
+        let expect = decode_all(&batch, &refs, usize::MAX, None, &mut scratch);
+        let pooled: Vec<SoftStreams> = inputs.iter().map(|i| i.streams.clone()).collect();
+        let staged: [BlockLlrs<'_>; BATCH] =
+            core::array::from_fn(|g| BlockLlrs::from_streams(&pooled[g], inputs[g].tails));
+        let got = decode_all(&batch, &staged, usize::MAX, None, &mut scratch);
+        assert_eq!(got[0].1 .0, 2);
+        assert_eq!(got, expect);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one block")]
     fn an_empty_call_panics() {
         decode_all(

@@ -20,7 +20,7 @@ use crate::tx::{Grant, Profile, TxChain};
 use std::cell::RefCell;
 use std::sync::Arc;
 use vran_phy::bits::{pack_msb, unpack_msb};
-use vran_phy::channel::AwgnChannel;
+use vran_phy::channel::NoiseTape;
 use vran_phy::crc::{CRC24A, CRC24B};
 use vran_phy::dci::{conv_encode_streams, llrs_from_streams, viterbi_decode_tb, Dci};
 use vran_phy::llr::TurboLlrs;
@@ -45,7 +45,11 @@ pub struct DownlinkConfig {
     pub fading: bool,
     /// Redundancy version signaled in the DCI.
     pub rv: u8,
-    /// Channel seed.
+    /// Channel seed: PDCCH crosses the channel seeded `seed`, PDSCH the
+    /// one seeded `seed ^ 0xD5D5`. Every subframe replays the same two
+    /// realisations, so the AWGN is drawn once per pipeline, into a
+    /// [`NoiseTape`] each, and replayed bit-exactly. A BLER curve must
+    /// therefore draw a fresh seed per block, not loop subframes.
     pub seed: u64,
 }
 
@@ -99,15 +103,28 @@ const PDSCH_C_INIT: u32 = 0xC0FFEE & 0x7FFF_FFFF;
 /// PDSCH code rate ×1024: rate 1/2.
 const PDSCH_RATE_X1024: u32 = 2048;
 
+/// XORed into [`DownlinkConfig::seed`] to seed the PDSCH's channel.
+const PDSCH_SEED_XOR: u64 = 0xD5D5;
+
+/// Per-pipeline working state.
+#[derive(Debug, Clone)]
+struct Hot {
+    /// The eNB's PDSCH transmit chain (per-K encoders, rate matchers
+    /// and word buffers live in it: the steady-state encode loop
+    /// performs no heap allocation).
+    tx: TxChain,
+    /// The AWGN channel's PDCCH noise, drawn once and replayed.
+    pdcch_noise: NoiseTape,
+    /// The AWGN channel's PDSCH noise, drawn once and replayed.
+    pdsch_noise: NoiseTape,
+}
+
 /// The downlink pipeline.
 #[derive(Debug, Clone)]
 pub struct DownlinkPipeline {
     cfg: DownlinkConfig,
     metrics: Option<Arc<PipelineMetrics>>,
-    /// The eNB's PDSCH transmit chain (per-K encoders, rate matchers
-    /// and word buffers live in it: the steady-state encode loop
-    /// performs no heap allocation).
-    tx: RefCell<TxChain>,
+    hot: RefCell<Hot>,
 }
 
 impl DownlinkPipeline {
@@ -116,7 +133,11 @@ impl DownlinkPipeline {
         Self {
             cfg,
             metrics: None,
-            tx: RefCell::default(),
+            hot: RefCell::new(Hot {
+                tx: TxChain::default(),
+                pdcch_noise: NoiseTape::new(cfg.snr_db, cfg.seed),
+                pdsch_noise: NoiseTape::new(cfg.snr_db, cfg.seed ^ PDSCH_SEED_XOR),
+            }),
         }
     }
 
@@ -134,15 +155,16 @@ impl DownlinkPipeline {
     }
 
     /// Transmit symbols over the configured channel and return
-    /// equalized data symbols plus LLR weights.
-    fn channel_pass(&self, data: &[Cplx], seed: u64) -> (Vec<Cplx>, f32) {
+    /// equalized data symbols plus LLR weights. `noise` is the AWGN
+    /// channel seeded `seed`; the fading model draws its own.
+    fn channel_pass(&self, data: &[Cplx], seed: u64, noise: &mut NoiseTape) -> (Vec<Cplx>, f32) {
+        let mut out = Vec::with_capacity(data.len());
         if self.cfg.fading {
-            let mut out = Vec::with_capacity(data.len());
             fading_pass(data, self.cfg.snr_db, seed, &mut out);
             (out, 1.0)
         } else {
-            let mut chan = AwgnChannel::new(self.cfg.snr_db, seed);
-            (chan.apply(data), Capture::llr_scale_of(&chan))
+            noise.apply_into(data, &mut out);
+            (out, Capture::llr_scale_of(noise.channel()))
         }
     }
 
@@ -181,7 +203,8 @@ impl DownlinkPipeline {
             rv: grant.rv,
             c_init: PDSCH_C_INIT,
         };
-        let tx = &mut *self.tx.borrow_mut();
+        let hot = &mut *self.hot.borrow_mut();
+        let tx = &mut hot.tx;
         tx.kern = kern;
         let frame_bits = unpack_msb(&packet.frame, packet.frame.len() * 8);
         let seg = tx
@@ -190,8 +213,9 @@ impl DownlinkPipeline {
         let padded = tx.bits.len();
 
         // ---- channel (control then data, separate passes) ----
-        let (rx_pdcch, ctrl_scale) = self.channel_pass(&pdcch_syms, cfg.seed);
-        let (rx_pdsch, data_scale) = self.channel_pass(&tx.symbols, cfg.seed ^ 0xD5D5);
+        let (rx_pdcch, ctrl_scale) = self.channel_pass(&pdcch_syms, cfg.seed, &mut hot.pdcch_noise);
+        let (rx_pdsch, data_scale) =
+            self.channel_pass(&tx.symbols, cfg.seed ^ PDSCH_SEED_XOR, &mut hot.pdsch_noise);
 
         // ---- UE: decode the grant first (de-rate-match, then the
         // tail-biting Viterbi; the 144→66 repetition combines) ----
@@ -356,7 +380,7 @@ mod tests {
         for _ in 0..4 {
             assert!(pipe.process(&p).data_ok);
         }
-        let scratch = &pipe.tx.borrow().scratch;
+        let scratch = &pipe.hot.borrow().tx.scratch;
         assert!(scratch.allocations() > 0);
         assert!(
             scratch.reuses() >= 3,

@@ -73,7 +73,7 @@ use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::Instant;
 use vran_phy::bits::unpack_msb;
-use vran_phy::channel::AwgnChannel;
+use vran_phy::channel::NoiseTape;
 use vran_phy::crc::CRC24A;
 use vran_phy::equalizer::{Equalizer, FadingChannel};
 use vran_phy::llr::{InterleavedLlrs, Llr, SoftStreams, TurboLlrs};
@@ -111,7 +111,12 @@ pub struct PipelineConfig {
     /// estimation and ZF equalization instead of time-domain OFDM over
     /// flat AWGN.
     pub fading: bool,
-    /// Channel noise seed.
+    /// Channel noise seed. Every packet crosses the same realisation of
+    /// the channel: sample `i` of every capture gets the same noise.
+    /// That is what lets the pipeline draw the AWGN once, into a
+    /// [`NoiseTape`], and replay it bit-exactly. It is also why the
+    /// loopback cannot sample a BLER curve: a waterfall must draw a
+    /// fresh seed per block.
     pub seed: u64,
     /// Per-packet processing budget in nanoseconds. `None` disables
     /// deadline handling. When half the budget is spent before the
@@ -257,8 +262,8 @@ pub struct PacketResult {
 }
 
 /// Per-pipeline working state: the two chains (which own every buffer
-/// and per-K cache a packet needs twice), the loopback's channel
-/// output, and the degradation ladder.
+/// and per-K cache a packet needs twice), the loopback's channel noise
+/// and output, and the degradation ladder.
 ///
 /// Lives behind a `RefCell` because `process` takes `&self`; pipelines
 /// are per-worker (the threaded runner builds one per thread), so the
@@ -270,6 +275,8 @@ struct Hot {
     /// Time-domain samples after the channel — what the loopback
     /// hands the receiver as its [`Capture`].
     air: Vec<Cplx>,
+    /// The AWGN channel's noise, drawn once and replayed per packet.
+    noise: NoiseTape,
     /// Degradation ladder: consecutive decode-failure packets.
     consecutive_failures: u32,
     /// Degradation ladder: consecutive successes while degraded.
@@ -418,6 +425,7 @@ impl UplinkPipeline {
                 tx: TxChain::default(),
                 rx: RxChain::new(cfg.decoder_iterations),
                 air: Vec::new(),
+                noise: NoiseTape::new(cfg.snr_db, cfg.seed),
                 consecutive_failures: 0,
                 consecutive_successes: 0,
                 degraded: false,
@@ -901,13 +909,12 @@ impl UplinkPipeline {
             llr_scale = 1.0;
         } else {
             tb_bits = hot.tx.tx(&payload, &self.grant, pk)?.b;
-            let mut channel = AwgnChannel::new(cfg.snr_db, cfg.seed);
             let held = hot.air.capacity();
             pk.lap(Op::Channel, || {
-                channel.apply_into(&hot.tx.samples, &mut hot.air)
+                hot.noise.apply_into(&hot.tx.samples, &mut hot.air)
             });
             pk.staged(held, hot.air.capacity());
-            llr_scale = Capture::llr_scale_of(&channel);
+            llr_scale = Capture::llr_scale_of(hot.noise.channel());
         }
         if let Some(m) = pk.clock.m {
             pk.clock.kern.count_tx_tiers(m);

@@ -264,6 +264,51 @@ fn loopback_ofdm_stage_reaches_zero_steady_state_allocation() {
 }
 
 #[test]
+fn every_packet_crosses_the_channel_a_fresh_pipeline_would() {
+    // One pipeline's noise tape grows (256 → 1400 B resumes its draws)
+    // and then serves shorter and equal frames from what it holds; each
+    // packet must see the noise a fresh pipeline draws for it alone,
+    // down to the bits of the samples. Once the longest frame has
+    // passed, the tape neither draws nor allocates again.
+    let cfg = PipelineConfig::default();
+    let pipe = UplinkPipeline::new(cfg);
+    let mut b = PacketBuilder::new(1000, 2000);
+    let air_bits = |p: &UplinkPipeline| -> Vec<(u32, u32)> {
+        let hot = p.hot.borrow();
+        hot.air
+            .iter()
+            .map(|s| (s.re.to_bits(), s.im.to_bits()))
+            .collect()
+    };
+    let fields = |r: Result<PacketResult, PipelineError>| {
+        let r = r.expect("14 dB 16-QAM decodes");
+        (r.tb_bits, r.code_blocks, r.coded_bits, r.decoder_iterations)
+    };
+    let mut after_longest = None;
+    for size in [256usize, 1400, 64, 1024, 1400, 256] {
+        let p = b.build(Transport::Udp, size).unwrap();
+        let fresh = UplinkPipeline::new(cfg);
+        assert_eq!(
+            fields(pipe.process(&p)),
+            fields(fresh.process(&p)),
+            "{size} B"
+        );
+        assert!(
+            air_bits(&pipe) == air_bits(&fresh),
+            "{size} B: noise differs"
+        );
+        let noise = &pipe.hot.borrow().noise;
+        let tape = (noise.recorded(), noise.capacity());
+        if size == 1400 {
+            after_longest.get_or_insert(tape);
+        }
+        if let Some(held) = after_longest {
+            assert_eq!(held, tape, "{size} B grew the tape");
+        }
+    }
+}
+
+#[test]
 fn staging_pool_survives_k_changes_without_fresh_allocation() {
     // Alternating packet sizes change K per packet; recycled
     // buffers resize in place. A growth shows up as a

@@ -36,9 +36,13 @@ impl AwgnChannel {
         1.0 / (self.sigma * self.sigma).max(1e-9)
     }
 
-    /// Draw one Gaussian sample (Box–Muller inside `vran-util`'s RNG).
-    fn gauss(&mut self) -> f32 {
-        self.rng.gauss_f32()
+    /// The next sample's noise `(σ·g, σ·g)`: two Gaussian draws
+    /// (Box–Muller inside `vran-util`'s RNG), re first, each product
+    /// rounded to f32 before anything is added to it.
+    fn draw(&mut self) -> Cplx {
+        let re = self.sigma * self.rng.gauss_f32();
+        let im = self.sigma * self.rng.gauss_f32();
+        Cplx::new(re, im)
     }
 
     /// Add noise to a symbol stream.
@@ -53,12 +57,56 @@ impl AwgnChannel {
     /// same noise through either.
     pub fn apply_into(&mut self, symbols: &[Cplx], out: &mut Vec<Cplx>) {
         out.clear();
-        out.extend(symbols.iter().map(|s| {
-            Cplx::new(
-                s.re + self.sigma * self.gauss(),
-                s.im + self.sigma * self.gauss(),
-            )
-        }));
+        out.extend(symbols.iter().map(|s| s.add(self.draw())));
+    }
+}
+
+/// The noise of one `(snr_db, seed)` channel, drawn once and replayed.
+///
+/// [`Self::apply_into`] equals `AwgnChannel::new(snr_db, seed)
+/// .apply_into` bit for bit, for any input: the tape holds the f32
+/// products `σ·g` the channel adds, in draw order, so replaying them
+/// performs the same two roundings per axis. It draws only when a
+/// longer stream than any before arrives, and then carries on from the
+/// channel's RNG state where the last growth stopped.
+#[derive(Debug, Clone)]
+pub struct NoiseTape {
+    channel: AwgnChannel,
+    noise: Vec<Cplx>,
+}
+
+impl NoiseTape {
+    /// An empty tape of `AwgnChannel::new(snr_db, seed)`'s noise.
+    pub fn new(snr_db: f32, seed: u64) -> Self {
+        Self {
+            channel: AwgnChannel::new(snr_db, seed),
+            noise: Vec::new(),
+        }
+    }
+
+    /// The channel the tape records (its σ and LLR scale).
+    pub fn channel(&self) -> &AwgnChannel {
+        &self.channel
+    }
+
+    /// Samples of noise recorded so far.
+    pub fn recorded(&self) -> usize {
+        self.noise.len()
+    }
+
+    /// Samples the tape can hold before it reallocates.
+    pub fn capacity(&self) -> usize {
+        self.noise.capacity()
+    }
+
+    /// Add the channel's noise to `symbols` into `out` (cleared first).
+    pub fn apply_into(&mut self, symbols: &[Cplx], out: &mut Vec<Cplx>) {
+        let more = symbols.len().saturating_sub(self.noise.len());
+        self.noise.reserve_exact(more);
+        let channel = &mut self.channel;
+        self.noise.extend((0..more).map(|_| channel.draw()));
+        out.clear();
+        out.extend(symbols.iter().zip(&self.noise).map(|(s, w)| s.add(*w)));
     }
 }
 
@@ -67,6 +115,49 @@ mod tests {
     use super::*;
     use crate::bits::random_bits;
     use crate::modulation::Modulation;
+    use vran_util::proptest::prelude::*;
+
+    fn to_bits(s: &[Cplx]) -> Vec<(u32, u32)> {
+        s.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    /// Replays one tape over a stream per length in `lens`, each
+    /// against a fresh channel of the same `(snr_db, seed)`.
+    fn tape_matches_fresh_channels(snr_db: f32, seed: u64, lens: &[usize]) {
+        let mut tape = NoiseTape::new(snr_db, seed);
+        let mut out = Vec::new();
+        for (call, &n) in lens.iter().enumerate() {
+            let symbols = Modulation::Qam64.modulate(&random_bits(6 * n, seed ^ call as u64));
+            let expect = AwgnChannel::new(snr_db, seed).apply(&symbols);
+            tape.apply_into(&symbols, &mut out);
+            assert_eq!(
+                to_bits(&out),
+                to_bits(&expect),
+                "snr {snr_db} seed {seed} call {call} len {n}"
+            );
+        }
+        assert_eq!(tape.recorded(), lens.iter().copied().max().unwrap_or(0));
+    }
+
+    #[test]
+    fn a_tape_replays_the_channel_bit_for_bit() {
+        let lens = [0, 7, 3, 1_100, 40, 12_000, 12_000];
+        for (snr_db, seed) in [(14.0, 1), (20.0, 0xD5D4), (-3.0, 77), (0.5, u64::MAX)] {
+            tape_matches_fresh_channels(snr_db, seed, &lens);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn a_tape_replays_any_length_sequence(
+            lens in prop::collection::vec(0usize..3_000, 1..9),
+            seed in any::<u64>(),
+        ) {
+            tape_matches_fresh_channels(10.0, seed, &lens);
+        }
+    }
 
     #[test]
     fn noise_power_matches_configuration() {

@@ -8,7 +8,9 @@ use vran_arrange::StrideKernel;
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::turbo_workload;
 use vran_phy::crc::CRC24B;
-use vran_phy::turbo::{BatchScratch, BlockLlrs, NativeBatchTurboDecoder, NativeTurboDecoder};
+use vran_phy::turbo::{
+    BatchScratch, BlockLlrs, DecodeScratch, NativeBatchTurboDecoder, NativeTurboDecoder,
+};
 use vran_simd::RegWidth;
 
 mod common;
@@ -42,9 +44,13 @@ fn bench_native_batch(c: &mut Criterion) {
         let inputs = blocks.each_ref().map(BlockLlrs::from_turbo);
         let single = NativeTurboDecoder::new(k, 4);
         let batch = NativeBatchTurboDecoder::new(k, 4);
-        let serial = |n: usize| -> Vec<_> {
-            let decode = |b| single.decode(std::hint::black_box(b));
-            blocks[..n].iter().map(decode).collect()
+        // One warm scratch, as a serving loop keeps: the serial rows time
+        // decoding, not allocating per block.
+        let mut serial_scratch = DecodeScratch::new();
+        let mut serial = |n: usize| -> Vec<_> {
+            let mut decode =
+                |b| single.decode_scratch(std::hint::black_box(b), None, &mut serial_scratch);
+            blocks[..n].iter().map(&mut decode).collect()
         };
         let mut scratch = BatchScratch::new();
         let (mut bits, mut lanes) = (vec![Vec::new(); 4], [(0, None, 0); 4]);

@@ -26,6 +26,8 @@
 
 pub mod decoder;
 pub mod encoder;
+#[cfg(target_arch = "x86_64")]
+mod mitm;
 pub mod native_batch;
 pub mod native_decoder;
 pub mod packed_encoder;

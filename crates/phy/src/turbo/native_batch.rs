@@ -2,20 +2,12 @@
 //!
 //! The real-hardware counterpart of the VM batch decoder
 //! `apcm::turbo::batch_decoder`. The 8-state recursions cannot widen,
-//! so a wider register must carry more blocks — and the single-block
-//! AVX2 kernel of [`super::native_decoder`] already fills a ymm with
-//! one block: its α chain in one 128-bit lane, its β chain in the
-//! other, meeting in the middle (DESIGN §5.8). Here a zmm carries two
-//! blocks' (α, β) lane pairs. Lanes 0 and 1 hold one chain of block
-//! `2r` and of block `2r + 1`, lanes 2 and 3 the other chain of each,
-//! so one 32-byte load broadcast to both halves feeds both blocks'
-//! branch metrics, and each block's lane pair runs the ymm kernel's
-//! instruction sequence: `vpshufb`, `unpack` and the byte shifts are
-//! lane-local, and the two moves that cross lanes (the chains' trade
-//! before phase 2, the phase-2 blends) move whole 256-bit halves. A
-//! pair launch is one such register; a quad launch is two, interleaved
-//! step by step in one loop so each hides the other's ≈ 6-cycle
-//! recurrence.
+//! so a wider register must carry more blocks: the single-block AVX2
+//! tier fills a ymm with one block's α and β chains, and a zmm carries
+//! two blocks' — the same meet-in-the-middle body (the `mitm` module,
+//! DESIGN §5.8) at two blocks per register. A pair launch is one such
+//! register; a quad launch is two, interleaved step by step so each
+//! hides the other's ≈ 6-cycle recurrence.
 //!
 //! Every lane is therefore bit-identical to a [`NativeTurboDecoder`]
 //! decode of its block alone (and to the scalar oracle). Iteration
@@ -31,7 +23,9 @@
 //! says: quads while four remain, then a pair, then a single-block
 //! decode of the leftover.
 
-use super::decoder::{beta_init_from_tails, NEG_INF};
+use super::decoder::beta_init_from_tails;
+#[cfg(target_arch = "x86_64")]
+use super::mitm::{self, Zmm};
 use super::native_decoder::{hard_decide, DecodeScratch, DecoderIsa, NativeTurboDecoder};
 use super::trellis::STATES;
 use crate::crc::Crc;
@@ -397,8 +391,7 @@ impl NativeBatchTurboDecoder {
         // AVX-512BW (`use_avx512`), and the kernels check every length
         // and alignment they rely on.
         for it in 0..iterations {
-            // SAFETY: AVX-512BW, as above.
-            unsafe { x86::siso(sys, p1, parts(la1, k), &binit1, g0, gq, trellis, post) };
+            mitm::siso::<Zmm, N>(sys, p1, parts(la1, k), &binit1, g0, gq, trellis, post);
             *siso_passes += 1;
             // The single-block decoder's stop rule, per lane.
             if crc.is_some() && decide(post, 2 * it + 1) {
@@ -421,8 +414,7 @@ impl NativeBatchTurboDecoder {
                 x86::gather_rows::<N>(la2, ext, pi);
             }
             let (sys_pi, la2) = (parts(sys_pi, k), parts(la2, k));
-            // SAFETY: AVX-512BW, as above.
-            unsafe { x86::siso(sys_pi, p2, la2, &binit2, g0, gq, trellis, post) };
+            mitm::siso::<Zmm, N>(sys_pi, p2, la2, &binit2, g0, gq, trellis, post);
             *siso_passes += 1;
             // Hard decisions are observable only through the CRC and
             // the final output, so without a CRC the de-permuting bit
@@ -448,7 +440,7 @@ impl NativeBatchTurboDecoder {
 /// [`ALIGN_SLACK`] words to spare): the kernel's rows are whole cache
 /// lines, loaded and stored aligned.
 #[cfg(target_arch = "x86_64")]
-fn aligned(v: &mut [Llr], len: usize) -> &mut [Llr] {
+pub(super) fn aligned(v: &mut [Llr], len: usize) -> &mut [Llr] {
     let skip = v.as_ptr().addr().wrapping_neg() % 64 / size_of::<Llr>();
     &mut v[skip..skip + len]
 }
@@ -476,464 +468,8 @@ fn hard_decide_lanes<const N: usize>(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::super::native_decoder::peel_extrinsic;
-    use super::super::trellis;
     use super::*;
-    use core::hint::black_box;
     use std::arch::x86_64::*;
-
-    /// Byte-level `vpshufb` control for one 128-bit lane, from a
-    /// lane-level i16 gather table.
-    fn lane_ctrl(table: [u8; STATES]) -> [i8; 16] {
-        let mut c = [0i8; 16];
-        for (i, &s) in table.iter().enumerate() {
-            c[2 * i] = (2 * s) as i8;
-            c[2 * i + 1] = (2 * s + 1) as i8;
-        }
-        c
-    }
-
-    /// `vpshufb` control picking, for each state lane, the γ-quad entry
-    /// `[γ₀+γₚ, γ₀−γₚ, −γ₀+γₚ, −γ₀−γₚ][2u + parity]` out of the quad
-    /// that starts at word `base` of a 16-byte quad pair.
-    fn quad_ctrl(par: [u8; STATES], u: u8, base: u8) -> [i8; 16] {
-        lane_ctrl(par.map(|p| base + 2 * u + p))
-    }
-
-    /// The bytes of the kernel's `vpshufb` controls, built once: `[st₀,
-    /// st₁, γ₀, γ₁]` (state gathers and γ selects under input bit 0
-    /// and 1) for a register whose lanes 0 and 1 carry the α chains,
-    /// the same for the β chains, then the γ phase's word reversal of
-    /// lanes 2 and 3. Each is the single-block kernel's `pair_ctl` with
-    /// its 128-bit halves doubled: lanes 0 and 1 read the first quad of
-    /// a quad pair, lanes 2 and 3 the second. Loading them from memory
-    /// also keeps them opaque, as the single-block kernel's
-    /// `black_box` does: LLVM re-expands a constant-control `vpshufb`
-    /// into a multi-µop shuffle chain.
-    fn control_bytes() -> &'static [[i8; 64]; 9] {
-        static BYTES: std::sync::OnceLock<[[i8; 64]; 9]> = std::sync::OnceLock::new();
-        BYTES.get_or_init(|| {
-            let halves = |lo: [i8; 16], hi: [i8; 16]| -> [i8; 64] {
-                core::array::from_fn(|i| if i < 32 { lo[i % 16] } else { hi[i % 16] })
-            };
-            let tables = |alpha: bool, u: u8| {
-                if alpha {
-                    (trellis::pred_table(u), trellis::pred_parity(u))
-                } else {
-                    (trellis::next_table(u), trellis::next_parity(u))
-                }
-            };
-            let ctl = |alpha_low: bool, u: u8| {
-                let (lo_t, lo_p) = tables(alpha_low, u);
-                let (hi_t, hi_p) = tables(!alpha_low, u);
-                [
-                    halves(lane_ctrl(lo_t), lane_ctrl(hi_t)),
-                    halves(quad_ctrl(lo_p, u, 0), quad_ctrl(hi_p, u, 4)),
-                ]
-            };
-            let [[a0, ag0], [a1, ag1], [b0, bg0], [b1, bg1]] =
-                [(true, 0), (true, 1), (false, 0), (false, 1)].map(|(a, u)| ctl(a, u));
-            let rev = core::array::from_fn(|i| 14 - (i as i8 & !1) + (i as i8 & 1));
-            let rev = halves(core::array::from_fn(|i| i as i8), rev);
-            [a0, a1, ag0, ag1, b0, b1, bg0, bg1, rev]
-        })
-    }
-
-    /// The `vpshufb` controls of one packed trellis step, `[u = 0,
-    /// u = 1]` each: state gathers and γ selects.
-    struct Ctl {
-        st: [__m512i; 2],
-        gam: [__m512i; 2],
-    }
-
-    /// The controls for a register whose lanes 0 and 1 carry the α
-    /// chains (`alpha_low`) or the β chains.
-    #[inline(always)]
-    unsafe fn make_ctl(alpha_low: bool) -> Ctl {
-        let b = &control_bytes()[if alpha_low { 0 } else { 4 }..];
-        Ctl {
-            st: [load_64(&b[0]), load_64(&b[1])],
-            gam: [load_64(&b[2]), load_64(&b[3])],
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn load_64(b: &[i8; 64]) -> __m512i {
-        _mm512_loadu_si512(b.as_ptr().cast())
-    }
-
-    /// The four branch metrics of eight trellis steps per lane,
-    /// `adds16(±γ₀, ±γₚ)` with `subs16(0, ·)` negation exactly as the
-    /// oracle's `branch()`, transposed to one quad per step: register
-    /// `m` of the result holds steps `2m` and `2m + 1` of each lane.
-    #[inline(always)]
-    unsafe fn quads(g0: __m512i, gp: __m512i) -> [__m512i; 4] {
-        let zero = _mm512_setzero_si512();
-        let ng0 = _mm512_subs_epi16(zero, g0);
-        let ngp = _mm512_subs_epi16(zero, gp);
-        let q0 = _mm512_adds_epi16(g0, gp);
-        let q1 = _mm512_adds_epi16(g0, ngp);
-        let q2 = _mm512_adds_epi16(ng0, gp);
-        let q3 = _mm512_adds_epi16(ng0, ngp);
-        let lo01 = _mm512_unpacklo_epi16(q0, q1);
-        let hi01 = _mm512_unpackhi_epi16(q0, q1);
-        let lo23 = _mm512_unpacklo_epi16(q2, q3);
-        let hi23 = _mm512_unpackhi_epi16(q2, q3);
-        [
-            _mm512_unpacklo_epi32(lo01, lo23),
-            _mm512_unpackhi_epi32(lo01, lo23),
-            _mm512_unpacklo_epi32(hi01, hi23),
-            _mm512_unpackhi_epi32(hi01, hi23),
-        ]
-    }
-
-    /// 128-bit lanes `[v₀[a..] | v₁[a..] | v₀[b..] | v₁[b..]]`: two
-    /// blocks' eight-step groups at `a`, then at `b`.
-    #[inline(always)]
-    unsafe fn groups(v: [*const Llr; 2], a: usize, b: usize) -> __m512i {
-        let lo = _mm256_loadu2_m128i(v[1].add(a).cast(), v[0].add(a).cast());
-        let hi = _mm256_loadu2_m128i(v[1].add(b).cast(), v[0].add(b).cast());
-        _mm512_inserti64x4::<1>(_mm512_castsi256_si512(lo), hi)
-    }
-
-    /// The four 128-bit lanes of `v` to four unaligned addresses.
-    #[inline(always)]
-    unsafe fn store_4x128(v: __m512i, p: [*mut __m128i; 4]) {
-        _mm_storeu_si128(p[0], _mm512_castsi512_si128(v));
-        _mm_storeu_si128(p[1], _mm512_extracti32x4_epi32::<1>(v));
-        _mm_storeu_si128(p[2], _mm512_extracti32x4_epi32::<2>(v));
-        _mm_storeu_si128(p[3], _mm512_extracti32x4_epi32::<3>(v));
-    }
-
-    /// One packed trellis step on both blocks: gather the chains'
-    /// states under both input bits, add the branch metrics selected
-    /// from the quad pairs `q`. Returns the gathered states, the γ
-    /// vectors and the two candidate registers, each `[u=0, u=1]`.
-    #[inline(always)]
-    unsafe fn candidates(s: __m512i, q: __m512i, c: &Ctl) -> [[__m512i; 2]; 3] {
-        let st = [
-            _mm512_shuffle_epi8(s, c.st[0]),
-            _mm512_shuffle_epi8(s, c.st[1]),
-        ];
-        let gam = [
-            _mm512_shuffle_epi8(q, c.gam[0]),
-            _mm512_shuffle_epi8(q, c.gam[1]),
-        ];
-        let cand = [
-            _mm512_adds_epi16(st[0], gam[0]),
-            _mm512_adds_epi16(st[1], gam[1]),
-        ];
-        [st, gam, cand]
-    }
-
-    /// Max over the two candidates, `NEG_INF` floor, state-0
-    /// normalise — per 128-bit lane.
-    #[inline(always)]
-    unsafe fn select(cand: [__m512i; 2], floor: __m512i, bcast0: __m512i) -> __m512i {
-        let m = _mm512_max_epi16(_mm512_max_epi16(cand[0], cand[1]), floor);
-        _mm512_subs_epi16(m, _mm512_shuffle_epi8(m, bcast0))
-    }
-
-    /// The ymm form of [`candidates`] + [`select`] for the leftover
-    /// group's step `i`, one chain per block in lanes 0 and 1 under
-    /// those lanes of the packed controls `c` (which read the first
-    /// quad of a lane, where the leftover quads sit): returns `(cand,
-    /// next state)`.
-    #[inline(always)]
-    unsafe fn leftover_step(
-        s: __m256i,
-        l: &Lanes,
-        (kp, i): (usize, usize),
-        c: &Ctl,
-        floor: __m512i,
-        bcast0: __m512i,
-    ) -> ([__m256i; 2], __m256i) {
-        let q = _mm256_load_si256(l.gq.add(8 * kp + 16 * (i - kp)).cast());
-        let (st0, st1) = (
-            _mm512_castsi512_si256(c.st[0]),
-            _mm512_castsi512_si256(c.st[1]),
-        );
-        let (gam0, gam1) = (
-            _mm512_castsi512_si256(c.gam[0]),
-            _mm512_castsi512_si256(c.gam[1]),
-        );
-        let (floor, bcast0) = (
-            _mm512_castsi512_si256(floor),
-            _mm512_castsi512_si256(bcast0),
-        );
-        let c0 = _mm256_adds_epi16(_mm256_shuffle_epi8(s, st0), _mm256_shuffle_epi8(q, gam0));
-        let c1 = _mm256_adds_epi16(_mm256_shuffle_epi8(s, st1), _mm256_shuffle_epi8(q, gam1));
-        let m = _mm256_max_epi16(_mm256_max_epi16(c0, c1), floor);
-        (
-            [c0, c1],
-            _mm256_subs_epi16(m, _mm256_shuffle_epi8(m, bcast0)),
-        )
-    }
-
-    /// Where one register's two blocks are read from and written to:
-    /// per block its streams, β termination, `γ₀` and posterior runs;
-    /// shared, the register's folded branch metrics and trellis.
-    struct Lanes {
-        sys: [*const Llr; 2],
-        par: [*const Llr; 2],
-        apriori: [*const Llr; 2],
-        binit: [[Llr; STATES]; 2],
-        g0: [*mut Llr; 2],
-        post: [*mut i32; 2],
-        gq: *mut Llr,
-        trellis: *mut Llr,
-    }
-
-    /// One SISO pass over `N` blocks (a pair or a quad), two per zmm
-    /// register: the safe boundary of the kernel, where every length
-    /// it indexes by is checked. `sys`/`par`/`apriori` are read in
-    /// place; `g0` (`γ₀`, for [`peel`]) and `post` (the posteriors, low
-    /// 16 bits of each element) are block-major, each block's run in
-    /// natural order. Per register `r` (blocks `2r` and `2r + 1`), with
-    /// `h = 8·⌊K/16⌋` and `K' = 2h`:
-    ///
-    /// * `gq[(8K + 64)·r..]` — slot `p < h` at words `16p..16p+16`
-    ///   holds both blocks' quad pairs `[quad(p) | quad(K'−1−p)]`,
-    ///   block `2r` first; the leftover group's step `i ∈ [K', K)` at
-    ///   words `8K' + 16(i − K')`, one block's quad at the bottom of
-    ///   each 128-bit lane.
-    /// * `trellis[16K·r..]` — slot `p < h` at words `32p..32p+32` is the
-    ///   register `[α_p, α_p | β_{K'−p}, β_{K'−p}]` of phase 1; the
-    ///   leftover group's `[β_{i+1}, β_{i+1}]` at words `16i`.
-    ///
-    /// Both start on a cache line, so every slot and row is loaded and
-    /// stored aligned.
-    ///
-    /// # Safety
-    /// The host must support AVX-512BW.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn siso<const N: usize>(
-        sys: [&[Llr]; N],
-        par: [&[Llr]; N],
-        apriori: [&[Llr]; N],
-        binit: &[[Llr; STATES]; N],
-        g0: &mut [Llr],
-        gq: &mut [Llr],
-        trellis: &mut [Llr],
-        post: &mut [i32],
-    ) {
-        let k = sys[0].len();
-        assert!(
-            k.is_multiple_of(STATES) && k >= 2 * STATES,
-            "block size {k} is not a multiple of 8 that is at least 16"
-        );
-        let mut streams = sys.iter().chain(&par).chain(&apriori);
-        assert!(streams.all(|s| s.len() == k), "input stream length");
-        assert!(g0.len() == N * k && post.len() == N * k, "output length");
-        assert!(gq.len() == gq_len(k, N), "γ scratch length");
-        assert!(trellis.len() == STATES * N * k, "trellis scratch length");
-        let line = |v: &[Llr]| v.as_ptr().addr().is_multiple_of(64);
-        assert!(line(gq) && line(trellis), "scratch starts on a cache line");
-        let (g0, post) = (g0.as_mut_ptr(), post.as_mut_ptr());
-        let (gq, tr) = (gq.as_mut_ptr(), trellis.as_mut_ptr());
-        let lanes = |r: usize| {
-            let b = [2 * r, 2 * r + 1];
-            Lanes {
-                sys: b.map(|g| sys[g].as_ptr()),
-                par: b.map(|g| par[g].as_ptr()),
-                apriori: b.map(|g| apriori[g].as_ptr()),
-                binit: b.map(|g| binit[g]),
-                g0: b.map(|g| g0.add(g * k)),
-                post: b.map(|g| post.add(g * k)),
-                gq: gq.add(gq_len(k, 2) * r),
-                trellis: tr.add(16 * k * r),
-            }
-        };
-        match N {
-            BATCH => siso_regs(k, &[lanes(0)]),
-            QUAD => siso_regs(k, &[lanes(0), lanes(1)]),
-            _ => unreachable!("a launch is a pair or a quad"),
-        }
-    }
-
-    /// The γ phase of one register, sixteen steps per block per pass:
-    /// each block's group `a` from the front in lanes 0 and 1, its
-    /// mirror group `b` in lanes 2 and 3 with the step order reversed,
-    /// so each stored slot holds both blocks' `[quad(p) | quad(K'−1−p)]`.
-    #[inline(always)]
-    unsafe fn stage_gammas(l: &Lanes, k: usize, h: usize) {
-        let kp = 2 * h;
-        let rev = load_64(&control_bytes()[8]);
-        // Qwords `[a₀ a₁ | b₀ b₁ | c₀ c₁ | d₀ d₁]` → `[a₀ c₀ b₀ d₀ |
-        // a₁ c₁ b₁ d₁]`: slot `p`'s quads, then slot `p + 1`'s.
-        let fold = _mm512_setr_epi64(0, 4, 2, 6, 1, 5, 3, 7);
-        let mut a = 0;
-        while a < h {
-            let b = kp - STATES - a;
-            let ls = groups(l.sys, a, b);
-            let g0v = _mm512_srai_epi16::<1>(_mm512_adds_epi16(ls, groups(l.apriori, a, b)));
-            let gpv = _mm512_srai_epi16::<1>(groups(l.par, a, b));
-            let g0 = l.g0;
-            store_4x128(
-                g0v,
-                [g0[0].add(a), g0[1].add(a), g0[0].add(b), g0[1].add(b)].map(|p| p.cast()),
-            );
-            let q = quads(_mm512_shuffle_epi8(g0v, rev), _mm512_shuffle_epi8(gpv, rev));
-            for (m, qm) in q.into_iter().enumerate() {
-                let slot = l.gq.add(16 * (a + 2 * m));
-                _mm512_store_si512(slot.cast(), _mm512_permutexvar_epi64(fold, qm));
-            }
-            a += STATES;
-        }
-        if kp < k {
-            // The leftover group, block by block in lanes 0 and 1 (2
-            // and 3 repeat them): each step's quads at the bottom of
-            // each lane, 32 bytes a step.
-            let ls = groups(l.sys, kp, kp);
-            let g0v = _mm512_srai_epi16::<1>(_mm512_adds_epi16(ls, groups(l.apriori, kp, kp)));
-            let gpv = _mm512_srai_epi16::<1>(groups(l.par, kp, kp));
-            _mm_storeu_si128(l.g0[0].add(kp).cast(), _mm512_castsi512_si128(g0v));
-            _mm_storeu_si128(l.g0[1].add(kp).cast(), _mm512_extracti32x4_epi32::<1>(g0v));
-            for (m, qm) in quads(g0v, gpv).into_iter().enumerate() {
-                let (x, step) = (_mm512_castsi512_si256(qm), l.gq.add(8 * kp + 32 * m));
-                _mm256_store_si256(step.cast(), x);
-                _mm256_store_si256(step.add(16).cast(), _mm256_unpackhi_epi64(x, x));
-            }
-        }
-    }
-
-    /// The single-block AVX2 kernel's schedule on `R` registers of two
-    /// blocks each, step by step together (layouts: [`siso`]).
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn siso_regs<const R: usize>(k: usize, regs: &[Lanes; R]) {
-        let h = STATES * (k / (2 * STATES));
-        let kp = 2 * h;
-        for l in regs {
-            stage_gammas(l, k, h);
-        }
-        let c1 = make_ctl(true);
-        let c2 = make_ctl(false);
-        let floor = _mm512_set1_epi16(NEG_INF);
-        let bcast0 = black_box(_mm512_set1_epi16(0x0100));
-
-        // Leftover group, β side: walk `[K', K)` backward so the packed
-        // phases start from β at step K'. The chains are lanes 0 and 1
-        // of the packed controls: β leads phase 1, α trails phase 2.
-        let mut b = [_mm256_setzero_si256(); R];
-        for (b, l) in b.iter_mut().zip(regs) {
-            *b = _mm256_loadu_si256(l.binit.as_ptr().cast());
-        }
-        for i in (kp..k).rev() {
-            for (b, l) in b.iter_mut().zip(regs) {
-                _mm256_store_si256(l.trellis.add(16 * i).cast(), *b);
-                *b = leftover_step(*b, l, (kp, i), &c2, floor, bcast0).1;
-            }
-        }
-
-        // Phase 1: α forward over `[0, h)` in lanes 0 and 1, β backward
-        // over `[h, K')` in lanes 2 and 3; each step first stores the
-        // row pairs it starts from.
-        let mut a0 = [NEG_INF; 2 * STATES];
-        a0[0] = 0;
-        a0[STATES] = 0;
-        let a0 = _mm512_castsi256_si512(_mm256_loadu_si256(a0.as_ptr().cast()));
-        let mut s = [_mm512_setzero_si512(); R];
-        for (s, b) in s.iter_mut().zip(b) {
-            *s = _mm512_inserti64x4::<1>(a0, b);
-        }
-        for p in 0..h {
-            for (s, l) in s.iter_mut().zip(regs) {
-                _mm512_store_si512(l.trellis.add(32 * p).cast(), *s);
-                let q = _mm512_broadcast_i64x4(_mm256_load_si256(l.gq.add(16 * p).cast()));
-                let [_, _, cand] = candidates(*s, q, &c1);
-                *s = select(cand, floor, bcast0);
-            }
-        }
-
-        // Phase 2: the chains trade halves (β in lanes 0 and 1, α in 2
-        // and 3) so slot `p` lines up as loaded, and each lane also
-        // owns its step's posterior `max₀ − max₁` over `(α + γ) + β` —
-        // the β lanes per source state (row α, gathered β), the α
-        // lanes per destination state (gathered α, row β), as in the
-        // single-block kernel. Four steps share one reduction tree.
-        for s in &mut s {
-            *s = _mm512_shuffle_i64x2::<0x4E>(*s, *s);
-        }
-        // Lanes 0 and 1 (β) as words, lanes 2 and 3 (α) as dwords —
-        // opaque, or LLVM turns the masked ops below into half-register
-        // `vshufi64x2` selects that queue on the shuffle port.
-        let (beta_words, alpha_dwords) = black_box((0xFFFF, 0xFF00));
-        let mut p = h;
-        while p > 0 {
-            let mut y = [[_mm512_setzero_si512(); 4]; R];
-            for j in 0..4 {
-                p -= 1;
-                for ((s, y), l) in s.iter_mut().zip(&mut y).zip(regs) {
-                    let row = _mm512_load_si512(l.trellis.add(32 * p).cast());
-                    let q = _mm512_broadcast_i64x4(_mm256_load_si256(l.gq.add(16 * p).cast()));
-                    let [st, gam, cand] = candidates(*s, q, &c2);
-                    // `(α + γ) + β`: the β lanes add γ to their row, the
-                    // α lanes' candidate already is `α[pred] + γ` — one
-                    // masked add where the ymm kernel blends twice.
-                    let mut t = [_mm512_setzero_si512(); 2];
-                    for u in 0..2 {
-                        let a_side = _mm512_mask_adds_epi16(cand[u], beta_words, row, gam[u]);
-                        let b_side = _mm512_mask_blend_epi32(alpha_dwords, st[u], row);
-                        t[u] = _mm512_adds_epi16(a_side, b_side);
-                    }
-                    y[j] = _mm512_max_epi16(
-                        _mm512_unpacklo_epi16(t[0], t[1]),
-                        _mm512_unpackhi_epi16(t[0], t[1]),
-                    );
-                    *s = select(cand, floor, bcast0);
-                }
-            }
-            // y[j] belongs to steps p+3−j (β lanes) and K'−4−p+j (α
-            // lanes); reducing in the order 3,2,1,0 leaves the β lanes
-            // ascending in memory and the α lanes descending.
-            for (y, l) in y.iter().zip(regs) {
-                let u1 = _mm512_max_epi16(
-                    _mm512_unpacklo_epi32(y[3], y[2]),
-                    _mm512_unpackhi_epi32(y[3], y[2]),
-                );
-                let u2 = _mm512_max_epi16(
-                    _mm512_unpacklo_epi32(y[1], y[0]),
-                    _mm512_unpackhi_epi32(y[1], y[0]),
-                );
-                let v =
-                    _mm512_max_epi16(_mm512_unpacklo_epi64(u1, u2), _mm512_unpackhi_epi64(u1, u2));
-                let wf = _mm512_max_epi16(v, floor);
-                // Low word of each dword: `max₀ − max₁`; the high word
-                // is scrap, as in the 128-bit tiers.
-                let post = _mm512_subs_epi16(wf, _mm512_srli_epi32::<16>(wf));
-                let post = _mm512_mask_shuffle_epi32::<_MM_PERM_ABCD>(post, alpha_dwords, post);
-                let (at, back) = (p, kp - 4 - p);
-                let dst = [l.post[0].add(at), l.post[1].add(at)];
-                let dst = [dst[0], dst[1], l.post[0].add(back), l.post[1].add(back)];
-                store_4x128(post, dst.map(|p| p.cast()));
-            }
-        }
-
-        // Leftover group, α side: one chain per block forward over
-        // `[K', K)` against the β rows its twin stored,
-        // destination-indexed as in the α lanes above.
-        let mut a = [_mm256_setzero_si256(); R];
-        for (a, s) in a.iter_mut().zip(s) {
-            *a = _mm512_extracti64x4_epi64::<1>(s);
-        }
-        let floor2 = _mm512_castsi512_si256(floor);
-        for i in kp..k {
-            for (a, l) in a.iter_mut().zip(regs) {
-                let brow = _mm256_load_si256(l.trellis.add(16 * i).cast());
-                let (cand, next) = leftover_step(*a, l, (kp, i), &c1, floor, bcast0);
-                let t0 = _mm256_adds_epi16(cand[0], brow);
-                let t1 = _mm256_adds_epi16(cand[1], brow);
-                let y =
-                    _mm256_max_epi16(_mm256_unpacklo_epi16(t0, t1), _mm256_unpackhi_epi16(t0, t1));
-                let z = _mm256_max_epi16(y, _mm256_srli_si256::<8>(y));
-                let w = _mm256_max_epi16(z, _mm256_srli_si256::<4>(z));
-                let wf = _mm256_max_epi16(w, floor2);
-                let lv = _mm256_subs_epi16(wf, _mm256_srli_si256::<2>(wf));
-                *l.post[0].add(i) = _mm256_extract_epi32::<0>(lv);
-                *l.post[1].add(i) = _mm256_extract_epi32::<4>(lv);
-                *a = next;
-            }
-        }
-    }
 
     /// `dst[g·k + j] = src[g·k + table[j]]` for `k = table.len()`: each
     /// of `N` block-major runs permuted by `table`, sixteen steps of a

@@ -43,48 +43,14 @@
 //!
 //! # The AVX2 tier: lane-packed, meet in the middle
 //!
-//! α and β are independent recurrences of identical shape — gather,
-//! `adds`, `max`, floor, normalise — one walking up from step 0, the
-//! other down from step K−1. The AVX2 tier runs both in **one ymm
-//! register**, one chain per 128-bit lane, with per-lane `vpshufb`
-//! controls, so every instruction of the recurrence does two steps'
-//! work. With `h = 8·⌊K/16⌋` and `K' = 2h`:
-//!
-//! * **γ** additionally stages, per step, the only four values a
-//!   branch metric can take — the *quad*
-//!   `[γ₀+γₚ, γ₀−γₚ, −γ₀+γₚ, −γ₀−γₚ]`, the oracle's `branch()` for
-//!   `(u, p) = (0,0), (0,1), (1,0), (1,1)` — so a step's γ vector is
-//!   one `vpshufb` of a loaded quad instead of two broadcasts, a
-//!   negate, two sign flips and two adds. Quads are stored *folded*:
-//!   pair `p` is `[quad(p) | quad(K'−1−p)]`, the two steps the packed
-//!   register takes together, one 16-byte broadcast load.
-//! * **Phase 1** (`p = 0..h`): low lane α takes step `p`, high lane β
-//!   takes step `K'−1−p`. Before the step the register *is* the row
-//!   pair `[α_p | β_{K'−p}]`; one 32-byte store puts it at slot `p`.
-//! * **Phase 2** (`p = h−1..=0`): the chains have met and keep going —
-//!   β over `[0, h)`, α over `[h, K')` — each now reading the other's
-//!   stored rows and producing its step's posterior. The chains first
-//!   trade lanes, because then slot `p`, loaded as stored, has `α_p`
-//!   under β (about to take step `p`) and `β_{K'−p}` under α (about to
-//!   take step `K'−1−p`). Two `vpblendd` per hypothesis sort the
-//!   loaded row and the gathered state into the α-side and β-side
-//!   operands of `(α + γ) + β`: the β lane indexes transitions by
-//!   source state (row = α, gathered = β\[next\]), the α lane by
-//!   destination state (gathered = α\[pred\], row = β) — the same
-//!   eight transitions per hypothesis either way, and `max` is
-//!   order-free. Four steps share one unpack/max reduction tree.
-//! * A K with an odd number of 8-step groups has one group `[K', K)`
-//!   left over; it runs on a single xmm chain at each end of the
-//!   schedule (β before phase 1, α with posterior after phase 2) using
-//!   the low lanes of the same controls.
-//!
-//! **Why one trellis buffer suffices.** A step's posterior needs `α_i`
-//! and `β_{i+1}`, and whichever chain reaches step `i` second computes
-//! it from its own live register and the *other* chain's stored row.
-//! So α rows are only ever read for `i < h` and β rows for `i ≥ h`:
-//! `K'` rows in `h` slots of 32 bytes, plus the leftover group's 8 β
-//! rows — `K` rows in the `(K+1)×8` buffer the 128-bit tiers fill with
-//! α alone.
+//! α and β run in **one ymm register**, one chain per 128-bit lane,
+//! walking toward each other from the two ends of the block, so every
+//! instruction of the recurrence does two steps' work; each step's γ
+//! vector is one `vpshufb` of a staged quad of branch metrics. The
+//! kernel is the `mitm` module's one body at one block per register —
+//! the body the batch decoder runs at two blocks per zmm (DESIGN §5.8).
+//! It stores `K` trellis rows in the `(K+1)×8` buffer the 128-bit tiers
+//! fill with α alone.
 //!
 //! A pass leaves the posterior and `γ₀`; the extrinsic peels off them
 //! lane-parallel (`peel_extrinsic`) only if another pass will read it
@@ -107,6 +73,8 @@
 //! `vran-arrange`'s native kernels.
 
 use super::decoder::{beta_init_from_tails, scale_extrinsic, DecodeOutcome, NEG_INF};
+#[cfg(target_arch = "x86_64")]
+use super::mitm::{self, Ymm};
 use super::trellis::{self, STATES};
 use crate::crc::Crc;
 use crate::interleaver::QppInterleaver;
@@ -468,7 +436,8 @@ impl NativeTurboDecoder {
 /// branch-metric scratch, `alpha` the `(K+1)×8` trellis scratch.
 ///
 /// This is the safe boundary of the kernel family: every length
-/// precondition the `unsafe` bodies index by is checked here, once.
+/// precondition the 128-bit bodies index by is checked here, once; the
+/// AVX2 arm's body checks its own at `mitm::siso`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn siso_into(
     isa: DecoderIsa,
@@ -495,6 +464,8 @@ pub(crate) fn siso_into(
     // `γₚ` alone in the first K words.
     let gp = &mut gq[..k];
     match isa {
+        // SAFETY (both 128-bit arms): a decoder is built at a tier only
+        // if the host has it, and the lengths are checked above.
         #[cfg(target_arch = "x86_64")]
         DecoderIsa::Sse2 => unsafe {
             x86::siso_sse2(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post)
@@ -504,9 +475,10 @@ pub(crate) fn siso_into(
             x86::siso_ssse3(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post)
         },
         #[cfg(target_arch = "x86_64")]
-        DecoderIsa::Avx2 => unsafe {
-            x86::siso_avx2(sys, par, apriori, tail_sys, tail_par, g0, gq, alpha, post)
-        },
+        DecoderIsa::Avx2 => {
+            let binit = [beta_init_from_tails(tail_sys, tail_par)];
+            mitm::siso::<Ymm, 1>([sys], [par], [apriori], &binit, g0, gq, alpha, post)
+        }
         _ => siso_scalar(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post),
     }
 }
@@ -640,18 +612,9 @@ fn siso_scalar(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::super::mitm::lane_ctrl;
     use super::*;
     use std::arch::x86_64::*;
-
-    /// Byte-level `pshufb` control replicating a lane-level i16 gather.
-    fn lane_ctrl(table: [u8; STATES]) -> [i8; 16] {
-        let mut c = [0i8; 16];
-        for (i, &s) in table.iter().enumerate() {
-            c[2 * i] = (2 * s) as i8;
-            c[2 * i + 1] = (2 * s + 1) as i8;
-        }
-        c
-    }
 
     /// All-ones lanes where the transition parity is 0 (keep `+γₚ`),
     /// zero lanes where it is 1 (select `−γₚ`).
@@ -1067,364 +1030,6 @@ mod x86 {
         (32 * steps, _mm256_testz_si256(zeros, zeros) == 1)
     }
 
-    // ---- AVX2 tier: lane-packed meet-in-the-middle SISO -------------
-
-    /// `pshufb` control picking, for each state lane, the γ-quad entry
-    /// `[γ₀+γₚ, γ₀−γₚ, −γ₀+γₚ, −γ₀−γₚ][2u + parity]` out of the quad
-    /// that starts at word `base` of the 16-byte quad pair.
-    fn quad_ctrl(par: [u8; STATES], u: u8, base: u8) -> [i8; 16] {
-        lane_ctrl(par.map(|p| base + 2 * u + p))
-    }
-
-    /// The four `vpshufb` controls of one packed trellis step: state
-    /// gathers and γ selects for input bit 0 and 1, each holding one
-    /// chain's control in the low 128-bit lane and the other's in the
-    /// high lane.
-    struct PairCtl {
-        st0: __m256i,
-        st1: __m256i,
-        gam0: __m256i,
-        gam1: __m256i,
-    }
-
-    /// Controls for a register whose low lane carries the α chain
-    /// (`alpha_low`) or the β chain, and whose high lane carries the
-    /// other one. The low lane reads the first quad of the pair, the
-    /// high lane the second.
-    #[inline(always)]
-    unsafe fn pair_ctl(alpha_low: bool) -> PairCtl {
-        use core::hint::black_box;
-        let tables = |alpha: bool, u: u8| {
-            if alpha {
-                (trellis::pred_table(u), trellis::pred_parity(u))
-            } else {
-                (trellis::next_table(u), trellis::next_parity(u))
-            }
-        };
-        let join = |lo: [i8; 16], hi: [i8; 16]| {
-            // Opaque for the same reason as `make_ctl`'s controls.
-            black_box(_mm256_set_m128i(load_i8x16(hi), load_i8x16(lo)))
-        };
-        let ctl = |u: u8| {
-            let (lo_t, lo_p) = tables(alpha_low, u);
-            let (hi_t, hi_p) = tables(!alpha_low, u);
-            (
-                join(lane_ctrl(lo_t), lane_ctrl(hi_t)),
-                join(quad_ctrl(lo_p, u, 0), quad_ctrl(hi_p, u, 4)),
-            )
-        };
-        let (st0, gam0) = ctl(0);
-        let (st1, gam1) = ctl(1);
-        PairCtl {
-            st0,
-            st1,
-            gam0,
-            gam1,
-        }
-    }
-
-    /// Word-reversal of the high lane, identity on the low lane.
-    const REV_HI: [i8; 32] = [
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, //
-        14, 15, 12, 13, 10, 11, 8, 9, 6, 7, 4, 5, 2, 3, 0, 1,
-    ];
-
-    /// The four branch metrics of eight trellis steps per lane,
-    /// `adds16(±γ₀, ±γₚ)` with `subs16(0, ·)` negation exactly as the
-    /// oracle's `branch()`, transposed to one quad per step: register
-    /// `m` of the result holds steps `2m` and `2m + 1` of each lane.
-    #[inline(always)]
-    unsafe fn quads(g0: __m256i, gp: __m256i) -> [__m256i; 4] {
-        let zero = _mm256_setzero_si256();
-        let ng0 = _mm256_subs_epi16(zero, g0);
-        let ngp = _mm256_subs_epi16(zero, gp);
-        let q0 = _mm256_adds_epi16(g0, gp);
-        let q1 = _mm256_adds_epi16(g0, ngp);
-        let q2 = _mm256_adds_epi16(ng0, gp);
-        let q3 = _mm256_adds_epi16(ng0, ngp);
-        let lo01 = _mm256_unpacklo_epi16(q0, q1);
-        let hi01 = _mm256_unpackhi_epi16(q0, q1);
-        let lo23 = _mm256_unpacklo_epi16(q2, q3);
-        let hi23 = _mm256_unpackhi_epi16(q2, q3);
-        [
-            _mm256_unpacklo_epi32(lo01, lo23),
-            _mm256_unpackhi_epi32(lo01, lo23),
-            _mm256_unpacklo_epi32(hi01, hi23),
-            _mm256_unpackhi_epi32(hi01, hi23),
-        ]
-    }
-
-    /// `[lo | hi]` from two unaligned 128-bit loads.
-    #[inline(always)]
-    unsafe fn load_2x128(lo: *const Llr, hi: *const Llr) -> __m256i {
-        _mm256_inserti128_si256(
-            _mm256_castsi128_si256(_mm_loadu_si128(lo as *const __m128i)),
-            _mm_loadu_si128(hi as *const __m128i),
-            1,
-        )
-    }
-
-    /// One packed trellis step: gather the two chains' states under
-    /// both input bits, add the branch metrics selected from the quad
-    /// pair `q`. Returns the gathered states, the γ vectors and the
-    /// two candidate registers `(st, gam, cand)`, each `[u=0, u=1]`.
-    #[inline(always)]
-    unsafe fn pair_candidates(
-        s: __m256i,
-        q: __m256i,
-        c: &PairCtl,
-    ) -> ([__m256i; 2], [__m256i; 2], [__m256i; 2]) {
-        let st = [_mm256_shuffle_epi8(s, c.st0), _mm256_shuffle_epi8(s, c.st1)];
-        let gam = [
-            _mm256_shuffle_epi8(q, c.gam0),
-            _mm256_shuffle_epi8(q, c.gam1),
-        ];
-        let cand = [
-            _mm256_adds_epi16(st[0], gam[0]),
-            _mm256_adds_epi16(st[1], gam[1]),
-        ];
-        (st, gam, cand)
-    }
-
-    /// Max over the two candidates, `NEG_INF` floor, state-0
-    /// normalise — per 128-bit lane.
-    #[inline(always)]
-    unsafe fn pair_select(cand: [__m256i; 2], floor: __m256i, bcast0: __m256i) -> __m256i {
-        let m = _mm256_max_epi16(_mm256_max_epi16(cand[0], cand[1]), floor);
-        _mm256_subs_epi16(m, _mm256_shuffle_epi8(m, bcast0))
-    }
-
-    /// The xmm form of [`pair_candidates`] + [`pair_select`] for the
-    /// leftover group's single chain: returns `(cand, next state)`.
-    #[inline(always)]
-    unsafe fn single_step(
-        s: __m128i,
-        q: __m128i,
-        st: [__m128i; 2],
-        gam: [__m128i; 2],
-        floor: __m128i,
-        bcast0: __m128i,
-    ) -> ([__m128i; 2], __m128i) {
-        let c0 = _mm_adds_epi16(_mm_shuffle_epi8(s, st[0]), _mm_shuffle_epi8(q, gam[0]));
-        let c1 = _mm_adds_epi16(_mm_shuffle_epi8(s, st[1]), _mm_shuffle_epi8(q, gam[1]));
-        let m = _mm_max_epi16(_mm_max_epi16(c0, c1), floor);
-        ([c0, c1], _mm_subs_epi16(m, _mm_shuffle_epi8(m, bcast0)))
-    }
-
-    /// Lane-packed meet-in-the-middle SISO (see the module doc).
-    ///
-    /// Buffer layout, with `h = 8·⌊K/16⌋` and `K' = 2h` (`K` or
-    /// `K − 8`):
-    ///
-    /// * `gq` — quad pair `p < h` at words `8p..8p+8`:
-    ///   `[quad(p) | quad(K'−1−p)]`; the leftover group's quads
-    ///   unfolded at words `4i` for `i ∈ [K', K)`.
-    /// * `trellis` — row pair `p < h` at words `16p..16p+16`:
-    ///   `[α_p | β_{K'−p}]`; the leftover group's `β_{i+1}` at word
-    ///   `8i` for `i ∈ [K', K)`.
-    ///
-    /// # Safety
-    /// The host must support AVX2; `sys.len() = K` must be a multiple
-    /// of 8 and at least 16, and the other slices must have the
-    /// lengths [`siso_into`] asserts.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn siso_avx2(
-        sys: &[Llr],
-        par: &[Llr],
-        apriori: &[Llr],
-        tail_sys: &[Llr; 3],
-        tail_par: &[Llr; 3],
-        g0: &mut [Llr],
-        gq: &mut [Llr],
-        trellis: &mut [Llr],
-        post: &mut [i32],
-    ) {
-        let k = sys.len();
-        debug_assert!(k.is_multiple_of(STATES) && k >= 2 * STATES);
-        debug_assert!(par.len() == k && apriori.len() == k);
-        debug_assert!(g0.len() == k && gq.len() == 4 * k);
-        debug_assert!(post.len() == k);
-        debug_assert!(trellis.len() == (k + 1) * STATES);
-        let h = STATES * (k / (2 * STATES));
-        let kp = 2 * h;
-        let (sys, par, apriori) = (sys.as_ptr(), par.as_ptr(), apriori.as_ptr());
-        let (g0p, gqp, tr, postp) = (
-            g0.as_mut_ptr(),
-            gq.as_mut_ptr(),
-            trellis.as_mut_ptr(),
-            post.as_mut_ptr(),
-        );
-
-        // γ phase, sixteen steps per register: group `a` from the
-        // front in the low lane, its mirror group `b` in the high lane
-        // with the step order reversed, so each stored quad pair is
-        // `[quad(p) | quad(K'−1−p)]`.
-        let rev_hi = _mm256_loadu_si256(REV_HI.as_ptr() as *const __m256i);
-        let mut a = 0;
-        while a < h {
-            let b = kp - STATES - a;
-            let ls = load_2x128(sys.add(a), sys.add(b));
-            let la = load_2x128(apriori.add(a), apriori.add(b));
-            let lp = load_2x128(par.add(a), par.add(b));
-            let g0v = _mm256_srai_epi16(_mm256_adds_epi16(ls, la), 1);
-            let gpv = _mm256_srai_epi16(lp, 1);
-            _mm_storeu_si128(g0p.add(a) as *mut __m128i, _mm256_castsi256_si128(g0v));
-            _mm_storeu_si128(g0p.add(b) as *mut __m128i, _mm256_extracti128_si256(g0v, 1));
-            let q = quads(
-                _mm256_shuffle_epi8(g0v, rev_hi),
-                _mm256_shuffle_epi8(gpv, rev_hi),
-            );
-            for (m, qm) in q.into_iter().enumerate() {
-                // [a₂ₘ a₂ₘ₊₁ | b₂ₘ b₂ₘ₊₁] → [a₂ₘ b₂ₘ | a₂ₘ₊₁ b₂ₘ₊₁]
-                _mm256_storeu_si256(
-                    gqp.add(8 * (a + 2 * m)) as *mut __m256i,
-                    _mm256_permute4x64_epi64(qm, 0xD8),
-                );
-            }
-            a += STATES;
-        }
-        if kp < k {
-            let ls = _mm_loadu_si128(sys.add(kp) as *const __m128i);
-            let la = _mm_loadu_si128(apriori.add(kp) as *const __m128i);
-            let lp = _mm_loadu_si128(par.add(kp) as *const __m128i);
-            let g0v = _mm_srai_epi16(_mm_adds_epi16(ls, la), 1);
-            let gpv = _mm_srai_epi16(lp, 1);
-            _mm_storeu_si128(g0p.add(kp) as *mut __m128i, g0v);
-            let q = quads(_mm256_castsi128_si256(g0v), _mm256_castsi128_si256(gpv));
-            for (m, qm) in q.into_iter().enumerate() {
-                _mm_storeu_si128(
-                    gqp.add(4 * kp + 8 * m) as *mut __m128i,
-                    _mm256_castsi256_si128(qm),
-                );
-            }
-        }
-
-        let c1 = pair_ctl(true);
-        let c2 = pair_ctl(false);
-        let floor = _mm256_set1_epi16(NEG_INF);
-        let bcast0 = core::hint::black_box(_mm256_set1_epi16(0x0100));
-        // The leftover group's single chains are the low lanes of the
-        // packed controls: α leads phase 1, β leads phase 2, and the
-        // low lane reads the first quad of whatever it is handed.
-        let lo = |c: &PairCtl| {
-            (
-                [_mm256_castsi256_si128(c.st0), _mm256_castsi256_si128(c.st1)],
-                [
-                    _mm256_castsi256_si128(c.gam0),
-                    _mm256_castsi256_si128(c.gam1),
-                ],
-            )
-        };
-        let (floor1, bcast1) = (
-            _mm256_castsi256_si128(floor),
-            _mm256_castsi256_si128(bcast0),
-        );
-
-        // Leftover group, β side: walk `[K', K)` backward on one chain
-        // so the packed phases start from β at step K'.
-        let binit = beta_init_from_tails(tail_sys, tail_par);
-        let mut b = _mm_loadu_si128(binit.as_ptr() as *const __m128i);
-        let (st, gam) = lo(&c2);
-        for i in (kp..k).rev() {
-            _mm_storeu_si128(tr.add(8 * i) as *mut __m128i, b);
-            let q = _mm_loadl_epi64(gqp.add(4 * i) as *const __m128i);
-            b = single_step(b, q, st, gam, floor1, bcast1).1;
-        }
-
-        // Phase 1: α forward over `[0, h)` in the low lane, β backward
-        // over `[h, K')` in the high lane; each step first stores the
-        // row pair `[α_p | β_{K'−p}]` it starts from.
-        let mut s = _mm256_set_m128i(b, load_i16x8(ALPHA0));
-        for p in 0..h {
-            _mm256_storeu_si256(tr.add(16 * p) as *mut __m256i, s);
-            let q = _mm256_broadcastsi128_si256(_mm_loadu_si128(gqp.add(8 * p) as *const __m128i));
-            let (_, _, cand) = pair_candidates(s, q, &c1);
-            s = pair_select(cand, floor, bcast0);
-        }
-
-        // Phase 2: the chains trade lanes (β low, α high) so that row
-        // pair `p` lines up as loaded — `α_p` under β, which is about
-        // to take step `p`, and `β_{K'−p}` under α, which is about to
-        // take step `K'−1−p`. Each lane now also owns its step's
-        // posterior `max₀ − max₁` over `(α + γ) + β`:
-        //
-        // * β lane, per source state: `(α_p + γ) + β[next]` — the row
-        //   is α, the gathered register is β;
-        // * α lane, per destination state: `(α[pred] + γ) + β` — the
-        //   gathered register is α (its candidate already is `α + γ`),
-        //   the row is β. Same transitions, same association order,
-        //   and `max` does not care which end indexes them.
-        //
-        // Four steps share one reduction tree: the first fold leaves
-        // four `(t₀, t₁)` partial pairs per step, and three
-        // unpack/max rounds transpose-reduce four such registers into
-        // one `(max₀, max₁)` dword per step.
-        s = _mm256_permute4x64_epi64(s, 0x4E);
-        let rev_dw_hi = _mm256_setr_epi32(0, 1, 2, 3, 7, 6, 5, 4);
-        let mut p = h;
-        while p > 0 {
-            let mut y = [_mm256_setzero_si256(); 4];
-            for yj in &mut y {
-                p -= 1;
-                let r = _mm256_loadu_si256(tr.add(16 * p) as *const __m256i);
-                let q =
-                    _mm256_broadcastsi128_si256(_mm_loadu_si128(gqp.add(8 * p) as *const __m128i));
-                let (st, gam, cand) = pair_candidates(s, q, &c2);
-                let mut t = [_mm256_setzero_si256(); 2];
-                for u in 0..2 {
-                    let a_side = _mm256_blend_epi32(r, st[u], 0xF0);
-                    let b_side = _mm256_blend_epi32(st[u], r, 0xF0);
-                    t[u] = _mm256_adds_epi16(_mm256_adds_epi16(a_side, gam[u]), b_side);
-                }
-                *yj = _mm256_max_epi16(
-                    _mm256_unpacklo_epi16(t[0], t[1]),
-                    _mm256_unpackhi_epi16(t[0], t[1]),
-                );
-                s = pair_select(cand, floor, bcast0);
-            }
-            // y[j] belongs to steps p+3−j (β lane) and K'−4−p+j (α
-            // lane); reducing in the order 3,2,1,0 leaves the β lane
-            // ascending in memory and the α lane descending.
-            let u1 = _mm256_max_epi16(
-                _mm256_unpacklo_epi32(y[3], y[2]),
-                _mm256_unpackhi_epi32(y[3], y[2]),
-            );
-            let u2 = _mm256_max_epi16(
-                _mm256_unpacklo_epi32(y[1], y[0]),
-                _mm256_unpackhi_epi32(y[1], y[0]),
-            );
-            let v = _mm256_max_epi16(_mm256_unpacklo_epi64(u1, u2), _mm256_unpackhi_epi64(u1, u2));
-            let wf = _mm256_max_epi16(v, floor);
-            // Low word of each dword: `max₀ − max₁`; the high word is
-            // scrap, as in the 128-bit tiers.
-            let l = _mm256_subs_epi16(wf, _mm256_srli_epi32(wf, 16));
-            let l = _mm256_permutevar8x32_epi32(l, rev_dw_hi);
-            _mm_storeu_si128(postp.add(p) as *mut __m128i, _mm256_castsi256_si128(l));
-            _mm_storeu_si128(
-                postp.add(kp - 4 - p) as *mut __m128i,
-                _mm256_extracti128_si256(l, 1),
-            );
-        }
-
-        // Leftover group, α side: one chain forward over `[K', K)`
-        // against the β rows its twin stored, destination-indexed as
-        // in the α lane above.
-        let mut a = _mm256_extracti128_si256(s, 1);
-        let (st, gam) = lo(&c1);
-        for i in kp..k {
-            let brow = _mm_loadu_si128(tr.add(8 * i) as *const __m128i);
-            let q = _mm_loadl_epi64(gqp.add(4 * i) as *const __m128i);
-            let (cand, next) = single_step(a, q, st, gam, floor1, bcast1);
-            let t0 = _mm_adds_epi16(cand[0], brow);
-            let t1 = _mm_adds_epi16(cand[1], brow);
-            let wf = _mm_max_epi16(hmax2x8(t0, t1), floor1);
-            let lv = _mm_subs_epi16(wf, _mm_srli_si128(wf, 2));
-            *postp.add(i) = _mm_cvtsi128_si32(lv);
-            a = next;
-        }
-    }
-
     /// Test hook: run every lane gather on `[0..8]` so the shuffle
     /// immediates can be checked against the trellis tables.
     #[cfg(test)]
@@ -1696,29 +1301,93 @@ pub(crate) mod tests {
         }
     }
 
-    /// `siso_into` on every tier against the oracle's `siso`:
-    /// posterior as is, extrinsic through `scale_extrinsic`.
-    fn assert_siso_matches_oracle(
-        sys: &[Llr],
-        par: &[Llr],
-        la: &[Llr],
-        tail_sys: &[Llr; 3],
-        tail_par: &[Llr; 3],
-    ) {
-        let k = sys.len();
-        let (ext_ref, post_ref) = siso(sys, par, la, tail_sys, tail_par);
-        let ext_ref: Vec<Llr> = ext_ref.into_iter().map(scale_extrinsic).collect();
+    /// One block's SISO inputs.
+    struct SisoIn {
+        sys: Vec<Llr>,
+        par: Vec<Llr>,
+        la: Vec<Llr>,
+        tail_sys: [Llr; 3],
+        tail_par: [Llr; 3],
+    }
+
+    /// Four blocks of length K against the oracle's `siso`, posterior as
+    /// is and extrinsic through `scale_extrinsic`: each through
+    /// `siso_into` on every tier (the ymm body under AVX2), and where the
+    /// host has AVX-512BW the first two as a zmm pair and all four as a
+    /// zmm quad — every instantiation of the meet-in-the-middle body.
+    fn assert_siso_matches_oracle(blocks: &[SisoIn; 4]) {
+        let k = blocks[0].sys.len();
+        let want = blocks.each_ref().map(|b| {
+            let (ext, post) = siso(&b.sys, &b.par, &b.la, &b.tail_sys, &b.tail_par);
+            (
+                post,
+                ext.into_iter().map(scale_extrinsic).collect::<Vec<_>>(),
+            )
+        });
+        let check = |g: usize, post: &[i32], g0: &[Llr], isa: DecoderIsa, on: &str| {
+            let mut ext = vec![0 as Llr; k];
+            peel_extrinsic(isa, post, g0, &mut ext);
+            let post_lo: Vec<Llr> = post.iter().map(|&p| p as Llr).collect();
+            assert_eq!(post_lo, want[g].0, "posterior of block {g} on {on} K={k}");
+            assert_eq!(ext, want[g].1, "extrinsic of block {g} on {on} K={k}");
+        };
         let (mut g0, mut gq) = (vec![0; k], vec![0; 4 * k]);
         let mut alpha = vec![0; (k + 1) * STATES];
-        let (mut ext, mut post) = (vec![0 as Llr; k], vec![0i32; k]);
+        let mut post = vec![0i32; k];
         for isa in tiers::<DecoderIsa>() {
-            siso_into(
-                isa, sys, par, la, tail_sys, tail_par, &mut g0, &mut gq, &mut alpha, &mut post,
-            );
-            peel_extrinsic(isa, &post, &g0, &mut ext);
-            let post_lo: Vec<Llr> = post.iter().map(|&p| p as Llr).collect();
-            assert_eq!(post_lo, post_ref, "posterior on {} K={k}", isa.name());
-            assert_eq!(ext, ext_ref, "extrinsic on {} K={k}", isa.name());
+            for (g, b) in blocks.iter().enumerate() {
+                let (sys, par, la) = (&b.sys, &b.par, &b.la);
+                let (ts, tp) = (&b.tail_sys, &b.tail_par);
+                siso_into(
+                    isa, sys, par, la, ts, tp, &mut g0, &mut gq, &mut alpha, &mut post,
+                );
+                check(g, &post, &g0, isa, isa.name());
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            use super::super::mitm::{self, Width, Zmm};
+            use super::super::native_batch::aligned;
+            fn launch<const N: usize>(blocks: &[SisoIn], k: usize) -> (Vec<i32>, Vec<Llr>) {
+                let b: [&SisoIn; N] = core::array::from_fn(|g| &blocks[g]);
+                let binit = b.map(|b| beta_init_from_tails(&b.tail_sys, &b.tail_par));
+                let (mut g0, mut post) = (vec![0; N * k], vec![0i32; N * k]);
+                let mut gq = vec![0; Zmm::gq_words(k) * N / 2 + 32];
+                let mut trellis = vec![0; STATES * N * k + 32];
+                let (sys, par, la) = (
+                    b.map(|b| &b.sys[..]),
+                    b.map(|b| &b.par[..]),
+                    b.map(|b| &b.la[..]),
+                );
+                let (gq, trellis) = (
+                    aligned(&mut gq, Zmm::gq_words(k) * N / 2),
+                    aligned(&mut trellis, STATES * N * k),
+                );
+                mitm::siso::<Zmm, N>(sys, par, la, &binit, &mut g0, gq, trellis, &mut post);
+                (post, g0)
+            }
+            if Zmm::detected() {
+                let (pair, quad) = (launch::<2>(blocks, k), launch::<4>(blocks, k));
+                for g in 0..4 {
+                    let run = g * k..(g + 1) * k;
+                    if g < 2 {
+                        check(
+                            g,
+                            &pair.0[run.clone()],
+                            &pair.1[run.clone()],
+                            DecoderIsa::best(),
+                            "zmm pair",
+                        );
+                    }
+                    check(
+                        g,
+                        &quad.0[run.clone()],
+                        &quad.1[run],
+                        DecoderIsa::best(),
+                        "zmm quad",
+                    );
+                }
+            }
         }
     }
 
@@ -1733,8 +1402,18 @@ pub(crate) mod tests {
                     .map(|_| (rng.next_u64() % 1401) as i16 - 700)
                     .collect()
             };
-            let (sys, par, la, t) = (draw(k), draw(k), draw(k), draw(6));
-            assert_siso_matches_oracle(&sys, &par, &la, &[t[0], t[1], t[2]], &[t[3], t[4], t[5]]);
+            let blocks = core::array::from_fn(|_| {
+                let (sys, par, la, t) = (draw(k), draw(k), draw(k), draw(6));
+                let (tail_sys, tail_par) = ([t[0], t[1], t[2]], [t[3], t[4], t[5]]);
+                SisoIn {
+                    sys,
+                    par,
+                    la,
+                    tail_sys,
+                    tail_par,
+                }
+            });
+            assert_siso_matches_oracle(&blocks);
         }
     }
 
@@ -1742,35 +1421,34 @@ pub(crate) mod tests {
     fn native_siso_matches_oracle_on_saturating_inputs() {
         // The γ quads negate with `subs16(0, ·)` and every path-metric
         // op saturates; drive both with rails and the metric floor in
-        // every combination across systematic / parity / a-priori.
+        // every combination across systematic / parity / a-priori, a
+        // different combination in each of the four lanes.
         let rails = [32767 as Llr, -32767, i16::MIN, NEG_INF, -NEG_INF, 0];
         for k in [40usize, 48] {
-            for (a, &s) in rails.iter().enumerate() {
-                for (b, &p) in rails.iter().enumerate() {
-                    for (c, &l) in rails.iter().enumerate() {
-                        // Constant rails, then the same rails with a
-                        // period that does not divide the group size.
-                        let pick = |v: Llr, m: usize| -> Vec<Llr> {
+            for (a, b, c) in (0..216).map(|i| (i / 36, i / 6 % 6, i % 6)) {
+                // Constant rails, then the same rails with a period that
+                // does not divide the group size.
+                for periodic in [false, true] {
+                    let blocks = core::array::from_fn(|lane| {
+                        let (a, b, c) = ((a + lane) % 6, (b + 2 * lane) % 6, (c + 3 * lane) % 6);
+                        let pick = |v: usize, m: usize| -> Vec<Llr> {
                             (0..k)
-                                .map(|i| if i % m == 0 { rails[(i / m) % 6] } else { v })
+                                .map(|i| match periodic && i % m == 0 {
+                                    true => rails[(i / m) % 6],
+                                    false => rails[v],
+                                })
                                 .collect()
                         };
-                        let tails = [s, p, l];
-                        assert_siso_matches_oracle(
-                            &vec![s; k],
-                            &vec![p; k],
-                            &vec![l; k],
-                            &tails,
-                            &tails,
-                        );
-                        assert_siso_matches_oracle(
-                            &pick(s, 3 + a),
-                            &pick(p, 5 + b),
-                            &pick(l, 7 + c),
-                            &tails,
-                            &tails,
-                        );
-                    }
+                        let tails = [rails[a], rails[b], rails[c]];
+                        SisoIn {
+                            sys: pick(a, 3 + a),
+                            par: pick(b, 5 + b),
+                            la: pick(c, 7 + c),
+                            tail_sys: tails,
+                            tail_par: tails,
+                        }
+                    });
+                    assert_siso_matches_oracle(&blocks);
                 }
             }
         }

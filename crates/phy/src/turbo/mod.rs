@@ -19,6 +19,9 @@
 //! * [`native_batch`] — [`native_decoder`]'s AVX2 schedule on two
 //!   blocks per zmm register, a pair launch in one register and a quad
 //!   in two: the stage graph's batched decoder.
+//! * `mitm` (x86-64) — that schedule written once: the meet-in-the-middle
+//!   SISO body both decoders instantiate, one block per ymm register and
+//!   two per zmm.
 //! * [`packed_encoder`] — bitsliced packed-word encoder exploiting the
 //!   code's GF(2) linearity: 64 trellis steps per `u64` (128/256 per
 //!   register under SSE2/AVX2), the transmit-side fast path used by

@@ -29,18 +29,21 @@ fn crc_block(k: usize, noise: u64, flip: bool, seed: u64) -> TurboLlrs {
 }
 
 /// `(row name, block)`: a clean block that stops on SISO pass 1, the
-/// first noisy one that stops on pass 2, and a noisy one that fails at
-/// the cap — where each check of every iteration is paid and none pays
-/// off.
-pub fn stop_blocks(k: usize) -> [(&'static str, TurboLlrs); 3] {
+/// first noisy ones that stop on pass 2 and on pass 3, and a noisy one
+/// that fails at the cap — where each check of every iteration is paid
+/// and none pays off.
+pub fn stop_blocks(k: usize) -> [(&'static str, TurboLlrs); 4] {
     let dec = NativeTurboDecoder::new(k, CAP);
-    let pass2 = (0..2000)
-        .map(|seed| crc_block(k, 19 + seed % 3, false, seed))
-        .find(|b| dec.decode_with_crc(b, &CRC24B).siso_passes == 2)
-        .expect("some noisy block stops on SISO 2 of iteration 1");
+    let stopping_on = |passes| {
+        (0..2000)
+            .map(|seed| crc_block(k, 19 + seed % 3, false, seed))
+            .find(|b| dec.decode_with_crc(b, &CRC24B).siso_passes == passes)
+            .expect("some noisy block stops on this SISO pass")
+    };
     [
         ("stop_pass1", crc_block(k, 0, false, 1)),
-        ("stop_pass2", pass2),
+        ("stop_pass2", stopping_on(2)),
+        ("stop_pass3", stopping_on(3)),
         ("cap6_fail", crc_block(k, 22, true, 2)),
     ]
 }

@@ -242,7 +242,8 @@ impl QppInterleaver {
             forward[i as usize] = p as u32;
             inverse[p as usize] = i as u32;
         }
-        debug_assert!(
+        // The decoders read through both tables unchecked.
+        assert!(
             inverse.iter().all(|&x| x != u32::MAX),
             "QPP not bijective for K={k}"
         );

@@ -16,9 +16,10 @@
 //! * [`native_decoder`] — the same arithmetic as real `std::arch`
 //!   intrinsics with runtime ISA dispatch: the wall-clock fast path
 //!   used by the uplink pipeline.
-//! * [`native_batch`] — [`native_decoder`]'s AVX2 schedule on two
-//!   blocks per zmm register, a pair launch in one register and a quad
-//!   in two: the stage graph's batched decoder.
+//! * [`native_batch`] — the one native turbo iteration loop, whose
+//!   one-lane call is a [`native_decoder`] decode, and that decoder's
+//!   AVX2 schedule on two blocks per zmm register, a pair launch in one
+//!   register and a quad in two: the stage graph's batched decoder.
 //! * `mitm` (x86-64) — that schedule written once: the meet-in-the-middle
 //!   SISO body both decoders instantiate, one block per ymm register and
 //!   two per zmm.

@@ -1,32 +1,41 @@
-//! AVX-512BW multi-block native batch turbo decoding.
+//! The native turbo iteration loop, once for any number of lanes, and
+//! the AVX-512BW multi-block decoder on it.
 //!
-//! The real-hardware counterpart of the VM batch decoder
-//! `apcm::turbo::batch_decoder`. The 8-state recursions cannot widen,
-//! so a wider register must carry more blocks: the single-block AVX2
-//! tier fills a ymm with one block's α and β chains, and a zmm carries
-//! two blocks' — the same meet-in-the-middle body (the `mitm` module,
-//! DESIGN §5.8) at two blocks per register. A pair launch is one such
-//! register; a quad launch is two, interleaved step by step so each
+//! `iterate` decodes `N` equal-K blocks, one per lane, under the stop
+//! rule of [`super::decoder`]: given a CRC, each lane reports the SISO
+//! pass on which *its* block first passed (a begun iteration counting as
+//! one) and the bits it had then, and the call ends when every lane has
+//! passed or at the cap; without a CRC every lane runs the cap. Only the
+//! per-pass calls differ between widths, behind the private `Passes`
+//! trait: [`DecoderIsa`] runs one lane at a single-block tier — the
+//! one-lane call is [`NativeTurboDecoder::decode_streams_capped_into`] —
+//! and `mitm::Zmm` two or four lanes at two blocks per zmm register. So
+//! every lane is bit-identical to its block decoded alone (and to the
+//! scalar oracle).
+//!
+//! The zmm launches are the real-hardware counterpart of the VM batch
+//! decoder `apcm::turbo::batch_decoder`. The 8-state recursions cannot
+//! widen, so a wider register must carry more blocks: the single-block
+//! AVX2 tier fills a ymm with one block's α and β chains, and a zmm
+//! carries two blocks' — the same meet-in-the-middle body (the `mitm`
+//! module, DESIGN §5.8) at two blocks per register. A pair launch is one
+//! such register; a quad launch is two, interleaved step by step so each
 //! hides the other's ≈ 6-cycle recurrence.
-//!
-//! Every lane is therefore bit-identical to a [`NativeTurboDecoder`]
-//! decode of its block alone (and to the scalar oracle). Iteration
-//! control is the single-block decoder's too, per lane — the stop rule
-//! of [`super::decoder`]: given the launch's CRC, each lane reports the
-//! SISO pass on which *its* block first passed (a begun iteration
-//! counting as one) and the bits it had then, and the launch ends when
-//! every lane has passed or at the cap; without a CRC every lane runs
-//! the cap. Without AVX-512BW every lane is a single-block decode.
 //!
 //! One entry point, [`NativeBatchTurboDecoder::decode_blocks_into`],
 //! takes any number of equal-K blocks and splits them as [`launches`]
-//! says: quads while four remain, then a pair, then a single-block
-//! decode of the leftover.
+//! says: quads while four remain, then a pair, then a one-lane call for
+//! the leftover. Without AVX-512BW every block is a one-lane call.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
+#[cfg(target_arch = "x86_64")]
 use super::decoder::beta_init_from_tails;
 #[cfg(target_arch = "x86_64")]
-use super::mitm::{self, Zmm};
-use super::native_decoder::{hard_decide, DecodeScratch, DecoderIsa, NativeTurboDecoder};
+use super::mitm::{self, Width, Zmm};
+use super::native_decoder::{
+    hard_decide, peel_extrinsic, siso_into, DecoderIsa, NativeTurboDecoder,
+};
 use super::trellis::STATES;
 use crate::crc::Crc;
 use crate::llr::{llr_to_bit, Llr, SoftStreams, TailLlrs, TurboLlrs};
@@ -80,35 +89,39 @@ impl<'a> BlockLlrs<'a> {
 /// (see [`aligned`]).
 const ALIGN_SLACK: usize = 32;
 
-/// Words of branch metrics a launch of `blocks` blocks stages: a quad
-/// per step, and room for the leftover group's, one per 128-bit lane.
+/// Words of branch metrics a call on `blocks` blocks stages: a quad per
+/// step, and room for the leftover group's, one per 128-bit lane.
 fn gq_len(k: usize, blocks: usize) -> usize {
     blocks * (4 * k + 4 * STATES)
 }
 
-/// Reusable batch-decode working memory — the [`DecodeScratch`] idiom
-/// widened to N blocks: branch metrics, the trellis, extrinsic and
-/// a-priori buffers and the permuted-systematic staging, each block's
-/// run in natural order except where the kernel folds two blocks
-/// together. Owned by long-lived callers (stage-graph batch pools, the
-/// uplink pipeline) so steady-state batch decodes perform no heap
+/// Reusable decode working memory for the iteration loop at any width,
+/// so for both decoders: [`super::DecodeScratch`] is this type. Per block, in
+/// block-major runs, the a-priori pair, the permuted systematic, `γ₀`,
+/// the extrinsic and the posterior; per call, the branch metrics and the
+/// trellis. Owned by long-lived callers (the uplink pipeline, the stage
+/// graph's batch pools) so steady-state decodes perform no heap
 /// allocation; the counters make that claim checkable.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
+    la1: Vec<Llr>,
+    la2: Vec<Llr>,
     sys_pi: Vec<Llr>,
+    work: Work,
+    allocations: u64,
+    reuses: u64,
+    siso_passes: u64,
+}
+
+/// The buffers a [`Passes`] call works in: `γ₀`, the extrinsic and the
+/// posterior per block, the branch metrics and the trellis per call.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Work {
     g0: Vec<Llr>,
     gq: Vec<Llr>,
     trellis: Vec<Llr>,
     ext: Vec<Llr>,
     post: Vec<i32>,
-    la1: Vec<Llr>,
-    la2: Vec<Llr>,
-    /// Scratch for the single-block decodes: a leftover single, and
-    /// every lane without AVX-512BW.
-    single: DecodeScratch,
-    allocations: u64,
-    reuses: u64,
-    siso_passes: u64,
 }
 
 impl BatchScratch {
@@ -117,55 +130,55 @@ impl BatchScratch {
         Self::default()
     }
 
-    /// Grow every buffer to hold `blocks` blocks of length `k`. No
-    /// buffer shrinks: one scratch serves the pools of every K, and a
-    /// launch after a larger one must not re-zero what the kernel
-    /// overwrites anyway, so a launch works in the front of each.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    /// Grow every buffer to hold `blocks` blocks of length `k` at any
+    /// width. No buffer shrinks: one scratch serves blocks of every K,
+    /// and a call after a larger one must not re-zero what the kernels
+    /// overwrite anyway, so a call works in the front of each.
     fn ensure(&mut self, k: usize, blocks: usize) {
+        fn fit<T: Clone + Default>(v: &mut Vec<T>, len: usize) -> bool {
+            let grows = v.capacity() < len;
+            if v.len() < len {
+                v.resize(len, T::default());
+            }
+            grows
+        }
         let n = blocks * k;
-        let mut grew = false;
-        {
-            let mut fit = |v: &mut Vec<Llr>, len: usize| {
-                if v.len() < len {
-                    grew |= v.capacity() < len;
-                    v.resize(len, 0);
-                }
-            };
-            fit(&mut self.sys_pi, n);
-            fit(&mut self.g0, n);
-            fit(&mut self.gq, gq_len(k, blocks) + ALIGN_SLACK);
-            fit(&mut self.trellis, STATES * n + ALIGN_SLACK);
-            fit(&mut self.ext, n + 1);
-            fit(&mut self.la1, n);
-            fit(&mut self.la2, n);
-        }
-        if self.post.len() < n {
-            grew |= self.post.capacity() < n;
-            self.post.resize(n, 0);
-        }
-        if grew {
+        let w = &mut self.work;
+        let grew = [
+            fit(&mut self.la1, n),
+            fit(&mut self.la2, n),
+            fit(&mut self.sys_pi, n),
+            fit(&mut w.g0, n),
+            fit(&mut w.gq, gq_len(k, blocks) + ALIGN_SLACK),
+            // The 128-bit tiers store K + 1 α rows.
+            fit(&mut w.trellis, STATES * (n + 1) + ALIGN_SLACK),
+            // The zmm gathers read `ext` a dword at a time.
+            fit(&mut w.ext, n + 1),
+            fit(&mut w.post, n),
+        ];
+        if grew.contains(&true) {
             self.allocations += 1;
         } else {
             self.reuses += 1;
         }
     }
 
-    /// zmm launches and single-block decodes that had to grow at least
-    /// one buffer.
+    /// Decode calls (a launch, or one block alone) that had to grow at
+    /// least one buffer.
     pub fn allocations(&self) -> u64 {
-        self.allocations + self.single.allocations()
+        self.allocations
     }
 
-    /// zmm launches and single-block decodes served entirely from
-    /// retained capacity (i.e. heap allocations avoided).
+    /// Decode calls served entirely from retained capacity (i.e. heap
+    /// allocations avoided).
     pub fn reuses(&self) -> u64 {
-        self.reuses + self.single.reuses()
+        self.reuses
     }
 
-    /// SISO kernel passes run through this scratch, at any width.
+    /// SISO kernel passes run through this scratch, at any width (two
+    /// per full iteration of a call).
     pub fn siso_passes(&self) -> u64 {
-        self.siso_passes + self.single.siso_passes()
+        self.siso_passes
     }
 }
 
@@ -193,12 +206,12 @@ pub fn launches(n: usize) -> impl Iterator<Item = usize> {
 
 /// Batched decoder for any number of equal-size blocks: two per zmm
 /// register on AVX-512BW hosts, and a leftover single (or, without
-/// AVX-512BW, every block) through a single-block decoder — identical
-/// per-block outputs either way.
+/// AVX-512BW, every block) as a one-lane call at the single-block
+/// decoder's tier — identical per-block outputs either way.
 #[derive(Debug, Clone)]
 pub struct NativeBatchTurboDecoder {
-    /// The single-block decoder: the leftover of an odd count, every
-    /// block without AVX-512BW, and the QPP tables the kernel reads.
+    /// The single-block decoder: its tier runs the one-lane calls, and
+    /// every call reads its QPP tables and iteration cap.
     single: NativeTurboDecoder,
     use_avx512: bool,
 }
@@ -258,216 +271,255 @@ impl NativeBatchTurboDecoder {
         bits: &mut [Vec<u8>],
         lanes: &mut [LaneOutcome],
     ) {
-        let k = self.k();
         assert!(!blocks.is_empty(), "a launch decodes at least one block");
         assert!(
             bits.len() == blocks.len() && lanes.len() == blocks.len(),
             "one bit buffer and one outcome per block"
         );
-        for b in blocks {
-            assert!(
-                b.sys.len() == k && b.p1.len() == k && b.p2.len() == k,
-                "all blocks in a batch share K"
-            );
-        }
-        let mut at = 0;
-        for run in launches(blocks.len()) {
+        // Without AVX-512BW each block of a launch is a call of its own.
+        let calls = launches(blocks.len()).flat_map(|run| match self.use_avx512 {
+            true => core::iter::repeat_n(run, 1),
+            false => core::iter::repeat_n(1, run),
+        });
+        let (dec, mut at) = (&self.single, 0);
+        for run in calls {
             let r = at..at + run;
             at += run;
             let (blocks, bits, lanes) = (&blocks[r.clone()], &mut bits[r.clone()], &mut lanes[r]);
-            #[cfg(target_arch = "x86_64")]
-            if self.use_avx512 && run > 1 {
-                let iterations = cap.clamp(1, self.single.max_iterations());
-                let launch = match run {
-                    QUAD => Self::decode_lanes::<QUAD>,
-                    _ => Self::decode_lanes::<BATCH>,
-                };
-                launch(self, blocks, iterations, crc, scratch, bits, lanes);
-                continue;
-            }
-            for ((b, bits), lane) in blocks.iter().zip(bits).zip(lanes) {
-                let passes0 = scratch.single.siso_passes();
-                let (iterations_run, crc_ok) = self.single.decode_streams_capped_into(
-                    b.sys,
-                    b.p1,
-                    b.p2,
-                    &b.tails,
-                    cap,
-                    crc,
-                    &mut scratch.single,
-                    bits,
-                );
-                let passes = scratch.single.siso_passes() - passes0;
-                *lane = (iterations_run, crc_ok, passes as usize);
+            match run {
+                #[cfg(target_arch = "x86_64")]
+                QUAD => iterate::<QUAD>(&Zmm, dec, blocks, cap, crc, scratch, bits, lanes),
+                #[cfg(target_arch = "x86_64")]
+                BATCH => iterate::<BATCH>(&Zmm, dec, blocks, cap, crc, scratch, bits, lanes),
+                _ => iterate::<1>(&dec.isa(), dec, blocks, cap, crc, scratch, bits, lanes),
             }
         }
     }
+}
 
-    /// The turbo iteration loop over one launch of `N` lanes of the zmm
-    /// kernel, for at most `iterations`. This is the one place that
-    /// decides when a batched block stops iterating, and it decides as
-    /// [`NativeTurboDecoder::decode_streams_capped_into`] does.
-    #[cfg(target_arch = "x86_64")]
-    fn decode_lanes<const N: usize>(
+/// The per-pass calls [`iterate`] makes at one width: everything that
+/// differs between the single-block tiers and the zmm launches.
+pub(super) trait Passes<const N: usize> {
+    /// What a SISO pass needs of one lane's termination LLRs.
+    type Ends: Copy;
+    fn ends(&self, tail_sys: &[Llr; 3], tail_par: &[Llr; 3]) -> Self::Ends;
+    /// One SISO pass over the lanes: the posteriors (low 16 bits of each
+    /// element) to `w.post` and the `γ₀` they came from to `w.g0`, both
+    /// block-major, each block's run in natural order.
+    fn siso(
         &self,
-        inputs: &[BlockLlrs<'_>],
-        iterations: usize,
-        crc: Option<&Crc>,
-        scratch: &mut BatchScratch,
-        bits: &mut [Vec<u8>],
-        out: &mut [LaneOutcome],
-    ) {
-        let inputs: [BlockLlrs<'_>; N] = inputs.try_into().expect("one input per lane");
-        let bits: &mut [Vec<u8>; N] = bits.try_into().expect("one bit buffer per lane");
-        let il = self.single.interleaver();
-        let (k, n) = (il.k(), N * il.k());
-        scratch.ensure(k, N);
-        let BatchScratch {
-            sys_pi,
-            g0,
-            gq,
-            trellis,
-            ext,
-            post,
-            la1,
-            la2,
-            siso_passes,
-            ..
-        } = scratch;
-        let (gq, trellis) = (aligned(gq, gq_len(k, N)), aligned(trellis, STATES * n));
-        let (sys_pi, g0, post) = (&mut sys_pi[..n], &mut g0[..n], &mut post[..n]);
-        // The gathers read `ext` a dword at a time: one word of slack.
-        let ext = &mut ext[..n + 1];
-        let (la1, la2) = (&mut la1[..n], &mut la2[..n]);
-        let pi = il.pi_table();
-        let pi_inv = il.pi_inv_table();
-        let binit1 = inputs
-            .each_ref()
-            .map(|b| beta_init_from_tails(&b.tails.sys1, &b.tails.p1));
-        let binit2 = inputs
-            .each_ref()
-            .map(|b| beta_init_from_tails(&b.tails.sys2, &b.tails.p2));
-        la1.fill(0);
-        for blk in bits.iter_mut() {
-            blk.resize(k, 0);
-        }
-        // Block-major scratch (`la1`/`la2`/`sys_pi`) splits into the
-        // same per-block slices the caller's buffers arrive as.
-        fn parts<const N: usize>(v: &[Llr], k: usize) -> [&[Llr]; N] {
-            core::array::from_fn(|g| &v[g * k..(g + 1) * k])
-        }
-        let sys = inputs.each_ref().map(|b| b.sys);
-        let p1 = inputs.each_ref().map(|b| b.p1);
-        let p2 = inputs.each_ref().map(|b| b.p2);
+        sys: [&[Llr]; N],
+        par: [&[Llr]; N],
+        apriori: [&[Llr]; N],
+        ends: &[Self::Ends; N],
+        w: &mut Work,
+    );
+    /// The next half-iteration's a-priori: the pass's extrinsic, peeled
+    /// off `w.post` and `w.g0` already scaled, each lane's run permuted
+    /// by `table` into `dst` (a plain indexed copy).
+    fn extrinsic(&self, w: &mut Work, table: Perm<'_>, dst: &mut [Llr]);
+}
 
-        // Pass `passes`' hard decisions and verdict for every live lane:
-        // SISO 1's posterior (odd pass) read in natural order and checked
-        // only if it decided every bit, SISO 2's through `pi_inv`. A
-        // lane whose CRC passed is done: its block keeps computing, but
-        // its buffer and outcome are never written again.
-        let mut lanes: [LaneOutcome; N] = [(0, None, 0); N];
-        let mut decide = |post: &[i32], passes: usize| {
-            let live = lanes.map(|(_, crc_ok, _)| crc_ok != Some(true));
-            let decided = if passes.is_multiple_of(2) {
-                for (g, blk) in bits.iter_mut().enumerate().filter(|&(g, _)| live[g]) {
-                    let post = &post[g * k..(g + 1) * k];
-                    for (b, &p) in blk.iter_mut().zip(pi_inv) {
-                        *b = llr_to_bit(post[p as usize] as Llr);
-                    }
+/// One lane at a single-block tier: Scalar, SSE2, SSSE3, and the ymm
+/// meet-in-the-middle body under AVX2.
+impl Passes<1> for DecoderIsa {
+    type Ends = [[Llr; 3]; 2];
+
+    fn ends(&self, tail_sys: &[Llr; 3], tail_par: &[Llr; 3]) -> Self::Ends {
+        [*tail_sys, *tail_par]
+    }
+
+    fn siso(
+        &self,
+        [sys]: [&[Llr]; 1],
+        [par]: [&[Llr]; 1],
+        [apriori]: [&[Llr]; 1],
+        [[ts, tp]]: &[Self::Ends; 1],
+        w: &mut Work,
+    ) {
+        let k = sys.len();
+        let gq = aligned(&mut w.gq, 4 * k);
+        let alpha = aligned(&mut w.trellis, STATES * (k + 1));
+        let (g0, post) = (&mut w.g0[..k], &mut w.post[..k]);
+        siso_into(*self, sys, par, apriori, ts, tp, g0, gq, alpha, post);
+    }
+
+    fn extrinsic(&self, w: &mut Work, table: Perm<'_>, dst: &mut [Llr]) {
+        let k = table.0.len();
+        peel_extrinsic(*self, &w.post[..k], &w.g0[..k], &mut w.ext[..k]);
+        permute(table, &w.ext[..k], dst, |e| e);
+    }
+}
+
+/// Two lanes (a pair) or four (a quad) at two blocks per zmm register.
+#[cfg(target_arch = "x86_64")]
+impl<const N: usize> Passes<N> for Zmm {
+    type Ends = [Llr; STATES];
+
+    fn ends(&self, tail_sys: &[Llr; 3], tail_par: &[Llr; 3]) -> Self::Ends {
+        beta_init_from_tails(tail_sys, tail_par)
+    }
+
+    fn siso(
+        &self,
+        sys: [&[Llr]; N],
+        par: [&[Llr]; N],
+        apriori: [&[Llr]; N],
+        ends: &[Self::Ends; N],
+        w: &mut Work,
+    ) {
+        let (k, n) = (sys[0].len(), N * sys[0].len());
+        let gq = aligned(&mut w.gq, gq_len(k, N));
+        let trellis = aligned(&mut w.trellis, STATES * n);
+        let (g0, post) = (&mut w.g0[..n], &mut w.post[..n]);
+        mitm::siso::<Zmm, N>(sys, par, apriori, ends, g0, gq, trellis, post);
+    }
+
+    fn extrinsic(&self, w: &mut Work, table: Perm<'_>, dst: &mut [Llr]) {
+        let n = N * table.0.len();
+        assert!(Zmm::detected(), "host lacks AVX-512BW");
+        // SAFETY: the host has AVX-512BW, checked above; the slices are
+        // checked by the callees.
+        unsafe {
+            x86::peel(&w.post[..n], &w.g0[..n], &mut w.ext[..n]);
+            x86::gather_rows::<N>(dst, &w.ext[..n + 1], table.0);
+        }
+    }
+}
+
+/// The turbo iteration loop over `N` lanes, one block each, for at most
+/// `cap` iterations clamped to `1..=max_iterations` of `dec`, whose QPP
+/// tables it reads; `passes` makes the per-pass calls. This is the one
+/// native loop that decides when a block stops iterating: lane `g`'s
+/// hard decisions land in `bits[g]` and its outcome in `lanes[g]`.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn iterate<const N: usize>(
+    passes: &impl Passes<N>,
+    dec: &NativeTurboDecoder,
+    blocks: &[BlockLlrs<'_>],
+    cap: usize,
+    crc: Option<&Crc>,
+    scratch: &mut BatchScratch,
+    bits: &mut [Vec<u8>],
+    lanes: &mut [LaneOutcome],
+) {
+    let blocks: [BlockLlrs<'_>; N] = blocks.try_into().expect("one block per lane");
+    let bits: &mut [Vec<u8>; N] = bits.try_into().expect("one bit buffer per lane");
+    let lanes: &mut [LaneOutcome; N] = lanes.try_into().expect("one outcome per lane");
+    let il = dec.interleaver();
+    let (k, n) = (il.k(), N * il.k());
+    let mut streams = blocks.iter().flat_map(|b| [b.sys, b.p1, b.p2]);
+    assert!(streams.all(|s| s.len() == k), "blocks must share K");
+    let iterations = cap.clamp(1, dec.max_iterations());
+    scratch.ensure(k, N);
+    for blk in bits.iter_mut() {
+        blk.resize(k, 0);
+    }
+    let (la1, la2) = (&mut scratch.la1[..n], &mut scratch.la2[..n]);
+    let (sys_pi, work) = (&mut scratch.sys_pi[..n], &mut scratch.work);
+    let (pi, pi_inv) = (Perm(il.pi_table()), Perm(il.pi_inv_table()));
+    let sys = blocks.map(|b| b.sys);
+    let (p1, p2) = (blocks.map(|b| b.p1), blocks.map(|b| b.p2));
+    let ends1 = blocks.map(|b| passes.ends(&b.tails.sys1, &b.tails.p1));
+    let ends2 = blocks.map(|b| passes.ends(&b.tails.sys2, &b.tails.p2));
+    // Block-major scratch splits into the per-block runs the caller's
+    // streams arrive as.
+    fn parts<const N: usize>(v: &[Llr], k: usize) -> [&[Llr]; N] {
+        core::array::from_fn(|g| &v[g * k..(g + 1) * k])
+    }
+
+    // Pass `done`'s hard decisions and verdict for every lane that has
+    // not passed: SISO 1's posterior (odd pass) lies in natural order
+    // and faces the CRC only if it decided every bit, SISO 2's is read
+    // through `pi_inv`. A lane whose CRC passed is done: its block may
+    // keep computing, but its buffer and outcome are never written again.
+    // The decisions run at the decoder's tier: AVX2 wherever zmm does.
+    let isa = dec.isa();
+    *lanes = [(0, None, 0); N];
+    let mut decide = |post: &[i32], done: usize| {
+        let runs = post.chunks_exact(k).zip(bits.iter_mut());
+        for ((run, blk), lane) in runs.zip(lanes.iter_mut()) {
+            if lane.1 == Some(true) {
+                continue;
+            }
+            let decided = match done % 2 {
+                1 => hard_decide(isa, run, blk),
+                _ => {
+                    permute(pi_inv, run, blk, |l| llr_to_bit(l as Llr));
+                    true
                 }
-                [true; N]
-            } else {
-                hard_decide_lanes(DecoderIsa::Avx2, post, bits, live)
             };
-            for (g, (lane, blk)) in lanes.iter_mut().zip(bits.iter()).enumerate() {
-                if live[g] {
-                    let ok = crc.map(|c| decided[g] && c.check(blk).is_some());
-                    *lane = (passes.div_ceil(2), ok, passes);
-                }
-            }
-            lanes.iter().all(|&(_, crc_ok, _)| crc_ok == Some(true))
-        };
-        // A launch runs this loop only where the host probe found
-        // AVX-512BW (`use_avx512`), and the kernels check every length
-        // and alignment they rely on.
-        for it in 0..iterations {
-            mitm::siso::<Zmm, N>(sys, p1, parts(la1, k), &binit1, g0, gq, trellis, post);
-            *siso_passes += 1;
-            // The single-block decoder's stop rule, per lane.
-            if crc.is_some() && decide(post, 2 * it + 1) {
-                break;
-            }
-            // Only the permuted systematic needs staging — the kernel
-            // reads `sys`/`p1`/`p2` in place — and only SISO 2 reads it.
-            if it == 0 {
-                for (dst, input) in sys_pi.chunks_exact_mut(k).zip(&inputs) {
-                    for (s, &p) in dst.iter_mut().zip(pi) {
-                        *s = input.sys[p as usize];
-                    }
-                }
-            }
-            // The extrinsic exists only for a pass that follows; it
-            // peels off scaled, so the gather is a plain indexed copy.
-            // SAFETY: AVX-512BW, as above.
-            unsafe {
-                x86::peel(post, g0, &mut ext[..n]);
-                x86::gather_rows::<N>(la2, ext, pi);
-            }
-            let (sys_pi, la2) = (parts(sys_pi, k), parts(la2, k));
-            mitm::siso::<Zmm, N>(sys_pi, p2, la2, &binit2, g0, gq, trellis, post);
-            *siso_passes += 1;
-            // Hard decisions are observable only through the CRC and
-            // the final output, so without a CRC the de-permuting bit
-            // pass runs once, after the last iteration.
-            let last = it + 1 == iterations;
-            if (crc.is_some() || last) && decide(post, 2 * it + 2) {
-                break;
-            }
-            // Only a further iteration reads the second extrinsic.
-            if !last {
-                // SAFETY: AVX-512BW, as above.
-                unsafe {
-                    x86::peel(post, g0, &mut ext[..n]);
-                    x86::gather_rows::<N>(la1, ext, pi_inv);
-                }
+            let ok = crc.map(|c| decided && c.check(blk).is_some());
+            *lane = (done.div_ceil(2), ok, done);
+        }
+        lanes.iter().all(|&(_, ok, _)| ok == Some(true))
+    };
+
+    la1.fill(0);
+    for it in 0..iterations {
+        passes.siso(sys, p1, parts(la1, k), &ends1, work);
+        scratch.siso_passes += 1;
+        if crc.is_some() && decide(&work.post[..n], 2 * it + 1) {
+            break;
+        }
+        // Only the permuted systematic needs staging — the kernels read
+        // `sys`/`p1`/`p2` in place — and only SISO 2 reads it.
+        if it == 0 {
+            for (dst, sys) in sys_pi.chunks_exact_mut(k).zip(sys) {
+                permute(pi, sys, dst, |s| s);
             }
         }
-        out.copy_from_slice(&lanes);
+        // The extrinsic exists only for a pass that follows: 97 % of
+        // `rx_bulk`'s blocks stopped above.
+        passes.extrinsic(work, pi, la2);
+        passes.siso(parts(sys_pi, k), p2, parts(la2, k), &ends2, work);
+        scratch.siso_passes += 1;
+        // Hard decisions are observable only through the CRC and the
+        // final output, so without a CRC the de-permuting bit pass runs
+        // once, after the last iteration (with one it overwrites the
+        // decisions a failed SISO 1 check left).
+        let last = it + 1 == iterations;
+        if (crc.is_some() || last) && decide(&work.post[..n], 2 * it + 2) {
+            break;
+        }
+        // Only a further iteration reads the second extrinsic.
+        if !last {
+            passes.extrinsic(work, pi_inv, la1);
+        }
+    }
+}
+
+/// One of a [`QppInterleaver`](crate::interleaver::QppInterleaver)'s two
+/// tables: every entry is below its K.
+#[derive(Clone, Copy)]
+pub(super) struct Perm<'a>(&'a [u32]);
+
+/// `dst[j] = f(src[table[j]])` — every interleaver gather of [`iterate`]
+/// and its one-lane extrinsic, in one idiom: unchecked, as bounds
+/// checks cost 7–10 % of an AVX2-tier decode at K ≥ 5696 (Sapphire
+/// Rapids).
+fn permute<S: Copy, D>(table: Perm<'_>, src: &[S], dst: &mut [D], f: impl Fn(S) -> D) {
+    let k = table.0.len();
+    assert!(src.len() == k && dst.len() == k);
+    for (d, &p) in dst.iter_mut().zip(table.0) {
+        // SAFETY: `p < k = src.len()`. A `Perm` is built only from a
+        // `QppInterleaver`'s tables, whose entries are reduced mod K, and
+        // the inverse's are a bijection's (`QppInterleaver::new` asserts
+        // it); `src` is `k` long, asserted above.
+        *d = f(unsafe { *src.get_unchecked(p as usize) });
     }
 }
 
 /// `len` words of `v` from its first 64-byte boundary (`v` has
 /// [`ALIGN_SLACK`] words to spare): the kernel's rows are whole cache
 /// lines, loaded and stored aligned.
-#[cfg(target_arch = "x86_64")]
 pub(super) fn aligned(v: &mut [Llr], len: usize) -> &mut [Llr] {
     let skip = v.as_ptr().addr().wrapping_neg() % 64 / size_of::<Llr>();
     &mut v[skip..skip + len]
 }
 
-/// [`super::native_decoder::hard_decide`] at `isa` for the lanes of a
-/// block-major pass (`post[g·k + i]` is lane `g`'s step `i`): each live
-/// lane's hard decisions in natural order, and per lane whether every
-/// bit was decided. A lane that is not live is not written.
-#[cfg(target_arch = "x86_64")]
-fn hard_decide_lanes<const N: usize>(
-    isa: DecoderIsa,
-    post: &[i32],
-    bits: &mut [Vec<u8>; N],
-    live: [bool; N],
-) -> [bool; N] {
-    let k = post.len() / N;
-    assert!(post.len() == N * k && bits.iter().all(|b| b.len() == k));
-    let mut runs = post.chunks_exact(k);
-    core::array::from_fn(|g| {
-        let run = runs.next().expect("one run per lane");
-        !live[g] || hard_decide(isa, run, &mut bits[g])
-    })
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::super::native_decoder::peel_extrinsic;
     use super::*;
     use std::arch::x86_64::*;
 
@@ -490,12 +542,18 @@ mod x86 {
         let last = _mm512_set1_epi32(k as i32 - 1);
         let mut j = 0;
         while j + 16 <= k {
-            let at = _mm512_loadu_si512(table.as_ptr().add(j).cast());
-            let at = _mm512_min_epu32(at, last);
-            for g in 0..N {
-                let row = _mm512_i32gather_epi32::<2>(at, src.as_ptr().add(g * k).cast());
-                let out = dst.as_mut_ptr().add(g * k + j).cast();
-                _mm256_storeu_si256(out, _mm512_cvtepi32_epi16(row));
+            // SAFETY: the ISA is the caller's; `j + 16 ≤ k` keeps the
+            // index load and each run's store inside `table` and `dst`,
+            // and a clamped index `≤ k − 1` reads the dword at word
+            // `g·k + k − 1`, inside `src`, which is longer than `N·k`.
+            unsafe {
+                let at = _mm512_loadu_si512(table.as_ptr().add(j).cast());
+                let at = _mm512_min_epu32(at, last);
+                for g in 0..N {
+                    let row = _mm512_i32gather_epi32::<2>(at, src.as_ptr().add(g * k).cast());
+                    let out = dst.as_mut_ptr().add(g * k + j).cast();
+                    _mm256_storeu_si256(out, _mm512_cvtepi32_epi16(row));
+                }
             }
             j += 16;
         }
@@ -523,15 +581,20 @@ mod x86 {
         let unlace = _mm512_set_epi64(7, 5, 3, 1, 6, 4, 2, 0);
         let mut i = 0;
         while i + 32 <= n {
-            let p0 = _mm512_loadu_si512(post.as_ptr().add(i).cast());
-            let p1 = _mm512_loadu_si512(post.as_ptr().add(i + 16).cast());
-            let w0 = _mm512_srai_epi32::<16>(_mm512_slli_epi32::<16>(p0));
-            let w1 = _mm512_srai_epi32::<16>(_mm512_slli_epi32::<16>(p1));
-            let pv = _mm512_permutexvar_epi64(unlace, _mm512_packs_epi32(w0, w1));
-            let g0v = _mm512_loadu_si512(g0.as_ptr().add(i).cast());
-            let ev = _mm512_subs_epi16(pv, _mm512_adds_epi16(g0v, g0v));
-            let sv = _mm512_adds_epi16(_mm512_srai_epi16::<1>(ev), _mm512_srai_epi16::<2>(ev));
-            _mm512_storeu_si512(ext.as_mut_ptr().add(i).cast(), sv);
+            // SAFETY: the ISA is the caller's; `i + 32 ≤ n` keeps every
+            // 64-byte load and store inside the three equally long
+            // slices.
+            unsafe {
+                let p0 = _mm512_loadu_si512(post.as_ptr().add(i).cast());
+                let p1 = _mm512_loadu_si512(post.as_ptr().add(i + 16).cast());
+                let w0 = _mm512_srai_epi32::<16>(_mm512_slli_epi32::<16>(p0));
+                let w1 = _mm512_srai_epi32::<16>(_mm512_slli_epi32::<16>(p1));
+                let pv = _mm512_permutexvar_epi64(unlace, _mm512_packs_epi32(w0, w1));
+                let g0v = _mm512_loadu_si512(g0.as_ptr().add(i).cast());
+                let ev = _mm512_subs_epi16(pv, _mm512_adds_epi16(g0v, g0v));
+                let sv = _mm512_adds_epi16(_mm512_srai_epi16::<1>(ev), _mm512_srai_epi16::<2>(ev));
+                _mm512_storeu_si512(ext.as_mut_ptr().add(i).cast(), sv);
+            }
             i += 32;
         }
         peel_extrinsic(DecoderIsa::Sse2, &post[i..], &g0[i..], &mut ext[i..]);
@@ -543,7 +606,7 @@ mod tests {
     use super::*;
     use crate::bits::random_bits;
     use crate::llr::bit_to_llr;
-    use crate::turbo::{NativeTurboDecoder, TurboDecoder, TurboEncoder};
+    use crate::turbo::{DecodeScratch, NativeTurboDecoder, TurboDecoder, TurboEncoder};
 
     fn make_input(k: usize, seed: u64) -> (Vec<u8>, TurboLlrs) {
         let bits = random_bits(k, seed);
@@ -556,49 +619,6 @@ mod tests {
             .try_into()
             .unwrap();
         (bits, TurboLlrs::from_dstreams(&soft, k))
-    }
-
-    /// [`hard_decide_lanes`] against `llr_to_bit` per lane: no zero,
-    /// then one planted in each lane in turn at the first, the last and
-    /// either side of every 16-row step; lanes that are not live keep
-    /// their bytes.
-    #[cfg(target_arch = "x86_64")]
-    fn lanes_decide_like_llr_to_bit<const N: usize>() {
-        for k in [16usize, 40, 48, 104, 1024] {
-            let mut rng = vran_util::rng::SmallRng::seed_from_u64((N * k) as u64);
-            let clean: Vec<i32> = (0..N * k)
-                .map(|_| (rng.next_u32() as i32) << 16 | (rng.next_u32() % 0xFFFF + 1) as i32)
-                .collect();
-            let rows = (0..k).filter(|i| i % 16 == 0 || i % 16 == 15);
-            for zero in rows.map(Some).chain([None]) {
-                for lane in 0..N {
-                    let mut post = clean.clone();
-                    if let Some(z) = zero {
-                        post[lane * k + z] &= !0xFFFF;
-                    }
-                    let live: [bool; N] = core::array::from_fn(|g| g != (lane + 1) % N);
-                    let mut bits: [Vec<u8>; N] = core::array::from_fn(|_| vec![9; k]);
-                    let decided = hard_decide_lanes(DecoderIsa::best(), &post, &mut bits, live);
-                    for g in 0..N {
-                        let want: Vec<u8> = match live[g] {
-                            true => (0..k).map(|i| llr_to_bit(post[g * k + i] as Llr)).collect(),
-                            false => vec![9; k],
-                        };
-                        assert_eq!(bits[g], want, "N={N} K={k} lane {g} zero {zero:?}");
-                        let vetoed = zero.is_some() && g == lane;
-                        assert!(!live[g] || decided[g] != vetoed, "N={N} K={k} lane {g}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn strided_hard_decisions_match_llr_to_bit_and_a_zero_vetoes_its_lane() {
-        lanes_decide_like_llr_to_bit::<1>();
-        lanes_decide_like_llr_to_bit::<BATCH>();
-        lanes_decide_like_llr_to_bit::<QUAD>();
     }
 
     #[test]
@@ -859,6 +879,60 @@ mod tests {
         assert_eq!(iters, 2);
         for g in 0..QUAD {
             assert_eq!(bits[g], expect[g].0, "block {g}");
+        }
+    }
+
+    /// One scratch through K = 6144 → 40 → 512 → 6144 → 48 at 1, 2 and 4
+    /// blocks per call, with and without CRC24B: at every single-block
+    /// tier, and on the host's own path (zmm launches where it has
+    /// AVX-512BW). Each call works in the front of buffers a larger call
+    /// left dirty and must equal the same call on a fresh scratch, bits
+    /// and outcomes; nothing grows after the first K = 6144 quad.
+    #[test]
+    fn one_warm_scratch_serves_shrinking_and_mixed_k() {
+        use crate::crc::CRC24B;
+        use crate::turbo::native_decoder::tests::{crc_block, stop_blocks};
+        use vran_simd::host::tiers;
+        const CAP: usize = 4;
+        // Blocks that stop on pass 1, 2 and 3, never, and blind; at
+        // K = 48, which has no searched stops, rising noise and a flip.
+        let blocks = |k: usize| match k {
+            48 => core::array::from_fn(|g| crc_block(k, 12, 8 * g as u64, g == 3, g as u64)),
+            _ => stop_blocks(k),
+        };
+        let host = NativeBatchTurboDecoder::is_zmm_accelerated().then_some(None);
+        for isa in tiers::<DecoderIsa>().map(Some).chain(host) {
+            let mut scratch = BatchScratch::new();
+            let mut warm = None;
+            for (i, k) in [6144usize, 40, 512, 6144, 48].into_iter().enumerate() {
+                let dec = match isa {
+                    Some(isa) => NativeBatchTurboDecoder {
+                        single: NativeTurboDecoder::with_isa(k, CAP, isa),
+                        use_avx512: false,
+                    },
+                    None => NativeBatchTurboDecoder::new(k, CAP),
+                };
+                let blocks = blocks(k);
+                for n in [1, BATCH, QUAD] {
+                    let inputs: Vec<_> = (0..n)
+                        .map(|g| BlockLlrs::from_turbo(&blocks[(g + n) % blocks.len()]))
+                        .collect();
+                    for crc in [Some(&CRC24B), None] {
+                        let got = decode_all(&dec, &inputs, CAP, crc, &mut scratch);
+                        let fresh = decode_all(&dec, &inputs, CAP, crc, &mut BatchScratch::new());
+                        let path = isa.map_or("zmm", DecoderIsa::name);
+                        assert_eq!(got, fresh, "{path} K={k} n={n} {crc:?}");
+                    }
+                }
+                if i == 0 {
+                    warm = Some(scratch.allocations());
+                }
+            }
+            assert_eq!(
+                Some(scratch.allocations()),
+                warm,
+                "{isa:?}: a warm scratch grew"
+            );
         }
     }
 

@@ -61,12 +61,11 @@
 //!
 //! # Iteration control
 //!
-//! The stop rule of [`super::decoder`], pass for pass: with a CRC, SISO
-//! 1's posterior is turned into bits where it lies (natural order) and
-//! a block that passes returns before SISO 2, its three permutations
-//! and the `sys_pi` staging run — `(it + 1, Some(true))`, a begun
-//! iteration counting as one; [`DecodeScratch::siso_passes`] counts
-//! what ran. Without a CRC no pass is looked at before the last.
+//! A decode is the one-lane call of the one native turbo iteration loop
+//! (in `native_batch`), the stop rule of [`super::decoder`] pass for
+//! pass; [`DecodeScratch::siso_passes`] counts what ran. This decoder's
+//! tier makes the loop's per-pass calls: `siso_into`, `peel_extrinsic`
+//! with an indexed-copy gather, and `hard_decide`.
 //!
 //! Dispatch is by [`std::arch::is_x86_feature_detected!`] via
 //! [`vran_simd::host`], with a portable scalar fallback, following
@@ -75,6 +74,7 @@
 use super::decoder::{beta_init_from_tails, scale_extrinsic, DecodeOutcome, NEG_INF};
 #[cfg(target_arch = "x86_64")]
 use super::mitm::{self, Ymm};
+use super::native_batch::{iterate, BatchScratch, BlockLlrs};
 use super::trellis::{self, STATES};
 use crate::crc::Crc;
 use crate::interleaver::QppInterleaver;
@@ -130,74 +130,13 @@ impl Tier for DecoderIsa {
     }
 }
 
-/// Reusable decode working memory: branch metrics, the trellis,
-/// extrinsic/a-priori buffers. Owned by long-lived callers (the uplink
-/// pipeline) so the per-code-block hot loop performs no heap
-/// allocations after warm-up; the allocation/reuse counters make that
-/// claim checkable.
-#[derive(Debug, Clone, Default)]
-pub struct DecodeScratch {
-    g0: Vec<Llr>,
-    gq: Vec<Llr>,
-    alpha: Vec<Llr>,
-    ext: Vec<Llr>,
-    post: Vec<i32>,
-    la1: Vec<Llr>,
-    la2: Vec<Llr>,
-    sys_pi: Vec<Llr>,
-    allocations: u64,
-    reuses: u64,
-    siso_passes: u64,
-}
-
-impl DecodeScratch {
-    /// Empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Size every buffer for block length `k`, growing only when the
-    /// retained capacity is insufficient.
-    fn ensure(&mut self, k: usize) {
-        let mut grew = false;
-        {
-            let mut fit = |v: &mut Vec<Llr>, n: usize| {
-                grew |= v.capacity() < n;
-                v.resize(n, 0);
-            };
-            fit(&mut self.g0, k);
-            fit(&mut self.gq, 4 * k);
-            fit(&mut self.alpha, (k + 1) * STATES);
-            fit(&mut self.ext, k);
-            fit(&mut self.la1, k);
-            fit(&mut self.la2, k);
-            fit(&mut self.sys_pi, k);
-        }
-        grew |= self.post.capacity() < k;
-        self.post.resize(k, 0);
-        if grew {
-            self.allocations += 1;
-        } else {
-            self.reuses += 1;
-        }
-    }
-
-    /// Times `ensure` had to grow at least one buffer.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
-    /// Times `ensure` was served entirely from retained capacity
-    /// (i.e. heap allocations avoided).
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
-    /// SISO passes run through this scratch (two per full iteration).
-    pub fn siso_passes(&self) -> u64 {
-        self.siso_passes
-    }
-}
+/// Reusable decode working memory, owned by long-lived callers (the
+/// uplink pipeline) so the per-code-block hot loop performs no heap
+/// allocation after warm-up; the allocation/reuse counters make that
+/// claim checkable. A single-block decode is the one-lane call of the
+/// batch decoder's iteration loop, so this is that loop's scratch, and
+/// one value serves both decoders at any K.
+pub type DecodeScratch = BatchScratch;
 
 /// Iterative turbo decoder running real SIMD kernels, bit-exact with
 /// [`super::decoder::TurboDecoder`].
@@ -270,7 +209,7 @@ impl NativeTurboDecoder {
     ) -> DecodeOutcome {
         assert_eq!(input.k, self.il.k(), "input block size mismatch");
         let mut bits = Vec::new();
-        let passes0 = scratch.siso_passes;
+        let passes0 = scratch.siso_passes();
         let (iterations_run, crc_ok) = self.decode_streams_into(
             &input.streams.sys,
             &input.streams.p1,
@@ -283,7 +222,7 @@ impl NativeTurboDecoder {
         DecodeOutcome {
             bits,
             iterations_run,
-            siso_passes: (scratch.siso_passes - passes0) as usize,
+            siso_passes: (scratch.siso_passes() - passes0) as usize,
             crc_ok,
         }
     }
@@ -321,111 +260,25 @@ impl NativeTurboDecoder {
         scratch: &mut DecodeScratch,
         bits: &mut Vec<u8>,
     ) -> (usize, Option<bool>) {
-        let iterations = cap.clamp(1, self.max_iterations);
-        let k = self.il.k();
-        assert!(sys.len() == k && p1.len() == k && p2.len() == k);
-        assert_eq!(k % STATES, 0, "legal QPP sizes are multiples of 8");
-        scratch.ensure(k);
-        bits.resize(k, 0);
-        let DecodeScratch {
-            g0,
-            gq,
-            alpha,
-            ext,
-            post,
-            la1,
-            la2,
-            sys_pi,
-            siso_passes,
-            ..
-        } = scratch;
-        let pi = self.il.pi_table();
-        let pi_inv = self.il.pi_inv_table();
-        // Safety for the unchecked gathers below: both tables are
-        // permutations of `0..k` by construction (the interleaver
-        // round-trip tests lock that down), and every gathered buffer
-        // was just sized to `k` by `ensure`.
-        debug_assert!(pi.len() == k && pi_inv.len() == k);
-
-        la1.fill(0);
-        let mut iterations_run = 0;
-        let mut crc_ok = None;
-
-        for it in 0..iterations {
-            iterations_run += 1;
-            siso_into(
-                self.isa,
-                sys,
-                p1,
-                la1,
-                &tails.sys1,
-                &tails.p1,
-                g0,
-                gq,
-                alpha,
-                post,
-            );
-            // The stop rule: SISO 1's posterior is in natural order,
-            // and a hard decision unless a zero left a bit undecided.
-            if let Some(c) = crc {
-                if hard_decide(self.isa, post, bits) && c.check(bits).is_some() {
-                    *siso_passes += 2 * it as u64 + 1;
-                    return (iterations_run, Some(true));
-                }
-            }
-            // Only SISO 2 reads the permuted systematic.
-            if it == 0 {
-                for (s, &p) in sys_pi.iter_mut().zip(pi) {
-                    *s = unsafe { *sys.get_unchecked(p as usize) };
-                }
-            }
-            // The extrinsic exists only for a pass that follows: 97 % of
-            // `rx_bulk`'s blocks returned above. It peels off scaled
-            // (the oracle scales the whole array and then permutes), so
-            // the gather is a plain indexed copy.
-            peel_extrinsic(self.isa, post, g0, ext);
-            for (l, &p) in la2.iter_mut().zip(pi) {
-                *l = unsafe { *ext.get_unchecked(p as usize) };
-            }
-            siso_into(
-                self.isa,
-                sys_pi,
-                p2,
-                la2,
-                &tails.sys2,
-                &tails.p2,
-                g0,
-                gq,
-                alpha,
-                post,
-            );
-            // Hard decisions are observable only through the CRC check
-            // and the final output, so without a CRC the de-permuting
-            // bit pass runs once, after the last iteration (with one it
-            // overwrites the decisions a failed SISO 1 check left).
-            let last = it + 1 == iterations;
-            if crc.is_some() || last {
-                for (b, &p) in bits.iter_mut().zip(pi_inv) {
-                    *b = llr_to_bit(unsafe { *post.get_unchecked(p as usize) } as Llr);
-                }
-            }
-            if let Some(c) = crc {
-                let ok = c.check(bits).is_some();
-                crc_ok = Some(ok);
-                if ok {
-                    break;
-                }
-            }
-            // Only a further iteration reads the second extrinsic.
-            if !last {
-                peel_extrinsic(self.isa, post, g0, ext);
-                for (l, &p) in la1.iter_mut().zip(pi_inv) {
-                    *l = unsafe { *ext.get_unchecked(p as usize) };
-                }
-            }
-        }
-        *siso_passes += 2 * iterations_run as u64;
-        (iterations_run, crc_ok)
+        let block = BlockLlrs {
+            sys,
+            p1,
+            p2,
+            tails: *tails,
+        };
+        let mut lane = [(0, None, 0)];
+        let bits = core::slice::from_mut(bits);
+        iterate::<1>(
+            &self.isa,
+            self,
+            &[block],
+            cap,
+            crc,
+            scratch,
+            bits,
+            &mut lane,
+        );
+        (lane[0].0, lane[0].1)
     }
 }
 
@@ -1554,9 +1407,10 @@ pub(crate) mod tests {
     #[test]
     fn scratch_shrinks_without_reallocating() {
         let mut scratch = DecodeScratch::new();
-        scratch.ensure(512);
-        scratch.ensure(40);
-        scratch.ensure(512);
+        for k in [512, 40, 512] {
+            let (_, input) = noisy_input(k, 30, 10, k as u64);
+            NativeTurboDecoder::new(k, 2).decode_scratch(&input, None, &mut scratch);
+        }
         assert_eq!(scratch.allocations(), 1);
         assert_eq!(scratch.reuses(), 2);
     }

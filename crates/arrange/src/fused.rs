@@ -30,11 +30,11 @@
 //! Unlike [`crate::native::deinterleave_into`], the entry point here
 //! writes three **caller-owned slices** — the uplink pipeline points
 //! them at pooled per-block stream buffers so demapper output lands
-//! directly in the layout the quad-in-zmm batch decoder reads, with no
-//! intermediate copy. Where those slices start is the heap's choice,
-//! so the kernels do not depend on it: each stream's groups start at
-//! its own first whole line (`cover`), and only a head and a tail
-//! group per stream store across one.
+//! directly in the layout the native turbo decoder reads in place, at
+//! any lane count, with no intermediate copy. Where those slices start
+//! is the heap's choice, so the kernels do not depend on it: each
+//! stream's groups start at its own first whole line (`cover`), and
+//! only a head and a tail group per stream store across one.
 //!
 //! AVX2 is deliberately absent, as in [`crate::native`]: 256-bit x86
 //! has no cross-lane 16-bit permute, so the restore step would decay

@@ -171,7 +171,13 @@ fn trajectory_records_name_every_workload_and_metric() {
         .collect();
     // Consecutive from the record that defined the benchmark, except
     // across these gaps: numbers that recorded no campaign.
-    let gaps = [(18.0, 21.0), (23.0, 25.0), (27.0, 29.0), (29.0, 32.0)];
+    let gaps = [
+        (18.0, 21.0),
+        (23.0, 25.0),
+        (27.0, 29.0),
+        (29.0, 32.0),
+        (32.0, 35.0),
+    ];
     let follows = |w: &[f64]| w[1] == w[0] + 1.0 || gaps.contains(&(w[0], w[1]));
     assert!(prs.windows(2).all(follows) && prs[0] == 11.0);
     for (record, pr) in records.iter().zip(&prs) {

@@ -6,11 +6,13 @@
 //! when disabled**: each registry carries an `enabled` flag checked
 //! before any atomic touch.
 //!
-//! Time reaches the histograms one way: the transmit and receive chains
-//! ([`crate::tx`], [`crate::rx`]) bracket every stage in one
+//! Time reaches the histograms one way: every stage runs as one
 //! [`Spans::lap`] over the fine stage list [`Op`], and the pipeline's
 //! span sink files each lap here through
-//! [`PipelineMetrics::record_lap`].
+//! [`PipelineMetrics::record_lap`]. The transmit and receive chains
+//! ([`crate::tx`], [`crate::rx`]) bracket their own stages; a stage-graph
+//! pool flush is one `Op::Decode` lap of the same sink around the same
+//! receive chain's decode, so both runtimes fill `stage.decode` alike.
 //!
 //! Three registries mirror the three instrumented layers:
 //!
@@ -419,9 +421,6 @@ pub struct PipelineMetrics {
     /// Packets fast-failed by an open breaker without running the
     /// protected stages.
     pub breaker_fastfails: Counter,
-    /// AMC divergence-guard MCS step-downs under sustained decode
-    /// failure (see [`crate::amc::DivergenceGuard`]).
-    pub amc_stepdowns: Counter,
     /// LLR staging buffers acquired by allocating fresh `SoftStreams`
     /// (the pool was empty — expected only during warm-up).
     pub staging_allocs: Counter,
@@ -476,7 +475,6 @@ impl PipelineMetrics {
             breaker_trips: Counter::new(),
             breaker_resets: Counter::new(),
             breaker_fastfails: Counter::new(),
-            amc_stepdowns: Counter::new(),
             staging_allocs: Counter::new(),
             staging_reuses: Counter::new(),
             staging_reallocs: Counter::new(),
@@ -490,14 +488,6 @@ impl PipelineMetrics {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Record one stage latency (no-op when disabled).
-    #[inline]
-    pub fn record_stage(&self, stage: Stage, nanos: u64) {
-        if self.enabled {
-            self.stages[stage as usize].record(nanos);
-        }
     }
 
     /// Record packet-level outcome (no-op when disabled).
@@ -608,75 +598,42 @@ impl PipelineMetrics {
             out.push((format!("stage.{name}.mean_ns"), h.mean()));
             out.push((format!("stage.{name}.count"), h.count() as f64));
         }
-        out.push(("packets".into(), self.packets.get() as f64));
-        out.push(("ok_packets".into(), self.ok_packets.get() as f64));
-        out.push(("code_blocks".into(), self.code_blocks.get() as f64));
-        out.push((
-            "decoder_iterations".into(),
-            self.decoder_iterations.get() as f64,
-        ));
-        out.push(("decode.siso_passes".into(), self.siso_passes.get() as f64));
-        out.push((
-            "decode_scratch_allocs".into(),
-            self.decode_scratch_allocs.get() as f64,
-        ));
-        out.push((
-            "decode_scratch_reuses".into(),
-            self.decode_scratch_reuses.get() as f64,
-        ));
+        out.extend(
+            [
+                ("packets", &self.packets),
+                ("ok_packets", &self.ok_packets),
+                ("code_blocks", &self.code_blocks),
+                ("decoder_iterations", &self.decoder_iterations),
+                ("decode.siso_passes", &self.siso_passes),
+                ("decode_scratch_allocs", &self.decode_scratch_allocs),
+                ("decode_scratch_reuses", &self.decode_scratch_reuses),
+            ]
+            .map(counter),
+        );
         for c in ErrorCategory::ALL {
             out.push((format!("error.{}", c.name()), self.error_count(c) as f64));
         }
-        out.push(("deadline_clamps".into(), self.deadline_clamps.get() as f64));
-        out.push((
-            "backend_degradations".into(),
-            self.backend_degradations.get() as f64,
-        ));
-        out.push((
-            "backend_restorations".into(),
-            self.backend_restorations.get() as f64,
-        ));
-        out.push((
-            "native_simd_fallbacks".into(),
-            self.native_simd_fallbacks.get() as f64,
-        ));
-        out.push((
-            "packed_encoder_fallbacks".into(),
-            self.packed_encoder_fallbacks.get() as f64,
-        ));
-        out.push((
-            "batch_simd_fallbacks".into(),
-            self.batch_simd_fallbacks.get() as f64,
-        ));
-        out.push((
-            "zmm_encoder_fallbacks".into(),
-            self.zmm_encoder_fallbacks.get() as f64,
-        ));
-        out.push(("breaker_trips".into(), self.breaker_trips.get() as f64));
-        out.push(("breaker_resets".into(), self.breaker_resets.get() as f64));
-        out.push((
-            "breaker_fastfails".into(),
-            self.breaker_fastfails.get() as f64,
-        ));
-        out.push(("amc_stepdowns".into(), self.amc_stepdowns.get() as f64));
-        out.push(("staging_allocs".into(), self.staging_allocs.get() as f64));
-        out.push(("staging_reuses".into(), self.staging_reuses.get() as f64));
-        out.push((
-            "staging_reallocs".into(),
-            self.staging_reallocs.get() as f64,
-        ));
-        out.push((
-            "fused_ingest_blocks".into(),
-            self.fused_ingest_blocks.get() as f64,
-        ));
-        out.push((
-            "frontend_packets".into(),
-            self.frontend_packets.get() as f64,
-        ));
-        out.push((
-            "frontend_fallbacks".into(),
-            self.frontend_fallbacks.get() as f64,
-        ));
+        out.extend(
+            [
+                ("deadline_clamps", &self.deadline_clamps),
+                ("backend_degradations", &self.backend_degradations),
+                ("backend_restorations", &self.backend_restorations),
+                ("native_simd_fallbacks", &self.native_simd_fallbacks),
+                ("packed_encoder_fallbacks", &self.packed_encoder_fallbacks),
+                ("batch_simd_fallbacks", &self.batch_simd_fallbacks),
+                ("zmm_encoder_fallbacks", &self.zmm_encoder_fallbacks),
+                ("breaker_trips", &self.breaker_trips),
+                ("breaker_resets", &self.breaker_resets),
+                ("breaker_fastfails", &self.breaker_fastfails),
+                ("staging_allocs", &self.staging_allocs),
+                ("staging_reuses", &self.staging_reuses),
+                ("staging_reallocs", &self.staging_reallocs),
+                ("fused_ingest_blocks", &self.fused_ingest_blocks),
+                ("frontend_packets", &self.frontend_packets),
+                ("frontend_fallbacks", &self.frontend_fallbacks),
+            ]
+            .map(counter),
+        );
         out
     }
 
@@ -684,6 +641,11 @@ impl PipelineMetrics {
     pub fn to_json(&self) -> Json {
         snapshot_json(self.snapshot())
     }
+}
+
+/// One named counter as a snapshot entry.
+fn counter((name, c): (&str, &Counter)) -> (String, f64) {
+    (name.to_string(), c.get() as f64)
 }
 
 /// Ring-occupancy and stall metrics for the threaded runner.
@@ -945,57 +907,30 @@ impl StageGraphMetrics {
     /// Flat snapshot (benchgate schema: `.ratio` ⇒ ratio tolerance,
     /// `.count` ⇒ exact).
     pub fn snapshot(&self) -> Vec<(String, f64)> {
-        vec![
+        let mut out = vec![
             ("batch.lane_occupancy.ratio".into(), self.lane_occupancy()),
             (
                 "batch.iteration_occupancy.ratio".into(),
                 self.iteration_occupancy(),
             ),
-            (
-                "batch.quad_blocks.count".into(),
-                self.quad_blocks.get() as f64,
-            ),
-            (
-                "batch.pair_blocks.count".into(),
-                self.pair_blocks.get() as f64,
-            ),
-            (
-                "batch.single_blocks.count".into(),
-                self.single_blocks.get() as f64,
-            ),
-            (
-                "batch.flush.lanes_full.count".into(),
-                self.flush_lanes_full.get() as f64,
-            ),
-            (
-                "batch.flush.deadline.count".into(),
-                self.flush_deadline.get() as f64,
-            ),
-            (
-                "batch.flush.drain.count".into(),
-                self.flush_drain.get() as f64,
-            ),
-            (
-                "batch.flush.idle.count".into(),
-                self.flush_idle.get() as f64,
-            ),
-            (
-                "batch.lane_iterations.count".into(),
-                self.lane_iterations.get() as f64,
-            ),
-            (
-                "batch.launch_iterations.count".into(),
-                self.launch_iterations.get() as f64,
-            ),
-            (
-                "batch.lane_siso_passes.count".into(),
-                self.lane_siso_passes.get() as f64,
-            ),
-            (
-                "batch.launch_siso_passes.count".into(),
-                self.launch_siso_passes.get() as f64,
-            ),
-        ]
+        ];
+        out.extend(
+            [
+                ("batch.quad_blocks.count", &self.quad_blocks),
+                ("batch.pair_blocks.count", &self.pair_blocks),
+                ("batch.single_blocks.count", &self.single_blocks),
+                ("batch.flush.lanes_full.count", &self.flush_lanes_full),
+                ("batch.flush.deadline.count", &self.flush_deadline),
+                ("batch.flush.drain.count", &self.flush_drain),
+                ("batch.flush.idle.count", &self.flush_idle),
+                ("batch.lane_iterations.count", &self.lane_iterations),
+                ("batch.launch_iterations.count", &self.launch_iterations),
+                ("batch.lane_siso_passes.count", &self.lane_siso_passes),
+                ("batch.launch_siso_passes.count", &self.launch_siso_passes),
+            ]
+            .map(counter),
+        );
+        out
     }
 
     /// Snapshot as a JSON object.
@@ -1079,7 +1014,7 @@ mod tests {
     #[test]
     fn disabled_registries_record_nothing() {
         let p = PipelineMetrics::new(false);
-        p.record_stage(Stage::Decode, 999);
+        p.record_lap(Op::Decode, 999, false);
         p.record_packet(true, 3, 12);
         assert_eq!(p.stage(Stage::Decode).count(), 0);
         assert_eq!(p.packets.get(), 0);
@@ -1110,7 +1045,7 @@ mod tests {
     #[test]
     fn snapshots_flatten_to_numbers() {
         let p = PipelineMetrics::new(true);
-        p.record_stage(Stage::Arrange, 512);
+        p.record_lap(Op::Arrange, 512, false);
         p.record_packet(true, 1, 4);
         let snap = p.snapshot();
         let get = |k: &str| snap.iter().find(|(n, _)| n == k).map(|(_, v)| *v);

@@ -752,6 +752,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Op;
 
     #[test]
     fn trace_events_round_trip_through_packing() {
@@ -900,7 +901,7 @@ mod tests {
     #[test]
     fn snapshot_captures_counters_and_histograms() {
         let p = PipelineMetrics::new(true);
-        p.record_stage(Stage::Decode, 512);
+        p.record_lap(Op::Decode, 512, false);
         p.record_packet(true, 2, 8);
         let r = RunnerMetrics::new(true, 16);
         r.record_occupancy(3);

@@ -74,13 +74,14 @@ use std::sync::Arc;
 use std::time::Instant;
 use vran_phy::bits::unpack_msb;
 use vran_phy::channel::NoiseTape;
-use vran_phy::crc::CRC24A;
+use vran_phy::crc::{Crc, CRC24A};
 use vran_phy::equalizer::{Equalizer, FadingChannel};
 use vran_phy::llr::{InterleavedLlrs, Llr, SoftStreams, TurboLlrs};
 use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::scrambler::GoldSequence;
 use vran_phy::segmentation::Segmentation;
-use vran_phy::turbo::NativeBatchTurboDecoder;
+use vran_phy::turbo::native_batch::LaneOutcome;
+use vran_phy::turbo::BlockLlrs;
 
 pub use crate::rx::MAX_CODE_BLOCKS;
 pub use crate::tx::Profile;
@@ -750,17 +751,53 @@ impl UplinkPipeline {
         staged: Staged,
         frame: &[u8],
     ) -> Result<PacketResult, PipelineError> {
-        let rx = &mut self.hot.borrow_mut().rx;
-        let ledger = rx.decode_ledger();
         let tb_bits = staged.seg.b;
-        let result = rx
-            .back(staged, pk)
-            .and_then(|delivered| verdict(delivered, frame, tb_bits, pk.clock.nanos));
-        if let Some(m) = pk.clock.m {
+        self.decoding(pk.clock.m, |rx| rx.back(staged, pk))
+            .and_then(|delivered| verdict(delivered, frame, tb_bits, pk.clock.nanos))
+    }
+
+    /// One stage-graph flush through the receive chain
+    /// ([`RxChain::decode_run`]), lapped as [`Op::Decode`] by a [`Clock`]
+    /// on this pipeline's registry. `land` gets the bits and outcome of
+    /// each block and the lap's nanoseconds, which the graph splits
+    /// across the packets' [`StageNanos::decode`].
+    pub(crate) fn decode_launch(
+        &self,
+        blocks: &[BlockLlrs<'_>],
+        cap: usize,
+        crc: Option<&Crc>,
+        land: impl FnOnce(&[Vec<u8>], &[LaneOutcome], u64),
+    ) {
+        let m = self.metrics.as_deref().filter(|m| m.is_enabled());
+        self.decoding(m, |rx| {
+            let mut clock = Clock {
+                m,
+                kern: rx.kern,
+                nanos: StageNanos::default(),
+            };
+            let mut lanes: [LaneOutcome; MAX_CODE_BLOCKS] = Default::default();
+            let lanes = &mut lanes[..blocks.len()];
+            let bits = clock.lap(Op::Decode, || rx.decode_run(blocks, 0, cap, crc, lanes));
+            land(bits, lanes, clock.nanos.decode);
+        });
+    }
+
+    /// Every decode, serial or staged, runs inside this: `decode` on the
+    /// receive chain, then what it added to the chain's decode ledger
+    /// filed under `m`.
+    fn decoding<T>(
+        &self,
+        m: Option<&PipelineMetrics>,
+        decode: impl FnOnce(&mut RxChain) -> T,
+    ) -> T {
+        let rx = &mut self.hot.borrow_mut().rx;
+        let before = rx.decode_ledger();
+        let out = decode(rx);
+        if let Some(m) = m {
             let [allocs, reuses, passes] = rx.decode_ledger();
-            m.record_scratch(allocs - ledger[0], reuses - ledger[1], passes - ledger[2]);
+            m.record_scratch(allocs - before[0], reuses - before[1], passes - before[2]);
         }
-        result
+        out
     }
 
     /// The staging back end: one deadline gate, and the arranged
@@ -772,7 +809,7 @@ impl UplinkPipeline {
         frame: Cow<'_, [u8]>,
     ) -> Result<PreparedUplink, PipelineError> {
         if let Some(m) = pk.clock.m {
-            if !NativeBatchTurboDecoder::is_zmm_accelerated() {
+            if !RxChain::batches_in_zmm() {
                 // Blocks are staged for batch launches but the host
                 // (or the test ISA ceiling) lacks AVX-512BW: every lane
                 // is a single-block decode, bit-exactly.

@@ -10,10 +10,11 @@
 //! ```
 //!
 //! [`RxChain::rx`] is `front` + `back`; the stage-graph runtime takes
-//! `front`'s staged blocks, decodes them in cross-packet batches and
-//! finishes with [`RxChain::deliver`], `back`'s own tail. The chain
-//! owns every buffer a packet needs twice, so a warm call allocates
-//! only what `vran-phy` and `l2` return by signature.
+//! `front`'s staged blocks, decodes them in cross-packet batches on the
+//! same chain's decoders and scratch, and finishes with
+//! [`RxChain::deliver`], `back`'s own tail. The chain owns every buffer
+//! a packet needs twice, so a warm call allocates only what `vran-phy`
+//! and `l2` return by signature.
 //!
 //! A [`Capture`] is input from outside the program: sample count,
 //! symbol count and transport-block size are checked against each
@@ -34,7 +35,7 @@ use crate::tx::{slot, Grant, Kernels, OFDM};
 use vran_arrange::fused_ingest_into;
 use vran_phy::bits::pack_msb;
 use vran_phy::channel::AwgnChannel;
-use vran_phy::crc::{CRC24A, CRC24B};
+use vran_phy::crc::{Crc, CRC24A, CRC24B};
 use vran_phy::llr::{Llr, SoftStreams, TailLlrs, TurboLlrs};
 use vran_phy::modulation::Cplx;
 use vran_phy::rate_match::RateMatcher;
@@ -146,7 +147,8 @@ pub struct RxChain {
     pub(crate) kern: Kernels,
     /// Turbo decoder iteration cap (and the cached decoders' maximum).
     decoder_iterations: usize,
-    /// Native batch decoders, keyed by block size K.
+    /// Native batch decoders, keyed by block size K: every native
+    /// decode in the crate runs on these ([`Self::decode_run`]).
     natives: Vec<(usize, NativeBatchTurboDecoder)>,
     /// Scalar decoders, keyed by block size K.
     scalars: Vec<(usize, TurboDecoder)>,
@@ -167,6 +169,7 @@ pub struct RxChain {
     pool: Vec<SoftStreams>,
     /// The serial path's task list between packets (capacity retained).
     tasks: Vec<TurboLlrs>,
+    /// The native decoders' one grow-only scratch.
     scratch: BatchScratch,
     /// SISO passes the decoded blocks ran, each block's own count,
     /// whichever decoder ran it.
@@ -193,6 +196,11 @@ impl RxChain {
             self.scratch.reuses(),
             self.siso_passes,
         ]
+    }
+
+    /// Whether a native launch of two or more blocks fills zmm lanes.
+    pub(crate) fn batches_in_zmm() -> bool {
+        NativeBatchTurboDecoder::is_zmm_accelerated()
     }
 
     /// Return a staged task's stream buffers to the free list so the
@@ -362,10 +370,10 @@ impl RxChain {
     }
 
     /// Decode `tasks` into `self.bits` under one iteration cap: the
-    /// native decoder in one call per run of equal-K blocks
-    /// (segmentation puts every K− block before the K+ ones, so at most
-    /// two), the scalar oracle block by block. Returns the iteration
-    /// total and how many blocks failed their CRC24B.
+    /// native decoder in one [`Self::decode_run`] per run of equal-K
+    /// blocks (segmentation puts every K− block before the K+ ones, so
+    /// at most two), the scalar oracle block by block. Returns the
+    /// iteration total and how many blocks failed their CRC24B.
     fn decode_blocks(
         &mut self,
         tasks: &[TurboLlrs],
@@ -383,24 +391,14 @@ impl RxChain {
             DecoderBackend::Native => {
                 let mut at = 0;
                 for run in tasks.chunk_by(|a, b| a.k == b.k) {
-                    let (k, r) = (run[0].k, at..at + run.len());
+                    let r = at..at + run.len();
                     at += run.len();
-                    let di = slot(&mut self.natives, k, || {
-                        NativeBatchTurboDecoder::new(k, max_iters)
-                    });
                     // The tail past the run repeats its last block and
                     // is never read.
                     let blocks: [BlockLlrs<'_>; MAX_CODE_BLOCKS] =
                         std::array::from_fn(|g| BlockLlrs::from_turbo(&run[g.min(run.len() - 1)]));
                     hooks.lap(Op::Decode, || {
-                        self.natives[di].1.decode_blocks_into(
-                            &blocks[..run.len()],
-                            cap,
-                            crc,
-                            &mut self.scratch,
-                            &mut self.bits[r.clone()],
-                            &mut lanes[r],
-                        )
+                        self.decode_run(&blocks[..run.len()], r.start, cap, crc, &mut lanes[r]);
                     });
                 }
             }
@@ -413,13 +411,45 @@ impl RxChain {
                     });
                     *bits = out.bits;
                     *lane = (out.iterations_run, out.crc_ok, out.siso_passes);
+                    self.siso_passes += out.siso_passes as u64;
                 }
             }
         }
-        self.siso_passes += lanes.iter().map(|l| l.2 as u64).sum::<u64>();
         let iterations = lanes.iter().map(|l| l.0).sum();
         let failed_blocks = lanes.iter().filter(|l| l.1 == Some(false)).count();
         Ok((iterations, failed_blocks))
+    }
+
+    /// Every native decode, serial (per run of equal-K blocks) or staged
+    /// (per pool flush): the equal-K `blocks` in one `decode_blocks_into`
+    /// call on this chain's decoder and scratch, into `self.bits[at..]`
+    /// and `lanes`. Returns the bit buffers it wrote.
+    pub(crate) fn decode_run(
+        &mut self,
+        blocks: &[BlockLlrs<'_>],
+        at: usize,
+        cap: usize,
+        crc: Option<&Crc>,
+        lanes: &mut [LaneOutcome],
+    ) -> &[Vec<u8>] {
+        let (k, r) = (blocks[0].sys.len(), at..at + blocks.len());
+        if self.bits.len() < r.end {
+            self.bits.resize_with(r.end, Vec::new);
+        }
+        let max_iters = self.decoder_iterations;
+        let di = slot(&mut self.natives, k, || {
+            NativeBatchTurboDecoder::new(k, max_iters)
+        });
+        self.natives[di].1.decode_blocks_into(
+            blocks,
+            cap,
+            crc,
+            &mut self.scratch,
+            &mut self.bits[r.clone()],
+            lanes,
+        );
+        self.siso_passes += lanes.iter().map(|l| l.2 as u64).sum::<u64>();
+        &self.bits[r]
     }
 
     /// Reassemble, verify, de-encapsulate: the tail shared by the

@@ -1,9 +1,9 @@
 //! Out-of-order stage-graph runtime with cross-packet batch formation.
 //!
-//! The batch decoder (`vran-phy`'s [`NativeBatchTurboDecoder`], two
-//! code blocks per zmm register) only pays off when all four lanes of
-//! a quad launch hold a code block of the *same* K
-//! — and a single transport block rarely carries four. Under mixed-K
+//! The native turbo decoder's batch launches (two code blocks per zmm
+//! register) only pay off when all four lanes of a quad launch hold a
+//! code block of the *same* K — and a single transport block rarely
+//! carries four. Under mixed-K
 //! traffic the per-packet serial model leaves the zmm lanes mostly
 //! idle. This module restructures the dataflow instead of widening the
 //! kernels: uplink work decomposes into stage tasks, and **decode tasks
@@ -33,10 +33,10 @@
 //! # What is preserved
 //!
 //! * **Bit-exact, iteration-exact outcomes.** The oracle is the serial
-//!   early-stop path, [`UplinkPipeline::process`]. The batch kernels
-//!   run the same saturating i16 ops in the same order as the serial
-//!   native decoder, and every lane of a launch stops where that
-//!   decoder stops on the block alone — on its own CRC24B when the
+//!   early-stop path, [`UplinkPipeline::process`]. A flush is the
+//!   serial path's own decode call on the pool's blocks, and every lane
+//!   of a launch stops where that call stops on the block alone — on
+//!   its own CRC24B when the
 //!   packet has more than one code block, at the iteration cap
 //!   otherwise — for every quad/pair/single grouping. So *when* a block
 //!   decodes and *who* it shares a register with can change neither
@@ -54,6 +54,17 @@
 //! * **In-order per-UE delivery.** Packets retire from the ROB out of
 //!   order, but each UE's results are resequenced by admission number
 //!   before [`StageGraph::pop_completed`] surfaces them.
+//!
+//! # Who decodes
+//!
+//! The graph owns pools, not decoders. A flush is one
+//! `UplinkPipeline::decode_launch`: the pipeline's receive chain
+//! decodes the pool's blocks on its own decoders and scratch, lapped as
+//! `Op::Decode` by the pipeline's clock (one `stage.decode` sample per
+//! flush) and filed where the serial path's decodes are. The graph
+//! splits the lap evenly over the launch's blocks into each packet's
+//! decode time, and reads the clock itself only for the idle and
+//! deadline flush policies below.
 //!
 //! # ROB / free-list idiom
 //!
@@ -92,19 +103,18 @@
 //! * `Drain` — end of run (or ROB pressure): flush everything.
 
 use crate::error::PipelineError;
-use crate::metrics::{Stage, StageGraphMetrics};
+use crate::metrics::StageGraphMetrics;
 use crate::observe::{FlightRecorder, TraceEvent};
 use crate::packet::Packet;
 use crate::pipeline::{Admission, PacketResult, PipelineConfig, PreparedUplink, UplinkPipeline};
 use crate::rx::Capture;
-use crate::tx::slot;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vran_phy::crc::CRC24B;
 use vran_phy::llr::TurboLlrs;
 use vran_phy::turbo::native_batch::{launches, LaneOutcome, QUAD};
-use vran_phy::turbo::{BatchScratch, BlockLlrs, NativeBatchTurboDecoder};
+use vran_phy::turbo::BlockLlrs;
 
 /// Why a decode pool launched before (or at) lane width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,6 +254,7 @@ impl Load {
 /// results.
 #[derive(Debug)]
 pub struct StageGraph {
+    /// The wrapped pipeline; its receive chain decodes every flush.
     pipe: UplinkPipeline,
     cfg: StageGraphConfig,
     metrics: Option<Arc<StageGraphMetrics>>,
@@ -256,18 +267,9 @@ pub struct StageGraph {
     free_head: u32,
     /// In-flight packet count (occupied ROB slots).
     in_flight: usize,
+    /// Decode pools, one per `(K, iter_cap, crc)`; the graph holds no
+    /// decoder, scratch or bit buffer of its own.
     pools: Vec<Pool>,
-    /// Batch decoders, keyed by K, each built with the pipeline's
-    /// `decoder_iterations` (a pool's cap clamps below it per call).
-    decoders: Vec<(usize, NativeBatchTurboDecoder)>,
-    /// Batch-decoder working buffers, shared across pools and launches
-    /// (capacity retained — the kernels read the pooled task buffers in
-    /// place, so this is the only decode-side staging left).
-    batch_scratch: BatchScratch,
-    /// Per-lane decoded-bit landing buffers, reused across launches;
-    /// the scatter step copies each lane's `K` bytes into the owning
-    /// ROB slot (bits are small — the zero-copy claim is the LLRs).
-    lane_bits: [Vec<u8>; QUAD],
     /// Admission counter (the age clock).
     tick: u64,
     /// Whether to launch every pool before returning (idle flush).
@@ -307,9 +309,6 @@ impl StageGraph {
             free_head: 0,
             in_flight: 0,
             pools: Vec::new(),
-            decoders: Vec::new(),
-            batch_scratch: BatchScratch::default(),
-            lane_bits: Default::default(),
             tick: 0,
             load: Load::default(),
             next_seq: HashMap::new(),
@@ -575,43 +574,37 @@ impl StageGraph {
         }
         self.batch_seq += 1;
         let tasks = std::mem::take(&mut pool.tasks);
-        let (k, iter_cap) = (pool.k, pool.iter_cap);
         let crc = pool.crc.then_some(&CRC24B);
         let n = tasks.len();
-        let max_iters = self.pipe.config().decoder_iterations;
-        let di = slot(&mut self.decoders, k, || {
-            NativeBatchTurboDecoder::new(k, max_iters)
-        });
         // The kernels read the pooled task stream buffers in place (the
         // array's tail past `n` repeats the last block and is never
-        // read) and land bits in the reused lane buffers; every lane
-        // gets the serial decoder's `(iterations, crc_ok)`.
+        // read). Each lane's bits, its own iterations and CRC verdict
+        // and an even share of the launch's lap go to its packet.
         let blocks: [BlockLlrs<'_>; QUAD] =
             std::array::from_fn(|g| BlockLlrs::from_turbo(&tasks[g.min(n - 1)].task));
-        let mut lanes: [LaneOutcome; QUAD] = Default::default();
-        let t0 = Instant::now();
-        self.decoders[di].1.decode_blocks_into(
-            &blocks[..n],
-            iter_cap,
-            crc,
-            &mut self.batch_scratch,
-            &mut self.lane_bits[..n],
-            &mut lanes[..n],
-        );
-        let total_decode_ns = t0.elapsed().as_nanos() as u64;
-        let total_passes = lanes[..n].iter().map(|l| l.2 as u64).sum::<u64>();
-        if let Some(m) = &self.metrics {
-            let mut at = 0;
-            for run in launches(n) {
-                m.record_launch(&lanes[at..at + run]);
-                at += run;
+        let (slots, metrics) = (&mut self.slots, &self.metrics);
+        let land = |bits: &[Vec<u8>], lanes: &[LaneOutcome], lap_ns: u64| {
+            if let Some(m) = metrics {
+                let mut at = 0;
+                for run in launches(n) {
+                    m.record_launch(&lanes[at..at + run]);
+                    at += run;
+                }
             }
-        }
-        self.scatter(&tasks, &lanes[..n], total_decode_ns / n as u64);
-        if let Some(pm) = self.pipe.metrics().filter(|m| m.is_enabled()) {
-            pm.record_stage(Stage::Decode, total_decode_ns);
-            pm.siso_passes.add(total_passes);
-        }
+            for ((t, bits), &(iters, crc_ok, _)) in tasks.iter().zip(bits).zip(lanes) {
+                let entry = slots[t.slot as usize]
+                    .entry
+                    .as_mut()
+                    .expect("pool task points at an occupied slot");
+                entry.bits[t.block].clone_from(bits);
+                entry.iterations += iters;
+                entry.failed_blocks += usize::from(crc_ok == Some(false));
+                entry.decode_ns += lap_ns / n as u64;
+                entry.remaining -= 1;
+            }
+        };
+        self.pipe
+            .decode_launch(&blocks[..n], pool.iter_cap, crc, land);
 
         // Retire slots whose last block this flush decoded, then hand
         // the task stream buffers back to the pipeline's free list so
@@ -637,26 +630,6 @@ impl StageGraph {
         }
         for t in tasks {
             self.pipe.recycle_streams(t.task.streams);
-        }
-    }
-
-    /// Copy each lane's decoded bits into the owning ROB slot and
-    /// credit the lane's own iterations and CRC verdict and its share
-    /// of the launch's wall clock. `run` aligns with `lanes` and with
-    /// `lane_bits[..run.len()]`.
-    fn scatter(&mut self, run: &[PoolTask], lanes: &[LaneOutcome], share_ns: u64) {
-        for (lane, (t, &(iters, crc_ok, _))) in run.iter().zip(lanes).enumerate() {
-            let entry = self.slots[t.slot as usize]
-                .entry
-                .as_mut()
-                .expect("pool task points at an occupied slot");
-            let dst = &mut entry.bits[t.block];
-            dst.clear();
-            dst.extend_from_slice(&self.lane_bits[lane]);
-            entry.iterations += iters;
-            entry.failed_blocks += usize::from(crc_ok == Some(false));
-            entry.decode_ns += share_ns;
-            entry.remaining -= 1;
         }
     }
 

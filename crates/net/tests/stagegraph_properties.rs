@@ -9,6 +9,7 @@
 //! must be *at least* as fast as the serial early-stop path it
 //! replaced, on AVX-512BW hosts).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use vran_net::amc::MCS_TABLE;
 use vran_net::error::{ErrorCategory, PipelineError};
@@ -472,6 +473,55 @@ fn chaos_storm_conserves_packets_with_breakers_armed() {
         "open breakers must fast-fail admissions during cooldown"
     );
     assert_eq!(rep.ok_packets, 0, "nothing beats a 1 ns deadline");
+}
+
+#[test]
+fn staged_decode_files_what_serial_files_once_per_flush() {
+    // The same packets through `process` into registry A and through a
+    // stage graph into registry B. Both decode on the receive chain's
+    // decoders and scratch and are filed in one place, so B counts
+    // every SISO pass and iteration exactly once, laps decode once per
+    // pool flush, and sees the scratch it ran on. One- and two-block
+    // packets, back to back, so quads launch.
+    let mut b = PacketBuilder::new(1000, 2000);
+    let packets: Vec<_> = [Transport::Udp, Transport::Tcp]
+        .into_iter()
+        .flat_map(|t| [64usize, 256, 1024, 1400, 1500].map(|sz| (t, sz)))
+        .cycle()
+        .take(40)
+        .map(|(t, sz)| b.build(t, sz).unwrap())
+        .collect();
+    let a = Arc::new(PipelineMetrics::default());
+    let serial = UplinkPipeline::with_metrics(cfg(), a.clone());
+    for p in &packets {
+        serial.process(p).expect("the oracle delivers");
+    }
+    let reg_b = Arc::new(PipelineMetrics::default());
+    let g = Arc::new(StageGraphMetrics::default());
+    let pipe = UplinkPipeline::with_metrics(cfg(), reg_b.clone());
+    let mut graph = StageGraph::new(pipe, StageGraphConfig::default());
+    graph.set_metrics(g.clone());
+    for (i, p) in packets.iter().enumerate() {
+        graph.admit(i as u64 % 10, p);
+    }
+    graph.drain();
+    let delivered: Vec<_> = std::iter::from_fn(|| graph.pop_completed()).collect();
+    assert_eq!(delivered.len(), packets.len());
+    assert!(delivered.iter().all(|(_, r)| r.is_ok()));
+    assert!(g.quad_blocks.get() > 0, "the zmm pool path ran");
+
+    let snap = |m: &PipelineMetrics| m.snapshot().into_iter().collect::<BTreeMap<_, _>>();
+    let (sa, sb) = (snap(&a), snap(&reg_b));
+    for key in ["decode.siso_passes", "decoder_iterations"] {
+        assert!(sa[key] > 0.0, "{key}");
+        assert_eq!(sb[key], sa[key], "{key}: staged against serial");
+    }
+    let flushes = g.flush_lanes_full.get() + g.flush_deadline.get() + g.flush_drain.get();
+    assert_eq!(
+        sb["stage.decode.count"],
+        (flushes + g.flush_idle.get()) as f64
+    );
+    assert!(sb["decode_scratch_allocs"] + sb["decode_scratch_reuses"] > 0.0);
 }
 
 #[test]

@@ -391,11 +391,6 @@ pub fn descramble_llrs_with(imp: DescrambleImpl, llrs: &mut [i16], c_init: u32) 
     }
 }
 
-/// Descramble LLRs on the best tier this host offers.
-pub fn descramble_llrs_fast(llrs: &mut [i16], c_init: u32) {
-    descramble_llrs_with(best_descramble(), llrs, c_init);
-}
-
 /// Scalar sign-select, up to 32 LLRs per mask word.
 fn descramble_words_scalar(llrs: &mut [i16], words: &[u32]) {
     for (block, &w) in llrs.chunks_mut(32).zip(words) {
@@ -593,7 +588,7 @@ mod tests {
         let before = SERIAL_WORD_STEPS.get();
         scramble_bits(&mut random_bits(22_800, 1), 0x5A5A5);
         assert_eq!(SERIAL_WORD_STEPS.get() - before, 31);
-        descramble_llrs_fast(&mut [5; 22_800], 0x5A5A5);
+        descramble_llrs_with(best_descramble(), &mut [5; 22_800], 0x5A5A5);
         assert_eq!(SERIAL_WORD_STEPS.get() - before, 62);
         // a draw that needs no recurrence steps only what it draws
         scramble_bits(&mut random_bits(96, 1), 0x5A5A5);

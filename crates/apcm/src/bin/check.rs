@@ -1,5 +1,6 @@
 //! Reproduction report: run every experiment, compare against the
-//! paper's claims, and print a PASS/OFF verdict per claim.
+//! paper's claims ([`apcm::claims`]), and print a PASS/OFF verdict per
+//! claim.
 //!
 //! ```text
 //! cargo run --release -p apcm --bin check
@@ -8,145 +9,8 @@
 //! Exit status is non-zero if any claim lands outside its band, so this
 //! doubles as a CI gate for the reproduction.
 
-use apcm::experiments;
-
-struct Claim {
-    what: &'static str,
-    paper: &'static str,
-    measured: f64,
-    lo: f64,
-    hi: f64,
-    unit: &'static str,
-}
-
 fn main() {
-    let mut claims = Vec::new();
-    let fig8 = experiments::fig08::run();
-    let fig13 = experiments::fig13::run();
-    let fig14 = experiments::fig14::run();
-    let fig15 = experiments::fig15::run();
-    let fig16 = experiments::fig16::run();
-
-    let v = |f: &apcm::Figure, r: &str, c: &str| f.value(r, c).expect("figure cell");
-
-    claims.push(Claim {
-        what: "arrangement backend bound, original (128b)",
-        paper: "44.4 %",
-        measured: v(&fig15, "SSE128/original", "backend") * 100.0,
-        lo: 35.0,
-        hi: 60.0,
-        unit: "%",
-    });
-    claims.push(Claim {
-        what: "arrangement backend bound, APCM (128b)",
-        paper: "3 %",
-        measured: v(&fig15, "SSE128/apcm", "backend") * 100.0,
-        lo: 0.0,
-        hi: 10.0,
-        unit: "%",
-    });
-    claims.push(Claim {
-        what: "arrangement IPC, original (128b)",
-        paper: "1.2",
-        measured: v(&fig15, "SSE128/original", "IPC"),
-        lo: 0.9,
-        hi: 1.5,
-        unit: "",
-    });
-    claims.push(Claim {
-        what: "arrangement IPC, APCM (128b)",
-        paper: "3.6",
-        measured: v(&fig15, "SSE128/apcm", "IPC"),
-        lo: 3.3,
-        hi: 4.0,
-        unit: "",
-    });
-    claims.push(Claim {
-        what: "store-path bandwidth, original (128b)",
-        paper: "≈16 bits/cycle (12.5 %)",
-        measured: v(&fig8, "SSE128/original", "store bits/cycle"),
-        lo: 12.0,
-        hi: 20.0,
-        unit: "bits/cy",
-    });
-    claims.push(Claim {
-        what: "bandwidth speedup at 128b",
-        paper: "≈4×",
-        measured: v(&fig8, "SSE128/apcm", "speedup vs original"),
-        lo: 3.5,
-        hi: 6.0,
-        unit: "×",
-    });
-    claims.push(Claim {
-        what: "bandwidth speedup at 512b",
-        paper: "≈16×",
-        measured: v(&fig8, "AVX512/apcm", "speedup vs original"),
-        lo: 14.0,
-        hi: 24.0,
-        unit: "×",
-    });
-    claims.push(Claim {
-        what: "arrangement CPU-time reduction (128b)",
-        paper: "67 %",
-        measured: v(&fig14, "SSE128", "reduction %"),
-        lo: 55.0,
-        hi: 88.0,
-        unit: "%",
-    });
-    claims.push(Claim {
-        what: "arrangement CPU-time reduction (512b)",
-        paper: "92 %",
-        measured: v(&fig14, "AVX512", "reduction %"),
-        lo: 85.0,
-        hi: 99.0,
-        unit: "%",
-    });
-    let udp1500 = fig13
-        .rows
-        .iter()
-        .find(|r| r.label == "UDP-1500B")
-        .expect("row");
-    claims.push(Claim {
-        what: "packet-time reduction, 1500 B UDP (128b)",
-        paper: "12 %",
-        measured: (1.0 - udp1500.values[1] / udp1500.values[0]) * 100.0,
-        lo: 7.0,
-        hi: 18.0,
-        unit: "%",
-    });
-    claims.push(Claim {
-        what: "packet-time reduction, 1500 B UDP (512b)",
-        paper: "20 %",
-        measured: (1.0 - udp1500.values[5] / udp1500.values[4]) * 100.0,
-        lo: 15.0,
-        hi: 28.0,
-        unit: "%",
-    });
-    claims.push(Claim {
-        what: "Mbps/core, original (128b)",
-        paper: "16.4",
-        measured: v(&fig16, "SSE128", "Mbps/core orig"),
-        lo: 12.0,
-        hi: 21.0,
-        unit: "Mbps",
-    });
-    claims.push(Claim {
-        what: "Mbps/core, APCM (512b)",
-        paper: "32.9",
-        measured: v(&fig16, "AVX512", "Mbps/core apcm"),
-        lo: 26.0,
-        hi: 40.0,
-        unit: "Mbps",
-    });
-    claims.push(Claim {
-        what: "cores for 300 Mbps, APCM (512b)",
-        paper: "9",
-        measured: v(&fig16, "AVX512", "cores apcm"),
-        lo: 8.0,
-        hi: 11.0,
-        unit: "cores",
-    });
-
+    let claims = apcm::claims::all();
     println!("== APCM reproduction report ==\n");
     println!(
         "{:<48} {:>24} {:>14}  verdict",
@@ -154,7 +18,7 @@ fn main() {
     );
     let mut failures = 0;
     for c in &claims {
-        let ok = (c.lo..=c.hi).contains(&c.measured);
+        let ok = c.in_band();
         if !ok {
             failures += 1;
         }

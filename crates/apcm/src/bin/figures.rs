@@ -15,7 +15,11 @@ use std::path::Path;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: figures [--list] [all | <id>...]  (ids: fig3 fig4 fig5 fig6 table1 fig7 fig8 fig9 fig13 fig14 fig15 fig16)");
+        let ids: Vec<&str> = experiments::all().into_iter().map(|(id, _)| id).collect();
+        eprintln!(
+            "usage: figures [--list] [all | <id>...]  (ids: {})",
+            ids.join(" ")
+        );
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
     if args.iter().any(|a| a == "--list") {

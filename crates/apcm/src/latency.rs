@@ -152,9 +152,12 @@ impl LatencyModel {
     /// — 2 windows per ymm, 4 per zmm. Batching is sub-linear (window
     /// boundary metrics must be exchanged and the γ/extrinsic phases
     /// gain bookkeeping), modeled as a √(lane groups) speedup: ×1.41
-    /// at 256 bits, ×2 at 512. This reproduces the paper's Figure 9/16
-    /// calculation-time scaling (total throughput 16.4→21.6→25.5
-    /// Mbps/core across widths under the original mechanism).
+    /// at 256 bits, ×2 at 512. The factor is a calibration against
+    /// the paper's Figure 9/16 calculation-time scaling (total
+    /// throughput 16.4→21.6→25.5 Mbps/core across widths under the
+    /// original mechanism), not a measurement; the machine's batching
+    /// is `vran_phy`'s zmm pair/quad launches, timed against serial
+    /// AVX2 singles by the `batch_decode_native` bench.
     pub fn decoder_cycles(&mut self, width: RegWidth, steps: usize) -> f64 {
         let rep = self.decoder_report(width);
         let batch = (width.lanes128() as f64).sqrt();

@@ -19,7 +19,8 @@
 //! Regenerate everything with
 //! `cargo run --release -p apcm --bin figures -- all` (results land in
 //! `results/` as text, CSV and JSON) or a single one with e.g.
-//! `-- fig15`; `--bin check` prints the paper-vs-measured verdicts.
+//! `-- fig15`; `--bin check` prints the paper-vs-measured verdicts of
+//! [`claims`], the table of the paper's headline claims.
 //!
 //! The figures need two things the product crates (`vran-phy`,
 //! `vran-net`) do not ship, and both live here. Each module keeps the
@@ -29,9 +30,8 @@
 //! into the `vran-uarch` simulator the way the paper profiles OAI with
 //! VTune, and checked against `vran-phy`'s scalar oracles:
 //!
-//! * [`turbo`] — the max-log-MAP decoder, single-block
-//!   ([`turbo::simd_decoder`]) and one block per 128-bit lane group
-//!   ([`turbo::batch_decoder`]);
+//! * [`turbo`] — the single-block max-log-MAP decoder
+//!   ([`turbo::simd_decoder`]);
 //! * [`modulation_simd`] — the Q11 16-QAM soft demapper;
 //! * [`scrambler`] — the LLR descrambler.
 //!
@@ -55,6 +55,7 @@
 
 pub mod cellsim;
 pub mod chaos;
+pub mod claims;
 pub mod experiments;
 pub mod latency;
 pub mod modulation_simd;

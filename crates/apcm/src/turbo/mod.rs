@@ -5,9 +5,5 @@
 //! * [`simd_decoder`] — the oracle's arithmetic expressed as VM kernels
 //!   (the OAI `_mm_adds/_mm_subs/_mm_max` style), usable in native mode
 //!   (functional) or tracing mode (feeds `vran-uarch`).
-//! * [`batch_decoder`] — `width/128` blocks per register, one per
-//!   128-bit lane group: what the `√B` batching assumption of
-//!   [`crate::latency`] is measured against.
 
-pub mod batch_decoder;
 pub mod simd_decoder;

@@ -1,9 +1,7 @@
-//! Batched multi-window decoding and the generalized stride kernels —
-//! wall-clock complements to the `abl-batch` and `gen-stride`
-//! experiments.
+//! Native multi-block decode launches against serial single-block
+//! decodes, and the generalized stride kernels — the wall-clock
+//! complement to the `gen-stride` experiment.
 
-use apcm::turbo::batch_decoder::BatchTurboDecoder;
-use apcm::turbo::simd_decoder::SimdTurboDecoder;
 use vran_arrange::StrideKernel;
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::turbo_workload;
@@ -14,24 +12,6 @@ use vran_phy::turbo::{
 use vran_simd::RegWidth;
 
 mod common;
-
-fn bench_batch_decoder(c: &mut Criterion) {
-    let k = 256;
-    let inputs: Vec<_> = (0..4).map(|g| turbo_workload(k, 30 + g).1).collect();
-    let mut g = c.benchmark_group("batch_decode_vm");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(k as u64));
-    g.bench_function("single_xmm", |b| {
-        let dec = SimdTurboDecoder::new(k, 1, RegWidth::Sse128);
-        b.iter(|| dec.decode_native(std::hint::black_box(&inputs[0])))
-    });
-    g.throughput(Throughput::Elements(4 * k as u64));
-    g.bench_function("batch4_zmm", |b| {
-        let dec = BatchTurboDecoder::new(k, 1, RegWidth::Avx512);
-        b.iter(|| dec.decode_native(std::hint::black_box(&inputs)))
-    });
-    g.finish();
-}
 
 fn bench_native_batch(c: &mut Criterion) {
     // Real-hardware launches against as many sequential single-block
@@ -119,7 +99,7 @@ fn bench_stride(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = fast();
-    targets = bench_batch_decoder, bench_native_batch, bench_native_quad_crc, bench_stride
+    targets = bench_native_batch, bench_native_quad_crc, bench_stride
 }
 
 /// Short measurement windows keep `cargo bench --workspace` in CI

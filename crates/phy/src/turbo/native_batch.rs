@@ -13,14 +13,13 @@
 //! every lane is bit-identical to its block decoded alone (and to the
 //! scalar oracle).
 //!
-//! The zmm launches are the real-hardware counterpart of the VM batch
-//! decoder `apcm::turbo::batch_decoder`. The 8-state recursions cannot
-//! widen, so a wider register must carry more blocks: the single-block
-//! AVX2 tier fills a ymm with one block's α and β chains, and a zmm
-//! carries two blocks' — the same meet-in-the-middle body (the `mitm`
-//! module, DESIGN §5.8) at two blocks per register. A pair launch is one
-//! such register; a quad launch is two, interleaved step by step so each
-//! hides the other's ≈ 6-cycle recurrence.
+//! The zmm launches are window batching on the machine. The 8-state
+//! recursions cannot widen, so a wider register must carry more blocks:
+//! the single-block AVX2 tier fills a ymm with one block's α and β
+//! chains, and a zmm carries two blocks' — the same meet-in-the-middle
+//! body (the `mitm` module, DESIGN §5.8) at two blocks per register. A
+//! pair launch is one such register; a quad launch is two, interleaved
+//! step by step so each hides the other's ≈ 6-cycle recurrence.
 //!
 //! One entry point, [`NativeBatchTurboDecoder::decode_blocks_into`],
 //! takes any number of equal-K blocks and splits them as [`launches`]

@@ -675,16 +675,22 @@ mod tests {
         ymm_enc.encode_dstreams_into(&bits, &mut scratch); // warm-up
         zmm_enc.encode_dstreams_into(&bits, &mut scratch);
         // Median of *paired* ratios (both ISAs timed back-to-back per
-        // rep): a scheduler blip hits both sides of a pair, so it
-        // cannot flip the comparison the way two separate timing
-        // windows can.
-        let reps = 9;
+        // rep, the order alternating from rep to rep): a scheduler blip
+        // hits both sides of a pair, so it cannot flip the comparison
+        // the way two separate timing windows can, and neither side
+        // always runs second on a cache the other just warmed. The
+        // kernels differ in only part of the encode, so the gap is a
+        // few per cent: enough reps that the median holds it.
+        let reps = 41;
         let mut pairs: Vec<(u128, u128)> = (0..reps)
-            .map(|_| {
-                (
-                    burst_ns(&ymm_enc, &mut scratch),
-                    burst_ns(&zmm_enc, &mut scratch),
-                )
+            .map(|rep| {
+                if rep % 2 == 0 {
+                    let ymm = burst_ns(&ymm_enc, &mut scratch);
+                    (ymm, burst_ns(&zmm_enc, &mut scratch))
+                } else {
+                    let zmm = burst_ns(&zmm_enc, &mut scratch);
+                    (burst_ns(&ymm_enc, &mut scratch), zmm)
+                }
             })
             .collect();
         pairs.sort_by(|a, b| {

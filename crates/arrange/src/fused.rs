@@ -1,18 +1,15 @@
 //! Fused APCM ingest: mask/merge congregation straight into the
 //! decoder's staging buffers.
 //!
-//! [`crate::native`]'s APCM kernels segregate the interleaved
-//! `[S1 YP1 YP2]` triples with full 16-bit permutes — `vpermi2w` at
-//! 512 bits costs two port-5 µops per cluster (six per 3-register
-//! group). This module is the paper's §5.1 mask/merge/shifted-reload
-//! formulation instead: each cluster is congregated with `vpand`
-//! residue masks and `vpor` merges, which issue on the plentiful
-//! vector-ALU ports (p0/p1/p5), leaving exactly **one** permute per
-//! output register to undo the fixed lane rotation the merge produces.
-//! Per 96-element zmm group that is 9 `vpand` + 6 `vpor` + 3 `vpermw`
-//! — half the port-5 shuffle traffic of the permute-only kernel, with
-//! the congregation work spread across the ALU ports the decoder's
-//! max-log-MAP loop leaves idle (Figs 13–16 shape).
+//! This is the paper's §5.1 mask/merge/shifted-reload formulation and
+//! the crate's one native APCM kernel per width: the uplink receiver
+//! runs it, and [`crate::native`]'s APCM rungs call it. Each cluster is
+//! congregated with `vpand` residue masks and `vpor` merges, which
+//! issue on the plentiful vector-ALU ports (p0/p1/p5), leaving exactly
+//! **one** permute per output register to undo the fixed lane rotation
+//! the merge produces. The masks and restore indices are `static`
+//! tables built at compile time, so a call does no set-up beyond
+//! loading them.
 //!
 //! Why the merge works: a W-lane register holds positions
 //! `Wj .. Wj+W` of the triple stream, so cluster `c`'s elements sit in
@@ -27,8 +24,9 @@
 //! `+0 / +W / +2W`: every cluster re-reads the same three registers,
 //! so the loads amortize over all three merges.
 //!
-//! Unlike [`crate::native::deinterleave_into`], the entry point here
-//! writes three **caller-owned slices** — the uplink pipeline points
+//! The entry point writes three **caller-owned slices**
+//! ([`crate::native::deinterleave_into`] passes the streams of a
+//! `SoftStreams`) — the uplink pipeline points
 //! them at pooled per-block stream buffers so demapper output lands
 //! directly in the layout the native turbo decoder reads in place, at
 //! any lane count, with no intermediate copy. Where those slices start
@@ -50,10 +48,14 @@ pub enum FusedImpl {
     /// Portable scalar loop (always available; the oracle).
     Scalar,
     /// Mask/merge at 128 bits: 9 `pand` + 6 `por` + 3 `pshufb` per
-    /// 24-element group.
+    /// 24-element group as written. The masks are constants, so the
+    /// compiler folds each into the restore control: the release build
+    /// runs 9 `pshufb` + 6 `por` per group (`objdump -d`).
     MaskMergeSsse3,
     /// Mask/merge at 512 bits: 9 `vpand` + 6 `vpor` + 3 `vpermw` per
-    /// 96-element group.
+    /// 96-element group as written; the release build fuses each
+    /// and/or pair into a `vpternlogd`, running 3 `vpandd` + 6
+    /// `vpternlogd` + 3 `vpermw` per group (`objdump -d`).
     MaskMergeAvx512,
 }
 
@@ -135,18 +137,34 @@ mod x86 {
     use super::*;
     use std::arch::x86_64::*;
 
-    /// Residue-class lane mask for source register `j` of a group,
-    /// cluster `c`, at `W` lanes: lane `l` is kept iff
+    /// Residue-class lane masks at `W` lanes, indexed by cluster `c`
+    /// then source register `j` of a group: lane `l` is kept iff
     /// `(W·j + l) ≡ c (mod 3)`.
-    fn lane_mask<const W: usize>(j: usize, c: usize) -> [i16; W] {
-        core::array::from_fn(|l| if (W * j + l) % 3 == c % 3 { -1 } else { 0 })
+    const fn lane_masks<const W: usize>() -> [[[i16; W]; 3]; 3] {
+        let mut m = [[[0; W]; 3]; 3];
+        let mut i = 0;
+        while i < 9 * W {
+            let (c, j, l) = (i / (3 * W), i / W % 3, i % W);
+            if (W * j + l) % 3 == c {
+                m[c][j][l] = -1;
+            }
+            i += 1;
+        }
+        m
     }
 
-    /// Restore permutation for cluster `c` at `W` lanes: after the OR
+    /// Restore permutation per cluster `c` at `W` lanes: after the OR
     /// merge, element `i` sits in lane `(3i + c) mod W`; the permute
     /// index for destination lane `i` is exactly that source lane.
-    fn restore_idx<const W: usize>(c: usize) -> [i16; W] {
-        core::array::from_fn(|i| ((3 * i + c) % W) as i16)
+    const fn restore_idx<const W: usize>() -> [[i16; W]; 3] {
+        let mut r = [[0; W]; 3];
+        let mut i = 0;
+        while i < 3 * W {
+            let (c, l) = (i / W, i % W);
+            r[c][l] = ((3 * l + c) % W) as i16;
+            i += 1;
+        }
+        r
     }
 
     /// Cover elements `0..k` of every stream with `store(c, t, &load(t))`
@@ -207,23 +225,20 @@ mod x86 {
         p2: &mut [Llr],
     ) {
         const W: usize = 8;
-        // per (cluster, source register) residue masks…
-        let mut masks = [[_mm_setzero_si128(); 3]; 3];
-        // …and the per-cluster pshufb restore control (word permute as
-        // byte pairs).
-        let mut restore = [_mm_setzero_si128(); 3];
-        for c in 0..3 {
-            for (j, m) in masks[c].iter_mut().enumerate() {
-                *m = _mm_loadu_si128(lane_mask::<W>(j, c).as_ptr() as *const __m128i);
+        static MASKS: [[[i16; W]; 3]; 3] = lane_masks::<W>();
+        // `pshufb` permutes bytes: restore word `s` is bytes `2s, 2s + 1`.
+        static RESTORE: [[i16; W]; 3] = {
+            let mut r = restore_idx::<W>();
+            let mut i = 0;
+            while i < 3 * W {
+                let s = r[i / W][i % W];
+                r[i / W][i % W] = (2 * s) | ((2 * s + 1) << 8);
+                i += 1;
             }
-            let idx = restore_idx::<W>(c);
-            let mut ctl = [0i8; 16];
-            for (i, &s) in idx.iter().enumerate() {
-                ctl[2 * i] = (2 * s) as i8;
-                ctl[2 * i + 1] = (2 * s + 1) as i8;
-            }
-            restore[c] = _mm_loadu_si128(ctl.as_ptr() as *const __m128i);
-        }
+            r
+        };
+        let masks = MASKS.map(|m| m.map(|m| _mm_loadu_si128(m.as_ptr().cast())));
+        let restore = RESTORE.map(|r| _mm_loadu_si128(r.as_ptr().cast()));
         let streams = [sys.as_mut_ptr(), p1.as_mut_ptr(), p2.as_mut_ptr()];
         // The shifted reloads: same group, three W-element offsets.
         let load = |t: usize| {
@@ -251,14 +266,10 @@ mod x86 {
         p2: &mut [Llr],
     ) {
         const W: usize = 32;
-        let mut masks = [[_mm512_setzero_si512(); 3]; 3];
-        let mut restore = [_mm512_setzero_si512(); 3];
-        for c in 0..3 {
-            for (j, m) in masks[c].iter_mut().enumerate() {
-                *m = _mm512_loadu_si512(lane_mask::<W>(j, c).as_ptr() as *const _);
-            }
-            restore[c] = _mm512_loadu_si512(restore_idx::<W>(c).as_ptr() as *const _);
-        }
+        static MASKS: [[[i16; W]; 3]; 3] = lane_masks::<W>();
+        static RESTORE: [[i16; W]; 3] = restore_idx::<W>();
+        let masks = MASKS.map(|m| m.map(|m| _mm512_loadu_si512(m.as_ptr().cast())));
+        let restore = RESTORE.map(|r| _mm512_loadu_si512(r.as_ptr().cast()));
         let streams = [sys.as_mut_ptr(), p1.as_mut_ptr(), p2.as_mut_ptr()];
         let load = |t: usize| {
             let at = input.as_ptr().add(3 * t);
@@ -367,20 +378,6 @@ mod tests {
         }
         for imp in tiers::<FusedImpl>() {
             assert_eq!(run(imp, &input, k), expect, "{} tail bleed", imp.name());
-        }
-    }
-
-    #[test]
-    fn matches_native_deinterleave() {
-        use crate::native;
-        let k = 6144;
-        let input = sample(3 * k);
-        let native_out = native::deinterleave(native::NativeImpl::Scalar, &input, k);
-        for imp in tiers::<FusedImpl>() {
-            let [sys, p1, p2] = run(imp, &input, k);
-            assert_eq!(sys, native_out.sys, "{}", imp.name());
-            assert_eq!(p1, native_out.p1, "{}", imp.name());
-            assert_eq!(p2, native_out.p2, "{}", imp.name());
         }
     }
 

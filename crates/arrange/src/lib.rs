@@ -31,9 +31,10 @@
 //! both must drive the turbo decoder to identical transport blocks
 //! (integration tests in `tests/`).
 //!
-//! [`native`] additionally provides `std::arch` implementations of the
-//! 128-bit kernels (and the AVX-512BW `vpermw` APCM) for real
-//! wall-clock benchmarking on the host CPU.
+//! [`native`] additionally provides the original mechanism as
+//! `std::arch` kernels at 128 and 512 bits, against APCM rungs that are
+//! the receiver's own [`fused_ingest_into`] mask/merge kernels, for
+//! real wall-clock benchmarking on the host CPU.
 //!
 //! # Example
 //!

@@ -1,6 +1,7 @@
 //! Real-hardware arrangement: the `std::arch` kernels from
-//! `vran-arrange::native`, original (`pextrw` ladder) vs APCM
-//! (`pshufb`/`vpermi2w`), on whatever SIMD features the host exposes.
+//! `vran-arrange::native`, original (`pextrw` ladder) vs APCM (the
+//! receiver's fused mask/merge kernels), on whatever SIMD features the
+//! host exposes.
 //!
 //! This is the wall-clock demonstration of the paper's claim on actual
 //! silicon: the extract-based original saturates the store ports while

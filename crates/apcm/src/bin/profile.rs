@@ -8,8 +8,8 @@
 //! cargo run --release -p apcm --bin profile -- adds --server wimpy
 //! ```
 
+use apcm::arrange::{ApcmVariant, ArrangeKernel, Mechanism, StrideKernel};
 use apcm::workloads;
-use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism, StrideKernel};
 use vran_net::pipeline::synthetic_interleaved;
 use vran_simd::{RegWidth, Trace};
 use vran_uarch::{bounds, CoreConfig, CoreSim};

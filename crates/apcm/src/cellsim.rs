@@ -6,9 +6,9 @@
 //! need for N cells × 300 Mbps?) is a *tail-latency* question under
 //! realistic load, not a peak-Mbps one. This module drives the
 //! functional substrate `vran-net` provides — per-TTI scheduling
-//! rounds through [`vran_net::scheduler`] with link adaptation from
+//! rounds through [`crate::scheduler`] with link adaptation from
 //! [`vran_net::amc`], HARQ retransmission behavior grounded in real
-//! [`vran_net::harq`] soft-combining exchanges — under configurable
+//! [`crate::harq`] soft-combining exchanges — under configurable
 //! arrival processes and packet-size/transport mixes, and records
 //! per-packet latency (queueing + HARQ round trips + modeled
 //! processing) into the fixed-bucket histograms of
@@ -24,13 +24,13 @@
 //! ## Model notes
 //!
 //! * One scheduling winner per cell per TTI (single-winner TDM, as in
-//!   [`vran_net::scheduler`]); the winner's transport blocks segment
+//!   [`crate::scheduler`]); the winner's transport blocks segment
 //!   across TTIs when a packet exceeds the subframe's bit budget.
 //! * HARQ retransmissions ride dedicated synchronous allocations (they
 //!   do not re-enter the scheduler queue); each costs one
 //!   [`HARQ_RTT_TTIS`] round trip of latency plus one more modeled
 //!   processing pass. Attempt counts come from memoized *real*
-//!   [`vran_net::harq`] exchanges at the storm's sign-flip severity, so
+//!   [`crate::harq`] exchanges at the storm's sign-flip severity, so
 //!   the retransmission distribution is what the turbo decoder with
 //!   chase combining actually produces, not a coin flip.
 //! * Per-packet processing time is the deterministic
@@ -38,14 +38,14 @@
 //!   SIMD calculation / scalar stages / transport), scaled by attempt
 //!   count.
 
+use crate::amc::DivergenceGuard;
+use crate::arrange::{ApcmVariant, Mechanism};
+use crate::harq::{HarqReceiver, HarqTransmitter};
 use crate::latency::LatencyModel;
+use crate::scheduler::{CellScheduler, Policy, UeContext};
 use std::collections::{HashMap, VecDeque};
-use vran_arrange::Mechanism;
-use vran_net::amc::DivergenceGuard;
-use vran_net::harq::{HarqReceiver, HarqTransmitter};
 use vran_net::metrics::Histogram;
 use vran_net::packet::Transport;
-use vran_net::scheduler::{CellScheduler, Policy, UeContext};
 use vran_phy::bits::random_bits;
 use vran_phy::crc::CRC24B;
 use vran_phy::llr::Llr;
@@ -376,7 +376,7 @@ impl HarqStorm {
 
 /// Memoized real-HARQ severity oracle: attempts needed to decode at a
 /// given sign-flip severity and phase, measured by running an actual
-/// [`vran_net::harq`] transmitter/receiver exchange (turbo decode with
+/// [`crate::harq`] transmitter/receiver exchange (turbo decode with
 /// chase combining over the rv schedule) once per `(flip_every,
 /// phase)` and caching the outcome. `0` means the rv schedule was
 /// exhausted without a clean CRC — the packet is lost.
@@ -503,7 +503,7 @@ impl CellSimConfig {
                 flip_every: 5,
             }),
             width: RegWidth::Avx512,
-            mechanism: Mechanism::Apcm(vran_arrange::ApcmVariant::Shuffle),
+            mechanism: Mechanism::Apcm(ApcmVariant::Shuffle),
             decoder_iterations: 5,
             stage_graph: true,
             seed,
@@ -537,7 +537,7 @@ impl CellSimConfig {
                 flip_every: 5,
             }),
             width: RegWidth::Avx512,
-            mechanism: Mechanism::Apcm(vran_arrange::ApcmVariant::Shuffle),
+            mechanism: Mechanism::Apcm(ApcmVariant::Shuffle),
             decoder_iterations: 5,
             stage_graph: true,
             seed,
@@ -634,7 +634,7 @@ pub struct CellSimReport {
     /// Pool flushes at end-of-run drain.
     pub batch_flush_drain: u64,
     /// Divergence-guard MCS step-downs across all cells
-    /// ([`vran_net::amc::DivergenceGuard`]).
+    /// ([`crate::amc::DivergenceGuard`]).
     pub amc_stepdowns: u64,
     /// Latency histograms.
     pub latency: LatencyBreakdown,

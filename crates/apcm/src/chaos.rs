@@ -154,7 +154,7 @@ pub struct CellChaosReport {
     /// HARQ retransmissions across the whole run.
     pub harq_retransmissions: u64,
     /// Divergence-guard MCS step-downs across all cells
-    /// ([`vran_net::amc::DivergenceGuard`]).
+    /// ([`crate::amc::DivergenceGuard`]).
     pub amc_stepdowns: u64,
 }
 

@@ -13,8 +13,8 @@
 //!   hypothetical wider registers with the analytic model the paper
 //!   itself uses in §5.1.
 
+use crate::arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use crate::report::{Figure, Row};
-use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use vran_net::pipeline::synthetic_interleaved;
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim, PortModel};

@@ -13,10 +13,10 @@
 //! recover — which is why the capacity view (Figure 16: more Mbps per
 //! core) is the operationally meaningful framing of the same gain.
 
+use crate::arrange::{ApcmVariant, Mechanism};
 use crate::experiments::DECODER_ITERATIONS;
 use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
-use vran_arrange::{ApcmVariant, Mechanism};
 use vran_net::packet::Transport;
 use vran_simd::RegWidth;
 use vran_uarch::CoreConfig;

@@ -5,11 +5,11 @@
 //! IPC of 4; turbo decoding sits around 2.1 and dominates CPU time
 //! (>50 % of the processing time, §5).
 
+use crate::arrange::Mechanism;
 use crate::experiments::DECODER_ITERATIONS;
 use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
 use crate::workloads;
-use vran_arrange::Mechanism;
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim, SimReport};
 

@@ -6,8 +6,8 @@
 //! store path, ≈16 bits/cycle; APCM reaches ≈67/134/270 bits/cycle —
 //! a 4×–16× improvement (§ Abstract, §5.1).
 
+use crate::arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use crate::report::{Figure, Row};
-use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use vran_net::pipeline::synthetic_interleaved;
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim};

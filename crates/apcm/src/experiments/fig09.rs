@@ -5,10 +5,10 @@
 //! (original) → 4.7 %/3.4 %/1.8 % (APCM); calculation time shrinks as
 //! registers widen while the original arrangement does not.
 
+use crate::arrange::{ApcmVariant, Mechanism};
 use crate::experiments::DECODER_ITERATIONS;
 use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
-use vran_arrange::{ApcmVariant, Mechanism};
 use vran_simd::RegWidth;
 use vran_uarch::CoreConfig;
 

@@ -4,10 +4,10 @@
 //! Paper anchor: APCM reduces per-packet processing time by 12 %
 //! (SSE128) to 20 % (AVX512) at every size and for both transports.
 
+use crate::arrange::{ApcmVariant, Mechanism};
 use crate::experiments::DECODER_ITERATIONS;
 use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
-use vran_arrange::{ApcmVariant, Mechanism};
 use vran_net::packet::Transport;
 use vran_simd::RegWidth;
 use vran_uarch::CoreConfig;

@@ -6,10 +6,10 @@
 //! *slower* (+2.2 % ymm, +6.4 % zmm), under APCM they scale
 //! (−49 % at 256, −51 % more at 512).
 
+use crate::arrange::{ApcmVariant, Mechanism};
 use crate::experiments::DECODER_ITERATIONS;
 use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
-use vran_arrange::{ApcmVariant, Mechanism};
 use vran_net::packet::Transport;
 use vran_simd::RegWidth;
 use vran_uarch::CoreConfig;

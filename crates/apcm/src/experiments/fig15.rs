@@ -4,8 +4,8 @@
 //! Paper anchors: retiring 55.6/52/48 % → 97/96/95 %; backend bound
 //! 44.4/48.2/52 % → 3/4/5 %; IPC 1.2/1.1/1.05 → 3.6/3.5/3.3.
 
+use crate::arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use crate::report::{Figure, Row};
-use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use vran_net::pipeline::synthetic_interleaved;
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim};

@@ -4,10 +4,10 @@
 //! Paper anchors: Mbps/core 16.4→18.5 (SSE), 21.6→26.0 (AVX2),
 //! 25.5→32.9 (AVX512); cores for 300 Mbps 18→16, 14→12, 12→9.
 
+use crate::arrange::{ApcmVariant, Mechanism};
 use crate::experiments::DECODER_ITERATIONS;
 use crate::latency::LatencyModel;
 use crate::report::{Figure, Row};
-use vran_arrange::{ApcmVariant, Mechanism};
 use vran_simd::RegWidth;
 use vran_uarch::CoreConfig;
 

@@ -2,7 +2,7 @@
 //! fairness), exercising the eNB L2 substrate end to end.
 
 use crate::report::{Figure, Row};
-use vran_net::scheduler::{CellScheduler, Policy, UeContext};
+use crate::scheduler::{CellScheduler, Policy, UeContext};
 
 fn cell(policy: Policy) -> CellScheduler {
     // a 6-UE cell spanning center to edge

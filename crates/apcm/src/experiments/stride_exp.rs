@@ -2,8 +2,8 @@
 //! vs the extract baseline for de-interleave strides beyond the vRAN
 //! triple (complex I/Q = 2, RGBA = 4, 8-channel audio = 8).
 
+use crate::arrange::StrideKernel;
 use crate::report::{Figure, Row};
-use vran_arrange::StrideKernel;
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim};
 

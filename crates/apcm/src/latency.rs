@@ -19,9 +19,9 @@
 //! bound; it is charged at a fixed, documented cycles-per-bit rate
 //! rather than traced (`SCALAR_CYCLES_PER_BIT`).
 
+use crate::arrange::{ArrangeKernel, Mechanism};
 use crate::turbo::simd_decoder::SimdTurboDecoder;
 use std::collections::HashMap;
-use vran_arrange::{ArrangeKernel, Mechanism};
 use vran_net::packet::Transport;
 use vran_net::pipeline::{synthetic_interleaved, UplinkPipeline};
 use vran_phy::bits::random_bits;
@@ -208,6 +208,7 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrange::ApcmVariant;
 
     fn model() -> LatencyModel {
         LatencyModel::new(CoreConfig::beefy(), 5)
@@ -218,8 +219,7 @@ mod tests {
         let mut m = model();
         for w in RegWidth::ALL {
             let base = m.arrangement_cycles(w, Mechanism::Baseline, 6144);
-            let apcm =
-                m.arrangement_cycles(w, Mechanism::Apcm(vran_arrange::ApcmVariant::Shuffle), 6144);
+            let apcm = m.arrangement_cycles(w, Mechanism::Apcm(ApcmVariant::Shuffle), 6144);
             let reduction = 1.0 - apcm / base;
             assert!(
                 reduction > 0.55,
@@ -237,7 +237,7 @@ mod tests {
             b512 >= b128 * 0.98,
             "original must not improve with width: {b128} → {b512}"
         );
-        let apcm = Mechanism::Apcm(vran_arrange::ApcmVariant::Shuffle);
+        let apcm = Mechanism::Apcm(ApcmVariant::Shuffle);
         let a128 = m.arrangement_cycles(RegWidth::Sse128, apcm, 6144);
         let a512 = m.arrangement_cycles(RegWidth::Avx512, apcm, 6144);
         assert!(
@@ -271,7 +271,7 @@ mod tests {
     fn apcm_improves_total_packet_time_meaningfully() {
         // Paper Figure 13: 12% (SSE128) to 20% (AVX512) reduction.
         let mut m = model();
-        let apcm = Mechanism::Apcm(vran_arrange::ApcmVariant::Shuffle);
+        let apcm = Mechanism::Apcm(ApcmVariant::Shuffle);
         for (w, lo, hi) in [
             (RegWidth::Sse128, 0.05, 0.35),
             (RegWidth::Avx512, 0.08, 0.40),
@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn capacity_improves_and_cores_drop() {
         let mut m = model();
-        let apcm = Mechanism::Apcm(vran_arrange::ApcmVariant::Shuffle);
+        let apcm = Mechanism::Apcm(ApcmVariant::Shuffle);
         for w in RegWidth::ALL {
             let mb = m.mbps_per_core(w, Mechanism::Baseline);
             let ma = m.mbps_per_core(w, apcm);

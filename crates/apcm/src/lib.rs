@@ -23,13 +23,14 @@
 //! [`claims`], the table of the paper's headline claims.
 //!
 //! The figures need two things the product crates (`vran-phy`,
-//! `vran-net`) do not ship, and both live here. Each module keeps the
-//! name of the product module it shadows.
+//! `vran-arrange`, `vran-net`) do not ship, and both live here. Each
+//! module keeps the name of the product module it shadows.
 //!
 //! **Instruments** — `vran-simd` VM twins of production kernels, traced
 //! into the `vran-uarch` simulator the way the paper profiles OAI with
 //! VTune, and checked against `vran-phy`'s scalar oracles:
 //!
+//! * [`arrange`] — the arrangement process, original vs APCM;
 //! * [`turbo`] — the single-block max-log-MAP decoder
 //!   ([`turbo::simd_decoder`]);
 //! * [`modulation_simd`] — the Q11 16-QAM soft demapper;
@@ -42,7 +43,9 @@
 //! * [`cellsim`] — M cells × many UEs under scheduling, bursty/diurnal
 //!   arrivals and HARQ storms, charged by the latency model;
 //! * [`chaos`] — a windowed storm over [`cellsim`] with a measured
-//!   time-to-recover (the runner-scale storm is `vran_net::chaos`).
+//!   time-to-recover (the runner-scale storm is `vran_net::chaos`);
+//! * [`scheduler`], [`amc`], [`harq`] — [`cellsim`]'s link layer:
+//!   scheduling, link adaptation and chase-combining retransmission.
 //!
 //! # Example
 //!
@@ -53,16 +56,31 @@
 //! assert!(orig > 0.35 && apcm < 0.10); // the paper's 45 % → 3 %
 //! ```
 
+pub mod amc;
 pub mod cellsim;
 pub mod chaos;
 pub mod claims;
 pub mod experiments;
+pub mod harq;
 pub mod latency;
 pub mod modulation_simd;
 pub mod report;
+pub mod scheduler;
 pub mod scrambler;
 pub mod server;
 pub mod turbo;
 pub mod workloads;
+
+/// The VM kernels in `arrange/`, under their `vran-arrange` module names.
+pub mod arrange {
+    pub use crate::kernel::{ApcmVariant, ArrangeKernel, Mechanism, OutRegions};
+    pub use crate::stride::StrideKernel;
+}
+#[path = "arrange/kernel.rs"]
+pub mod kernel;
+#[path = "arrange/stride.rs"]
+pub mod stride;
+#[path = "arrange/tables.rs"]
+pub mod tables;
 
 pub use report::{Figure, Row};

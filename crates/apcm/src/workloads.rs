@@ -2,8 +2,8 @@
 //! traced twins of the scalar pipeline modules (Figures 3–6).
 //!
 //! The SIMD-accelerated hot paths (data arrangement, max-log-MAP
-//! decoding) are traced from their *real* implementations in
-//! `vran-arrange` / `vran-phy`. The modules the paper profiles as
+//! decoding) are traced from their VM implementations in
+//! [`crate::arrange`] / [`crate::turbo`]. The modules the paper profiles as
 //! scalar (scrambling, rate matching, DCI, OFDM, encoding) run as
 //! native Rust in the pipeline — several on `std::arch` kernels by now;
 //! for the micro-architectural figures they are represented by

@@ -319,8 +319,9 @@ mod tests {
 
     #[test]
     fn every_available_impl_matches_scalar() {
-        // Group-multiple, off-group and tiny K at both vector widths.
-        for k in [8usize, 32, 40, 96, 104, 999, 6144] {
+        // Group-multiple, off-group and tiny K at both vector widths,
+        // and blocks shorter than one register (the scalar path).
+        for k in [0usize, 1, 7, 8, 31, 32, 40, 96, 104, 999, 6144] {
             let input = sample(3 * k);
             let expect = run(FusedImpl::Scalar, &input, k);
             for imp in tiers::<FusedImpl>() {

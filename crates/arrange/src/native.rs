@@ -2,10 +2,10 @@
 //! original mechanism against APCM, for wall-clock benchmarking on the
 //! host CPU.
 //!
-//! The VM kernels in [`crate::kernel`] are the instruments for the
-//! paper's micro-architectural figures; these native rungs exist so the
-//! benchmark harness can also demonstrate the effect on real hardware
-//! (`vran-bench/benches/native_arrange.rs`). Selection is by runtime
+//! The `vran-simd` VM kernels in `apcm::arrange` are the instruments
+//! for the paper's micro-architectural figures; these native rungs
+//! exist so the benchmark harness can also demonstrate the effect on
+//! real hardware (`vran-bench/benches/native_arrange.rs`). Selection is by runtime
 //! feature detection with a scalar fallback, so the workspace builds
 //! and tests on any target.
 //!
@@ -217,7 +217,8 @@ mod tests {
 
     #[test]
     fn every_available_impl_matches_scalar() {
-        for k in [32usize, 96, 104, 6144] {
+        // Blocks shorter than one register take the scalar tail only.
+        for k in [0usize, 1, 7, 31, 32, 96, 104, 6144] {
             let input = sample(k);
             let expect = input.deinterleave_scalar();
             for imp in tiers::<NativeImpl>() {

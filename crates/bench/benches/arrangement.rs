@@ -4,7 +4,7 @@
 //! modeled hardware (the simulator reports that); the interesting
 //! output is the relative cost trend and the per-element throughput.
 
-use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism};
+use apcm::arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::interleaved_workload;
 use vran_simd::RegWidth;

@@ -2,7 +2,7 @@
 //! decodes, and the generalized stride kernels — the wall-clock
 //! complement to the `gen-stride` experiment.
 
-use vran_arrange::StrideKernel;
+use apcm::arrange::StrideKernel;
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::turbo_workload;
 use vran_phy::crc::CRC24B;

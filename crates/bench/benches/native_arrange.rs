@@ -3,28 +3,29 @@
 //! receiver's fused mask/merge kernels), on whatever SIMD features the
 //! host exposes.
 //!
-//! This is the wall-clock demonstration of the paper's claim on actual
-//! silicon: the extract-based original saturates the store ports while
-//! APCM's ALU batching runs several times faster — and the AVX-512
-//! APCM widens the gap further, exactly the Figure 14 trend.
+//! APCM runs several times faster, the AVX-512 rung more so (Figure
+//! 14's trend), but the compiled original is bound by the scalar index
+//! arithmetic beside each `pextrw`, not by the store ports the paper
+//! describes (ROADMAP.md item 3). Rows time one call into reused streams.
 
-use vran_arrange::native::{deinterleave, NativeImpl};
+use std::hint::black_box;
+use vran_arrange::native::{deinterleave_into, NativeImpl};
 use vran_arrange::{best_fused, fused_ingest_into};
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::interleaved_workload;
+use vran_phy::llr::SoftStreams;
 use vran_simd::host::tiers;
 
 fn bench_native(c: &mut Criterion) {
-    for k in [1504usize, 6144] {
+    for k in [64usize, 512, 1504, 5696, 6144] {
         let input = interleaved_workload(k, 3);
+        let mut out = SoftStreams::zeros(k);
         let mut g = c.benchmark_group(format!("native_arrange_k{k}"));
         g.throughput(Throughput::Bytes((3 * k * 2) as u64));
         for imp in tiers::<NativeImpl>() {
-            g.bench_with_input(
-                BenchmarkId::from_parameter(imp.name()),
-                &input,
-                |b, input| b.iter(|| deinterleave(imp, std::hint::black_box(&input.data), k)),
-            );
+            g.bench_function(BenchmarkId::from_parameter(imp.name()), |b| {
+                b.iter(|| deinterleave_into(imp, black_box(&input.data), k, black_box(&mut out)))
+            });
         }
         g.finish();
     }
@@ -53,7 +54,7 @@ fn bench_fused_alignment(c: &mut Criterion) {
             b.iter(|| {
                 fused_ingest_into(
                     best_fused(),
-                    std::hint::black_box(&input.data),
+                    black_box(&input.data),
                     k,
                     &mut sys[at[0]..][..k],
                     &mut p1[at[1]..][..k],

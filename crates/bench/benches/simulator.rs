@@ -1,7 +1,7 @@
 //! `vran-uarch` simulation throughput: how fast the port-level
 //! scheduler retires µops, and ablation configurations.
 
-use vran_arrange::{ArrangeKernel, Mechanism};
+use apcm::arrange::{ArrangeKernel, Mechanism};
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_bench::interleaved_workload;
 use vran_simd::RegWidth;

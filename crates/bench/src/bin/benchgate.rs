@@ -41,10 +41,11 @@
 //!           [--flight-dump <path>]
 //! ```
 
+use apcm::arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use apcm::chaos::{run_cell_chaos, CellChaosConfig};
 use std::process::ExitCode;
 use std::time::Instant;
-use vran_arrange::{best_fused, ApcmVariant, ArrangeKernel, FusedImpl, Mechanism};
+use vran_arrange::{best_fused, FusedImpl};
 use vran_bench::cellscale::{cell_scale_full_suite, cell_scale_smoke_suite};
 use vran_bench::gate::{compare, BenchReport, Suite};
 use vran_bench::interleaved_workload;

@@ -135,6 +135,14 @@ pub enum SegFault {
         /// Configured maximum.
         max: usize,
     },
+    /// An encoder stream handed to the rate matcher had the wrong
+    /// length for its code block.
+    StreamLength {
+        /// Per-stream length the rate matcher was configured for.
+        expected: usize,
+        /// Length of the stream it was handed.
+        got: usize,
+    },
 }
 
 impl PipelineError {
@@ -221,13 +229,11 @@ impl From<RateMatchError> for PipelineError {
             RateMatchError::InvalidRv { rv } => PipelineError::MalformedFrame {
                 reason: FrameFault::RedundancyVersion(rv),
             },
-            RateMatchError::WrongStreamLength { .. } => PipelineError::SegmentationOverflow {
-                detail: SegFault::Plan(SegError::WrongBlockSize {
-                    index: 0,
-                    expected: 0,
-                    got: 0,
-                }),
-            },
+            RateMatchError::WrongStreamLength { expected, got } => {
+                PipelineError::SegmentationOverflow {
+                    detail: SegFault::StreamLength { expected, got },
+                }
+            }
         }
     }
 }
@@ -295,6 +301,18 @@ mod tests {
         }
         .into();
         assert_eq!(e.category(), ErrorCategory::MalformedFrame);
+    }
+
+    #[test]
+    fn wrong_stream_length_keeps_its_lengths() {
+        let e: PipelineError = RateMatchError::WrongStreamLength {
+            expected: 6148,
+            got: 6000,
+        }
+        .into();
+        assert_eq!(e.category(), ErrorCategory::SegmentationOverflow);
+        let s = e.to_string();
+        assert!(s.contains("6148") && s.contains("6000"), "{s}");
     }
 
     #[test]

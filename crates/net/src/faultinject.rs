@@ -11,9 +11,9 @@
 //!
 //! The injector plugs into [`crate::pipeline::UplinkPipeline`] via
 //! [`crate::pipeline::UplinkPipeline::with_faults`]; HARQ
-//! retransmission drops are driven directly by the soak test through
-//! [`FaultInjector::drop_harq_retransmission`] since HARQ sits above
-//! the per-packet pipeline.
+//! retransmission drops are driven directly by `apcm`'s soak test
+//! through [`FaultInjector::drop_harq_retransmission`] since HARQ
+//! (`apcm::harq`) sits above the per-packet pipeline.
 
 use vran_phy::llr::Llr;
 use vran_util::rng::SmallRng;
@@ -212,8 +212,8 @@ impl FaultInjector {
     }
 
     /// Whether a HARQ retransmission should be dropped under `kind`
-    /// (the soak drives this around
-    /// [`crate::harq::HarqTransmitter::next_transmission`]).
+    /// (the soak drives this around `apcm::harq`'s
+    /// `HarqTransmitter::next_transmission`).
     pub fn drop_harq_retransmission(&self, kind: FaultKind) -> bool {
         kind == FaultKind::DropHarqRetransmission
     }

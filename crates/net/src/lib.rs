@@ -4,36 +4,41 @@
 //! (UE → USRP → eNB containers → EPC): real UDP/TCP framing over a
 //! DPDK-style single-producer/single-consumer ring into the full PHY
 //! pipeline from `vran-phy`, with the data arrangement step provided by
-//! `vran-arrange`.
+//! `vran-arrange`. Every `pub mod` is on a packet path (`TxChain`,
+//! `RxChain`, [`UplinkPipeline`], [`StageGraph`], the downlink, [`runner`])
+//! or is the table one is configured from:
 //!
-//! * [`packet`] — Ethernet/IPv4/UDP/TCP header construction and
-//!   parsing with real checksums (the workload generator for Figs 13
-//!   and 16).
-//! * [`ring`] — a lock-free SPSC ring buffer modeling the DPDK
-//!   kernel-bypass queue of Figure 2.
+//! * [`packet`] — Ethernet/IPv4/UDP/TCP frames with real checksums,
+//!   built and parsed on every path (the Figs 13 and 16 workloads).
+//! * [`l2`] — PDCP/RLC/MAC framing: `TxChain` encapsulates, `RxChain`
+//!   decapsulates.
 //! * [`tx`] — the transmit chain (CRC24A → segment → encode →
-//!   rate-match → scramble → map → OFDM), shared by the uplink loopback
+//!   rate-match → scramble → map → OFDM), run by the uplink loopback
 //!   and the downlink's PDSCH.
 //! * [`rx`] — the receive chain, the receiver under test: a
 //!   [`rx::Capture`] in (OFDM demod → demap → descramble →
 //!   de-rate-match → **arrange** → turbo decode → CRC → L2), a frame
-//!   out.
+//!   out; [`UplinkPipeline`] and [`StageGraph`] both run it.
 //! * [`pipeline`] — the uplink loopback around them (ingress → `tx` →
 //!   channel → `rx`) and its policies: configuration, fault injection,
 //!   deadline, degradation ladder, metrics.
-//! * [`downlink`] — PDCCH + PDSCH subframes with an honest UE.
+//! * [`amc`] — the MCS table: the (modulation, code rate) operating
+//!   points a [`PipelineConfig`] is set to, with their SNR thresholds.
+//! * [`downlink`] — PDCCH + PDSCH subframes through `tx`, honest UE.
+//! * [`ring`] — a lock-free SPSC ring buffer modeling the DPDK
+//!   kernel-bypass queue of Figure 2, feeding [`runner`]'s workers.
 //! * [`runner`] — a threaded source→PHY→sink driver for sustained
 //!   throughput measurements, with panic-isolated multicore workers.
-//! * [`scheduler`], [`amc`], [`harq`] — per-TTI scheduling, link
-//!   adaptation and chase-combining retransmission.
 //! * [`stagegraph`] — the out-of-order stage-graph runtime: decode
 //!   tasks from different packets pool by K and launch as quad / pair
 //!   batches on the zmm kernel, retiring through a ROB with per-UE
 //!   in-order delivery. The default uplink path in [`runner`].
 //! * [`error`] — the typed fault taxonomy ([`error::PipelineError`])
 //!   every receive-path failure classifies into.
-//! * [`faultinject`] — deterministic, seeded fault injection for soak
-//!   testing the above.
+//! * [`faultinject`] — deterministic, seeded fault injection into
+//!   [`UplinkPipeline`] and [`runner`]'s workers, for soak tests.
+//! * [`metrics`] — the lock-free counters and histograms the pipeline,
+//!   the runner and the stage graph record into.
 //! * [`observe`] — flight-recorder observability: a lock-free
 //!   per-packet trace ring, consistent metrics snapshots, and the
 //!   per-stage circuit breakers of the degradation ladder.
@@ -41,8 +46,8 @@
 //!   [`runner`] with circuit breakers armed, CI-gated.
 //!
 //! The models that turn `vran-uarch` cycle counts into the paper's
-//! figures — the latency model, the cell-scale simulator and its
-//! windowed storm — build on this crate and live in `apcm`.
+//! figures — the latency model, the cell-scale simulator with its link
+//! layer and its windowed storm — build on this crate and live in `apcm`.
 //!
 //! # Example
 //!
@@ -67,7 +72,6 @@ pub mod chaos;
 pub mod downlink;
 pub mod error;
 pub mod faultinject;
-pub mod harq;
 pub mod l2;
 pub mod metrics;
 pub mod observe;
@@ -76,7 +80,6 @@ pub mod pipeline;
 pub mod ring;
 pub mod runner;
 pub mod rx;
-pub mod scheduler;
 pub mod stagegraph;
 pub mod tx;
 

@@ -7,8 +7,8 @@
 //! cargo run --release -p apcm --example capacity_planning -- 1000
 //! ```
 
+use apcm::arrange::{ApcmVariant, Mechanism};
 use apcm::latency::LatencyModel;
-use vran_arrange::{ApcmVariant, Mechanism};
 use vran_simd::RegWidth;
 use vran_uarch::CoreConfig;
 

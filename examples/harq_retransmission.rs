@@ -6,7 +6,7 @@
 //! cargo run --release -p apcm --example harq_retransmission
 //! ```
 
-use vran_net::harq::{HarqReceiver, HarqTransmitter, RV_SEQUENCE};
+use apcm::harq::{HarqReceiver, HarqTransmitter, RV_SEQUENCE};
 use vran_phy::bits::random_bits;
 use vran_phy::crc::CRC24B;
 use vran_phy::llr::Llr;

@@ -7,7 +7,7 @@
 //! cargo run --release -p apcm --example port_analysis
 //! ```
 
-use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism};
+use apcm::arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use vran_net::pipeline::synthetic_interleaved;
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim};

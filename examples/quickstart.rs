@@ -5,7 +5,7 @@
 //! cargo run --release -p apcm --example quickstart
 //! ```
 
-use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism};
+use apcm::arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use vran_phy::bits::random_bits;
 use vran_phy::llr::{bit_to_llr, TurboLlrs};
 use vran_phy::turbo::{TurboDecoder, TurboEncoder};

@@ -6,7 +6,7 @@
 //! cargo run --release -p apcm --example stride_generalization
 //! ```
 
-use vran_arrange::StrideKernel;
+use apcm::arrange::StrideKernel;
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim};
 

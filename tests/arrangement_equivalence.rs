@@ -2,7 +2,7 @@
 //! contents and any legal block size, every mechanism at every width
 //! must reproduce the scalar oracle — and identical decoder outcomes.
 
-use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism};
+use apcm::arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use vran_phy::interleaver::QPP_TABLE;
 use vran_phy::llr::{InterleavedLlrs, TurboLlrs};
 use vran_phy::turbo::{TurboDecoder, TurboEncoder};

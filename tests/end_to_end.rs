@@ -2,7 +2,7 @@
 //! across modulations and SNR points, and every arrangement mechanism
 //! and width on a real packet's soft bits.
 
-use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism};
+use apcm::arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use vran_net::error::{ErrorCategory, PipelineError};
 use vran_net::l2::{BearerTx, L2_OVERHEAD};
 use vran_net::packet::{PacketBuilder, Transport};

@@ -5,7 +5,7 @@
 //! constants deliberately, with a note in EXPERIMENTS.md if the figure
 //! bands move.
 
-use vran_arrange::{ApcmVariant, ArrangeKernel, Mechanism};
+use apcm::arrange::{ApcmVariant, ArrangeKernel, Mechanism};
 use vran_net::pipeline::synthetic_interleaved;
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim};

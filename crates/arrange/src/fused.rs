@@ -237,21 +237,31 @@ mod x86 {
             }
             r
         };
-        let masks = MASKS.map(|m| m.map(|m| _mm_loadu_si128(m.as_ptr().cast())));
-        let restore = RESTORE.map(|r| _mm_loadu_si128(r.as_ptr().cast()));
+        // SAFETY: every mask and restore row is one whole register.
+        let masks = MASKS.map(|m| m.map(|m| unsafe { _mm_loadu_si128(m.as_ptr().cast()) }));
+        // SAFETY: as for `masks`.
+        let restore = RESTORE.map(|r| unsafe { _mm_loadu_si128(r.as_ptr().cast()) });
         let streams = [sys.as_mut_ptr(), p1.as_mut_ptr(), p2.as_mut_ptr()];
         // The shifted reloads: same group, three W-element offsets.
         let load = |t: usize| {
-            let at = input.as_ptr().add(3 * t);
-            [0, W, 2 * W].map(|o| _mm_loadu_si128(at.add(o).cast()))
+            // SAFETY: `cover` loads only groups with `t + W <= k`, whose
+            // `3W` elements from `3t` lie within `input`'s `3k`.
+            let at = unsafe { input.as_ptr().add(3 * t) };
+            // SAFETY: as for `at`, and SSSE3 is enabled.
+            [0, W, 2 * W].map(|o| unsafe { _mm_loadu_si128(at.add(o).cast()) })
         };
-        cover::<W, _>(k, streams, load, |c, t, r: &[__m128i; 3]| {
+        let store = |c: usize, t: usize, r: &[__m128i; 3]| {
             let a = _mm_and_si128(r[0], masks[c][0]);
             let b = _mm_and_si128(r[1], masks[c][1]);
             let d = _mm_and_si128(r[2], masks[c][2]);
             let o = _mm_shuffle_epi8(_mm_or_si128(_mm_or_si128(a, b), d), restore[c]);
-            _mm_storeu_si128(streams[c].add(t).cast(), o);
-        });
+            // SAFETY: `cover` stores only at `t + W <= k`, within the
+            // stream's `k` elements, borrowed exclusively.
+            unsafe { _mm_storeu_si128(streams[c].add(t).cast(), o) };
+        };
+        // SAFETY: `k >= W` (this function's contract), and `load` and
+        // `store` are sound for every `t` `cover` passes.
+        unsafe { cover::<W, _>(k, streams, load, store) };
     }
 
     /// # Safety
@@ -268,21 +278,31 @@ mod x86 {
         const W: usize = 32;
         static MASKS: [[[i16; W]; 3]; 3] = lane_masks::<W>();
         static RESTORE: [[i16; W]; 3] = restore_idx::<W>();
-        let masks = MASKS.map(|m| m.map(|m| _mm512_loadu_si512(m.as_ptr().cast())));
-        let restore = RESTORE.map(|r| _mm512_loadu_si512(r.as_ptr().cast()));
+        // SAFETY: every mask and restore row is one whole register.
+        let masks = MASKS.map(|m| m.map(|m| unsafe { _mm512_loadu_si512(m.as_ptr().cast()) }));
+        // SAFETY: as for `masks`.
+        let restore = RESTORE.map(|r| unsafe { _mm512_loadu_si512(r.as_ptr().cast()) });
         let streams = [sys.as_mut_ptr(), p1.as_mut_ptr(), p2.as_mut_ptr()];
         let load = |t: usize| {
-            let at = input.as_ptr().add(3 * t);
-            [0, W, 2 * W].map(|o| _mm512_loadu_si512(at.add(o).cast()))
+            // SAFETY: `cover` loads only groups with `t + W <= k`, whose
+            // `3W` elements from `3t` lie within `input`'s `3k`.
+            let at = unsafe { input.as_ptr().add(3 * t) };
+            // SAFETY: as for `at`, and AVX-512F is enabled.
+            [0, W, 2 * W].map(|o| unsafe { _mm512_loadu_si512(at.add(o).cast()) })
         };
-        cover::<W, _>(k, streams, load, |c, t, r: &[__m512i; 3]| {
+        let store = |c: usize, t: usize, r: &[__m512i; 3]| {
             let a = _mm512_and_si512(r[0], masks[c][0]);
             let b = _mm512_and_si512(r[1], masks[c][1]);
             let d = _mm512_and_si512(r[2], masks[c][2]);
             let merged = _mm512_or_si512(_mm512_or_si512(a, b), d);
             let o = _mm512_permutexvar_epi16(restore[c], merged);
-            _mm512_storeu_si512(streams[c].add(t).cast(), o);
-        });
+            // SAFETY: `cover` stores only at `t + W <= k`, within the
+            // stream's `k` elements, borrowed exclusively.
+            unsafe { _mm512_storeu_si512(streams[c].add(t).cast(), o) };
+        };
+        // SAFETY: `k >= W` (this function's contract), and `load` and
+        // `store` are sound for every `t` `cover` passes.
+        unsafe { cover::<W, _>(k, streams, load, store) };
     }
 }
 

@@ -29,6 +29,8 @@
 //! }
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod fused;
 pub mod native;
 

@@ -129,15 +129,16 @@ mod x86 {
 
     #[inline]
     unsafe fn extract16(r: __m128i, lane: usize) -> i16 {
+        // SAFETY (every arm): SSE2 is part of the x86_64 baseline.
         (match lane {
-            0 => _mm_extract_epi16(r, 0),
-            1 => _mm_extract_epi16(r, 1),
-            2 => _mm_extract_epi16(r, 2),
-            3 => _mm_extract_epi16(r, 3),
-            4 => _mm_extract_epi16(r, 4),
-            5 => _mm_extract_epi16(r, 5),
-            6 => _mm_extract_epi16(r, 6),
-            _ => _mm_extract_epi16(r, 7),
+            0 => unsafe { _mm_extract_epi16(r, 0) },
+            1 => unsafe { _mm_extract_epi16(r, 1) },
+            2 => unsafe { _mm_extract_epi16(r, 2) },
+            3 => unsafe { _mm_extract_epi16(r, 3) },
+            4 => unsafe { _mm_extract_epi16(r, 4) },
+            5 => unsafe { _mm_extract_epi16(r, 5) },
+            6 => unsafe { _mm_extract_epi16(r, 6) },
+            _ => unsafe { _mm_extract_epi16(r, 7) },
         }) as i16
     }
 
@@ -152,10 +153,18 @@ mod x86 {
         for g in 0..groups {
             let gbase = g * 24;
             for j in 0..3 {
-                let r = _mm_loadu_si128(input.as_ptr().add(gbase + j * 8) as *const __m128i);
+                // SAFETY: group `g < k / 8` spans `gbase..gbase + 24`,
+                // within the `3k` elements of `input`.
+                let src = unsafe { input.as_ptr().add(gbase + j * 8) };
+                // SAFETY: SSE2 is enabled; `src` starts 8 readable elements.
+                let r = unsafe { _mm_loadu_si128(src as *const __m128i) };
                 for lane in 0..8 {
                     let p = gbase + j * 8 + lane;
-                    *streams[p % 3].add(p / 3) = extract16(r, lane);
+                    // SAFETY: SSE2 is part of the x86_64 baseline.
+                    let v = unsafe { extract16(r, lane) };
+                    // SAFETY: `p < 3k`, so `p / 3` is within the stream's
+                    // `k` elements, and `out` is borrowed exclusively.
+                    unsafe { *streams[p % 3].add(p / 3) = v };
                 }
             }
         }
@@ -173,12 +182,17 @@ mod x86 {
         for g in 0..groups {
             let gbase = g * 96;
             for j in 0..3 {
-                let src = input.as_ptr().add(gbase + j * 32);
+                // SAFETY: group `g < k / 32` spans `gbase..gbase + 96`,
+                // within the `3k` elements of `input`.
+                let src = unsafe { input.as_ptr().add(gbase + j * 32) };
                 // Faithful §5.2 ladder: take the low 256, extract both
                 // xmm halves; reload; take the high 256; repeat.
-                let z = _mm512_loadu_si512(src as *const _);
+                // SAFETY: AVX-512F is enabled; `src` starts 32 readable
+                // elements.
+                let z = unsafe { _mm512_loadu_si512(src as *const _) };
                 let lo256 = _mm512_extracti64x4_epi64(z, 0);
-                let z2 = _mm512_loadu_si512(src as *const _); // reload
+                // SAFETY: as for `z`.
+                let z2 = unsafe { _mm512_loadu_si512(src as *const _) }; // reload
                 let hi256 = _mm512_extracti64x4_epi64(z2, 1);
                 for (h256, base) in [(lo256, 0usize), (hi256, 16)] {
                     for half in 0..2 {
@@ -189,7 +203,12 @@ mod x86 {
                         };
                         for lane in 0..8 {
                             let p = gbase + j * 32 + base + half * 8 + lane;
-                            *streams[p % 3].add(p / 3) = extract16(x, lane);
+                            // SAFETY: SSE2 is part of the x86_64 baseline.
+                            let v = unsafe { extract16(x, lane) };
+                            // SAFETY: `p < 3k`, so `p / 3` is within the
+                            // stream's `k` elements, and `out` is borrowed
+                            // exclusively.
+                            unsafe { *streams[p % 3].add(p / 3) = v };
                         }
                     }
                 }

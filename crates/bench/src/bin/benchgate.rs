@@ -53,7 +53,7 @@ use vran_net::chaos::{run_runner_chaos, RunnerChaosConfig};
 use vran_net::downlink::{DownlinkConfig, DownlinkPipeline};
 use vran_net::error::ErrorCategory;
 use vran_net::faultinject::{FaultInjector, FaultKind};
-use vran_net::metrics::{PipelineMetrics, RunnerMetrics, Stage, StageGraphMetrics};
+use vran_net::metrics::{Op, PipelineMetrics, RunnerMetrics, StageGraphMetrics};
 use vran_net::observe::FlightRecorder;
 use vran_net::packet::PacketBuilder;
 use vran_net::pipeline::{PipelineConfig, Profile, UplinkPipeline};
@@ -281,8 +281,9 @@ fn uplink_stagegraph_suite() -> Suite {
     suite
 }
 
-/// The stages the profile A/B judges, from the same cycles.
-const JUDGED: [Stage; 2] = [Stage::Arrange, Stage::Demap];
+/// The stages the profile A/B judges, from the same cycles: the
+/// arrangement, and demap + descramble.
+const JUDGED: [&[Op]; 2] = [&[Op::Arrange], &[Op::Demap, Op::Descramble]];
 
 /// One arm of the uplink profile A/B over [`FUSED_SIZES`]: a warmed
 /// pipeline with its own registry, what every packet it decoded
@@ -302,7 +303,7 @@ struct AbArm {
 
 impl AbArm {
     fn warmed(profile: Profile) -> Self {
-        let pm = std::sync::Arc::new(PipelineMetrics::new(true));
+        let pm = std::sync::Arc::new(PipelineMetrics::new());
         let cfg = PipelineConfig {
             profile,
             snr_db: 30.0,
@@ -325,7 +326,9 @@ impl AbArm {
 
     /// One packet of every size; returns the elapsed seconds.
     fn cycle(&mut self) -> f64 {
-        let stage_sum = |pm: &PipelineMetrics| JUDGED.map(|s| pm.stage(s).sum() as f64);
+        let stage_sum = |pm: &PipelineMetrics| {
+            JUDGED.map(|ops| ops.iter().map(|&op| pm.op(op).sum()).sum::<u64>() as f64)
+        };
         let stage0 = stage_sum(&self.pm);
         let t = Instant::now();
         for &size in &FUSED_SIZES {
@@ -512,7 +515,7 @@ fn downlink_static_suite() -> Suite {
 /// seed — block structure and decoder effort must not drift.
 fn pipeline_static_suite() -> Suite {
     let mut suite = Suite::new("pipeline_static", true);
-    let metrics = std::sync::Arc::new(PipelineMetrics::new(true));
+    let metrics = std::sync::Arc::new(PipelineMetrics::new());
     let cfg = PipelineConfig {
         snr_db: 30.0,
         ..Default::default()
@@ -547,7 +550,7 @@ fn pipeline_faults_suite() -> Suite {
         (Profile::Reference, FAULT_SEED_SCALAR, "scalar"),
         (Profile::Production, FAULT_SEED_NATIVE, "native"),
     ] {
-        let pm = std::sync::Arc::new(PipelineMetrics::new(true));
+        let pm = std::sync::Arc::new(PipelineMetrics::new());
         let cfg = PipelineConfig {
             profile,
             snr_db: 30.0,

@@ -217,7 +217,7 @@ pub fn run_runner_chaos(cfg: RunnerChaosConfig) -> RunnerChaosReport {
     let phases = specs
         .into_iter()
         .map(|spec| {
-            let pm = Arc::new(PipelineMetrics::new(true));
+            let pm = Arc::new(PipelineMetrics::new());
             let rm = RunnerMetrics::new(true, RING_CAPACITY);
             let rep = run_uplink_stagegraph_metered(
                 spec.cfg,

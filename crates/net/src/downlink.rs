@@ -173,8 +173,7 @@ impl DownlinkPipeline {
         let cfg = &self.cfg;
         let kern = cfg.profile.kernels();
         let mut clock = Clock {
-            m: self.metrics.as_deref().filter(|m| m.is_enabled()),
-            kern,
+            m: self.metrics.as_deref(),
             nanos: Default::default(),
         };
         if let Some(m) = clock.m {

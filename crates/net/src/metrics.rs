@@ -2,24 +2,23 @@
 //! latency histograms.
 //!
 //! Everything here is lock-free (relaxed atomics) so the threaded
-//! runner can record from every stage thread, and **near-zero overhead
-//! when disabled**: each registry carries an `enabled` flag checked
-//! before any atomic touch.
+//! runner can record from every stage thread. A pipeline without a
+//! [`PipelineMetrics`] attached records nothing; [`RunnerMetrics`] and
+//! [`StageGraphMetrics`] also carry an `enabled` flag checked before
+//! any atomic touch.
 //!
 //! Time reaches the histograms one way: every stage runs as one
-//! [`Spans::lap`] over the fine stage list [`Op`], and the pipeline's
-//! span sink files each lap here through
+//! [`Spans::lap`] of an [`Op`], and the pipeline's span sink files each
+//! lap once, under its op, in the packet's [`OpNanos`] and through
 //! [`PipelineMetrics::record_lap`]. The transmit and receive chains
 //! ([`crate::tx`], [`crate::rx`]) bracket their own stages; a stage-graph
 //! pool flush is one `Op::Decode` lap of the same sink around the same
-//! receive chain's decode, so both runtimes fill `stage.decode` alike.
+//! receive chain's decode, so both runtimes fill `op.decode` alike.
 //!
 //! Three registries mirror the three instrumented layers:
 //!
-//! * [`PipelineMetrics`] — per-stage latency histograms for the PHY
-//!   chain ([`Stage`]: CRC → segment → encode → rate-match → modulate
-//!   → OFDM → arrange → decode) plus packet counters, recorded by
-//!   [`crate::pipeline::UplinkPipeline`].
+//! * [`PipelineMetrics`] — one latency histogram per [`Op`] plus packet
+//!   counters, recorded by [`crate::pipeline::UplinkPipeline`].
 //! * [`RunnerMetrics`] — ring occupancy and producer/consumer ring
 //!   waits from [`crate::runner`]'s threaded drivers.
 //! * [`StageGraphMetrics`] — batch-formation counters (quad/pair/single
@@ -31,6 +30,7 @@
 //! commits.
 
 use crate::error::ErrorCategory;
+use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use vran_phy::turbo::native_batch::LaneOutcome;
 use vran_util::Json;
@@ -180,100 +180,57 @@ impl Histogram {
 
     /// Mean observed value (0 if empty).
     pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
+        mean(self.sum(), self.count())
     }
 
     /// Upper edge of the bucket containing the `q`-quantile
     /// (`0.0..=1.0`); `u64::MAX` when it lands in the overflow bucket,
     /// 0 when empty.
     pub fn quantile_upper(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return self.edges.get(i).copied().unwrap_or(u64::MAX);
-            }
-        }
-        u64::MAX
+        let buckets = self.buckets.iter().map(|b| b.load(Ordering::Relaxed));
+        quantile_upper(&self.edges, buckets, self.count(), q)
     }
 }
 
-/// The eight instrumented PHY stages, in pipeline order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Stage {
-    /// CRC24A attach (tx) and check (rx).
-    Crc,
-    /// Transport-block segmentation and desegmentation.
-    Segment,
-    /// Turbo encoding.
-    Encode,
-    /// Rate matching (tx) and de-rate-matching (rx).
-    RateMatch,
-    /// Scrambling + symbol mapping (tx only).
-    Modulate,
-    /// OFDM modulation/demodulation and the channel model.
-    Ofdm,
-    /// Soft demapping + LLR descrambling (rx front end) — kept
-    /// distinct from [`Stage::Modulate`] so the flight recorder never
-    /// conflates tx modulation with rx demap.
-    Demap,
-    /// The data-arrangement process (the paper's subject).
-    Arrange,
-    /// Turbo decoding.
-    Decode,
-}
-
-impl Stage {
-    /// Number of stages.
-    pub const COUNT: usize = 9;
-    /// All stages in pipeline order.
-    pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::Crc,
-        Stage::Segment,
-        Stage::Encode,
-        Stage::RateMatch,
-        Stage::Modulate,
-        Stage::Ofdm,
-        Stage::Demap,
-        Stage::Arrange,
-        Stage::Decode,
-    ];
-
-    /// Snake-case name used in snapshot keys.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Crc => "crc",
-            Stage::Segment => "segment",
-            Stage::Encode => "encode",
-            Stage::RateMatch => "rate_match",
-            Stage::Modulate => "modulate",
-            Stage::Ofdm => "ofdm",
-            Stage::Demap => "demap",
-            Stage::Arrange => "arrange",
-            Stage::Decode => "decode",
-        }
+/// Mean of `count` observations summing to `sum` (0 when empty).
+pub(crate) fn mean(sum: u64, count: u64) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum as f64 / count as f64
     }
 }
 
-/// The chains' fine stage list, in chain order: what one
-/// [`Spans::lap`] brackets. `Encode`, `RateMatch`, `DeRateMatch` and
-/// `Arrange` lap once per code block; `Decode` once per run of equal-K
-/// blocks on the native decoder (one call decodes the run, so a packet
-/// laps once or twice and `stage.decode.count` counts runs, not
-/// blocks) and once per block on the scalar oracle; the rest once per
-/// packet. [`Op::stage`] folds the list onto the coarser [`Stage`]
-/// histograms.
+/// Upper edge of the bucket holding the `q`-quantile of `count`
+/// observations spread over `buckets` (one per edge, then the overflow
+/// bucket): 0 when empty, `u64::MAX` in the overflow bucket.
+pub(crate) fn quantile_upper(
+    edges: &[u64],
+    buckets: impl IntoIterator<Item = u64>,
+    count: u64,
+    q: f64,
+) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+    let mut seen = 0;
+    for (i, b) in buckets.into_iter().enumerate() {
+        seen += b;
+        if seen >= rank {
+            return edges.get(i).copied().unwrap_or(u64::MAX);
+        }
+    }
+    u64::MAX
+}
+
+/// The chains' stage list, in chain order: what one [`Spans::lap`]
+/// brackets, and what each lap is filed under. `Encode`, `RateMatch`,
+/// `DeRateMatch` and `Arrange` lap once per code block; `Decode` once
+/// per run of equal-K blocks on the native decoder (one call decodes
+/// the run, so a packet laps once or twice and `op.decode.count` counts
+/// runs, not blocks) and once per block on the scalar oracle; the rest
+/// once per packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// PDCP/RLC/MAC framing of the frame into the transport block.
@@ -316,21 +273,78 @@ pub enum Op {
 }
 
 impl Op {
-    /// The [`Stage`] histogram this op's laps land in; the two L2 ops
-    /// have none.
-    pub fn stage(self) -> Option<Stage> {
-        Some(match self {
-            Op::L2Encap | Op::L2Decap => return None,
-            Op::CrcAttach | Op::CrcCheck => Stage::Crc,
-            Op::Seg | Op::Deseg => Stage::Segment,
-            Op::Encode => Stage::Encode,
-            Op::RateMatch | Op::DeRateMatch => Stage::RateMatch,
-            Op::Scramble | Op::Map => Stage::Modulate,
-            Op::OfdmMod | Op::Channel | Op::OfdmDemod => Stage::Ofdm,
-            Op::Demap | Op::Descramble => Stage::Demap,
-            Op::Arrange => Stage::Arrange,
-            Op::Decode => Stage::Decode,
-        })
+    /// Number of ops.
+    pub const COUNT: usize = 18;
+    /// All ops in chain order.
+    pub const ALL: [Op; Op::COUNT] = [
+        Op::L2Encap,
+        Op::CrcAttach,
+        Op::Seg,
+        Op::Encode,
+        Op::RateMatch,
+        Op::Scramble,
+        Op::Map,
+        Op::OfdmMod,
+        Op::Channel,
+        Op::OfdmDemod,
+        Op::Demap,
+        Op::Descramble,
+        Op::DeRateMatch,
+        Op::Arrange,
+        Op::Decode,
+        Op::Deseg,
+        Op::CrcCheck,
+        Op::L2Decap,
+    ];
+
+    /// Snake-case name used in snapshot keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            Op::L2Encap => "l2_encap",
+            Op::CrcAttach => "crc_attach",
+            Op::Seg => "seg",
+            Op::Encode => "encode",
+            Op::RateMatch => "rate_match",
+            Op::Scramble => "scramble",
+            Op::Map => "map",
+            Op::OfdmMod => "ofdm_mod",
+            Op::Channel => "channel",
+            Op::OfdmDemod => "ofdm_demod",
+            Op::Demap => "demap",
+            Op::Descramble => "descramble",
+            Op::DeRateMatch => "de_rate_match",
+            Op::Arrange => "arrange",
+            Op::Decode => "decode",
+            Op::Deseg => "deseg",
+            Op::CrcCheck => "crc_check",
+            Op::L2Decap => "l2_decap",
+        }
+    }
+}
+
+/// Wall-clock nanoseconds one packet spent in each [`Op`], indexed by
+/// op: every lap of its passage, filed once.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OpNanos([u64; Op::COUNT]);
+
+impl OpNanos {
+    /// All laps.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+}
+
+impl Index<Op> for OpNanos {
+    type Output = u64;
+
+    fn index(&self, op: Op) -> &u64 {
+        &self.0[op as usize]
+    }
+}
+
+impl IndexMut<Op> for OpNanos {
+    fn index_mut(&mut self, op: Op) -> &mut u64 {
+        &mut self.0[op as usize]
     }
 }
 
@@ -355,21 +369,11 @@ impl Spans for () {
     }
 }
 
-/// Per-stage latency histograms and packet counters for the uplink
-/// pipeline.
+/// Per-op latency histograms and packet counters for the uplink
+/// pipeline. Attached is on: a pipeline without one records nothing.
 #[derive(Debug)]
 pub struct PipelineMetrics {
-    enabled: bool,
-    stages: [Histogram; Stage::COUNT],
-    /// Demap share of [`Stage::Demap`] when the native SIMD front end
-    /// ran (fixed-point kernel time only, excluding descramble).
-    frontend_demap: Histogram,
-    /// Descramble share of [`Stage::Demap`] when the native SIMD
-    /// front end ran (word-parallel Gold + sign-select time).
-    frontend_descramble: Histogram,
-    /// Per-packet CRC kernel time when the table/clmul front end ran
-    /// (recorded alongside [`Stage::Crc`]).
-    frontend_crc: Histogram,
+    ops: [Histogram; Op::COUNT],
     /// Packets processed.
     pub packets: Counter,
     /// Packets that round-tripped bit-exactly.
@@ -444,19 +448,15 @@ pub struct PipelineMetrics {
 
 impl Default for PipelineMetrics {
     fn default() -> Self {
-        Self::new(true)
+        Self::new()
     }
 }
 
 impl PipelineMetrics {
-    /// New registry; `enabled = false` makes every record a no-op.
-    pub fn new(enabled: bool) -> Self {
+    /// New, empty registry.
+    pub fn new() -> Self {
         Self {
-            enabled,
-            stages: std::array::from_fn(|_| Histogram::latency_ns()),
-            frontend_demap: Histogram::latency_ns(),
-            frontend_descramble: Histogram::latency_ns(),
-            frontend_crc: Histogram::latency_ns(),
+            ops: std::array::from_fn(|_| Histogram::latency_ns()),
             packets: Counter::new(),
             ok_packets: Counter::new(),
             decoder_iterations: Counter::new(),
@@ -484,17 +484,8 @@ impl PipelineMetrics {
         }
     }
 
-    /// Whether recording is live.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record packet-level outcome (no-op when disabled).
+    /// Record packet-level outcome.
     pub fn record_packet(&self, ok: bool, code_blocks: usize, decoder_iterations: usize) {
-        if !self.enabled {
-            return;
-        }
         self.packets.inc();
         if ok {
             self.ok_packets.inc();
@@ -504,23 +495,17 @@ impl PipelineMetrics {
     }
 
     /// Record decoder-scratch acquisition outcomes and the SISO passes
-    /// run through it for one packet (no-op when disabled).
+    /// run through it for one packet.
     pub fn record_scratch(&self, allocs: u64, reuses: u64, siso_passes: u64) {
-        if !self.enabled {
-            return;
-        }
         self.decode_scratch_allocs.add(allocs);
         self.decode_scratch_reuses.add(reuses);
         self.siso_passes.add(siso_passes);
     }
 
-    /// Count one failed packet under its error category (no-op when
-    /// disabled).
+    /// Count one failed packet under its error category.
     #[inline]
     pub fn record_error(&self, category: ErrorCategory) {
-        if self.enabled {
-            self.errors[category as usize].inc();
-        }
+        self.errors[category as usize].inc();
     }
 
     /// Failed-packet count for one category.
@@ -528,51 +513,20 @@ impl PipelineMetrics {
         self.errors[category as usize].get()
     }
 
-    /// The histogram behind one stage.
-    pub fn stage(&self, stage: Stage) -> &Histogram {
-        &self.stages[stage as usize]
+    /// The histogram behind one op.
+    pub fn op(&self, op: Op) -> &Histogram {
+        &self.ops[op as usize]
     }
 
-    /// The SIMD-front-end demap histogram (the demap share of
-    /// [`Stage::Demap`] when the native tier ran).
-    pub fn frontend_demap(&self) -> &Histogram {
-        &self.frontend_demap
-    }
-
-    /// The SIMD-front-end descramble histogram.
-    pub fn frontend_descramble(&self) -> &Histogram {
-        &self.frontend_descramble
-    }
-
-    /// The SIMD-front-end CRC histogram.
-    pub fn frontend_crc(&self) -> &Histogram {
-        &self.frontend_crc
-    }
-
-    /// File one chain lap: under the op's [`Stage`] series and, when
-    /// the lap ran a SIMD front-end kernel (`simd_frontend`), under
-    /// that kernel's own histogram as well (no-op when disabled).
-    pub fn record_lap(&self, op: Op, nanos: u64, simd_frontend: bool) {
-        if !self.enabled {
-            return;
-        }
-        match op {
-            Op::Demap if simd_frontend => self.frontend_demap.record(nanos),
-            Op::Descramble if simd_frontend => self.frontend_descramble.record(nanos),
-            Op::CrcAttach | Op::CrcCheck if simd_frontend => self.frontend_crc.record(nanos),
-            _ => {}
-        }
-        if let Some(stage) = op.stage() {
-            self.stages[stage as usize].record(nanos);
-        }
+    /// File one chain lap under its op.
+    #[inline]
+    pub fn record_lap(&self, op: Op, nanos: u64) {
+        self.ops[op as usize].record(nanos);
     }
 
     /// File one pooled-buffer fill ([`Spans::staged`]) under the
-    /// staging counters (no-op when disabled).
+    /// staging counters.
     pub fn record_staged(&self, held: usize, now: usize) {
-        if !self.enabled {
-            return;
-        }
         if held == now {
             self.staging_reuses.inc();
         } else if held == 0 {
@@ -582,21 +536,13 @@ impl PipelineMetrics {
         }
     }
 
-    /// Flat snapshot: stage means/p90s plus counters.
+    /// Flat snapshot: per-op means and lap counts plus counters.
     pub fn snapshot(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
-        for s in Stage::ALL {
-            let h = self.stage(s);
-            out.push((format!("stage.{}.mean_ns", s.name()), h.mean()));
-            out.push((format!("stage.{}.count", s.name()), h.count() as f64));
-        }
-        for (name, h) in [
-            ("frontend_demap", &self.frontend_demap),
-            ("frontend_descramble", &self.frontend_descramble),
-            ("frontend_crc", &self.frontend_crc),
-        ] {
-            out.push((format!("stage.{name}.mean_ns"), h.mean()));
-            out.push((format!("stage.{name}.count"), h.count() as f64));
+        for op in Op::ALL {
+            let h = self.op(op);
+            out.push((format!("op.{}.mean_ns", op.name()), h.mean()));
+            out.push((format!("op.{}.count", op.name()), h.count() as f64));
         }
         out.extend(
             [
@@ -1013,12 +959,6 @@ mod tests {
 
     #[test]
     fn disabled_registries_record_nothing() {
-        let p = PipelineMetrics::new(false);
-        p.record_lap(Op::Decode, 999, false);
-        p.record_packet(true, 3, 12);
-        assert_eq!(p.stage(Stage::Decode).count(), 0);
-        assert_eq!(p.packets.get(), 0);
-
         let r = RunnerMetrics::new(false, 256);
         r.record_occupancy(7);
         r.record_push_stall();
@@ -1033,34 +973,36 @@ mod tests {
 
     #[test]
     fn stage_names_are_unique_and_ordered() {
-        let names: Vec<_> = Stage::ALL.iter().map(|s| s.name()).collect();
+        let names: Vec<_> = Op::ALL.iter().map(|op| op.name()).collect();
         let mut dedup = names.clone();
+        dedup.sort_unstable();
         dedup.dedup();
-        assert_eq!(names.len(), Stage::COUNT);
-        assert_eq!(names, dedup);
-        assert_eq!(names[0], "crc");
-        assert_eq!(names[Stage::COUNT - 1], "decode");
+        assert_eq!(names.len(), Op::COUNT);
+        assert_eq!(dedup.len(), Op::COUNT);
+        assert!(Op::ALL.iter().enumerate().all(|(i, &op)| op as usize == i));
+        assert_eq!(names[0], "l2_encap");
+        assert_eq!(names[Op::COUNT - 1], "l2_decap");
     }
 
     #[test]
     fn snapshots_flatten_to_numbers() {
-        let p = PipelineMetrics::new(true);
-        p.record_lap(Op::Arrange, 512, false);
+        let p = PipelineMetrics::new();
+        p.record_lap(Op::Arrange, 512);
         p.record_packet(true, 1, 4);
         let snap = p.snapshot();
         let get = |k: &str| snap.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
-        assert_eq!(get("stage.arrange.count"), Some(1.0));
-        assert_eq!(get("stage.arrange.mean_ns"), Some(512.0));
+        assert_eq!(get("op.arrange.count"), Some(1.0));
+        assert_eq!(get("op.arrange.mean_ns"), Some(512.0));
         assert_eq!(get("packets"), Some(1.0));
         assert_eq!(get("ok_packets"), Some(1.0));
         // JSON round-trips through the flattener benchgate uses.
         let flat = p.to_json().flatten_numbers();
-        assert_eq!(flat.get("stage.arrange.count"), Some(&1.0));
+        assert_eq!(flat.get("op.arrange.count"), Some(&1.0));
     }
 
     #[test]
     fn error_counters_track_categories_independently() {
-        let p = PipelineMetrics::new(true);
+        let p = PipelineMetrics::new();
         p.record_error(ErrorCategory::MalformedFrame);
         p.record_error(ErrorCategory::MalformedFrame);
         p.record_error(ErrorCategory::DecoderDiverged);
@@ -1074,11 +1016,6 @@ mod tests {
         assert_eq!(get("deadline_clamps"), Some(0.0));
         assert_eq!(get("backend_degradations"), Some(0.0));
         assert_eq!(get("native_simd_fallbacks"), Some(0.0));
-
-        // Disabled registry records nothing.
-        let off = PipelineMetrics::new(false);
-        off.record_error(ErrorCategory::CrcMismatch);
-        assert_eq!(off.error_count(ErrorCategory::CrcMismatch), 0);
 
         let r = RunnerMetrics::new(true, 16);
         r.record_worker_restart();

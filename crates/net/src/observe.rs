@@ -31,7 +31,7 @@
 //!   success closes it again.
 
 use crate::error::ErrorCategory;
-use crate::metrics::{PipelineMetrics, RunnerMetrics, Stage, StageGraphMetrics};
+use crate::metrics::{self, Op, PipelineMetrics, RunnerMetrics, StageGraphMetrics};
 use crate::stagegraph::FlushReason;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use vran_util::Json;
@@ -107,12 +107,14 @@ pub struct TraceEvent {
     pub batch_id: u32,
     /// Per-pipeline packet ordinal (packet events).
     pub seq: u32,
-    /// Receive-path nanoseconds before decode (encode + transport +
-    /// demap + arrangement).
+    /// Nanoseconds of the packet's laps before [`Op::Decode`]: the
+    /// loopback's transmitter and channel, then the receive front end
+    /// through the arrangement.
     pub prepare_ns: u32,
-    /// Decode-stage nanoseconds.
+    /// [`Op::Decode`] nanoseconds.
     pub decode_ns: u32,
-    /// Whole-packet nanoseconds.
+    /// Nanoseconds of all the packet's laps, the receive tail
+    /// (desegmentation, CRC24A check, L2) included.
     pub total_ns: u32,
     /// Kind-specific extra (blocks launched, restart generation).
     pub aux: u32,
@@ -408,15 +410,6 @@ impl BreakerStage {
         }
     }
 
-    /// The pipeline [`Stage`] this breaker fronts.
-    pub fn pipeline_stage(self) -> Stage {
-        match self {
-            BreakerStage::Equalizer => Stage::Ofdm,
-            BreakerStage::Demapper => Stage::Modulate,
-            BreakerStage::Decoder => Stage::Decode,
-        }
-    }
-
     /// Which breaker a terminal error category feeds.
     pub fn for_category(category: ErrorCategory) -> BreakerStage {
         match category {
@@ -571,7 +564,7 @@ impl CircuitBreaker {
 /// [`crate::metrics::Histogram::snapshot_consistent`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
-    /// Snapshot key (e.g. `pipeline.stage.decode`).
+    /// Snapshot key (e.g. `pipeline.op.decode`).
     pub name: String,
     /// Inclusive bucket upper bounds (the overflow bucket has none).
     pub edges: Vec<u64>,
@@ -602,11 +595,7 @@ impl HistogramSnapshot {
 
     /// Mean observed value (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
+        metrics::mean(self.sum, self.count)
     }
 
     /// Upper edge of the bucket holding the `q`-quantile observation —
@@ -615,18 +604,7 @@ impl HistogramSnapshot {
     /// captured copy (0 when empty, `u64::MAX` in the overflow
     /// bucket).
     pub fn quantile_upper(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return self.edges.get(i).copied().unwrap_or(u64::MAX);
-            }
-        }
-        u64::MAX
+        metrics::quantile_upper(&self.edges, self.buckets.iter().copied(), self.count, q)
     }
 }
 
@@ -656,27 +634,12 @@ impl MetricsSnapshot {
             for (k, v) in p.snapshot() {
                 counters.push((format!("pipeline.{k}"), v));
             }
-            for s in Stage::ALL {
+            for op in Op::ALL {
                 histograms.push(HistogramSnapshot::capture(
-                    &format!("pipeline.stage.{}", s.name()),
-                    p.stage(s),
+                    &format!("pipeline.op.{}", op.name()),
+                    p.op(op),
                 ));
             }
-            // The SIMD front-end kernels: the `demap` stage
-            // histogram covers the combined demap+descramble wall time
-            // while these break out the per-kernel shares.
-            histograms.push(HistogramSnapshot::capture(
-                "pipeline.stage.frontend_demap",
-                p.frontend_demap(),
-            ));
-            histograms.push(HistogramSnapshot::capture(
-                "pipeline.stage.frontend_descramble",
-                p.frontend_descramble(),
-            ));
-            histograms.push(HistogramSnapshot::capture(
-                "pipeline.stage.frontend_crc",
-                p.frontend_crc(),
-            ));
         }
         if let Some(r) = runner {
             for (k, v) in r.snapshot() {
@@ -752,7 +715,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Op;
 
     #[test]
     fn trace_events_round_trip_through_packing() {
@@ -900,8 +862,8 @@ mod tests {
 
     #[test]
     fn snapshot_captures_counters_and_histograms() {
-        let p = PipelineMetrics::new(true);
-        p.record_lap(Op::Decode, 512, false);
+        let p = PipelineMetrics::new();
+        p.record_lap(Op::Decode, 512);
         p.record_packet(true, 2, 8);
         let r = RunnerMetrics::new(true, 16);
         r.record_occupancy(3);
@@ -927,17 +889,14 @@ mod tests {
             snap.get("stagegraph.batch.lane_iterations.count"),
             Some(11.0)
         );
-        let h = snap.histogram("pipeline.stage.decode").expect("captured");
+        let h = snap.histogram("pipeline.op.decode").expect("captured");
         assert_eq!(h.count, 1);
         assert_eq!(h.bucket_sum(), 1);
         assert!(h.bucket_sum() <= h.count);
         // JSON flattens into the benchgate namespace.
         let flat = snap.to_json().flatten_numbers();
         assert_eq!(flat.get("counters.pipeline.packets"), Some(&1.0));
-        assert_eq!(
-            flat.get("histograms.pipeline.stage.decode.count"),
-            Some(&1.0)
-        );
+        assert_eq!(flat.get("histograms.pipeline.op.decode.count"), Some(&1.0));
     }
 
     #[test]

@@ -60,7 +60,7 @@
 
 use crate::error::{DecodeFailure, ErrorCategory, FrameFault, PipelineError};
 use crate::faultinject::{FaultInjector, FaultKind};
-use crate::metrics::{Op, PipelineMetrics, Spans};
+use crate::metrics::{Op, OpNanos, PipelineMetrics, Spans};
 use crate::observe::{
     BreakerConfig, BreakerStage, BreakerState, CircuitBreaker, FlightRecorder, TraceEvent,
 };
@@ -152,46 +152,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Wall-clock nanoseconds per pipeline stage for one packet: the
-/// chains' laps ([`Op`]) summed into five buckets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageNanos {
-    /// Encoder side: L2 + CRC + segmentation + turbo encoding + rate
-    /// match.
-    pub encode: u64,
-    /// Scrambling + modulation + OFDM, both directions, and the
-    /// channel.
-    pub transport: u64,
-    /// Soft demapping + descrambling + de-rate-matching.
-    pub demap: u64,
-    /// The data arrangement process (the paper's subject).
-    pub arrangement: u64,
-    /// Turbo decoding (the "calculation" process).
-    pub decode: u64,
-}
-
-impl StageNanos {
-    /// Total across stages.
-    pub fn total(&self) -> u64 {
-        self.encode + self.transport + self.demap + self.arrangement + self.decode
-    }
-
-    /// The bucket `op`'s laps add to; the receive tail (desegment,
-    /// CRC24A, L2) has never been in any.
-    fn bucket(&mut self, op: Op) -> Option<&mut u64> {
-        Some(match op {
-            Op::L2Encap | Op::CrcAttach | Op::Seg | Op::Encode | Op::RateMatch => &mut self.encode,
-            Op::Scramble | Op::Map | Op::OfdmMod | Op::Channel | Op::OfdmDemod => {
-                &mut self.transport
-            }
-            Op::Demap | Op::Descramble | Op::DeRateMatch => &mut self.demap,
-            Op::Arrange => &mut self.arrangement,
-            Op::Decode => &mut self.decode,
-            Op::Deseg | Op::CrcCheck | Op::L2Decap => return None,
-        })
-    }
-}
-
 /// A packet whose receive path ran up to (but not including) turbo
 /// decode: ingress, encode, channel, demap, de-rate-match and
 /// arrangement are done, and each code block is staged as a
@@ -215,7 +175,7 @@ pub struct PreparedUplink {
     pub(crate) frame: Vec<u8>,
     pub(crate) seg: Segmentation,
     pub(crate) coded_bits: usize,
-    pub(crate) nanos: StageNanos,
+    pub(crate) nanos: OpNanos,
     pub(crate) iter_cap: usize,
     pub(crate) tasks: Vec<TurboLlrs>,
 }
@@ -258,8 +218,8 @@ pub struct PacketResult {
     pub coded_bits: usize,
     /// Decoder iterations used, summed over code blocks.
     pub decoder_iterations: usize,
-    /// Per-stage wall-clock time.
-    pub nanos: StageNanos,
+    /// Wall-clock time per [`Op`].
+    pub nanos: OpNanos,
 }
 
 /// Per-pipeline working state: the two chains (which own every buffer
@@ -288,12 +248,11 @@ struct Hot {
 }
 
 /// The one clock: a span sink that times each lap once and files that
-/// reading under the packet's [`StageNanos`] bucket and, when a live
-/// registry is attached, [`PipelineMetrics::record_lap`].
+/// reading under its [`Op`] in the packet's ledger and, when a registry
+/// is attached, [`PipelineMetrics::record_lap`].
 pub(crate) struct Clock<'a> {
     pub(crate) m: Option<&'a PipelineMetrics>,
-    pub(crate) kern: Kernels,
-    pub(crate) nanos: StageNanos,
+    pub(crate) nanos: OpNanos,
 }
 
 impl Spans for Clock<'_> {
@@ -301,11 +260,9 @@ impl Spans for Clock<'_> {
         let t = Instant::now();
         let out = work();
         let ns = t.elapsed().as_nanos() as u64;
-        if let Some(bucket) = self.nanos.bucket(op) {
-            *bucket += ns;
-        }
+        self.nanos[op] += ns;
         if let Some(m) = self.m {
-            m.record_lap(op, ns, self.kern.demap.is_some());
+            m.record_lap(op, ns);
         }
         out
     }
@@ -317,9 +274,10 @@ impl Spans for Clock<'_> {
     }
 }
 
-/// One packet's passage through the pipeline: its clock and its policy
-/// hooks in one value.
+/// One packet's passage through the pipeline: its kernels, its clock
+/// and its policy hooks in one value.
 struct InPacket<'a> {
+    kern: Kernels,
     clock: Clock<'a>,
     /// The injector that drew `fault`, for the faults applied mid-chain.
     faults: &'a RefCell<Option<FaultInjector>>,
@@ -547,10 +505,10 @@ impl UplinkPipeline {
             Profile::Production => (Kernels::production(), 0),
         };
         InPacket {
+            kern,
             clock: Clock {
-                m: self.metrics.as_deref().filter(|m| m.is_enabled()),
-                kern,
-                nanos: StageNanos::default(),
+                m: self.metrics.as_deref(),
+                nanos: OpNanos::default(),
             },
             faults: &self.faults,
             fault: FaultKind::Clean,
@@ -690,7 +648,7 @@ impl UplinkPipeline {
         front: Result<(Staged, Cow<'_, [u8]>), PipelineError>,
     ) -> Admission {
         let result = match front {
-            Ok((staged, frame)) if pk.clock.kern.decoder == DecoderBackend::Native => {
+            Ok((staged, frame)) if pk.kern.decoder == DecoderBackend::Native => {
                 match self.stage(&mut pk, staged, frame) {
                     Ok(prep) => return Admission::Staged(prep),
                     Err(e) => Err(e),
@@ -712,24 +670,23 @@ impl UplinkPipeline {
     /// `decoded` holds one bit buffer per staged task, in task order;
     /// `iterations` is the decoder-iteration total across the packet's
     /// blocks and `failed_blocks` how many of them the decoder reported
-    /// a failed CRC24B for; `decode_ns` is the wall-clock decode share
-    /// attributed to this packet by the batch launches it rode.
+    /// a failed CRC24B for. The stage graph has already filed in
+    /// `prep`'s ledger the share of each launch it rode as
+    /// [`Op::Decode`].
     pub fn complete(
         &self,
         prep: PreparedUplink,
         decoded: &[Vec<u8>],
         iterations: usize,
         failed_blocks: usize,
-        decode_ns: u64,
     ) -> Result<PacketResult, PipelineError> {
         debug_assert_eq!(decoded.len(), prep.seg.c, "one bit buffer per block");
         let mut pk = self.passage();
-        (pk.fault, pk.start, pk.clock.kern) = (prep.fault, prep.start, prep.kern);
+        (pk.fault, pk.start, pk.kern) = (prep.fault, prep.start, prep.kern);
         (pk.clock.nanos, pk.trace_backend) = (prep.nanos, prep.trace_backend);
-        pk.clock.nanos.decode += decode_ns;
         let delivered = {
             let rx = &mut self.hot.borrow_mut().rx;
-            rx.kern = pk.clock.kern;
+            rx.kern = pk.kern;
             rx.deliver(
                 &prep.seg,
                 decoded,
@@ -760,7 +717,7 @@ impl UplinkPipeline {
     /// ([`RxChain::decode_run`]), lapped as [`Op::Decode`] by a [`Clock`]
     /// on this pipeline's registry. `land` gets the bits and outcome of
     /// each block and the lap's nanoseconds, which the graph splits
-    /// across the packets' [`StageNanos::decode`].
+    /// across the packets' [`Op::Decode`] ledger slots.
     pub(crate) fn decode_launch(
         &self,
         blocks: &[BlockLlrs<'_>],
@@ -768,17 +725,16 @@ impl UplinkPipeline {
         crc: Option<&Crc>,
         land: impl FnOnce(&[Vec<u8>], &[LaneOutcome], u64),
     ) {
-        let m = self.metrics.as_deref().filter(|m| m.is_enabled());
+        let m = self.metrics.as_deref();
         self.decoding(m, |rx| {
             let mut clock = Clock {
                 m,
-                kern: rx.kern,
-                nanos: StageNanos::default(),
+                nanos: OpNanos::default(),
             };
             let mut lanes: [LaneOutcome; MAX_CODE_BLOCKS] = Default::default();
             let lanes = &mut lanes[..blocks.len()];
             let bits = clock.lap(Op::Decode, || rx.decode_run(blocks, 0, cap, crc, lanes));
-            land(bits, lanes, clock.nanos.decode);
+            land(bits, lanes, clock.nanos[Op::Decode]);
         });
     }
 
@@ -820,7 +776,7 @@ impl UplinkPipeline {
         Ok(PreparedUplink {
             start: pk.start,
             fault: pk.fault,
-            kern: pk.clock.kern,
+            kern: pk.kern,
             trace_backend: pk.trace_backend,
             frame: frame.into_owned(),
             seg: staged.seg,
@@ -845,7 +801,7 @@ impl UplinkPipeline {
         let hot = &mut *self.hot.borrow_mut();
         let (tb_bits, llr_scale) = self.loopback(&frame, pk, hot)?;
         let staged = if self.cfg.fading {
-            hot.rx.kern = pk.clock.kern;
+            hot.rx.kern = pk.kern;
             let staged = hot.rx.front_equalized(tb_bits, llr_scale, &self.grant, pk);
             self.received(pk, staged)
         } else {
@@ -868,7 +824,7 @@ impl UplinkPipeline {
         rx: &mut RxChain,
         cap: &Capture<'_>,
     ) -> Result<Staged, PipelineError> {
-        rx.kern = pk.clock.kern;
+        rx.kern = pk.kern;
         let staged = rx.front(cap, &self.grant, pk);
         self.received(pk, staged)
     }
@@ -881,7 +837,7 @@ impl UplinkPipeline {
     ) -> Result<Staged, PipelineError> {
         let staged = staged?;
         if let Some(m) = pk.clock.m {
-            pk.clock.kern.count_rx_tiers(m);
+            pk.kern.count_rx_tiers(m);
             // per code block, like the ingest they describe
             m.fused_ingest_blocks.add(staged.tasks.len() as u64);
         }
@@ -923,7 +879,7 @@ impl UplinkPipeline {
         hot: &mut Hot,
     ) -> Result<(usize, f32), PipelineError> {
         let cfg = &self.cfg;
-        hot.tx.kern = pk.clock.kern;
+        hot.tx.kern = pk.kern;
         // PDCP/RLC/MAC framing (per-packet bearer state; stream
         // continuity is exercised by the l2 module's own tests)
         let payload = pk.lap(Op::L2Encap, || {
@@ -954,7 +910,7 @@ impl UplinkPipeline {
             llr_scale = Capture::llr_scale_of(hot.noise.channel());
         }
         if let Some(m) = pk.clock.m {
-            pk.clock.kern.count_tx_tiers(m);
+            pk.kern.count_tx_tiers(m);
         }
         Ok((tb_bits, llr_scale))
     }
@@ -992,8 +948,11 @@ impl UplinkPipeline {
             let (category, prepare_ns, decode_ns, total_ns) = match result {
                 Ok(r) => (
                     None,
-                    r.nanos.encode + r.nanos.transport + r.nanos.demap + r.nanos.arrangement,
-                    r.nanos.decode,
+                    Op::ALL[..Op::Decode as usize]
+                        .iter()
+                        .map(|&op| r.nanos[op])
+                        .sum(),
+                    r.nanos[Op::Decode],
                     r.nanos.total(),
                 ),
                 Err(e) => (Some(e.category()), 0, 0, 0),
@@ -1072,7 +1031,7 @@ fn verdict(
     delivered: Delivered,
     frame: &[u8],
     tb_bits: usize,
-    nanos: StageNanos,
+    nanos: OpNanos,
 ) -> Result<PacketResult, PipelineError> {
     if delivered.sdu != frame {
         return Err(PipelineError::CrcMismatch(DecodeFailure {

@@ -3,7 +3,6 @@
 #[cfg(test)]
 use super::*;
 use crate::faultinject::FaultMix;
-use crate::metrics::Stage;
 use crate::packet::{PacketBuilder, Transport};
 use crate::stagegraph::{StageGraph, StageGraphConfig};
 
@@ -165,7 +164,7 @@ fn hot_loop_allocations_stop_after_warmup() {
     // loop: the first packet may grow the scratch buffers; a
     // second identical packet must be served entirely from
     // retained capacity.
-    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
+    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new());
     let cfg = PipelineConfig {
         snr_db: 30.0,
         ..Default::default()
@@ -193,7 +192,7 @@ fn fused_batching_reaches_zero_steady_state_allocation() {
     // The per-block `SoftStreams` clones are gone: after warm-up,
     // staging buffers come off the free list (capacity retained)
     // and no steady-state allocation remains.
-    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
+    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new());
     let cfg = PipelineConfig {
         snr_db: 30.0,
         ..Default::default()
@@ -241,7 +240,7 @@ fn loopback_ofdm_stage_reaches_zero_steady_state_allocation() {
     // Mapper output, the sample stream before and after the
     // channel and the demodulated subcarriers are pooled in the hot
     // state: one allocation each on the first packet, then reuse.
-    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
+    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new());
     let cfg = PipelineConfig {
         snr_db: 30.0,
         ..Default::default()
@@ -314,7 +313,7 @@ fn staging_pool_survives_k_changes_without_fresh_allocation() {
     // buffers resize in place. A growth shows up as a
     // staging_realloc (not a fresh alloc), and once the pool has
     // seen the largest K, even those stop.
-    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
+    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new());
     let cfg = PipelineConfig {
         snr_db: 30.0,
         ..Default::default()
@@ -346,7 +345,7 @@ fn degraded_pipeline_swaps_only_the_decoder() {
     // still runs the production front end and fused ingest, then
     // decodes serially on the scalar reference — which never touches
     // the native decoder's scratch.
-    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
+    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new());
     let cfg = PipelineConfig {
         modulation: Modulation::Qam64,
         snr_db: -10.0,
@@ -363,7 +362,7 @@ fn degraded_pipeline_swaps_only_the_decoder() {
         [
             metrics.frontend_packets.get(),
             metrics.fused_ingest_blocks.get(),
-            metrics.stage(Stage::Decode).count(),
+            metrics.op(Op::Decode).count(),
             metrics.decode_scratch_allocs.get() + metrics.decode_scratch_reuses.get(),
         ]
     };
@@ -402,7 +401,7 @@ fn a_staged_packet_completes_under_the_composition_it_was_staged_under() {
         .collect();
     for prep in staged {
         let decoded: Vec<Vec<u8>> = (0..prep.seg.c).map(|i| vec![0; prep.seg.k_of(i)]).collect();
-        let r = pipe.complete(prep, &decoded, 1, 1, 0);
+        let r = pipe.complete(prep, &decoded, 1, 1);
         assert!(matches!(r, Err(PipelineError::DecoderDiverged(_))), "{r:?}");
     }
     assert!(pipe.is_degraded());
@@ -433,14 +432,27 @@ fn stage_times_are_populated() {
         snr_db: 30.0,
         ..Default::default()
     };
-    let r = run(cfg, 256).unwrap();
-    assert!(r.nanos.encode > 0);
-    assert!(r.nanos.transport > 0);
-    assert!(r.nanos.arrangement > 0);
-    assert!(r.nanos.decode > 0);
+    let mut pipe = UplinkPipeline::new(cfg);
+    let recorder = std::sync::Arc::new(FlightRecorder::with_capacity(4));
+    pipe.set_recorder(recorder.clone());
+    let mut b = PacketBuilder::new(1000, 2000);
+    let r = pipe
+        .process(&b.build(Transport::Udp, 256).unwrap())
+        .expect("clean channel");
+    for op in [Op::Encode, Op::Channel, Op::Arrange, Op::Decode] {
+        assert!(r.nanos[op] > 0, "{} took no time", op.name());
+    }
+    let laps: u64 = Op::ALL.iter().map(|&op| r.nanos[op]).sum();
+    assert_eq!(r.nanos.total(), laps);
+    // The trace's whole-packet time is every lap, the receive tail
+    // (desegmentation, CRC24A check, L2) included.
+    let events = recorder.dump_last(4);
+    assert_eq!(events.len(), 1);
+    assert_eq!(u64::from(events[0].total_ns), laps);
+    assert_eq!(u64::from(events[0].decode_ns), r.nanos[Op::Decode]);
     assert_eq!(
-        r.nanos.total(),
-        r.nanos.encode + r.nanos.transport + r.nanos.demap + r.nanos.arrangement + r.nanos.decode
+        u64::from(events[0].prepare_ns) + u64::from(events[0].decode_ns),
+        laps - r.nanos[Op::Deseg] - r.nanos[Op::CrcCheck] - r.nanos[Op::L2Decap]
     );
 }
 
@@ -487,7 +499,7 @@ fn fading_threshold_is_no_better_than_awgn() {
 
 #[test]
 fn metrics_record_every_stage_for_one_packet() {
-    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
+    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new());
     let cfg = PipelineConfig {
         snr_db: 30.0,
         ..Default::default()
@@ -497,11 +509,11 @@ fn metrics_record_every_stage_for_one_packet() {
     let r = UplinkPipeline::with_metrics(cfg, metrics.clone())
         .process(&p)
         .expect("clean channel");
-    for s in Stage::ALL {
+    for op in Op::ALL {
         assert!(
-            metrics.stage(s).count() > 0,
-            "stage {} recorded nothing",
-            s.name()
+            metrics.op(op).count() > 0,
+            "op {} recorded nothing",
+            op.name()
         );
     }
     assert_eq!(metrics.packets.get(), 1);
@@ -511,21 +523,6 @@ fn metrics_record_every_stage_for_one_packet() {
         metrics.decoder_iterations.get(),
         r.decoder_iterations as u64
     );
-}
-
-#[test]
-fn disabled_metrics_leave_pipeline_behavior_unchanged() {
-    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(false));
-    let cfg = PipelineConfig {
-        snr_db: 30.0,
-        ..Default::default()
-    };
-    let mut b = PacketBuilder::new(1000, 2000);
-    let p = b.build(Transport::Udp, 128).unwrap();
-    let r = UplinkPipeline::with_metrics(cfg, metrics.clone()).process(&p);
-    assert!(r.is_ok());
-    assert_eq!(metrics.packets.get(), 0);
-    assert_eq!(metrics.stage(Stage::Decode).count(), 0);
 }
 
 #[test]
@@ -622,7 +619,7 @@ fn injected_faults_classify_into_expected_categories() {
 
 #[test]
 fn exhausted_deadline_aborts_with_budget_accounting() {
-    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
+    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new());
     let cfg = PipelineConfig {
         snr_db: 30.0,
         deadline_ns: Some(1), // gone before the first decode
@@ -669,7 +666,7 @@ fn generous_deadline_changes_nothing() {
 
 #[test]
 fn degradation_ladder_swaps_to_scalar_and_restores() {
-    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
+    let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new());
     let cfg = PipelineConfig {
         snr_db: 30.0,
         ..Default::default() // Native backend

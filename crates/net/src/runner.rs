@@ -473,7 +473,7 @@ mod tests {
     #[test]
     fn metered_run_populates_both_registries() {
         let rm = RunnerMetrics::new(true, RING_CAPACITY);
-        let pm = Arc::new(PipelineMetrics::new(true));
+        let pm = Arc::new(PipelineMetrics::new());
         let udp128 = [(Transport::Udp, 128)];
         let rep = run_multicore_metered(clean(), &udp128, 6, 1, &rm, None, Some(pm.clone()));
         assert_eq!(rep.ok_packets, 6);
@@ -481,7 +481,7 @@ mod tests {
         assert_eq!(rm.wire_bytes.get(), 6 * 128);
         assert_eq!(rm.ring_occupancy.count(), 6, "one occupancy sample per pop");
         assert_eq!(pm.packets.get(), 6);
-        assert!(pm.stage(crate::metrics::Stage::Decode).count() > 0);
+        assert!(pm.op(crate::metrics::Op::Decode).count() > 0);
     }
 
     #[test]

@@ -60,10 +60,10 @@
 //! The graph owns pools, not decoders. A flush is one
 //! `UplinkPipeline::decode_launch`: the pipeline's receive chain
 //! decodes the pool's blocks on its own decoders and scratch, lapped as
-//! `Op::Decode` by the pipeline's clock (one `stage.decode` sample per
+//! `Op::Decode` by the pipeline's clock (one `op.decode` sample per
 //! flush) and filed where the serial path's decodes are. The graph
 //! splits the lap evenly over the launch's blocks into each packet's
-//! decode time, and reads the clock itself only for the idle and
+//! `Op::Decode` ledger slot, and reads the clock itself only for the idle and
 //! deadline flush policies below.
 //!
 //! # ROB / free-list idiom
@@ -103,7 +103,7 @@
 //! * `Drain` — end of run (or ROB pressure): flush everything.
 
 use crate::error::PipelineError;
-use crate::metrics::StageGraphMetrics;
+use crate::metrics::{Op, StageGraphMetrics};
 use crate::observe::{FlightRecorder, TraceEvent};
 use crate::packet::Packet;
 use crate::pipeline::{Admission, PacketResult, PipelineConfig, PreparedUplink, UplinkPipeline};
@@ -173,8 +173,6 @@ struct InFlight {
     iterations: usize,
     /// Blocks whose launch reported a failed CRC24B.
     failed_blocks: usize,
-    /// Wall-clock decode share attributed by the launches it rode.
-    decode_ns: u64,
 }
 
 /// A ROB slot: either a link in the free list or an in-flight packet.
@@ -427,7 +425,6 @@ impl StageGraph {
                     remaining: n,
                     iterations: 0,
                     failed_blocks: 0,
-                    decode_ns: 0,
                 });
                 self.in_flight += 1;
                 for (block, task) in tasks.into_iter().enumerate() {
@@ -599,7 +596,7 @@ impl StageGraph {
                 entry.bits[t.block].clone_from(bits);
                 entry.iterations += iters;
                 entry.failed_blocks += usize::from(crc_ok == Some(false));
-                entry.decode_ns += lap_ns / n as u64;
+                entry.prep.nanos[Op::Decode] += lap_ns / n as u64;
                 entry.remaining -= 1;
             }
         };
@@ -619,13 +616,9 @@ impl StageGraph {
             self.release_slot(t.slot);
             self.in_flight -= 1;
             self.pipe.set_trace_ue(done.ue);
-            let result = self.pipe.complete(
-                done.prep,
-                &done.bits,
-                done.iterations,
-                done.failed_blocks,
-                done.decode_ns,
-            );
+            let result =
+                self.pipe
+                    .complete(done.prep, &done.bits, done.iterations, done.failed_blocks);
             self.retire(done.ue, done.seq, result);
         }
         for t in tasks {

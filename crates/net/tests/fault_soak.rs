@@ -29,7 +29,7 @@ fn full_soak_packets() -> usize {
 /// Push `n` packets with the standard soak mix through one profile and
 /// pin every classification count against the injector's draw ledger.
 fn soak_profile(profile: Profile, n: usize, seed: u64) {
-    let metrics = Arc::new(PipelineMetrics::new(true));
+    let metrics = Arc::new(PipelineMetrics::new());
     let cfg = PipelineConfig {
         profile,
         snr_db: 30.0, // clean channel: only injected faults can fail
@@ -129,7 +129,7 @@ fn full_fault_soak_every_backend() {
 
 #[test]
 fn deadline_soak_times_out_every_packet() {
-    let metrics = Arc::new(PipelineMetrics::new(true));
+    let metrics = Arc::new(PipelineMetrics::new());
     let cfg = PipelineConfig {
         snr_db: 30.0,
         deadline_ns: Some(1),

@@ -42,7 +42,7 @@ fn native_backend_degrades_to_scalar_kernels_without_simd() {
 
     // Mask every SIMD tier: the same pipeline must still decode — via
     // the native decoder's scalar kernels — and report the fallback.
-    let metrics = Arc::new(PipelineMetrics::new(true));
+    let metrics = Arc::new(PipelineMetrics::new());
     let masked = with_isa_ceiling(Some(HostIsa::Scalar), || {
         UplinkPipeline::with_metrics(cfg, metrics.clone()).process(&p)
     })
@@ -101,7 +101,7 @@ fn batched_decode_degrades_below_avx512_ceiling() {
     // (on the AVX2, then the SSSE3 kernel), bit-exactly, and flag the
     // loss.
     for ceiling in [HostIsa::Avx2, HostIsa::Ssse3] {
-        let metrics = Arc::new(PipelineMetrics::new(true));
+        let metrics = Arc::new(PipelineMetrics::new());
         let masked = with_isa_ceiling(Some(ceiling), || {
             run(UplinkPipeline::with_metrics(cfg, metrics.clone()))
         });
@@ -144,7 +144,7 @@ fn packed_encoder_degrades_below_avx512_ceiling() {
     // Cap the ISA at AVX2: the packed encoder must drop from the
     // 512-bit kernel to the 256-bit one, stay bit-exact, and report
     // the zmm-tier degradation (but NOT the full word64 fallback).
-    let metrics = Arc::new(PipelineMetrics::new(true));
+    let metrics = Arc::new(PipelineMetrics::new());
     let masked = with_isa_ceiling(Some(HostIsa::Avx2), || {
         DownlinkPipeline::with_metrics(cfg, metrics.clone()).process(&p)
     });
@@ -189,7 +189,7 @@ fn packed_encoder_degrades_to_word64_kernel_without_simd() {
 
     // Mask every SIMD tier: the packed encoder must fall back to the
     // portable u64 kernel, stay bit-exact, and report the degradation.
-    let metrics = Arc::new(PipelineMetrics::new(true));
+    let metrics = Arc::new(PipelineMetrics::new());
     let masked = with_isa_ceiling(Some(HostIsa::Scalar), || {
         DownlinkPipeline::with_metrics(cfg, metrics.clone()).process(&p)
     });

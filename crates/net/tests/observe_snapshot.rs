@@ -24,7 +24,7 @@ fn is_counter(key: &str) -> bool {
 
 #[test]
 fn snapshots_stay_consistent_and_monotone_under_concurrent_load() {
-    let pm = Arc::new(PipelineMetrics::new(true));
+    let pm = Arc::new(PipelineMetrics::new());
     let rm = Arc::new(RunnerMetrics::new(true, RING_CAPACITY));
     let done = Arc::new(AtomicBool::new(false));
 

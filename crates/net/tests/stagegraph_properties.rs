@@ -439,7 +439,7 @@ fn chaos_storm_conserves_packets_with_breakers_armed() {
             .with_weight(FaultKind::Clean, 6)
             .with_weight(FaultKind::WorkerPanic, 1),
     };
-    let pm = Arc::new(PipelineMetrics::new(true));
+    let pm = Arc::new(PipelineMetrics::new());
     let rm = RunnerMetrics::new(true, RING_CAPACITY);
     let n = 96;
     let rep = run_uplink_stagegraph_metered(
@@ -517,10 +517,7 @@ fn staged_decode_files_what_serial_files_once_per_flush() {
         assert_eq!(sb[key], sa[key], "{key}: staged against serial");
     }
     let flushes = g.flush_lanes_full.get() + g.flush_deadline.get() + g.flush_drain.get();
-    assert_eq!(
-        sb["stage.decode.count"],
-        (flushes + g.flush_idle.get()) as f64
-    );
+    assert_eq!(sb["op.decode.count"], (flushes + g.flush_idle.get()) as f64);
     assert!(sb["decode_scratch_allocs"] + sb["decode_scratch_reuses"] > 0.0);
 }
 

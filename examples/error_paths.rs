@@ -106,7 +106,7 @@ fn main() {
     // breaker, and attach a flight recorder. The snapshot and the
     // dump are the two artifacts an operator would pull after the
     // incident.
-    let pm = Arc::new(PipelineMetrics::new(true));
+    let pm = Arc::new(PipelineMetrics::new());
     let mut storm_pipe = UplinkPipeline::with_metrics(
         PipelineConfig {
             snr_db: -10.0,

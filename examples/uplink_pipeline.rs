@@ -9,6 +9,7 @@
 //! ```
 
 use vran_net::l2::{BearerTx, L2_OVERHEAD};
+use vran_net::metrics::Op;
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::{PipelineConfig, Profile, UplinkPipeline};
 use vran_net::rx::{Capture, RxChain};
@@ -47,8 +48,8 @@ fn main() {
                     "✓",
                     r.coded_bits,
                     r.code_blocks,
-                    r.nanos.arrangement as f64 / 1e3,
-                    r.nanos.decode as f64 / 1e3,
+                    r.nanos[Op::Arrange] as f64 / 1e3,
+                    r.nanos[Op::Decode] as f64 / 1e3,
                 );
                 delivered.push((r.tb_bits, r.code_blocks, r.coded_bits));
             }

@@ -28,7 +28,8 @@
 //! * [`ring`] — a lock-free SPSC ring buffer modeling the DPDK
 //!   kernel-bypass queue of Figure 2, feeding [`runner`]'s workers.
 //! * [`runner`] — a threaded source→PHY→sink driver for sustained
-//!   throughput measurements, with panic-isolated multicore workers.
+//!   throughput measurements: a dealing thread that runs each packet's
+//!   front half, panic-isolated workers that run the back half.
 //! * [`stagegraph`] — the out-of-order stage-graph runtime: decode
 //!   tasks from different packets pool by K and launch as quad / pair
 //!   batches on the zmm kernel, retiring through a ROB with per-UE
@@ -66,6 +67,9 @@
 // With clippy.toml's `too-many-lines-threshold = 150`: the packet path
 // stays a composition of named parts, not one function again.
 #![deny(clippy::too_many_lines)]
+// Every unsafe operation sits in its own `unsafe` block, under its own
+// `// SAFETY:` line, even inside an `unsafe fn`.
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod amc;
 pub mod chaos;

@@ -24,6 +24,10 @@
 //! itself owns what is *policy*: the configuration and the one place it
 //! is resolved to kernels, fault injection, the deadline, the
 //! degradation ladder, circuit breakers, metrics and the trace.
+//! [`UplinkPipeline::split`] cuts it into a preparing half and a
+//! decoding half for two threads; they share one ladder and one set of
+//! breakers, and the staged packets' buffers travel back to the
+//! preparing half ([`UplinkPipeline::recycle`]).
 //!
 //! Both chains run one of two compositions, [`PipelineConfig::profile`]:
 //! [`Profile::Production`] (the default) puts every stage on its fast
@@ -70,13 +74,13 @@ use crate::rx::{plan_blocks, Capture, Delivered, RxChain, RxHooks, Staged};
 use crate::tx::{Grant, Kernels, TxChain};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 use vran_phy::bits::unpack_msb;
 use vran_phy::channel::NoiseTape;
 use vran_phy::crc::{Crc, CRC24A};
 use vran_phy::equalizer::{Equalizer, FadingChannel};
-use vran_phy::llr::{InterleavedLlrs, Llr, SoftStreams, TurboLlrs};
+use vran_phy::llr::{InterleavedLlrs, Llr, TurboLlrs};
 use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::scrambler::GoldSequence;
 use vran_phy::segmentation::Segmentation;
@@ -168,7 +172,16 @@ impl Default for PipelineConfig {
 /// may have moved.
 #[derive(Debug)]
 pub struct PreparedUplink {
+    /// When the packet was in hand: when `prepare` began, unless its
+    /// caller had it, waiting, before then.
+    pub(crate) ready: Instant,
+    /// When the packet's deadline budget started running.
     pub(crate) start: Instant,
+    /// When `prepare` handed the packet on; [`Self::arrive`] moves both
+    /// clocks past any wait in between.
+    pub(crate) staged_at: Instant,
+    /// The packet's first code-block K, for its trace event.
+    pub(crate) trace_k: u16,
     pub(crate) fault: FaultKind,
     pub(crate) kern: Kernels,
     pub(crate) trace_backend: u8,
@@ -186,6 +199,17 @@ impl PreparedUplink {
     /// staging).
     pub fn iter_cap(&self) -> usize {
         self.iter_cap
+    }
+
+    /// The packet reaches whoever decodes it, at `now`: what it waited
+    /// since `prepare` returned (in a ring, on another thread) is not
+    /// charged to its deadline budget. Returns how long its preparation
+    /// took.
+    pub(crate) fn arrive(&mut self, now: Instant) -> Duration {
+        let front = self.staged_at.saturating_duration_since(self.start);
+        self.start += now.saturating_duration_since(self.staged_at);
+        self.staged_at = now;
+        front
     }
 }
 
@@ -224,11 +248,11 @@ pub struct PacketResult {
 
 /// Per-pipeline working state: the two chains (which own every buffer
 /// and per-K cache a packet needs twice), the loopback's channel noise
-/// and output, and the degradation ladder.
+/// and output.
 ///
 /// Lives behind a `RefCell` because `process` takes `&self`; pipelines
-/// are per-worker (the threaded runner builds one per thread), so the
-/// single-threaded interior mutability is sufficient.
+/// are per-thread (the threaded runner builds one, or one half, per
+/// thread), so the single-threaded interior mutability is sufficient.
 #[derive(Debug, Clone)]
 struct Hot {
     tx: TxChain,
@@ -238,13 +262,57 @@ struct Hot {
     air: Vec<Cplx>,
     /// The AWGN channel's noise, drawn once and replayed per packet.
     noise: NoiseTape,
-    /// Degradation ladder: consecutive decode-failure packets.
+    /// Free list of staged packets' frame buffers
+    /// ([`UplinkPipeline::recycle`]).
+    frames: Vec<Vec<u8>>,
+}
+
+impl Hot {
+    fn new(cfg: &PipelineConfig) -> Self {
+        Self {
+            tx: TxChain::default(),
+            rx: RxChain::new(cfg.decoder_iterations),
+            air: Vec::new(),
+            noise: NoiseTape::new(cfg.snr_db, cfg.seed),
+            frames: Vec::new(),
+        }
+    }
+}
+
+/// Frame buffers a pipeline keeps for reuse, at most.
+const FRAME_POOL_CAP: usize = 512;
+
+/// The degradation ladder.
+#[derive(Debug, Default)]
+struct Ladder {
+    /// Consecutive decode-failure packets.
     consecutive_failures: u32,
-    /// Degradation ladder: consecutive successes while degraded.
+    /// Consecutive successes while degraded.
     consecutive_successes: u32,
-    /// Whether the ladder currently has the decoder on the scalar
-    /// reference.
+    /// Whether the decoder is on the scalar reference.
     degraded: bool,
+}
+
+/// What packets are opened and settled against: the degradation
+/// ladder, the circuit breakers and the trace ordinal. One per
+/// pipeline, shared by both halves of a split one
+/// ([`UplinkPipeline::split`]): the breakers the preparing half's gate
+/// reads are the ones the decoding half's settlements move.
+#[derive(Debug)]
+struct Policy {
+    ladder: Ladder,
+    /// Armed circuit breakers (when `cfg.breakers` is set), indexed by
+    /// [`BreakerStage`] discriminant.
+    breakers: Option<[CircuitBreaker; BreakerStage::COUNT]>,
+    /// Trace context: packet ordinal.
+    trace_seq: u64,
+}
+
+impl Policy {
+    fn next_seq(&mut self) -> u64 {
+        self.trace_seq += 1;
+        self.trace_seq - 1
+    }
 }
 
 /// The one clock: a span sink that times each lap once and files that
@@ -347,7 +415,7 @@ impl RxHooks for InPacket<'_> {
 /// The uplink pipeline (shared by the downlink driver — the PHY chain
 /// is symmetric for our purposes; only the traffic direction and DCI
 /// handling differ in `runner`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct UplinkPipeline {
     cfg: PipelineConfig,
     grant: Grant,
@@ -356,14 +424,16 @@ pub struct UplinkPipeline {
     faults: RefCell<Option<FaultInjector>>,
     /// Flight recorder receiving one trace event per settled packet.
     recorder: Option<Arc<FlightRecorder>>,
-    /// Armed circuit breakers (when `cfg.breakers` is set), indexed by
-    /// [`BreakerStage`] discriminant.
-    breakers: RefCell<Option<[CircuitBreaker; BreakerStage::COUNT]>>,
+    /// Ladder, breakers and trace ordinal; shared with the other half
+    /// of a split pipeline.
+    policy: Arc<Mutex<Policy>>,
+    /// The preparing half of a split pipeline: its packets stage on the
+    /// native decoder whatever the ladder says, and the half that
+    /// admits them applies the ladder ([`Self::demoted`]).
+    defers_ladder: bool,
     /// Trace context: UE id of the packet being processed (set by the
     /// stage-graph/runner drivers; 0 for direct `process` callers).
     trace_ue: Cell<u64>,
-    /// Trace context: per-pipeline packet ordinal.
-    trace_seq: Cell<u64>,
     /// Trace context: first code-block K of the packet in flight.
     trace_k: Cell<u16>,
 }
@@ -380,25 +450,63 @@ impl UplinkPipeline {
                 c_init: GoldSequence::c_init_pxsch(0x1234, 0, 4, 42),
             },
             metrics: None,
-            hot: RefCell::new(Hot {
-                tx: TxChain::default(),
-                rx: RxChain::new(cfg.decoder_iterations),
-                air: Vec::new(),
-                noise: NoiseTape::new(cfg.snr_db, cfg.seed),
-                consecutive_failures: 0,
-                consecutive_successes: 0,
-                degraded: false,
-            }),
+            hot: RefCell::new(Hot::new(&cfg)),
             faults: RefCell::new(None),
             recorder: None,
-            breakers: RefCell::new(
-                cfg.breakers
+            policy: Arc::new(Mutex::new(Policy {
+                ladder: Ladder::default(),
+                breakers: cfg
+                    .breakers
                     .map(|b| std::array::from_fn(|_| CircuitBreaker::new(b))),
-            ),
+                trace_seq: 0,
+            })),
+            defers_ladder: false,
             trace_ue: Cell::new(0),
-            trace_seq: Cell::new(0),
             trace_k: Cell::new(0),
         }
+    }
+
+    /// Split into the two halves of a pipelined runtime, one per
+    /// thread. The first (this pipeline, with its fault injector) runs
+    /// [`Self::prepare`]: ingress, the loopback and the receive front
+    /// end. The second, built fresh, finishes what the first staged —
+    /// decode through [`crate::stagegraph::StageGraph`], then
+    /// [`Self::complete`]. Both keep the configuration, metrics
+    /// registry and recorder, and share one ladder, one set of breakers
+    /// and one trace ordinal. The ladder moves only where packets
+    /// complete, so the preparing half does not read it: the admitting
+    /// half does ([`crate::stagegraph::StageGraph::admit_prepared`]),
+    /// and decodes a packet staged before a demotion on the scalar
+    /// reference. A staged packet's buffers belong to the preparing
+    /// half: hand them back with [`Self::recycle`].
+    pub fn split(mut self) -> (UplinkPipeline, UplinkPipeline) {
+        let back = UplinkPipeline {
+            cfg: self.cfg,
+            grant: self.grant,
+            metrics: self.metrics.clone(),
+            hot: RefCell::new(Hot::new(&self.cfg)),
+            faults: RefCell::new(None),
+            recorder: self.recorder.clone(),
+            policy: self.policy.clone(),
+            defers_ladder: false,
+            trace_ue: Cell::new(0),
+            trace_k: Cell::new(0),
+        };
+        self.defers_ladder = true;
+        (self, back)
+    }
+
+    /// Take the place of `half`, a quarantined half of a split
+    /// pipeline: share its ladder, breakers and trace ordinal, and its
+    /// role. Everything else stays this (fresh) pipeline's own.
+    pub(crate) fn replace_half(&mut self, half: &UplinkPipeline) {
+        self.policy = half.policy.clone();
+        self.defers_ladder = half.defers_ladder;
+    }
+
+    fn policy(&self) -> MutexGuard<'_, Policy> {
+        // Nothing under the lock panics, so a poisoned guard is sound.
+        self.policy.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Build a pipeline that records per-stage latency histograms and
@@ -431,7 +539,7 @@ impl UplinkPipeline {
     /// Whether the degradation ladder currently has the decoder on the
     /// scalar reference.
     pub fn is_degraded(&self) -> bool {
-        self.hot.borrow().degraded
+        self.policy().ladder.degraded
     }
 
     /// Attach a flight recorder: every settled packet (and breaker
@@ -450,8 +558,8 @@ impl UplinkPipeline {
     /// Current state of one circuit breaker; `None` when breakers are
     /// not armed ([`PipelineConfig::breakers`]).
     pub fn breaker_state(&self, stage: BreakerStage) -> Option<BreakerState> {
-        self.breakers
-            .borrow()
+        self.policy()
+            .breakers
             .as_ref()
             .map(|b| b[stage as usize].state())
     }
@@ -459,8 +567,8 @@ impl UplinkPipeline {
     /// `(trips, resets)` totals for one circuit breaker; `None` when
     /// breakers are not armed.
     pub fn breaker_counts(&self, stage: BreakerStage) -> Option<(u64, u64)> {
-        self.breakers
-            .borrow()
+        self.policy()
+            .breakers
             .as_ref()
             .map(|b| (b[stage as usize].trips(), b[stage as usize].resets()))
     }
@@ -470,11 +578,16 @@ impl UplinkPipeline {
         self.metrics.as_ref()
     }
 
-    /// Return a staged task's stream buffers to the receive chain's
-    /// free list. The stage-graph runtime calls this after a batch
-    /// launch scatters its decoded bits.
-    pub(crate) fn recycle_streams(&self, streams: SoftStreams) {
-        self.hot.borrow_mut().rx.recycle(streams);
+    /// Take back a staged packet this pipeline prepared, once it has
+    /// completed: its stream buffers, task list and frame buffer rejoin
+    /// the free lists the next admissions draw from, so a warm pipeline
+    /// stages packets without allocating.
+    pub fn recycle(&self, prep: PreparedUplink) {
+        let hot = &mut *self.hot.borrow_mut();
+        hot.rx.reclaim(prep.tasks);
+        if hot.frames.len() < FRAME_POOL_CAP {
+            hot.frames.push(prep.frame);
+        }
     }
 
     /// The configuration.
@@ -489,13 +602,14 @@ impl UplinkPipeline {
     }
 
     /// A passage through this pipeline, no fault drawn yet. This is the
-    /// one place the profile and the degradation ladder become kernels
-    /// — per packet, because `best_*()` follows the process-global ISA
-    /// ceiling — and a trace code ([`TraceEvent::backend`]).
-    fn passage(&self) -> InPacket<'_> {
+    /// one place the profile and the degradation ladder (`degraded`)
+    /// become kernels — per packet, because `best_*()` follows the
+    /// process-global ISA ceiling — and a trace code
+    /// ([`TraceEvent::backend`]).
+    fn passage(&self, degraded: bool) -> InPacket<'_> {
         let (kern, trace_backend) = match self.cfg.profile {
             Profile::Reference => (Kernels::reference(), 1),
-            Profile::Production if self.hot.borrow().degraded => {
+            Profile::Production if degraded => {
                 let demoted = Kernels {
                     decoder: DecoderBackend::Scalar,
                     ..Kernels::production()
@@ -521,8 +635,14 @@ impl UplinkPipeline {
     /// Open a packet: the breaker gate, then the fault draw. `Err` is
     /// a breaker fast-fail, already recorded.
     fn open(&self) -> Result<InPacket<'_>, PipelineError> {
-        let mut pk = self.passage();
-        if let Some(e) = self.breaker_fastfail(&pk) {
+        let (mut pk, gate) = {
+            let mut policy = self.policy();
+            let pk = self.passage(policy.ladder.degraded && !self.defers_ladder);
+            let gate = self.breaker_gate(&mut policy);
+            (pk, gate)
+        };
+        if let Some((e, seq)) = gate {
+            self.fast_failed(&pk, &e, seq);
             return Err(e);
         }
         if let Some(f) = self.faults.borrow_mut().as_mut() {
@@ -539,13 +659,13 @@ impl UplinkPipeline {
 
     /// Admission gate: when a breaker is open, consume one cooldown
     /// tick and fast-fail the packet with a synthesized error of the
-    /// breaker's category — the protected stages never run, metrics
-    /// and the trace record the packet, but the degradation ladder and
-    /// the breakers themselves see nothing (a fast-fail carries no
+    /// breaker's category (and its trace ordinal) — the protected
+    /// stages never run, metrics and the trace record the packet
+    /// ([`Self::fast_failed`]), but the degradation ladder and the
+    /// breakers themselves see nothing (a fast-fail carries no
     /// information about stage health).
-    fn breaker_fastfail(&self, pk: &InPacket<'_>) -> Option<PipelineError> {
-        let mut guard = self.breakers.borrow_mut();
-        let breakers = guard.as_mut()?;
+    fn breaker_gate(&self, policy: &mut Policy) -> Option<(PipelineError, u64)> {
+        let breakers = policy.breakers.as_mut()?;
         let stage = BreakerStage::ALL
             .into_iter()
             .find(|&s| breakers[s as usize].should_fast_fail())?;
@@ -559,15 +679,17 @@ impl UplinkPipeline {
             },
             BreakerStage::Decoder => PipelineError::DecoderDiverged(DecodeFailure::default()),
         };
-        drop(guard);
+        Some((err, policy.next_seq()))
+    }
+
+    /// What a breaker fast-fail records.
+    fn fast_failed(&self, pk: &InPacket<'_>, err: &PipelineError, seq: u64) {
         if let Some(m) = pk.clock.m {
             m.record_error(err.category());
             m.record_packet(false, 0, 0);
             m.breaker_fastfails.inc();
         }
         if let Some(rec) = &self.recorder {
-            let seq = self.trace_seq.get();
-            self.trace_seq.set(seq + 1);
             rec.record(TraceEvent::packet(
                 self.trace_ue.get(),
                 seq,
@@ -579,7 +701,6 @@ impl UplinkPipeline {
                 0,
             ));
         }
-        Some(err)
     }
 
     /// Process one framed packet through the complete loop: ingress →
@@ -609,10 +730,14 @@ impl UplinkPipeline {
     /// have (its CRC24B when the packet has more than one block,
     /// [`PreparedUplink::iter_cap`] otherwise). Under the scalar
     /// decoder — [`Profile::Reference`], or a production pipeline the
-    /// degradation ladder has demoted — the packet is processed
-    /// serially to completion and returned as [`Admission::Ready`]
-    /// (already settled). Pre-decode failures (malformed frames, segmentation
-    /// overflows, blown deadlines) also come back `Ready`.
+    /// degradation ladder has demoted (not the preparing half of a
+    /// split pipeline, which leaves the ladder to the half that admits
+    /// its packets) —
+    /// the packet is processed serially to completion and returned as
+    /// [`Admission::Ready`] (already settled). Pre-decode failures
+    /// (malformed frames, segmentation overflows, blown deadlines) also
+    /// come back `Ready`. A staged packet's buffers come back to this
+    /// pipeline through [`Self::recycle`].
     pub fn prepare(&self, packet: &Packet) -> Admission {
         let mut pk = match self.open() {
             Ok(pk) => pk,
@@ -680,10 +805,21 @@ impl UplinkPipeline {
         iterations: usize,
         failed_blocks: usize,
     ) -> Result<PacketResult, PipelineError> {
+        let result = self.finish(&prep, decoded, iterations, failed_blocks);
+        self.recycle(prep);
+        result
+    }
+
+    /// [`Self::complete`], the packet's buffers left with the caller.
+    pub(crate) fn finish(
+        &self,
+        prep: &PreparedUplink,
+        decoded: &[Vec<u8>],
+        iterations: usize,
+        failed_blocks: usize,
+    ) -> Result<PacketResult, PipelineError> {
         debug_assert_eq!(decoded.len(), prep.seg.c, "one bit buffer per block");
-        let mut pk = self.passage();
-        (pk.fault, pk.start, pk.kern) = (prep.fault, prep.start, prep.kern);
-        (pk.clock.nanos, pk.trace_backend) = (prep.nanos, prep.trace_backend);
+        let mut pk = self.resume(prep);
         let delivered = {
             let rx = &mut self.hot.borrow_mut().rx;
             rx.kern = pk.kern;
@@ -699,6 +835,48 @@ impl UplinkPipeline {
         let result = delivered.and_then(|d| verdict(d, &prep.frame, prep.seg.b, pk.clock.nanos));
         self.settle(&result, &pk);
         result
+    }
+
+    /// The ladder's verdict on a staged packet, taken where it is
+    /// admitted for decode. `None` while the native decoder stands;
+    /// once the ladder has demoted it — after `prep` was staged, on the
+    /// other half of a split pipeline — the packet decodes here,
+    /// serially on the scalar reference under the cap it was staged
+    /// with, and this is its settled result, as if `prepare` had seen
+    /// the demotion.
+    pub(crate) fn demoted(
+        &self,
+        prep: &PreparedUplink,
+    ) -> Option<Result<PacketResult, PipelineError>> {
+        if !self.is_degraded() {
+            return None;
+        }
+        let mut pk = self.resume(prep);
+        pk.kern.decoder = DecoderBackend::Scalar;
+        pk.trace_backend = 2;
+        let delivered = self.decoding(pk.clock.m, |rx| {
+            rx.kern = pk.kern;
+            rx.decode_staged(
+                &prep.seg,
+                prep.coded_bits,
+                &prep.tasks,
+                prep.iter_cap,
+                &mut pk,
+            )
+        });
+        let result = delivered.and_then(|d| verdict(d, &prep.frame, prep.seg.b, pk.clock.nanos));
+        self.settle(&result, &pk);
+        Some(result)
+    }
+
+    /// A staged packet's passage picked up again: its fault, deadline
+    /// clock, kernels, ledger and trace context.
+    fn resume(&self, prep: &PreparedUplink) -> InPacket<'_> {
+        let mut pk = self.passage(false);
+        (pk.fault, pk.start, pk.kern) = (prep.fault, prep.start, prep.kern);
+        (pk.clock.nanos, pk.trace_backend) = (prep.nanos, prep.trace_backend);
+        self.trace_k.set(prep.trace_k);
+        pk
     }
 
     /// The serial back end: inline decode, delivery check.
@@ -772,13 +950,31 @@ impl UplinkPipeline {
                 m.batch_simd_fallbacks.inc();
             }
         }
-        let iter_cap = pk.iter_cap(self.cfg.decoder_iterations)?;
+        let iter_cap = match pk.iter_cap(self.cfg.decoder_iterations) {
+            Ok(cap) => cap,
+            Err(e) => {
+                self.hot.borrow_mut().rx.reclaim(staged.tasks);
+                return Err(e);
+            }
+        };
+        let frame = match frame {
+            Cow::Owned(frame) => frame,
+            Cow::Borrowed(bytes) => {
+                let mut frame = self.hot.borrow_mut().frames.pop().unwrap_or_default();
+                frame.clear();
+                frame.extend_from_slice(bytes);
+                frame
+            }
+        };
         Ok(PreparedUplink {
+            ready: pk.start,
             start: pk.start,
+            staged_at: Instant::now(),
+            trace_k: self.trace_k.get(),
             fault: pk.fault,
             kern: pk.kern,
             trace_backend: pk.trace_backend,
-            frame: frame.into_owned(),
+            frame,
             seg: staged.seg,
             coded_bits: staged.coded_bits,
             nanos: pk.clock.nanos,
@@ -919,32 +1115,15 @@ impl UplinkPipeline {
     /// ladder, circuit-breaker feedback and the flight-recorder trace.
     fn settle(&self, result: &Result<PacketResult, PipelineError>, pk: &InPacket<'_>) {
         let (m, backend) = (pk.clock.m, pk.trace_backend);
-        if let Some(breakers) = self.breakers.borrow_mut().as_mut() {
-            match result {
-                Ok(_) => {
-                    // A full success clears every stage's error streak
-                    // (the whole receive path ran).
-                    for s in BreakerStage::ALL {
-                        if breakers[s as usize].on_outcome(true) {
-                            if let Some(m) = m {
-                                m.breaker_resets.inc();
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    let s = BreakerStage::for_category(e.category());
-                    if breakers[s as usize].on_outcome(false) {
-                        if let Some(m) = m {
-                            m.breaker_trips.inc();
-                        }
-                    }
-                }
+        let seq = {
+            let mut policy = self.policy();
+            if let Some(breakers) = policy.breakers.as_mut() {
+                feed_breakers(breakers, result, m);
             }
-        }
+            self.climb_ladder(&mut policy.ladder, result, m);
+            policy.next_seq()
+        };
         if let Some(rec) = &self.recorder {
-            let seq = self.trace_seq.get();
-            self.trace_seq.set(seq + 1);
             let (category, prepare_ns, decode_ns, total_ns) = match result {
                 Ok(r) => (
                     None,
@@ -968,18 +1147,26 @@ impl UplinkPipeline {
                 total_ns,
             ));
         }
-        let hot = &mut *self.hot.borrow_mut();
+    }
+
+    /// One packet's outcome on the degradation ladder and its counters.
+    fn climb_ladder(
+        &self,
+        ladder: &mut Ladder,
+        result: &Result<PacketResult, PipelineError>,
+        m: Option<&PipelineMetrics>,
+    ) {
         match result {
             Ok(r) => {
                 if let Some(m) = m {
                     m.record_packet(true, r.code_blocks, r.decoder_iterations);
                 }
-                hot.consecutive_failures = 0;
-                if hot.degraded {
-                    hot.consecutive_successes += 1;
-                    if hot.consecutive_successes >= RESTORE_AFTER {
-                        hot.degraded = false;
-                        hot.consecutive_successes = 0;
+                ladder.consecutive_failures = 0;
+                if ladder.degraded {
+                    ladder.consecutive_successes += 1;
+                    if ladder.consecutive_successes >= RESTORE_AFTER {
+                        ladder.degraded = false;
+                        ladder.consecutive_successes = 0;
                         if let Some(m) = m {
                             m.backend_restorations.inc();
                         }
@@ -999,14 +1186,14 @@ impl UplinkPipeline {
                     e.category(),
                     ErrorCategory::CrcMismatch | ErrorCategory::DecoderDiverged
                 ) {
-                    hot.consecutive_successes = 0;
-                    hot.consecutive_failures += 1;
-                    if !hot.degraded
+                    ladder.consecutive_successes = 0;
+                    ladder.consecutive_failures += 1;
+                    if !ladder.degraded
                         && self.cfg.profile == Profile::Production
-                        && hot.consecutive_failures >= DEGRADE_AFTER
+                        && ladder.consecutive_failures >= DEGRADE_AFTER
                     {
-                        hot.degraded = true;
-                        hot.consecutive_failures = 0;
+                        ladder.degraded = true;
+                        ladder.consecutive_failures = 0;
                         if let Some(m) = m {
                             m.backend_degradations.inc();
                         }
@@ -1023,6 +1210,36 @@ impl UplinkPipeline {
         let b = (wire_len + crate::l2::L2_OVERHEAD) * 8 + CRC24A.width();
         let seg = Segmentation::plan(b);
         (0..seg.c).map(|i| seg.k_of(i)).sum()
+    }
+}
+
+/// One packet's outcome fed to the armed breakers, trips and resets
+/// counted.
+fn feed_breakers(
+    breakers: &mut [CircuitBreaker; BreakerStage::COUNT],
+    result: &Result<PacketResult, PipelineError>,
+    m: Option<&PipelineMetrics>,
+) {
+    match result {
+        Ok(_) => {
+            // A full success clears every stage's error streak (the
+            // whole receive path ran).
+            for s in BreakerStage::ALL {
+                if breakers[s as usize].on_outcome(true) {
+                    if let Some(m) = m {
+                        m.breaker_resets.inc();
+                    }
+                }
+            }
+        }
+        Err(e) => {
+            let s = BreakerStage::for_category(e.category());
+            if breakers[s as usize].on_outcome(false) {
+                if let Some(m) = m {
+                    m.breaker_trips.inc();
+                }
+            }
+        }
     }
 }
 

@@ -49,10 +49,12 @@ use vran_phy::turbo::{BatchScratch, BlockLlrs, NativeBatchTurboDecoder, TurboDec
 /// stay well under this at our 5 MHz configuration.
 pub const MAX_CODE_BLOCKS: usize = 8;
 
-/// Free-list cap: `MAX_CODE_BLOCKS` packets can be in flight per lane
-/// in the stage graph's pools; beyond this the buffers are dropped
-/// rather than hoarded.
-const LLR_POOL_CAP: usize = 4 * MAX_CODE_BLOCKS;
+/// Free-list cap, in packets' worth of buffers. A staged packet holds
+/// its stream buffers until its blocks decode, and the threaded runner
+/// keeps a ring and a reorder buffer of staged packets in flight, all
+/// of whose buffers come home to this chain; beyond the cap they are
+/// dropped rather than hoarded.
+const LLR_POOL_CAP: usize = 512;
 
 /// Which turbo decoder the receive chain runs. Both compute
 /// bit-identical results (the native kernels run the scalar
@@ -167,8 +169,9 @@ pub struct RxChain {
     /// (retaining its capacity), whoever decoded the block pushes it
     /// back ([`Self::recycle`]) — no steady-state allocation.
     pool: Vec<SoftStreams>,
-    /// The serial path's task list between packets (capacity retained).
-    tasks: Vec<TurboLlrs>,
+    /// Free list of task lists: the serial path's between packets, and
+    /// every staged packet's once it comes home ([`Self::reclaim`]).
+    lists: Vec<Vec<TurboLlrs>>,
     /// The native decoders' one grow-only scratch.
     scratch: BatchScratch,
     /// SISO passes the decoded blocks ran, each block's own count,
@@ -206,7 +209,7 @@ impl RxChain {
     /// Return a staged task's stream buffers to the free list so the
     /// next arrangement reuses their capacity instead of allocating.
     pub fn recycle(&mut self, streams: SoftStreams) {
-        if self.pool.len() < LLR_POOL_CAP {
+        if self.pool.len() < LLR_POOL_CAP * MAX_CODE_BLOCKS {
             self.pool.push(streams);
         }
     }
@@ -273,7 +276,7 @@ impl RxChain {
         });
         hooks.soft_bits(&mut self.llrs);
 
-        let mut tasks = std::mem::take(&mut self.tasks);
+        let mut tasks = self.lists.pop().unwrap_or_default();
         match self.arrange_blocks(&seg, grant, hooks, &mut tasks) {
             Ok(()) => Ok(Staged {
                 seg,
@@ -341,35 +344,46 @@ impl RxChain {
     /// buffers rejoin the free list — last block first, so block `i`
     /// keeps meeting the buffer it grew — and the list keeps its
     /// capacity for the next packet.
-    fn reclaim(&mut self, mut tasks: Vec<TurboLlrs>) {
+    pub(crate) fn reclaim(&mut self, mut tasks: Vec<TurboLlrs>) {
         for t in tasks.drain(..).rev() {
             self.recycle(t.streams);
         }
-        self.tasks = tasks;
+        if self.lists.len() < LLR_POOL_CAP {
+            self.lists.push(tasks);
+        }
     }
 
-    /// The serial back end: decode the staged blocks with the CRC24B
-    /// stop, then [`Self::deliver`].
+    /// The serial back end: the deadline gate, then
+    /// [`Self::decode_staged`].
     pub(crate) fn back(
         &mut self,
         staged: Staged,
         hooks: &mut impl RxHooks,
     ) -> Result<Delivered, PipelineError> {
-        let decoded = self.decode_blocks(&staged.tasks, hooks);
+        let delivered = hooks.iter_cap(self.decoder_iterations).and_then(|cap| {
+            self.decode_staged(&staged.seg, staged.coded_bits, &staged.tasks, cap, hooks)
+        });
         self.reclaim(staged.tasks);
-        let (iterations, failed_blocks) = decoded?;
-        let bits = &self.bits[..staged.seg.c];
-        self.deliver(
-            &staged.seg,
-            bits,
-            staged.coded_bits,
-            iterations,
-            failed_blocks,
-            hooks,
-        )
+        delivered
     }
 
-    /// Decode `tasks` into `self.bits` under one iteration cap: the
+    /// Decode staged blocks serially under an iteration cap already
+    /// decided, with the CRC24B stop, then [`Self::deliver`]. The tasks
+    /// stay with the caller.
+    pub(crate) fn decode_staged(
+        &mut self,
+        seg: &Segmentation,
+        coded_bits: usize,
+        tasks: &[TurboLlrs],
+        cap: usize,
+        hooks: &mut impl RxHooks,
+    ) -> Result<Delivered, PipelineError> {
+        let (iterations, failed_blocks) = self.decode_blocks(tasks, cap, hooks);
+        let bits = &self.bits[..seg.c];
+        self.deliver(seg, bits, coded_bits, iterations, failed_blocks, hooks)
+    }
+
+    /// Decode `tasks` into `self.bits` under iteration cap `cap`: the
     /// native decoder in one [`Self::decode_run`] per run of equal-K
     /// blocks (segmentation puts every K− block before the K+ ones, so
     /// at most two), the scalar oracle block by block. Returns the
@@ -377,13 +391,13 @@ impl RxChain {
     fn decode_blocks(
         &mut self,
         tasks: &[TurboLlrs],
+        cap: usize,
         hooks: &mut impl RxHooks,
-    ) -> Result<(usize, usize), PipelineError> {
+    ) -> (usize, usize) {
         if self.bits.len() < tasks.len() {
             self.bits.resize_with(tasks.len(), Vec::new);
         }
         let max_iters = self.decoder_iterations;
-        let cap = hooks.iter_cap(max_iters)?;
         let crc = (tasks.len() > 1).then_some(&CRC24B);
         let mut lanes: [LaneOutcome; MAX_CODE_BLOCKS] = Default::default();
         let lanes = &mut lanes[..tasks.len()];
@@ -417,7 +431,7 @@ impl RxChain {
         }
         let iterations = lanes.iter().map(|l| l.0).sum();
         let failed_blocks = lanes.iter().filter(|l| l.1 == Some(false)).count();
-        Ok((iterations, failed_blocks))
+        (iterations, failed_blocks)
     }
 
     /// Every native decode, serial (per run of equal-K blocks) or staged

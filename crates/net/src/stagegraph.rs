@@ -13,7 +13,7 @@
 //! (or an age bound) nears, or at once while the graph is underloaded.
 //!
 //! ```text
-//!          admit(ue, pkt)                    pools (one per K, cap, crc)
+//!   admit(ue, pkt) = prepare + admit_prepared  pools (one per K, cap, crc)
 //! ┌─────────────────────────────┐    ┌───────┐
 //! │ demod → de-rate-match →     │ K₁ │ ▓▓▓░  │── lanes full ──┐
 //! │ arrange  (RxChain::front    │───▶├───────┤                ▼
@@ -50,7 +50,10 @@
 //!   with the same typed [`PipelineError`]s at the same points; the
 //!   Scalar backend (configured or ladder-degraded) completes serially
 //!   inside `prepare` and retires through the same reorder stage. The
-//!   ladder settles at completion, exactly as in `process`.
+//!   ladder settles at completion, exactly as in `process`, and is read
+//!   again at admission: a packet prepared on the other half of a split
+//!   pipeline ([`UplinkPipeline::split`]) before a demotion decodes on
+//!   the scalar reference there.
 //! * **In-order per-UE delivery.** Packets retire from the ROB out of
 //!   order, but each UE's results are resequenced by admission number
 //!   before [`StageGraph::pop_completed`] surfaces them.
@@ -66,30 +69,46 @@
 //! `Op::Decode` ledger slot, and reads the clock itself only for the idle and
 //! deadline flush policies below.
 //!
+//! # Who prepares
+//!
+//! [`StageGraph::admit`] runs `prepare` on the graph's own pipeline;
+//! [`StageGraph::admit_prepared`] takes what another thread prepared —
+//! the threaded runner prepares each packet on its dealing thread, on
+//! one half of a split pipeline, while the graph's pipeline, the other
+//! half, decodes. A completed packet's buffers belong to the pipeline
+//! that prepared them: [`StageGraph::pop_spent`] hands them back.
+//!
 //! # ROB / free-list idiom
 //!
 //! In-flight packets live in a fixed array of slots linked through
 //! `next_free` indices — allocation is "pop the free head", release is
-//! "push onto the free head", no heap traffic in steady state. A slot
-//! retires when its last staged block decodes. If admission ever finds
-//! the free list empty, every pool is flushed (reason `Drain`), which
-//! completes all in-flight packets and refills the list.
+//! "push onto the free head", no heap traffic in steady state: a
+//! packet's blocks stay in its [`PreparedUplink`], where launches read
+//! them, and each slot's tally keeps its bit buffers across occupants.
+//! A slot retires when its last staged block decodes. If admission ever
+//! finds the free list empty, every pool is flushed (reason `Drain`),
+//! which completes all in-flight packets and refills the list.
 //!
 //! # Flush policy
 //!
 //! Batching pays only under load. Every admission that stages blocks
-//! is measured: `busy` is its own wall time, `idle` the time since the
-//! previous admission returned. After [`QUAD`] such admissions in a row
-//! with idle > busy the graph is *underloaded*; after `QUAD` in a row
-//! with idle ≤ busy it is loaded again. The threshold is the graph's
-//! own service time, so there is no setting, and a closed loop — the
-//! gap between admissions is one ring pop — never leaves the loaded
-//! state. An admission that stages nothing (a breaker fast-fail, a
-//! pre-decode failure, the scalar decoder) is not measured: it adds no
-//! task to wait for lanes, and a run of sub-microsecond fast-fails is
-//! no service time to hold a ring pop against.
-//! [`StageGraph::replace_pipeline`] forgets the previous return, so a
-//! worker's back-off after a panic never reads as idle.
+//! is measured: `busy` is the packet's preparation, wherever it ran,
+//! plus the admission's own wall time; `idle` is the time from the
+//! previous admission's return until the packet was in hand — when
+//! `prepare` began, or earlier if its caller held it waiting (the
+//! runner's dealing thread, building ahead) — and zero if that was
+//! before the return. After [`QUAD`] such admissions in a row with
+//! idle > busy the graph is *underloaded*; after `QUAD` in a row with
+//! idle ≤ busy it is loaded again. The threshold is the graph's own
+//! service time, so there is no setting, and a closed loop — the next
+//! packet is in hand before the previous admission returns — never
+//! leaves the loaded state. An admission that stages nothing (a breaker
+//! fast-fail, a pre-decode failure, the scalar decoder) is not
+//! measured: it adds no task to wait for lanes, and a run of
+//! sub-microsecond fast-fails is no service time to hold a ring pop
+//! against. [`StageGraph::replace_pipeline`] and
+//! [`StageGraph::forget_gap`] forget the previous return, so a back-off
+//! after a panic never reads as idle.
 //!
 //! * `LanesFull` — a pool reached four tasks: launch a quad now.
 //! * `Deadline` — the pool's oldest task aged past
@@ -106,13 +125,14 @@ use crate::error::PipelineError;
 use crate::metrics::{Op, StageGraphMetrics};
 use crate::observe::{FlightRecorder, TraceEvent};
 use crate::packet::Packet;
-use crate::pipeline::{Admission, PacketResult, PipelineConfig, PreparedUplink, UplinkPipeline};
+use crate::pipeline::{
+    Admission, PacketResult, PipelineConfig, PreparedUplink, UplinkPipeline, MAX_CODE_BLOCKS,
+};
 use crate::rx::Capture;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vran_phy::crc::CRC24B;
-use vran_phy::llr::TurboLlrs;
 use vran_phy::turbo::native_batch::{launches, LaneOutcome, QUAD};
 use vran_phy::turbo::BlockLlrs;
 
@@ -158,21 +178,13 @@ impl Default for StageGraphConfig {
 }
 
 /// One in-flight packet: everything needed to finish it once its
-/// blocks decode.
+/// blocks decode. Its staged blocks stay in `prep`, where the launches
+/// read them.
 #[derive(Debug)]
 struct InFlight {
     ue: u64,
     seq: u64,
     prep: PreparedUplink,
-    /// Decoded bits, one buffer per code block, scattered in by
-    /// launches as they complete.
-    bits: Vec<Vec<u8>>,
-    /// Blocks still waiting in some pool.
-    remaining: usize,
-    /// Decoder iterations accumulated across the packet's blocks.
-    iterations: usize,
-    /// Blocks whose launch reported a failed CRC24B.
-    failed_blocks: usize,
 }
 
 /// A ROB slot: either a link in the free list or an in-flight packet.
@@ -184,14 +196,32 @@ struct RobSlot {
     entry: Option<InFlight>,
 }
 
+/// What a ROB slot's launches have scattered so far; kept apart from
+/// [`RobSlot`] so a launch can read the slots' blocks while it writes
+/// here.
+#[derive(Debug)]
+struct Tally {
+    /// Decoded bits, one buffer per code block; the buffers outlive
+    /// their occupants, so a warm slot takes bits without allocating.
+    bits: Vec<Vec<u8>>,
+    /// Blocks still waiting in some pool.
+    remaining: usize,
+    /// Decoder iterations accumulated across the packet's blocks.
+    iterations: usize,
+    /// Blocks whose launch reported a failed CRC24B.
+    failed_blocks: usize,
+    /// The packet's shares of its launches' decode laps.
+    decode_ns: u64,
+}
+
 const FREE_END: u32 = u32::MAX;
 
-/// One staged decode task waiting in a pool.
+/// One staged decode task waiting in a pool: block `block` of the
+/// packet in ROB slot `slot`.
 #[derive(Debug)]
 struct PoolTask {
     slot: u32,
     block: usize,
-    task: TurboLlrs,
     /// Admission tick when staged (age-bound flush).
     staged_at: u64,
     /// Wall-clock point past which waiting risks the packet's budget
@@ -223,13 +253,13 @@ struct Load {
 }
 
 impl Load {
-    /// Measure one staging admission that began at `start` and was busy
-    /// until `end`; `QUAD` in a row against the current state flip it.
-    /// Returns whether the graph is underloaded.
-    fn measure(&mut self, start: Instant, end: Instant) -> bool {
+    /// Measure one staging admission whose packet was in hand at
+    /// `ready` and took `busy` to prepare and admit; `QUAD` in a row
+    /// against the current state flip it. Returns whether the graph is
+    /// underloaded.
+    fn measure(&mut self, ready: Instant, busy: Duration) -> bool {
         if let Some(prev) = self.last_return {
-            let idle = start.saturating_duration_since(prev);
-            let busy = end.saturating_duration_since(start);
+            let idle = ready.saturating_duration_since(prev);
             if (idle > busy) == self.underloaded {
                 self.against = 0;
             } else {
@@ -262,6 +292,8 @@ pub struct StageGraph {
     /// Monotone pool-launch ordinal stamped on flush trace events.
     batch_seq: u64,
     slots: Vec<RobSlot>,
+    /// One per ROB slot.
+    tallies: Vec<Tally>,
     free_head: u32,
     /// In-flight packet count (occupied ROB slots).
     in_flight: usize,
@@ -280,6 +312,9 @@ pub struct StageGraph {
     held: HashMap<u64, BTreeMap<u64, Result<PacketResult, PipelineError>>>,
     /// In-order delivery queue.
     completed: VecDeque<(u64, Result<PacketResult, PipelineError>)>,
+    /// Completed packets' buffers, for the pipeline that prepared them
+    /// ([`Self::pop_spent`]).
+    spent: Vec<PreparedUplink>,
 }
 
 impl StageGraph {
@@ -297,6 +332,15 @@ impl StageGraph {
                 entry: None,
             })
             .collect();
+        let tallies = (0..rob)
+            .map(|_| Tally {
+                bits: vec![Vec::new(); MAX_CODE_BLOCKS],
+                remaining: 0,
+                iterations: 0,
+                failed_blocks: 0,
+                decode_ns: 0,
+            })
+            .collect();
         Self {
             pipe,
             cfg,
@@ -304,6 +348,7 @@ impl StageGraph {
             recorder: None,
             batch_seq: 0,
             slots,
+            tallies,
             free_head: 0,
             in_flight: 0,
             pools: Vec::new(),
@@ -313,6 +358,7 @@ impl StageGraph {
             next_deliver: HashMap::new(),
             held: HashMap::new(),
             completed: VecDeque::new(),
+            spent: Vec::new(),
         }
     }
 
@@ -351,6 +397,13 @@ impl StageGraph {
             pipe.set_recorder(rec.clone());
         }
         self.pipe = pipe;
+        self.forget_gap();
+    }
+
+    /// The gap before the next admission is not idle time — say, the
+    /// back-off after a panic on the thread that prepares the packets —
+    /// so that admission is not measured for the idle flush.
+    pub fn forget_gap(&mut self) {
         self.load.last_return = None;
     }
 
@@ -359,14 +412,10 @@ impl StageGraph {
         self.in_flight
     }
 
-    /// Admit one packet for UE `ue`: the loopback's transmitter and
-    /// channel in front of [`Self::admit_capture`]'s admission. Runs
-    /// the receive path up to the
-    /// decode stage, pools the code blocks, and launches any batch
-    /// whose lanes filled or whose deadline neared — or, while the
-    /// graph is underloaded, every batch. Completed packets
-    /// (this one or earlier ones its launches finished) become
-    /// available via [`Self::pop_completed`].
+    /// Admit one packet for UE `ue`: [`UplinkPipeline::prepare`] on the
+    /// graph's own pipeline — the loopback's transmitter and channel,
+    /// then the receive front end — and [`Self::admit_prepared`] of
+    /// what it staged.
     ///
     /// Panic-safe for worker isolation: a panic inside the pipeline
     /// (e.g. injected [`crate::faultinject::FaultKind::WorkerPanic`])
@@ -374,7 +423,9 @@ impl StageGraph {
     /// is staged, so the graph stays consistent — swap in a fresh
     /// pipeline with [`Self::replace_pipeline`] and keep admitting.
     pub fn admit(&mut self, ue: u64, packet: &Packet) {
-        self.enqueue(ue, |pipe| pipe.prepare(packet));
+        self.recycle_spent();
+        let admission = self.pipe.prepare(packet);
+        self.enqueue(ue, admission);
     }
 
     /// Admit one received capture for UE `ue` — the receiver without
@@ -382,25 +433,45 @@ impl StageGraph {
     /// ([`UplinkPipeline::prepare_capture`]) and its blocks into the
     /// pools; `expect` is the frame it should deliver.
     pub fn admit_capture(&mut self, ue: u64, cap: &Capture<'_>, expect: &[u8]) {
-        self.enqueue(ue, |pipe| pipe.prepare_capture(cap, expect));
+        self.recycle_spent();
+        let admission = self.pipe.prepare_capture(cap, expect);
+        self.enqueue(ue, admission);
     }
 
-    /// One admission tick: run `prepare` on the pipeline, give the
-    /// admission its sequence number and either retire it (it completed
-    /// serially) or take a ROB slot and pool its blocks; then measure
-    /// the load and, underloaded, launch every pool.
-    fn enqueue(&mut self, ue: u64, prepare: impl FnOnce(&UplinkPipeline) -> Admission) {
-        let start = Instant::now();
+    /// Admit for UE `ue` a packet another pipeline prepared — the
+    /// preparing half of a split one ([`UplinkPipeline::split`]), the
+    /// graph's own pipeline being the other half. Gives the admission
+    /// its sequence number and either retires it (it completed
+    /// serially, or the ladder demoted the decoder since it was staged)
+    /// or takes a ROB slot and pools its blocks; then launches any
+    /// batch whose lanes filled or whose deadline neared — or, while
+    /// the graph is underloaded, every batch. Completed packets (this
+    /// one or earlier ones its launches finished) become available via
+    /// [`Self::pop_completed`], their buffers via [`Self::pop_spent`].
+    ///
+    /// Its deadline clock does not run between `prepare` returning and
+    /// this call, and its preparation counts as busy time for the idle
+    /// flush, wherever it ran (module docs, "Flush policy").
+    pub fn admit_prepared(&mut self, ue: u64, admission: Admission) {
+        self.enqueue(ue, admission);
+    }
+
+    /// One admission tick: give the admission its sequence number and
+    /// either retire it or take a ROB slot and pool its blocks; then
+    /// measure the load and, underloaded, launch every pool.
+    fn enqueue(&mut self, ue: u64, admission: Admission) {
+        let arrived = Instant::now();
         self.tick += 1;
         self.pipe.set_trace_ue(ue);
-        let admission = prepare(&self.pipe);
         let seq = {
             let s = self.next_seq.entry(ue).or_insert(0);
             let v = *s;
             *s += 1;
             v
         };
-        let staged = matches!(admission, Admission::Staged(_));
+        // What a staging admission is measured by: when its packet was
+        // in hand, and how long it has taken to prepare so far.
+        let mut measured = None;
         match admission {
             Admission::Ready(result) => {
                 // Completed serially (the scalar decoder of the
@@ -411,24 +482,13 @@ impl StageGraph {
                 self.retire(ue, seq, result);
             }
             Admission::Staged(mut prep) => {
-                let slot = self.alloc_slot();
-                let tasks = std::mem::take(&mut prep.tasks);
-                let budget = self.pipe.config().deadline_ns;
-                let flush_at = budget.map(|b| prep.start + Duration::from_nanos(b * 3 / 4));
-                let iter_cap = prep.iter_cap();
-                let n = tasks.len();
-                self.slots[slot as usize].entry = Some(InFlight {
-                    ue,
-                    seq,
-                    prep,
-                    bits: vec![Vec::new(); n],
-                    remaining: n,
-                    iterations: 0,
-                    failed_blocks: 0,
-                });
-                self.in_flight += 1;
-                for (block, task) in tasks.into_iter().enumerate() {
-                    self.stage_task(slot, block, task, iter_cap, n > 1, flush_at);
+                let prepared = prep.arrive(arrived);
+                if let Some(result) = self.pipe.demoted(&prep) {
+                    self.retire(ue, seq, result);
+                    self.spent.push(prep);
+                } else {
+                    measured = Some((prep.ready, prepared));
+                    self.stage(ue, seq, prep);
                 }
             }
         }
@@ -436,10 +496,31 @@ impl StageGraph {
         // Only a staging admission is measured (module docs). One that
         // staged nothing has nothing to launch either: underloaded, the
         // pools are empty between admissions.
-        if staged && self.load.measure(start, Instant::now()) {
-            self.flush_all(FlushReason::Idle);
+        if let Some((ready, prepared)) = measured {
+            if self.load.measure(ready, prepared + arrived.elapsed()) {
+                self.flush_all(FlushReason::Idle);
+            }
         }
         self.load.last_return = Some(Instant::now());
+    }
+
+    /// Take a ROB slot for `prep` and pool its blocks.
+    fn stage(&mut self, ue: u64, seq: u64, prep: PreparedUplink) {
+        let slot = self.alloc_slot();
+        let budget = self.pipe.config().deadline_ns;
+        let flush_at = budget.map(|b| prep.start + Duration::from_nanos(b * 3 / 4));
+        let iter_cap = prep.iter_cap();
+        let ks: [usize; MAX_CODE_BLOCKS] =
+            std::array::from_fn(|b| prep.tasks.get(b).map_or(0, |t| t.k));
+        let n = prep.tasks.len();
+        let tally = &mut self.tallies[slot as usize];
+        (tally.remaining, tally.iterations) = (n, 0);
+        (tally.failed_blocks, tally.decode_ns) = (0, 0);
+        self.slots[slot as usize].entry = Some(InFlight { ue, seq, prep });
+        self.in_flight += 1;
+        for (block, &k) in ks[..n].iter().enumerate() {
+            self.stage_task(slot, block, k, iter_cap, n > 1, flush_at);
+        }
     }
 
     /// Flush every pool (end of stream): remaining tasks launch as
@@ -455,7 +536,23 @@ impl StageGraph {
         self.completed.pop_front()
     }
 
+    /// A completed packet's buffers, for [`UplinkPipeline::recycle`] on
+    /// the pipeline that prepared it. [`Self::admit`] and
+    /// [`Self::admit_capture`] hand them back to the graph's own
+    /// pipeline themselves; a caller of [`Self::admit_prepared`] takes
+    /// them here.
+    pub fn pop_spent(&mut self) -> Option<PreparedUplink> {
+        self.spent.pop()
+    }
+
     // ---- internals ----
+
+    /// Hand every spent packet back to the graph's own pipeline.
+    fn recycle_spent(&mut self) {
+        while let Some(prep) = self.spent.pop() {
+            self.pipe.recycle(prep);
+        }
+    }
 
     /// Pop a free ROB slot, flushing all pools first if none is free
     /// (flushing retires every in-flight packet, so the list refills).
@@ -479,23 +576,22 @@ impl StageGraph {
 
     /// Push a retired slot back onto the free list.
     fn release_slot(&mut self, slot: u32) {
-        self.slots[slot as usize].entry = None;
         self.slots[slot as usize].next_free = self.free_head;
         self.free_head = slot;
     }
 
-    /// Stage one decode task into its `(K, iter_cap, crc)` pool,
-    /// launching a quad immediately when the lanes fill.
+    /// Stage block `block` (size `k`) of ROB slot `slot` into its
+    /// `(K, iter_cap, crc)` pool, launching a quad immediately when the
+    /// lanes fill.
     fn stage_task(
         &mut self,
         slot: u32,
         block: usize,
-        task: TurboLlrs,
+        k: usize,
         iter_cap: usize,
         crc: bool,
         flush_at: Option<Instant>,
     ) {
-        let k = task.k;
         let pi = match self
             .pools
             .iter()
@@ -515,7 +611,6 @@ impl StageGraph {
         self.pools[pi].tasks.push(PoolTask {
             slot,
             block,
-            task,
             staged_at: self.tick,
             flush_at,
         });
@@ -551,35 +646,38 @@ impl StageGraph {
     /// Launch everything in pool `pi` in one decode call — quads while
     /// four remain, then a pair, then a single leftover
     /// ([`launches`]), each with the pool's CRC. Scatters bits /
-    /// iterations / CRC verdicts / decode-time shares to the owning ROB
-    /// slots and retires any slot whose last block this flush decoded.
+    /// iterations / CRC verdicts / decode-time shares to the owning
+    /// slots' tallies and retires any slot whose last block this flush
+    /// decoded.
     fn flush_pool(&mut self, pi: usize, reason: FlushReason) {
-        let pool = &mut self.pools[pi];
-        if pool.tasks.is_empty() {
+        let pool = &self.pools[pi];
+        let n = pool.tasks.len();
+        if n == 0 {
             return;
         }
         if let Some(m) = &self.metrics {
             m.record_flush(reason);
         }
         if let Some(rec) = &self.recorder {
-            rec.record(TraceEvent::flush(
-                self.batch_seq,
-                pool.k,
-                pool.tasks.len(),
-                reason,
-            ));
+            rec.record(TraceEvent::flush(self.batch_seq, pool.k, n, reason));
         }
         self.batch_seq += 1;
-        let tasks = std::mem::take(&mut pool.tasks);
         let crc = pool.crc.then_some(&CRC24B);
-        let n = tasks.len();
-        // The kernels read the pooled task stream buffers in place (the
-        // array's tail past `n` repeats the last block and is never
-        // read). Each lane's bits, its own iterations and CRC verdict
-        // and an even share of the launch's lap go to its packet.
-        let blocks: [BlockLlrs<'_>; QUAD] =
-            std::array::from_fn(|g| BlockLlrs::from_turbo(&tasks[g.min(n - 1)].task));
-        let (slots, metrics) = (&mut self.slots, &self.metrics);
+        // The kernels read the staged stream buffers in place, in their
+        // packets' ROB slots (the array's tail past `n` repeats the last
+        // block and is never read). Each lane's bits, its own
+        // iterations and CRC verdict and an even share of the launch's
+        // lap go to its packet's tally.
+        let slots = &self.slots;
+        let blocks: [BlockLlrs<'_>; QUAD] = std::array::from_fn(|g| {
+            let t = &pool.tasks[g.min(n - 1)];
+            let entry = slots[t.slot as usize]
+                .entry
+                .as_ref()
+                .expect("pool task points at an occupied slot");
+            BlockLlrs::from_turbo(&entry.prep.tasks[t.block])
+        });
+        let (tallies, metrics) = (&mut self.tallies, &self.metrics);
         let land = |bits: &[Vec<u8>], lanes: &[LaneOutcome], lap_ns: u64| {
             if let Some(m) = metrics {
                 let mut at = 0;
@@ -588,53 +686,69 @@ impl StageGraph {
                     at += run;
                 }
             }
-            for ((t, bits), &(iters, crc_ok, _)) in tasks.iter().zip(bits).zip(lanes) {
-                let entry = slots[t.slot as usize]
-                    .entry
-                    .as_mut()
-                    .expect("pool task points at an occupied slot");
-                entry.bits[t.block].clone_from(bits);
-                entry.iterations += iters;
-                entry.failed_blocks += usize::from(crc_ok == Some(false));
-                entry.prep.nanos[Op::Decode] += lap_ns / n as u64;
-                entry.remaining -= 1;
+            for ((t, bits), &(iters, crc_ok, _)) in pool.tasks.iter().zip(bits).zip(lanes) {
+                let tally = &mut tallies[t.slot as usize];
+                tally.bits[t.block].clone_from(bits);
+                tally.iterations += iters;
+                tally.failed_blocks += usize::from(crc_ok == Some(false));
+                tally.decode_ns += lap_ns / n as u64;
+                tally.remaining -= 1;
             }
         };
         self.pipe
             .decode_launch(&blocks[..n], pool.iter_cap, crc, land);
 
-        // Retire slots whose last block this flush decoded, then hand
-        // the task stream buffers back to the pipeline's free list so
-        // the next admissions' ingest reuses their capacity.
-        for t in &tasks {
-            let done = match &self.slots[t.slot as usize].entry {
-                Some(e) if e.remaining == 0 => {
-                    self.slots[t.slot as usize].entry.take().expect("occupied")
-                }
-                _ => continue,
-            };
-            self.release_slot(t.slot);
-            self.in_flight -= 1;
-            self.pipe.set_trace_ue(done.ue);
-            let result =
-                self.pipe
-                    .complete(done.prep, &done.bits, done.iterations, done.failed_blocks);
-            self.retire(done.ue, done.seq, result);
+        // Slots whose last block this flush decoded, in pool order.
+        let mut done = [FREE_END; QUAD];
+        for (d, t) in done.iter_mut().zip(&self.pools[pi].tasks) {
+            if self.tallies[t.slot as usize].remaining == 0 {
+                *d = t.slot;
+            }
         }
-        for t in tasks {
-            self.pipe.recycle_streams(t.task.streams);
+        self.pools[pi].tasks.clear();
+        for slot in done {
+            if slot != FREE_END {
+                self.complete_slot(slot);
+            }
         }
+    }
+
+    /// Retire the packet in ROB slot `slot`, all of whose blocks have
+    /// decoded: the pipeline's serial tail on its tally, then the
+    /// reorder stage; its buffers are spent.
+    fn complete_slot(&mut self, slot: u32) {
+        // A packet with two blocks in one launch is listed twice.
+        let Some(InFlight { ue, seq, mut prep }) = self.slots[slot as usize].entry.take() else {
+            return;
+        };
+        self.release_slot(slot);
+        self.in_flight -= 1;
+        self.pipe.set_trace_ue(ue);
+        let tally = &self.tallies[slot as usize];
+        prep.nanos[Op::Decode] += tally.decode_ns;
+        let bits = &tally.bits[..prep.tasks.len()];
+        let result = self
+            .pipe
+            .finish(&prep, bits, tally.iterations, tally.failed_blocks);
+        self.retire(ue, seq, result);
+        self.spent.push(prep);
     }
 
     /// Feed one retired packet into the per-UE resequencer and move
     /// every now-deliverable result to the completion queue.
     fn retire(&mut self, ue: u64, seq: u64, result: Result<PacketResult, PipelineError>) {
-        self.held.entry(ue).or_default().insert(seq, result);
         let next = self.next_deliver.entry(ue).or_insert(0);
-        let pending = self.held.get_mut(&ue).expect("just inserted");
-        while let Some(r) = pending.remove(next) {
-            self.completed.push_back((ue, r));
-            *next += 1;
+        if seq != *next {
+            self.held.entry(ue).or_default().insert(seq, result);
+            return;
+        }
+        self.completed.push_back((ue, result));
+        *next += 1;
+        if let Some(pending) = self.held.get_mut(&ue) {
+            while let Some(r) = pending.remove(next) {
+                self.completed.push_back((ue, r));
+                *next += 1;
+            }
         }
     }
 }
@@ -970,7 +1084,7 @@ mod tests {
             .map(|i| {
                 let start = end.max(i * gap_us);
                 end = start + busy_us(i);
-                let underloaded = load.measure(at(start), at(end));
+                let underloaded = load.measure(at(start), at(end) - at(start));
                 load.last_return = Some(at(end));
                 underloaded
             })

@@ -20,7 +20,8 @@ use vran_net::observe::{BreakerConfig, BreakerStage};
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::{PacketResult, PipelineConfig, UplinkPipeline};
 use vran_net::runner::{
-    run_uplink_serial_mixed, run_uplink_stagegraph_metered, FaultPlan, RING_CAPACITY,
+    run_multicore_metered, run_uplink_serial_mixed, run_uplink_stagegraph_metered, FaultPlan,
+    RING_CAPACITY,
 };
 use vran_net::rx::Capture;
 use vran_net::tx::TxChain;
@@ -324,6 +325,199 @@ fn worker_panic_storm_conserves_packets() {
     assert_eq!(rm.worker_restarts.get(), rep.worker_restarts as u64);
     assert_eq!(rm.quarantined.get(), rep.worker_restarts as u64);
     assert!(rep.ok_packets > 0, "survivors decode: {rep:?}");
+}
+
+#[test]
+fn worker_panic_storm_conserves_packets_on_one_worker() {
+    // At one worker every injected panic fires in `prepare` on the
+    // dealing thread: it quarantines that thread's pipeline half and
+    // costs its own packet, and the worker's graph never sees it.
+    let plan = FaultPlan {
+        seed: 5,
+        mix: FaultMix::only(FaultKind::Clean)
+            .with_weight(FaultKind::Clean, 7)
+            .with_weight(FaultKind::WorkerPanic, 1),
+    };
+    let rm = RunnerMetrics::new(true, RING_CAPACITY);
+    let n = 64;
+    let rep = run_uplink_stagegraph_metered(
+        cfg(),
+        &[(Transport::Udp, 128), (Transport::Tcp, 300)],
+        n,
+        1,
+        StageGraphConfig::default(),
+        &rm,
+        None,
+        Some(plan),
+        None,
+        None,
+    );
+    assert!(rep.worker_restarts > 0, "panics must have fired: {rep:?}");
+    assert_eq!(
+        rep.packets + rep.worker_restarts,
+        n,
+        "a panic consumes exactly its own packet: {rep:?}"
+    );
+    assert_eq!(rm.worker_restarts.get(), rep.worker_restarts as u64);
+    assert_eq!(rm.quarantined.get(), rep.worker_restarts as u64);
+    assert_eq!(rep.ok_packets, rep.packets, "survivors are clean traffic");
+}
+
+/// `(ok packets, decoder iterations, code blocks)` a registry saw.
+fn tallies(pm: &PipelineMetrics) -> (u64, u64, u64) {
+    (
+        pm.ok_packets.get(),
+        pm.decoder_iterations.get(),
+        pm.code_blocks.get(),
+    )
+}
+
+#[test]
+fn one_worker_delivers_what_the_serial_driver_delivers_per_class() {
+    // Near the 16-QAM threshold, so packets fail and multi-block
+    // packets stop early at differing iterations: the pipelined
+    // runner must land on the serial driver's outcomes class by class.
+    let near = PipelineConfig {
+        snr_db: 7.0,
+        ..Default::default()
+    };
+    let classes: Vec<(Transport, usize)> = [Transport::Udp, Transport::Tcp]
+        .into_iter()
+        .flat_map(|t| [64usize, 128, 256, 512, 1024, 1400].map(|s| (t, s)))
+        .collect();
+    let graph = |classes: &[(Transport, usize)], n: usize| {
+        let pm = Arc::new(PipelineMetrics::new());
+        let rep = run_uplink_stagegraph_metered(
+            near,
+            classes,
+            n,
+            1,
+            StageGraphConfig::default(),
+            &RunnerMetrics::new(false, RING_CAPACITY),
+            None,
+            None,
+            None,
+            Some(pm.clone()),
+        );
+        (rep, tallies(&pm))
+    };
+    let serial = |classes: &[(Transport, usize)], n: usize| {
+        let pm = Arc::new(PipelineMetrics::new());
+        let quiet = RunnerMetrics::new(false, RING_CAPACITY);
+        let rep = run_multicore_metered(near, classes, n, 1, &quiet, None, Some(pm.clone()));
+        (rep, tallies(&pm))
+    };
+    let n = 4 * classes.len();
+    let (mixed, mixed_tally) = graph(&classes, n);
+    assert_eq!(
+        mixed.ok_packets,
+        run_uplink_serial_mixed(near, &classes, n, 1).ok_packets
+    );
+    assert_eq!(mixed_tally, serial(&classes, n).1);
+    assert!(
+        mixed.ok_packets < n,
+        "the mix must fail somewhere: {mixed:?}"
+    );
+    for class in &classes {
+        let one = std::slice::from_ref(class);
+        assert_eq!(graph(one, 8).1, serial(one, 8).1, "{class:?}");
+    }
+}
+
+#[test]
+fn a_breaker_and_ladder_storm_through_one_worker_runs_as_on_one_thread() {
+    // LLR sabotage on four packets in five, breakers armed: the ladder
+    // demotes the decoder after eight failures in a row, the decoder
+    // breaker trips after ten, and clean half-open probes reset it. The
+    // oracle is one thread admitting the same packets into one graph —
+    // the runner before its two threads split the work. A demoted
+    // packet decodes serially, outside the pools, so the batch counts
+    // show where the ladder was read.
+    let storm = PipelineConfig {
+        breakers: Some(BreakerConfig {
+            trip_after: 10,
+            cooldown_packets: 6,
+        }),
+        ..cfg()
+    };
+    let plan = FaultPlan {
+        seed: 31,
+        mix: FaultMix::only(FaultKind::SaturateLlrs)
+            .with_weight(FaultKind::SaturateLlrs, 4)
+            .with_weight(FaultKind::Clean, 1),
+    };
+    let classes = [(Transport::Udp, 128), (Transport::Tcp, 600)];
+    let n = 240;
+    let counts = |pm: &PipelineMetrics| {
+        let errors: Vec<u64> = ErrorCategory::ALL
+            .into_iter()
+            .map(|c| pm.error_count(c))
+            .collect();
+        (
+            tallies(pm),
+            errors,
+            [pm.backend_degradations.get(), pm.backend_restorations.get()],
+            [
+                pm.breaker_trips.get(),
+                pm.breaker_resets.get(),
+                pm.breaker_fastfails.get(),
+            ],
+        )
+    };
+
+    let batches = |g: &StageGraphMetrics| {
+        [
+            g.quad_blocks.get(),
+            g.pair_blocks.get(),
+            g.single_blocks.get(),
+        ]
+    };
+    let (pm, sg) = (
+        Arc::new(PipelineMetrics::new()),
+        Arc::new(StageGraphMetrics::default()),
+    );
+    let rep = run_uplink_stagegraph_metered(
+        storm,
+        &classes,
+        n,
+        1,
+        StageGraphConfig::default(),
+        &RunnerMetrics::new(false, RING_CAPACITY),
+        Some(sg.clone()),
+        Some(plan),
+        None,
+        Some(pm.clone()),
+    );
+    assert_eq!(rep.packets, n);
+
+    let one = Arc::new(PipelineMetrics::new());
+    let mut pipe = UplinkPipeline::with_metrics(storm, one.clone());
+    pipe.set_fault_injector(FaultInjector::with_mix(plan.seed, plan.mix));
+    let mut oracle = StageGraph::new(pipe, StageGraphConfig::default());
+    let one_sg = Arc::new(StageGraphMetrics::default());
+    oracle.set_metrics(one_sg.clone());
+    let mut b = PacketBuilder::new(9000, 9001);
+    let packets: Vec<_> = (0..n)
+        .map(|i| {
+            let (t, len) = classes[i % classes.len()];
+            b.build(t, len).unwrap()
+        })
+        .collect();
+    for (i, p) in packets.iter().enumerate() {
+        oracle.admit((i % classes.len()) as u64, p);
+    }
+    oracle.drain();
+
+    let got = counts(&pm);
+    assert_eq!(got, counts(&one));
+    assert_eq!(batches(&sg), batches(&one_sg));
+    let ([degradations, _], [trips, resets, _]) = (got.2, got.3);
+    assert!(degradations > 0, "the ladder must demote: {got:?}");
+    assert!(
+        trips > 0 && resets > 0,
+        "the breaker must trip and recover: {got:?}"
+    );
+    assert_eq!(rep.ok_packets as u64, got.0 .0);
 }
 
 #[test]

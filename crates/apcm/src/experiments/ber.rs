@@ -25,6 +25,7 @@ fn ber_at(snr_db: f32) -> (f64, f64) {
     let mut coded_errs = 0usize;
     let mut raw_errs = 0usize;
     let mut raw_bits = 0usize;
+    let mut d = [Vec::new(), Vec::new(), Vec::new()];
     for blk in 0..BLOCKS {
         let bits = random_bits(K, 1000 + blk as u64);
         let cw = enc.encode(&bits);
@@ -40,7 +41,7 @@ fn ber_at(snr_db: f32) -> (f64, f64) {
             .filter(|(&l, &b)| llr_to_bit(l) != b)
             .count();
         raw_bits += tx.len();
-        let d = rm.de_rate_match(&llrs, 0);
+        rm.try_de_rate_match_into(&llrs, 0, &mut d).expect("rv 0");
         let out = dec.decode(&TurboLlrs::from_dstreams(&d, K));
         coded_errs += out.bits.iter().zip(&bits).filter(|(a, b)| a != b).count();
     }

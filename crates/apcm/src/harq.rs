@@ -102,7 +102,8 @@ impl HarqReceiver {
             });
         }
         self.attempts += 1;
-        let d = self.rm.de_rate_match(llrs, rv);
+        let mut d = [Vec::new(), Vec::new(), Vec::new()];
+        self.rm.try_de_rate_match_into(llrs, rv, &mut d)?;
         for (acc, new) in self.acc.iter_mut().zip(&d) {
             for (a, &n) in acc.iter_mut().zip(new) {
                 *a = adds16(*a, n);

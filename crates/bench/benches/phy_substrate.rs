@@ -144,8 +144,9 @@ fn bench_rate_match(c: &mut Criterion) {
     g.bench_function("match_2k", |b| {
         b.iter(|| rm.rate_match(std::hint::black_box(&d), 2 * k, 0))
     });
+    let mut streams = [Vec::new(), Vec::new(), Vec::new()];
     g.bench_function("dematch_2k", |b| {
-        b.iter(|| rm.de_rate_match(std::hint::black_box(&llrs), 0))
+        b.iter(|| rm.try_de_rate_match_into(std::hint::black_box(&llrs), 0, &mut streams))
     });
     // The receive hot entry: interleaved output into a reused buffer,
     // E = 2K at rv 0 (what the pipelines send), per ISA ceiling — its

@@ -4,30 +4,27 @@
 //! equalization.
 //!
 //! The eNB's PDSCH is the same [`TxChain`] the uplink loopback
-//! transmits with, under the downlink's own [`Grant`]. The UE side is
-//! honest about its information: it decodes the DCI first and takes the
-//! data channel's modulation and redundancy version *from the decoded
-//! grant*, so a corrupted PDCCH fails the whole subframe exactly as it
-//! would on air. Its turbo decoder is the scalar reference under either
-//! [`Profile`]; the profile picks the eNB's encoder and CRC and the
-//! UE's demapper, descrambler and CRC.
+//! transmits with, under the downlink's own [`Grant`]; the UE's PDSCH
+//! is the same [`RxChain`] the uplink receives with, entered on the
+//! equalized symbols and ending at CRC24A (the transport block carries
+//! the bare frame). The UE side is honest about its information: it
+//! decodes the DCI first and takes the data channel's modulation and
+//! redundancy version *from the decoded grant*, so a corrupted PDCCH
+//! fails the whole subframe exactly as it would on air. The [`Profile`]
+//! picks both ends' kernels.
 
 use crate::metrics::PipelineMetrics;
 use crate::packet::Packet;
 use crate::pipeline::{fading_pass, Clock};
-use crate::rx::Capture;
+use crate::rx::{Capture, RxChain};
 use crate::tx::{Grant, Profile, TxChain};
 use std::cell::RefCell;
 use std::sync::Arc;
-use vran_phy::bits::{pack_msb, unpack_msb};
+use vran_phy::bits::unpack_msb;
 use vran_phy::channel::NoiseTape;
-use vran_phy::crc::{CRC24A, CRC24B};
 use vran_phy::dci::{conv_encode_streams, llrs_from_streams, viterbi_decode_tb, Dci};
-use vran_phy::llr::TurboLlrs;
 use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::rate_match::conv::ConvRateMatcher;
-use vran_phy::rate_match::RateMatcher;
-use vran_phy::turbo::TurboDecoder;
 
 /// Downlink configuration.
 #[derive(Debug, Clone, Copy)]
@@ -113,6 +110,8 @@ struct Hot {
     /// and word buffers live in it: the steady-state encode loop
     /// performs no heap allocation).
     tx: TxChain,
+    /// The UE's PDSCH receive chain (decoders, buffers and scratch).
+    rx: RxChain,
     /// The AWGN channel's PDCCH noise, drawn once and replayed.
     pdcch_noise: NoiseTape,
     /// The AWGN channel's PDSCH noise, drawn once and replayed.
@@ -135,6 +134,7 @@ impl DownlinkPipeline {
             metrics: None,
             hot: RefCell::new(Hot {
                 tx: TxChain::default(),
+                rx: RxChain::new(cfg.profile, cfg.decoder_iterations),
                 pdcch_noise: NoiseTape::new(cfg.snr_db, cfg.seed),
                 pdsch_noise: NoiseTape::new(cfg.snr_db, cfg.seed ^ PDSCH_SEED_XOR),
             }),
@@ -154,17 +154,22 @@ impl DownlinkPipeline {
         self.metrics.as_deref()
     }
 
-    /// Transmit symbols over the configured channel and return
-    /// equalized data symbols plus LLR weights. `noise` is the AWGN
-    /// channel seeded `seed`; the fading model draws its own.
-    fn channel_pass(&self, data: &[Cplx], seed: u64, noise: &mut NoiseTape) -> (Vec<Cplx>, f32) {
-        let mut out = Vec::with_capacity(data.len());
+    /// Transmit symbols over the configured channel into `out`, as
+    /// equalized data symbols, and return their LLR weight. `noise` is
+    /// the AWGN channel seeded `seed`; the fading model draws its own.
+    fn channel_pass(
+        &self,
+        data: &[Cplx],
+        seed: u64,
+        noise: &mut NoiseTape,
+        out: &mut Vec<Cplx>,
+    ) -> f32 {
         if self.cfg.fading {
-            fading_pass(data, self.cfg.snr_db, seed, &mut out);
-            (out, 1.0)
+            fading_pass(data, self.cfg.snr_db, seed, out);
+            1.0
         } else {
-            noise.apply_into(data, &mut out);
-            (out, Capture::llr_scale_of(noise.channel()))
+            noise.apply_into(data, out);
+            Capture::llr_scale_of(noise.channel())
         }
     }
 
@@ -203,18 +208,24 @@ impl DownlinkPipeline {
             c_init: PDSCH_C_INIT,
         };
         let hot = &mut *self.hot.borrow_mut();
-        let tx = &mut hot.tx;
-        tx.kern = kern;
+        let (tx, rx) = (&mut hot.tx, &mut hot.rx);
+        (tx.kern, rx.kern) = (kern, kern);
         let frame_bits = unpack_msb(&packet.frame, packet.frame.len() * 8);
         let seg = tx
             .map(&frame_bits, &pdsch, &mut clock)
             .expect("any frame plus its CRC24A segments, at rv < 4");
-        let padded = tx.bits.len();
 
-        // ---- channel (control then data, separate passes) ----
-        let (rx_pdcch, ctrl_scale) = self.channel_pass(&pdcch_syms, cfg.seed, &mut hot.pdcch_noise);
-        let (rx_pdsch, data_scale) =
-            self.channel_pass(&tx.symbols, cfg.seed ^ PDSCH_SEED_XOR, &mut hot.pdsch_noise);
+        // ---- channel (control then data, separate passes; the data
+        // lands in the UE's receive chain) ----
+        let mut rx_pdcch = Vec::new();
+        let ctrl_scale =
+            self.channel_pass(&pdcch_syms, cfg.seed, &mut hot.pdcch_noise, &mut rx_pdcch);
+        let data_scale = self.channel_pass(
+            &tx.symbols,
+            cfg.seed ^ PDSCH_SEED_XOR,
+            &mut hot.pdsch_noise,
+            &mut rx.symbols,
+        );
 
         // ---- UE: decode the grant first (de-rate-match, then the
         // tail-biting Viterbi; the 144→66 repetition combines) ----
@@ -224,61 +235,27 @@ impl DownlinkPipeline {
         let rx_bits = viterbi_decode_tb(&llrs_from_streams(&dci_d), Dci::BITS);
         let rx_grant = Dci::from_bits(&rx_bits);
         let dci_ok = rx_grant == grant;
-        if !dci_ok {
-            return DownlinkResult {
-                dci_ok,
-                data_ok: false,
-                code_blocks: seg.c,
-                coded_bits: padded,
-            };
-        }
 
         // ---- UE: PDSCH with parameters FROM THE GRANT ----
-        let ue_grant = Grant {
-            modulation: mcs_to_modulation(rx_grant.mcs),
-            rv: rx_grant.rv,
-            ..pdsch
-        };
-        kern.demap_into(ue_grant.modulation, &rx_pdsch, data_scale, &mut llrs);
-        llrs.truncate(padded);
-        kern.descramble(&mut llrs, ue_grant.c_init);
-
-        let mut decoded = Vec::new();
-        let mut pos = 0;
-        let mut all_ok = true;
-        let (iters, crc) = (cfg.decoder_iterations, (seg.c > 1).then_some(&CRC24B));
-        for i in 0..seg.c {
-            let k = seg.k_of(i);
-            let e = ue_grant.block_e(k);
-            if pos + e > llrs.len() {
-                all_ok = false;
-                break;
+        let data_ok = dci_ok && {
+            let ue_grant = Grant {
+                modulation: mcs_to_modulation(rx_grant.mcs),
+                rv: rx_grant.rv,
+                ..pdsch
+            };
+            if let Some(m) = clock.m {
+                kern.count_rx_tiers(m);
             }
-            let rm = RateMatcher::new(k + 4);
-            let d = rm.de_rate_match(&llrs[pos..pos + e], usize::from(ue_grant.rv));
-            pos += e;
-            let input = TurboLlrs::from_dstreams(&d, k);
-            let out = TurboDecoder::new(k, iters).decode_capped(&input, iters, crc);
-            all_ok &= out.crc_ok != Some(false);
-            decoded.push(out.bits);
-        }
-
-        let data_ok = all_ok
-            && decoded.len() == seg.c
-            && seg
-                .desegment(&decoded)
-                .and_then(|tb_bits| {
-                    CRC24A
-                        .check_with(kern.crc, &tb_bits)
-                        .map(|p| pack_msb(p) == packet.frame.to_vec())
-                })
-                .unwrap_or(false);
+            rx.front_equalized(seg.b, data_scale, &ue_grant, &mut clock)
+                .and_then(|staged| rx.back_bare(staged, &mut clock))
+                .is_ok_and(|payload| payload == packet.frame)
+        };
 
         DownlinkResult {
             dci_ok,
             data_ok,
             code_blocks: seg.c,
-            coded_bits: padded,
+            coded_bits: tx.bits.len(),
         }
     }
 }
@@ -348,14 +325,23 @@ mod tests {
         // Same packet, same channel seed: the production profile's
         // packed encoder is bit-exact, so the channel sees identical
         // coded bits and the same noise, and every observable field
-        // matches the reference profile's.
-        for (size, rv) in [(256usize, 0u8), (700, 2)] {
+        // matches the reference profile's. 6200 B is nine code blocks
+        // (four K = 5504, five K = 5568); 6880 B is nine K = 6144, one
+        // run the native decoder takes in two calls (8 + 1).
+        for (size, rv, fading) in [
+            (256usize, 0u8, false),
+            (700, 2, false),
+            (6200, 1, false),
+            (6880, 0, false),
+            (1400, 3, true),
+        ] {
             let outcomes: Vec<_> = [Profile::Reference, Profile::Production]
                 .into_iter()
                 .map(|profile| {
                     let cfg = DownlinkConfig {
                         snr_db: 25.0,
                         rv,
+                        fading,
                         profile,
                         ..Default::default()
                     };
@@ -363,8 +349,9 @@ mod tests {
                     (r.dci_ok, r.data_ok, r.code_blocks, r.coded_bits)
                 })
                 .collect();
-            assert_eq!(outcomes[0], outcomes[1], "size={size} rv={rv}");
-            assert!(outcomes[0].1, "size={size} rv={rv}: {outcomes:?}");
+            let case = format!("size={size} rv={rv} fading={fading}");
+            assert_eq!(outcomes[0], outcomes[1], "{case}");
+            assert!(outcomes[0].1, "{case}: {outcomes:?}");
         }
     }
 
@@ -372,6 +359,7 @@ mod tests {
     fn downlink_hot_loop_reuses_encode_scratch() {
         let cfg = DownlinkConfig {
             snr_db: 25.0,
+            profile: Profile::Production,
             ..Default::default()
         };
         let pipe = DownlinkPipeline::new(cfg);
@@ -379,13 +367,32 @@ mod tests {
         for _ in 0..4 {
             assert!(pipe.process(&p).data_ok);
         }
-        let scratch = &pipe.hot.borrow().tx.scratch;
-        assert!(scratch.allocations() > 0);
+        {
+            let scratch = &pipe.hot.borrow().tx.scratch;
+            assert!(scratch.allocations() > 0);
+            assert!(
+                scratch.reuses() >= 3,
+                "steady-state encodes must reuse scratch: allocs={} reuses={}",
+                scratch.allocations(),
+                scratch.reuses()
+            );
+        }
+
+        // The receive side: the native decoder's scratch too.
+        let ledger = || pipe.hot.borrow().rx.decode_ledger();
+        let [warm_allocs, warm_reuses, _] = ledger();
+        assert!(warm_allocs > 0);
+        for _ in 0..3 {
+            assert!(pipe.process(&p).data_ok);
+        }
+        let [allocs, reuses, _] = ledger();
+        assert_eq!(
+            allocs, warm_allocs,
+            "steady-state decodes must not allocate scratch"
+        );
         assert!(
-            scratch.reuses() >= 3,
-            "steady-state encodes must reuse scratch: allocs={} reuses={}",
-            scratch.allocations(),
-            scratch.reuses()
+            reuses >= warm_reuses + 3,
+            "steady-state decodes must reuse scratch: reuses {warm_reuses} → {reuses}"
         );
     }
 

@@ -18,13 +18,13 @@
 //! * [`rx`] — the receive chain, the receiver under test: a
 //!   [`rx::Capture`] in (OFDM demod → demap → descramble →
 //!   de-rate-match → **arrange** → turbo decode → CRC → L2), a frame
-//!   out; [`UplinkPipeline`] and [`StageGraph`] both run it.
+//!   out; [`UplinkPipeline`], [`StageGraph`] and the downlink run it.
 //! * [`pipeline`] — the uplink loopback around them (ingress → `tx` →
 //!   channel → `rx`) and its policies: configuration, fault injection,
 //!   deadline, degradation ladder, metrics.
 //! * [`amc`] — the MCS table: the (modulation, code rate) operating
 //!   points a [`PipelineConfig`] is set to, with their SNR thresholds.
-//! * [`downlink`] — PDCCH + PDSCH subframes through `tx`, honest UE.
+//! * [`downlink`] — PDCCH + PDSCH subframes through `tx` and `rx`, honest UE.
 //! * [`ring`] — a lock-free SPSC ring buffer modeling the DPDK
 //!   kernel-bypass queue of Figure 2, feeding [`runner`]'s workers.
 //! * [`runner`] — a threaded source→PHY→sink driver for sustained

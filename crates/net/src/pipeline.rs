@@ -271,7 +271,7 @@ impl Hot {
     fn new(cfg: &PipelineConfig) -> Self {
         Self {
             tx: TxChain::default(),
-            rx: RxChain::new(cfg.decoder_iterations),
+            rx: RxChain::new(cfg.profile, cfg.decoder_iterations),
             air: Vec::new(),
             noise: NoiseTape::new(cfg.snr_db, cfg.seed),
             frames: Vec::new(),
@@ -341,6 +341,9 @@ impl Spans for Clock<'_> {
         }
     }
 }
+
+/// The downlink's PDSCH: a receive path nobody intervenes in.
+impl RxHooks for Clock<'_> {}
 
 /// One packet's passage through the pipeline: its kernels, its clock
 /// and its policy hooks in one value.
@@ -909,9 +912,7 @@ impl UplinkPipeline {
                 m,
                 nanos: OpNanos::default(),
             };
-            let mut lanes: [LaneOutcome; MAX_CODE_BLOCKS] = Default::default();
-            let lanes = &mut lanes[..blocks.len()];
-            let bits = clock.lap(Op::Decode, || rx.decode_run(blocks, 0, cap, crc, lanes));
+            let (bits, lanes) = clock.lap(Op::Decode, || rx.decode_run(blocks, 0, cap, crc));
             land(bits, lanes, clock.nanos[Op::Decode]);
         });
     }

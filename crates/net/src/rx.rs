@@ -12,18 +12,19 @@
 //! [`RxChain::rx`] is `front` + `back`; the stage-graph runtime takes
 //! `front`'s staged blocks, decodes them in cross-packet batches on the
 //! same chain's decoders and scratch, and finishes with
-//! [`RxChain::deliver`], `back`'s own tail. The chain owns every buffer
-//! a packet needs twice, so a warm call allocates only what `vran-phy`
-//! and `l2` return by signature.
+//! [`RxChain::deliver`], `back`'s own tail. The downlink's PDSCH enters
+//! one step below OFDM and stops at CRC24A (its TB carries no L2). The
+//! chain owns every buffer a packet needs twice, so a warm call
+//! allocates only what `vran-phy` and `l2` return by signature.
 //!
 //! A [`Capture`] is input from outside the program: sample count,
 //! symbol count and transport-block size are checked against each
-//! other and against the [`Grant`] before anything is sized or indexed
-//! from them, and every disagreement is a typed [`PipelineError`].
+//! other, the [`Grant`] and the uplink's [`MAX_CODE_BLOCKS`] before
+//! anything is sized or indexed from them, and every disagreement is a
+//! typed [`PipelineError`].
 //!
-//! Which kernels run is the owning pipeline's business (a chain built
-//! outside the crate runs the production composition, at the tiers the
-//! host offers when it is built); where the owner
+//! Which kernels run is the [`Profile`] the chain is built with (an
+//! owning pipeline re-resolves them per packet); where the owner
 //! intervenes in a packet (fault injection, the deadline) and where
 //! time goes is one [`RxHooks`] argument — the chain never reads a
 //! clock.
@@ -31,7 +32,7 @@
 use crate::error::{DecodeFailure, FrameFault, PipelineError, SegFault};
 use crate::l2::BearerRx;
 use crate::metrics::{Op, Spans};
-use crate::tx::{slot, Grant, Kernels, OFDM};
+use crate::tx::{slot, Grant, Kernels, Profile, OFDM};
 use vran_arrange::fused_ingest_into;
 use vran_phy::bits::pack_msb;
 use vran_phy::channel::AwgnChannel;
@@ -43,10 +44,11 @@ use vran_phy::segmentation::{Segmentation, Z_MAX};
 use vran_phy::turbo::native_batch::LaneOutcome;
 use vran_phy::turbo::{BatchScratch, BlockLlrs, NativeBatchTurboDecoder, TurboDecoder};
 
-/// Maximum code blocks per transport block the receive path accepts;
-/// plans beyond this classify as
+/// Maximum code blocks per transport block the uplink receiver
+/// accepts; plans beyond this classify as
 /// [`PipelineError::SegmentationOverflow`]. LTE category-4 uplink TBs
-/// stay well under this at our 5 MHz configuration.
+/// stay well under this at our 5 MHz configuration. It is also the most
+/// blocks one native decoder call takes: longer runs go in chunks.
 pub const MAX_CODE_BLOCKS: usize = 8;
 
 /// Free-list cap, in packets' worth of buffers. A staged packet holds
@@ -177,15 +179,19 @@ pub struct RxChain {
     /// SISO passes the decoded blocks ran, each block's own count,
     /// whichever decoder ran it.
     siso_passes: u64,
-    /// Decoded-bit buffers, one per code-block index.
+    /// Decoded-bit buffers and the decoder's outcomes, one per
+    /// code-block index (grow-only, in step).
     bits: Vec<Vec<u8>>,
+    lanes: Vec<LaneOutcome>,
 }
 
 impl RxChain {
-    /// New chain decoding with at most `decoder_iterations` turbo
-    /// iterations; per-K decoders and rate matchers build on first use.
-    pub fn new(decoder_iterations: usize) -> Self {
+    /// New chain running `profile`'s kernels, at the tiers the host
+    /// offers now, with at most `decoder_iterations` turbo iterations;
+    /// per-K decoders and rate matchers build on first use.
+    pub fn new(profile: Profile, decoder_iterations: usize) -> Self {
         Self {
+            kern: profile.kernels(),
             decoder_iterations,
             ..Self::default()
         }
@@ -235,7 +241,8 @@ impl RxChain {
         grant: &Grant,
         hooks: &mut impl RxHooks,
     ) -> Result<Staged, PipelineError> {
-        let (seg, coded_bits) = plan(cap.tb_bits, cap.n_symbols, grant)?;
+        let seg = plan_blocks(cap.tb_bits)?;
+        let coded_bits = coded_bits(&seg, cap.n_symbols, grant)?;
         let held = self.symbols.capacity();
         hooks.lap(Op::OfdmDemod, || {
             OFDM.try_demodulate_stream_into(cap.samples, cap.n_symbols, &mut self.symbols)
@@ -246,7 +253,7 @@ impl RxChain {
 
     /// [`Self::front`] one step below OFDM: [`Self::symbols`] already
     /// holds the subcarrier symbols, equalized to noise scale
-    /// `llr_scale`.
+    /// `llr_scale` by an in-process channel model (so no block cap).
     pub(crate) fn front_equalized(
         &mut self,
         tb_bits: usize,
@@ -254,7 +261,8 @@ impl RxChain {
         grant: &Grant,
         hooks: &mut impl RxHooks,
     ) -> Result<Staged, PipelineError> {
-        let (seg, coded_bits) = plan(tb_bits, self.symbols.len(), grant)?;
+        let seg = Segmentation::try_plan(tb_bits)?;
+        let coded_bits = coded_bits(&seg, self.symbols.len(), grant)?;
         self.stage(seg, coded_bits, llr_scale, grant, hooks)
     }
 
@@ -367,6 +375,21 @@ impl RxChain {
         delivered
     }
 
+    /// [`Self::back`] without L2, for a transport block that carries
+    /// its frame bare (the downlink's PDSCH): the packed payload.
+    pub(crate) fn back_bare(
+        &mut self,
+        staged: Staged,
+        hooks: &mut impl RxHooks,
+    ) -> Result<Vec<u8>, PipelineError> {
+        let payload = hooks.iter_cap(self.decoder_iterations).and_then(|cap| {
+            let tally = self.decode_blocks(&staged.seg, &staged.tasks, cap, hooks);
+            self.payload(&staged.seg, &self.bits[..staged.seg.c], tally, hooks)
+        });
+        self.reclaim(staged.tasks);
+        payload
+    }
+
     /// Decode staged blocks serially under an iteration cap already
     /// decided, with the CRC24B stop, then [`Self::deliver`]. The tasks
     /// stay with the caller.
@@ -378,46 +401,52 @@ impl RxChain {
         cap: usize,
         hooks: &mut impl RxHooks,
     ) -> Result<Delivered, PipelineError> {
-        let (iterations, failed_blocks) = self.decode_blocks(tasks, cap, hooks);
+        let tally = self.decode_blocks(seg, tasks, cap, hooks);
         let bits = &self.bits[..seg.c];
-        self.deliver(seg, bits, coded_bits, iterations, failed_blocks, hooks)
+        self.deliver(
+            seg,
+            bits,
+            coded_bits,
+            tally.decoder_iterations,
+            tally.failed_blocks,
+            hooks,
+        )
     }
 
     /// Decode `tasks` into `self.bits` under iteration cap `cap`: the
     /// native decoder in one [`Self::decode_run`] per run of equal-K
     /// blocks (segmentation puts every K− block before the K+ ones, so
-    /// at most two), the scalar oracle block by block. Returns the
-    /// iteration total and how many blocks failed their CRC24B.
+    /// at most two), split into calls of at most [`MAX_CODE_BLOCKS`];
+    /// the scalar oracle block by block. Returns the tally a failure
+    /// reports (iterations, blocks that failed their CRC24B).
     fn decode_blocks(
         &mut self,
+        seg: &Segmentation,
         tasks: &[TurboLlrs],
         cap: usize,
         hooks: &mut impl RxHooks,
-    ) -> (usize, usize) {
-        if self.bits.len() < tasks.len() {
-            self.bits.resize_with(tasks.len(), Vec::new);
-        }
+    ) -> DecodeFailure {
+        self.grow(tasks.len());
         let max_iters = self.decoder_iterations;
         let crc = (tasks.len() > 1).then_some(&CRC24B);
-        let mut lanes: [LaneOutcome; MAX_CODE_BLOCKS] = Default::default();
-        let lanes = &mut lanes[..tasks.len()];
         match self.kern.decoder {
             DecoderBackend::Native => {
                 let mut at = 0;
-                for run in tasks.chunk_by(|a, b| a.k == b.k) {
-                    let r = at..at + run.len();
-                    at += run.len();
+                let runs = tasks.chunk_by(|a, b| a.k == b.k);
+                for run in runs.flat_map(|run| run.chunks(MAX_CODE_BLOCKS)) {
                     // The tail past the run repeats its last block and
                     // is never read.
                     let blocks: [BlockLlrs<'_>; MAX_CODE_BLOCKS] =
                         std::array::from_fn(|g| BlockLlrs::from_turbo(&run[g.min(run.len() - 1)]));
                     hooks.lap(Op::Decode, || {
-                        self.decode_run(&blocks[..run.len()], r.start, cap, crc, &mut lanes[r]);
+                        self.decode_run(&blocks[..run.len()], at, cap, crc);
                     });
+                    at += run.len();
                 }
             }
             DecoderBackend::Scalar => {
-                for ((task, bits), lane) in tasks.iter().zip(&mut self.bits).zip(lanes.iter_mut()) {
+                let outs = self.bits.iter_mut().zip(&mut self.lanes);
+                for (task, (bits, lane)) in tasks.iter().zip(outs) {
                     let k = task.k;
                     let si = slot(&mut self.scalars, k, || TurboDecoder::new(k, max_iters));
                     let out = hooks.lap(Op::Decode, || {
@@ -429,27 +458,36 @@ impl RxChain {
                 }
             }
         }
-        let iterations = lanes.iter().map(|l| l.0).sum();
-        let failed_blocks = lanes.iter().filter(|l| l.1 == Some(false)).count();
-        (iterations, failed_blocks)
+        let lanes = &self.lanes[..tasks.len()];
+        DecodeFailure {
+            tb_bits: seg.b,
+            code_blocks: tasks.len(),
+            failed_blocks: lanes.iter().filter(|l| l.1 == Some(false)).count(),
+            decoder_iterations: lanes.iter().map(|l| l.0).sum(),
+        }
+    }
+
+    /// Room for `n` blocks' bits and outcomes (grow-only).
+    fn grow(&mut self, n: usize) {
+        if self.bits.len() < n {
+            self.bits.resize_with(n, Vec::new);
+            self.lanes.resize(n, Default::default());
+        }
     }
 
     /// Every native decode, serial (per run of equal-K blocks) or staged
     /// (per pool flush): the equal-K `blocks` in one `decode_blocks_into`
     /// call on this chain's decoder and scratch, into `self.bits[at..]`
-    /// and `lanes`. Returns the bit buffers it wrote.
+    /// and `self.lanes[at..]`, which it returns.
     pub(crate) fn decode_run(
         &mut self,
         blocks: &[BlockLlrs<'_>],
         at: usize,
         cap: usize,
         crc: Option<&Crc>,
-        lanes: &mut [LaneOutcome],
-    ) -> &[Vec<u8>] {
+    ) -> (&[Vec<u8>], &[LaneOutcome]) {
         let (k, r) = (blocks[0].sys.len(), at..at + blocks.len());
-        if self.bits.len() < r.end {
-            self.bits.resize_with(r.end, Vec::new);
-        }
+        self.grow(r.end);
         let max_iters = self.decoder_iterations;
         let di = slot(&mut self.natives, k, || {
             NativeBatchTurboDecoder::new(k, max_iters)
@@ -460,10 +498,11 @@ impl RxChain {
             crc,
             &mut self.scratch,
             &mut self.bits[r.clone()],
-            lanes,
+            &mut self.lanes[r.clone()],
         );
+        let lanes = &self.lanes[r.clone()];
         self.siso_passes += lanes.iter().map(|l| l.2 as u64).sum::<u64>();
-        &self.bits[r]
+        (&self.bits[r], lanes)
     }
 
     /// Reassemble, verify, de-encapsulate: the tail shared by the
@@ -479,35 +518,39 @@ impl RxChain {
         failed_blocks: usize,
         hooks: &mut impl RxHooks,
     ) -> Result<Delivered, PipelineError> {
-        let presented = &bits[..hooks.presented(bits.len()).min(bits.len())];
-        let tb = hooks.lap(Op::Deseg, || seg.try_desegment(presented))?;
-
         let failure = DecodeFailure {
             tb_bits: seg.b,
             code_blocks: bits.len(),
             failed_blocks,
             decoder_iterations: iterations,
         };
-        if failed_blocks > 0 {
-            return Err(PipelineError::DecoderDiverged(failure));
-        }
-        let crc_failed = PipelineError::CrcMismatch(failure);
-        let Some(tb) = tb else { return Err(crc_failed) };
-        let Some(payload) = hooks.lap(Op::CrcCheck, || CRC24A.check_with(self.kern.crc, &tb))
-        else {
-            return Err(crc_failed);
-        };
-        let Ok(sdu) = hooks.lap(Op::L2Decap, || {
-            BearerRx::default().decapsulate(&pack_msb(payload))
-        }) else {
-            return Err(crc_failed);
-        };
+        let pdu = self.payload(seg, bits, failure, hooks)?;
+        let sdu = hooks.lap(Op::L2Decap, || BearerRx::default().decapsulate(&pdu));
         Ok(Delivered {
-            sdu,
+            sdu: sdu.map_err(|_| PipelineError::CrcMismatch(failure))?,
             code_blocks: bits.len(),
             coded_bits,
             iterations,
         })
+    }
+
+    /// Desegment → CRC24A, the step below L2: the packed payload, or
+    /// the error that ends the packet, reporting `failure`.
+    fn payload(
+        &self,
+        seg: &Segmentation,
+        bits: &[Vec<u8>],
+        failure: DecodeFailure,
+        hooks: &mut impl RxHooks,
+    ) -> Result<Vec<u8>, PipelineError> {
+        let presented = &bits[..hooks.presented(bits.len()).min(bits.len())];
+        let tb = hooks.lap(Op::Deseg, || seg.try_desegment(presented))?;
+        if failure.failed_blocks > 0 {
+            return Err(PipelineError::DecoderDiverged(failure));
+        }
+        let check = |tb: &[u8]| CRC24A.check_with(self.kern.crc, tb).map(pack_msb);
+        tb.and_then(|tb| hooks.lap(Op::CrcCheck, || check(&tb)))
+            .ok_or(PipelineError::CrcMismatch(failure))
     }
 }
 
@@ -538,14 +581,9 @@ pub(crate) fn plan_blocks(tb_bits: usize) -> Result<Segmentation, PipelineError>
     Ok(seg)
 }
 
-/// Check a capture's transport-block size and symbol count against the
-/// grant and each other; returns the segmentation plan and Σ e.
-fn plan(
-    tb_bits: usize,
-    n_symbols: usize,
-    grant: &Grant,
-) -> Result<(Segmentation, usize), PipelineError> {
-    let seg = plan_blocks(tb_bits)?;
+/// Check a capture's symbol count against the plan and the grant;
+/// returns Σ e.
+fn coded_bits(seg: &Segmentation, n_symbols: usize, grant: &Grant) -> Result<usize, PipelineError> {
     let coded_bits: usize = (0..seg.c).map(|i| grant.block_e(seg.k_of(i))).sum();
     let need = coded_bits.div_ceil(grant.modulation.bits_per_symbol());
     if n_symbols != need {
@@ -556,7 +594,7 @@ fn plan(
             },
         });
     }
-    Ok((seg, coded_bits))
+    Ok(coded_bits)
 }
 
 /// Pop a `k`-element stream buffer off the free list, or allocate one
@@ -682,15 +720,14 @@ mod tests {
             let cap = sent.capture();
 
             let mut hooks = Counted::default();
-            let mut native = RxChain::new(cfg.decoder_iterations);
+            let mut native = RxChain::new(Profile::Production, cfg.decoder_iterations);
             let got = native.rx(&cap, &grant, &mut hooks).unwrap();
             assert_eq!(got.sdu, sent.frame, "{size} B");
             let counts = (hooks.iter_caps, hooks.decode_laps);
             assert_eq!(counts, (1, native_laps), "{size} B native");
 
             let mut hooks = Counted::default();
-            let mut oracle = RxChain::new(cfg.decoder_iterations);
-            oracle.kern = Kernels::reference();
+            let mut oracle = RxChain::new(Profile::Reference, cfg.decoder_iterations);
             let want = oracle.rx(&cap, &grant, &mut hooks).unwrap();
             let counts = (hooks.iter_caps, hooks.decode_laps);
             assert_eq!(counts, (1, 2), "{size} B oracle: one lap per block");
@@ -708,13 +745,12 @@ mod tests {
         let seg = &sent.seg;
         assert_eq!((seg.c_minus, seg.c_plus, seg.k_plus), (0, 2, 4160));
         let cap = sent.capture();
-        for kern in [Kernels::production(), Kernels::reference()] {
+        for profile in [Profile::Production, Profile::Reference] {
             let mut hooks = Counted {
                 expired: true,
                 ..Default::default()
             };
-            let mut rx = RxChain::new(6);
-            rx.kern = kern;
+            let mut rx = RxChain::new(profile, 6);
             let got = rx.rx(&cap, &grant, &mut hooks);
             assert!(
                 matches!(got, Err(PipelineError::DeadlineExceeded { .. })),

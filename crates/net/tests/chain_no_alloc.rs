@@ -98,7 +98,7 @@ fn warm_chains_allocate_only_what_phy_and_l2_return_by_signature() {
         (unpack_msb(&pdu, pdu.len() * 8), frame)
     };
     let mut tx = TxChain::default();
-    let mut rx = RxChain::new(cfg.decoder_iterations);
+    let mut rx = RxChain::new(cfg.profile, cfg.decoder_iterations);
     let mut air = Vec::new();
     let mut channel = AwgnChannel::new(cfg.snr_db, 3);
 

@@ -1,17 +1,20 @@
 //! The transmit and receive chains held to their oracles, in tier-1:
 //!
 //! * `TxChain` → `AwgnChannel` → `RxChain::rx` against
-//!   `UplinkPipeline::process` on the same frames and noise seeds —
-//!   whole outcomes, so a chain that drifts from the loopback (the
-//!   benchmark's set-up parity) fails `cargo test`, not a benchmark run;
+//!   `UplinkPipeline::process` on the same frames and noise seeds, under
+//!   each `Profile` (`RxChain::new(profile, …)` against the pipeline's
+//!   `profile`) — whole outcomes, so a chain that drifts from the
+//!   loopback (the benchmark's set-up parity) fails `cargo test`, not a
+//!   benchmark run;
 //! * `TxChain`'s scrambled bits and samples, bit for bit, against the scalar
 //!   reference composition (bit-serial CRC, per-bit trellis walk,
 //!   per-position rate-match readout, bit-serial Gold sequence);
 //! * a table of malformed captures: every one a typed error, none a
 //!   panic, and the chain decodes the good capture again afterwards.
 //!
-//! Each runs at every ISA ceiling `isa_fallback` uses; the ceiling is
-//! process-global, so the tests of this binary take turns.
+//! Each runs at every ISA ceiling `isa_fallback` uses (the reference
+//! profile, whose kernels ignore the ceiling, at the host's only); the
+//! ceiling is process-global, so the tests of this binary take turns.
 
 use vran_net::amc::MCS_TABLE;
 use vran_net::error::{ErrorCategory, PipelineError};
@@ -19,7 +22,7 @@ use vran_net::l2::{BearerTx, L2_OVERHEAD};
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::{PipelineConfig, UplinkPipeline};
 use vran_net::rx::{Capture, RxChain};
-use vran_net::tx::{Grant, TxChain};
+use vran_net::tx::{Grant, Profile, TxChain};
 use vran_phy::bits::unpack_msb;
 use vran_phy::channel::AwgnChannel;
 use vran_phy::crc::{CrcImpl, CRC24A};
@@ -42,14 +45,14 @@ const SIZES: [usize; 6] = [64, 256, 512, 1024, 1400, 1500];
 
 /// Run `body` under each ceiling in turn; the full grid under the
 /// host's own tiers, every other ceiling on the grid's corners.
-fn at_every_ceiling(mut body: impl FnMut(&[usize])) {
+fn at_every_ceiling(mut body: impl FnMut(Option<HostIsa>, &[usize])) {
     for ceiling in CEILINGS {
         let sizes: &[usize] = if ceiling.is_none() {
             &SIZES
         } else {
             &[64, 1500]
         };
-        with_isa_ceiling(ceiling, || body(sizes));
+        with_isa_ceiling(ceiling, || body(ceiling, sizes));
     }
 }
 
@@ -107,69 +110,84 @@ fn failed(e: &PipelineError) -> Outcome {
 
 #[test]
 fn bare_chains_match_process_over_the_grid() {
-    at_every_ceiling(|sizes| {
-        let mut tx = TxChain::default();
-        let mut air = Vec::new();
-        let mut builder = PacketBuilder::new(4000, 4001);
-        let mut seed = 100;
-        for modulation in Modulation::ALL {
-            for snr_db in snrs(modulation) {
-                let cfg = PipelineConfig {
-                    modulation,
-                    snr_db,
-                    ..Default::default()
-                };
-                let mut rx = RxChain::new(cfg.decoder_iterations);
-                for &size in sizes {
-                    for transport in [Transport::Udp, Transport::Tcp] {
-                        seed += 1;
-                        let packet = builder.build(transport, size).unwrap();
-                        let pipe = UplinkPipeline::new(PipelineConfig { seed, ..cfg });
-                        let want = match pipe.process(&packet) {
-                            Ok(r) => Outcome::Delivered {
-                                tb_bits: r.tb_bits,
-                                code_blocks: r.code_blocks,
-                                coded_bits: r.coded_bits,
-                                iterations: r.decoder_iterations,
-                            },
-                            Err(e) => failed(&e),
-                        };
+    at_every_ceiling(|ceiling, sizes| {
+        // The reference kernels ignore the ceiling: one leg, at the
+        // host's own tiers.
+        let profiles: &[Profile] = match ceiling {
+            None => &[Profile::Production, Profile::Reference],
+            Some(_) => &[Profile::Production],
+        };
+        for &profile in profiles {
+            bare_chain_matches_process(profile, sizes);
+        }
+    });
+}
 
-                        let grant = pipe.grant();
-                        let seg = tx
-                            .tx(&payload_bits(&packet.frame), &grant, &mut ())
-                            .unwrap();
-                        let mut channel = AwgnChannel::new(snr_db, seed);
-                        channel.apply_into(&tx.samples, &mut air);
-                        let cap = Capture {
-                            samples: &air,
-                            n_symbols: tx.symbols.len(),
-                            tb_bits: seg.b,
-                            llr_scale: Capture::llr_scale_of(&channel),
-                        };
-                        let got = match rx.rx(&cap, &grant, &mut ()) {
-                            Ok(d) => {
-                                assert_eq!(d.sdu, packet.frame, "delivered bytes");
-                                Outcome::Delivered {
-                                    tb_bits: seg.b,
-                                    code_blocks: d.code_blocks,
-                                    coded_bits: d.coded_bits,
-                                    iterations: d.iterations,
-                                }
+/// `RxChain::new(profile, …)` against `UplinkPipeline` under the same
+/// profile, over the grid.
+fn bare_chain_matches_process(profile: Profile, sizes: &[usize]) {
+    let mut tx = TxChain::default();
+    let mut air = Vec::new();
+    let mut builder = PacketBuilder::new(4000, 4001);
+    let mut seed = 100;
+    for modulation in Modulation::ALL {
+        for snr_db in snrs(modulation) {
+            let cfg = PipelineConfig {
+                profile,
+                modulation,
+                snr_db,
+                ..Default::default()
+            };
+            let mut rx = RxChain::new(cfg.profile, cfg.decoder_iterations);
+            for &size in sizes {
+                for transport in [Transport::Udp, Transport::Tcp] {
+                    seed += 1;
+                    let packet = builder.build(transport, size).unwrap();
+                    let pipe = UplinkPipeline::new(PipelineConfig { seed, ..cfg });
+                    let want = match pipe.process(&packet) {
+                        Ok(r) => Outcome::Delivered {
+                            tb_bits: r.tb_bits,
+                            code_blocks: r.code_blocks,
+                            coded_bits: r.coded_bits,
+                            iterations: r.decoder_iterations,
+                        },
+                        Err(e) => failed(&e),
+                    };
+
+                    let grant = pipe.grant();
+                    let seg = tx
+                        .tx(&payload_bits(&packet.frame), &grant, &mut ())
+                        .unwrap();
+                    let mut channel = AwgnChannel::new(snr_db, seed);
+                    channel.apply_into(&tx.samples, &mut air);
+                    let cap = Capture {
+                        samples: &air,
+                        n_symbols: tx.symbols.len(),
+                        tb_bits: seg.b,
+                        llr_scale: Capture::llr_scale_of(&channel),
+                    };
+                    let got = match rx.rx(&cap, &grant, &mut ()) {
+                        Ok(d) => {
+                            assert_eq!(d.sdu, packet.frame, "delivered bytes");
+                            Outcome::Delivered {
+                                tb_bits: seg.b,
+                                code_blocks: d.code_blocks,
+                                coded_bits: d.coded_bits,
+                                iterations: d.iterations,
                             }
-                            Err(e) => failed(&e),
-                        };
-                        assert_eq!(
-                            got,
-                            want,
-                            "{size} B {transport:?} {} at {snr_db} dB, noise seed {seed}",
-                            modulation.name()
-                        );
-                    }
+                        }
+                        Err(e) => failed(&e),
+                    };
+                    assert_eq!(
+                        got,
+                        want,
+                        "{profile:?} {size} B {transport:?} {} at {snr_db} dB, noise seed {seed}",
+                        modulation.name()
+                    );
                 }
             }
         }
-    });
+    }
 }
 
 /// The coded, rate-matched, scrambled bits of `payload` by the scalar
@@ -194,7 +212,7 @@ fn reference_scrambled_bits(payload: &[u8], grant: &Grant) -> Vec<u8> {
 
 #[test]
 fn tx_chain_matches_the_scalar_reference_composition() {
-    at_every_ceiling(|sizes| {
+    at_every_ceiling(|_, sizes| {
         let mut tx = TxChain::default();
         let mut builder = PacketBuilder::new(4000, 4001);
         for modulation in Modulation::ALL {
@@ -224,7 +242,7 @@ fn tx_chain_matches_the_scalar_reference_composition() {
 
 #[test]
 fn malformed_captures_are_typed_errors_never_panics() {
-    at_every_ceiling(|_| {
+    at_every_ceiling(|_, _| {
         let cfg = PipelineConfig {
             modulation: Modulation::Qam64,
             snr_db: 20.0,
@@ -310,7 +328,7 @@ fn malformed_captures_are_typed_errors_never_panics() {
             bad.push(("wrong transport-block size", Capture { tb_bits, ..good }));
         }
 
-        let mut rx = RxChain::new(cfg.decoder_iterations);
+        let mut rx = RxChain::new(cfg.profile, cfg.decoder_iterations);
         for (what, cap) in bad {
             let got = rx.rx(&cap, &grant, &mut ());
             assert!(

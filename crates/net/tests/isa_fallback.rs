@@ -1,9 +1,9 @@
 //! Scalar-fallback coverage: simulate a SIMD-less host via the
 //! `vran-simd` ISA ceiling and prove both directions survive it —
 //! the production uplink's native decoder still decodes bit-exactly,
-//! and the downlink's packed encoder still encodes bit-exactly — while flagging
-//! the lost speedup as `native_simd_fallbacks` /
-//! `packed_encoder_fallbacks` metrics events. The zmm tiers get the
+//! and the downlink's packed encoder and native decoder still run
+//! bit-exactly — while flagging the lost speedup as
+//! `native_simd_fallbacks` / `packed_encoder_fallbacks` metrics events. The zmm tiers get the
 //! same treatment one rung up: under an AVX2 ceiling the zmm batch
 //! decoder and the 512-bit packed encoder must degrade to their
 //! narrower kernels bit-exactly, flagged as `batch_simd_fallbacks` /
@@ -203,6 +203,11 @@ fn packed_encoder_degrades_to_word64_kernel_without_simd() {
         metrics.packed_encoder_fallbacks.get(),
         1,
         "the lost SIMD speedup must be observable"
+    );
+    assert_eq!(
+        metrics.native_simd_fallbacks.get(),
+        1,
+        "the UE's native decoder lost its SIMD tiers too, once per subframe"
     );
     let snap = metrics.snapshot();
     assert_eq!(

@@ -266,25 +266,11 @@ impl RateMatcher {
         Ok(out)
     }
 
-    /// Invert the readout in LLR space: returns three LLR streams of
-    /// length `d`, with repeats chase-combined and punctures at 0.
-    pub fn de_rate_match(&self, llrs: &[Llr], rv: usize) -> [Vec<Llr>; 3] {
-        let mut out = [Vec::new(), Vec::new(), Vec::new()];
-        self.de_rate_match_into(llrs, rv, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`RateMatcher::de_rate_match`]:
-    /// resizes each stream of `out` to length `d` (a no-op once the
-    /// buffers have warmed up) and accumulates in place.
-    pub fn de_rate_match_into(&self, llrs: &[Llr], rv: usize, out: &mut [Vec<Llr>; 3]) {
-        self.try_de_rate_match_into(llrs, rv, out)
-            .expect("rv in 0..4")
-    }
-
-    /// Non-panicking [`RateMatcher::de_rate_match_into`]: an
-    /// out-of-range redundancy version is an `Err` instead of an
-    /// assert deep in the receive path.
+    /// Invert the readout in LLR space into three LLR streams of length
+    /// `d`, with repeats chase-combined and punctures at 0: resizes each
+    /// stream of `out` (a no-op once the buffers have warmed up) and
+    /// accumulates in place. An out-of-range redundancy version is an
+    /// `Err`. The oracle of the interleaved variant the receiver runs.
     pub fn try_de_rate_match_into(
         &self,
         llrs: &[Llr],
@@ -1191,7 +1177,8 @@ mod tests {
         let e = 200; // < 324
         let tx = rm.rate_match(&streams, e, 0);
         let llrs: Vec<Llr> = tx.iter().map(|&b| if b == 0 { 80 } else { -80 }).collect();
-        let rx = rm.de_rate_match(&llrs, 0);
+        let mut rx = [Vec::new(), Vec::new(), Vec::new()];
+        rm.try_de_rate_match_into(&llrs, 0, &mut rx).unwrap();
         let flat_in: Vec<u8> = streams.iter().flat_map(|s| s.iter().copied()).collect();
         let flat_out: Vec<Llr> = rx.iter().flat_map(|s| s.iter().copied()).collect();
         let mut seen_nonzero = 0;
@@ -1213,7 +1200,8 @@ mod tests {
         let e = 3 * d * 2; // every bit transmitted exactly twice
         let tx = rm.rate_match(&streams, e, 0);
         let llrs: Vec<Llr> = tx.iter().map(|&b| if b == 0 { 50 } else { -50 }).collect();
-        let rx = rm.de_rate_match(&llrs, 0);
+        let mut rx = [Vec::new(), Vec::new(), Vec::new()];
+        rm.try_de_rate_match_into(&llrs, 0, &mut rx).unwrap();
         for s in &rx {
             for &l in s {
                 assert_eq!(l.abs(), 100, "each position combined twice: {l}");

@@ -13,7 +13,7 @@ pub const Z_MAX: usize = 6144;
 const L: usize = 24;
 
 /// Structural errors from the typed (non-panicking) segmentation API.
-/// The legacy `plan`/`segment`/`desegment` methods keep their original
+/// The legacy `plan`/`segment` methods keep their original
 /// panic-on-misuse contract by delegating to the `try_` variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegError {
@@ -26,14 +26,14 @@ pub enum SegError {
         /// Actual input length.
         got: usize,
     },
-    /// `desegment` was handed the wrong number of code blocks.
+    /// `try_desegment` was handed the wrong number of code blocks.
     WrongBlockCount {
         /// Planned C.
         expected: usize,
         /// Blocks received.
         got: usize,
     },
-    /// A `desegment` code block has the wrong size.
+    /// A `try_desegment` code block has the wrong size.
     WrongBlockSize {
         /// Which block.
         index: usize,
@@ -181,14 +181,7 @@ impl Segmentation {
     }
 
     /// Reassemble decoded code blocks into the transport-level bit
-    /// stream, stripping filler and per-block CRCs; returns `None` if
-    /// any per-block CRC fails.
-    pub fn desegment(&self, blocks: &[Vec<u8>]) -> Option<Vec<u8>> {
-        self.try_desegment(blocks)
-            .expect("block set matches segmentation plan")
-    }
-
-    /// Non-panicking [`Segmentation::desegment`]: a structurally
+    /// stream, stripping filler and per-block CRCs. A structurally
     /// inconsistent block set (wrong count or wrong sizes — e.g. a
     /// sender lying about its code-block count) is an `Err`; a clean
     /// structure whose per-block CRC fails is `Ok(None)`.
@@ -274,7 +267,7 @@ mod tests {
         let s = Segmentation::plan(1000);
         let blocks = s.segment(&bits);
         assert_eq!(blocks.len(), 1);
-        assert_eq!(s.desegment(&blocks).unwrap(), bits);
+        assert_eq!(s.try_desegment(&blocks).unwrap().unwrap(), bits);
     }
 
     #[test]
@@ -286,7 +279,7 @@ mod tests {
         for (i, b) in blocks.iter().enumerate() {
             assert_eq!(b.len(), s.k_of(i));
         }
-        assert_eq!(s.desegment(&blocks).unwrap(), bits);
+        assert_eq!(s.try_desegment(&blocks).unwrap().unwrap(), bits);
     }
 
     #[test]
@@ -295,7 +288,7 @@ mod tests {
         let s = Segmentation::plan(15000);
         let mut blocks = s.segment(&bits);
         blocks[1][10] ^= 1;
-        assert!(s.desegment(&blocks).is_none());
+        assert!(s.try_desegment(&blocks).unwrap().is_none());
     }
 
     #[test]

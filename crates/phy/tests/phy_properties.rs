@@ -340,7 +340,8 @@ proptest! {
         let streams = [random_bits(d, seed), random_bits(d, seed ^ 1), random_bits(d, seed ^ 2)];
         let tx = rm.rate_match(&streams, 3 * d, 0);
         let llrs: Vec<i16> = tx.iter().map(|&b| bit_to_llr(b, 70)).collect();
-        let rx = rm.de_rate_match(&llrs, 0);
+        let mut rx = [Vec::new(), Vec::new(), Vec::new()];
+        rm.try_de_rate_match_into(&llrs, 0, &mut rx).unwrap();
         for (s, got) in streams.iter().zip(&rx) {
             let hard: Vec<u8> = got.iter().map(|&l| llr_to_bit(l)).collect();
             prop_assert_eq!(&hard, s);
@@ -355,7 +356,7 @@ proptest! {
         let seg = Segmentation::plan(b);
         let blocks = seg.segment(&bits);
         prop_assert_eq!(blocks.len(), seg.c);
-        prop_assert_eq!(seg.desegment(&blocks), Some(bits));
+        prop_assert_eq!(seg.try_desegment(&blocks), Ok(Some(bits)));
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn receiver_alone() {
         llr_scale: Capture::llr_scale_of(&channel),
     };
 
-    let got = RxChain::new(cfg.decoder_iterations)
+    let got = RxChain::new(cfg.profile, cfg.decoder_iterations)
         .rx(&cap, &grant, &mut ())
         .expect("14 dB 16-QAM should decode");
     assert_eq!(got.sdu, frame);

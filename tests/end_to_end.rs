@@ -98,7 +98,7 @@ fn mechanisms_are_functionally_transparent_at_the_packet_level() {
         tb_bits: seg.b,
         llr_scale: Capture::llr_scale_of(&channel),
     };
-    let staged = RxChain::new(cfg.decoder_iterations)
+    let staged = RxChain::new(cfg.profile, cfg.decoder_iterations)
         .front(&cap, &grant, &mut ())
         .unwrap();
     assert_eq!(staged.tasks.len(), seg.c);

@@ -24,8 +24,13 @@ use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::{PipelineConfig, UplinkPipeline};
 use vran_net::tx::TxChain;
 use vran_net::{StageGraph, StageGraphConfig};
+use vran_phy::bits::random_bits;
+use vran_phy::crc::CRC24B;
+use vran_phy::llr::{adds16, bit_to_llr, TurboLlrs};
 use vran_phy::modulation::Modulation;
-use vran_simd::host::{with_isa_ceiling, HostIsa};
+use vran_phy::turbo::{DecoderIsa, NativeTurboDecoder, TurboDecoder, TurboEncoder};
+use vran_simd::host::{self, with_isa_ceiling, HostIsa};
+use vran_util::rng::SmallRng;
 
 #[test]
 fn native_backend_degrades_to_scalar_kernels_without_simd() {
@@ -67,6 +72,52 @@ fn native_backend_degrades_to_scalar_kernels_without_simd() {
             .map(|(_, v)| *v),
         Some(1.0),
         "fallback events must appear in snapshots: {snap:?}"
+    );
+}
+
+#[test]
+fn avx2_tier_extrinsic_matches_the_oracle_on_and_off_zmm() {
+    // The AVX2 tier peels and gathers its extrinsic on zmm where the
+    // host has AVX-512BW, and with the 128-bit peel and an indexed copy
+    // under an AVX2 ceiling. Both must decode a lone block as the
+    // scalar oracle does, with and without CRC24B.
+    const CAP: usize = 6;
+    let mut extrinsic_ran = false;
+    for k in [40, 6144] {
+        for noise in [16, 28] {
+            let seed = (k + noise) as u64;
+            let cw = TurboEncoder::new(k).encode(&CRC24B.attach(&random_bits(k - 24, seed)));
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let soft = cw.to_dstreams().map(|st| {
+                st.iter()
+                    .map(|&b| {
+                        let n = (rng.next_u64() % (2 * noise as u64 + 1)) as i16 - noise as i16;
+                        adds16(bit_to_llr(b, 12), n)
+                    })
+                    .collect()
+            });
+            let input = TurboLlrs::from_dstreams(&soft, k);
+            let oracle = TurboDecoder::new(k, CAP);
+            let want = (
+                oracle.decode(&input),
+                oracle.decode_with_crc(&input, &CRC24B),
+            );
+            extrinsic_ran |= want.1.siso_passes > 2;
+            for ceiling in [None, Some(HostIsa::Avx2)] {
+                let got = with_isa_ceiling(ceiling, || {
+                    let dec = NativeTurboDecoder::new(k, CAP);
+                    if host::has(HostIsa::Avx2) {
+                        assert_eq!(dec.isa(), DecoderIsa::Avx2);
+                    }
+                    (dec.decode(&input), dec.decode_with_crc(&input, &CRC24B))
+                });
+                assert_eq!(got, want, "K={k} noise ±{noise} under {ceiling:?}");
+            }
+        }
+    }
+    assert!(
+        extrinsic_ran,
+        "no CRC24B decode ran past its first iteration"
     );
 }
 

@@ -17,6 +17,17 @@
 //! at each end. Whichever chain reaches step `i` second computes its
 //! posterior, so the trellis holds `K` rows a block.
 //!
+//! One register's recurrence (≈ 10 vector µops per ≈ 6-cycle step)
+//! leaves about half the port slots idle, so at `R = 1` phase 1 stages
+//! γ one 8-step group ahead of the group it runs, and those µops fill
+//! the slots; only the leftover group, which the leftover β walk reads
+//! before phase 1, and the first group are staged up front. Two
+//! registers fill the ports themselves: at `R = 2` staging ahead made
+//! the quad 3–7 % slower, so it stages every group up front. Phase 2
+//! computes the loop-carried state before the posterior's sort and
+//! reduction, so the core, whose scheduler picks the oldest ready µop
+//! first, does not queue the recurrence behind them.
+//!
 //! [`Width`] holds only what differs between ymm (`B = 1`: the
 //! single-block AVX2 tier) and zmm (`B = 2`: the AVX-512BW pair and quad
 //! launches); [`body`] is everything else, stepping `R` registers
@@ -542,36 +553,25 @@ unsafe fn groups<W: Width>(v: [*const Llr; 2], a: usize, m: usize) -> W::V {
     unsafe { W::join(W::get_h(v, a), W::get_h(v, m)) }
 }
 
-/// The γ phase of one register, sixteen steps per block per pass: each
-/// block's group `a` from the front in the low half, its mirror group
-/// in the high half with the step order reversed by `rev`, so each
-/// stored slot holds the blocks' `[quad(p) | quad(K'−1−p)]`.
+/// The γ staging of one register's 8-step group `a < h`, sixteen steps
+/// per block: each block's group `a` from the front in the low half,
+/// its mirror group in the high half with the step order reversed by
+/// `rev`, so slots `a..a + 8` hold the blocks' `[quad(p) | quad(K'−1−p)]`.
 ///
 /// # Safety
 /// As for [`body`].
 #[inline(always)]
-unsafe fn stage<W: Width>(l: &Lanes, k: usize, h: usize, rev: W::V) {
-    let (b, kp) = (W::B, 2 * h);
-    // SAFETY: every group read and written lies inside a block's run,
-    // every slot inside the register's region.
+unsafe fn stage<W: Width>(l: &Lanes, a: usize, kp: usize, rev: W::V) {
+    let (b, m) = (W::B, kp - STATES - a);
+    // SAFETY: both groups lie inside each block's run, every slot inside
+    // the register's region.
     unsafe {
-        let mut a = 0;
-        while a < h {
-            let m = kp - STATES - a;
-            let (g0v, gpv) = gammas::<W>(l, a, m);
-            W::put_h(W::low(g0v), l.g0, a);
-            W::put_h(W::high(g0v), l.g0, m);
-            let q = g0v.shuf(rev).quads(gpv.shuf(rev));
-            for (j, qj) in q.into_iter().enumerate() {
-                W::store(l.gq.add(8 * b * (a + 2 * j)), W::fold(qj));
-            }
-            a += STATES;
-        }
-        if kp < k {
-            // The leftover group, in both halves.
-            let (g0v, gpv) = gammas::<W>(l, kp, kp);
-            W::put_h(W::low(g0v), l.g0, kp);
-            W::store_left(g0v.quads(gpv), l.gq.add(4 * b * kp));
+        let (g0v, gpv) = gammas::<W>(l, a, m);
+        W::put_h(W::low(g0v), l.g0, a);
+        W::put_h(W::high(g0v), l.g0, m);
+        let q = g0v.shuf(rev).quads(gpv.shuf(rev));
+        for (j, qj) in q.into_iter().enumerate() {
+            W::store(l.gq.add(8 * b * (a + 2 * j)), W::fold(qj));
         }
     }
 }
@@ -595,8 +595,21 @@ unsafe fn body<W: Width, const R: usize>(k: usize, regs: &[Lanes; R]) {
     // inside the buffers `siso` checked.
     unsafe {
         let lanes = control_lanes();
+        let rev = W::control(lanes[8]);
+        // One register leaves half the port slots of its recurrence
+        // idle, so phase 1 stages one group ahead of the group it runs;
+        // two registers fill them, so they stage every group up front.
+        let ahead = if R == 1 { STATES } else { h };
         for l in regs {
-            stage::<W>(l, k, h, W::control(lanes[8]));
+            if kp < k {
+                // The leftover group, in both halves.
+                let (g0v, gpv) = gammas::<W>(l, kp, kp);
+                W::put_h(W::low(g0v), l.g0, kp);
+                W::store_left(g0v.quads(gpv), l.gq.add(4 * b * kp));
+            }
+            for a in (0..ahead).step_by(STATES) {
+                stage::<W>(l, a, kp, rev);
+            }
         }
         let ((c1, c1h), (c2, c2h)) = (W::controls(lanes, 0), W::controls(lanes, 4));
         let floor = W::V::splat(NEG_INF);
@@ -625,11 +638,18 @@ unsafe fn body<W: Width, const R: usize>(k: usize, regs: &[Lanes; R]) {
         for (s, beta) in s.iter_mut().zip(s_h) {
             *s = W::join(W::load_h(ALPHA0.as_ptr().cast()), beta);
         }
-        for p in 0..h {
-            for (s, l) in s.iter_mut().zip(regs) {
-                W::store(l.trellis.add(16 * b * p), *s);
-                let [_, _, cand] = s.candidates(W::slot(l.gq.add(8 * b * p)), &c1);
-                *s = W::V::select(cand, floor, bcast0);
+        for a in (0..h).step_by(STATES) {
+            if a + ahead < h {
+                for l in regs {
+                    stage::<W>(l, a + ahead, kp, rev);
+                }
+            }
+            for p in a..a + STATES {
+                for (s, l) in s.iter_mut().zip(regs) {
+                    W::store(l.trellis.add(16 * b * p), *s);
+                    let [_, _, cand] = s.candidates(W::slot(l.gq.add(8 * b * p)), &c1);
+                    *s = W::V::select(cand, floor, bcast0);
+                }
             }
         }
 
@@ -650,10 +670,13 @@ unsafe fn body<W: Width, const R: usize>(k: usize, regs: &[Lanes; R]) {
                 for ((s, y), l) in s.iter_mut().zip(&mut y).zip(regs) {
                     let row = W::load(l.trellis.add(16 * b * p));
                     let [st, gam, cand] = s.candidates(W::slot(l.gq.add(8 * b * p)), &c2);
+                    // The loop-carried state first: the scheduler picks
+                    // the oldest ready µop first, so the chain does not
+                    // wait behind the posterior's.
+                    *s = W::V::select(cand, floor, bcast0);
                     let t0 = W::sort(row, [st[0], gam[0], cand[0]], m);
                     let t1 = W::sort(row, [st[1], gam[1], cand[1]], m);
                     y[j] = W::V::max_pair(t0.zip16(t1));
-                    *s = W::V::select(cand, floor, bcast0);
                 }
             }
             // y[j] belongs to steps p+3−j (β lanes) and K'−4−p+j (α

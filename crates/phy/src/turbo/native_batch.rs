@@ -7,8 +7,9 @@
 //! one) and the bits it had then, and the call ends when every lane has
 //! passed or at the cap; without a CRC every lane runs the cap. Only the
 //! per-pass calls differ between widths, behind the private `Passes`
-//! trait: [`DecoderIsa`] runs one lane at a single-block tier — the
-//! one-lane call is [`NativeTurboDecoder::decode_streams_capped_into`] —
+//! trait: [`NativeTurboDecoder`] runs one lane at its single-block tier
+//! — the one-lane call is
+//! [`NativeTurboDecoder::decode_streams_capped_into`] —
 //! and `mitm::Zmm` two or four lanes at two blocks per zmm register. So
 //! every lane is bit-identical to its block decoded alone (and to the
 //! scalar oracle).
@@ -290,7 +291,7 @@ impl NativeBatchTurboDecoder {
                 QUAD => iterate::<QUAD>(&Zmm, dec, blocks, cap, crc, scratch, bits, lanes),
                 #[cfg(target_arch = "x86_64")]
                 BATCH => iterate::<BATCH>(&Zmm, dec, blocks, cap, crc, scratch, bits, lanes),
-                _ => iterate::<1>(&dec.isa(), dec, blocks, cap, crc, scratch, bits, lanes),
+                _ => iterate::<1>(dec, dec, blocks, cap, crc, scratch, bits, lanes),
             }
         }
     }
@@ -319,9 +320,9 @@ pub(super) trait Passes<const N: usize> {
     fn extrinsic(&self, w: &mut Work, table: Perm<'_>, dst: &mut [Llr]);
 }
 
-/// One lane at a single-block tier: Scalar, SSE2, SSSE3, and the ymm
-/// meet-in-the-middle body under AVX2.
-impl Passes<1> for DecoderIsa {
+/// One lane at the decoder's single-block tier: Scalar, SSE2, SSSE3,
+/// and the ymm meet-in-the-middle body under AVX2.
+impl Passes<1> for NativeTurboDecoder {
     type Ends = [[Llr; 3]; 2];
 
     fn ends(&self, tail_sys: &[Llr; 3], tail_par: &[Llr; 3]) -> Self::Ends {
@@ -340,12 +341,16 @@ impl Passes<1> for DecoderIsa {
         let gq = aligned(&mut w.gq, 4 * k);
         let alpha = aligned(&mut w.trellis, STATES * (k + 1));
         let (g0, post) = (&mut w.g0[..k], &mut w.post[..k]);
-        siso_into(*self, sys, par, apriori, ts, tp, g0, gq, alpha, post);
+        siso_into(self.isa(), sys, par, apriori, ts, tp, g0, gq, alpha, post);
     }
 
     fn extrinsic(&self, w: &mut Work, table: Perm<'_>, dst: &mut [Llr]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.zmm_extrinsic() {
+            return zmm_extrinsic::<1>(w, table, dst);
+        }
         let k = table.0.len();
-        peel_extrinsic(*self, &w.post[..k], &w.g0[..k], &mut w.ext[..k]);
+        peel_extrinsic(self.isa(), &w.post[..k], &w.g0[..k], &mut w.ext[..k]);
         permute(table, &w.ext[..k], dst, |e| e);
     }
 }
@@ -375,14 +380,22 @@ impl<const N: usize> Passes<N> for Zmm {
     }
 
     fn extrinsic(&self, w: &mut Work, table: Perm<'_>, dst: &mut [Llr]) {
-        let n = N * table.0.len();
-        assert!(Zmm::detected(), "host lacks AVX-512BW");
-        // SAFETY: the host has AVX-512BW, checked above; the slices are
-        // checked by the callees.
-        unsafe {
-            x86::peel(&w.post[..n], &w.g0[..n], &mut w.ext[..n]);
-            x86::gather_rows::<N>(dst, &w.ext[..n + 1], table.0);
-        }
+        zmm_extrinsic::<N>(w, table, dst);
+    }
+}
+
+/// The extrinsic of `N` lanes on zmm: the launches', and the AVX2 tier's
+/// on AVX-512BW hosts. `ensure` sizes `ext` a word past its runs, which
+/// the gather's dword reads need.
+#[cfg(target_arch = "x86_64")]
+fn zmm_extrinsic<const N: usize>(w: &mut Work, table: Perm<'_>, dst: &mut [Llr]) {
+    let n = N * table.0.len();
+    assert!(Zmm::detected(), "host lacks AVX-512BW");
+    // SAFETY: the host has AVX-512BW, checked above; the slices are
+    // checked by the callees.
+    unsafe {
+        x86::peel(&w.post[..n], &w.g0[..n], &mut w.ext[..n]);
+        x86::gather_rows::<N>(dst, &w.ext[..n + 1], table.0);
     }
 }
 
@@ -494,9 +507,9 @@ pub(super) fn iterate<const N: usize>(
 pub(super) struct Perm<'a>(&'a [u32]);
 
 /// `dst[j] = f(src[table[j]])` — every interleaver gather of [`iterate`]
-/// and its one-lane extrinsic, in one idiom: unchecked, as bounds
-/// checks cost 7–10 % of an AVX2-tier decode at K ≥ 5696 (Sapphire
-/// Rapids).
+/// and its one-lane extrinsic below AVX-512BW, in one idiom: unchecked,
+/// as bounds checks cost 7–10 % of an AVX2-tier decode whose extrinsic
+/// gathers here (K ≥ 5696, Sapphire Rapids).
 fn permute<S: Copy, D>(table: Perm<'_>, src: &[S], dst: &mut [D], f: impl Fn(S) -> D) {
     let k = table.0.len();
     assert!(src.len() == k && dst.len() == k);
@@ -1002,10 +1015,13 @@ mod tests {
     /// `bar` times faster. Skipped (not failed) where the host lacks the
     /// zmm kernel — exactness is covered unconditionally above.
     ///
-    /// On a 2-vCPU Sapphire Rapids guest, in the test build, this
-    /// kernel read 2.0–2.2× (quad) and 1.9–2.2× (pair); the
-    /// α-then-β quad-in-zmm and pair-in-ymm bodies it replaced read
-    /// 1.43–1.47× and 1.07–1.08×, so the bars (1.6×, 1.3×) fail them.
+    /// On a 2-vCPU AVX-512BW Xeon guest (model 207), in the test build,
+    /// this kernel reads 2.20–2.28× (quad) and 2.29–2.39× (pair) against
+    /// a single-block decode that stages γ inside phase 1 and gathers
+    /// its extrinsic on zmm. The α-then-β quad-in-zmm and pair-in-ymm
+    /// bodies it replaced read 1.43–1.47× and 1.07–1.08×, so the bars
+    /// (1.6×, 1.3×) fail them. A `--release` test build reads lower:
+    /// 1.45–1.51× (quad) and 1.55–1.68× (pair).
     fn launch_beats_serial_decodes<const N: usize>(bar: f64) {
         let name = format!("{N}-lane launch");
         if !NativeBatchTurboDecoder::is_zmm_accelerated() {

@@ -57,15 +57,20 @@
 //! — a block that stops on its CRC, and the last pass of any decode,
 //! never pay for it — already scaled by ¾ for the next half-iteration
 //! (the oracle scales the whole array, then permutes — so the
-//! interleaver gather is a plain indexed copy).
+//! interleaver gather is a plain indexed copy). On AVX-512BW hosts this
+//! tier peels and gathers on zmm instead, with the launches' own peel
+//! and `vpgatherdd` gather at one lane. The decoder decides it once,
+//! when it is built, so an ISA ceiling below AVX-512BW still reaches
+//! the 128-bit peel and the indexed copy.
 //!
 //! # Iteration control
 //!
 //! A decode is the one-lane call of the one native turbo iteration loop
 //! (in `native_batch`), the stop rule of [`super::decoder`] pass for
-//! pass; [`DecodeScratch::siso_passes`] counts what ran. This decoder's
-//! tier makes the loop's per-pass calls: `siso_into`, `peel_extrinsic`
-//! with an indexed-copy gather, and `hard_decide`.
+//! pass; [`DecodeScratch::siso_passes`] counts what ran. This decoder
+//! makes the loop's per-pass calls at its tier: `siso_into`, the
+//! extrinsic (`peel_extrinsic` with an indexed-copy gather, or the zmm
+//! pair above), and `hard_decide`.
 //!
 //! Dispatch is by [`std::arch::is_x86_feature_detected!`] via
 //! [`vran_simd::host`], with a portable scalar fallback, following
@@ -79,7 +84,7 @@ use super::trellis::{self, STATES};
 use crate::crc::Crc;
 use crate::interleaver::QppInterleaver;
 use crate::llr::{adds16, llr_to_bit, max16, srai16, subs16, Llr, TailLlrs, TurboLlrs};
-use vran_simd::host::{best_tier, HostIsa, Tier};
+use vran_simd::host::{self, best_tier, HostIsa, Tier};
 
 /// ISA level a [`NativeTurboDecoder`] runs its SISO kernel at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -145,6 +150,10 @@ pub struct NativeTurboDecoder {
     il: QppInterleaver,
     max_iterations: usize,
     isa: DecoderIsa,
+    /// Whether the extrinsic peels and gathers on zmm, as the launches'
+    /// does: the AVX2 tier on AVX-512BW hosts. Decided once, here, so an
+    /// ISA ceiling still reaches the 128-bit peel and indexed copy.
+    zmm_extrinsic: bool,
 }
 
 impl NativeTurboDecoder {
@@ -164,6 +173,7 @@ impl NativeTurboDecoder {
             il: QppInterleaver::new(k),
             max_iterations,
             isa,
+            zmm_extrinsic: isa == DecoderIsa::Avx2 && host::has(HostIsa::Avx512bw),
         }
     }
 
@@ -186,6 +196,11 @@ impl NativeTurboDecoder {
     /// The ISA level this decoder dispatches to.
     pub fn isa(&self) -> DecoderIsa {
         self.isa
+    }
+
+    /// Whether this decoder's extrinsic runs on zmm.
+    pub(super) fn zmm_extrinsic(&self) -> bool {
+        self.zmm_extrinsic
     }
 
     /// Decode; runs all configured iterations.
@@ -268,16 +283,7 @@ impl NativeTurboDecoder {
         };
         let mut lane = [(0, None, 0)];
         let bits = core::slice::from_mut(bits);
-        iterate::<1>(
-            &self.isa,
-            self,
-            &[block],
-            cap,
-            crc,
-            scratch,
-            bits,
-            &mut lane,
-        );
+        iterate::<1>(self, self, &[block], cap, crc, scratch, bits, &mut lane);
         (lane[0].0, lane[0].1)
     }
 }
@@ -1247,8 +1253,10 @@ pub(crate) mod tests {
     #[test]
     fn native_siso_matches_oracle_at_both_group_parities() {
         // K/8 odd (40: the leftover-group loops run), even (48, 6144:
-        // the packed phases alone).
-        for k in [40usize, 48, 6144] {
+        // the packed phases alone); and the edges of phase 1's staging
+        // one group ahead: one group (16), one group and the leftover
+        // (24), two groups (32).
+        for k in [16usize, 24, 32, 40, 48, 6144] {
             let mut rng = SmallRng::seed_from_u64(k as u64);
             let mut draw = |n: usize| -> Vec<Llr> {
                 (0..n)

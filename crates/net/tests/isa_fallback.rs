@@ -45,34 +45,46 @@ fn native_backend_degrades_to_scalar_kernels_without_simd() {
     let native =
         with_isa_ceiling(None, || UplinkPipeline::new(cfg).process(&p)).expect("12 dB decodes");
 
-    // Mask every SIMD tier: the same pipeline must still decode — via
-    // the native decoder's scalar kernels — and report the fallback.
-    let metrics = Arc::new(PipelineMetrics::new());
-    let masked = with_isa_ceiling(Some(HostIsa::Scalar), || {
-        UplinkPipeline::with_metrics(cfg, metrics.clone()).process(&p)
-    })
-    .expect("scalar fallback decodes");
+    // Mask every SIMD tier, then cap at SSE2 and at SSSE3: the same
+    // pipeline must still decode bit-exactly. The decoder's lowest
+    // vector tier runs the meet-in-the-middle body on an xmm pair, which
+    // needs `pshufb`, so an SSE2 host decodes on the scalar kernels and
+    // reports the fallback just as a SIMD-less one does.
+    for (ceiling, tier, fallbacks) in [
+        (HostIsa::Scalar, DecoderIsa::Scalar, 1),
+        (HostIsa::Sse2, DecoderIsa::Scalar, 1),
+        (HostIsa::Ssse3, DecoderIsa::Ssse3, 0),
+    ] {
+        let metrics = Arc::new(PipelineMetrics::new());
+        let (masked, isa) = with_isa_ceiling(Some(ceiling), || {
+            let out = UplinkPipeline::with_metrics(cfg, metrics.clone()).process(&p);
+            (out, NativeTurboDecoder::new(40, 1).isa())
+        });
+        let masked = masked.expect("capped decode");
+        let under = ceiling.name();
 
-    assert_eq!(masked.tb_bits, native.tb_bits);
-    assert_eq!(masked.code_blocks, native.code_blocks);
-    assert_eq!(masked.coded_bits, native.coded_bits);
-    assert_eq!(
-        masked.decoder_iterations, native.decoder_iterations,
-        "scalar kernels must be bit-exact with the SIMD path"
-    );
-    assert_eq!(
-        metrics.native_simd_fallbacks.get(),
-        1,
-        "the lost SIMD speedup must be observable"
-    );
-    let snap = metrics.snapshot();
-    assert_eq!(
-        snap.iter()
-            .find(|(name, _)| name == "native_simd_fallbacks")
-            .map(|(_, v)| *v),
-        Some(1.0),
-        "fallback events must appear in snapshots: {snap:?}"
-    );
+        assert_eq!(isa, tier, "decoder tier under {under}");
+        assert_eq!(masked.tb_bits, native.tb_bits, "under {under}");
+        assert_eq!(masked.code_blocks, native.code_blocks, "under {under}");
+        assert_eq!(masked.coded_bits, native.coded_bits, "under {under}");
+        assert_eq!(
+            masked.decoder_iterations, native.decoder_iterations,
+            "the kernels under {under} must be bit-exact with the uncapped path"
+        );
+        assert_eq!(
+            metrics.native_simd_fallbacks.get(),
+            fallbacks,
+            "under {under}: the lost SIMD speedup must be observable, once per packet"
+        );
+        let snap = metrics.snapshot();
+        assert_eq!(
+            snap.iter()
+                .find(|(name, _)| name == "native_simd_fallbacks")
+                .map(|(_, v)| *v),
+            Some(fallbacks as f64),
+            "fallback events must appear in snapshots under {under}: {snap:?}"
+        );
+    }
 }
 
 #[test]

@@ -1,10 +1,10 @@
-//! The meet-in-the-middle SISO kernel, written once for ymm and zmm
-//! (DESIGN §5.8 has the schedule in full).
+//! The meet-in-the-middle SISO kernel, written once for xmm, ymm and
+//! zmm (DESIGN §5.8 has the schedule in full).
 //!
 //! α and β are independent recurrences of identical shape, one walking
 //! up from step 0, the other down from step K−1. A register of `2B`
 //! 128-bit lanes carries `B` blocks: lanes `0..B` one chain of each
-//! block, lanes `B..2B` the other, under per-lane `vpshufb` controls, so
+//! block, lanes `B..2B` the other, under per-lane `pshufb` controls, so
 //! every instruction of the recurrence does `2B` steps' work. With
 //! `h = 8·⌊K/16⌋` and `K' = 2h`: γ stages each step's *quad*
 //! `[γ₀+γₚ, γ₀−γₚ, −γ₀+γₚ, −γ₀−γₚ]` (the oracle's `branch()` for
@@ -28,11 +28,13 @@
 //! reduction, so the core, whose scheduler picks the oldest ready µop
 //! first, does not queue the recurrence behind them.
 //!
-//! [`Width`] holds only what differs between ymm (`B = 1`: the
-//! single-block AVX2 tier) and zmm (`B = 2`: the AVX-512BW pair and quad
-//! launches); [`body`] is everything else, stepping `R` registers
-//! together so each hides the others' ≈ 6-cycle recurrence. The body's
-//! helpers are functions, not closures: a closure does not inherit the
+//! [`Width`] holds only what differs between xmm (`B = 1`: the SSSE3
+//! tier, whose "register" is a [`Pair`] of xmm, the α and β chains in
+//! two independent recurrences), ymm (`B = 1`: the single-block AVX2
+//! tier) and zmm (`B = 2`: the AVX-512BW pair and quad launches);
+//! [`body`] is everything else, stepping `R` registers together so each
+//! hides the others' ≈ 6-cycle recurrence. The body's helpers are
+//! functions, not closures: a closure does not inherit the
 //! `#[target_feature]` of the wrapper it is inlined into, so LLVM may
 //! outline it with every intrinsic a call.
 
@@ -45,7 +47,7 @@ use core::hint::black_box;
 use std::arch::x86_64::*;
 
 /// Byte-level `pshufb` control replicating a lane-level i16 gather.
-pub(super) fn lane_ctrl(table: [u8; STATES]) -> [i8; 16] {
+fn lane_ctrl(table: [u8; STATES]) -> [i8; 16] {
     core::array::from_fn(|i| (2 * table[i / 2] + i as u8 % 2) as i8)
 }
 
@@ -206,9 +208,39 @@ ops!(__m512i, _mm512_set1_epi16, _mm512_adds_epi16, _mm512_subs_epi16, _mm512_ma
      _mm512_unpacklo_epi16, _mm512_unpackhi_epi16, _mm512_unpacklo_epi32, _mm512_unpackhi_epi32,
      _mm512_unpacklo_epi64, _mm512_unpackhi_epi64);
 
+/// Two registers stepped as one: each op runs on both halves, so the
+/// halves are two independent recurrences.
+#[derive(Clone, Copy)]
+pub(super) struct Pair<H>(H, H);
+
+/// Each half of an unpack pair `(lo, hi)` of both registers, as two pairs.
+fn unzip<H>((lo0, hi0): (H, H), (lo1, hi1): (H, H)) -> (Pair<H>, Pair<H>) {
+    (Pair(lo0, lo1), Pair(hi0, hi1))
+}
+
+impl<H: Ops> Ops for Pair<H> {
+    always! {
+        fn splat(w: i16) -> Self { Pair(H::splat(w), H::splat(w)) }
+        fn adds(self, o: Self) -> Self { Pair(self.0.adds(o.0), self.1.adds(o.1)) }
+        fn subs(self, o: Self) -> Self { Pair(self.0.subs(o.0), self.1.subs(o.1)) }
+        fn max(self, o: Self) -> Self { Pair(self.0.max(o.0), self.1.max(o.1)) }
+        fn shuf(self, c: Self) -> Self { Pair(self.0.shuf(c.0), self.1.shuf(c.1)) }
+        fn half(self) -> Self { Pair(self.0.half(), self.1.half()) }
+        fn high_words(self) -> Self { Pair(self.0.high_words(), self.1.high_words()) }
+        fn zip16(self, o: Self) -> (Self, Self) { unzip(self.0.zip16(o.0), self.1.zip16(o.1)) }
+        fn zip32(self, o: Self) -> (Self, Self) { unzip(self.0.zip32(o.0), self.1.zip32(o.1)) }
+        fn zip64(self, o: Self) -> (Self, Self) { unzip(self.0.zip64(o.0), self.1.zip64(o.1)) }
+    }
+    #[inline(always)]
+    unsafe fn bytes_down<const N: i32>(self) -> Self {
+        // SAFETY: the caller vouches for the ISA.
+        unsafe { Pair(self.0.bytes_down::<N>(), self.1.bytes_down::<N>()) }
+    }
+}
+
 /// Where one register's `B` blocks are read from and written to: per
-/// block its streams, β termination, `γ₀` and posterior runs (a ymm
-/// register's one block fills both entries); shared, the register's
+/// block its streams, β termination, `γ₀` and posterior runs (a
+/// one-block register's block fills both entries); shared, the register's
 /// folded branch metrics and trellis.
 pub(super) struct Lanes {
     sys: [*const Llr; 2],
@@ -308,12 +340,82 @@ pub(super) trait Width {
     }
 }
 
+/// One block per xmm pair: the single-block SSSE3 tier.
+pub(super) struct Xmm;
+
 /// One block per ymm: the single-block AVX2 tier.
 pub(super) struct Ymm;
 
 /// Two blocks per zmm: the AVX-512BW pair (one register) and quad (two)
 /// launches.
 pub(super) struct Zmm;
+
+// Each half is a register of its own, so the ymm width's cross-lane
+// moves become register picks: `sort`'s blends and the half swaps cost
+// nothing, `fold` is one unpack per half.
+#[rustfmt::skip]
+impl Width for Xmm {
+    const B: usize = 1;
+    const ALIGN: usize = align_of::<Llr>();
+    type V = Pair<__m128i>;
+    type H = __m128i;
+    type Masks = ();
+    fn detected() -> bool { std::arch::is_x86_feature_detected!("ssse3") }
+    fn gq_words(k: usize) -> usize { 4 * k }
+    #[inline(always)]
+    unsafe fn masks() {}
+    #[inline(always)]
+    unsafe fn low(v: Pair<__m128i>) -> __m128i { v.0 }
+    #[inline(always)]
+    unsafe fn high(v: Pair<__m128i>) -> __m128i { v.1 }
+    #[inline(always)]
+    unsafe fn join(low: __m128i, high: __m128i) -> Pair<__m128i> { Pair(low, high) }
+    always! {
+        fn load(p: *const Llr) -> Pair<__m128i> {
+            Pair(_mm_loadu_si128(p.cast()), _mm_loadu_si128(p.add(8).cast()))
+        }
+        fn store(p: *mut Llr, v: Pair<__m128i>) {
+            _mm_storeu_si128(p.cast(), v.0);
+            _mm_storeu_si128(p.add(8).cast(), v.1);
+        }
+        fn slot(p: *const Llr) -> Pair<__m128i> {
+            let q = _mm_loadu_si128(p.cast());
+            Pair(q, q)
+        }
+        fn load_h(p: *const Llr) -> __m128i { _mm_loadu_si128(p.cast()) }
+        fn store_h(p: *mut Llr, v: __m128i) { _mm_storeu_si128(p.cast(), v) }
+        fn get_h(p: [*const Llr; 2], i: usize) -> __m128i { _mm_loadu_si128(p[0].add(i).cast()) }
+        fn fold(q: Pair<__m128i>) -> Pair<__m128i> {
+            Pair(_mm_unpacklo_epi64(q.0, q.1), _mm_unpackhi_epi64(q.0, q.1))
+        }
+        fn sort(row: Pair<__m128i>, [st, gam, _]: [Pair<__m128i>; 3], _: ()) -> Pair<__m128i> {
+            Pair(row.0, st.1).adds(gam).adds(Pair(st.0, row.1))
+        }
+        fn reverse(post: Pair<__m128i>, _: ()) -> Pair<__m128i> {
+            Pair(post.0, _mm_shuffle_epi32::<0x1B>(post.1))
+        }
+        fn store_left(q: [Pair<__m128i>; 4], at: *mut Llr) {
+            for (j, q) in q.into_iter().enumerate() {
+                _mm_storeu_si128(at.add(8 * j).cast(), q.0);
+            }
+        }
+        fn load_left(at: *const Llr, j: usize) -> __m128i { _mm_loadl_epi64(at.add(4 * j).cast()) }
+        fn store_left_post(v: __m128i, post: [*mut i32; 2], i: usize) {
+            *post[0].add(i) = _mm_cvtsi128_si32(v);
+        }
+    }
+    #[inline(always)]
+    unsafe fn put_h<T>(v: __m128i, p: [*mut T; 2], i: usize) {
+        // SAFETY: the caller vouches for the pointers.
+        unsafe { _mm_storeu_si128(p[0].add(i).cast(), v) }
+    }
+    #[inline(always)]
+    unsafe fn launch<const R: usize>(k: usize, regs: &[Lanes; R]) {
+        let regs = regs.as_slice().try_into().expect("one block per xmm pair call");
+        // SAFETY: the caller's contract is the wrapper's.
+        unsafe { siso_xmm(k, regs) }
+    }
+}
 
 #[rustfmt::skip]
 impl Width for Ymm {
@@ -442,6 +544,16 @@ impl Width for Zmm {
         // SAFETY: the caller's contract is the wrapper's.
         unsafe { siso_zmm(k, regs) }
     }
+}
+
+/// [`body`] at one block per xmm pair.
+///
+/// # Safety
+/// SSSE3, and the layout [`siso`] checks.
+#[target_feature(enable = "ssse3")]
+unsafe fn siso_xmm(k: usize, regs: &[Lanes; 1]) {
+    // SAFETY: the caller's contract is the body's.
+    unsafe { body::<Xmm, 1>(k, regs) }
 }
 
 /// [`body`] at one block per ymm register.
@@ -689,7 +801,7 @@ unsafe fn body<W: Width, const R: usize>(k: usize, regs: &[Lanes; R]) {
                 );
                 let wf = W::V::max_pair(u1.zip64(u2)).max(floor);
                 // Low word of each dword: `max₀ − max₁`; the high word
-                // is scrap, as in the 128-bit tiers.
+                // is scrap, and every reader takes the low word.
                 let post = W::reverse(wf.subs(wf.high_words()), m);
                 W::put_h(W::low(post), l.post, p);
                 W::put_h(W::high(post), l.post, kp - 4 - p);

@@ -33,9 +33,7 @@
 use super::decoder::beta_init_from_tails;
 #[cfg(target_arch = "x86_64")]
 use super::mitm::{self, Width, Zmm};
-use super::native_decoder::{
-    hard_decide, peel_extrinsic, siso_into, DecoderIsa, NativeTurboDecoder,
-};
+use super::native_decoder::{hard_decide, peel_extrinsic, siso_into, NativeTurboDecoder};
 use super::trellis::STATES;
 use crate::crc::Crc;
 use crate::llr::{llr_to_bit, Llr, SoftStreams, TailLlrs, TurboLlrs};
@@ -150,7 +148,7 @@ impl BatchScratch {
             fit(&mut self.sys_pi, n),
             fit(&mut w.g0, n),
             fit(&mut w.gq, gq_len(k, blocks) + ALIGN_SLACK),
-            // The 128-bit tiers store K + 1 α rows.
+            // The scalar tier stores K + 1 α rows.
             fit(&mut w.trellis, STATES * (n + 1) + ALIGN_SLACK),
             // The zmm gathers read `ext` a dword at a time.
             fit(&mut w.ext, n + 1),
@@ -589,7 +587,7 @@ mod x86 {
     #[target_feature(enable = "avx512f,avx512bw")]
     pub unsafe fn peel(post: &[i32], g0: &[Llr], ext: &mut [Llr]) {
         let n = ext.len();
-        assert!(post.len() == n && g0.len() == n);
+        assert!(post.len() == n && g0.len() == n && n.is_multiple_of(STATES));
         let unlace = _mm512_set_epi64(7, 5, 3, 1, 6, 4, 2, 0);
         let mut i = 0;
         while i + 32 <= n {
@@ -609,7 +607,11 @@ mod x86 {
             }
             i += 32;
         }
-        peel_extrinsic(DecoderIsa::Sse2, &post[i..], &g0[i..], &mut ext[i..]);
+        // SAFETY: SSE2 is baseline on x86-64; the three tails are
+        // `n − i` long, a multiple of eight.
+        unsafe {
+            crate::turbo::native_decoder::x86::peel_extrinsic(&post[i..], &g0[i..], &mut ext[i..])
+        }
     }
 }
 
@@ -618,7 +620,7 @@ mod tests {
     use super::*;
     use crate::bits::random_bits;
     use crate::llr::bit_to_llr;
-    use crate::turbo::{DecodeScratch, NativeTurboDecoder, TurboDecoder, TurboEncoder};
+    use crate::turbo::{DecodeScratch, DecoderIsa, NativeTurboDecoder, TurboDecoder, TurboEncoder};
 
     fn make_input(k: usize, seed: u64) -> (Vec<u8>, TurboLlrs) {
         let bits = random_bits(k, seed);

@@ -19,38 +19,17 @@
 //! identical on every ISA level (enforced by the tests below and the
 //! all-K sweep in `tests/phy_properties.rs`).
 //!
-//! # The 128-bit tiers (SSE2, SSSE3)
+//! # The vector tiers: one body, lane-packed, meet in the middle
 //!
-//! Three passes, phase for phase like the oracle:
-//!
-//! * **γ** — lane-parallel over the arranged `S1`/`YP1`/`YP2` streams:
-//!   `γ₀ = (Lₛ + Lₐ) >> 1`, `γₚ = Lₚ >> 1`, eight steps per register.
-//! * **α** — all 8 states in one xmm; the per-input-bit predecessor
-//!   gather is a lane shuffle (`pshufb` under SSSE3, a
-//!   `pshuflw`/`pshufhw`/`pshufd` decomposition under bare SSE2), then
-//!   saturating add, max, floor, broadcast-lane-0 normalise. Every α
-//!   row is stored.
-//! * **β + posterior** — the successor gather, `(α + γ) + β` per
-//!   hypothesis, a horizontal-max tree, and the β update reusing the
-//!   gathered registers.
-//!
-//! Each step rebuilds its two γ vectors from lane broadcasts of a
-//! group register of `γ₀` and `γₚ`. (Broadcasting from memory instead
-//! does not take them off the shuffle port: on Intel `vpbroadcastw m16`
-//! is a load *plus* a shuffle µop, not a pure load. The schedule is
-//! bound by vector µops — ≈ 45 per step — not by its 6-cycle
-//! recurrence.)
-//!
-//! # The AVX2 tier: lane-packed, meet in the middle
-//!
-//! α and β run in **one ymm register**, one chain per 128-bit lane,
-//! walking toward each other from the two ends of the block, so every
-//! instruction of the recurrence does two steps' work; each step's γ
-//! vector is one `vpshufb` of a staged quad of branch metrics. The
-//! kernel is the `mitm` module's one body at one block per register —
-//! the body the batch decoder runs at two blocks per zmm (DESIGN §5.8).
-//! It stores `K` trellis rows in the `(K+1)×8` buffer the 128-bit tiers
-//! fill with α alone.
+//! α and β walk toward each other from the two ends of the block, each
+//! step's γ vector one `pshufb` of a staged quad of branch metrics. The
+//! kernel is the `mitm` module's one body (DESIGN §5.8) at one block per
+//! register, instantiated twice: on an xmm pair under SSSE3, the two
+//! chains in two registers, so two recurrences are in flight; and in
+//! one ymm under AVX2, one chain per 128-bit lane, so every instruction
+//! of the recurrence does two steps' work. The batch decoder runs the
+//! same body at two blocks per zmm. It stores `K` trellis rows in the
+//! `(K+1)×8` buffer the scalar tier fills with α alone.
 //!
 //! A pass leaves the posterior and `γ₀`; the extrinsic peels off them
 //! lane-parallel (`peel_extrinsic`) only if another pass will read it
@@ -76,9 +55,11 @@
 //! [`vran_simd::host`], with a portable scalar fallback, following
 //! `vran-arrange`'s native kernels.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use super::decoder::{beta_init_from_tails, scale_extrinsic, DecodeOutcome, NEG_INF};
 #[cfg(target_arch = "x86_64")]
-use super::mitm::{self, Ymm};
+use super::mitm::{self, Xmm, Ymm};
 use super::native_batch::{iterate, BatchScratch, BlockLlrs};
 use super::trellis::{self, STATES};
 use crate::crc::Crc;
@@ -91,12 +72,11 @@ use vran_simd::host::{self, best_tier, HostIsa, Tier};
 pub enum DecoderIsa {
     /// Portable scalar lanes — always available, the dispatch floor.
     Scalar,
-    /// 128-bit kernel with `shufflelo/hi + shuffle_epi32` state gathers.
-    Sse2,
-    /// 128-bit kernel with single-µop `pshufb` state gathers.
+    /// 128-bit kernel: the α and β recursions meeting in the middle of
+    /// the block, one per xmm of a pair.
     Ssse3,
-    /// 256-bit kernel: the α and β recursions lane-packed in one ymm,
-    /// meeting in the middle of the block.
+    /// 256-bit kernel: the same body with the α and β recursions
+    /// lane-packed in one ymm.
     Avx2,
 }
 
@@ -105,7 +85,6 @@ impl DecoderIsa {
     pub fn name(self) -> &'static str {
         match self {
             DecoderIsa::Scalar => "scalar",
-            DecoderIsa::Sse2 => "sse2",
             DecoderIsa::Ssse3 => "ssse3",
             DecoderIsa::Avx2 => "avx2",
         }
@@ -118,17 +97,12 @@ impl DecoderIsa {
 }
 
 impl Tier for DecoderIsa {
-    const LADDER: &'static [DecoderIsa] = &[
-        DecoderIsa::Scalar,
-        DecoderIsa::Sse2,
-        DecoderIsa::Ssse3,
-        DecoderIsa::Avx2,
-    ];
+    const LADDER: &'static [DecoderIsa] =
+        &[DecoderIsa::Scalar, DecoderIsa::Ssse3, DecoderIsa::Avx2];
 
     fn required_isa(self) -> HostIsa {
         match self {
             DecoderIsa::Scalar => HostIsa::Scalar,
-            DecoderIsa::Sse2 => HostIsa::Sse2,
             DecoderIsa::Ssse3 => HostIsa::Ssse3,
             DecoderIsa::Avx2 => HostIsa::Avx2,
         }
@@ -294,9 +268,9 @@ impl NativeTurboDecoder {
 /// [`peel_extrinsic`] needs should another pass follow. `gq` (4·K) is
 /// branch-metric scratch, `alpha` the `(K+1)×8` trellis scratch.
 ///
-/// This is the safe boundary of the kernel family: every length
-/// precondition the 128-bit bodies index by is checked here, once; the
-/// AVX2 arm's body checks its own at `mitm::siso`.
+/// This is the safe boundary of the scalar tier: every length
+/// precondition it indexes by is checked here; the vector arms' body,
+/// at xmm and ymm alike, checks its own at `mitm::siso`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn siso_into(
     isa: DecoderIsa,
@@ -319,24 +293,19 @@ pub(crate) fn siso_into(
     assert!(g0.len() == k && gq.len() == 4 * k, "γ scratch length");
     assert!(alpha.len() == (k + 1) * STATES, "trellis scratch length");
     assert!(post.len() == k, "output length");
-    // Only the AVX2 body stages four metrics per step; the others keep
-    // `γₚ` alone in the first K words.
+    // The vector body stages four metrics per step; the scalar tier
+    // keeps `γₚ` alone in the first K words.
     let gp = &mut gq[..k];
+    #[cfg(target_arch = "x86_64")]
+    let binit = || [beta_init_from_tails(tail_sys, tail_par)];
     match isa {
-        // SAFETY (both 128-bit arms): a decoder is built at a tier only
-        // if the host has it, and the lengths are checked above.
         #[cfg(target_arch = "x86_64")]
-        DecoderIsa::Sse2 => unsafe {
-            x86::siso_sse2(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post)
-        },
-        #[cfg(target_arch = "x86_64")]
-        DecoderIsa::Ssse3 => unsafe {
-            x86::siso_ssse3(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post)
-        },
+        DecoderIsa::Ssse3 => {
+            mitm::siso::<Xmm, 1>([sys], [par], [apriori], &binit(), g0, gq, alpha, post)
+        }
         #[cfg(target_arch = "x86_64")]
         DecoderIsa::Avx2 => {
-            let binit = [beta_init_from_tails(tail_sys, tail_par)];
-            mitm::siso::<Ymm, 1>([sys], [par], [apriori], &binit, g0, gq, alpha, post)
+            mitm::siso::<Ymm, 1>([sys], [par], [apriori], &binit(), g0, gq, alpha, post)
         }
         _ => siso_scalar(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post),
     }
@@ -366,8 +335,8 @@ pub(crate) fn peel_extrinsic(isa: DecoderIsa, post: &[i32], g0: &[Llr], ext: &mu
 /// [`llr_to_bit`] of the posterior in `post[i]`'s low half — and whether
 /// every one is decided (no posterior is zero). The AVX2 tier shifts
 /// the halves up and narrows with the saturating packs, which keep sign
-/// and zero, so a byte's sign bit is the bit; below it the loop is what
-/// the compiler vectorises at 128 bits already.
+/// and zero, so a byte's sign bit is the bit; the SSSE3 and scalar tiers
+/// run the loop, which the compiler vectorises at 128 bits already.
 pub(crate) fn hard_decide(isa: DecoderIsa, post: &[i32], bits: &mut [u8]) -> bool {
     assert_eq!(post.len(), bits.len());
     let (mut done, mut decided) = (0, true);
@@ -470,395 +439,33 @@ fn siso_scalar(
 }
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::super::mitm::lane_ctrl;
+pub(super) mod x86 {
     use super::*;
     use std::arch::x86_64::*;
-
-    /// All-ones lanes where the transition parity is 0 (keep `+γₚ`),
-    /// zero lanes where it is 1 (select `−γₚ`).
-    fn parity_mask(par: [u8; STATES]) -> [i16; STATES] {
-        core::array::from_fn(|i| if par[i] == 0 { -1 } else { 0 })
-    }
-
-    /// `+1` lanes where the transition parity keeps `+γₚ`, `−1` where
-    /// it selects `−γₚ` — the `_mm_sign_epi16` control equivalent of
-    /// [`parity_mask`].
-    fn sign_vec(par: [u8; STATES]) -> [i16; STATES] {
-        core::array::from_fn(|i| if par[i] == 0 { 1 } else { -1 })
-    }
-
-    struct Ctl {
-        pred0: __m128i,
-        pred1: __m128i,
-        next0: __m128i,
-        next1: __m128i,
-        bcast0: __m128i,
-        /// Per-lane broadcast controls (`bcast[j]` replicates lane `j`).
-        bcast: [__m128i; STATES],
-        m_pp0: __m128i,
-        m_pp1: __m128i,
-        m_np0: __m128i,
-        m_np1: __m128i,
-        sgn_pp0: __m128i,
-        sgn_pp1: __m128i,
-        sgn_np0: __m128i,
-        sgn_np1: __m128i,
-        floor: __m128i,
-    }
-
-    #[inline(always)]
-    unsafe fn load_i8x16(a: [i8; 16]) -> __m128i {
-        _mm_loadu_si128(a.as_ptr() as *const __m128i)
-    }
-
-    #[inline(always)]
-    unsafe fn load_i16x8(a: [i16; 8]) -> __m128i {
-        _mm_loadu_si128(a.as_ptr() as *const __m128i)
-    }
-
-    #[inline(always)]
-    unsafe fn make_ctl() -> Ctl {
-        // The pshufb controls go through `black_box` so LLVM keeps the
-        // single-µop `pshufb` the kernel was scheduled around: with the
-        // control visible as a constant, the x86 shuffle lowering
-        // re-expands each gather into a 3-deep
-        // `pshufd`+`pshuflw`+`pshufhw` chain, which is three
-        // shuffle-port µops (and +2 cycles of recurrence latency) per
-        // trellis step. One opaque register copy per SISO call buys
-        // that back everywhere.
-        use core::hint::black_box;
-        let mut bcast = [_mm_setzero_si128(); STATES];
-        for (j, c) in bcast.iter_mut().enumerate() {
-            *c = black_box(load_i8x16(lane_ctrl([j as u8; STATES])));
-        }
-        Ctl {
-            pred0: black_box(load_i8x16(lane_ctrl(trellis::pred_table(0)))),
-            pred1: black_box(load_i8x16(lane_ctrl(trellis::pred_table(1)))),
-            next0: black_box(load_i8x16(lane_ctrl(trellis::next_table(0)))),
-            next1: black_box(load_i8x16(lane_ctrl(trellis::next_table(1)))),
-            bcast0: black_box(load_i8x16([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])),
-            bcast,
-            m_pp0: load_i16x8(parity_mask(trellis::pred_parity(0))),
-            m_pp1: load_i16x8(parity_mask(trellis::pred_parity(1))),
-            m_np0: load_i16x8(parity_mask(trellis::next_parity(0))),
-            m_np1: load_i16x8(parity_mask(trellis::next_parity(1))),
-            sgn_pp0: load_i16x8(sign_vec(trellis::pred_parity(0))),
-            sgn_pp1: load_i16x8(sign_vec(trellis::pred_parity(1))),
-            sgn_np0: load_i16x8(sign_vec(trellis::next_parity(0))),
-            sgn_np1: load_i16x8(sign_vec(trellis::next_parity(1))),
-            floor: _mm_set1_epi16(NEG_INF),
-        }
-    }
-
-    /// `(a & m) | (b & !m)` — full-lane mask select.
-    #[inline(always)]
-    unsafe fn blend_mask(a: __m128i, b: __m128i, m: __m128i) -> __m128i {
-        _mm_or_si128(_mm_and_si128(a, m), _mm_andnot_si128(m, b))
-    }
-
-    // The four trellis lane gathers. Under SSSE3 each is one `pshufb`;
-    // under bare SSE2 each decomposes into `shufflelo/hi` (within
-    // 64-bit halves) plus `shuffle_epi32` steps, with a two-path mask
-    // blend where the gather crosses halves per 32-bit pair. The
-    // immediates are derived from `trellis::pred_table`/`next_table`
-    // and locked down by `sse2_gathers_match_trellis_tables` below.
-
-    /// Gather `pred_table(0) = [0,3,4,7,1,2,5,6]`.
-    #[inline(always)]
-    unsafe fn perm_pred0<const PSHUFB: bool>(x: __m128i, c: __m128i) -> __m128i {
-        if PSHUFB {
-            _mm_shuffle_epi8(x, c)
-        } else {
-            let t = _mm_shufflehi_epi16(_mm_shufflelo_epi16(x, 0x9C), 0x9C);
-            _mm_shuffle_epi32(t, 0xD8)
-        }
-    }
-
-    /// Gather `pred_table(1) = [1,2,5,6,0,3,4,7]`.
-    #[inline(always)]
-    unsafe fn perm_pred1<const PSHUFB: bool>(x: __m128i, c: __m128i) -> __m128i {
-        if PSHUFB {
-            _mm_shuffle_epi8(x, c)
-        } else {
-            let t = _mm_shufflehi_epi16(_mm_shufflelo_epi16(x, 0xC9), 0xC9);
-            _mm_shuffle_epi32(t, 0xD8)
-        }
-    }
-
-    const M_NEXT0: [i16; 8] = [-1, 0, 0, -1, 0, -1, -1, 0];
-    const M_NEXT1: [i16; 8] = [0, -1, -1, 0, -1, 0, 0, -1];
-
-    /// Gather `next_table(0) = [0,4,5,1,2,6,7,3]`.
-    #[inline(always)]
-    unsafe fn perm_next0<const PSHUFB: bool>(x: __m128i, c: __m128i) -> __m128i {
-        if PSHUFB {
-            _mm_shuffle_epi8(x, c)
-        } else {
-            let a = _mm_shufflehi_epi16(_mm_shufflelo_epi16(x, 0x40), 0x38);
-            let xs = _mm_shuffle_epi32(x, 0x4E);
-            let b = _mm_shufflehi_epi16(_mm_shufflelo_epi16(xs, 0x10), 0xC2);
-            blend_mask(a, b, load_i16x8(M_NEXT0))
-        }
-    }
-
-    /// Gather `next_table(1) = [4,0,1,5,6,2,3,7]`.
-    #[inline(always)]
-    unsafe fn perm_next1<const PSHUFB: bool>(x: __m128i, c: __m128i) -> __m128i {
-        if PSHUFB {
-            _mm_shuffle_epi8(x, c)
-        } else {
-            let a = _mm_shufflehi_epi16(_mm_shufflelo_epi16(x, 0x10), 0xC2);
-            let xs = _mm_shuffle_epi32(x, 0x4E);
-            let b = _mm_shufflehi_epi16(_mm_shufflelo_epi16(xs, 0x40), 0x38);
-            blend_mask(a, b, load_i16x8(M_NEXT1))
-        }
-    }
-
-    /// Broadcast lane 0 to all lanes (for the state-0 normalize).
-    #[inline(always)]
-    unsafe fn bcast_lane0<const PSHUFB: bool>(x: __m128i, c: __m128i) -> __m128i {
-        if PSHUFB {
-            _mm_shuffle_epi8(x, c)
-        } else {
-            _mm_shuffle_epi32(_mm_shufflelo_epi16(x, 0x00), 0x00)
-        }
-    }
-
-    /// Broadcast lane `j` of a group register to all lanes — the γ
-    /// broadcast for step `base + j`, fed from one 8-step group load
-    /// instead of a per-step scalar load. Under SSSE3 one `pshufb`;
-    /// under SSE2 a two-shuffle pair whose immediates constant-fold
-    /// once the fixed 8-step inner loops unroll.
-    #[inline(always)]
-    unsafe fn bcast_lane<const PSHUFB: bool>(
-        g: __m128i,
-        j: usize,
-        ctls: &[__m128i; STATES],
-    ) -> __m128i {
-        if PSHUFB {
-            _mm_shuffle_epi8(g, ctls[j])
-        } else {
-            match j {
-                0 => _mm_shuffle_epi32(_mm_shufflelo_epi16(g, 0x00), 0x00),
-                1 => _mm_shuffle_epi32(_mm_shufflelo_epi16(g, 0x55), 0x00),
-                2 => _mm_shuffle_epi32(_mm_shufflelo_epi16(g, 0xAA), 0x00),
-                3 => _mm_shuffle_epi32(_mm_shufflelo_epi16(g, 0xFF), 0x00),
-                4 => _mm_shuffle_epi32(_mm_shufflehi_epi16(g, 0x00), 0xAA),
-                5 => _mm_shuffle_epi32(_mm_shufflehi_epi16(g, 0x55), 0xAA),
-                6 => _mm_shuffle_epi32(_mm_shufflehi_epi16(g, 0xAA), 0xAA),
-                _ => _mm_shuffle_epi32(_mm_shufflehi_epi16(g, 0xFF), 0xAA),
-            }
-        }
-    }
-
-    /// The branch-metric pair `(γ(u=0), γ(u=1))` for one trellis step,
-    /// preserving the scalar op pairing `adds16(±γ₀, ±γₚ)`. The SSSE3
-    /// arm negates `γₚ` with `sign_epi16`; that is exact here because
-    /// `|γ| ≤ 2¹⁴` after the `>>1` halving, so the non-saturating
-    /// negate equals `subs16(0, ·)` on every reachable input.
-    #[inline(always)]
-    unsafe fn gammas<const PSHUFB: bool>(
-        g0b: __m128i,
-        gpb: __m128i,
-        keep0: __m128i,
-        keep1: __m128i,
-        sgn0: __m128i,
-        sgn1: __m128i,
-    ) -> (__m128i, __m128i) {
-        let zero = _mm_setzero_si128();
-        let ng0 = _mm_subs_epi16(zero, g0b);
-        if PSHUFB {
-            (
-                _mm_adds_epi16(g0b, _mm_sign_epi16(gpb, sgn0)),
-                _mm_adds_epi16(ng0, _mm_sign_epi16(gpb, sgn1)),
-            )
-        } else {
-            let ngp = _mm_subs_epi16(zero, gpb);
-            (
-                _mm_adds_epi16(g0b, blend_mask(gpb, ngp, keep0)),
-                _mm_adds_epi16(ng0, blend_mask(gpb, ngp, keep1)),
-            )
-        }
-    }
-
-    /// Joint horizontal max of two hypothesis metric vectors: returns
-    /// a register with `max lanes of t0` in lane 0 and
-    /// `max lanes of t1` in lane 1, so both reductions share a single
-    /// shuffle/max tree. Interleaving the inputs first makes every
-    /// later max combine a `t0` partial in the even lanes and a `t1`
-    /// partial in the odd lanes; `max_epi16` is lane-wise, so the two
-    /// reductions never mix.
-    #[inline(always)]
-    unsafe fn hmax2x8(t0: __m128i, t1: __m128i) -> __m128i {
-        let y = _mm_max_epi16(_mm_unpacklo_epi16(t0, t1), _mm_unpackhi_epi16(t0, t1));
-        let z = _mm_max_epi16(y, _mm_srli_si128(y, 8));
-        _mm_max_epi16(z, _mm_srli_si128(z, 4))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn siso_sse2(
-        sys: &[Llr],
-        par: &[Llr],
-        apriori: &[Llr],
-        tail_sys: &[Llr; 3],
-        tail_par: &[Llr; 3],
-        g0: &mut [Llr],
-        gp: &mut [Llr],
-        alpha: &mut [Llr],
-        post: &mut [i32],
-    ) {
-        siso_body::<false>(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn siso_ssse3(
-        sys: &[Llr],
-        par: &[Llr],
-        apriori: &[Llr],
-        tail_sys: &[Llr; 3],
-        tail_par: &[Llr; 3],
-        g0: &mut [Llr],
-        gp: &mut [Llr],
-        alpha: &mut [Llr],
-        post: &mut [i32],
-    ) {
-        siso_body::<true>(sys, par, apriori, tail_sys, tail_par, g0, gp, alpha, post)
-    }
-
-    const ALPHA0: [i16; 8] = [
-        0, NEG_INF, NEG_INF, NEG_INF, NEG_INF, NEG_INF, NEG_INF, NEG_INF,
-    ];
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn siso_body<const PSHUFB: bool>(
-        sys: &[Llr],
-        par: &[Llr],
-        apriori: &[Llr],
-        tail_sys: &[Llr; 3],
-        tail_par: &[Llr; 3],
-        g0: &mut [Llr],
-        gp: &mut [Llr],
-        alpha: &mut [Llr],
-        post: &mut [i32],
-    ) {
-        let k = sys.len();
-        debug_assert!(k.is_multiple_of(STATES) && par.len() == k && apriori.len() == k);
-        debug_assert!(g0.len() == k && gp.len() == k);
-        debug_assert!(post.len() == k);
-        debug_assert!(alpha.len() == (k + 1) * STATES);
-        let ctl = make_ctl();
-
-        // γ phase: eight trellis steps per register over the arranged
-        // streams — this is what the data arrangement process feeds.
-        let mut i = 0;
-        while i < k {
-            let ls = _mm_loadu_si128(sys.as_ptr().add(i) as *const __m128i);
-            let lav = _mm_loadu_si128(apriori.as_ptr().add(i) as *const __m128i);
-            let lp = _mm_loadu_si128(par.as_ptr().add(i) as *const __m128i);
-            let g0v = _mm_srai_epi16(_mm_adds_epi16(ls, lav), 1);
-            let gpv = _mm_srai_epi16(lp, 1);
-            _mm_storeu_si128(g0.as_mut_ptr().add(i) as *mut __m128i, g0v);
-            _mm_storeu_si128(gp.as_mut_ptr().add(i) as *mut __m128i, gpv);
-            i += 8;
-        }
-
-        // Forward α: 8 states in one xmm; the per-step γ broadcasts
-        // come out of one group load per 8 steps.
-        let mut a = load_i16x8(ALPHA0);
-        _mm_storeu_si128(alpha.as_mut_ptr() as *mut __m128i, a);
-        let mut base = 0;
-        while base < k {
-            let g0g = _mm_loadu_si128(g0.as_ptr().add(base) as *const __m128i);
-            let gpg = _mm_loadu_si128(gp.as_ptr().add(base) as *const __m128i);
-            for j in 0..STATES {
-                let g0b = bcast_lane::<PSHUFB>(g0g, j, &ctl.bcast);
-                let gpb = bcast_lane::<PSHUFB>(gpg, j, &ctl.bcast);
-                let (gam0, gam1) =
-                    gammas::<PSHUFB>(g0b, gpb, ctl.m_pp0, ctl.m_pp1, ctl.sgn_pp0, ctl.sgn_pp1);
-                let a0 = perm_pred0::<PSHUFB>(a, ctl.pred0);
-                let a1 = perm_pred1::<PSHUFB>(a, ctl.pred1);
-                let c0 = _mm_adds_epi16(a0, gam0);
-                let c1 = _mm_adds_epi16(a1, gam1);
-                let m = _mm_max_epi16(_mm_max_epi16(c0, c1), ctl.floor);
-                let n = bcast_lane0::<PSHUFB>(m, ctl.bcast0);
-                a = _mm_subs_epi16(m, n);
-                _mm_storeu_si128(
-                    alpha.as_mut_ptr().add((base + j + 1) * STATES) as *mut __m128i,
-                    a,
-                );
-            }
-            base += STATES;
-        }
-
-        // Backward β fused with the posterior.
-        let binit = beta_init_from_tails(tail_sys, tail_par);
-        let mut b = _mm_loadu_si128(binit.as_ptr() as *const __m128i);
-        let mut base = k;
-        while base > 0 {
-            base -= STATES;
-            let g0g = _mm_loadu_si128(g0.as_ptr().add(base) as *const __m128i);
-            let gpg = _mm_loadu_si128(gp.as_ptr().add(base) as *const __m128i);
-            for j in (0..STATES).rev() {
-                let step = base + j;
-                let g0b = bcast_lane::<PSHUFB>(g0g, j, &ctl.bcast);
-                let gpb = bcast_lane::<PSHUFB>(gpg, j, &ctl.bcast);
-                let (gam0, gam1) =
-                    gammas::<PSHUFB>(g0b, gpb, ctl.m_np0, ctl.m_np1, ctl.sgn_np0, ctl.sgn_np1);
-                let b0 = perm_next0::<PSHUFB>(b, ctl.next0);
-                let b1 = perm_next1::<PSHUFB>(b, ctl.next1);
-                let av = _mm_loadu_si128(alpha.as_ptr().add(step * STATES) as *const __m128i);
-                // Per-source-state path metric (α + γ) + β[next], per
-                // bit hypothesis; horizontal max then the NEG_INF fold
-                // floor.
-                let t0 = _mm_adds_epi16(_mm_adds_epi16(av, gam0), b0);
-                let t1 = _mm_adds_epi16(_mm_adds_epi16(av, gam1), b1);
-                // Reduction, NEG_INF fold floor, hypothesis
-                // subtraction and extrinsic all stay in lane 0 of
-                // vector registers — i16 max is order-free and the
-                // lane-wise saturating ops are the scalar ops, so this
-                // equals the oracle's per-state fold exactly. (A
-                // scalar `max16`/`subs16` tail lowers to ~20 µops of
-                // cmp/cmov saturation per step and forces `g0[step]`
-                // out of the broadcast register.)
-                let wf = _mm_max_epi16(hmax2x8(t0, t1), ctl.floor);
-                let lv = _mm_subs_epi16(wf, _mm_srli_si128(wf, 2));
-                // In-bounds by the debug_asserts above (`step < k` and
-                // every buffer is `k` long). Only the posterior is
-                // stored; the extrinsic peels off it later, if at all.
-                *post.get_unchecked_mut(step) = _mm_cvtsi128_si32(lv);
-                // β update reusing the gathered successors.
-                let c0 = _mm_adds_epi16(b0, gam0);
-                let c1 = _mm_adds_epi16(b1, gam1);
-                let m = _mm_max_epi16(_mm_max_epi16(c0, c1), ctl.floor);
-                let n = bcast_lane0::<PSHUFB>(m, ctl.bcast0);
-                b = _mm_subs_epi16(m, n);
-            }
-        }
-    }
 
     /// [`super::peel_extrinsic`], eight steps per register.
     ///
     /// # Safety
     /// The three slices are equally long, a multiple of eight.
-    pub unsafe fn peel_extrinsic(post: &[i32], g0: &[Llr], ext: &mut [Llr]) {
+    pub(crate) unsafe fn peel_extrinsic(post: &[i32], g0: &[Llr], ext: &mut [Llr]) {
         let mut i = 0;
         while i < ext.len() {
-            // Recover the i16 posterior from each dword's low half:
-            // shift-up/shift-down sign-extends, and the saturating
-            // pack is exact because every lane is an in-range i16.
-            let p0 = _mm_loadu_si128(post.as_ptr().add(i) as *const __m128i);
-            let p1 = _mm_loadu_si128(post.as_ptr().add(i + 4) as *const __m128i);
-            let w0 = _mm_srai_epi32(_mm_slli_epi32(p0, 16), 16);
-            let w1 = _mm_srai_epi32(_mm_slli_epi32(p1, 16), 16);
-            let pv = _mm_packs_epi32(w0, w1);
-            let g0v = _mm_loadu_si128(g0.as_ptr().add(i) as *const __m128i);
-            let e = _mm_subs_epi16(pv, _mm_adds_epi16(g0v, g0v));
-            let la = _mm_adds_epi16(_mm_srai_epi16(e, 1), _mm_srai_epi16(e, 2));
-            _mm_storeu_si128(ext.as_mut_ptr().add(i) as *mut __m128i, la);
+            // SAFETY: SSE2 is baseline on x86-64; the caller's lengths
+            // keep the eight elements from `i` inside each slice.
+            unsafe {
+                // Recover the i16 posterior from each dword's low half:
+                // shift-up/shift-down sign-extends, and the saturating
+                // pack is exact because every lane is an in-range i16.
+                let p0 = _mm_loadu_si128(post.as_ptr().add(i) as *const __m128i);
+                let p1 = _mm_loadu_si128(post.as_ptr().add(i + 4) as *const __m128i);
+                let w0 = _mm_srai_epi32(_mm_slli_epi32(p0, 16), 16);
+                let w1 = _mm_srai_epi32(_mm_slli_epi32(p1, 16), 16);
+                let pv = _mm_packs_epi32(w0, w1);
+                let g0v = _mm_loadu_si128(g0.as_ptr().add(i) as *const __m128i);
+                let e = _mm_subs_epi16(pv, _mm_adds_epi16(g0v, g0v));
+                let la = _mm_adds_epi16(_mm_srai_epi16(e, 1), _mm_srai_epi16(e, 2));
+                _mm_storeu_si128(ext.as_mut_ptr().add(i) as *mut __m128i, la);
+            }
             i += 8;
         }
     }
@@ -875,52 +482,22 @@ mod x86 {
         let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
         let steps = post.len() / 32;
         for i in 0..steps {
-            let p = post.as_ptr().add(32 * i).cast::<__m256i>();
-            let l = |j| _mm256_slli_epi32(_mm256_loadu_si256(p.add(j)), 16);
-            let (lo, hi) = (
-                _mm256_packs_epi32(l(0), l(1)),
-                _mm256_packs_epi32(l(2), l(3)),
-            );
-            let b = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(lo, hi), order);
-            zeros = _mm256_or_si256(zeros, _mm256_cmpeq_epi8(b, _mm256_setzero_si256()));
-            let b = _mm256_and_si256(_mm256_srli_epi16(b, 7), one);
-            _mm256_storeu_si256(bits.as_mut_ptr().add(32 * i).cast(), b);
+            // SAFETY: the ISA is the caller's; `32·i + 32 ≤ post.len()`,
+            // and `bits` is as long, so every load and store is inside.
+            unsafe {
+                let p = post.as_ptr().add(32 * i).cast::<__m256i>();
+                let l = |j| _mm256_slli_epi32(_mm256_loadu_si256(p.add(j)), 16);
+                let (lo, hi) = (
+                    _mm256_packs_epi32(l(0), l(1)),
+                    _mm256_packs_epi32(l(2), l(3)),
+                );
+                let b = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(lo, hi), order);
+                zeros = _mm256_or_si256(zeros, _mm256_cmpeq_epi8(b, _mm256_setzero_si256()));
+                let b = _mm256_and_si256(_mm256_srli_epi16(b, 7), one);
+                _mm256_storeu_si256(bits.as_mut_ptr().add(32 * i).cast(), b);
+            }
         }
         (32 * steps, _mm256_testz_si256(zeros, zeros) == 1)
-    }
-
-    /// Test hook: run every lane gather on `[0..8]` so the shuffle
-    /// immediates can be checked against the trellis tables.
-    #[cfg(test)]
-    pub mod probe {
-        use super::*;
-
-        unsafe fn run<const PSHUFB: bool>() -> [[i16; 8]; 5] {
-            let ctl = make_ctl();
-            let x = load_i16x8([0, 1, 2, 3, 4, 5, 6, 7]);
-            let mut out = [[0i16; 8]; 5];
-            let regs = [
-                perm_pred0::<PSHUFB>(x, ctl.pred0),
-                perm_pred1::<PSHUFB>(x, ctl.pred1),
-                perm_next0::<PSHUFB>(x, ctl.next0),
-                perm_next1::<PSHUFB>(x, ctl.next1),
-                bcast_lane0::<PSHUFB>(x, ctl.bcast0),
-            ];
-            for (o, r) in out.iter_mut().zip(regs) {
-                _mm_storeu_si128(o.as_mut_ptr() as *mut __m128i, r);
-            }
-            out
-        }
-
-        #[target_feature(enable = "sse2")]
-        pub unsafe fn gathers_sse2() -> [[i16; 8]; 5] {
-            run::<false>()
-        }
-
-        #[target_feature(enable = "ssse3")]
-        pub unsafe fn gathers_ssse3() -> [[i16; 8]; 5] {
-            run::<true>()
-        }
     }
 }
 
@@ -1055,29 +632,6 @@ pub(crate) mod tests {
         assert_eq!(Some(DecoderIsa::best()), tiers::<DecoderIsa>().last());
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn sse2_gathers_match_trellis_tables() {
-        let expect = |t: [u8; STATES]| -> [i16; 8] { core::array::from_fn(|i| t[i] as i16) };
-        let tables = [
-            expect(trellis::pred_table(0)),
-            expect(trellis::pred_table(1)),
-            expect(trellis::next_table(0)),
-            expect(trellis::next_table(1)),
-            [0i16; 8],
-        ];
-        for isa in tiers::<DecoderIsa>() {
-            let got = match isa {
-                DecoderIsa::Sse2 => unsafe { x86::probe::gathers_sse2() },
-                // The Avx2 kernel joins the same `lane_ctrl` controls
-                // pairwise; the decode sweeps cover the joined form.
-                DecoderIsa::Ssse3 | DecoderIsa::Avx2 => unsafe { x86::probe::gathers_ssse3() },
-                DecoderIsa::Scalar => continue,
-            };
-            assert_eq!(got, tables, "{}", isa.name());
-        }
-    }
-
     #[test]
     fn noiseless_block_decodes_exactly_on_every_isa() {
         for k in [40usize, 104, 512] {
@@ -1171,7 +725,8 @@ pub(crate) mod tests {
 
     /// Four blocks of length K against the oracle's `siso`, posterior as
     /// is and extrinsic through `scale_extrinsic`: each through
-    /// `siso_into` on every tier (the ymm body under AVX2), and where the
+    /// `siso_into` on every tier (the body on an xmm pair under SSSE3, on
+    /// ymm under AVX2), and where the
     /// host has AVX-512BW the first two as a zmm pair and all four as a
     /// zmm quad — every instantiation of the meet-in-the-middle body.
     fn assert_siso_matches_oracle(blocks: &[SisoIn; 4]) {
@@ -1351,7 +906,7 @@ pub(crate) mod tests {
     fn siso_into_checks_lengths_at_the_safe_boundary() {
         let k = 40;
         let z = vec![0 as Llr; k];
-        // K words serve the 128-bit tiers; the boundary wants 4·K from
+        // K words serve the scalar tier; the boundary wants 4·K from
         // every caller, whichever tier it names.
         let (mut g0, mut gq) = (vec![0; k], vec![0; k]);
         let mut alpha = vec![0; (k + 1) * STATES];

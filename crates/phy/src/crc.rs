@@ -27,6 +27,8 @@
 //! CRC24B runs per code block on every decode classification, so
 //! [`Crc::compute`] dispatches to the best kernel the host offers.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use crate::bits::compress_into;
 use vran_simd::host::{self, best_tier, HostIsa, Tier};
 
@@ -366,22 +368,28 @@ mod x86 {
     /// Caller guarantees `pclmulqdq` + `ssse3` and `bytes.len() >= 32`.
     #[target_feature(enable = "pclmulqdq", enable = "ssse3")]
     pub unsafe fn fold128(bytes: &[u8], k128: u64, k192: u64) -> ([u8; 16], usize) {
-        // byte-reverse so the register's little-endian bit order is
-        // polynomial order (first message byte = highest degree)
-        let bswap = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-        let k = _mm_set_epi64x(k192 as i64, k128 as i64);
-        let mut a = _mm_shuffle_epi8(_mm_loadu_si128(bytes.as_ptr().cast()), bswap);
-        let mut off = 16;
-        while off + 16 <= bytes.len() {
-            let n = _mm_shuffle_epi8(_mm_loadu_si128(bytes.as_ptr().add(off).cast()), bswap);
-            let lo = _mm_clmulepi64_si128(a, k, 0x00); // A_lo · (x¹²⁸ mod P)
-            let hi = _mm_clmulepi64_si128(a, k, 0x11); // A_hi · (x¹⁹² mod P)
-            a = _mm_xor_si128(_mm_xor_si128(lo, hi), n);
-            off += 16;
+        // SAFETY: the ISA is the caller's; the first load reads bytes
+        // `0..16` and every later one `off..off + 16` with `off + 16 <=
+        // bytes.len()`, inside `bytes`, which the caller makes at least
+        // 32 long; the store fills `out`.
+        unsafe {
+            // byte-reverse so the register's little-endian bit order is
+            // polynomial order (first message byte = highest degree)
+            let bswap = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+            let k = _mm_set_epi64x(k192 as i64, k128 as i64);
+            let mut a = _mm_shuffle_epi8(_mm_loadu_si128(bytes.as_ptr().cast()), bswap);
+            let mut off = 16;
+            while off + 16 <= bytes.len() {
+                let n = _mm_shuffle_epi8(_mm_loadu_si128(bytes.as_ptr().add(off).cast()), bswap);
+                let lo = _mm_clmulepi64_si128(a, k, 0x00); // A_lo · (x¹²⁸ mod P)
+                let hi = _mm_clmulepi64_si128(a, k, 0x11); // A_hi · (x¹⁹² mod P)
+                a = _mm_xor_si128(_mm_xor_si128(lo, hi), n);
+                off += 16;
+            }
+            let mut out = [0u8; 16];
+            _mm_storeu_si128(out.as_mut_ptr().cast(), _mm_shuffle_epi8(a, bswap));
+            (out, off)
         }
-        let mut out = [0u8; 16];
-        _mm_storeu_si128(out.as_mut_ptr().cast(), _mm_shuffle_epi8(a, bswap));
-        (out, off)
     }
 }
 

@@ -63,3 +63,14 @@ pub mod turbo;
 pub use interleaver::QppInterleaver;
 pub use llr::{InterleavedLlrs, Llr};
 pub use turbo::{TurboDecoder, TurboEncoder};
+
+/// Held by each of the crate's wall-clock unit tests while it times, so
+/// that none of them times beside another in a parallel test run.
+#[cfg(test)]
+fn wall_clock() -> std::sync::MutexGuard<'static, ()> {
+    static CLOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A timing test that failed poisons the lock; the next one still runs.
+    CLOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

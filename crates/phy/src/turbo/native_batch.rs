@@ -1030,6 +1030,7 @@ mod tests {
             eprintln!("{name} vs serial decodes: SKIPPED (no avx512bw)");
             return;
         }
+        let _clock = crate::wall_clock();
         let (k, iters) = (6144, 4);
         let inputs: [TurboLlrs; N] = core::array::from_fn(|g| make_input(k, 300 + g as u64).1);
         let batch = NativeBatchTurboDecoder::new(k, iters);

@@ -34,6 +34,8 @@
 //! constituent; those six bits come from the scalar trellis functions
 //! applied to the final packed state.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use super::encoder::TurboCodeword;
 use super::trellis;
 use crate::bits::{gather_bits, pack_lsb_words, unpack_lsb_words};
@@ -328,6 +330,7 @@ fn set_bits(words: &mut [u64], k: usize, tail: [u8; 4]) {
 /// word is never read) and returns the trellis state after the last
 /// information bit.
 fn rsc_packed(isa: EncoderIsa, u: &[u64], nbits: usize, a: &mut [u64], z: &mut [u64]) -> u8 {
+    assert!(a.len() >= u.len() && z.len() >= u.len(), "output words");
     match isa {
         EncoderIsa::Word64 => rsc_words_u64(u, a, z),
         #[cfg(target_arch = "x86_64")]
@@ -386,105 +389,130 @@ fn rsc_words_u64(u: &[u64], a: &mut [u64], z: &mut [u64]) {
 /// SSE2 kernel: 128 trellis steps per register. Identical math to
 /// [`rsc_word`] plus a sixth doubling step `(1 + p³²)`, whose
 /// `D⁶⁴`/`D⁹⁶` shifts cross the 64-bit lanes via `pslldq`.
+///
+/// # Safety
+/// The host must support SSE2, and `a` and `z` must be at least as long
+/// as `u`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn rsc_words_sse2(u: &[u64], a: &mut [u64], z: &mut [u64]) {
     use core::arch::x86_64::*;
-    // full-register left shift by 0 < n < 64: per-lane shift plus the
-    // bits that cross the lane boundary
-    macro_rules! shl {
-        ($x:expr, $n:literal) => {{
-            let x = $x;
-            _mm_or_si128(
-                _mm_slli_epi64::<$n>(x),
-                _mm_srli_epi64::<{ 64 - $n }>(_mm_slli_si128::<8>(x)),
-            )
-        }};
-    }
-    let mut prev_hi = 0u64;
-    let mut i = 0;
-    while i + 2 <= u.len() {
-        // cross-register taps folded scalar into the low lane only
-        let lo = u[i] ^ (prev_hi >> 62) ^ (prev_hi >> 61);
-        let mut t = _mm_set_epi64x(u[i + 1] as i64, lo as i64);
-        t = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 2), shl!(t, 3)));
-        t = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 4), shl!(t, 6)));
-        t = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 8), shl!(t, 12)));
-        t = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 16), shl!(t, 24)));
-        t = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 32), shl!(t, 48)));
-        let t64 = _mm_slli_si128::<8>(t); // × (1 + p³²): D⁶⁴ + D⁹⁶
-        t = _mm_xor_si128(t, _mm_xor_si128(t64, shl!(t64, 32)));
-        _mm_storeu_si128(a.as_mut_ptr().add(i).cast(), t);
-        let zz = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 1), shl!(t, 3)));
-        _mm_storeu_si128(z.as_mut_ptr().add(i).cast(), zz);
-        z[i] ^= (prev_hi >> 63) ^ (prev_hi >> 61);
-        prev_hi = a[i + 1];
-        i += 2;
-    }
-    while i < u.len() {
-        let (an, zn) = rsc_word(u[i], prev_hi);
-        a[i] = an;
-        z[i] = zn;
-        prev_hi = an;
-        i += 1;
+    // SAFETY: the ISA is the caller's; every 16-byte store covers
+    // words `i..i + 2` with `i + 2 <= u.len()`, and `a` and `z`
+    // are at least as long as `u` (asserted in `rsc_packed`).
+    unsafe {
+        // full-register left shift by 0 < n < 64: per-lane shift plus the
+        // bits that cross the lane boundary
+        macro_rules! shl {
+            ($x:expr, $n:literal) => {{
+                let x = $x;
+                _mm_or_si128(
+                    _mm_slli_epi64::<$n>(x),
+                    _mm_srli_epi64::<{ 64 - $n }>(_mm_slli_si128::<8>(x)),
+                )
+            }};
+        }
+        let mut prev_hi = 0u64;
+        let mut i = 0;
+        while i + 2 <= u.len() {
+            // cross-register taps folded scalar into the low lane only
+            let lo = u[i] ^ (prev_hi >> 62) ^ (prev_hi >> 61);
+            let mut t = _mm_set_epi64x(u[i + 1] as i64, lo as i64);
+            t = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 2), shl!(t, 3)));
+            t = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 4), shl!(t, 6)));
+            t = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 8), shl!(t, 12)));
+            t = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 16), shl!(t, 24)));
+            t = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 32), shl!(t, 48)));
+            let t64 = _mm_slli_si128::<8>(t); // × (1 + p³²): D⁶⁴ + D⁹⁶
+            t = _mm_xor_si128(t, _mm_xor_si128(t64, shl!(t64, 32)));
+            _mm_storeu_si128(a.as_mut_ptr().add(i).cast(), t);
+            let zz = _mm_xor_si128(t, _mm_xor_si128(shl!(t, 1), shl!(t, 3)));
+            _mm_storeu_si128(z.as_mut_ptr().add(i).cast(), zz);
+            z[i] ^= (prev_hi >> 63) ^ (prev_hi >> 61);
+            prev_hi = a[i + 1];
+            i += 2;
+        }
+        while i < u.len() {
+            let (an, zn) = rsc_word(u[i], prev_hi);
+            a[i] = an;
+            z[i] = zn;
+            prev_hi = an;
+            i += 1;
+        }
     }
 }
 
 /// AVX2 kernel: 256 trellis steps per register, seven doubling steps.
 /// `_mm256_slli_si256` only shifts within 128-bit lanes, so whole-
 /// register lane moves go through `vpermq` + a blend-with-zero.
+///
+/// # Safety
+/// The host must support AVX2, and `a` and `z` must be at least as long
+/// as `u`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn rsc_words_avx2(u: &[u64], a: &mut [u64], z: &mut [u64]) {
     use core::arch::x86_64::*;
-    // whole-register << 64: every 64-bit lane up one, lane 0 zeroed
-    macro_rules! up1 {
-        ($x:expr) => {
-            _mm256_blend_epi32::<0x03>(_mm256_permute4x64_epi64::<0x90>($x), _mm256_setzero_si256())
-        };
-    }
-    // full-register left shift by 0 < n < 64
-    macro_rules! shl {
-        ($x:expr, $n:literal) => {{
-            let x = $x;
-            _mm256_or_si256(
-                _mm256_slli_epi64::<$n>(x),
-                _mm256_srli_epi64::<{ 64 - $n }>(up1!(x)),
-            )
-        }};
-    }
-    let mut prev_hi = 0u64;
-    let mut i = 0;
-    while i + 4 <= u.len() {
-        let lo = u[i] ^ (prev_hi >> 62) ^ (prev_hi >> 61);
-        let fix = _mm256_set_epi64x(0, 0, 0, (lo ^ u[i]) as i64);
-        let mut t = _mm256_xor_si256(_mm256_loadu_si256(u.as_ptr().add(i).cast()), fix);
-        t = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 2), shl!(t, 3)));
-        t = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 4), shl!(t, 6)));
-        t = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 8), shl!(t, 12)));
-        t = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 16), shl!(t, 24)));
-        t = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 32), shl!(t, 48)));
-        let t64 = up1!(t); // × (1 + p³²): D⁶⁴ + D⁹⁶
-        t = _mm256_xor_si256(t, _mm256_xor_si256(t64, shl!(t64, 32)));
-        // × (1 + p⁶⁴): D¹²⁸ + D¹⁹² via vpermq lane broadcasts
-        let t128 =
-            _mm256_blend_epi32::<0x0F>(_mm256_permute4x64_epi64::<0x40>(t), _mm256_setzero_si256());
-        let t192 =
-            _mm256_blend_epi32::<0x3F>(_mm256_permute4x64_epi64::<0x00>(t), _mm256_setzero_si256());
-        t = _mm256_xor_si256(t, _mm256_xor_si256(t128, t192));
-        _mm256_storeu_si256(a.as_mut_ptr().add(i).cast(), t);
-        let zz = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 1), shl!(t, 3)));
-        _mm256_storeu_si256(z.as_mut_ptr().add(i).cast(), zz);
-        z[i] ^= (prev_hi >> 63) ^ (prev_hi >> 61);
-        prev_hi = a[i + 3];
-        i += 4;
-    }
-    while i < u.len() {
-        let (an, zn) = rsc_word(u[i], prev_hi);
-        a[i] = an;
-        z[i] = zn;
-        prev_hi = an;
-        i += 1;
+    // SAFETY: the ISA is the caller's; every 32-byte load and store
+    // covers words `i..i + 4` with `i + 4 <= u.len()`, and `a` and `z`
+    // are at least as long as `u` (asserted in `rsc_packed`).
+    unsafe {
+        // whole-register << 64: every 64-bit lane up one, lane 0 zeroed
+        macro_rules! up1 {
+            ($x:expr) => {
+                _mm256_blend_epi32::<0x03>(
+                    _mm256_permute4x64_epi64::<0x90>($x),
+                    _mm256_setzero_si256(),
+                )
+            };
+        }
+        // full-register left shift by 0 < n < 64
+        macro_rules! shl {
+            ($x:expr, $n:literal) => {{
+                let x = $x;
+                _mm256_or_si256(
+                    _mm256_slli_epi64::<$n>(x),
+                    _mm256_srli_epi64::<{ 64 - $n }>(up1!(x)),
+                )
+            }};
+        }
+        let mut prev_hi = 0u64;
+        let mut i = 0;
+        while i + 4 <= u.len() {
+            let lo = u[i] ^ (prev_hi >> 62) ^ (prev_hi >> 61);
+            let fix = _mm256_set_epi64x(0, 0, 0, (lo ^ u[i]) as i64);
+            let mut t = _mm256_xor_si256(_mm256_loadu_si256(u.as_ptr().add(i).cast()), fix);
+            t = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 2), shl!(t, 3)));
+            t = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 4), shl!(t, 6)));
+            t = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 8), shl!(t, 12)));
+            t = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 16), shl!(t, 24)));
+            t = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 32), shl!(t, 48)));
+            let t64 = up1!(t); // × (1 + p³²): D⁶⁴ + D⁹⁶
+            t = _mm256_xor_si256(t, _mm256_xor_si256(t64, shl!(t64, 32)));
+            // × (1 + p⁶⁴): D¹²⁸ + D¹⁹² via vpermq lane broadcasts
+            let t128 = _mm256_blend_epi32::<0x0F>(
+                _mm256_permute4x64_epi64::<0x40>(t),
+                _mm256_setzero_si256(),
+            );
+            let t192 = _mm256_blend_epi32::<0x3F>(
+                _mm256_permute4x64_epi64::<0x00>(t),
+                _mm256_setzero_si256(),
+            );
+            t = _mm256_xor_si256(t, _mm256_xor_si256(t128, t192));
+            _mm256_storeu_si256(a.as_mut_ptr().add(i).cast(), t);
+            let zz = _mm256_xor_si256(t, _mm256_xor_si256(shl!(t, 1), shl!(t, 3)));
+            _mm256_storeu_si256(z.as_mut_ptr().add(i).cast(), zz);
+            z[i] ^= (prev_hi >> 63) ^ (prev_hi >> 61);
+            prev_hi = a[i + 3];
+            i += 4;
+        }
+        while i < u.len() {
+            let (an, zn) = rsc_word(u[i], prev_hi);
+            a[i] = an;
+            z[i] = zn;
+            prev_hi = an;
+            i += 1;
+        }
     }
 }
 
@@ -494,57 +522,66 @@ unsafe fn rsc_words_avx2(u: &[u64], a: &mut [u64], z: &mut [u64]) {
 /// `(1 + p¹²⁸)` factor (`D²⁵⁶ + D³⁸⁴`) costs just two shift-XORs. Only
 /// AVX-512F ops are needed, but dispatch gates on the host ladder's
 /// `Avx512bw` level (which probes `avx512f` too).
+///
+/// # Safety
+/// The host must support AVX-512F, and `a` and `z` must be at least as long
+/// as `u`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn rsc_words_avx512(u: &[u64], a: &mut [u64], z: &mut [u64]) {
     use core::arch::x86_64::*;
-    // whole-register shift up by $q qwords (64·$q bits), zero-filled:
-    // valignq picks qwords $q .. $q+7 of zero:x
-    macro_rules! up {
-        ($x:expr, $q:literal) => {
-            _mm512_alignr_epi64::<{ 8 - $q }>($x, _mm512_setzero_si512())
-        };
-    }
-    // full-register left shift by 0 < n < 64
-    macro_rules! shl {
-        ($x:expr, $n:literal) => {{
-            let x = $x;
-            _mm512_or_si512(
-                _mm512_slli_epi64::<$n>(x),
-                _mm512_srli_epi64::<{ 64 - $n }>(up!(x, 1)),
-            )
-        }};
-    }
-    let mut prev_hi = 0u64;
-    let mut i = 0;
-    while i + 8 <= u.len() {
-        let lo = u[i] ^ (prev_hi >> 62) ^ (prev_hi >> 61);
-        let fix = _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, (lo ^ u[i]) as i64);
-        let mut t = _mm512_xor_si512(_mm512_loadu_si512(u.as_ptr().add(i).cast()), fix);
-        t = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 2), shl!(t, 3)));
-        t = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 4), shl!(t, 6)));
-        t = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 8), shl!(t, 12)));
-        t = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 16), shl!(t, 24)));
-        t = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 32), shl!(t, 48)));
-        let t64 = up!(t, 1); // × (1 + p³²): D⁶⁴ + D⁹⁶
-        t = _mm512_xor_si512(t, _mm512_xor_si512(t64, shl!(t64, 32)));
-        // × (1 + p⁶⁴): D¹²⁸ + D¹⁹²
-        t = _mm512_xor_si512(t, _mm512_xor_si512(up!(t, 2), up!(t, 3)));
-        // × (1 + p¹²⁸): D²⁵⁶ + D³⁸⁴
-        t = _mm512_xor_si512(t, _mm512_xor_si512(up!(t, 4), up!(t, 6)));
-        _mm512_storeu_si512(a.as_mut_ptr().add(i).cast(), t);
-        let zz = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 1), shl!(t, 3)));
-        _mm512_storeu_si512(z.as_mut_ptr().add(i).cast(), zz);
-        z[i] ^= (prev_hi >> 63) ^ (prev_hi >> 61);
-        prev_hi = a[i + 7];
-        i += 8;
-    }
-    while i < u.len() {
-        let (an, zn) = rsc_word(u[i], prev_hi);
-        a[i] = an;
-        z[i] = zn;
-        prev_hi = an;
-        i += 1;
+    // SAFETY: the ISA is the caller's; every 64-byte load and store
+    // covers words `i..i + 8` with `i + 8 <= u.len()`, and `a` and `z`
+    // are at least as long as `u` (asserted in `rsc_packed`).
+    unsafe {
+        // whole-register shift up by $q qwords (64·$q bits), zero-filled:
+        // valignq picks qwords $q .. $q+7 of zero:x
+        macro_rules! up {
+            ($x:expr, $q:literal) => {
+                _mm512_alignr_epi64::<{ 8 - $q }>($x, _mm512_setzero_si512())
+            };
+        }
+        // full-register left shift by 0 < n < 64
+        macro_rules! shl {
+            ($x:expr, $n:literal) => {{
+                let x = $x;
+                _mm512_or_si512(
+                    _mm512_slli_epi64::<$n>(x),
+                    _mm512_srli_epi64::<{ 64 - $n }>(up!(x, 1)),
+                )
+            }};
+        }
+        let mut prev_hi = 0u64;
+        let mut i = 0;
+        while i + 8 <= u.len() {
+            let lo = u[i] ^ (prev_hi >> 62) ^ (prev_hi >> 61);
+            let fix = _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, (lo ^ u[i]) as i64);
+            let mut t = _mm512_xor_si512(_mm512_loadu_si512(u.as_ptr().add(i).cast()), fix);
+            t = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 2), shl!(t, 3)));
+            t = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 4), shl!(t, 6)));
+            t = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 8), shl!(t, 12)));
+            t = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 16), shl!(t, 24)));
+            t = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 32), shl!(t, 48)));
+            let t64 = up!(t, 1); // × (1 + p³²): D⁶⁴ + D⁹⁶
+            t = _mm512_xor_si512(t, _mm512_xor_si512(t64, shl!(t64, 32)));
+            // × (1 + p⁶⁴): D¹²⁸ + D¹⁹²
+            t = _mm512_xor_si512(t, _mm512_xor_si512(up!(t, 2), up!(t, 3)));
+            // × (1 + p¹²⁸): D²⁵⁶ + D³⁸⁴
+            t = _mm512_xor_si512(t, _mm512_xor_si512(up!(t, 4), up!(t, 6)));
+            _mm512_storeu_si512(a.as_mut_ptr().add(i).cast(), t);
+            let zz = _mm512_xor_si512(t, _mm512_xor_si512(shl!(t, 1), shl!(t, 3)));
+            _mm512_storeu_si512(z.as_mut_ptr().add(i).cast(), zz);
+            z[i] ^= (prev_hi >> 63) ^ (prev_hi >> 61);
+            prev_hi = a[i + 7];
+            i += 8;
+        }
+        while i < u.len() {
+            let (an, zn) = rsc_word(u[i], prev_hi);
+            a[i] = an;
+            z[i] = zn;
+            prev_hi = an;
+            i += 1;
+        }
     }
 }
 
@@ -659,51 +696,35 @@ mod tests {
             eprintln!("avx512_encoder_beats_avx2_at_max_k: SKIPPED (no avx512bw)");
             return;
         }
+        let _clock = crate::wall_clock();
         let k = 6144;
         let bits = random_bits(k, 42);
-        let burst_ns = |enc: &PackedTurboEncoder, scratch: &mut EncodeScratch| -> u128 {
-            let burst = 64;
+        let scratch = std::cell::RefCell::new(EncodeScratch::new());
+        let burst_s = |enc: &PackedTurboEncoder| -> f64 {
+            let scratch = &mut scratch.borrow_mut();
             let t = std::time::Instant::now();
-            for _ in 0..burst {
+            for _ in 0..64 {
                 enc.encode_dstreams_into(std::hint::black_box(&bits), scratch);
             }
-            t.elapsed().as_nanos() / burst
+            t.elapsed().as_secs_f64()
         };
         let ymm_enc = PackedTurboEncoder::with_isa(k, EncoderIsa::Avx2);
         let zmm_enc = PackedTurboEncoder::with_isa(k, EncoderIsa::Avx512);
-        let mut scratch = EncodeScratch::new();
-        ymm_enc.encode_dstreams_into(&bits, &mut scratch); // warm-up
-        zmm_enc.encode_dstreams_into(&bits, &mut scratch);
-        // Median of *paired* ratios (both ISAs timed back-to-back per
-        // rep, the order alternating from rep to rep): a scheduler blip
-        // hits both sides of a pair, so it cannot flip the comparison
-        // the way two separate timing windows can, and neither side
-        // always runs second on a cache the other just warmed. The
-        // kernels differ in only part of the encode, so the gap is a
-        // few per cent: enough reps that the median holds it.
-        let reps = 41;
-        let mut pairs: Vec<(u128, u128)> = (0..reps)
-            .map(|rep| {
-                if rep % 2 == 0 {
-                    let ymm = burst_ns(&ymm_enc, &mut scratch);
-                    (ymm, burst_ns(&zmm_enc, &mut scratch))
-                } else {
-                    let zmm = burst_ns(&zmm_enc, &mut scratch);
-                    (burst_ns(&ymm_enc, &mut scratch), zmm)
-                }
-            })
-            .collect();
-        pairs.sort_by(|a, b| {
-            let ra = a.0 as f64 / a.1 as f64;
-            let rb = b.0 as f64 / b.1 as f64;
-            ra.partial_cmp(&rb).unwrap()
-        });
-        let (ymm, zmm) = pairs[pairs.len() / 2];
-        let speedup = ymm as f64 / zmm as f64;
+        burst_s(&ymm_enc); // warm-up
+        burst_s(&zmm_enc);
+        // The median of 41 alternated pairs of 64-encode bursts: the
+        // kernels differ in only part of the encode, so the gap is a few
+        // per cent, enough pairs that the median holds it. With an odd
+        // count, the median of `zmm / ymm` is the reciprocal of the
+        // median of `ymm / zmm`.
+        let pairs =
+            vran_util::paired::paired_ratio(41, 0.0, || burst_s(&ymm_enc), || burst_s(&zmm_enc));
+        let speedup = 1.0 / pairs.median;
+        let (ymm, zmm) = (pairs.a_s * 1e9 / 64.0, pairs.b_s * 1e9 / 64.0);
         assert!(
             speedup > 1.0,
             "512-bit encode must beat 256-bit at K={k}: {speedup:.2}× \
-             ({ymm} ns avx2 vs {zmm} ns avx512)"
+             ({ymm:.0} ns avx2 vs {zmm:.0} ns avx512)"
         );
         assert!(
             speedup < 3.0,

@@ -200,21 +200,27 @@ mod x86 {
         packed: &[u8],
         out: &mut [u8],
     ) -> usize {
-        let (one, rev) = (_mm512_set1_epi8(1), _mm512_broadcast_i32x4(rev8()));
-        let whole = out.len() / 64;
-        for g in 0..whole {
-            let m = packed.as_ptr().add(8 * g).cast::<u64>().read_unaligned();
-            let mut v = _mm512_maskz_mov_epi8(m, one);
-            if MSB {
-                v = _mm512_shuffle_epi8(v, rev);
+        // SAFETY: AVX-512BW is the caller's; group `g < out.len() / 64`
+        // reads the 8 bytes of `packed` at `8g`, inside it as
+        // `out.len() <= 8 * packed.len()`, and writes the 64 bytes of
+        // `out` at `64g`.
+        unsafe {
+            let (one, rev) = (_mm512_set1_epi8(1), _mm512_broadcast_i32x4(rev8()));
+            let whole = out.len() / 64;
+            for g in 0..whole {
+                let m = packed.as_ptr().add(8 * g).cast::<u64>().read_unaligned();
+                let mut v = _mm512_maskz_mov_epi8(m, one);
+                if MSB {
+                    v = _mm512_shuffle_epi8(v, rev);
+                }
+                let p = out.as_mut_ptr().add(64 * g).cast::<__m512i>();
+                if XOR {
+                    v = _mm512_xor_si512(v, _mm512_loadu_si512(p));
+                }
+                _mm512_storeu_si512(p, v);
             }
-            let p = out.as_mut_ptr().add(64 * g).cast::<__m512i>();
-            if XOR {
-                v = _mm512_xor_si512(v, _mm512_loadu_si512(p));
-            }
-            _mm512_storeu_si512(p, v);
+            8 * whole
         }
-        8 * whole
     }
 
     /// [`super::expand_into`], 16 bits per step; returns the bytes of
@@ -227,30 +233,36 @@ mod x86 {
         packed: &[u8],
         out: &mut [u8],
     ) -> usize {
-        // byte j of the register ← packed byte j / 8, tested against
-        // its own bit j % 8 (mirrored for MSB-first)
-        let spread = _mm_set_epi64x(super::ONES as i64, 0);
-        let select = _mm_set1_epi64x(if MSB {
-            super::DIAG_LSB
-        } else {
-            super::DIAG_MSB
-        } as i64);
-        let one = _mm_set1_epi8(1);
-        let pairs = out.len() / 16;
-        for g in 0..pairs {
-            let m = packed.as_ptr().add(2 * g).cast::<u16>().read_unaligned();
-            let v = _mm_and_si128(
-                _mm_shuffle_epi8(_mm_cvtsi32_si128(m.into()), spread),
-                select,
-            );
-            let mut v = _mm_and_si128(_mm_cmpeq_epi8(v, select), one);
-            let p = out.as_mut_ptr().add(16 * g).cast::<__m128i>();
-            if XOR {
-                v = _mm_xor_si128(v, _mm_loadu_si128(p));
+        // SAFETY: SSSE3 is the caller's; pair `g < out.len() / 16` reads
+        // the 2 bytes of `packed` at `2g`, inside it as
+        // `out.len() <= 8 * packed.len()`, and writes the 16 bytes of
+        // `out` at `16g`.
+        unsafe {
+            // byte j of the register ← packed byte j / 8, tested against
+            // its own bit j % 8 (mirrored for MSB-first)
+            let spread = _mm_set_epi64x(super::ONES as i64, 0);
+            let select = _mm_set1_epi64x(if MSB {
+                super::DIAG_LSB
+            } else {
+                super::DIAG_MSB
+            } as i64);
+            let one = _mm_set1_epi8(1);
+            let pairs = out.len() / 16;
+            for g in 0..pairs {
+                let m = packed.as_ptr().add(2 * g).cast::<u16>().read_unaligned();
+                let v = _mm_and_si128(
+                    _mm_shuffle_epi8(_mm_cvtsi32_si128(m.into()), spread),
+                    select,
+                );
+                let mut v = _mm_and_si128(_mm_cmpeq_epi8(v, select), one);
+                let p = out.as_mut_ptr().add(16 * g).cast::<__m128i>();
+                if XOR {
+                    v = _mm_xor_si128(v, _mm_loadu_si128(p));
+                }
+                _mm_storeu_si128(p, v);
             }
-            _mm_storeu_si128(p, v);
+            2 * pairs
         }
-        2 * pairs
     }
 
     /// [`super::compress_into`], 64 bytes per step; returns the bytes
@@ -264,21 +276,27 @@ mod x86 {
         test: u8,
         packed: &mut [u8],
     ) -> usize {
-        let (test, rev) = (_mm512_set1_epi8(test as i8), _mm512_broadcast_i32x4(rev8()));
-        let whole = bytes.len() / 64;
-        for g in 0..whole {
-            let mut v = _mm512_loadu_si512(bytes.as_ptr().add(64 * g).cast());
-            if MSB {
-                v = _mm512_shuffle_epi8(v, rev);
+        // SAFETY: AVX-512BW is the caller's; group `g < bytes.len() / 64`
+        // reads the 64 bytes of `bytes` at `64g` and writes the 8 bytes of
+        // `packed` at `8g`, inside it as it holds
+        // `bytes.len().div_ceil(8)`.
+        unsafe {
+            let (test, rev) = (_mm512_set1_epi8(test as i8), _mm512_broadcast_i32x4(rev8()));
+            let whole = bytes.len() / 64;
+            for g in 0..whole {
+                let mut v = _mm512_loadu_si512(bytes.as_ptr().add(64 * g).cast());
+                if MSB {
+                    v = _mm512_shuffle_epi8(v, rev);
+                }
+                let m = _mm512_test_epi8_mask(v, test);
+                packed
+                    .as_mut_ptr()
+                    .add(8 * g)
+                    .cast::<u64>()
+                    .write_unaligned(m);
             }
-            let m = _mm512_test_epi8_mask(v, test);
-            packed
-                .as_mut_ptr()
-                .add(8 * g)
-                .cast::<u64>()
-                .write_unaligned(m);
+            8 * whole
         }
-        8 * whole
     }
 
     /// [`super::compress_into`], 16 bytes per step; returns the bytes
@@ -292,22 +310,28 @@ mod x86 {
         test: u8,
         packed: &mut [u8],
     ) -> usize {
-        let (test, rev) = (_mm_set1_epi8(test as i8), rev8());
-        let pairs = bytes.len() / 16;
-        for g in 0..pairs {
-            let mut v = _mm_loadu_si128(bytes.as_ptr().add(16 * g).cast());
-            if MSB {
-                v = _mm_shuffle_epi8(v, rev);
+        // SAFETY: SSSE3 is the caller's; pair `g < bytes.len() / 16` reads
+        // the 16 bytes of `bytes` at `16g` and writes the 2 bytes of
+        // `packed` at `2g`, inside it as it holds
+        // `bytes.len().div_ceil(8)`.
+        unsafe {
+            let (test, rev) = (_mm_set1_epi8(test as i8), rev8());
+            let pairs = bytes.len() / 16;
+            for g in 0..pairs {
+                let mut v = _mm_loadu_si128(bytes.as_ptr().add(16 * g).cast());
+                if MSB {
+                    v = _mm_shuffle_epi8(v, rev);
+                }
+                let zero = _mm_cmpeq_epi8(_mm_and_si128(v, test), _mm_setzero_si128());
+                let m = !_mm_movemask_epi8(zero) as u16;
+                packed
+                    .as_mut_ptr()
+                    .add(2 * g)
+                    .cast::<u16>()
+                    .write_unaligned(m);
             }
-            let zero = _mm_cmpeq_epi8(_mm_and_si128(v, test), _mm_setzero_si128());
-            let m = !_mm_movemask_epi8(zero) as u16;
-            packed
-                .as_mut_ptr()
-                .add(2 * g)
-                .cast::<u16>()
-                .write_unaligned(m);
+            2 * pairs
         }
-        2 * pairs
     }
 
     /// [`super::gather_bits`], sixteen bits per `vpgatherdd` and
@@ -318,27 +342,32 @@ mod x86 {
     /// AVX-512F, `src` not empty, and `out.len() >= idx.len() / 64`.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn gather_avx512(idx: &[u32], src: &[u64], out: &mut [u64]) -> usize {
-        // the last 32-bit word of `src`: no lane reads past it,
-        // whatever the index
-        let top = _mm512_set1_epi32((2 * src.len() - 1) as i32);
-        let (one, low5) = (_mm512_set1_epi32(1), _mm512_set1_epi32(31));
-        let sixteen = |idx: *const u32| -> u64 {
-            let i = _mm512_loadu_si512(idx.cast());
-            let at = _mm512_min_epu32(_mm512_srli_epi32::<5>(i), top);
-            let w = _mm512_i32gather_epi32::<4>(at, src.as_ptr().cast());
-            let bit = _mm512_srlv_epi32(w, _mm512_and_si512(i, low5));
-            u64::from(_mm512_test_epi32_mask(bit, one))
-        };
-        let whole = idx.chunks_exact(64);
-        let done = whole.len();
-        for (o, chunk) in out.iter_mut().zip(whole) {
-            let i = chunk.as_ptr();
-            *o = sixteen(i)
-                | sixteen(i.add(16)) << 16
-                | sixteen(i.add(32)) << 32
-                | sixteen(i.add(48)) << 48;
+        // SAFETY: AVX-512F is the caller's; the four 16-index loads lie
+        // inside their 64-index chunk, and every gathered dword index is
+        // clamped to `2 * src.len() - 1`, inside the non-empty `src`.
+        unsafe {
+            // the last 32-bit word of `src`: no lane reads past it,
+            // whatever the index
+            let top = _mm512_set1_epi32((2 * src.len() - 1) as i32);
+            let (one, low5) = (_mm512_set1_epi32(1), _mm512_set1_epi32(31));
+            let sixteen = |idx: *const u32| -> u64 {
+                let i = _mm512_loadu_si512(idx.cast());
+                let at = _mm512_min_epu32(_mm512_srli_epi32::<5>(i), top);
+                let w = _mm512_i32gather_epi32::<4>(at, src.as_ptr().cast());
+                let bit = _mm512_srlv_epi32(w, _mm512_and_si512(i, low5));
+                u64::from(_mm512_test_epi32_mask(bit, one))
+            };
+            let whole = idx.chunks_exact(64);
+            let done = whole.len();
+            for (o, chunk) in out.iter_mut().zip(whole) {
+                let i = chunk.as_ptr();
+                *o = sixteen(i)
+                    | sixteen(i.add(16)) << 16
+                    | sixteen(i.add(32)) << 32
+                    | sixteen(i.add(48)) << 48;
+            }
+            done
         }
-        done
     }
 
     /// [`super::gather_bits`], eight bits per `vpgatherdd`: `vpsllvd`
@@ -349,20 +378,25 @@ mod x86 {
     /// AVX2, `src` not empty, and `out.len() >= idx.len() / 64`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn gather_avx2(idx: &[u32], src: &[u64], out: &mut [u64]) -> usize {
-        let top = _mm256_set1_epi32((2 * src.len() - 1) as i32);
-        let low5 = _mm256_set1_epi32(31);
-        let whole = idx.chunks_exact(64);
-        let done = whole.len();
-        for (o, chunk) in out.iter_mut().zip(whole) {
-            *o = chunk.chunks_exact(8).rev().fold(0, |word, eight| {
-                let i = _mm256_loadu_si256(eight.as_ptr().cast());
-                let at = _mm256_min_epu32(_mm256_srli_epi32::<5>(i), top);
-                let w = _mm256_i32gather_epi32::<4>(src.as_ptr().cast(), at);
-                let sign = _mm256_sllv_epi32(w, _mm256_andnot_si256(i, low5));
-                word << 8 | _mm256_movemask_ps(_mm256_castsi256_ps(sign)) as u8 as u64
-            });
+        // SAFETY: AVX2 is the caller's; each 8-index load is one whole
+        // chunk of `idx`, and every gathered dword index is clamped to
+        // `2 * src.len() - 1`, inside the non-empty `src`.
+        unsafe {
+            let top = _mm256_set1_epi32((2 * src.len() - 1) as i32);
+            let low5 = _mm256_set1_epi32(31);
+            let whole = idx.chunks_exact(64);
+            let done = whole.len();
+            for (o, chunk) in out.iter_mut().zip(whole) {
+                *o = chunk.chunks_exact(8).rev().fold(0, |word, eight| {
+                    let i = _mm256_loadu_si256(eight.as_ptr().cast());
+                    let at = _mm256_min_epu32(_mm256_srli_epi32::<5>(i), top);
+                    let w = _mm256_i32gather_epi32::<4>(src.as_ptr().cast(), at);
+                    let sign = _mm256_sllv_epi32(w, _mm256_andnot_si256(i, low5));
+                    word << 8 | _mm256_movemask_ps(_mm256_castsi256_ps(sign)) as u8 as u64
+                });
+            }
+            done
         }
-        done
     }
 }
 

@@ -27,8 +27,6 @@
 //! CRC24B runs per code block on every decode classification, so
 //! [`Crc::compute`] dispatches to the best kernel the host offers.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 use crate::bits::compress_into;
 use vran_simd::host::{self, best_tier, HostIsa, Tier};
 

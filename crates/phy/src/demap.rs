@@ -148,8 +148,9 @@ pub fn demap_into(
     let bps = m.bits_per_symbol();
     out.clear();
     out.resize(symbols.len() * bps, 0);
-    // `Cplx` is `#[repr(C)] { re: f32, im: f32 }`, so the symbol slice
-    // is an interleaved axis-sample stream.
+    // SAFETY: `Cplx` is `#[repr(C)] { re: f32, im: f32 }`, so the
+    // symbol slice is `2 * len` initialised f32s at f32 alignment: an
+    // interleaved axis-sample stream.
     let vals: &[f32] =
         unsafe { std::slice::from_raw_parts(symbols.as_ptr().cast(), symbols.len() * 2) };
     let group = imp.group();
@@ -158,7 +159,7 @@ pub fn demap_into(
     } else {
         vals.len() - vals.len() % group
     };
-    // SAFETY (all three): the host has the tier, checked above.
+    // SAFETY: the host has the tier, checked above (all three arms).
     match imp {
         DemapImpl::Scalar => {}
         #[cfg(target_arch = "x86_64")]
@@ -238,9 +239,12 @@ mod x86 {
     #[inline]
     #[target_feature(enable = "sse2")]
     unsafe fn quantize8(p: *const f32, f: __m128) -> __m128i {
-        let a = _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(p), f));
-        let b = _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(p.add(4)), f));
-        _mm_packs_epi32(a, b)
+        // SAFETY: SSE2 is the caller's, and `p` is readable for 8 f32s.
+        unsafe {
+            let a = _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(p), f));
+            let b = _mm_cvtps_epi32(_mm_mul_ps(_mm_loadu_ps(p.add(4)), f));
+            _mm_packs_epi32(a, b)
+        }
     }
 
     /// # Safety
@@ -248,35 +252,40 @@ mod x86 {
     /// modulation's LLR count.
     #[target_feature(enable = "sse2")]
     pub unsafe fn demap_sse2(m: Modulation, vals: &[f32], factor: f32, gain: i16, out: &mut [i16]) {
-        let f = _mm_set1_ps(factor);
-        let zero = _mm_setzero_si128();
-        let g = _mm_set1_epi16(gain);
-        let g2 = _mm_adds_epi16(g, g);
-        let g4 = _mm_adds_epi16(g2, g2);
-        let bps = m.bits_per_symbol();
-        for (blk, chunk) in vals.chunks_exact(8).enumerate() {
-            let q = quantize8(chunk.as_ptr(), f);
-            let o = out.as_mut_ptr().add(blk * 4 * bps);
-            match m {
-                Modulation::Qpsk => {
-                    _mm_storeu_si128(o.cast(), _mm_adds_epi16(q, q));
-                }
-                Modulation::Qam16 => {
-                    let inner = _mm_adds_epi16(q, q);
-                    let a = _mm_max_epi16(q, _mm_subs_epi16(zero, q));
-                    let d = _mm_subs_epi16(g2, a);
-                    let outer = _mm_adds_epi16(d, d);
-                    // interleave I/Q pairs (32-bit units): symbol s →
-                    // [inner_s, outer_s]
-                    _mm_storeu_si128(o.cast(), _mm_unpacklo_epi32(inner, outer));
-                    _mm_storeu_si128(o.add(8).cast(), _mm_unpackhi_epi32(inner, outer));
-                }
-                Modulation::Qam64 => {
-                    let a = _mm_max_epi16(q, _mm_subs_epi16(zero, q));
-                    let p1 = _mm_subs_epi16(g4, a);
-                    let t = _mm_subs_epi16(a, g4);
-                    let p2 = _mm_subs_epi16(_mm_max_epi16(t, _mm_subs_epi16(zero, t)), g2);
-                    store_triplets_128(q, p1, p2, o);
+        // SAFETY: SSE2 is the caller's; chunk `blk` is 4 symbols, whose
+        // `4 * bps` LLRs at `out[4 * bps * blk..]` lie inside `out`,
+        // sized for the modulation's LLR count.
+        unsafe {
+            let f = _mm_set1_ps(factor);
+            let zero = _mm_setzero_si128();
+            let g = _mm_set1_epi16(gain);
+            let g2 = _mm_adds_epi16(g, g);
+            let g4 = _mm_adds_epi16(g2, g2);
+            let bps = m.bits_per_symbol();
+            for (blk, chunk) in vals.chunks_exact(8).enumerate() {
+                let q = quantize8(chunk.as_ptr(), f);
+                let o = out.as_mut_ptr().add(blk * 4 * bps);
+                match m {
+                    Modulation::Qpsk => {
+                        _mm_storeu_si128(o.cast(), _mm_adds_epi16(q, q));
+                    }
+                    Modulation::Qam16 => {
+                        let inner = _mm_adds_epi16(q, q);
+                        let a = _mm_max_epi16(q, _mm_subs_epi16(zero, q));
+                        let d = _mm_subs_epi16(g2, a);
+                        let outer = _mm_adds_epi16(d, d);
+                        // interleave I/Q pairs (32-bit units): symbol s →
+                        // [inner_s, outer_s]
+                        _mm_storeu_si128(o.cast(), _mm_unpacklo_epi32(inner, outer));
+                        _mm_storeu_si128(o.add(8).cast(), _mm_unpackhi_epi32(inner, outer));
+                    }
+                    Modulation::Qam64 => {
+                        let a = _mm_max_epi16(q, _mm_subs_epi16(zero, q));
+                        let p1 = _mm_subs_epi16(g4, a);
+                        let t = _mm_subs_epi16(a, g4);
+                        let p2 = _mm_subs_epi16(_mm_max_epi16(t, _mm_subs_epi16(zero, t)), g2);
+                        store_triplets_128(q, p1, p2, o);
+                    }
                 }
             }
         }
@@ -289,19 +298,22 @@ mod x86 {
     /// SSE2; `o` writable for 24 i16s.
     #[target_feature(enable = "sse2")]
     unsafe fn store_triplets_128(p0: __m128i, p1: __m128i, p2: __m128i, o: *mut i16) {
-        let mut b0 = [0i16; 8];
-        let mut b1 = [0i16; 8];
-        let mut b2 = [0i16; 8];
-        _mm_storeu_si128(b0.as_mut_ptr().cast(), p0);
-        _mm_storeu_si128(b1.as_mut_ptr().cast(), p1);
-        _mm_storeu_si128(b2.as_mut_ptr().cast(), p2);
-        for s in 0..4 {
-            *o.add(6 * s) = b0[2 * s];
-            *o.add(6 * s + 1) = b0[2 * s + 1];
-            *o.add(6 * s + 2) = b1[2 * s];
-            *o.add(6 * s + 3) = b1[2 * s + 1];
-            *o.add(6 * s + 4) = b2[2 * s];
-            *o.add(6 * s + 5) = b2[2 * s + 1];
+        // SAFETY: SSE2 is the caller's, and `o` is writable for 24 i16s.
+        unsafe {
+            let mut b0 = [0i16; 8];
+            let mut b1 = [0i16; 8];
+            let mut b2 = [0i16; 8];
+            _mm_storeu_si128(b0.as_mut_ptr().cast(), p0);
+            _mm_storeu_si128(b1.as_mut_ptr().cast(), p1);
+            _mm_storeu_si128(b2.as_mut_ptr().cast(), p2);
+            for s in 0..4 {
+                *o.add(6 * s) = b0[2 * s];
+                *o.add(6 * s + 1) = b0[2 * s + 1];
+                *o.add(6 * s + 2) = b1[2 * s];
+                *o.add(6 * s + 3) = b1[2 * s + 1];
+                *o.add(6 * s + 4) = b2[2 * s];
+                *o.add(6 * s + 5) = b2[2 * s + 1];
+            }
         }
     }
 
@@ -315,45 +327,57 @@ mod x86 {
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn quantize16(p: *const f32, f: __m256) -> __m256i {
-        let a = _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(p), f));
-        let b = _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(p.add(8)), f));
-        _mm256_permute4x64_epi64(_mm256_packs_epi32(a, b), 0b11_01_10_00)
+        // SAFETY: AVX2 is the caller's, and `p` is readable for 16 f32s.
+        unsafe {
+            let a = _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(p), f));
+            let b = _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(p.add(8)), f));
+            _mm256_permute4x64_epi64(_mm256_packs_epi32(a, b), 0b11_01_10_00)
+        }
     }
 
     /// # Safety
     /// AVX2; `vals.len()` a multiple of 16; `out` sized accordingly.
     #[target_feature(enable = "avx2")]
     pub unsafe fn demap_avx2(m: Modulation, vals: &[f32], factor: f32, gain: i16, out: &mut [i16]) {
-        let f = _mm256_set1_ps(factor);
-        let zero = _mm256_setzero_si256();
-        let g = _mm256_set1_epi16(gain);
-        let g2 = _mm256_adds_epi16(g, g);
-        let g4 = _mm256_adds_epi16(g2, g2);
-        let bps = m.bits_per_symbol();
-        for (blk, chunk) in vals.chunks_exact(16).enumerate() {
-            let q = quantize16(chunk.as_ptr(), f);
-            let o = out.as_mut_ptr().add(blk * 8 * bps);
-            match m {
-                Modulation::Qpsk => {
-                    _mm256_storeu_si256(o.cast(), _mm256_adds_epi16(q, q));
-                }
-                Modulation::Qam16 => {
-                    let inner = _mm256_adds_epi16(q, q);
-                    let a = _mm256_max_epi16(q, _mm256_subs_epi16(zero, q));
-                    let d = _mm256_subs_epi16(g2, a);
-                    let outer = _mm256_adds_epi16(d, d);
-                    // 32-bit interleave across the lane split
-                    let lo = _mm256_unpacklo_epi32(inner, outer);
-                    let hi = _mm256_unpackhi_epi32(inner, outer);
-                    _mm256_storeu_si256(o.cast(), _mm256_permute2x128_si256(lo, hi, 0x20));
-                    _mm256_storeu_si256(o.add(16).cast(), _mm256_permute2x128_si256(lo, hi, 0x31));
-                }
-                Modulation::Qam64 => {
-                    let a = _mm256_max_epi16(q, _mm256_subs_epi16(zero, q));
-                    let p1 = _mm256_subs_epi16(g4, a);
-                    let t = _mm256_subs_epi16(a, g4);
-                    let p2 = _mm256_subs_epi16(_mm256_max_epi16(t, _mm256_subs_epi16(zero, t)), g2);
-                    store_triplets_256(q, p1, p2, o);
+        // SAFETY: AVX2 is the caller's; chunk `blk` is 8 symbols, whose
+        // `8 * bps` LLRs at `out[8 * bps * blk..]` lie inside `out`,
+        // sized for the modulation's LLR count.
+        unsafe {
+            let f = _mm256_set1_ps(factor);
+            let zero = _mm256_setzero_si256();
+            let g = _mm256_set1_epi16(gain);
+            let g2 = _mm256_adds_epi16(g, g);
+            let g4 = _mm256_adds_epi16(g2, g2);
+            let bps = m.bits_per_symbol();
+            for (blk, chunk) in vals.chunks_exact(16).enumerate() {
+                let q = quantize16(chunk.as_ptr(), f);
+                let o = out.as_mut_ptr().add(blk * 8 * bps);
+                match m {
+                    Modulation::Qpsk => {
+                        _mm256_storeu_si256(o.cast(), _mm256_adds_epi16(q, q));
+                    }
+                    Modulation::Qam16 => {
+                        let inner = _mm256_adds_epi16(q, q);
+                        let a = _mm256_max_epi16(q, _mm256_subs_epi16(zero, q));
+                        let d = _mm256_subs_epi16(g2, a);
+                        let outer = _mm256_adds_epi16(d, d);
+                        // 32-bit interleave across the lane split
+                        let lo = _mm256_unpacklo_epi32(inner, outer);
+                        let hi = _mm256_unpackhi_epi32(inner, outer);
+                        _mm256_storeu_si256(o.cast(), _mm256_permute2x128_si256(lo, hi, 0x20));
+                        _mm256_storeu_si256(
+                            o.add(16).cast(),
+                            _mm256_permute2x128_si256(lo, hi, 0x31),
+                        );
+                    }
+                    Modulation::Qam64 => {
+                        let a = _mm256_max_epi16(q, _mm256_subs_epi16(zero, q));
+                        let p1 = _mm256_subs_epi16(g4, a);
+                        let t = _mm256_subs_epi16(a, g4);
+                        let p2 =
+                            _mm256_subs_epi16(_mm256_max_epi16(t, _mm256_subs_epi16(zero, t)), g2);
+                        store_triplets_256(q, p1, p2, o);
+                    }
                 }
             }
         }
@@ -366,19 +390,22 @@ mod x86 {
     /// AVX2; `o` writable for 48 i16s.
     #[target_feature(enable = "avx2")]
     unsafe fn store_triplets_256(p0: __m256i, p1: __m256i, p2: __m256i, o: *mut i16) {
-        let mut b0 = [0i16; 16];
-        let mut b1 = [0i16; 16];
-        let mut b2 = [0i16; 16];
-        _mm256_storeu_si256(b0.as_mut_ptr().cast(), p0);
-        _mm256_storeu_si256(b1.as_mut_ptr().cast(), p1);
-        _mm256_storeu_si256(b2.as_mut_ptr().cast(), p2);
-        for s in 0..8 {
-            *o.add(6 * s) = b0[2 * s];
-            *o.add(6 * s + 1) = b0[2 * s + 1];
-            *o.add(6 * s + 2) = b1[2 * s];
-            *o.add(6 * s + 3) = b1[2 * s + 1];
-            *o.add(6 * s + 4) = b2[2 * s];
-            *o.add(6 * s + 5) = b2[2 * s + 1];
+        // SAFETY: AVX2 is the caller's, and `o` is writable for 48 i16s.
+        unsafe {
+            let mut b0 = [0i16; 16];
+            let mut b1 = [0i16; 16];
+            let mut b2 = [0i16; 16];
+            _mm256_storeu_si256(b0.as_mut_ptr().cast(), p0);
+            _mm256_storeu_si256(b1.as_mut_ptr().cast(), p1);
+            _mm256_storeu_si256(b2.as_mut_ptr().cast(), p2);
+            for s in 0..8 {
+                *o.add(6 * s) = b0[2 * s];
+                *o.add(6 * s + 1) = b0[2 * s + 1];
+                *o.add(6 * s + 2) = b1[2 * s];
+                *o.add(6 * s + 3) = b1[2 * s + 1];
+                *o.add(6 * s + 4) = b2[2 * s];
+                *o.add(6 * s + 5) = b2[2 * s + 1];
+            }
         }
     }
 
@@ -445,11 +472,15 @@ mod x86 {
     #[inline]
     #[target_feature(enable = "avx512f", enable = "avx512bw")]
     unsafe fn quantize32(p: *const f32, f: __m512) -> __m512i {
-        let a = _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_loadu_ps(p), f));
-        let b = _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_loadu_ps(p.add(16)), f));
-        let lo = _mm512_cvtsepi32_epi16(a);
-        let hi = _mm512_cvtsepi32_epi16(b);
-        _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1)
+        // SAFETY: AVX-512F/BW are the caller's, and `p` is readable for 32
+        // f32s.
+        unsafe {
+            let a = _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_loadu_ps(p), f));
+            let b = _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_loadu_ps(p.add(16)), f));
+            let lo = _mm512_cvtsepi32_epi16(a);
+            let hi = _mm512_cvtsepi32_epi16(b);
+            _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1)
+        }
     }
 
     /// # Safety
@@ -463,43 +494,53 @@ mod x86 {
         gain: i16,
         out: &mut [i16],
     ) {
-        let f = _mm512_set1_ps(factor);
-        let zero = _mm512_setzero_si512();
-        let g = _mm512_set1_epi16(gain);
-        let g2 = _mm512_adds_epi16(g, g);
-        let g4 = _mm512_adds_epi16(g2, g2);
-        let bps = m.bits_per_symbol();
-        let q16_lo = _mm512_loadu_si512(QAM16_IDX_LO.as_ptr().cast());
-        let q16_hi = _mm512_loadu_si512(QAM16_IDX_HI.as_ptr().cast());
-        for (blk, chunk) in vals.chunks_exact(32).enumerate() {
-            let q = quantize32(chunk.as_ptr(), f);
-            let o = out.as_mut_ptr().add(blk * 16 * bps);
-            match m {
-                Modulation::Qpsk => {
-                    _mm512_storeu_si512(o.cast(), _mm512_adds_epi16(q, q));
-                }
-                Modulation::Qam16 => {
-                    let inner = _mm512_adds_epi16(q, q);
-                    let a = _mm512_max_epi16(q, _mm512_subs_epi16(zero, q));
-                    let d = _mm512_subs_epi16(g2, a);
-                    let outer = _mm512_adds_epi16(d, d);
-                    _mm512_storeu_si512(o.cast(), _mm512_permutex2var_epi32(inner, q16_lo, outer));
-                    _mm512_storeu_si512(
-                        o.add(32).cast(),
-                        _mm512_permutex2var_epi32(inner, q16_hi, outer),
-                    );
-                }
-                Modulation::Qam64 => {
-                    let a = _mm512_max_epi16(q, _mm512_subs_epi16(zero, q));
-                    let p1 = _mm512_subs_epi16(g4, a);
-                    let t = _mm512_subs_epi16(a, g4);
-                    let p2 = _mm512_subs_epi16(_mm512_max_epi16(t, _mm512_subs_epi16(zero, t)), g2);
-                    for r in 0..3 {
-                        let idx_ab = _mm512_loadu_si512(QAM64_IDX_AB[r].as_ptr().cast());
-                        let idx_c = _mm512_loadu_si512(QAM64_IDX_C[r].as_ptr().cast());
-                        let ab = _mm512_permutex2var_epi32(q, idx_ab, p1);
-                        let full = _mm512_mask_permutexvar_epi32(ab, QAM64_MASK_C[r], idx_c, p2);
-                        _mm512_storeu_si512(o.add(32 * r).cast(), full);
+        // SAFETY: AVX-512F/BW are the caller's; chunk `blk` is 16 symbols,
+        // whose `16 * bps` LLRs at `out[16 * bps * blk..]` lie inside
+        // `out`, sized for the modulation's LLR count.
+        unsafe {
+            let f = _mm512_set1_ps(factor);
+            let zero = _mm512_setzero_si512();
+            let g = _mm512_set1_epi16(gain);
+            let g2 = _mm512_adds_epi16(g, g);
+            let g4 = _mm512_adds_epi16(g2, g2);
+            let bps = m.bits_per_symbol();
+            let q16_lo = _mm512_loadu_si512(QAM16_IDX_LO.as_ptr().cast());
+            let q16_hi = _mm512_loadu_si512(QAM16_IDX_HI.as_ptr().cast());
+            for (blk, chunk) in vals.chunks_exact(32).enumerate() {
+                let q = quantize32(chunk.as_ptr(), f);
+                let o = out.as_mut_ptr().add(blk * 16 * bps);
+                match m {
+                    Modulation::Qpsk => {
+                        _mm512_storeu_si512(o.cast(), _mm512_adds_epi16(q, q));
+                    }
+                    Modulation::Qam16 => {
+                        let inner = _mm512_adds_epi16(q, q);
+                        let a = _mm512_max_epi16(q, _mm512_subs_epi16(zero, q));
+                        let d = _mm512_subs_epi16(g2, a);
+                        let outer = _mm512_adds_epi16(d, d);
+                        _mm512_storeu_si512(
+                            o.cast(),
+                            _mm512_permutex2var_epi32(inner, q16_lo, outer),
+                        );
+                        _mm512_storeu_si512(
+                            o.add(32).cast(),
+                            _mm512_permutex2var_epi32(inner, q16_hi, outer),
+                        );
+                    }
+                    Modulation::Qam64 => {
+                        let a = _mm512_max_epi16(q, _mm512_subs_epi16(zero, q));
+                        let p1 = _mm512_subs_epi16(g4, a);
+                        let t = _mm512_subs_epi16(a, g4);
+                        let p2 =
+                            _mm512_subs_epi16(_mm512_max_epi16(t, _mm512_subs_epi16(zero, t)), g2);
+                        for r in 0..3 {
+                            let idx_ab = _mm512_loadu_si512(QAM64_IDX_AB[r].as_ptr().cast());
+                            let idx_c = _mm512_loadu_si512(QAM64_IDX_C[r].as_ptr().cast());
+                            let ab = _mm512_permutex2var_epi32(q, idx_ab, p1);
+                            let full =
+                                _mm512_mask_permutexvar_epi32(ab, QAM64_MASK_C[r], idx_c, p2);
+                            _mm512_storeu_si512(o.add(32 * r).cast(), full);
+                        }
                     }
                 }
             }

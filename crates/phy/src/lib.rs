@@ -45,6 +45,10 @@
 //! assert_eq!(out.bits, bits);
 //! ```
 
+// Every unsafe operation sits in an `unsafe` block under a SAFETY
+// comment, even inside an unsafe function.
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod bits;
 pub mod channel;
 pub mod crc;

@@ -39,8 +39,6 @@
 //! four butterflies). All three are pure permutations or a regrouping
 //! of independent operations, so the arithmetic graph is the one above.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 use crate::modulation::Cplx;
 use std::cell::RefCell;
 use std::mem::MaybeUninit;

@@ -478,49 +478,53 @@ unsafe fn permute_rows_avx512(
         .iter()
         .all(|&b| b >= 0 && b + 2 * rows as i32 <= w.len() as i32));
     debug_assert_eq!(out.len(), 3 * (rows * NCOLS - nd));
-    let load = |p: *const i32| _mm512_loadu_si512(p.cast());
-    let ctl = |t: &[i16; 32]| _mm512_loadu_si512(t.as_ptr().cast());
-    let (sb0, sb1) = (load(sb.as_ptr()), load(sb.as_ptr().add(16)));
-    let (pb0, pb1) = (load(pb.as_ptr()), load(pb.as_ptr().add(16)));
-    let t = &ROW_CONTROLS;
-    let o0 = [ctl(&t.o0[0]), ctl(&t.o0[1])];
-    let o1s = [ctl(&t.o1s[0]), ctl(&t.o1s[1])];
-    let o1b = ctl(&t.o1b);
-    let o2 = [ctl(&t.o2[0]), ctl(&t.o2[1])];
-    let last = _mm512_set1_epi16(31);
-    let wp = w.as_ptr().cast::<i32>();
-    let op = out.as_mut_ptr();
-    // SAFETY (gathers, here and below): scale 2 makes a lane's address
-    // `w + index` words, read as one dword = words index, index + 1 —
-    // in `w` by the caller's asserts.
-    // Row 0's B_31 seeds the carry: its high half is H_0[1].
-    let mut b1_prev = _mm512_i32gather_epi32::<2>(pb1, wp);
-    let mut r = 1;
-    while r < rows {
-        let at = _mm512_set1_epi32(r as i32);
-        let s0 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(sb0, at), wp);
-        let s1 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(sb1, at), wp);
-        for h in 0..2.min(rows - r) {
-            let at = _mm512_set1_epi32(2 * (r + h) as i32);
-            let b0 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(pb0, at), wp);
-            let b1 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(pb1, at), wp);
-            let lo = _mm512_permutex2var_epi16(s0, o0[h], b0);
-            let lo = _mm512_mask_permutexvar_epi16(lo, 0b100, last, b1_prev);
-            let mid = _mm512_mask_blend_epi16(
-                t.o1_is_s,
-                _mm512_permutex2var_epi16(b0, o1b, b1),
-                _mm512_permutex2var_epi16(s0, o1s[h], s1),
-            );
-            let hi = _mm512_permutex2var_epi16(s1, o2[h], b1);
-            // SAFETY (stores): row r + h is out[3·(32(r+h) − nd)..][..96],
-            // and r + h < rows keeps its end within out.len().
-            let row = op.add(3 * (NCOLS * (r + h) - nd));
-            _mm512_storeu_si512(row.cast(), lo);
-            _mm512_storeu_si512(row.add(32).cast(), mid);
-            _mm512_storeu_si512(row.add(64).cast(), hi);
-            b1_prev = b1;
+    // SAFETY: avx512f + avx512bw are the caller's, and so are the bounds
+    // the notes at the gathers and the stores below rely on.
+    unsafe {
+        let load = |p: *const i32| _mm512_loadu_si512(p.cast());
+        let ctl = |t: &[i16; 32]| _mm512_loadu_si512(t.as_ptr().cast());
+        let (sb0, sb1) = (load(sb.as_ptr()), load(sb.as_ptr().add(16)));
+        let (pb0, pb1) = (load(pb.as_ptr()), load(pb.as_ptr().add(16)));
+        let t = &ROW_CONTROLS;
+        let o0 = [ctl(&t.o0[0]), ctl(&t.o0[1])];
+        let o1s = [ctl(&t.o1s[0]), ctl(&t.o1s[1])];
+        let o1b = ctl(&t.o1b);
+        let o2 = [ctl(&t.o2[0]), ctl(&t.o2[1])];
+        let last = _mm512_set1_epi16(31);
+        let wp = w.as_ptr().cast::<i32>();
+        let op = out.as_mut_ptr();
+        // SAFETY (gathers, here and below): scale 2 makes a lane's address
+        // `w + index` words, read as one dword = words index, index + 1 —
+        // in `w` by the caller's asserts.
+        // Row 0's B_31 seeds the carry: its high half is H_0[1].
+        let mut b1_prev = _mm512_i32gather_epi32::<2>(pb1, wp);
+        let mut r = 1;
+        while r < rows {
+            let at = _mm512_set1_epi32(r as i32);
+            let s0 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(sb0, at), wp);
+            let s1 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(sb1, at), wp);
+            for h in 0..2.min(rows - r) {
+                let at = _mm512_set1_epi32(2 * (r + h) as i32);
+                let b0 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(pb0, at), wp);
+                let b1 = _mm512_i32gather_epi32::<2>(_mm512_add_epi32(pb1, at), wp);
+                let lo = _mm512_permutex2var_epi16(s0, o0[h], b0);
+                let lo = _mm512_mask_permutexvar_epi16(lo, 0b100, last, b1_prev);
+                let mid = _mm512_mask_blend_epi16(
+                    t.o1_is_s,
+                    _mm512_permutex2var_epi16(b0, o1b, b1),
+                    _mm512_permutex2var_epi16(s0, o1s[h], s1),
+                );
+                let hi = _mm512_permutex2var_epi16(s1, o2[h], b1);
+                // SAFETY (stores): row r + h is out[3·(32(r+h) − nd)..][..96],
+                // and r + h < rows keeps its end within out.len().
+                let row = op.add(3 * (NCOLS * (r + h) - nd));
+                _mm512_storeu_si512(row.cast(), lo);
+                _mm512_storeu_si512(row.add(32).cast(), mid);
+                _mm512_storeu_si512(row.add(64).cast(), hi);
+                b1_prev = b1;
+            }
+            r += 2;
         }
-        r += 2;
     }
 }
 
@@ -858,56 +862,63 @@ fn transpose64(a: &mut [u64; 64]) {
 /// swaps between register pairs, and the three narrow rounds (4/2/1)
 /// swap qword lanes in-register via `vpermq` plus lane-masked XORs.
 /// Same swap network, same order — bit-exact with the scalar walk.
+///
+/// # Safety
+/// Requires avx512f.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn transpose64_avx512(a: &mut [u64; 64]) {
     use core::arch::x86_64::*;
-    let p = a.as_mut_ptr();
-    let mut v: [__m512i; 8] = core::array::from_fn(|i| _mm512_loadu_si512(p.add(8 * i).cast()));
-    // Rows k and k+j live 8j qwords apart — in different registers.
-    macro_rules! wide {
-        ($j:literal, $m:expr) => {
-            let m = _mm512_set1_epi64($m);
-            let d = $j / 8;
-            for i in 0..8 {
-                if i & d == 0 {
-                    let t = _mm512_and_si512(
-                        _mm512_xor_si512(_mm512_srli_epi64::<$j>(v[i]), v[i + d]),
-                        m,
-                    );
-                    v[i] = _mm512_xor_si512(v[i], _mm512_slli_epi64::<$j>(t));
-                    v[i + d] = _mm512_xor_si512(v[i + d], t);
+    // SAFETY: AVX-512F is the caller's; the eight 64-byte loads and stores
+    // tile `a`'s 64 qwords.
+    unsafe {
+        let p = a.as_mut_ptr();
+        let mut v: [__m512i; 8] = core::array::from_fn(|i| _mm512_loadu_si512(p.add(8 * i).cast()));
+        // Rows k and k+j live 8j qwords apart — in different registers.
+        macro_rules! wide {
+            ($j:literal, $m:expr) => {
+                let m = _mm512_set1_epi64($m);
+                let d = $j / 8;
+                for i in 0..8 {
+                    if i & d == 0 {
+                        let t = _mm512_and_si512(
+                            _mm512_xor_si512(_mm512_srli_epi64::<$j>(v[i]), v[i + d]),
+                            m,
+                        );
+                        v[i] = _mm512_xor_si512(v[i], _mm512_slli_epi64::<$j>(t));
+                        v[i + d] = _mm512_xor_si512(v[i + d], t);
+                    }
                 }
-            }
-        };
-    }
-    wide!(32, 0x0000_0000_FFFF_FFFFu64 as i64);
-    wide!(16, 0x0000_FFFF_0000_FFFFu64 as i64);
-    wide!(8, 0x00FF_00FF_00FF_00FFu64 as i64);
-    // Rows k and k+j share a register: partner lane is l ^ j, the
-    // low-lane (k & j == 0) and high-lane halves get their respective
-    // sides of the swap via lane-masked XORs.
-    macro_rules! narrow {
-        ($j:literal, $m:expr, $lo:literal) => {
-            let m = _mm512_set1_epi64($m);
-            let idx = _mm512_xor_si512(
-                _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
-                _mm512_set1_epi64($j),
-            );
-            for r in v.iter_mut() {
-                let w = _mm512_permutexvar_epi64(idx, *r);
-                let tl = _mm512_and_si512(_mm512_xor_si512(_mm512_srli_epi64::<$j>(*r), w), m);
-                let th = _mm512_and_si512(_mm512_xor_si512(_mm512_srli_epi64::<$j>(w), *r), m);
-                *r = _mm512_mask_xor_epi64(*r, $lo, *r, _mm512_slli_epi64::<$j>(tl));
-                *r = _mm512_mask_xor_epi64(*r, !$lo, *r, th);
-            }
-        };
-    }
-    narrow!(4, 0x0F0F_0F0F_0F0F_0F0Fu64 as i64, 0x0Fu8);
-    narrow!(2, 0x3333_3333_3333_3333u64 as i64, 0x33u8);
-    narrow!(1, 0x5555_5555_5555_5555u64 as i64, 0x55u8);
-    for (i, r) in v.into_iter().enumerate() {
-        _mm512_storeu_si512(p.add(8 * i).cast(), r);
+            };
+        }
+        wide!(32, 0x0000_0000_FFFF_FFFFu64 as i64);
+        wide!(16, 0x0000_FFFF_0000_FFFFu64 as i64);
+        wide!(8, 0x00FF_00FF_00FF_00FFu64 as i64);
+        // Rows k and k+j share a register: partner lane is l ^ j, the
+        // low-lane (k & j == 0) and high-lane halves get their respective
+        // sides of the swap via lane-masked XORs.
+        macro_rules! narrow {
+            ($j:literal, $m:expr, $lo:literal) => {
+                let m = _mm512_set1_epi64($m);
+                let idx = _mm512_xor_si512(
+                    _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                    _mm512_set1_epi64($j),
+                );
+                for r in v.iter_mut() {
+                    let w = _mm512_permutexvar_epi64(idx, *r);
+                    let tl = _mm512_and_si512(_mm512_xor_si512(_mm512_srli_epi64::<$j>(*r), w), m);
+                    let th = _mm512_and_si512(_mm512_xor_si512(_mm512_srli_epi64::<$j>(w), *r), m);
+                    *r = _mm512_mask_xor_epi64(*r, $lo, *r, _mm512_slli_epi64::<$j>(tl));
+                    *r = _mm512_mask_xor_epi64(*r, !$lo, *r, th);
+                }
+            };
+        }
+        narrow!(4, 0x0F0F_0F0F_0F0F_0F0Fu64 as i64, 0x0Fu8);
+        narrow!(2, 0x3333_3333_3333_3333u64 as i64, 0x33u8);
+        narrow!(1, 0x5555_5555_5555_5555u64 as i64, 0x55u8);
+        for (i, r) in v.into_iter().enumerate() {
+            _mm512_storeu_si512(p.add(8 * i).cast(), r);
+        }
     }
 }
 

@@ -377,7 +377,7 @@ pub fn descramble_llrs_with(imp: DescrambleImpl, llrs: &mut [i16], c_init: u32) 
         let (lanes, last) = words.split_at(body.len() / 32);
         match imp {
             DescrambleImpl::ScalarWord => descramble_words_scalar(body, lanes),
-            // SAFETY (all three): the host has the tier, checked above.
+            // SAFETY: the host has the tier, checked above (all three arms).
             #[cfg(target_arch = "x86_64")]
             DescrambleImpl::Sse2 => unsafe { x86::descramble_sse2(body, lanes) },
             #[cfg(target_arch = "x86_64")]
@@ -420,20 +420,24 @@ mod x86 {
     /// Caller guarantees SSE2.
     #[target_feature(enable = "sse2")]
     pub unsafe fn descramble_sse2(llrs: &mut [i16], words: &[u32]) {
-        let (zero, bit) = (
-            _mm_setzero_si128(),
-            _mm_loadu_si128(LANE_BIT.as_ptr().cast()),
-        );
-        for (q, oct) in llrs.chunks_exact_mut(8).enumerate() {
-            let p = oct.as_mut_ptr().cast::<__m128i>();
-            let v = _mm_loadu_si128(p);
-            let w = _mm_set1_epi16((words[q / 4] >> (8 * (q % 4)) & 0xFF) as i16);
-            let m = _mm_cmpeq_epi16(_mm_and_si128(w, bit), bit);
-            let neg = _mm_subs_epi16(zero, v);
-            _mm_storeu_si128(
-                p,
-                _mm_or_si128(_mm_and_si128(m, neg), _mm_andnot_si128(m, v)),
+        // SAFETY: SSE2 is the caller's; each store writes back the 8 LLRs
+        // of the chunk it loaded.
+        unsafe {
+            let (zero, bit) = (
+                _mm_setzero_si128(),
+                _mm_loadu_si128(LANE_BIT.as_ptr().cast()),
             );
+            for (q, oct) in llrs.chunks_exact_mut(8).enumerate() {
+                let p = oct.as_mut_ptr().cast::<__m128i>();
+                let v = _mm_loadu_si128(p);
+                let w = _mm_set1_epi16((words[q / 4] >> (8 * (q % 4)) & 0xFF) as i16);
+                let m = _mm_cmpeq_epi16(_mm_and_si128(w, bit), bit);
+                let neg = _mm_subs_epi16(zero, v);
+                _mm_storeu_si128(
+                    p,
+                    _mm_or_si128(_mm_and_si128(m, neg), _mm_andnot_si128(m, v)),
+                );
+            }
         }
     }
 
@@ -441,16 +445,20 @@ mod x86 {
     /// Caller guarantees AVX2.
     #[target_feature(enable = "avx2")]
     pub unsafe fn descramble_avx2(llrs: &mut [i16], words: &[u32]) {
-        let (zero, bit) = (
-            _mm256_setzero_si256(),
-            _mm256_loadu_si256(LANE_BIT.as_ptr().cast()),
-        );
-        for (h, half) in llrs.chunks_exact_mut(16).enumerate() {
-            let p = half.as_mut_ptr().cast::<__m256i>();
-            let v = _mm256_loadu_si256(p);
-            let w = _mm256_set1_epi16((words[h / 2] >> (16 * (h % 2))) as i16);
-            let m = _mm256_cmpeq_epi16(_mm256_and_si256(w, bit), bit);
-            _mm256_storeu_si256(p, _mm256_blendv_epi8(v, _mm256_subs_epi16(zero, v), m));
+        // SAFETY: AVX2 is the caller's; each store writes back the 16 LLRs
+        // of the chunk it loaded.
+        unsafe {
+            let (zero, bit) = (
+                _mm256_setzero_si256(),
+                _mm256_loadu_si256(LANE_BIT.as_ptr().cast()),
+            );
+            for (h, half) in llrs.chunks_exact_mut(16).enumerate() {
+                let p = half.as_mut_ptr().cast::<__m256i>();
+                let v = _mm256_loadu_si256(p);
+                let w = _mm256_set1_epi16((words[h / 2] >> (16 * (h % 2))) as i16);
+                let m = _mm256_cmpeq_epi16(_mm256_and_si256(w, bit), bit);
+                _mm256_storeu_si256(p, _mm256_blendv_epi8(v, _mm256_subs_epi16(zero, v), m));
+            }
         }
     }
 
@@ -460,11 +468,15 @@ mod x86 {
     /// Caller guarantees AVX-512BW.
     #[target_feature(enable = "avx512bw", enable = "avx512f")]
     pub unsafe fn descramble_avx512(llrs: &mut [i16], words: &[u32]) {
-        let zero = _mm512_setzero_si512();
-        for (block, &w) in llrs.chunks_exact_mut(32).zip(words) {
-            let p = block.as_mut_ptr().cast();
-            let v = _mm512_loadu_si512(p);
-            _mm512_storeu_si512(p, _mm512_mask_subs_epi16(v, w, zero, v));
+        // SAFETY: AVX-512BW is the caller's; each store writes back the 32
+        // LLRs of the chunk it loaded.
+        unsafe {
+            let zero = _mm512_setzero_si512();
+            for (block, &w) in llrs.chunks_exact_mut(32).zip(words) {
+                let p = block.as_mut_ptr().cast();
+                let v = _mm512_loadu_si512(p);
+                _mm512_storeu_si512(p, _mm512_mask_subs_epi16(v, w, zero, v));
+            }
         }
     }
 }

@@ -38,8 +38,6 @@
 //! `#[target_feature]` of the wrapper it is inlined into, so LLVM may
 //! outline it with every intrinsic a call.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 use super::decoder::NEG_INF;
 use super::trellis::{self, STATES};
 use crate::llr::Llr;

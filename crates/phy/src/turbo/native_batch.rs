@@ -27,8 +27,6 @@
 //! says: quads while four remain, then a pair, then a one-lane call for
 //! the leftover. Without AVX-512BW every block is a one-lane call.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 #[cfg(target_arch = "x86_64")]
 use super::decoder::beta_init_from_tails;
 #[cfg(target_arch = "x86_64")]

@@ -55,8 +55,6 @@
 //! [`vran_simd::host`], with a portable scalar fallback, following
 //! `vran-arrange`'s native kernels.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 use super::decoder::{beta_init_from_tails, scale_extrinsic, DecodeOutcome, NEG_INF};
 #[cfg(target_arch = "x86_64")]
 use super::mitm::{self, Xmm, Ymm};

@@ -34,8 +34,6 @@
 //! constituent; those six bits come from the scalar trellis functions
 //! applied to the final packed state.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 use super::encoder::TurboCodeword;
 use super::trellis;
 use crate::bits::{gather_bits, pack_lsb_words, unpack_lsb_words};

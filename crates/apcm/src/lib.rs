@@ -56,6 +56,8 @@
 //! assert!(orig > 0.35 && apcm < 0.10); // the paper's 45 % → 3 %
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod amc;
 pub mod cellsim;
 pub mod chaos;

@@ -43,10 +43,11 @@ fn parity_mask(parities: [u8; STATES]) -> VecVal {
     VecVal::from_lanes(RegWidth::Sse128, &lanes)
 }
 
-/// The SIMD turbo decoder for one block size.
+/// The SIMD turbo decoder for one block size, reading that size's
+/// process-wide QPP tables.
 #[derive(Debug, Clone)]
 pub struct SimdTurboDecoder {
-    il: QppInterleaver,
+    il: &'static QppInterleaver,
     max_iterations: usize,
     width: RegWidth,
 }
@@ -67,7 +68,7 @@ impl SimdTurboDecoder {
     pub fn new(k: usize, max_iterations: usize, width: RegWidth) -> Self {
         assert!(max_iterations >= 1);
         Self {
-            il: QppInterleaver::new(k),
+            il: QppInterleaver::of(k),
             max_iterations,
             width,
         }
@@ -168,9 +169,8 @@ impl SimdTurboDecoder {
     /// outcome plus the recorded µop trace (for `vran-uarch`).
     pub fn decode_traced(&self, input: &TurboLlrs, iterations: usize) -> (DecodeOutcome, Trace) {
         let capped = Self {
-            il: QppInterleaver::new(self.il.k()),
             max_iterations: iterations,
-            width: self.width,
+            ..self.clone()
         };
         let (mut vm, (sys, p1, p2)) = capped.stage(input, true);
         let out = capped.decode_in_vm(&mut vm, sys, p1, p2, &input.tails, None);

@@ -109,12 +109,13 @@ pub fn fused_ingest_into(
     assert!(sys.len() == k && p1.len() == k && p2.len() == k);
     assert!(imp.usable(), "host lacks {}", imp.name());
     match imp {
-        // SAFETY (both): the host has the ISA, the lengths were checked
-        // above, and `k` holds at least one register of the kernel.
+        // SAFETY: the host has the ISA, the lengths were checked above,
+        // and `k` holds at least one register of the kernel.
         #[cfg(target_arch = "x86_64")]
         FusedImpl::MaskMergeSsse3 if k >= 8 => unsafe {
             x86::mask_merge_ssse3(input, k, sys, p1, p2)
         },
+        // SAFETY: as for SSSE3.
         #[cfg(target_arch = "x86_64")]
         FusedImpl::MaskMergeAvx512 if k >= 32 => unsafe {
             x86::mask_merge_avx512(input, k, sys, p1, p2)

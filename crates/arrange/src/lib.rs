@@ -30,6 +30,7 @@
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod fused;
 pub mod native;

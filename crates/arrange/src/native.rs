@@ -101,9 +101,10 @@ pub fn deinterleave_into(imp: NativeImpl, input: &[i16], k: usize, out: &mut Sof
     assert!(out.sys.len() == k && out.p1.len() == k && out.p2.len() == k);
     assert!(imp.usable(), "host lacks {}", imp.name());
     let fused = match imp {
-        // SAFETY (both): the host has the tier, checked above.
+        // SAFETY: the host has the tier, checked above.
         #[cfg(target_arch = "x86_64")]
         NativeImpl::BaselineSse2 => return unsafe { baseline_sse2(input, k, out) },
+        // SAFETY: as for SSE2.
         #[cfg(target_arch = "x86_64")]
         NativeImpl::BaselineAvx512 => return unsafe { baseline_avx512(input, k, out) },
         NativeImpl::ApcmSsse3 => FusedImpl::MaskMergeSsse3,
@@ -129,16 +130,18 @@ mod x86 {
 
     #[inline]
     unsafe fn extract16(r: __m128i, lane: usize) -> i16 {
-        // SAFETY (every arm): SSE2 is part of the x86_64 baseline.
-        (match lane {
-            0 => unsafe { _mm_extract_epi16(r, 0) },
-            1 => unsafe { _mm_extract_epi16(r, 1) },
-            2 => unsafe { _mm_extract_epi16(r, 2) },
-            3 => unsafe { _mm_extract_epi16(r, 3) },
-            4 => unsafe { _mm_extract_epi16(r, 4) },
-            5 => unsafe { _mm_extract_epi16(r, 5) },
-            6 => unsafe { _mm_extract_epi16(r, 6) },
-            _ => unsafe { _mm_extract_epi16(r, 7) },
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        (unsafe {
+            match lane {
+                0 => _mm_extract_epi16(r, 0),
+                1 => _mm_extract_epi16(r, 1),
+                2 => _mm_extract_epi16(r, 2),
+                3 => _mm_extract_epi16(r, 3),
+                4 => _mm_extract_epi16(r, 4),
+                5 => _mm_extract_epi16(r, 5),
+                6 => _mm_extract_epi16(r, 6),
+                _ => _mm_extract_epi16(r, 7),
+            }
         }) as i16
     }
 

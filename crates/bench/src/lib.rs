@@ -16,6 +16,8 @@
 //! the benches demonstrate the same effects in wall-clock time on the
 //! host CPU.
 
+#![forbid(unsafe_code)]
+
 pub mod cellscale;
 pub mod gate;
 pub mod harness;

@@ -181,6 +181,7 @@ fn trajectory_records_name_every_workload_and_metric() {
         (40.0, 42.0),
         (43.0, 47.0),
         (47.0, 49.0),
+        (49.0, 51.0),
     ];
     let follows = |w: &[f64]| w[1] == w[0] + 1.0 || gaps.contains(&(w[0], w[1]));
     assert!(prs.windows(2).all(follows) && prs[0] == 11.0);

@@ -106,11 +106,11 @@ const PDSCH_SEED_XOR: u64 = 0xD5D5;
 /// Per-pipeline working state.
 #[derive(Debug, Clone)]
 struct Hot {
-    /// The eNB's PDSCH transmit chain (per-K encoders, rate matchers
-    /// and word buffers live in it: the steady-state encode loop
-    /// performs no heap allocation).
+    /// The eNB's PDSCH transmit chain (its scratch and word buffers
+    /// live in it: the steady-state encode loop performs no heap
+    /// allocation).
     tx: TxChain,
-    /// The UE's PDSCH receive chain (decoders, buffers and scratch).
+    /// The UE's PDSCH receive chain (buffers and decode scratch).
     rx: RxChain,
     /// The AWGN channel's PDCCH noise, drawn once and replayed.
     pdcch_noise: NoiseTape,

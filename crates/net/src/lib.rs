@@ -70,6 +70,7 @@
 // Every unsafe operation sits in its own `unsafe` block, under its own
 // `// SAFETY:` line, even inside an `unsafe fn`.
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod amc;
 pub mod chaos;

@@ -11,11 +11,14 @@
 //!
 //! [`RxChain::rx`] is `front` + `back`; the stage-graph runtime takes
 //! `front`'s staged blocks, decodes them in cross-packet batches on the
-//! same chain's decoders and scratch, and finishes with
+//! same chain's scratch, and finishes with
 //! [`RxChain::deliver`], `back`'s own tail. The downlink's PDSCH enters
 //! one step below OFDM and stops at CRC24A (its TB carries no L2). The
 //! chain owns every buffer a packet needs twice, so a warm call
-//! allocates only what `vran-phy` and `l2` return by signature.
+//! allocates only what `vran-phy` and `l2` return by signature. It owns
+//! no per-K object: each K's QPP and rate-match tables are built once
+//! per process, on the K's first use, and a decoder is a few words
+//! built per call.
 //!
 //! A [`Capture`] is input from outside the program: sample count,
 //! symbol count and transport-block size are checked against each
@@ -32,7 +35,7 @@
 use crate::error::{DecodeFailure, FrameFault, PipelineError, SegFault};
 use crate::l2::BearerRx;
 use crate::metrics::{Op, Spans};
-use crate::tx::{slot, Grant, Kernels, Profile, OFDM};
+use crate::tx::{Grant, Kernels, Profile, OFDM};
 use vran_arrange::fused_ingest_into;
 use vran_phy::bits::pack_msb;
 use vran_phy::channel::AwgnChannel;
@@ -149,15 +152,8 @@ impl RxHooks for () {}
 pub struct RxChain {
     /// The kernels the next call runs.
     pub(crate) kern: Kernels,
-    /// Turbo decoder iteration cap (and the cached decoders' maximum).
+    /// Turbo decoder iteration cap.
     decoder_iterations: usize,
-    /// Native batch decoders, keyed by block size K: every native
-    /// decode in the crate runs on these ([`Self::decode_run`]).
-    natives: Vec<(usize, NativeBatchTurboDecoder)>,
-    /// Scalar decoders, keyed by block size K.
-    scalars: Vec<(usize, TurboDecoder)>,
-    /// Rate matchers, keyed by per-stream length `d = K + 4`.
-    rms: Vec<(usize, RateMatcher)>,
     /// Demodulated subcarrier symbols. A channel model that enters
     /// below OFDM (frequency-domain fading + equalization) fills this
     /// itself and calls [`Self::front_equalized`].
@@ -187,8 +183,9 @@ pub struct RxChain {
 
 impl RxChain {
     /// New chain running `profile`'s kernels, at the tiers the host
-    /// offers now, with at most `decoder_iterations` turbo iterations;
-    /// per-K decoders and rate matchers build on first use.
+    /// offers now, with at most `decoder_iterations` turbo iterations.
+    /// The turbo decoder is the exception: it is built per call, so it
+    /// takes its tier from the ISA ceiling in force at that call.
     pub fn new(profile: Profile, decoder_iterations: usize) -> Self {
         Self {
             kern: profile.kernels(),
@@ -329,8 +326,7 @@ impl RxChain {
                     },
                 })?;
             pos += e;
-            let rmi = slot(&mut self.rms, k + 4, || RateMatcher::new(k + 4));
-            let rm = &self.rms[rmi].1;
+            let rm = RateMatcher::of(k);
             hooks.lap(Op::DeRateMatch, || {
                 rm.try_de_rate_match_interleaved_into(share, rv, &mut self.inter)
             })?;
@@ -447,11 +443,8 @@ impl RxChain {
             DecoderBackend::Scalar => {
                 let outs = self.bits.iter_mut().zip(&mut self.lanes);
                 for (task, (bits, lane)) in tasks.iter().zip(outs) {
-                    let k = task.k;
-                    let si = slot(&mut self.scalars, k, || TurboDecoder::new(k, max_iters));
-                    let out = hooks.lap(Op::Decode, || {
-                        self.scalars[si].1.decode_capped(task, cap, crc)
-                    });
+                    let dec = TurboDecoder::new(task.k, max_iters);
+                    let out = hooks.lap(Op::Decode, || dec.decode_capped(task, cap, crc));
                     *bits = out.bits;
                     *lane = (out.iterations_run, out.crc_ok, out.siso_passes);
                     self.siso_passes += out.siso_passes as u64;
@@ -477,8 +470,9 @@ impl RxChain {
 
     /// Every native decode, serial (per run of equal-K blocks) or staged
     /// (per pool flush): the equal-K `blocks` in one `decode_blocks_into`
-    /// call on this chain's decoder and scratch, into `self.bits[at..]`
-    /// and `self.lanes[at..]`, which it returns.
+    /// call on this chain's scratch, into `self.bits[at..]` and
+    /// `self.lanes[at..]`, which it returns. The decoder is built here,
+    /// at the tiers the ISA ceiling admits now.
     pub(crate) fn decode_run(
         &mut self,
         blocks: &[BlockLlrs<'_>],
@@ -486,13 +480,9 @@ impl RxChain {
         cap: usize,
         crc: Option<&Crc>,
     ) -> (&[Vec<u8>], &[LaneOutcome]) {
-        let (k, r) = (blocks[0].sys.len(), at..at + blocks.len());
+        let r = at..at + blocks.len();
         self.grow(r.end);
-        let max_iters = self.decoder_iterations;
-        let di = slot(&mut self.natives, k, || {
-            NativeBatchTurboDecoder::new(k, max_iters)
-        });
-        self.natives[di].1.decode_blocks_into(
+        NativeBatchTurboDecoder::for_any_k(self.decoder_iterations).decode_blocks_into(
             blocks,
             cap,
             crc,

@@ -6,15 +6,18 @@
 //!   rate match) → scramble → map → [OFDM modulate]
 //! ```
 //!
-//! [`TxChain`] owns everything a packet needs twice — per-K encoders
-//! and rate matchers, the packed-word scratch, the coded-bit, symbol
-//! and sample buffers — so a warm call allocates only what `vran-phy`
-//! returns by signature (the CRC bits and the segmented blocks).
+//! [`TxChain`] owns every buffer a packet needs twice — the packed-word
+//! scratch, the coded-bit, symbol and sample buffers — so a warm call
+//! allocates only what `vran-phy` returns by signature (the CRC bits and
+//! the segmented blocks). It owns no per-K object: each K's QPP and
+//! rate-match tables are built once per process, on the K's first use,
+//! and the encoder is one word built per call.
 //! What varies per transmission is the [`Grant`] argument (the uplink
 //! loopback and the downlink's PDSCH differ only there); which kernels
 //! run is the owning pipeline's business (a chain built outside the
 //! crate runs the production composition, at the tiers the host offers
-//! when it is built). L2 encapsulation is the step above the chain;
+//! when it is built, but its encoder at the tier the ISA ceiling admits
+//! at each call). L2 encapsulation is the step above the chain;
 //! time is the span sink's business ([`Spans`]), never read here.
 
 use crate::error::PipelineError;
@@ -104,7 +107,10 @@ impl Grant {
 /// The kernels the chains run — a [`Profile`], or production with the
 /// decoder demoted by the uplink's degradation ladder. Resolved per
 /// packet by the chains' owner, because `best_*()` follows the
-/// process-global ISA ceiling.
+/// process-global ISA ceiling. The turbo coders' tiers are not fields:
+/// the chains build the packed encoder and the native decoder per call,
+/// each at the tier the ceiling admits at that moment, as
+/// [`Self::count_tx_tiers`] and [`Self::count_rx_tiers`] read it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Kernels {
     /// CRC24A attach / check kernel.
@@ -213,26 +219,11 @@ impl Default for Kernels {
     }
 }
 
-/// Position of the entry keyed `key`, built with `make` on first use.
-pub(crate) fn slot<T>(cache: &mut Vec<(usize, T)>, key: usize, make: impl FnOnce() -> T) -> usize {
-    match cache.iter().position(|(k, _)| *k == key) {
-        Some(i) => i,
-        None => {
-            cache.push((key, make()));
-            cache.len() - 1
-        }
-    }
-}
-
 /// The transmit chain and the buffers it reuses across packets.
 #[derive(Debug, Clone, Default)]
 pub struct TxChain {
     /// The kernels the next call runs.
     pub(crate) kern: Kernels,
-    /// Packed encoders, keyed by block size K.
-    encoders: Vec<(usize, PackedTurboEncoder)>,
-    /// Packed rate matchers, keyed by per-stream length `d = K + 4`.
-    rms: Vec<(usize, PackedRateMatcher)>,
     /// The packed encoder's working buffers (their allocation ledger
     /// is how tests pin the warm loop).
     pub scratch: EncodeScratch,
@@ -277,6 +268,7 @@ impl TxChain {
 
         self.bits.clear();
         let rv = usize::from(grant.rv);
+        let packed = PackedTurboEncoder::for_any_k(EncoderIsa::best());
         for blk in &blocks {
             let k = blk.len();
             let e = grant.block_e(k);
@@ -284,20 +276,16 @@ impl TxChain {
                 EncoderBackend::Scalar => {
                     let enc = TurboEncoder::new(k);
                     let d = sink.lap(Op::Encode, || enc.encode(blk)).to_dstreams();
-                    let rm = RateMatcher::new(k + 4);
+                    let rm = RateMatcher::of(k);
                     let coded = sink.lap(Op::RateMatch, || rm.try_rate_match(&d, e, rv))?;
                     self.bits.extend(coded);
                 }
                 EncoderBackend::Packed => {
-                    let ei = slot(&mut self.encoders, k, || PackedTurboEncoder::new(k));
-                    let rmi = slot(&mut self.rms, k + 4, || PackedRateMatcher::new(k + 4));
                     sink.lap(Op::Encode, || {
-                        self.encoders[ei]
-                            .1
-                            .encode_dstreams_into(blk, &mut self.scratch)
+                        packed.encode_dstreams_into(blk, &mut self.scratch)
                     });
                     sink.lap(Op::RateMatch, || {
-                        let rm = &self.rms[rmi].1;
+                        let rm = PackedRateMatcher::of(k);
                         rm.pack_circular_into(self.scratch.dstream_words(), &mut self.wbuf)?;
                         rm.try_rate_match_packed_into(&self.wbuf, e, rv, &mut self.ebuf)?;
                         extend_bits_from_words(&self.ebuf, e, &mut self.bits);

@@ -159,17 +159,19 @@ pub fn demap_into(
     } else {
         vals.len() - vals.len() % group
     };
-    // SAFETY: the host has the tier, checked above (all three arms).
     match imp {
         DemapImpl::Scalar => {}
+        // SAFETY: the host has the tier, checked above.
         #[cfg(target_arch = "x86_64")]
         DemapImpl::Sse2 => unsafe {
             x86::demap_sse2(m, &vals[..vec_n], factor, gain, out);
         },
+        // SAFETY: as for SSE2.
         #[cfg(target_arch = "x86_64")]
         DemapImpl::Avx2 => unsafe {
             x86::demap_avx2(m, &vals[..vec_n], factor, gain, out);
         },
+        // SAFETY: as for SSE2.
         #[cfg(target_arch = "x86_64")]
         DemapImpl::Avx512bw => unsafe {
             x86::demap_avx512(m, &vals[..vec_n], factor, gain, out);

@@ -4,7 +4,10 @@
 //! drawn from Table 5.1.3-3 for each of the 188 legal block sizes
 //! `K ∈ {40, 48, …, 6144}`. Quadratic permutation polynomials with the
 //! table's coefficients are bijections on `Z_K`; the tests verify this
-//! for every row (a mistyped coefficient would fail loudly).
+//! for every row (a mistyped coefficient would fail loudly). Coders
+//! share one table per size, built on its first [`QppInterleaver::of`].
+
+use std::sync::OnceLock;
 
 /// One row of Table 5.1.3-3: block size and the two QPP coefficients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,20 +221,33 @@ pub const QPP_TABLE: [QppRow; 188] = {
 /// forward and inverse permutations.
 #[derive(Debug, Clone)]
 pub struct QppInterleaver {
-    k: usize,
     forward: Vec<u32>, // forward[i] = π(i)
     inverse: Vec<u32>, // inverse[π(i)] = i
 }
 
+/// The row of [`QPP_TABLE`] holding block size `k`, from the spec's K
+/// spacing (8 up to 512, 16 to 1024, 32 to 2048, 64 beyond): the index
+/// of every per-K table. Panics if `k` is not a legal size.
+pub(crate) fn row(k: usize) -> usize {
+    let i = match k {
+        40..=512 => (k - 40) / 8,
+        513..=1024 => 59 + (k - 512) / 16,
+        1025..=2048 => 91 + (k - 1024) / 32,
+        2049..=6144 => 123 + (k - 2048) / 64,
+        _ => usize::MAX,
+    };
+    match QPP_TABLE.get(i) {
+        Some(r) if r.k as usize == k => i,
+        _ => panic!("{k} is not a legal turbo code block size"),
+    }
+}
+
 impl QppInterleaver {
     /// Build the interleaver for block size `k`; `k` must be one of the
-    /// 188 legal sizes.
+    /// 188 legal sizes. Coders read [`Self::of`] instead.
     pub fn new(k: usize) -> Self {
-        let row = QPP_TABLE
-            .iter()
-            .find(|r| r.k as usize == k)
-            .unwrap_or_else(|| panic!("{k} is not a legal turbo code block size"));
-        let (f1, f2) = (row.f1 as u64, row.f2 as u64);
+        let QppRow { f1, f2, .. } = QPP_TABLE[row(k)];
+        let (f1, f2) = (f1 as u64, f2 as u64);
         let ku = k as u64;
         let mut forward = vec![0u32; k];
         let mut inverse = vec![u32::MAX; k];
@@ -247,11 +263,14 @@ impl QppInterleaver {
             inverse.iter().all(|&x| x != u32::MAX),
             "QPP not bijective for K={k}"
         );
-        Self {
-            k,
-            forward,
-            inverse,
-        }
+        Self { forward, inverse }
+    }
+
+    /// The process-wide interleaver for block size `k`, built on the
+    /// first call for it; panics as [`Self::new`] does on an illegal `k`.
+    pub fn of(k: usize) -> &'static QppInterleaver {
+        static TABLES: [OnceLock<QppInterleaver>; 188] = [const { OnceLock::new() }; 188];
+        TABLES[row(k)].get_or_init(|| Self::new(k))
     }
 
     /// Whether `k` is one of the 188 legal block sizes.
@@ -267,7 +286,7 @@ impl QppInterleaver {
 
     /// The block size.
     pub fn k(&self) -> usize {
-        self.k
+        self.forward.len()
     }
 
     /// Forward-permuted index: π(i).
@@ -299,13 +318,13 @@ impl QppInterleaver {
     /// Interleave: `out[i] = input[π(i)]` (the order the second
     /// constituent encoder reads the block).
     pub fn interleave<T: Copy>(&self, input: &[T]) -> Vec<T> {
-        assert_eq!(input.len(), self.k);
+        assert_eq!(input.len(), self.k());
         self.forward.iter().map(|&p| input[p as usize]).collect()
     }
 
     /// De-interleave: inverse of [`QppInterleaver::interleave`].
     pub fn deinterleave<T: Copy>(&self, input: &[T]) -> Vec<T> {
-        assert_eq!(input.len(), self.k);
+        assert_eq!(input.len(), self.k());
         self.inverse.iter().map(|&p| input[p as usize]).collect()
     }
 }
@@ -401,5 +420,33 @@ mod tests {
     #[should_panic(expected = "not a legal")]
     fn illegal_k_panics() {
         let _ = QppInterleaver::new(41);
+    }
+
+    #[test]
+    fn of_builds_one_table_per_legal_k() {
+        // Two threads asking for one K (first, so they may race to
+        // build it) get one table.
+        let k = 4736;
+        let [a, b] = [(); 2].map(|()| std::thread::spawn(move || QppInterleaver::of(k)));
+        let (a, b) = (a.join().unwrap(), b.join().unwrap());
+        assert!(std::ptr::eq(a, b));
+        assert_eq!(a.pi_table(), QppInterleaver::new(k).pi_table());
+        // Exactly the 188 rows, in order, each K's own table.
+        let rows: Vec<_> = (0..=7000)
+            .filter(|&k| QppInterleaver::is_legal_k(k))
+            .map(row)
+            .collect();
+        assert_eq!(rows, (0..188).collect::<Vec<_>>());
+        for r in &QPP_TABLE {
+            let il = QppInterleaver::of(r.k as usize);
+            assert_eq!(il.k(), r.k as usize);
+            assert!(std::ptr::eq(il, QppInterleaver::of(r.k as usize)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "41 is not a legal turbo code block size")]
+    fn of_an_illegal_k_panics() {
+        let _ = QppInterleaver::of(41);
     }
 }

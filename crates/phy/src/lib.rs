@@ -48,6 +48,7 @@
 // Every unsafe operation sits in an `unsafe` block under a SAFETY
 // comment, even inside an unsafe function.
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bits;
 pub mod channel;

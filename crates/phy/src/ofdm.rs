@@ -525,31 +525,36 @@ mod x86 {
          $add:ident, $sub:ident, $mul:ident,
          |$r:ident| $transpose:block,
          |$a:ident, $b:ident| $deinterleave:block, $interleave:block) => {
-            // SAFETY (every method): the caller vouches for the ISA.
             impl Lane for $ty {
                 const LANES: usize = $lanes;
                 #[inline(always)]
                 unsafe fn add(self, o: Self) -> Self {
+                    // SAFETY: the caller vouches for the ISA.
                     unsafe { $add(self, o) }
                 }
                 #[inline(always)]
                 unsafe fn sub(self, o: Self) -> Self {
+                    // SAFETY: the caller vouches for the ISA.
                     unsafe { $sub(self, o) }
                 }
                 #[inline(always)]
                 unsafe fn mul(self, o: Self) -> Self {
+                    // SAFETY: the caller vouches for the ISA.
                     unsafe { $mul(self, o) }
                 }
                 #[inline(always)]
                 unsafe fn transpose($r: &mut [Self; MAX_LANES]) {
+                    // SAFETY: the caller vouches for the ISA.
                     unsafe { $transpose }
                 }
                 #[inline(always)]
                 unsafe fn deinterleave($a: Self, $b: Self) -> (Self, Self) {
+                    // SAFETY: the caller vouches for the ISA.
                     unsafe { $deinterleave }
                 }
                 #[inline(always)]
                 unsafe fn interleave($a: Self, $b: Self) -> (Self, Self) {
+                    // SAFETY: the caller vouches for the ISA.
                     unsafe { $interleave }
                 }
             }
@@ -679,16 +684,20 @@ fn transform((tier, plan): (HostIsa, &Plan), p: &mut Planes<'_>, pass: Pass<'_>)
         Pass::Join(at, _, dst) => assert!(at + dst.len() <= n),
         Pass::Stages(_) => {}
     }
-    // SAFETY: the planes are `n` long, a segment ends inside them and
+    // The planes are `n` long, a segment ends inside them and
     // `lanes * lanes <= n` (all just checked); `host::has(tier)` vouches
     // for the instructions of `tier` and of every narrower one.
     match lanes {
+        // SAFETY: `run`'s contract, checked above; AVX-512F by `tier`.
         #[cfg(target_arch = "x86_64")]
         16 => unsafe { x86::run_avx512(plan, p, pass) },
+        // SAFETY: `run`'s contract, checked above; AVX2 by `tier`.
         #[cfg(target_arch = "x86_64")]
         8 => unsafe { x86::run_avx2(plan, p, pass) },
+        // SAFETY: `run`'s contract, checked above; SSE2 is baseline.
         #[cfg(target_arch = "x86_64")]
         4 => unsafe { x86::run_sse2(plan, p, pass) },
+        // SAFETY: `run`'s contract, checked above; `f32` needs no ISA.
         _ => unsafe { run::<f32>(plan, p, pass) },
     }
 }

@@ -63,8 +63,10 @@
 //! not a ladder: the step that matters is dropping the per-LLR
 //! division, `<NULL>` branch and read-modify-write, which both have.
 
+use crate::interleaver::row;
 use crate::llr::{adds16, Llr};
 use core::mem::MaybeUninit;
+use std::sync::OnceLock;
 
 /// The spec's inter-column permutation pattern.
 pub const COL_PERM: [usize; 32] = [
@@ -210,6 +212,13 @@ impl RateMatcher {
         let wmap = circular_buffer_map(d);
         let k0_real = compacted_k0(&wmap, d.div_ceil(NCOLS));
         Self { d, wmap, k0_real }
+    }
+
+    /// The process-wide matcher for turbo block size `k` (`d = K + 4`),
+    /// built on the first call for that size; panics on an illegal `k`.
+    pub fn of(k: usize) -> &'static RateMatcher {
+        static MATCHERS: [OnceLock<RateMatcher>; 188] = [const { OnceLock::new() }; 188];
+        MATCHERS[row(k)].get_or_init(|| Self::new(k + 4))
     }
 
     /// Circular buffer length `Ncb = 3·Kp`.
@@ -573,6 +582,13 @@ impl PackedRateMatcher {
         );
         let k0_real = compacted_k0(&circular_buffer_map(d), d.div_ceil(NCOLS));
         Self { d, k0_real }
+    }
+
+    /// The process-wide matcher for turbo block size `k` (`d = K + 4`),
+    /// built on the first call for that size; panics on an illegal `k`.
+    pub fn of(k: usize) -> &'static PackedRateMatcher {
+        static MATCHERS: [OnceLock<PackedRateMatcher>; 188] = [const { OnceLock::new() }; 188];
+        MATCHERS[row(k)].get_or_init(|| Self::new(k + 4))
     }
 
     /// Per-stream length `d`.
@@ -1248,6 +1264,20 @@ mod tests {
             TailLlrs::from_dstreams(&per_stream, k),
             "d={d} rv={rv} {what} tails"
         );
+    }
+
+    #[test]
+    fn of_is_new_once_per_legal_k() {
+        for r in &crate::interleaver::QPP_TABLE {
+            let (k, d) = (r.k as usize, r.k as usize + 4);
+            let (rm, fresh) = (RateMatcher::of(k), RateMatcher::new(d));
+            let want = (d, &fresh.wmap, fresh.k0_real);
+            assert_eq!((rm.d, &rm.wmap, rm.k0_real), want, "K={k}");
+            assert!(std::ptr::eq(rm, RateMatcher::of(k)), "K={k}");
+            let (packed, fresh) = (PackedRateMatcher::of(k), PackedRateMatcher::new(d));
+            assert_eq!((packed.d, packed.k0_real), (d, fresh.k0_real), "K={k}");
+            assert!(std::ptr::eq(packed, PackedRateMatcher::of(k)), "K={k}");
+        }
     }
 
     #[test]

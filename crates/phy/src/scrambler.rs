@@ -377,11 +377,13 @@ pub fn descramble_llrs_with(imp: DescrambleImpl, llrs: &mut [i16], c_init: u32) 
         let (lanes, last) = words.split_at(body.len() / 32);
         match imp {
             DescrambleImpl::ScalarWord => descramble_words_scalar(body, lanes),
-            // SAFETY: the host has the tier, checked above (all three arms).
+            // SAFETY: the host has the tier, checked above.
             #[cfg(target_arch = "x86_64")]
             DescrambleImpl::Sse2 => unsafe { x86::descramble_sse2(body, lanes) },
+            // SAFETY: as for SSE2.
             #[cfg(target_arch = "x86_64")]
             DescrambleImpl::Avx2 => unsafe { x86::descramble_avx2(body, lanes) },
+            // SAFETY: as for SSE2.
             #[cfg(target_arch = "x86_64")]
             DescrambleImpl::Avx512bw => unsafe { x86::descramble_avx512(body, lanes) },
             #[cfg(not(target_arch = "x86_64"))]

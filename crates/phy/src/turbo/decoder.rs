@@ -211,10 +211,11 @@ pub(crate) fn siso(
     (ext, post)
 }
 
-/// Iterative turbo decoder for one block size.
+/// Iterative turbo decoder for one block size, reading that size's
+/// process-wide QPP tables.
 #[derive(Debug, Clone)]
 pub struct TurboDecoder {
-    il: QppInterleaver,
+    il: &'static QppInterleaver,
     max_iterations: usize,
 }
 
@@ -224,7 +225,7 @@ impl TurboDecoder {
     pub fn new(k: usize, max_iterations: usize) -> Self {
         assert!(max_iterations >= 1);
         Self {
-            il: QppInterleaver::new(k),
+            il: QppInterleaver::of(k),
             max_iterations,
         }
     }
@@ -237,11 +238,6 @@ impl TurboDecoder {
     /// Configured iteration cap.
     pub fn max_iterations(&self) -> usize {
         self.max_iterations
-    }
-
-    /// The interleaver (shared structure with the encoder).
-    pub fn interleaver(&self) -> &QppInterleaver {
-        &self.il
     }
 
     /// Decode; runs all configured iterations.

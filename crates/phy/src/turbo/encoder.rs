@@ -65,23 +65,19 @@ impl TurboCodeword {
     }
 }
 
-/// The turbo encoder for one block size.
+/// The turbo encoder for one block size, reading that size's
+/// process-wide QPP tables.
 #[derive(Debug, Clone)]
 pub struct TurboEncoder {
-    il: QppInterleaver,
+    il: &'static QppInterleaver,
 }
 
 impl TurboEncoder {
     /// Encoder for block size `k` (must be a legal QPP size).
     pub fn new(k: usize) -> Self {
         Self {
-            il: QppInterleaver::new(k),
+            il: QppInterleaver::of(k),
         }
-    }
-
-    /// The interleaver in use (shared with the decoder).
-    pub fn interleaver(&self) -> &QppInterleaver {
-        &self.il
     }
 
     /// Encode one block of `K` information bits.

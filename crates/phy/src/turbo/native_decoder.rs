@@ -116,10 +116,11 @@ impl Tier for DecoderIsa {
 pub type DecodeScratch = BatchScratch;
 
 /// Iterative turbo decoder running real SIMD kernels, bit-exact with
-/// [`super::decoder::TurboDecoder`].
+/// [`super::decoder::TurboDecoder`]. It holds no block size: a decode
+/// reads K from its streams and the QPP tables from
+/// [`QppInterleaver::of`], so one value decodes blocks of any legal K.
 #[derive(Debug, Clone)]
 pub struct NativeTurboDecoder {
-    il: QppInterleaver,
     max_iterations: usize,
     isa: DecoderIsa,
     /// Whether the extrinsic peels and gathers on zmm, as the launches'
@@ -129,40 +130,38 @@ pub struct NativeTurboDecoder {
 }
 
 impl NativeTurboDecoder {
-    /// Decoder for block size `k` dispatching to the best ISA level the
-    /// host supports.
-    pub fn new(k: usize, max_iterations: usize) -> Self {
-        Self::with_isa(k, max_iterations, DecoderIsa::best())
-    }
-
-    /// Decoder pinned to a specific ISA level (for A/B testing and
-    /// reproducibility). Panics if the host lacks the feature — pick
-    /// from [`vran_simd::host::tiers`].
-    pub fn with_isa(k: usize, max_iterations: usize, isa: DecoderIsa) -> Self {
+    /// Decoder for blocks of any legal K at ISA level `isa`, at most
+    /// `max_iterations` each. Panics if the host lacks the feature —
+    /// pick from [`vran_simd::host::tiers`].
+    pub fn for_any_k(max_iterations: usize, isa: DecoderIsa) -> Self {
         assert!(max_iterations >= 1);
         assert!(isa.usable(), "host lacks {} support", isa.name());
         Self {
-            il: QppInterleaver::new(k),
             max_iterations,
             isa,
             zmm_extrinsic: isa == DecoderIsa::Avx2 && host::has(HostIsa::Avx512bw),
         }
     }
 
-    /// Block size K.
-    pub fn k(&self) -> usize {
-        self.il.k()
+    /// [`Self::for_any_k`] at the best ISA level the host supports,
+    /// after checking that `k` is a legal block size. Kept, with
+    /// [`Self::with_isa`], for the repository benchmark and the tests,
+    /// which name a K; ROADMAP item 1 deletes both.
+    pub fn new(k: usize, max_iterations: usize) -> Self {
+        Self::with_isa(k, max_iterations, DecoderIsa::best())
+    }
+
+    /// [`Self::for_any_k`] pinned to a specific ISA level (for A/B
+    /// testing and reproducibility), after checking that `k` is a legal
+    /// block size.
+    pub fn with_isa(k: usize, max_iterations: usize, isa: DecoderIsa) -> Self {
+        QppInterleaver::of(k);
+        Self::for_any_k(max_iterations, isa)
     }
 
     /// Configured iteration cap.
     pub fn max_iterations(&self) -> usize {
         self.max_iterations
-    }
-
-    /// The QPP interleaver of block size K (the batch decoder reads its
-    /// tables rather than building its own).
-    pub(crate) fn interleaver(&self) -> &QppInterleaver {
-        &self.il
     }
 
     /// The ISA level this decoder dispatches to.
@@ -194,7 +193,6 @@ impl NativeTurboDecoder {
         crc: Option<&Crc>,
         scratch: &mut DecodeScratch,
     ) -> DecodeOutcome {
-        assert_eq!(input.k, self.il.k(), "input block size mismatch");
         let mut bits = Vec::new();
         let passes0 = scratch.siso_passes();
         let (iterations_run, crc_ok) = self.decode_streams_into(

@@ -167,43 +167,40 @@ impl EncodeScratch {
     }
 }
 
-/// The packed-word turbo encoder for one block size.
+/// The packed-word turbo encoder. It holds no block size: an encode
+/// reads K from its input and the QPP tables from
+/// [`QppInterleaver::of`], so one value encodes blocks of any legal K.
 #[derive(Debug, Clone)]
 pub struct PackedTurboEncoder {
-    il: QppInterleaver,
     isa: EncoderIsa,
 }
 
 impl PackedTurboEncoder {
-    /// Encoder for block size `k` at the best ISA level the host
-    /// supports.
+    /// Encoder for blocks of any legal K at ISA level `isa`. Panics if
+    /// the host lacks it.
+    pub fn for_any_k(isa: EncoderIsa) -> Self {
+        assert!(isa.usable(), "host lacks {} support", isa.name());
+        Self { isa }
+    }
+
+    /// [`Self::for_any_k`] at the best ISA level the host supports,
+    /// after checking that `k` is a legal block size. Kept, with
+    /// [`Self::with_isa`], for the repository benchmark and the tests,
+    /// which name a K; ROADMAP item 1 deletes both.
     pub fn new(k: usize) -> Self {
         Self::with_isa(k, EncoderIsa::best())
     }
 
-    /// Encoder pinned to a specific ISA level (tests, benchmarks).
-    /// Panics if the host lacks it.
+    /// [`Self::for_any_k`] pinned to a specific ISA level (tests,
+    /// benchmarks), after checking that `k` is a legal block size.
     pub fn with_isa(k: usize, isa: EncoderIsa) -> Self {
-        assert!(isa.usable(), "host lacks {} support", isa.name());
-        Self {
-            il: QppInterleaver::new(k),
-            isa,
-        }
-    }
-
-    /// Block size K.
-    pub fn k(&self) -> usize {
-        self.il.k()
+        QppInterleaver::of(k);
+        Self::for_any_k(isa)
     }
 
     /// The ISA level this encoder dispatches to.
     pub fn isa(&self) -> EncoderIsa {
         self.isa
-    }
-
-    /// The interleaver in use (shared with the decoder).
-    pub fn interleaver(&self) -> &QppInterleaver {
-        &self.il
     }
 
     /// Encode one block into the scalar-oracle [`TurboCodeword`] shape
@@ -212,7 +209,7 @@ impl PackedTurboEncoder {
     pub fn encode(&self, bits: &[u8]) -> TurboCodeword {
         let mut scratch = EncodeScratch::new();
         self.encode_dstreams_into(bits, &mut scratch);
-        let k = self.il.k();
+        let k = bits.len();
         let d0 = unpack_lsb_words(&scratch.d[0], k + 4);
         let d1 = unpack_lsb_words(&scratch.d[1], k + 4);
         let d2 = unpack_lsb_words(&scratch.d[2], k + 4);
@@ -231,10 +228,11 @@ impl PackedTurboEncoder {
 
     /// Encode one block of `K` information bits straight into packed
     /// d-streams (`K + 4` bits each, tail arrangement included),
-    /// allocation-free after scratch warm-up.
+    /// allocation-free after scratch warm-up. `K = bits.len()` must be
+    /// a legal block size.
     pub fn encode_dstreams_into(&self, bits: &[u8], scratch: &mut EncodeScratch) {
-        let k = self.il.k();
-        assert_eq!(bits.len(), k, "block must be exactly K={k} bits");
+        let k = bits.len();
+        let il = QppInterleaver::of(k);
         let portable = !host::has(HostIsa::Avx2);
         scratch.ensure(k, portable);
         let nw = k.div_ceil(64);
@@ -252,7 +250,7 @@ impl PackedTurboEncoder {
 
         // constituent 2: the interleaved input, gathered straight from
         // the packed words where the host has a gather.
-        let pi = self.il.pi_table();
+        let pi = il.pi_table();
         assert!(
             k.is_multiple_of(8) && pi.len() == k,
             "QPP sizes are multiples of 8"
@@ -679,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exactly K")]
+    #[should_panic(expected = "39 is not a legal turbo code block size")]
     fn wrong_block_size_panics() {
         PackedTurboEncoder::new(40).encode(&[0; 39]);
     }

@@ -441,8 +441,8 @@ fn packed_transmit_arrangement_bit_exact_at_every_ceiling_all_188_k() {
             let mut scratch = EncodeScratch::new();
             for (k, block, walk, expect) in &enc_cases {
                 let enc = PackedTurboEncoder::new(*k);
-                let mut got = vec![!0; walk.len()];
-                gather_bits(enc.interleaver().pi_table(), &flush_words(block), &mut got);
+                let (pi, mut got) = (QppInterleaver::of(*k).pi_table(), vec![!0; walk.len()]);
+                gather_bits(pi, &flush_words(block), &mut got);
                 assert_eq!(got, *walk, "gather_bits K={k} under {under} ceiling");
                 enc.encode_dstreams_into(block, &mut scratch);
                 for (s, (got, want)) in scratch.dstream_words().into_iter().zip(expect).enumerate()

@@ -20,12 +20,17 @@ use vran_util::proptest::prelude::*;
 /// on noisy CRC24B-bearing input, at every ISA tier the host (or the
 /// ISA ceiling) allows: with and without the CRC, the whole outcome —
 /// bits, iterations, verdict and the SISO pass the block stopped on —
-/// equals the scalar oracle's.
+/// equals the scalar oracle's. One decoder per tier and one scratch,
+/// built before the sweep, decode every K in turn.
 #[test]
 fn native_single_block_matches_scalar_every_k() {
     use vran_phy::llr::adds16;
-    use vran_phy::turbo::{DecoderIsa, NativeTurboDecoder};
+    use vran_phy::turbo::{DecodeScratch, DecoderIsa, NativeTurboDecoder};
     use vran_util::rng::SmallRng;
+    let natives: Vec<_> = tiers::<DecoderIsa>()
+        .map(|isa| NativeTurboDecoder::for_any_k(2, isa))
+        .collect();
+    let mut scratch = DecodeScratch::new();
     for row in QPP_TABLE.iter() {
         let k = row.k as usize;
         let block = CRC24B.attach(&random_bits(k - 24, k as u64));
@@ -43,11 +48,12 @@ fn native_single_block_matches_scalar_every_k() {
             oracle.decode_with_crc(&input, &CRC24B),
         );
         assert_eq!(plain.siso_passes, 4);
-        for isa in tiers::<DecoderIsa>() {
-            let native = NativeTurboDecoder::with_isa(k, 2, isa);
-            assert_eq!(native.decode(&input), plain, "{} K={k}", isa.name());
-            let got = native.decode_with_crc(&input, &CRC24B);
-            assert_eq!(got, stopped, "with CRC24B on {} K={k}", isa.name());
+        for native in &natives {
+            let isa = native.isa().name();
+            let got = native.decode_scratch(&input, None, &mut scratch);
+            assert_eq!(got, plain, "{isa} K={k}");
+            let got = native.decode_scratch(&input, Some(&CRC24B), &mut scratch);
+            assert_eq!(got, stopped, "with CRC24B on {isa} K={k}");
         }
     }
 }
@@ -149,6 +155,12 @@ fn native_quad_batch_matches_scalar_every_k() {
     use vran_phy::turbo::native_batch::{NativeBatchTurboDecoder, BATCH, QUAD};
     use vran_phy::turbo::{BatchScratch, BlockLlrs, DecoderIsa, NativeTurboDecoder};
     const CAP: usize = 4;
+    // One batch decoder, one decoder per single-block tier and one
+    // scratch decode every K in turn.
+    let batch = NativeBatchTurboDecoder::for_any_k(CAP);
+    let singles: Vec<_> = tiers::<DecoderIsa>()
+        .map(|isa| NativeTurboDecoder::for_any_k(CAP, isa))
+        .collect();
     let mut scratch = BatchScratch::new();
     for row in QPP_TABLE.iter() {
         let k = row.k as usize;
@@ -196,10 +208,6 @@ fn native_quad_batch_matches_scalar_every_k() {
         ];
         let inputs = blocks.each_ref().map(BlockLlrs::from_turbo);
         let oracle = TurboDecoder::new(k, CAP);
-        let batch = NativeBatchTurboDecoder::new(k, CAP);
-        let singles: Vec<_> = tiers::<DecoderIsa>()
-            .map(|isa| NativeTurboDecoder::with_isa(k, CAP, isa))
-            .collect();
         for crc in [None, Some(&CRC24B)] {
             let want = blocks.each_ref().map(|b| {
                 let w = crc.map_or_else(|| oracle.decode(b), |c| oracle.decode_with_crc(b, c));
@@ -222,8 +230,7 @@ fn native_quad_batch_matches_scalar_every_k() {
             }
             for single in &singles {
                 for (b, w) in blocks.iter().zip(&want) {
-                    let got =
-                        crc.map_or_else(|| single.decode(b), |c| single.decode_with_crc(b, c));
+                    let got = single.decode_scratch(b, crc, &mut scratch);
                     let got = (&got.bits, (got.iterations_run, got.crc_ok, got.siso_passes));
                     let isa = single.isa().name();
                     assert_eq!(got, (&w.0, w.1), "K={k} {crc:?} single block on {isa}");

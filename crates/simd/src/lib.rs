@@ -58,6 +58,8 @@
 //! assert_eq!(trace.store_bytes(), 16);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod host;
 pub mod mem;
 pub mod trace;

@@ -46,6 +46,8 @@
 //! assert_eq!(report.port_busy[6], 0); // …store ports idle
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod critpath;

@@ -17,6 +17,8 @@
 //! * [`mod@proptest`] — a compact property-testing harness exposing the
 //!   `proptest!`/strategy subset the workspace's model-based tests use.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod pad;
 pub mod paired;
